@@ -21,8 +21,16 @@ with invariant density m1, auxiliary corrector h3, the zero-order corrector
 e1, and the averaged coefficients of the limit operator.
 
 All singular solves follow the same Fredholm discipline: check the
-solvability integral, solve by least squares with an explicit normalization
-row, then verify the defining-equation residual.
+solvability integral, solve, fix the free constant by the stated
+normalization, then verify the defining-equation residual.  The solve is one
+LU factorization per generator of the bordered matrix [[A, s 1], [s 1^T, 0]]
+(Keller's bordering), which is nonsingular exactly when the null space of A
+is one-dimensional: every left null vector met here (constants, m, m1) pairs
+positively with the ones border.  Direct and transposed solves with that one
+LU serve the whole chain -- m and m1 as adjoint null vectors, chi and e1 as
+direct solves, and h1, h2, chi1, h3 through T*(m h) = rhs followed by a
+division by the density.  LAPACK's condition estimate of the LU is the rank
+guard.
 """
 
 import io
@@ -32,11 +40,15 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import dgecon
 
 from .coefficients import CoefficientSetI, CoefficientSetII
 from .kernels import wrapped_kernel_samples
 from .torus import (
+    TWO_PI,
     PeriodicField,
+    circular_convolution,
     convolution_matrix,
     derivative_matrix,
     fractional_laplacian_matrix,
@@ -80,6 +92,9 @@ class RankDeficiencyError(RuntimeError):
 
 _SOLVE_TOL = 1e-10
 _SOLVABILITY_TOL = 1e-8
+# reciprocal condition number below which a bordered generator counts as
+# having more than a one-dimensional null space
+_RCOND_MIN = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -87,34 +102,87 @@ _SOLVABILITY_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
-def _solve_singular(A, rhs, weight, target, check_rank=True):
-    """Least-squares solve of A x = rhs with the constraint <weight, x> h = target.
+def _norm_lower_bound(A):
+    """Largest row or column 2-norm of A: a lower bound on ||A||_2 within a
+    factor sqrt(n) of it, for O(n^2) work instead of an SVD."""
+    rows = np.einsum("ij,ij->i", A, A)
+    cols = np.einsum("ij,ij->j", A, A)
+    return float(np.sqrt(max(rows.max(), cols.max())))
 
-    The constraint enters as an extra row scaled to the operator norm, which
-    keeps the augmented system well conditioned.  Returns (x, rel_residual)
-    where rel_residual is ||A x - rhs|| / (||A|| ||x|| + ||rhs||).
+
+def _relative_residual(A, x, rhs):
+    """||A x - rhs|| / (||A|| max(||x||, 1) + ||rhs||).
+
+    ||A|| is the lower bound of :func:`_norm_lower_bound`, so the ratio is
+    never smaller than with the exact 2-norm.  The unit floor keeps it
+    meaningful when the exact solution is the zero field
+    (constant-coefficient degenerate cases).
+    """
+    res = np.linalg.norm(A @ x - rhs)
+    return res / (_norm_lower_bound(A) * max(np.linalg.norm(x), 1.0)
+                  + np.linalg.norm(rhs))
+
+
+class _BorderedLU:
+    """One LU factorization of the bordered matrix [[A, s 1], [s 1^T, 0]].
+
+    s = ||A|| / sqrt(n), with the lower bound of :func:`_norm_lower_bound`,
+    gives the border the operator's scale.  The bordered matrix is
+    nonsingular exactly when A has a one-dimensional null space whose right
+    and left null vectors both have a nonzero sum; a condition estimate
+    (LAPACK gecon) below _RCOND_MIN is reported as rank deficiency.
+    Because the border is symmetric, the transposed solve is the bordered
+    system of A^T, so one factorization serves both A and its adjoint.
+    """
+
+    def __init__(self, A):
+        n = A.shape[0]
+        s = _norm_lower_bound(A) / np.sqrt(n)
+        B = np.empty((n + 1, n + 1), order="F")  # LAPACK's layout: no copy
+        B[:n, :n] = A
+        B[:n, n] = s
+        B[n, :n] = s
+        B[n, n] = 0.0
+        anorm = float(np.max(np.sum(np.abs(B), axis=0)))
+        with warnings.catch_warnings():
+            # an exactly zero pivot shows up below as rcond = 0
+            warnings.simplefilter("ignore", LinAlgWarning)
+            self._lu = lu_factor(B, overwrite_a=True, check_finite=False)
+        rcond, _ = dgecon(self._lu[0], anorm, norm="1")
+        if not rcond >= _RCOND_MIN:
+            raise RankDeficiencyError(
+                "bordered generator is numerically singular (rcond %.3g):"
+                " null space dimension > 1" % rcond
+            )
+        self._n = n
+        self._s = s
+
+    def solve(self, rhs, total=0.0, adjoint=False):
+        """x with A x = rhs (A^T x = rhs if adjoint) and sum(x) = total.
+
+        rhs must lie in the range; otherwise the border absorbs the
+        inconsistent part along the ones vector.
+        """
+        b = np.append(np.asarray(rhs, dtype=float), self._s * total)
+        x = lu_solve(self._lu, b, trans=1 if adjoint else 0, check_finite=False)
+        return x[: self._n]
+
+
+def _solve_singular(A, rhs, weight, target):
+    """Solve A x = rhs with the constraint <weight, x> h = target.
+
+    One-shot form of :class:`_BorderedLU`: factor, solve, then move along
+    the right null vector (itself one more solve with the same LU) until the
+    constraint holds.  Returns (x, rel_residual) with rel_residual from
+    :func:`_relative_residual`.
     """
     n = A.shape[0]
-    h = 1.0 / n
-    norm_A = np.linalg.norm(A, 2)
-    if check_rank:
-        svals = np.linalg.svd(A, compute_uv=False)
-        null_dim = int(np.sum(svals <= 1e-10 * svals[0]))
-        if null_dim > 1:
-            raise RankDeficiencyError(
-                "null space dimension %d > 1 (singular values %s)"
-                % (null_dim, svals[-3:])
-            )
-    w = np.asarray(weight, dtype=float) * h
-    rho = norm_A / max(np.linalg.norm(w), 1e-300)
-    A_aug = np.vstack([A, rho * w[None, :]])
-    rhs_aug = np.concatenate([np.asarray(rhs, dtype=float), [rho * target]])
-    x, *_ = np.linalg.lstsq(A_aug, rhs_aug, rcond=None)
-    res = np.linalg.norm(A @ x - rhs)
-    # the unit floor keeps the relative residual meaningful when the exact
-    # solution is the zero field (constant-coefficient degenerate cases)
-    rel = res / (norm_A * max(np.linalg.norm(x), 1.0) + np.linalg.norm(rhs))
-    return x, rel
+    lu = _BorderedLU(A)
+    x = lu.solve(rhs)
+    null = lu.solve(np.zeros(n), total=1.0)
+    w = np.asarray(weight, dtype=float) / n
+    x = x + null * (target - w @ x) / (w @ null)
+    return x, _relative_residual(A, x, rhs)
 
 
 def _quadrature_nodes(kernel, max_len=0.5, n_nodes=48):
@@ -138,19 +206,24 @@ def _quadrature_nodes(kernel, max_len=0.5, n_nodes=48):
     return np.concatenate(zs), np.concatenate(ws)
 
 
-def _z_convolution(kernel, nodes, weights, z_weight, fields):
-    """sum_q w_q z_weight(z_q) c(z_q) * field(y - z_q), vectorized over a list
-    of fields; the workhorse for every int c(z) (...) (y - z) dz term."""
-    grid = fields[0].grid
-    out = [np.zeros(grid.n) for _ in fields]
-    cz = kernel.evaluate(nodes)
-    zw = z_weight(nodes) * cz * weights
-    for zq, wq in zip(nodes, zw):
-        if wq == 0.0:
-            continue
-        for acc, fld in zip(out, fields):
-            acc += wq * fld.shifted(zq).values
-    return out
+def _z_symbols(kernel, n, n_nodes=48):
+    """rfft-ordered symbols S_j(k) = sum_q w_q c(z_q) z_q^j e^{-2 pi i k z_q}
+    for j = 0, 1, 2, shape (n/2 + 1, 3).
+
+    Column j is the Fourier multiplier of f -> sum_q w_q c(z_q) z_q^j
+    f(y - z_q), the quadrature of int z^j c(z) f(y - z) dz with f extended
+    periodically.  irfft keeps the real part at Nyquist, the cosine
+    convention of :meth:`PeriodicField.shifted`.
+    """
+    nodes, weights = _quadrature_nodes(kernel, n_nodes=n_nodes)
+    wc = weights * kernel.evaluate(nodes)
+    phase = np.exp(-1j * TWO_PI * np.outer(np.arange(n // 2 + 1), nodes))
+    return phase @ (wc[:, None] * nodes[:, None] ** np.arange(3))
+
+
+def _z_convolution(symbol, values):
+    """Apply one column of :func:`_z_symbols` to a grid field's values."""
+    return np.fft.irfft(np.fft.rfft(values) * symbol, len(values))
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +252,17 @@ def assemble_torus_generator_I(cset: CoefficientSetI):
     return T, T.T
 
 
-def solve_invariant_density_I(cset, T_adj=None):
-    """Invariant density: T* m = 0, int m = 1, via augmented least squares."""
+def solve_invariant_density_I(cset, T_adj=None, lu=None):
+    """Invariant density: T* m = 0, int m = 1, as the adjoint null vector of
+    the bordered generator.  ``lu`` is a :class:`_BorderedLU` of T to reuse;
+    one is factored when it is not given."""
     if T_adj is None:
         _, T_adj = assemble_torus_generator_I(cset)
+    if lu is None:
+        lu = _BorderedLU(T_adj.T)
     n = cset.grid.n
-    m, rel = _solve_singular(T_adj, np.zeros(n), np.ones(n), 1.0)
+    m = lu.solve(np.zeros(n), total=n, adjoint=True)
+    rel = _relative_residual(T_adj, m, np.zeros(n))
     if np.min(m) <= 0.0:
         raise SolvabilityError(
             "invariant density is not positive (min %.3g): assumptions violated"
@@ -199,10 +277,8 @@ def solve_invariant_density_I(cset, T_adj=None):
 def invariant_density_power_iteration(cset, shift=1e-6, n_iter=60):
     """Second route to m: inverse power iteration on (T* - shift I).
 
-    Independent of the least-squares path; used as a cross-check oracle.
+    Independent of the bordered solve; used as a cross-check oracle.
     """
-    from scipy.linalg import lu_factor, lu_solve
-
     _, T_adj = assemble_torus_generator_I(cset)
     n = cset.grid.n
     B = T_adj - shift * np.eye(n)
@@ -222,7 +298,7 @@ def check_centering_I(cset, m):
     return float(np.sum(cset.b.values * m.values) * cset.grid.h)
 
 
-def solve_corrector_chi(cset, m, T=None):
+def solve_corrector_chi(cset, m, T=None, lu=None):
     """First corrector: T chi = -b on the torus, normalized by int chi m = 0."""
     centering = check_centering_I(cset, m)
     if abs(centering) > _SOLVABILITY_TOL:
@@ -232,8 +308,11 @@ def solve_corrector_chi(cset, m, T=None):
         )
     if T is None:
         T, _ = assemble_torus_generator_I(cset)
-    chi, rel = _solve_singular(T, -cset.b.values, m.values, 0.0, check_rank=False)
+    if lu is None:
+        lu = _BorderedLU(T)
+    chi = lu.solve(-cset.b.values)
     chi = chi - np.sum(chi * m.values) * cset.grid.h  # exact m-orthogonality
+    rel = _relative_residual(T, chi, -cset.b.values)
     if rel > _SOLVE_TOL:
         raise RuntimeError("corrector residual %.3g above tolerance" % rel)
     return PeriodicField(cset.grid, chi), rel
@@ -246,22 +325,25 @@ def compute_Q(cset, m, chi, n_nodes=48):
             + 1/2 int_T int_R c(z) (lambda m)(y - z) [z + chi(y) - chi(y-z)]^2 dz dy.
 
     The z-integral runs over the kernel's truncated support with chi and m
-    extended periodically (spectral phase shifts), on symmetric Gauss panels.
+    extended periodically, on symmetric Gauss panels.  Expanding the square
+    turns the node sum into six convolutions with the multipliers of
+    :func:`_z_symbols`.
     """
     grid = cset.grid
     dchi = chi.derivative(1).values
     term1 = float(np.sum(cset.a.values * m.values * (dchi + 1.0) ** 2) * grid.h)
 
-    lamm = PeriodicField(grid, cset.lam.values * m.values)
-    nodes, weights = _quadrature_nodes(cset.kernel, n_nodes=n_nodes)
-    cz = cset.kernel.evaluate(nodes)
-    acc = np.zeros(grid.n)
-    for zq, wq, cq in zip(nodes, weights, cz):
-        if cq == 0.0:
-            continue
-        lm_s = lamm.shifted(zq).values
-        chi_s = chi.shifted(zq).values
-        acc += wq * cq * lm_s * (zq + chi.values - chi_s) ** 2
+    S = _z_symbols(cset.kernel, grid.n, n_nodes)
+    c = chi.values
+    lamm = cset.lam.values * m.values
+    lamm_c = lamm * c
+
+    def conv(f, j):
+        return _z_convolution(S[:, j], f)
+
+    acc = (conv(lamm, 2) + c * c * conv(lamm, 0) + conv(lamm_c * c, 0)
+           + 2.0 * c * conv(lamm, 1) - 2.0 * conv(lamm_c, 1)
+           - 2.0 * c * conv(lamm_c, 0))
     term2 = 0.5 * float(np.sum(acc) * grid.h)
     return term1 + term2
 
@@ -269,19 +351,19 @@ def compute_Q(cset, m, chi, n_nodes=48):
 def _corrector_rhs_l(cset, m, n_nodes=48):
     """l(y) = int z c(z) (lambda m)(y - z) dz + b m - 2 (a m)'."""
     grid = cset.grid
-    lamm = PeriodicField(grid, cset.lam.values * m.values)
-    nodes, weights = _quadrature_nodes(cset.kernel, n_nodes=n_nodes)
-    (J,) = _z_convolution(cset.kernel, nodes, weights, lambda z: z, [lamm])
+    S = _z_symbols(cset.kernel, grid.n, n_nodes)
+    J = _z_convolution(S[:, 1], cset.lam.values * m.values)
     am_prime = PeriodicField(grid, cset.a.values * m.values).derivative(1).values
     l = J + cset.b.values * m.values - 2.0 * am_prime
     return l, J
 
 
-def solve_h1(cset, m, T_adj=None):
+def solve_h1(cset, m, T_adj=None, lu=None):
     """First auxiliary corrector: (T_m)* h1 = l, mean-zero h1.
 
     (T_m)* acts as h -> T*(m h); its solvability integral int l dy vanishes
-    identically in the continuum and must vanish to 1e-8 discretely.
+    identically in the continuum and must vanish to 1e-8 discretely.  The
+    solve is the adjoint one with the bordered LU of T, then h1 = (m h1) / m.
     """
     grid = cset.grid
     if T_adj is None:
@@ -293,15 +375,17 @@ def solve_h1(cset, m, T_adj=None):
             "int l dy = %.3g: discretization inconsistency (should vanish)"
             % solvability
         )
-    A = T_adj @ np.diag(m.values)
-    h1, rel = _solve_singular(A, l, np.ones(grid.n), 0.0, check_rank=False)
+    if lu is None:
+        lu = _BorderedLU(T_adj.T)
+    h1 = lu.solve(l, adjoint=True) / m.values
     h1 = h1 - np.mean(h1)
+    rel = _relative_residual(T_adj * m.values[None, :], h1, l)
     if rel > _SOLVE_TOL:
         raise RuntimeError("h1 residual %.3g above tolerance" % rel)
     return PeriodicField(grid, h1), solvability, rel
 
 
-def solve_h2(cset, m, h1, T_adj=None):
+def solve_h2(cset, m, h1, T_adj=None, lu=None):
     """Second auxiliary corrector and the solvability route to Q:
 
         (T_m)* h2 = Q_alt - G(y),
@@ -320,12 +404,10 @@ def solve_h2(cset, m, h1, T_adj=None):
     grid = cset.grid
     if T_adj is None:
         _, T_adj = assemble_torus_generator_I(cset)
-    lamm = PeriodicField(grid, cset.lam.values * m.values)
-    lammh1 = PeriodicField(grid, cset.lam.values * m.values * h1.values)
-    nodes, weights = _quadrature_nodes(cset.kernel)
-    conv_half_z2, = _z_convolution(cset.kernel, nodes, weights,
-                                   lambda z: 0.5 * z * z, [lamm])
-    conv_z_h1, = _z_convolution(cset.kernel, nodes, weights, lambda z: z, [lammh1])
+    lamm = cset.lam.values * m.values
+    S = _z_symbols(cset.kernel, grid.n)
+    conv_half_z2 = 0.5 * _z_convolution(S[:, 2], lamm)
+    conv_z_h1 = _z_convolution(S[:, 1], lamm * h1.values)
     amh1_prime = PeriodicField(
         grid, cset.a.values * m.values * h1.values
     ).derivative(1).values
@@ -337,15 +419,17 @@ def solve_h2(cset, m, h1, T_adj=None):
         - cset.b.values * m.values * h1.values
     )
     Q_alt = float(np.sum(G) * grid.h)
-    A = T_adj @ np.diag(m.values)
-    h2, rel = _solve_singular(A, Q_alt - G, np.ones(grid.n), 0.0, check_rank=False)
+    if lu is None:
+        lu = _BorderedLU(T_adj.T)
+    h2 = lu.solve(Q_alt - G, adjoint=True) / m.values
     h2 = h2 - np.mean(h2)
+    rel = _relative_residual(T_adj * m.values[None, :], h2, Q_alt - G)
     if rel > _SOLVE_TOL:
         raise RuntimeError("h2 residual %.3g above tolerance" % rel)
     return PeriodicField(grid, h2), Q_alt, rel
 
 
-def zakai_cell_I(cset, m, T_adj=None):
+def zakai_cell_I(cset, m, T_adj=None, lu=None):
     """Corrector and effective diffusivity for the measure-reweighted
     (unnormalized-filter) generator.
 
@@ -362,16 +446,22 @@ def zakai_cell_I(cset, m, T_adj=None):
     up to the constant fixed by the different normalization.  Q1 evaluates
     the same two-term functional on chi1 and must reproduce Q: reversing
     time does not change the stationary variance growth.
+
+    T_hat is a diagonal similarity of T*, so the solve is the adjoint one
+    with the bordered LU of T, as for h1.
     """
     grid = cset.grid
     if T_adj is None:
         _, T_adj = assemble_torus_generator_I(cset)
+    if lu is None:
+        lu = _BorderedLU(T_adj.T)
     minv = 1.0 / m.values
-    T_hat = minv[:, None] * (T_adj @ np.diag(m.values))
     l, J = _corrector_rhs_l(cset, m)
     rhs = l * minv  # (J + b m - 2 (a m)') / m  =  b_hat + J/m
-    chi1, rel = _solve_singular(T_hat, rhs, m.values, 0.0, check_rank=False)
+    chi1 = lu.solve(l, adjoint=True) * minv  # T_hat chi1 = rhs
     chi1 = chi1 - np.sum(chi1 * m.values) * grid.h
+    T_hat = minv[:, None] * T_adj * m.values[None, :]
+    rel = _relative_residual(T_hat, chi1, rhs)
     if rel > _SOLVE_TOL:
         raise RuntimeError("chi1 residual %.3g above tolerance" % rel)
     fld = PeriodicField(grid, chi1)
@@ -403,31 +493,29 @@ def coercivity_witness_I(cset, m, T=None, n_fields=120, seed=7, max_mode=None):
     c_per = wrapped_kernel_samples(cset.kernel, grid.x, 1.0)
     a1_disc = float(np.sum(c_per) * grid.h)
     lamm = PeriodicField(grid, cset.lam.values * m.values)
-    from .torus import circular_convolution
-
     jump_zero_order = circular_convolution(lamm, c_per).values - a1_disc * lamm.values
     C2 = 0.5 * float(np.max(np.abs(jump_zero_order)))
     alpha_c = cset.kappa * float(np.min(m.values))
     mu = C1**2 / (2.0 * A1) + C2 + 0.5 * A1 + 0.5 * alpha_c
 
-    from .torus import spectral_derivative
-
+    # each field draws Re/Im of modes 1 .. kmax-1 in turn, then the mean
     rng = np.random.default_rng(seed)
-    margin = np.inf
     kmax = grid.n // 4 if max_mode is None else max_mode
-    for _ in range(n_fields):
-        coeffs = np.zeros(grid.n, dtype=complex)
-        for k in range(1, kmax):
-            z = rng.normal() + 1j * rng.normal()
-            coeffs[k], coeffs[-k] = z, np.conj(z)
-        coeffs[0] = rng.normal()
-        u = PeriodicField.from_coeffs(grid, coeffs)
-        uv = u.values
-        du = spectral_derivative(u, 1).values
-        form = -float(np.sum(m.values * (T @ uv) * uv) * h)
-        l2 = float(np.sum(uv**2) * h)
-        h1n = l2 + float(np.sum(du**2) * h)
-        margin = min(margin, form + mu * l2 - 0.5 * alpha_c * h1n)
+    if not 1 <= kmax <= grid.n // 2:
+        raise ValueError("max_mode must lie in [1, n/2], got %r" % kmax)
+    draws = rng.normal(size=(n_fields, 2 * (kmax - 1) + 1))
+    z = draws[:, 0:-1:2] + 1j * draws[:, 1:-1:2]
+    coeffs = np.zeros((n_fields, grid.n), dtype=complex)
+    coeffs[:, 0] = draws[:, -1]
+    coeffs[:, 1:kmax] = z
+    coeffs[:, grid.n - kmax + 1:] = np.conj(z[:, ::-1])
+    U = np.fft.ifft(coeffs * grid.n, axis=1).real
+    dU = np.fft.ifft(coeffs * (1j * TWO_PI * grid.wavenumbers()) * grid.n,
+                     axis=1).real
+    form = -np.sum(m.values * (U @ T.T) * U, axis=1) * h
+    l2 = np.sum(U**2, axis=1) * h
+    h1n = l2 + np.sum(dU**2, axis=1) * h
+    margin = float(np.min(form + mu * l2 - 0.5 * alpha_c * h1n))
     return alpha_c, mu, margin
 
 
@@ -458,15 +546,17 @@ class CellSolutionI:
 
 
 def solve_cell_I(cset) -> CellSolutionI:
-    """Run the full Part I chain with all cross-checks."""
+    """Run the full Part I chain with all cross-checks; one bordered LU of
+    T serves every singular solve."""
     T, T_adj = assemble_torus_generator_I(cset)
-    m, res_m = solve_invariant_density_I(cset, T_adj)
+    lu = _BorderedLU(T)
+    m, res_m = solve_invariant_density_I(cset, T_adj, lu=lu)
     centering = check_centering_I(cset, m)
-    chi, res_chi = solve_corrector_chi(cset, m, T)
+    chi, res_chi = solve_corrector_chi(cset, m, T, lu=lu)
     Q = compute_Q(cset, m, chi)
-    h1, solv_l, res_h1 = solve_h1(cset, m, T_adj)
-    h2, Q_alt, res_h2 = solve_h2(cset, m, h1, T_adj)
-    chi1, Q1, res_chi1 = zakai_cell_I(cset, m, T_adj)
+    h1, solv_l, res_h1 = solve_h1(cset, m, T_adj, lu=lu)
+    h2, Q_alt, res_h2 = solve_h2(cset, m, h1, T_adj, lu=lu)
+    chi1, Q1, res_chi1 = zakai_cell_I(cset, m, T_adj, lu=lu)
     sigma_bar = float(np.sum(cset.sigma.values * m.values) * cset.grid.h)
     alpha_c, mu, margin = coercivity_witness_I(cset, m, T)
     if margin < -1e-9:
@@ -509,12 +599,16 @@ def assemble_torus_generator_II(cset: CoefficientSetII):
     return L, L.T
 
 
-def solve_invariant_density_II(cset, L_adj=None):
-    """Invariant density of the stable cell process: L* m1 = 0, int m1 = 1."""
+def solve_invariant_density_II(cset, L_adj=None, lu=None):
+    """Invariant density of the stable cell process: L* m1 = 0, int m1 = 1.
+    ``lu`` is a :class:`_BorderedLU` of L to reuse."""
     if L_adj is None:
         _, L_adj = assemble_torus_generator_II(cset)
+    if lu is None:
+        lu = _BorderedLU(L_adj.T)
     n = cset.grid.n
-    m1, rel = _solve_singular(L_adj, np.zeros(n), np.ones(n), 1.0)
+    m1 = lu.solve(np.zeros(n), total=n, adjoint=True)
+    rel = _relative_residual(L_adj, m1, np.zeros(n))
     if np.min(m1) <= 0.0:
         raise SolvabilityError("stable invariant density is not positive")
     if rel > _SOLVE_TOL:
@@ -526,7 +620,7 @@ def check_centering_II(cset, m1):
     return float(np.sum(cset.d.values * m1.values) * cset.grid.h)
 
 
-def solve_h3(cset, m1, L_adj=None, normalization="mean-zero"):
+def solve_h3(cset, m1, L_adj=None, normalization="mean-zero", lu=None):
     """Auxiliary corrector: (L_m)* h3 = d m1.
 
     ``normalization`` fixes the free additive constant:
@@ -551,24 +645,31 @@ def solve_h3(cset, m1, L_adj=None, normalization="mean-zero"):
     if normalization not in ("mean-zero", "unit-mean"):
         raise ValueError("unknown normalization %r" % (normalization,))
     target = 0.0 if normalization == "mean-zero" else 1.0
-    A = L_adj @ np.diag(m1.values)
+    if lu is None:
+        lu = _BorderedLU(L_adj.T)
     rhs = cset.d.values * m1.values
-    h3, rel = _solve_singular(A, rhs, np.ones(grid.n), target, check_rank=False)
+    h3 = lu.solve(rhs, adjoint=True) / m1.values
+    h3 = h3 - np.mean(h3) + target
+    rel = _relative_residual(L_adj * m1.values[None, :], h3, rhs)
     if rel > _SOLVE_TOL:
         raise RuntimeError("h3 residual %.3g above tolerance" % rel)
     return PeriodicField(grid, h3), rel
 
 
-def solve_e1(cset, m1=None, L=None):
+def solve_e1(cset, m1=None, L=None, lu=None):
     """Zero-order corrector: L e1 = -e with int e1 m1 = 0.
 
     Exact solvability needs int e m1 = 0; if violated the system is solved
-    in the least-squares sense and a warning records the defect.
+    in the least-squares sense and a warning records the defect.  The
+    least-squares answer is the exact solution for -e projected off m1 (the
+    left null vector of L); the reported residual is against -e itself.
     """
     if L is None:
         L, _ = assemble_torus_generator_II(cset)
+    if lu is None:
+        lu = _BorderedLU(L)
     if m1 is None:
-        m1, _ = solve_invariant_density_II(cset)
+        m1, _ = solve_invariant_density_II(cset, L.T, lu=lu)
     grid = cset.grid
     solvability = float(np.sum(cset.e.values * m1.values) * grid.h)
     if abs(solvability) > _SOLVABILITY_TOL:
@@ -577,8 +678,11 @@ def solve_e1(cset, m1=None, L=None):
             % solvability,
             RuntimeWarning,
         )
-    e1, rel = _solve_singular(L, -cset.e.values, m1.values, 0.0, check_rank=False)
-    e1 = e1 - np.sum(e1 * m1.values) * grid.h
+    rhs = -cset.e.values
+    w = m1.values
+    e1 = lu.solve(rhs - w * (w @ rhs) / (w @ w))
+    e1 = e1 - np.sum(e1 * w) * grid.h
+    rel = _relative_residual(L, e1, rhs)
     if rel > _SOLVE_TOL and abs(solvability) <= _SOLVABILITY_TOL:
         raise RuntimeError("e1 residual %.3g above tolerance" % rel)
     return PeriodicField(grid, e1), solvability, rel
@@ -616,12 +720,13 @@ class CellSolutionII:
 
 
 def solve_cell_II(cset) -> CellSolutionII:
-    """Run the full Part II chain."""
+    """Run the full Part II chain on one bordered LU of L."""
     L, L_adj = assemble_torus_generator_II(cset)
-    m1, res_m1 = solve_invariant_density_II(cset, L_adj)
+    lu = _BorderedLU(L)
+    m1, res_m1 = solve_invariant_density_II(cset, L_adj, lu=lu)
     centering = check_centering_II(cset, m1)
-    h3, res_h3 = solve_h3(cset, m1, L_adj)
-    e1, solv_e, res_e1 = solve_e1(cset, m1, L)
+    h3, res_h3 = solve_h3(cset, m1, L_adj, lu=lu)
+    e1, solv_e, res_e1 = solve_e1(cset, m1, L, lu=lu)
     dba, g_bar, f_bar, sigma_bar = effective_coefficients_II(cset, m1)
     if dba <= 0:
         raise SolvabilityError("averaged stable coefficient must be positive")

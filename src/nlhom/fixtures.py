@@ -120,10 +120,18 @@ def varcoef_1(n=256):
     return center_drift_I(cset)
 
 
-@lru_cache(maxsize=None)
 def stable_1(n=256, alpha=1.5):
     """The workhorse alpha-stable set: delta = 1 + 0.4 cos(2 pi y), centered
-    drift d, and low-mode g, e, f, sigma."""
+    drift d, and low-mode g, e, f, sigma.
+
+    Positional, keyword and default spellings of the same (n, alpha) share
+    one cache entry (``stable_1.cache_info()``).
+    """
+    return _stable_1(int(n), float(alpha))
+
+
+@lru_cache(maxsize=None)
+def _stable_1(n, alpha):
     grid = TorusGrid(n)
     delta = field_from_function(grid, lambda y: 1.0 + 0.4 * np.cos(TWO_PI * y))
     d_raw = field_from_function(
@@ -154,6 +162,10 @@ def stable_1(n=256, alpha=1.5):
     bias = np.linalg.solve(gram, (w @ e_raw.values) * grid.h)
     e = PeriodicField(grid, e_raw.values - bias @ basis)
     return cset.with_fields(e=e)
+
+
+stable_1.cache_info = _stable_1.cache_info
+stable_1.cache_clear = _stable_1.cache_clear
 
 
 def stable_2(n=256, alpha=1.5):
@@ -271,5 +283,5 @@ def coefficient_set_by_name(name, n=None):
         return random_set_I(int(name.rsplit("-", 1)[1]), n or 256)
     if name.startswith("random-II-"):
         return random_set_II(int(name.rsplit("-", 1)[1]), n or 256)
-    raise KeyError("unknown coefficient set %r (built-ins: const-1, varcoef-1,"
-                   " stable-1, random-I-<seed>, random-II-<seed>)" % name)
+    raise KeyError("unknown coefficient set %r (built-ins: %s, random-I-<seed>,"
+                   " random-II-<seed>)" % (name, ", ".join(builders)))

@@ -92,7 +92,9 @@ class _TableLookup:
         self.ys, vals = _field_table(field, resolution)
         if transform is not None:
             vals = transform(vals)
-        self.vals = vals
+        # np.mod(x, 1.0) can round up to exactly 1.0: one entry past the
+        # period end keeps idx + 1 in range there, at no cost per lookup
+        self.vals = np.append(vals, vals[1])
         self.resolution = resolution
 
     def __call__(self, y):

@@ -75,12 +75,6 @@ class TorusGrid:
         return "TorusGrid(n=%d)" % self.n
 
 
-def _multiplier(grid, symbol):
-    """Symbol values s(k) on the FFT-ordered wavenumbers, Nyquist-aware."""
-    k = grid.wavenumbers()
-    return symbol(k)
-
-
 class PeriodicField:
     """A real 1-periodic function sampled on a :class:`TorusGrid`.
 
@@ -254,10 +248,9 @@ def circular_convolution(f, kernel_samples):
 
 
 def _multiplier_matrix(grid, sym):
-    """Dense real matrix of a Fourier multiplier operator."""
-    eye = np.eye(grid.n)
-    cols = np.fft.ifft(np.fft.fft(eye, axis=0) * sym[:, None], axis=0)
-    return cols.real
+    """Dense real matrix of a Fourier multiplier operator: a circulant, since
+    the operator commutes with grid shifts, built from its first column."""
+    return circulant(np.fft.ifft(sym).real)
 
 
 def derivative_matrix(grid, order=1):

@@ -4,21 +4,34 @@ Oracles used here, written independently of the solver internals:
 
 * a direct 2-D quadrature of the effective-diffusivity double integral
   (adaptive in the jump variable, fine trapezoid on the torus), against the
-  panel/phase-shift route in compute_Q;
+  panel/multiplier route in compute_Q;
+* the per-node phase-shift loop over the same Gauss panels, against the
+  multiplier form of the z-quadrature;
 * Fourier-mode evaluation of the generator against scalar quadrature of the
   kernel transform;
 * inverse-power iteration as a second route to the invariant density;
+* augmented least squares (lstsq), against the bordered LU solves;
+* the field-by-field loop of the coercivity witness, against its batched form;
 * cross-resolution (n vs 2n) agreement for every solved field.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, quad_vec
+from scipy.linalg import LinAlgWarning
+
+from nlhom import cell
 
 from nlhom.cell import (
     RankDeficiencyError,
     SolvabilityError,
+    _quadrature_nodes,
     _solve_singular,
+    _z_convolution,
+    _z_symbols,
     assemble_torus_generator_I,
     assemble_torus_generator_II,
     cell_report,
@@ -41,7 +54,13 @@ from nlhom.cell import (
     zakai_cell_I,
 )
 from nlhom.coefficients import CoefficientSetI, CoefficientSetII
-from nlhom.fixtures import const_1, random_set_I, stable_1, varcoef_1
+from nlhom.fixtures import (
+    const_1,
+    random_set_I,
+    random_set_II,
+    stable_1,
+    varcoef_1,
+)
 from nlhom.kernels import box_kernel, gaussian_kernel
 from nlhom.torus import PeriodicField, TorusGrid, field_from_function
 
@@ -82,6 +101,69 @@ def q_double_quadrature(cset, m, chi, epsabs=1e-11):
 
     val, _ = quad_vec(inner, -R, R, epsabs=epsabs, epsrel=1e-10)
     return term1 + 0.5 * float(val[0])
+
+
+def lstsq_singular(A, rhs, weight, target):
+    """Least-squares solve of A x = rhs with <weight, x> h = target: the
+    constraint enters as an extra row scaled to ||A||_2."""
+    n = A.shape[0]
+    w = np.asarray(weight, dtype=float) / n
+    rho = np.linalg.norm(A, 2) / np.linalg.norm(w)
+    x, *_ = np.linalg.lstsq(np.vstack([A, rho * w[None, :]]),
+                            np.append(rhs, rho * target), rcond=None)
+    return x
+
+
+def z_convolution_loop(kernel, power, f, n_nodes=48):
+    """sum_q w_q c(z_q) z_q^power f(y - z_q), one phase shift per node."""
+    nodes, weights = _quadrature_nodes(kernel, n_nodes=n_nodes)
+    acc = np.zeros(f.grid.n)
+    for zq, wq in zip(nodes, weights * kernel.evaluate(nodes) * nodes**power):
+        if wq != 0.0:
+            acc += wq * f.shifted(zq).values
+    return acc
+
+
+def q_phase_shift_loop(cset, m, chi, n_nodes=48):
+    """The two-term diffusivity functional with the jump term summed node by
+    node on phase-shifted fields."""
+    grid = cset.grid
+    dchi = chi.derivative(1).values
+    term1 = float(np.sum(cset.a.values * m.values * (dchi + 1.0) ** 2) * grid.h)
+    lamm = PeriodicField(grid, cset.lam.values * m.values)
+    nodes, weights = _quadrature_nodes(cset.kernel, n_nodes=n_nodes)
+    acc = np.zeros(grid.n)
+    for zq, wq, cq in zip(nodes, weights, cset.kernel.evaluate(nodes)):
+        if cq == 0.0:
+            continue
+        lm_s = lamm.shifted(zq).values
+        chi_s = chi.shifted(zq).values
+        acc += wq * cq * lm_s * (zq + chi.values - chi_s) ** 2
+    return term1 + 0.5 * float(np.sum(acc) * grid.h)
+
+
+def coercivity_margin_loop(cset, m, T, alpha_c, mu, n_fields=120, seed=7):
+    """Worst Garding slack over random band-limited fields, drawn and
+    evaluated one field (and one coefficient) at a time."""
+    grid = cset.grid
+    h = grid.h
+    rng = np.random.default_rng(seed)
+    margin = np.inf
+    kmax = grid.n // 4
+    for _ in range(n_fields):
+        coeffs = np.zeros(grid.n, dtype=complex)
+        for k in range(1, kmax):
+            z = rng.normal() + 1j * rng.normal()
+            coeffs[k], coeffs[-k] = z, np.conj(z)
+        coeffs[0] = rng.normal()
+        u = PeriodicField.from_coeffs(grid, coeffs)
+        uv = u.values
+        du = u.derivative(1).values
+        form = -float(np.sum(m.values * (T @ uv) * uv) * h)
+        l2 = float(np.sum(uv**2) * h)
+        h1n = l2 + float(np.sum(du**2) * h)
+        margin = min(margin, form + mu * l2 - 0.5 * alpha_c * h1n)
+    return margin
 
 
 def kernel_fourier_coefficient(kernel, k):
@@ -177,6 +259,20 @@ def test_rank_deficiency_detected():
     A[: 14, : 14] = np.diag(np.arange(1.0, 15.0))
     with pytest.raises(RankDeficiencyError):
         _solve_singular(A, np.zeros(16), np.ones(16), 1.0)
+
+
+def test_near_rank_deficiency_detected():
+    # one exact null vector plus a second singular value at 7e-14 of the
+    # largest: numerically a two-dimensional null space
+    rng = np.random.default_rng(11)
+    U, _ = np.linalg.qr(rng.normal(size=(16, 16)))
+    V, _ = np.linalg.qr(rng.normal(size=(16, 16)))
+    svals = np.concatenate([np.linspace(1.0, 0.1, 14), [7e-14, 0.0]])
+    A = (U * svals) @ V.T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LinAlgWarning)
+        with pytest.raises(RankDeficiencyError):
+            _solve_singular(A, np.zeros(16), np.ones(16), 1.0)
 
 
 def test_centering_values():
@@ -320,6 +416,9 @@ def test_coercivity_witness():
     alpha_c, mu, margin = coercivity_witness_I(cset, m, n_fields=120)
     assert alpha_c > 0 and mu > 0
     assert margin > -1e-9
+    T, _ = assemble_torus_generator_I(cset)
+    loop = coercivity_margin_loop(cset, m, T, alpha_c, mu)
+    assert abs(margin - loop) <= 1e-12 * abs(loop)
 
 
 def test_scaling_covariance_sigma():
@@ -476,6 +575,16 @@ def test_e1_zero_and_warning():
     bad = cset.with_fields(e=PeriodicField(cset.grid, np.ones(cset.grid.n)))
     with pytest.warns(RuntimeWarning):
         solve_e1(bad)
+    # off the solvable set e1 is still the least-squares solution
+    s1 = stable_1(128)
+    bad = s1.with_fields(e=PeriodicField(s1.grid, s1.e.values + 0.3))
+    m1, _ = solve_invariant_density_II(bad)
+    with pytest.warns(RuntimeWarning):
+        e1, solv, rel = solve_e1(bad, m1)
+    L, _ = assemble_torus_generator_II(bad)
+    ref = lstsq_singular(L, -bad.e.values, m1.values, 0.0)
+    assert abs(solv) > 0.1
+    assert np.max(np.abs(e1.values - ref)) < 1e-10
 
 
 def test_effective_coefficients_II():
@@ -526,3 +635,85 @@ def test_report_and_csv(tmp_path):
     write_cell_csv(sol2, path2)
     data2 = np.loadtxt(path2, delimiter=",", skiprows=1)
     assert data2.shape == (sol2.cset.grid.n, 4)
+
+
+# ---------------------------------------------------------------------------
+# bordered solves and multiplier quadrature over random admissible sets
+# ---------------------------------------------------------------------------
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=10, deadline=None)
+def test_bordered_solves_match_lstsq(seed):
+    cset = random_set_I(seed, 64)
+    n = cset.grid.n
+    sol = solve_cell_I(cset)
+    T, T_adj = assemble_torus_generator_I(cset)
+    m = sol.m.values
+    Tm = T_adj * m[None, :]
+    l = cell._corrector_rhs_l(cset, sol.m)[0]
+    for x, ref in (
+        (sol.m.values, lstsq_singular(T_adj, np.zeros(n), np.ones(n), 1.0)),
+        (sol.chi.values, lstsq_singular(T, -cset.b.values, m, 0.0)),
+        (sol.h1.values, lstsq_singular(Tm, l, np.ones(n), 0.0)),
+        (_solve_singular(T, -cset.b.values, m, 0.0)[0],
+         lstsq_singular(T, -cset.b.values, m, 0.0)),
+    ):
+        assert np.max(np.abs(x - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+    cset = random_set_II(seed, 64)
+    sol = solve_cell_II(cset)
+    L, L_adj = assemble_torus_generator_II(cset)
+    m1 = sol.m1.values
+    for x, ref in (
+        (m1, lstsq_singular(L_adj, np.zeros(n), np.ones(n), 1.0)),
+        (sol.h3.values, lstsq_singular(L_adj * m1[None, :],
+                                       cset.d.values * m1, np.ones(n), 0.0)),
+        (sol.e1.values, lstsq_singular(L, -cset.e.values, m1, 0.0)),
+    ):
+        assert np.max(np.abs(x - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=10, deadline=None)
+def test_Q_routes_agree_on_random_sets(seed):
+    sol = solve_cell_I(random_set_I(seed, 64))
+    assert abs(sol.Q_alt - sol.Q) <= 1e-8 * sol.Q
+    assert abs(sol.Q1 - sol.Q) <= 1e-8 * sol.Q
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=10, deadline=None)
+def test_multiplier_quadrature_matches_phase_shift_loop(seed):
+    cset = random_set_I(seed, 64)
+    sol = solve_cell_I(cset)
+    S = _z_symbols(cset.kernel, cset.grid.n)
+    lamm = PeriodicField(cset.grid, cset.lam.values * sol.m.values)
+    for f in (lamm, sol.chi, sol.h1):
+        for power in (0, 1, 2):
+            ref = z_convolution_loop(cset.kernel, power, f)
+            got = _z_convolution(S[:, power], f.values)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    ref = q_phase_shift_loop(cset, sol.m, sol.chi)
+    assert abs(compute_Q(cset, sol.m, sol.chi) - ref) <= 1e-12 * ref
+
+
+def test_one_factorization_per_chain(monkeypatch):
+    csets = (varcoef_1(64), random_set_II(3, 64))
+    factorizations = []
+    lu_factor = cell.lu_factor
+
+    def counting_lu_factor(*args, **kwargs):
+        factorizations.append(args[0].shape)
+        return lu_factor(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("SVD-class decomposition in a cell solve")
+
+    monkeypatch.setattr(cell, "lu_factor", counting_lu_factor)
+    for name in ("svd", "lstsq", "pinv"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    solve_cell_I(csets[0])
+    assert factorizations == [(65, 65)]
+    solve_cell_II(csets[1])
+    assert factorizations == [(65, 65)] * 2

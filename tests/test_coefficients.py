@@ -15,6 +15,8 @@ from nlhom.fixtures import (
     random_set_I,
     random_set_II,
     stable_1,
+    stable_2,
+    stable_filter,
     varcoef_1,
 )
 from nlhom.kernels import box_kernel
@@ -90,8 +92,21 @@ def test_fixture_lookup_by_name():
     # deterministic in the seed
     assert np.array_equal(r.a.values, coefficient_set_by_name("random-I-11").a.values)
     assert coefficient_set_by_name("random-II-3").name == "random-II-3"
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as err:
         coefficient_set_by_name("no-such-set")
+    for name in ("const-1", "varcoef-1", "stable-1", "stable-2",
+                 "stable-filter", "random-I-<seed>", "random-II-<seed>"):
+        assert name in str(err.value)
+
+
+def test_stable_1_spellings_share_one_build():
+    stable_1.cache_clear()
+    stable_1(64)
+    stable_2(64)
+    stable_filter(64)
+    stable_1(64, 1.5)
+    stable_1(n=64, alpha=1.5)
+    assert stable_1.cache_info().misses == 1
 
 
 def test_coefficient_set_shares_grid():

@@ -260,6 +260,16 @@ def test_jump_diffusion_reproducible():
     assert not np.array_equal(a.positions, c.positions)
 
 
+def test_start_a_hair_left_of_a_cell_boundary():
+    # x0 / eps = -1.6e-19 folds to y = 1.0 exactly, the table's end point
+    cset = coefficient_set_by_name("varcoef-1")
+    ens = pm.simulate_jump_diffusion_I(cset, 1 / 16, 1e-4, 1e-5, 4, seed=1,
+                                       x0=-1e-20)
+    assert np.isfinite(ens.positions).all()
+    table = pm._TableLookup(cset.a)
+    assert table(np.array([1.0]))[0] == table(np.array([0.0]))[0]
+
+
 def test_chunked_paths_extend_deterministically():
     # growing the ensemble by whole chunks must not disturb earlier chunks
     cset = coefficient_set_by_name("const-1")
