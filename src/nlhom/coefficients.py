@@ -59,6 +59,13 @@ class Epsilon:
         return "Epsilon(1/%d)" % self.K
 
 
+def _eps_value(eps):
+    """The float value of an Epsilon, or of a float that must be one."""
+    if isinstance(eps, Epsilon):
+        return eps.value
+    return Epsilon.from_value(float(eps)).value
+
+
 @dataclass(frozen=True)
 class CoefficientSetI:
     """Validated bundle for the integrable-jump family.

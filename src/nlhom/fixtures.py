@@ -151,11 +151,15 @@ def _stable_1(n, alpha):
     # the drift-corrected test function carries the weight e m1 h3, whose
     # mean would otherwise grow under halving for alpha > 1 -- uncancellable
     # because the fast adjoint range is orthogonal to constants).  m1 and h3
-    # depend only on (delta, d, alpha), so one projection shot suffices.
-    from .cell import solve_h3, solve_invariant_density_II
+    # depend only on (delta, d, alpha), so one projection shot suffices, and
+    # both come from one factorization of L.
+    from .cell import (_BorderedLU, assemble_torus_generator_II, solve_h3,
+                       solve_invariant_density_II)
 
-    m1, _ = solve_invariant_density_II(cset)
-    h3, _ = solve_h3(cset, m1)
+    L, L_adj = assemble_torus_generator_II(cset)
+    lu = _BorderedLU(L)
+    m1, _ = solve_invariant_density_II(cset, L_adj, lu=lu)
+    h3, _ = solve_h3(cset, m1, L_adj, lu=lu)
     w = np.stack([m1.values, m1.values * h3.values])
     basis = np.stack([np.ones(grid.n), np.cos(TWO_PI * grid.x)])
     gram = (w @ basis.T) * grid.h
@@ -207,23 +211,25 @@ def stable_filter(n=256, alpha=1.5):
     return base.with_fields(g=zero, e=zero, f=f, name="stable-filter")
 
 
+def _low_mode_field(rng, grid, base, amp, modes=3):
+    """base + sum_k a_k cos(2 pi k y + phase_k), k = 1..modes, with
+    a_k = amp U(0.1, 1) / k^2; draws (a_k, phase_k) in that order."""
+    vals = np.full(grid.n, base)
+    for k in range(1, modes + 1):
+        ak = amp * rng.uniform(0.1, 1.0) / k**2
+        ph = rng.uniform(0, TWO_PI)
+        vals = vals + ak * np.cos(TWO_PI * k * grid.x + ph)
+    return PeriodicField(grid, vals)
+
+
 def random_set_I(seed, n=256):
     """Randomized admissible Part I set (deterministic in the seed)."""
     rng = np.random.default_rng(seed)
     grid = TorusGrid(n)
-
-    def low_mode_field(base, amp, modes=3):
-        vals = np.full(n, base)
-        for k in range(1, modes + 1):
-            ak = amp * rng.uniform(0.1, 1.0) / k**2
-            ph = rng.uniform(0, TWO_PI)
-            vals = vals + ak * np.cos(TWO_PI * k * grid.x + ph)
-        return PeriodicField(grid, vals)
-
-    a = low_mode_field(1.0, 0.45)
-    lam = low_mode_field(1.0, 0.35)
-    sigma = low_mode_field(1.0, 0.4)
-    b = low_mode_field(0.0, 0.5)
+    a = _low_mode_field(rng, grid, 1.0, 0.45)
+    lam = _low_mode_field(rng, grid, 1.0, 0.35)
+    sigma = _low_mode_field(rng, grid, 1.0, 0.4)
+    b = _low_mode_field(rng, grid, 0.0, 0.5)
     kappa = min(float(a.values.min()), 1.0 / float(a.values.max()))
     cset = CoefficientSetI(
         a=a,
@@ -244,22 +250,13 @@ def random_set_II(seed, n=256):
     rng = np.random.default_rng(seed)
     grid = TorusGrid(n)
     alpha = float(rng.uniform(0.8, 1.8))
-
-    def low_mode_field(base, amp, modes=3):
-        vals = np.full(n, base)
-        for k in range(1, modes + 1):
-            ak = amp * rng.uniform(0.1, 1.0) / k**2
-            ph = rng.uniform(0, TWO_PI)
-            vals = vals + ak * np.cos(TWO_PI * k * grid.x + ph)
-        return PeriodicField(grid, vals)
-
     cset = CoefficientSetII(
-        delta=low_mode_field(1.0, 0.4),
-        d=low_mode_field(0.0, 0.4),
-        g=low_mode_field(0.1, 0.3),
-        e=low_mode_field(0.0, 0.3),
-        f=low_mode_field(0.1, 0.3),
-        sigma=low_mode_field(1.0, 0.3),
+        delta=_low_mode_field(rng, grid, 1.0, 0.4),
+        d=_low_mode_field(rng, grid, 0.0, 0.4),
+        g=_low_mode_field(rng, grid, 0.1, 0.3),
+        e=_low_mode_field(rng, grid, 0.0, 0.3),
+        f=_low_mode_field(rng, grid, 0.1, 0.3),
+        sigma=_low_mode_field(rng, grid, 1.0, 0.3),
         alpha=alpha,
         name="random-II-%d" % seed,
     )

@@ -1,10 +1,13 @@
 """Heterogeneous and homogenized operators on a truncated periodic line.
 
 The real line is replaced by a periodic window [-L, L) with all test data
-supported away from the wrap; operators are assembled as dense matrices (the
-adjoint is then the exact transpose for the discrete inner product
-dx * sum(u v)) up to a configurable size, with spectral matrix-free closures
-above it.
+supported away from the wrap.  Every operator here is a sum of eps-periodic
+fields times Fourier multipliers, so it commutes with translation by one
+eps-cell of p points.  An FFT over the N_c cells splits it into N_c//2 + 1
+independent p x p Bloch blocks, the one stored form of a LineOperator.  The
+adjoint for dx * sum(u v) (the exact transpose) uses the conjugate-transposed
+blocks, a resolvent is a batched p x p inverse, and constant-coefficient
+operators are the case p = 1, whose blocks are the symbol.
 
 The window must tile the fast period exactly: 2L is an integer, eps is the
 reciprocal of an integer, and the number of grid points per eps-cell is an
@@ -27,16 +30,16 @@ import io
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import circulant
 
 from .cell import CellSolutionI, CellSolutionII
-from .coefficients import Epsilon
+from .coefficients import _eps_value
 from .kernels import wrapped_kernel_samples
 from .singular import (
     _fd_derivative,
     cosine_tail_integral,
     fractional_laplacian_pointwise,
 )
+from .torus import derivative_symbol, fractional_symbol
 
 __all__ = [
     "ResolutionError",
@@ -61,17 +64,9 @@ __all__ = [
     "write_residual_csv",
 ]
 
-_DENSE_LIMIT = 4096
-
 
 class ResolutionError(ValueError):
     """The line grid cannot represent the requested fast scale."""
-
-
-def _eps_value(eps):
-    if isinstance(eps, Epsilon):
-        return eps.value
-    return Epsilon.from_value(float(eps)).value
 
 
 class LineGrid:
@@ -137,35 +132,13 @@ class LineGrid:
                 "resolution violation: %d points per eps-cell < %d" % (p, minimum))
         return p
 
-    # -- spectral helpers ---------------------------------------------------
-
-    def _derivative_symbol(self, order):
-        sym = (2j * np.pi * self._freqs) ** order
-        if order % 2 == 1:
-            sym[self._n // 2] = 0.0
-        return sym
-
     def apply_derivative(self, values, order=1):
-        sym = self._derivative_symbol(order)
+        sym = derivative_symbol(self._freqs, order)
         return np.fft.ifft(sym * np.fft.fft(values)).real
 
     def apply_fractional(self, values, alpha):
-        if not 0.0 < alpha < 2.0:
-            raise ValueError("alpha must lie in (0, 2), got %r" % (alpha,))
-        sym = np.abs(2.0 * np.pi * self._freqs) ** alpha
+        sym = fractional_symbol(self._freqs, alpha)
         return np.fft.ifft(sym * np.fft.fft(values)).real
-
-    def _symbol_matrix(self, sym):
-        col = np.fft.ifft(sym).real
-        return circulant(col)
-
-    def derivative_matrix(self, order=1):
-        return self._symbol_matrix(self._derivative_symbol(order))
-
-    def fractional_matrix(self, alpha):
-        if not 0.0 < alpha < 2.0:
-            raise ValueError("alpha must lie in (0, 2), got %r" % (alpha,))
-        return self._symbol_matrix(np.abs(2.0 * np.pi * self._freqs) ** alpha)
 
     def l2_norm(self, values):
         return float(np.sqrt(np.sum(np.asarray(values) ** 2) * self._dx))
@@ -180,37 +153,65 @@ def gaussian_bump(grid, center=0.0, width=0.35):
 
 
 class LineOperator:
-    """A linear operator on a LineGrid with its discrete adjoint.
+    """A linear operator on a LineGrid that commutes with eps-cell
+    translations, stored as its Bloch blocks.
 
-    When a dense matrix is available the adjoint is the exact transpose;
-    matrix-free instances carry explicit closures for both directions.
+    ``blocks`` has shape ``(N_c//2 + 1, p, p)`` (complex); ``blocks[t]``
+    acts on the Fourier mode t over the cell index of a state reshaped to
+    (N_c, p), so the operator maps u to irfft_t(blocks[t] @ rfft_t(u)).
     """
 
-    def __init__(self, grid, label, matrix=None, apply_fn=None,
-                 adjoint_fn=None, eps=None, part=None):
-        if matrix is None and (apply_fn is None or adjoint_fn is None):
-            raise ValueError("need either a matrix or both closures")
+    def __init__(self, grid, label, blocks, eps=None, part=None):
         self.grid = grid
         self.label = label
-        self.matrix = matrix
+        self.blocks = blocks
         self.eps = eps
         self.part = part
-        self._apply = apply_fn
-        self._adjoint = adjoint_fn
+
+    @property
+    def nbytes(self):
+        """Bytes held by the Bloch blocks."""
+        return self.blocks.nbytes
+
+    def _act(self, blocks, values):
+        values = np.asarray(values, dtype=float)
+        cells = self.grid.n // blocks.shape[1]
+        u_hat = np.fft.rfft(values.reshape(cells, blocks.shape[1], -1), axis=0)
+        out = np.fft.irfft(blocks @ u_hat, n=cells, axis=0)
+        return out.reshape(values.shape)
 
     def apply(self, values):
-        if self.matrix is not None:
-            return self.matrix @ np.asarray(values)
-        return self._apply(np.asarray(values))
+        """Operator applied to (n,) states or (n, m) column blocks."""
+        return self._act(self.blocks, values)
 
     def adjoint_apply(self, values):
-        if self.matrix is not None:
-            return self.matrix.T @ np.asarray(values)
-        return self._adjoint(np.asarray(values))
+        """Exact transpose: the conjugate-transposed blocks."""
+        return self._act(self.blocks.conj().swapaxes(1, 2), values)
+
+    def resolvent(self, dt):
+        """(I - dt A)^-1 as a LineOperator: one p x p inverse per block."""
+        eye = np.eye(self.blocks.shape[1])
+        return LineOperator(self.grid, "(I - %g %s)^-1" % (dt, self.label),
+                            np.linalg.inv(eye - dt * self.blocks),
+                            eps=self.eps, part=self.part)
+
+    @property
+    def matrix(self):
+        """The real n x n matrix, materialized from the blocks: the inverse
+        FFT over t gives the cell-offset blocks C_d, and row cell a holds
+        C_{a-b} in column cell b."""
+        p = self.blocks.shape[1]
+        cells = self.grid.n // p
+        offsets = np.fft.irfft(self.blocks, n=cells, axis=0)
+        out = np.empty((cells, p, cells, p))
+        lag = np.arange(cells)
+        for a in range(cells):
+            out[a] = offsets[(a - lag) % cells].swapaxes(0, 1)
+        return out.reshape(self.grid.n, self.grid.n)
 
     def __repr__(self):
-        kind = "dense" if self.matrix is not None else "matrix-free"
-        return "LineOperator(%s, n=%d, %s)" % (self.label, self.grid.n, kind)
+        return "LineOperator(%s, n=%d, p=%d)" % (self.label, self.grid.n,
+                                                 self.blocks.shape[1])
 
 
 def _cell_trace(field, grid, eps):
@@ -219,25 +220,58 @@ def _cell_trace(field, grid, eps):
     return field.evaluate(y)
 
 
-def _zero_row_sums(M):
-    """Force exact annihilation of constants on a generator matrix.
+def _multiplier_blocks(column, p):
+    """Bloch blocks of the periodic convolution with the given first column.
 
-    Every generator part assembled here kills constants analytically, so the
-    row sums of the dense matrix are pure floating-point noise at the scale
-    of the largest entries; folding them into the diagonal restores the
-    Markov-generator invariant exactly.  Row sums beyond noise level signal
-    an assembly bug and raise.
+    With c = column reshaped to (cells, p) and c_hat its FFT over the cell
+    axis, the block entry (r, r') reads c_hat[t, r - r'] on and below the
+    diagonal, and the neighbouring cell's c_hat[t, p + r - r'] twisted by
+    exp(-2 pi i t / cells) above it.
     """
-    # row sums evaluated through the same BLAS matvec the operator uses, so
-    # the correction cancels the rounding the caller will actually see
-    rows = M @ np.ones(M.shape[0])
-    scale = np.max(np.abs(M))
+    cells = column.size // p
+    c_hat = np.fft.rfft(column.reshape(cells, p), axis=0)
+    twist = np.exp(-2j * np.pi * np.arange(c_hat.shape[0]) / cells)
+    lags = np.concatenate([twist[:, None] * c_hat[:, 1:], c_hat], axis=1)
+    r = np.arange(p)
+    return lags[:, r[:, None] - r[None, :] + p - 1]
+
+
+def _field_blocks(grid, p, terms):
+    """Bloch blocks, p points per cell, of sum_i diag(field_i) M_i.
+
+    ``terms`` are (field, first column of M_i) pairs; a field is sampled on
+    the grid and is constant over cell translations, so only its first
+    cell enters.
+    """
+    blocks = 0.0
+    for field, column in terms:
+        field = np.broadcast_to(np.asarray(field, dtype=float), (grid.n,))
+        blocks = blocks + field[:p, None] * _multiplier_blocks(column, p)
+    return blocks
+
+
+def _annihilate_constants(blocks, zero_order=0.0):
+    """Fold the row sums into the diagonal so the operator kills constants,
+    then add the zero-order field (one cell of samples, or a scalar) there.
+
+    Every generator part assembled here kills constants analytically; the
+    row sums, read off the t = 0 block, are floating-point noise, and a
+    cell-periodic diagonal enters every Bloch block identically.  Row sums
+    beyond noise level signal an assembly bug and raise.
+    """
+    rows = (blocks[0] @ np.ones(blocks.shape[1])).real
+    scale = np.max(np.abs(blocks[0]))
     if np.max(np.abs(rows)) > 1e-6 * max(1.0, scale):
         raise RuntimeError(
-            "generator row sums %.3g exceed float noise at entry scale %.3g"
+            "generator row sums %.3g exceed float noise at block scale %.3g"
             % (np.max(np.abs(rows)), scale))
-    M[np.diag_indices_from(M)] -= rows
-    return M
+    diag = np.arange(blocks.shape[1])
+    blocks[:, diag, diag] += zero_order - rows
+    return blocks
+
+
+def _symbol_column(symbol):
+    return np.fft.ifft(symbol).real
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +279,18 @@ def _zero_row_sums(M):
 # ---------------------------------------------------------------------------
 
 
-def _line_jump_kernel(kernel, grid, eps):
-    """Samples of (1/eps) c(w/eps) on the periodic displacement lattice."""
+def _line_jump_column(kernel, grid, eps):
+    """First column of the jump part K * u - a1_d u: the periodized scaled
+    kernel (1/eps) c(w/eps) times dx, less its discrete mass a1_d."""
     if eps * kernel.truncation_radius > grid.half_width + 1e-12:
         raise ResolutionError(
             "scaled jump support %.3g exceeds the half window %.3g"
             % (eps * kernel.truncation_radius, grid.half_width))
     w = grid.dx * np.arange(grid.n)
-    return wrapped_kernel_samples(kernel, w, period=2.0 * grid.half_width,
-                                  eps=eps)
+    column = wrapped_kernel_samples(kernel, w, period=2.0 * grid.half_width,
+                                    eps=eps) * grid.dx
+    column[0] -= np.sum(column)
+    return column
 
 
 def assemble_T_eps(cset, eps, grid, min_points_per_cell=16):
@@ -261,44 +298,33 @@ def assemble_T_eps(cset, eps, grid, min_points_per_cell=16):
 
     The jump part is realized as (1/e^2) lambda(x/e) [K * u - a1_d u] with
     K the periodized scaled kernel on the line lattice and a1_d its discrete
-    mass, so constants are annihilated exactly.  Dense only: the integrable
-    family is used at window sizes where the matrix form is cheap.
+    mass, so constants are annihilated exactly.
     """
     eps = _eps_value(eps)
-    grid.points_per_cell(eps, minimum=min_points_per_cell)
-    if grid.n > _DENSE_LIMIT:
-        raise ResolutionError("dense assembly limited to n <= %d" % _DENSE_LIMIT)
-    a_e = _cell_trace(cset.a, grid, eps)
-    b_e = _cell_trace(cset.b, grid, eps)
-    lam_e = _cell_trace(cset.lam, grid, eps)
-    D1 = grid.derivative_matrix(1)
-    D2 = grid.derivative_matrix(2)
-    K = _line_jump_kernel(cset.kernel, grid, eps)
-    conv = circulant(K) * grid.dx
-    a1_disc = float(np.sum(K) * grid.dx)
-    jump = conv - a1_disc * np.eye(grid.n)
-    T = (a_e[:, None] * D2 + (b_e / eps)[:, None] * D1
-         + (lam_e / eps**2)[:, None] * jump)
-    _zero_row_sums(T)
-    return LineOperator(grid, "T_eps[%s]" % cset.name, matrix=T, eps=eps,
-                        part="I")
+    p = grid.points_per_cell(eps, minimum=min_points_per_cell)
+    blocks = _field_blocks(grid, p, [
+        (_cell_trace(cset.a, grid, eps),
+         _symbol_column(derivative_symbol(grid.freqs, 2))),
+        (_cell_trace(cset.b, grid, eps) / eps,
+         _symbol_column(derivative_symbol(grid.freqs, 1))),
+        (_cell_trace(cset.lam, grid, eps) / eps**2,
+         _line_jump_column(cset.kernel, grid, eps)),
+    ])
+    return LineOperator(grid, "T_eps[%s]" % cset.name,
+                        _annihilate_constants(blocks), eps=eps, part="I")
 
 
 def assemble_T0(Q, sigma_bar, grid):
     """Constant-coefficient limit: (Q d^2/dx^2, scalar noise multiplier).
 
-    Spectral and matrix-free (the symbol acts exactly on every grid mode);
-    self-adjoint, so both directions share one closure.
+    One cell per grid point (p = 1): the blocks are the symbol, which acts
+    exactly on every grid mode; self-adjoint.
     """
     if Q <= 0:
         raise ValueError("Q must be positive, got %r" % (Q,))
-
-    def apply_fn(u):
-        return Q * grid.apply_derivative(u, 2)
-
-    op = LineOperator(grid, "T0", apply_fn=apply_fn, adjoint_fn=apply_fn,
-                      part="I")
-    return op, float(sigma_bar)
+    blocks = _annihilate_constants(_field_blocks(grid, 1, [
+        (Q, _symbol_column(derivative_symbol(grid.freqs, 2)))]))
+    return LineOperator(grid, "T0", blocks, part="I"), float(sigma_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -306,57 +332,43 @@ def assemble_T0(Q, sigma_bar, grid):
 # ---------------------------------------------------------------------------
 
 
-def assemble_V_eps(cset, eps, grid, min_points_per_cell=16, dense=None):
+def _stable_blocks(grid, p, alpha, frac_field, drift_field):
+    """Bloch blocks of -frac_field (-Dx)^(alpha/2) + drift_field Dx."""
+    return _field_blocks(grid, p, [
+        (-frac_field, _symbol_column(fractional_symbol(grid.freqs, alpha))),
+        (drift_field, _symbol_column(derivative_symbol(grid.freqs, 1))),
+    ])
+
+
+def assemble_V_eps(cset, eps, grid, min_points_per_cell=16):
     """Stable-family two-scale generator plus first/zero-order terms:
 
         -delta^alpha(x/e) (-Dx)^(a/2) u + [e^(1-a) d(x/e) + g(x/e)] u'
         + [-e^(-a) e(x/e) + f(x/e)] u.
 
-    Dense when n <= 4096 (exact transpose adjoint); matrix-free above, with
-    the adjoint formed from the symmetric fractional part and the
-    sign-flipped first-order part.
+    The generator part annihilates constants; the zero-order field is added
+    after that correction.
     """
     eps = _eps_value(eps)
-    grid.points_per_cell(eps, minimum=min_points_per_cell)
+    p = grid.points_per_cell(eps, minimum=min_points_per_cell)
     alpha = cset.alpha
-    da_e = _cell_trace(cset.delta_alpha, grid, eps)
     drift_e = eps ** (1.0 - alpha) * _cell_trace(cset.d, grid, eps) \
         + _cell_trace(cset.g, grid, eps)
     zero_e = -_cell_trace(cset.e, grid, eps) / eps**alpha \
         + _cell_trace(cset.f, grid, eps)
-    label = "V_eps[%s]" % cset.name
-    if dense is None:
-        dense = grid.n <= _DENSE_LIMIT
-    if dense:
-        if grid.n > _DENSE_LIMIT:
-            raise ResolutionError("dense assembly limited to n <= %d"
-                                  % _DENSE_LIMIT)
-        gen = (-da_e[:, None] * grid.fractional_matrix(alpha)
-               + drift_e[:, None] * grid.derivative_matrix(1))
-        _zero_row_sums(gen)
-        V = gen + np.diag(zero_e)
-        return LineOperator(grid, label, matrix=V, eps=eps, part="II")
-
-    def apply_fn(u):
-        return (-da_e * grid.apply_fractional(u, alpha)
-                + drift_e * grid.apply_derivative(u, 1) + zero_e * u)
-
-    def adjoint_fn(u):
-        return (-grid.apply_fractional(da_e * u, alpha)
-                - grid.apply_derivative(drift_e * u, 1) + zero_e * u)
-
-    return LineOperator(grid, label, apply_fn=apply_fn, adjoint_fn=adjoint_fn,
-                        eps=eps, part="II")
+    blocks = _annihilate_constants(_stable_blocks(
+        grid, p, alpha, _cell_trace(cset.delta_alpha, grid, eps), drift_e),
+        zero_e[:p])
+    return LineOperator(grid, "V_eps[%s]" % cset.name, blocks, eps=eps,
+                        part="II")
 
 
 def assemble_V0(cell, grid):
     """Homogenized stable generator: -dba (-Dx)^(a/2) + g_bar d/dx + f_bar."""
-    alpha = cell.cset.alpha
-    gen = (-cell.delta_bar_alpha * grid.fractional_matrix(alpha)
-           + cell.g_bar * grid.derivative_matrix(1))
-    _zero_row_sums(gen)
-    V0 = gen + cell.f_bar * np.eye(grid.n)
-    return LineOperator(grid, "V0", matrix=V0, part="II")
+    blocks = _annihilate_constants(_stable_blocks(
+        grid, 1, cell.cset.alpha, cell.delta_bar_alpha, cell.g_bar),
+        cell.f_bar)
+    return LineOperator(grid, "V0", blocks, part="II")
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +457,7 @@ def write_residual_csv(rows, path):
 
 
 def _band_limited_fields(grid, trials, seed, max_mode):
+    max_mode = grid.n // 8 if max_mode is None else max_mode
     rng = np.random.default_rng(seed)
     ks = np.arange(1, max_mode + 1)
     for _ in range(trials):
@@ -457,6 +470,15 @@ def _band_limited_fields(grid, trials, seed, max_mode):
         yield u / grid.l2_norm(u)
 
 
+def _worst_form(form, grid, fields, trials, seed, max_mode):
+    """max over fields u of dx * u . (form u), one batched application; the
+    fields default to normalized band-limited draws."""
+    if fields is None:
+        fields = _band_limited_fields(grid, trials, seed, max_mode)
+    U = np.stack(list(fields), axis=1)
+    return float(np.max(np.sum(U * form.apply(U), axis=0)) * grid.dx)
+
+
 def dissipativity_check_I(cset, m, eps, grid, trials=100, seed=11,
                           max_mode=None, min_points_per_cell=16, fields=None):
     """Max over random fields of the m-weighted drift-plus-jump form.
@@ -467,26 +489,17 @@ def dissipativity_check_I(cset, m, eps, grid, trials=100, seed=11,
     normalized band-limited fields certifies the sign numerically.
     """
     eps = _eps_value(eps)
-    grid.points_per_cell(eps, minimum=min_points_per_cell)
+    p = grid.points_per_cell(eps, minimum=min_points_per_cell)
     lamm = cset.lam.with_values(cset.lam.values * m.values)
     am = cset.a.with_values(cset.a.values * m.values)
     beta_m = cset.b.with_values(cset.b.values * m.values - am.derivative(1).values)
-    lamm_e = _cell_trace(lamm, grid, eps)
-    beta_e = _cell_trace(beta_m, grid, eps)
-    K = _line_jump_kernel(cset.kernel, grid, eps)
-    conv = circulant(K) * grid.dx
-    a1_disc = float(np.sum(K) * grid.dx)
-    jump = (lamm_e / eps**2)[:, None] * (conv - a1_disc * np.eye(grid.n))
-    drift = (beta_e / eps)[:, None] * grid.derivative_matrix(1)
-    M = jump + drift
-    if max_mode is None:
-        max_mode = grid.n // 8
-    if fields is None:
-        fields = _band_limited_fields(grid, trials, seed, max_mode)
-    worst = -np.inf
-    for u in fields:
-        worst = max(worst, grid.inner(u, M @ u))
-    return worst
+    form = LineOperator(grid, "form_I", _field_blocks(grid, p, [
+        (_cell_trace(lamm, grid, eps) / eps**2,
+         _line_jump_column(cset.kernel, grid, eps)),
+        (_cell_trace(beta_m, grid, eps) / eps,
+         _symbol_column(derivative_symbol(grid.freqs, 1))),
+    ]), eps=eps, part="I")
+    return _worst_form(form, grid, fields, trials, seed, max_mode)
 
 
 def dissipativity_check_II(cset, m1, eps, grid, trials=100, seed=12,
@@ -498,22 +511,15 @@ def dissipativity_check_II(cset, m1, eps, grid, trials=100, seed=12,
     grid.
     """
     eps = _eps_value(eps)
-    grid.points_per_cell(eps, minimum=min_points_per_cell)
+    p = grid.points_per_cell(eps, minimum=min_points_per_cell)
     alpha = cset.alpha
     w = cset.delta_alpha.with_values(cset.delta_alpha.values * m1.values)
     dm1 = cset.d.with_values(cset.d.values * m1.values)
-    w_e = _cell_trace(w, grid, eps)
-    dm1_e = _cell_trace(dm1, grid, eps)
-    M = (-w_e[:, None] * grid.fractional_matrix(alpha)
-         + (eps ** (1.0 - alpha) * dm1_e)[:, None] * grid.derivative_matrix(1))
-    if max_mode is None:
-        max_mode = grid.n // 8
-    if fields is None:
-        fields = _band_limited_fields(grid, trials, seed, max_mode)
-    worst = -np.inf
-    for v in fields:
-        worst = max(worst, grid.inner(v, M @ v))
-    return worst
+    form = LineOperator(grid, "form_II", _stable_blocks(
+        grid, p, alpha, _cell_trace(w, grid, eps),
+        eps ** (1.0 - alpha) * _cell_trace(dm1, grid, eps)),
+        eps=eps, part="II")
+    return _worst_form(form, grid, fields, trials, seed, max_mode)
 
 
 # ---------------------------------------------------------------------------

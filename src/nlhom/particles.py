@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import Epsilon
+from .coefficients import _eps_value
 
 __all__ = [
     "RngStream",
@@ -38,12 +38,6 @@ __all__ = [
 _TABLE_RESOLUTION = 8192
 _CHUNK_SIZE = 4096
 _BINARY_MAGIC = b"NLHOMPE1"
-
-
-def _eps_value(eps):
-    if isinstance(eps, Epsilon):
-        return eps.value
-    return Epsilon.from_value(float(eps)).value
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ only time-discretization error is in the noise product.
 
 Ensembles march all paths of a chunk in lockstep as the columns of a single
 state matrix: every path still sees a strictly serial step sequence, but each
-resolvent application becomes one BLAS-3 product, which is what makes the
-weak-convergence studies affordable at the dt demanded by the stability rule
+resolvent application becomes one batched product with the Bloch blocks of
+(I - dt T)^-1, which is what makes the weak-convergence studies affordable at
+the dt demanded by the stability rule
 (dt <= min(0.1 eps^2, 0.25 dx^2 / max a) for the integrable family,
 dt <= 0.1 eps^alpha for the stable family).  Heterogeneous and homogenized
 solvers consume identical Brownian increments when the coupling is shared,
@@ -26,9 +27,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .coefficients import CoefficientSetII
-from .lineops import (LineGrid, gaussian_bump, assemble_T_eps, assemble_V_eps,
-                      _cell_trace, _eps_value)
+from .coefficients import CoefficientSetII, _eps_value
+from .lineops import (LineGrid, gaussian_bump, assemble_T0, assemble_T_eps,
+                      assemble_V0, assemble_V_eps, _cell_trace)
 from .particles import RngStream, _step_grid
 
 __all__ = [
@@ -152,7 +153,7 @@ class SemiImplicitStepper(_Stepper):
     Parameters
     ----------
     operator : LineOperator
-        Dense two-scale generator (T^eps or V^eps).
+        Two-scale generator (T^eps or V^eps).
     sigma_trace : ndarray
         sigma(x/eps) sampled on the line grid.
     dt : float
@@ -162,22 +163,19 @@ class SemiImplicitStepper(_Stepper):
     kind = "semi-implicit"
 
     def __init__(self, operator, sigma_trace, dt, part):
-        if operator.matrix is None:
-            raise ValueError("semi-implicit stepping needs a dense operator")
         self.operator = operator
         self.grid = operator.grid
         self.sigma_trace = np.asarray(sigma_trace, dtype=float)
         self.dt = float(dt)
         self.part = part
-        n = self.grid.n
-        # resolvent stored as an explicit inverse: each step is then a single
-        # BLAS-3 product over a whole path block
-        self._resolvent = np.linalg.inv(np.eye(n) - self.dt * operator.matrix)
+        # resolvent stored as explicit inverse blocks: each step is then one
+        # batched block product over a whole path block
+        self._resolvent = operator.resolvent(self.dt)
 
     def step(self, state, dw):
         rhs = self._noise_factor(np.asarray(state, dtype=float), dw,
                                  self.sigma_trace)
-        return self._resolvent @ rhs
+        return self._resolvent.apply(rhs)
 
 
 class SpectralStepper(_Stepper):
@@ -223,16 +221,9 @@ class ExplicitStepper(_Stepper):
         self.dt = float(dt)
         self.part = part
 
-    def _apply(self, state):
-        if self.operator.matrix is not None:
-            return self.operator.matrix @ state
-        if state.ndim == 1:
-            return self.operator.apply(state)
-        return np.stack([self.operator.apply(col) for col in state.T], axis=1)
-
     def step(self, state, dw):
         state = np.asarray(state, dtype=float)
-        drifted = state + self.dt * self._apply(state)
+        drifted = state + self.dt * self.operator.apply(state)
         noise = self._noise_factor(state, dw, self.sigma_trace) - state
         return drifted + noise
 
@@ -247,11 +238,10 @@ def prepare_heterogeneous_I(cset, eps, grid, dt):
 
 
 def prepare_homogenized_I(Q, sigma_bar, grid, dt):
-    """Exact heat-semigroup stepper for the homogenized integrable limit."""
-    if Q <= 0:
-        raise ValueError("Q must be positive, got %r" % (Q,))
-    omega = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.dx)
-    factor = np.exp(-Q * omega ** 2 * dt)
+    """Exact heat-semigroup stepper for the homogenized integrable limit:
+    exp(dt T0) on T0's one-point Bloch blocks, its symbol -Q omega^2."""
+    T0, _ = assemble_T0(Q, sigma_bar, grid)
+    factor = np.exp(dt * T0.blocks[:, 0, 0])
     return SpectralStepper(grid, factor, sigma_bar, dt, part="I")
 
 
@@ -259,7 +249,7 @@ def prepare_heterogeneous_II(cset, eps, grid, dt):
     """Semi-implicit stepper for the stable-family two-scale equation."""
     eps = _eps_value(eps)
     _check_dt(dt, heterogeneous_dt_limit(cset, eps, grid), "stable-family")
-    op = assemble_V_eps(cset, eps, grid, dense=True)
+    op = assemble_V_eps(cset, eps, grid)
     sigma_trace = _cell_trace(cset.sigma, grid, eps)
     return SemiImplicitStepper(op, sigma_trace, dt, part="II")
 
@@ -267,18 +257,13 @@ def prepare_heterogeneous_II(cset, eps, grid, dt):
 def prepare_homogenized_II(cell, grid, dt):
     """Exact stable-semigroup stepper for the homogenized stable limit.
 
-    One complex multiplier per mode combines the fractional decay
-    exp(-dba |omega|^alpha dt), the advection phase exp(i omega g_bar dt)
-    and the zero-order growth exp(f_bar dt); the Nyquist phase is dropped to
-    keep the inverse real transform consistent.
+    exp(dt V0) on V0's one-point Bloch blocks, one complex multiplier per
+    mode: the fractional decay exp(-dba |omega|^alpha dt), the advection
+    phase exp(i omega g_bar dt) and the zero-order growth exp(f_bar dt).
+    The derivative symbol drops the Nyquist phase, which keeps the inverse
+    real transform consistent.
     """
-    alpha = cell.cset.alpha
-    omega = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.dx)
-    phase = 1j * omega * cell.g_bar
-    if grid.n % 2 == 0:
-        phase[-1] = 0.0
-    factor = np.exp(dt * (-cell.delta_bar_alpha * np.abs(omega) ** alpha
-                          + phase + cell.f_bar))
+    factor = np.exp(dt * assemble_V0(cell, grid).blocks[:, 0, 0])
     return SpectralStepper(grid, factor, cell.sigma_bar, dt, part="II")
 
 
@@ -288,7 +273,7 @@ def prepare_explicit(cset, eps, grid, dt, part):
     if part == "I":
         op = assemble_T_eps(cset, eps, grid)
     elif part == "II":
-        op = assemble_V_eps(cset, eps, grid, dense=True)
+        op = assemble_V_eps(cset, eps, grid)
     else:
         raise ValueError("part must be 'I' or 'II', got %r" % (part,))
     sigma_trace = _cell_trace(cset.sigma, grid, eps)

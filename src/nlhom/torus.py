@@ -31,6 +31,8 @@ __all__ = [
     "spectral_derivative",
     "fractional_laplacian_periodic",
     "circular_convolution",
+    "derivative_symbol",
+    "fractional_symbol",
     "derivative_matrix",
     "fractional_laplacian_matrix",
     "convolution_matrix",
@@ -199,12 +201,21 @@ def field_from_function(grid, fn):
 # ---------------------------------------------------------------------------
 
 
-def _derivative_symbol(grid, order):
-    k = grid.wavenumbers().astype(float)
-    sym = (1j * TWO_PI * k) ** order
+def derivative_symbol(freqs, order):
+    """(2 pi i f)^order at frequencies f in cycles per unit length (FFT
+    order).  For odd orders the unpaired Nyquist mode is zeroed."""
+    sym = (1j * TWO_PI * freqs) ** order
     if order % 2 == 1:
-        sym[grid.n // 2] = 0.0  # unpaired Nyquist mode
+        sym[len(freqs) // 2] = 0.0
     return sym
+
+
+def fractional_symbol(freqs, alpha):
+    """|2 pi f|^alpha at frequencies f in cycles per unit length; the zero
+    frequency maps to 0, so constants are annihilated."""
+    if not (0.0 < alpha < 2.0):
+        raise ValueError("alpha must lie in (0, 2), got %r" % alpha)
+    return np.abs(TWO_PI * freqs) ** alpha
 
 
 def spectral_derivative(f, order=1):
@@ -212,7 +223,8 @@ def spectral_derivative(f, order=1):
     order = int(order)
     if order < 1:
         raise ValueError("derivative order must be a positive integer")
-    return f.apply_multiplier(_derivative_symbol(f.grid, order))
+    k = f.grid.wavenumbers().astype(float)
+    return f.apply_multiplier(derivative_symbol(k, order))
 
 
 def fractional_laplacian_periodic(f, alpha):
@@ -222,11 +234,8 @@ def fractional_laplacian_periodic(f, alpha):
     normalized convention under which the operator is exactly the generator
     (negated) of the standard symmetric alpha-stable process.
     """
-    if not (0.0 < alpha < 2.0):
-        raise ValueError("alpha must lie in (0, 2), got %r" % alpha)
     k = f.grid.wavenumbers().astype(float)
-    sym = np.abs(TWO_PI * k) ** alpha
-    return f.apply_multiplier(sym)
+    return f.apply_multiplier(fractional_symbol(k, alpha))
 
 
 def circular_convolution(f, kernel_samples):
@@ -254,14 +263,13 @@ def _multiplier_matrix(grid, sym):
 
 
 def derivative_matrix(grid, order=1):
-    return _multiplier_matrix(grid, _derivative_symbol(grid, order))
+    k = grid.wavenumbers().astype(float)
+    return _multiplier_matrix(grid, derivative_symbol(k, order))
 
 
 def fractional_laplacian_matrix(grid, alpha):
-    if not (0.0 < alpha < 2.0):
-        raise ValueError("alpha must lie in (0, 2), got %r" % alpha)
     k = grid.wavenumbers().astype(float)
-    return _multiplier_matrix(grid, np.abs(TWO_PI * k) ** alpha)
+    return _multiplier_matrix(grid, fractional_symbol(k, alpha))
 
 
 def convolution_matrix(grid, kernel_samples):

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from nlhom import lineops as lo
+from nlhom import spde
 from nlhom.cell import solve_cell_I, solve_cell_II
 from nlhom.coefficients import CoefficientSetI, CoefficientSetII
-from nlhom.fixtures import coefficient_set_by_name
+from nlhom.fixtures import coefficient_set_by_name, random_set_I, random_set_II
 from nlhom.torus import TorusGrid, field_from_function
 
 
@@ -109,8 +111,8 @@ def test_second_order_part_fourier_mode(grid):
     L = grid.half_width
     u = np.cos(2.0 * np.pi * grid.x / (2.0 * L))
     expected = -0.7 * (np.pi / L) ** 2 * u
-    # dense spectral-derivative matrices carry rounding at the scale of
-    # their largest entries, (pi n / 2L)^2 ~ 1e5 here
+    # the spectral-derivative columns carry rounding at the scale of their
+    # largest entries, (pi n / 2L)^2 ~ 1e5 here
     assert np.max(np.abs(op.apply(u) - expected)) < 1e-8
 
 
@@ -212,29 +214,18 @@ def test_V_eps_annihilates_constants_without_zero_order(stable, grid):
     assert np.max(np.abs(op.apply(np.ones(grid.n)))) < 1e-9
 
 
-def test_V_eps_matrix_free_matches_dense(stable, grid):
-    cset, _ = stable
-    dense = lo.assemble_V_eps(cset, 1.0 / 8, grid, dense=True)
-    free = lo.assemble_V_eps(cset, 1.0 / 8, grid, dense=False)
-    rng = np.random.default_rng(17)
-    u = rng.standard_normal(grid.n)
-    assert np.max(np.abs(dense.apply(u) - free.apply(u))) < 1e-7
-    assert np.max(np.abs(dense.adjoint_apply(u) - free.adjoint_apply(u))) < 1e-7
-
-
-def test_dense_limit_and_matrix_free_fallback(stable):
-    cset, _ = stable
+def test_duality_at_n_8192(varcoef, stable):
+    # a window above 4096 points: both families assemble, apply and stay
+    # dual
     huge = lo.LineGrid(4.0, 8192)
-    with pytest.raises(lo.ResolutionError):
-        lo.assemble_V_eps(cset, 1.0 / 8, huge, dense=True)
-    op = lo.assemble_V_eps(cset, 1.0 / 8, huge)  # matrix-free automatically
-    assert op.matrix is None
     rng = np.random.default_rng(2)
     u = rng.standard_normal(huge.n)
     v = rng.standard_normal(huge.n)
-    lhs = huge.inner(op.apply(u), v)
-    rhs = huge.inner(u, op.adjoint_apply(v))
-    assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
+    for op in (lo.assemble_T_eps(varcoef[0], 1.0 / 8, huge),
+               lo.assemble_V_eps(stable[0], 1.0 / 8, huge)):
+        lhs = huge.inner(op.apply(u), v)
+        rhs = huge.inner(u, op.adjoint_apply(v))
+        assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
 
 
 def test_V0_matches_averages(stable, grid):
@@ -248,6 +239,85 @@ def test_V0_matches_averages(stable, grid):
         2.0 * np.pi * k * grid.x / (2.0 * L))
     expected = frac + drift + cell.f_bar * u
     assert np.max(np.abs(op.apply(u) - expected)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Bloch blocks against a dense reference over random admissible sets
+# ---------------------------------------------------------------------------
+
+
+def _dense_multiplier(grid, symbol):
+    """Dense matrix of a Fourier multiplier, built column by column."""
+    unit = np.fft.fft(np.eye(grid.n), axis=0)
+    return np.fft.ifft(symbol[:, None] * unit, axis=0).real
+
+
+def _dense_T_eps(cset, eps, grid):
+    omega = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    d1 = 1j * omega
+    d1[grid.n // 2] = 0.0
+    y = np.mod(grid.x / eps, 1.0)
+    lag = grid.dx * ((np.arange(grid.n) + grid.n // 2) % grid.n - grid.n // 2)
+    K = np.where(np.abs(lag / eps) <= cset.kernel.truncation_radius,
+                 cset.kernel.evaluate(lag / eps) / eps, 0.0)
+    conv = _dense_multiplier(grid, np.fft.fft(K)) * grid.dx
+    jump = conv - np.sum(K) * grid.dx * np.eye(grid.n)
+    return (cset.a.evaluate(y)[:, None] * _dense_multiplier(grid, -omega**2)
+            + (cset.b.evaluate(y) / eps)[:, None] * _dense_multiplier(grid, d1)
+            + (cset.lam.evaluate(y) / eps**2)[:, None] * jump)
+
+
+def _dense_V_eps(cset, eps, grid):
+    omega = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    d1 = 1j * omega
+    d1[grid.n // 2] = 0.0
+    y = np.mod(grid.x / eps, 1.0)
+    alpha = cset.alpha
+    drift = eps ** (1.0 - alpha) * cset.d.evaluate(y) + cset.g.evaluate(y)
+    zero = cset.f.evaluate(y) - cset.e.evaluate(y) / eps**alpha
+    gen = (-cset.delta_alpha.evaluate(y)[:, None]
+           * _dense_multiplier(grid, np.abs(omega) ** alpha)
+           + drift[:, None] * _dense_multiplier(grid, d1))
+    return gen, zero
+
+
+@given(seed=st.integers(0, 10_000), K=st.sampled_from([4, 8]))
+@settings(max_examples=8, deadline=None)
+def test_bloch_blocks_match_dense_reference(seed, K):
+    grid = lo.LineGrid(1.0, 512)
+    eps = 1.0 / K
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((grid.n, 3))
+    dw = 0.1 * rng.standard_normal(3)
+    tol = grid.n * np.finfo(float).eps
+    for part, cset in (("I", random_set_I(seed, 64)),
+                       ("II", random_set_II(seed, 64))):
+        if part == "I":
+            op = lo.assemble_T_eps(cset, eps, grid)
+            ref, zero = _dense_T_eps(cset, eps, grid), np.zeros(grid.n)
+            stepper = spde.prepare_heterogeneous_I(
+                cset, eps, grid, spde.heterogeneous_dt_limit(cset, eps, grid))
+        else:
+            op = lo.assemble_V_eps(cset, eps, grid)
+            gen, zero = _dense_V_eps(cset, eps, grid)
+            ref = gen + np.diag(zero)
+            stepper = spde.prepare_heterogeneous_II(
+                cset, eps, grid, spde.heterogeneous_dt_limit(cset, eps, grid))
+        for got, want in ((op.apply(U), ref @ U),
+                          (op.adjoint_apply(U), ref.T @ U),
+                          (op.apply(U[:, 0]), ref @ U[:, 0])):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # the materialized matrix annihilates constants up to the rounding
+        # of a row sum, and otherwise is the reference
+        A = op.matrix
+        scale = np.max(np.abs(A))
+        assert np.max(np.abs(A @ np.ones(grid.n) - zero)) <= tol * scale
+        assert np.max(np.abs(A - ref)) <= 1e-12 * scale
+        # one semi-implicit step is a solve with the dense resolvent
+        rhs = U * (1.0 + stepper.sigma_trace[:, None] * dw[None, :])
+        want = np.linalg.solve(np.eye(grid.n) - stepper.dt * ref, rhs)
+        got = stepper.step(U, dw)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
