@@ -10,9 +10,11 @@ periodic coefficients are implemented side by side:
 
 The package computes the periodic cell problems and effective coefficients,
 assembles the full-line multiscale operators, runs SPDE and particle
-ensembles, and checks the predicted convergence rates — including a nonlinear
-filtering (Zakai equation) application where the heterogeneous posterior is
-compared against its homogenized surrogate and a particle-filter oracle.
+ensembles, and checks the predicted convergence rates.  For the nonlinear
+filtering (Zakai equation) reading of the equations it provides the
+measure-reweighted cell problem of the jump family (``cell.zakai_cell_I``)
+and a filtering coefficient set of the stable family
+(``fixtures.stable_filter``).
 """
 
 __version__ = "0.1.0"

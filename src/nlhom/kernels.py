@@ -231,7 +231,7 @@ def gaussian_kernel(width=0.22, radius=None, mass=1.0):
         # rejection-free in practice: resample the negligible tail mass
         out = rng.normal(scale=s, size=size)
         bad = np.abs(out) > R
-        while np.any(bad):
+        while bad.any():
             out[bad] = rng.normal(scale=s, size=int(bad.sum()))
             bad = np.abs(out) > R
         return out

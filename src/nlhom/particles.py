@@ -15,7 +15,10 @@ bit-identical for identical configurations regardless of how chunks are
 scheduled, and workers splitting the chunk range never share a stream.
 Coefficient fields are evaluated through dense periodic lookup tables
 (linear interpolation, resolution 8192) whose error is far below Monte
-Carlo resolution.
+Carlo resolution.  Each table stores one (value, slope) pair per table
+cell, premultiplied by its step factor (dt, sqrt(dt), the drift or jump
+scale); each Euler step locates its paths on the unit cell once
+(``_locate``) and every table of that step reads the same location.
 """
 
 from dataclasses import dataclass
@@ -67,40 +70,55 @@ class RngStream:
         return RngStream(self.seed, self.stream, self.counter + 1)
 
 
-def _field_table(field, resolution=_TABLE_RESOLUTION):
-    ys = np.linspace(0.0, 1.0, resolution + 1)
-    vals = np.asarray(field.evaluate(ys), dtype=float)
-    vals[-1] = vals[0]
-    return ys, vals
+def _locate(x, inv_eps):
+    """Table cell of positions x on the unit cell: (idx, frac).
+
+    y = x/eps mod 1 is folded as s - floor(s), bit-identical to
+    np.mod(s, 1.0) and several times cheaper; then y * _TABLE_RESOLUTION =
+    idx + frac with 0 <= frac < 1.  The fold rounds up to y == 1.0 for
+    tiny negative s (e.g. -1.6e-19), giving idx == _TABLE_RESOLUTION and
+    frac == 0: the tables' wrapped last entry reads the period start
+    there, at no cost per step.  Every table of a step reads this one
+    location.
+    """
+    s = x * inv_eps
+    s -= np.floor(s)
+    s *= _TABLE_RESOLUTION
+    cell = np.floor(s)
+    s -= cell
+    return cell.astype(np.intp), s
 
 
 class _TableLookup:
-    """Periodic linear-interpolation view of a unit-cell field.
+    """Periodic linear-interpolation table of a unit-cell field.
 
-    The grid is uniform, so lookups are direct index arithmetic (no
-    binary search); ``transform`` post-processes the sampled values once
-    (e.g. sqrt(2 a) or a premultiplied drift scale).
+    The grid is uniform, so a lookup is direct index arithmetic on the
+    location from ``_locate``: ``value[idx] + slope[idx] * frac`` with one
+    (value, slope) pair per table cell, plus one wrapped entry equal to
+    the first for the idx == _TABLE_RESOLUTION round-up.  ``transform``
+    post-processes the sampled values once (e.g. sqrt(2 a) or a
+    premultiplied drift scale).
     """
 
-    def __init__(self, field, resolution=_TABLE_RESOLUTION, transform=None):
-        self.ys, vals = _field_table(field, resolution)
+    def __init__(self, field, transform=None):
+        ys = np.linspace(0.0, 1.0, _TABLE_RESOLUTION + 1)
+        vals = np.asarray(field.evaluate(ys), dtype=float)
+        vals[-1] = vals[0]
         if transform is not None:
             vals = transform(vals)
-        # np.mod(x, 1.0) can round up to exactly 1.0: one entry past the
-        # period end keeps idx + 1 in range there, at no cost per lookup
-        self.vals = np.append(vals, vals[1])
-        self.resolution = resolution
+        self.value = vals
+        slope = np.diff(vals)
+        self.slope = np.append(slope, slope[0])
 
-    def __call__(self, y):
-        t = y * self.resolution
-        idx = t.astype(np.int64)
-        frac = t - idx
-        v = self.vals
-        return v[idx] * (1.0 - frac) + v[idx + 1] * frac
+    def at(self, idx, frac):
+        out = np.take(self.slope, idx)
+        out *= frac
+        out += np.take(self.value, idx)
+        return out
 
     @property
     def max(self):
-        return float(self.vals.max())
+        return float(self.value.max())
 
 
 def _kernel_sampler(kernel, resolution=4096):
@@ -138,12 +156,15 @@ def _stable_draws(alpha, size, rng, truncation=1e6):
         x = np.tan(u)
     else:
         w = rng.exponential(1.0, size)
-        x = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)) * (
-            np.cos((1.0 - alpha) * u) / w
-        ) ** ((1.0 - alpha) / alpha)
+        # sin(alpha u) / cos(u)**(1/alpha) * (cos((1-alpha) u)/w)**((1-alpha)
+        # /alpha), with both powers taken by one exp
+        x = np.sin(alpha * u) * np.exp(
+            ((1.0 - alpha) * np.log(np.cos((1.0 - alpha) * u) / w)
+             - np.log(np.cos(u))) / alpha
+        )
     clipped = int(np.count_nonzero(np.abs(x) > truncation))
     if clipped:
-        x = np.clip(x, -truncation, truncation)
+        np.clip(x, -truncation, truncation, out=x)
     return x, clipped
 
 
@@ -282,9 +303,21 @@ def read_paths_binary(path):
     return times, flat.reshape(int(n_times), int(n_paths))
 
 
+def _check_run(T_end, dt, x0, chunk_size):
+    """Reject run inputs that would crash or silently mis-step a simulation."""
+    for name, value in (("T_end", T_end), ("dt", dt)):
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError(
+                "%s must be finite and positive, got %r" % (name, value)
+            )
+    if not np.isfinite(x0):
+        raise ValueError("x0 must be finite, got %r" % (x0,))
+    if not chunk_size >= 1:
+        raise ValueError("chunk_size must be at least 1, got %r"
+                         % (chunk_size,))
+
+
 def _step_grid(T_end, dt, n_save):
-    if not T_end > 0.0:
-        raise ValueError("T_end must be positive, got %r" % (T_end,))
     n_steps = max(1, int(np.ceil(T_end / dt - 1e-9)))
     dt_eff = T_end / n_steps
     n_save = max(2, min(int(n_save), n_steps + 1))
@@ -351,6 +384,7 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
     ParticleEnsemble
     """
     eps_val = _eps_value(eps)
+    _check_run(T_end, dt, x0, chunk_size)
     if dt > dt_safety * eps_val**2 * (1.0 + 1e-12):
         raise ValueError(
             "dt=%g too large for eps=%g: need dt <= %g (= dt_safety*eps^2)"
@@ -397,27 +431,31 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
         if save_idx[0] == 0:
             positions[0, lo:hi] = x
             save_pos = 1
-        counts_chunk = np.zeros(m, dtype=np.int64)
+        counts_chunk = jump_counts[lo:hi]
         for step in range(1, n_steps + 1):
-            y = np.mod(x * inv_eps, 1.0)
+            idx, frac = _locate(x, inv_eps)
             dW = g.standard_normal(m)
             total = int(g.poisson(m * proposal_rate * dt_eff))
-            jump_sum = 0.0
+            step_x = sig_tab.at(idx, frac)
+            step_x *= dW
+            step_x += bdt_tab.at(idx, frac)
             if total:
                 owners = g.integers(0, m, total)
                 accept = (g.uniform(0.0, 1.0, total) * lam_max
-                          < lam_tab(y[owners]))
+                          < lam_tab.at(idx[owners], frac[owners]))
                 z = sampler(g, total)
-                sizes = eps_val * z * accept
-                jump_sum = np.bincount(owners, weights=sizes, minlength=m)
-                counts_chunk += np.bincount(
-                    owners[accept], minlength=m
-                ).astype(np.int64)
-                if keep_jump_sizes and accept.any():
-                    sizes_out.append(eps_val * z[accept])
-            x = x + (bdt_tab(y) + sig_tab(y) * dW + jump_sum)
+                jumpers = owners[accept]
+                sizes = eps_val * z[accept]
+                np.add.at(step_x, jumpers, sizes)
+                np.add.at(counts_chunk, jumpers, 1)
+                if keep_jump_sizes and sizes.size:
+                    sizes_out.append(sizes)
+            x += step_x
             if mil_tab is not None:
-                x += mil_tab(y) * (dW * dW - 1.0)
+                dW *= dW
+                dW -= 1.0
+                dW *= mil_tab.at(idx, frac)
+                x += dW
             if save_pos < save_idx.size and step == save_idx[save_pos]:
                 if not np.isfinite(x).all():
                     raise RuntimeError(
@@ -425,7 +463,6 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
                     )
                 positions[save_pos, lo:hi] = x
                 save_pos += 1
-        jump_counts[lo:hi] = counts_chunk
 
     path_streams = np.repeat(
         np.arange(len(_chunk_ranges(n_paths, chunk_size))),
@@ -545,6 +582,10 @@ def simulate_signal_II(cset, eps, T_end, dt, n_paths, seed, x0=0.0, n_save=9,
     ParticleEnsemble
     """
     eps_val = _eps_value(eps)
+    _check_run(T_end, dt, x0, chunk_size)
+    if not truncation > 0.0:
+        raise ValueError("truncation must be positive, got %r"
+                         % (truncation,))
     if dt > dt_safety * eps_val * (1.0 + 1e-12):
         raise ValueError(
             "dt=%g too large for eps=%g: need dt <= %g (= dt_safety*eps)"
@@ -560,8 +601,10 @@ def simulate_signal_II(cset, eps, T_end, dt, n_paths, seed, x0=0.0, n_save=9,
     n_steps, dt_eff, save_idx = _step_grid(T_end, dt, n_save)
     jump_scale = dt_eff ** (1.0 / alpha)
 
-    d_tab = _TableLookup(cset.d)
-    delta_tab = _TableLookup(cset.delta)
+    # premultiplied per-step tables: drift displacement and jump amplitude
+    drift_tab = _TableLookup(cset.d,
+                             transform=lambda v: v * (drift_scale * dt_eff))
+    jump_tab = _TableLookup(cset.delta, transform=lambda v: v * jump_scale)
     inv_eps = 1.0 / eps_val
 
     positions = np.empty((save_idx.size, n_paths))
@@ -576,11 +619,12 @@ def simulate_signal_II(cset, eps, T_end, dt, n_paths, seed, x0=0.0, n_save=9,
             positions[0, lo:hi] = x
             save_pos = 1
         for step in range(1, n_steps + 1):
-            y = np.mod(x * inv_eps, 1.0)
+            idx, frac = _locate(x, inv_eps)
             draws, clipped = _stable_draws(alpha, m, g, truncation)
             n_clipped += clipped
-            x = x + drift_scale * d_tab(y) * dt_eff \
-                + delta_tab(y) * jump_scale * draws
+            draws *= jump_tab.at(idx, frac)
+            x += drift_tab.at(idx, frac)
+            x += draws
             if save_pos < save_idx.size and step == save_idx[save_pos]:
                 if not np.isfinite(x).all():
                     raise RuntimeError(

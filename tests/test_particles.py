@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.special import gamma as gamma_fn
 
@@ -266,18 +267,47 @@ def test_start_a_hair_left_of_a_cell_boundary():
     ens = pm.simulate_jump_diffusion_I(cset, 1 / 16, 1e-4, 1e-5, 4, seed=1,
                                        x0=-1e-20)
     assert np.isfinite(ens.positions).all()
+    assert np.mod(-1e-20 * 16.0, 1.0) == 1.0
+    idx, frac = pm._locate(np.array([-1e-20, 0.0]), 16.0)
     table = pm._TableLookup(cset.a)
-    assert table(np.array([1.0]))[0] == table(np.array([0.0]))[0]
+    at = table.at(idx, frac)
+    assert at[0] == at[1] == table.value[0]
 
 
-def test_chunked_paths_extend_deterministically():
+@given(s=st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=300, deadline=None)
+def test_locate_fold_is_np_mod(s):
+    # idx + frac = y * resolution exactly (floor splits are exact and the
+    # resolution is a power of two), so this compares the fold bit for bit
+    x = np.array([s, -s, s * 1e-20, -s * 1e-20])
+    idx, frac = pm._locate(x, 1.0)
+    assert ((0 <= frac) & (frac < 1.0)).all()
+    assert ((0 <= idx) & (idx <= pm._TABLE_RESOLUTION)).all()
+    folded = (idx + frac) / pm._TABLE_RESOLUTION
+    assert np.array_equal(folded.view(np.int64),
+                          np.mod(x, 1.0).view(np.int64))
+
+
+@given(seed=st.integers(0, 10_000),
+       chunk=st.sampled_from([64, 100, 256, 1024]), extra=st.integers(1, 2))
+@settings(max_examples=10, deadline=None)
+def test_chunked_paths_extend_deterministically(seed, chunk, extra):
     # growing the ensemble by whole chunks must not disturb earlier chunks
     cset = coefficient_set_by_name("const-1")
-    small = pm.simulate_jump_diffusion_I(cset, 0.5, 1.0, 0.02, 1024, seed=9,
-                                         chunk_size=1024)
-    large = pm.simulate_jump_diffusion_I(cset, 0.5, 1.0, 0.02, 2048, seed=9,
-                                         chunk_size=1024)
-    assert np.array_equal(small.positions, large.positions[:, :1024])
+    small = pm.simulate_jump_diffusion_I(cset, 0.5, 1.0, 0.02, chunk,
+                                         seed=seed, chunk_size=chunk)
+    large = pm.simulate_jump_diffusion_I(cset, 0.5, 1.0, 0.02,
+                                         (1 + extra) * chunk, seed=seed,
+                                         chunk_size=chunk)
+    assert np.array_equal(small.positions, large.positions[:, :chunk])
+    assert np.array_equal(small.jump_counts, large.jump_counts[:chunk])
+    base = coefficient_set_by_name("stable-1")
+    small = pm.simulate_signal_II(base, 0.25, 1.0, 0.02, chunk, seed=seed,
+                                  chunk_size=chunk, truncation=5.0)
+    large = pm.simulate_signal_II(base, 0.25, 1.0, 0.02, (1 + extra) * chunk,
+                                  seed=seed, chunk_size=chunk, truncation=5.0)
+    assert np.array_equal(small.positions, large.positions[:, :chunk])
+    assert small.truncation_count <= large.truncation_count
 
 
 def test_thinning_count_is_poisson():
@@ -480,3 +510,234 @@ def test_signal_generator_matches_homogenized_action(stable):
     mean_lit, se_lit = paired_stat(lit)
     assert abs(mean_lit) > 3 * se_lit
     assert abs(mean_lit) > abs(mean_op)
+
+
+# ---------------------------------------------------------------------------
+# edge inputs
+# ---------------------------------------------------------------------------
+
+
+def _simulate(family, **kw):
+    args = dict(eps=0.5, T_end=0.1, dt=0.02, n_paths=8, seed=1)
+    args.update(kw)
+    if family == "jump":
+        return pm.simulate_jump_diffusion_I(
+            coefficient_set_by_name("const-1"), **args)
+    return pm.simulate_signal_II(coefficient_set_by_name("stable-1"), **args)
+
+
+FAMILIES = ["jump", "signal"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("dt", [-1.0, 0.0, np.nan, np.inf])
+def test_dt_must_be_finite_and_positive(family, dt):
+    # dt = -1 used to run one step of size T_end, dt = 0 divided by zero
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        _simulate(family, dt=dt)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("T_end", [np.inf, np.nan, 0.0])
+def test_T_end_must_be_finite_and_positive(family, T_end):
+    with pytest.raises(ValueError, match="T_end must be finite and positive"):
+        _simulate(family, T_end=T_end)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
+def test_x0_must_be_finite(family, x0):
+    # x0 = nan used to index the tables at -2**63
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        _simulate(family, x0=x0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("chunk_size", [0, -4])
+def test_chunk_size_must_be_positive(family, chunk_size):
+    with pytest.raises(ValueError, match="chunk_size must be at least 1"):
+        _simulate(family, chunk_size=chunk_size)
+
+
+@pytest.mark.parametrize("truncation", [0.0, -1.0, np.nan])
+def test_signal_truncation_must_be_positive(truncation):
+    # truncation = 0 used to clip every stable increment to 0
+    with pytest.raises(ValueError, match="truncation must be positive"):
+        _simulate("signal", truncation=truncation)
+
+
+# ---------------------------------------------------------------------------
+# step kernels against the step loops they replaced
+# ---------------------------------------------------------------------------
+#
+# The oracle below is the earlier formulation of both simulations: np.mod fold,
+# one (1 - frac, frac) interpolation per table, bincount jumps and the
+# two-power CMS draw.  It consumes the same random draws in the same order,
+# so jump counts, jump sizes and clip counts must be equal, and positions
+# may differ only by rounding.  Each interpolated coefficient differs by a
+# few ulps, and every step multiplies a position gap by the slope of the
+# Euler map, 1 + (field' x increment)/eps.  The horizons are therefore
+# short: 16 steps at dt = 0.1 eps**2 (jump-diffusion) and dt = 0.02 eps
+# (signal).  At dt = 0.1 eps a stable-1 path through steep d and delta
+# grows its gap up to 5x per step and 16 steps reach 4e-10; at 0.02 eps the
+# largest gap over 100 seeds of every (alpha, eps, x0) below was 1.5e-12,
+# and the jump-diffusion's 1.0e-12.  POSITION_RTOL sits 70x above both,
+# and still fails on a 1e-6 relative error in the table slopes or a 1e-7
+# relative error in the CMS log-cosine term.
+
+POSITION_RTOL = 1e-10
+
+
+def _old_table(field, transform=None):
+    res = pm._TABLE_RESOLUTION
+    vals = np.asarray(field.evaluate(np.linspace(0.0, 1.0, res + 1)),
+                      dtype=float)
+    vals[-1] = vals[0]
+    if transform is not None:
+        vals = transform(vals)
+    vals = np.append(vals, vals[1])
+
+    def lookup(y):
+        t = y * res
+        idx = t.astype(np.int64)
+        frac = t - idx
+        return vals[idx] * (1.0 - frac) + vals[idx + 1] * frac
+
+    return lookup
+
+
+def _old_stable_draws(alpha, size, rng, truncation):
+    u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size)
+    if alpha == 1.0:
+        x = np.tan(u)
+    else:
+        w = rng.exponential(1.0, size)
+        x = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)) * (
+            np.cos((1.0 - alpha) * u) / w
+        ) ** ((1.0 - alpha) / alpha)
+    clipped = int(np.count_nonzero(np.abs(x) > truncation))
+    if clipped:
+        x = np.clip(x, -truncation, truncation)
+    return x, clipped
+
+
+def _old_jump_diffusion(cset, eps, T_end, dt, n_paths, seed, x0, scheme,
+                        chunk_size):
+    n_steps, dt_eff, _ = pm._step_grid(T_end, dt, 2)
+    lam_tab = _old_table(cset.lam)
+    lam_max = float(cset.alpha2)
+    sampler = pm._kernel_sampler(cset.kernel)
+    proposal_rate = lam_max * cset.kernel.a1 / eps**2
+    inv_eps = 1.0 / eps
+    sqrt_dt = np.sqrt(dt_eff)
+    bdt_tab = _old_table(cset.b, lambda v: v * (inv_eps * dt_eff))
+    sig_tab = _old_table(cset.a, lambda v: np.sqrt(2.0 * v) * sqrt_dt)
+    mil_tab = _old_table(cset.a.derivative(1),
+                         lambda v: v * (0.5 * inv_eps * dt_eff))
+    paths = np.empty((n_steps + 1, n_paths))
+    counts = np.zeros(n_paths, dtype=np.int64)
+    sizes_out = []
+    for chunk, lo, hi in pm._chunk_ranges(n_paths, chunk_size):
+        g = pm.RngStream(seed, chunk).generator()
+        m = hi - lo
+        x = np.full(m, float(x0))
+        paths[0, lo:hi] = x
+        for step in range(1, n_steps + 1):
+            y = np.mod(x * inv_eps, 1.0)
+            dW = g.standard_normal(m)
+            total = int(g.poisson(m * proposal_rate * dt_eff))
+            jump_sum = 0.0
+            if total:
+                owners = g.integers(0, m, total)
+                accept = (g.uniform(0.0, 1.0, total) * lam_max
+                          < lam_tab(y[owners]))
+                z = sampler(g, total)
+                jump_sum = np.bincount(owners, weights=eps * z * accept,
+                                       minlength=m)
+                counts[lo:hi] += np.bincount(owners[accept], minlength=m)
+                if accept.any():
+                    sizes_out.append(eps * z[accept])
+            x = x + (bdt_tab(y) + sig_tab(y) * dW + jump_sum)
+            if scheme == "milstein":
+                x += mil_tab(y) * (dW * dW - 1.0)
+            paths[step, lo:hi] = x
+    sizes = np.concatenate(sizes_out) if sizes_out else np.empty(0)
+    return paths, counts, sizes
+
+
+def _old_signal(cset, eps, T_end, dt, n_paths, seed, x0, truncation,
+                chunk_size):
+    alpha = float(cset.alpha)
+    drift_scale = eps ** (1.0 - alpha)
+    n_steps, dt_eff, _ = pm._step_grid(T_end, dt, 2)
+    jump_scale = dt_eff ** (1.0 / alpha)
+    inv_eps = 1.0 / eps
+    d_tab, delta_tab = _old_table(cset.d), _old_table(cset.delta)
+    paths = np.empty((n_steps + 1, n_paths))
+    n_clipped = 0
+    for chunk, lo, hi in pm._chunk_ranges(n_paths, chunk_size):
+        g = pm.RngStream(seed, chunk).generator()
+        m = hi - lo
+        x = np.full(m, float(x0))
+        paths[0, lo:hi] = x
+        for step in range(1, n_steps + 1):
+            y = np.mod(x * inv_eps, 1.0)
+            draws, clipped = _old_stable_draws(alpha, m, g, truncation)
+            n_clipped += clipped
+            x = x + drift_scale * d_tab(y) * dt_eff \
+                + delta_tab(y) * jump_scale * draws
+            paths[step, lo:hi] = x
+    return paths, n_clipped
+
+
+def _position_gap(new, old):
+    return float(np.max(np.abs(new - old) / np.maximum(1.0, np.abs(old))))
+
+
+RUN_SHAPES = st.tuples(st.sampled_from([32, 100]), st.integers(1, 250))
+
+
+@given(seed=st.integers(0, 10_000), shape=RUN_SHAPES,
+       set_name=st.sampled_from(["varcoef-1", "const-1"]),
+       scheme=st.sampled_from(["milstein", "euler"]),
+       keep=st.booleans(), x0=st.sampled_from([0.0, -1e-20, 0.37]),
+       eps=st.sampled_from([0.5, 0.125]))
+@settings(max_examples=25, deadline=None)
+def test_jump_diffusion_kernels_match_old_loop(seed, shape, set_name, scheme,
+                                               keep, x0, eps):
+    chunk, n_paths = shape
+    cset = coefficient_set_by_name(set_name)
+    dt = 0.1 * eps**2
+    T_end = 16 * dt
+    ens = pm.simulate_jump_diffusion_I(
+        cset, eps, T_end, dt, n_paths, seed, x0=x0, n_save=17,
+        keep_jump_sizes=keep, scheme=scheme, chunk_size=chunk)
+    paths, counts, sizes = _old_jump_diffusion(
+        cset, eps, T_end, dt, n_paths, seed, x0, scheme, chunk)
+    assert np.array_equal(ens.jump_counts, counts)
+    if keep:
+        assert np.array_equal(ens.jump_sizes, sizes)
+    else:
+        assert ens.jump_sizes is None
+    assert _position_gap(ens.positions, paths) <= POSITION_RTOL
+
+
+@given(seed=st.integers(0, 10_000), shape=RUN_SHAPES,
+       alpha=st.sampled_from([0.8, 1.0, 1.5]),
+       x0=st.sampled_from([0.0, -1e-20, 0.37]),
+       eps=st.sampled_from([0.5, 0.125]),
+       truncation=st.sampled_from([1e6, 5.0]))
+@settings(max_examples=25, deadline=None)
+def test_signal_kernels_match_old_loop(seed, shape, alpha, x0, eps,
+                                       truncation):
+    chunk, n_paths = shape
+    cset = coefficient_set_by_name("stable-1").with_fields(alpha=alpha)
+    dt = 0.02 * eps
+    T_end = 16 * dt
+    ens = pm.simulate_signal_II(
+        cset, eps, T_end, dt, n_paths, seed, x0=x0, n_save=17,
+        truncation=truncation, chunk_size=chunk)
+    paths, n_clipped = _old_signal(cset, eps, T_end, dt, n_paths, seed, x0,
+                                   truncation, chunk)
+    assert ens.truncation_count == n_clipped
+    assert _position_gap(ens.positions, paths) <= POSITION_RTOL
