@@ -4,7 +4,9 @@ Part I (integrable jumps).  The unit-cell generator is
 
     T v = a v'' + b v' + lambda(y) * int c(x - y) (v(x) - v(y)) dx,
 
-realized as a dense matrix (spectral derivatives + circular convolution).
+realized as the one-cell case (p = n, block t = 0) of the Bloch-block
+builder :func:`nlhom.torus._field_blocks` that also assembles the line
+operators of ``lineops``.
 The solver chain is: invariant density m (adjoint null vector, normalized
 mass one), drift centering check int b m = 0, first corrector chi
 (T chi = -b with int chi m = 0), the effective diffusivity Q evaluated from
@@ -44,14 +46,14 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
 
 from .coefficients import CoefficientSetI, CoefficientSetII
-from .kernels import wrapped_kernel_samples
+from .kernels import jump_column
 from .torus import (
     TWO_PI,
     PeriodicField,
-    circular_convolution,
-    convolution_matrix,
-    derivative_matrix,
-    fractional_laplacian_matrix,
+    _field_blocks,
+    _stable_blocks,
+    _symbol_column,
+    derivative_symbol,
 )
 
 __all__ = [
@@ -206,7 +208,7 @@ def _quadrature_nodes(kernel, max_len=0.5, n_nodes=48):
     return np.concatenate(zs), np.concatenate(ws)
 
 
-def _z_symbols(kernel, n, n_nodes=48):
+def _z_symbols(kernel, n):
     """rfft-ordered symbols S_j(k) = sum_q w_q c(z_q) z_q^j e^{-2 pi i k z_q}
     for j = 0, 1, 2, shape (n/2 + 1, 3).
 
@@ -215,14 +217,15 @@ def _z_symbols(kernel, n, n_nodes=48):
     periodically.  irfft keeps the real part at Nyquist, the cosine
     convention of :meth:`PeriodicField.shifted`.
     """
-    nodes, weights = _quadrature_nodes(kernel, n_nodes=n_nodes)
+    nodes, weights = _quadrature_nodes(kernel)
     wc = weights * kernel.evaluate(nodes)
     phase = np.exp(-1j * TWO_PI * np.outer(np.arange(n // 2 + 1), nodes))
     return phase @ (wc[:, None] * nodes[:, None] ** np.arange(3))
 
 
 def _z_convolution(symbol, values):
-    """Apply one column of :func:`_z_symbols` to a grid field's values."""
+    """Apply an rfft-ordered multiplier (such as one column of
+    :func:`_z_symbols`) to a grid field's values."""
     return np.fft.irfft(np.fft.rfft(values) * symbol, len(values))
 
 
@@ -232,23 +235,20 @@ def _z_convolution(symbol, values):
 
 
 def assemble_torus_generator_I(cset: CoefficientSetI):
-    """Dense matrix of the unit-cell generator and its adjoint (transpose).
+    """Matrix of the unit-cell generator and its adjoint (transpose): the
+    one-cell Bloch block (p = n, block t = 0) of a D2 + b D1 + lambda J.
 
-    The subtracted jump mass is the discrete mass of the periodized kernel,
-    so the matrix annihilates constants exactly rather than to quadrature
-    accuracy.
+    The jump column J subtracts the discrete mass of the periodized kernel
+    at lag 0, so the matrix annihilates constants exactly rather than to
+    quadrature accuracy.
     """
-    grid = cset.grid
-    D1 = derivative_matrix(grid, 1)
-    D2 = derivative_matrix(grid, 2)
-    c_per = wrapped_kernel_samples(cset.kernel, grid.x, 1.0)
-    C = convolution_matrix(grid, c_per)
-    a1_disc = float(np.sum(c_per) * grid.h)
-    T = (
-        cset.a.values[:, None] * D2
-        + cset.b.values[:, None] * D1
-        + cset.lam.values[:, None] * (C - a1_disc * np.eye(grid.n))
-    )
+    n = cset.grid.n
+    k = cset.grid.wavenumbers().astype(float)
+    T = _field_blocks(n, [
+        (cset.a.values, _symbol_column(derivative_symbol(k, 2))),
+        (cset.b.values, _symbol_column(derivative_symbol(k, 1))),
+        (cset.lam.values, jump_column(cset.kernel, n, 1.0, 1.0)),
+    ])[0]
     return T, T.T
 
 
@@ -318,7 +318,7 @@ def solve_corrector_chi(cset, m, T=None, lu=None):
     return PeriodicField(cset.grid, chi), rel
 
 
-def compute_Q(cset, m, chi, n_nodes=48):
+def compute_Q(cset, m, chi):
     """Effective diffusivity from the symmetric two-term functional:
 
         Q = int a m (chi' + 1)^2 dy
@@ -333,7 +333,7 @@ def compute_Q(cset, m, chi, n_nodes=48):
     dchi = chi.derivative(1).values
     term1 = float(np.sum(cset.a.values * m.values * (dchi + 1.0) ** 2) * grid.h)
 
-    S = _z_symbols(cset.kernel, grid.n, n_nodes)
+    S = _z_symbols(cset.kernel, grid.n)
     c = chi.values
     lamm = cset.lam.values * m.values
     lamm_c = lamm * c
@@ -348,10 +348,10 @@ def compute_Q(cset, m, chi, n_nodes=48):
     return term1 + term2
 
 
-def _corrector_rhs_l(cset, m, n_nodes=48):
+def _corrector_rhs_l(cset, m):
     """l(y) = int z c(z) (lambda m)(y - z) dz + b m - 2 (a m)'."""
     grid = cset.grid
-    S = _z_symbols(cset.kernel, grid.n, n_nodes)
+    S = _z_symbols(cset.kernel, grid.n)
     J = _z_convolution(S[:, 1], cset.lam.values * m.values)
     am_prime = PeriodicField(grid, cset.a.values * m.values).derivative(1).values
     l = J + cset.b.values * m.values - 2.0 * am_prime
@@ -490,10 +490,8 @@ def coercivity_witness_I(cset, m, T=None, n_fields=120, seed=7, max_mode=None):
     A1 = float(np.min(am))
     C1 = float(np.max(np.abs(am_field.derivative(1).values
                              - cset.b.values * m.values)))
-    c_per = wrapped_kernel_samples(cset.kernel, grid.x, 1.0)
-    a1_disc = float(np.sum(c_per) * grid.h)
-    lamm = PeriodicField(grid, cset.lam.values * m.values)
-    jump_zero_order = circular_convolution(lamm, c_per).values - a1_disc * lamm.values
+    jump = np.fft.rfft(jump_column(cset.kernel, grid.n, 1.0, 1.0))
+    jump_zero_order = _z_convolution(jump, cset.lam.values * m.values)
     C2 = 0.5 * float(np.max(np.abs(jump_zero_order)))
     alpha_c = cset.kappa * float(np.min(m.values))
     mu = C1**2 / (2.0 * A1) + C2 + 0.5 * A1 + 0.5 * alpha_c
@@ -591,11 +589,11 @@ def solve_cell_I(cset) -> CellSolutionI:
 
 
 def assemble_torus_generator_II(cset: CoefficientSetII):
-    """Dense matrix of L v = -delta^alpha (-Delta)^{alpha/2} v + d v'."""
+    """Matrix of L v = -delta^alpha (-Delta)^{alpha/2} v + d v' and its
+    transpose: the one-cell Bloch block (p = n, block t = 0)."""
     grid = cset.grid
-    F = fractional_laplacian_matrix(grid, cset.alpha)
-    D1 = derivative_matrix(grid, 1)
-    L = -cset.delta_alpha.values[:, None] * F + cset.d.values[:, None] * D1
+    L = _stable_blocks(grid.wavenumbers().astype(float), grid.n, cset.alpha,
+                       cset.delta_alpha.values, cset.d.values)[0]
     return L, L.T
 
 
@@ -620,19 +618,13 @@ def check_centering_II(cset, m1):
     return float(np.sum(cset.d.values * m1.values) * cset.grid.h)
 
 
-def solve_h3(cset, m1, L_adj=None, normalization="mean-zero", lu=None):
-    """Auxiliary corrector: (L_m)* h3 = d m1.
+def solve_h3(cset, m1, L_adj=None, lu=None):
+    """Auxiliary corrector: (L_m)* h3 = d m1 with int h3 dy = 0.
 
-    ``normalization`` fixes the free additive constant:
-
-    * ``"mean-zero"`` (default): int h3 dy = 0, matching the Part I
-      corrector convention.  This is the choice under which the corrected
-      test function m1(x/e)(xi + e h3 xi') degenerates to xi itself for
-      constant coefficients, making the drift-free two-scale residual
-      vanish identically rather than stall at O(e).
-    * ``"unit-mean"``: int h3 dy = 1.  Kept selectable because the drift
-      corrector is occasionally stated this way; it shifts h3 by a constant
-      and every downstream average by an O(e) term.
+    The mean-zero normalization matches the Part I corrector convention.
+    Under it the corrected test function m1(x/e)(xi + e h3 xi') degenerates
+    to xi itself for constant coefficients, so the drift-free two-scale
+    residual vanishes identically rather than stalling at O(e).
     """
     grid = cset.grid
     if L_adj is None:
@@ -642,14 +634,11 @@ def solve_h3(cset, m1, L_adj=None, normalization="mean-zero", lu=None):
         raise SolvabilityError(
             "int d m1 = %.3g violates solvability of h3" % solvability
         )
-    if normalization not in ("mean-zero", "unit-mean"):
-        raise ValueError("unknown normalization %r" % (normalization,))
-    target = 0.0 if normalization == "mean-zero" else 1.0
     if lu is None:
         lu = _BorderedLU(L_adj.T)
     rhs = cset.d.values * m1.values
     h3 = lu.solve(rhs, adjoint=True) / m1.values
-    h3 = h3 - np.mean(h3) + target
+    h3 = h3 - np.mean(h3)
     rel = _relative_residual(L_adj * m1.values[None, :], h3, rhs)
     if rel > _SOLVE_TOL:
         raise RuntimeError("h3 residual %.3g above tolerance" % rel)
@@ -782,8 +771,7 @@ def cell_report(sol):
         for k, v in sol.residuals.items():
             w("residual[%s] = %.3g\n" % (k, v))
         w("note: h3 and e1 carry mean-zero normalizations (plain and"
-          " m1-weighted respectively); see solve_h3 for the unit-mean"
-          " variant.\n")
+          " m1-weighted respectively).\n")
     return out.getvalue()
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "kernel_moments",
     "periodize_kernel",
     "wrapped_kernel_samples",
+    "jump_column",
     "box_kernel",
     "laplace_kernel",
     "gaussian_kernel",
@@ -143,6 +144,17 @@ def wrapped_kernel_samples(kernel, z_points, period, eps=1.0):
         if np.any(mask):
             out[mask] += kernel.evaluate(arg[mask]) / eps
     return out
+
+
+def jump_column(kernel, n, period, eps):
+    """First column of u -> K * u - a1_d u on n equispaced points of the
+    period: K is the wrapped scaled kernel times the spacing, and its
+    discrete mass a1_d, subtracted at lag 0, makes the column sum to zero."""
+    spacing = period / n
+    column = wrapped_kernel_samples(kernel, spacing * np.arange(n), period,
+                                    eps=eps) * spacing
+    column[0] -= np.sum(column)
+    return column
 
 
 def periodize_kernel(kernel, grid, eps=None):

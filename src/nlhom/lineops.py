@@ -7,7 +7,9 @@ eps-cell of p points.  An FFT over the N_c cells splits it into N_c//2 + 1
 independent p x p Bloch blocks, the one stored form of a LineOperator.  The
 adjoint for dx * sum(u v) (the exact transpose) uses the conjugate-transposed
 blocks, a resolvent is a batched p x p inverse, and constant-coefficient
-operators are the case p = 1, whose blocks are the symbol.
+operators are the case p = 1, whose blocks are the symbol.  The builder is
+:func:`nlhom.torus._field_blocks`; block t = 0 of eps^2 T_eps is the cell
+generator of ``cell`` at n = p.
 
 The window must tile the fast period exactly: 2L is an integer, eps is the
 reciprocal of an integer, and the number of grid points per eps-cell is an
@@ -33,13 +35,20 @@ from scipy.integrate import quad
 
 from .cell import CellSolutionI, CellSolutionII
 from .coefficients import _eps_value
-from .kernels import wrapped_kernel_samples
+from .kernels import jump_column
 from .singular import (
     _fd_derivative,
     cosine_tail_integral,
     fractional_laplacian_pointwise,
 )
-from .torus import derivative_symbol, fractional_symbol
+from .torus import (
+    _annihilate_constants,
+    _field_blocks,
+    _stable_blocks,
+    _symbol_column,
+    derivative_symbol,
+    fractional_symbol,
+)
 
 __all__ = [
     "ResolutionError",
@@ -67,6 +76,10 @@ __all__ = [
 
 class ResolutionError(ValueError):
     """The line grid cannot represent the requested fast scale."""
+
+
+# fewest grid points per eps-cell a two-scale operator is assembled on
+_MIN_POINTS_PER_CELL = 16
 
 
 class LineGrid:
@@ -118,8 +131,8 @@ class LineGrid:
         """Fourier frequencies in cycles per unit length (fftfreq order)."""
         return self._freqs
 
-    def points_per_cell(self, eps, minimum=16):
-        """Number of grid points per eps-cell; must be an integer >= minimum."""
+    def points_per_cell(self, eps):
+        """Number of grid points per eps-cell: an integer of at least 16."""
         eps = _eps_value(eps)
         cells = 2.0 * self._L / eps
         p = self._n / cells
@@ -127,9 +140,10 @@ class LineGrid:
             raise ResolutionError(
                 "grid does not tile eps = %g: %g points per cell" % (eps, p))
         p = int(round(p))
-        if p < minimum:
+        if p < _MIN_POINTS_PER_CELL:
             raise ResolutionError(
-                "resolution violation: %d points per eps-cell < %d" % (p, minimum))
+                "resolution violation: %d points per eps-cell < %d"
+                % (p, _MIN_POINTS_PER_CELL))
         return p
 
     def apply_derivative(self, values, order=1):
@@ -220,80 +234,22 @@ def _cell_trace(field, grid, eps):
     return field.evaluate(y)
 
 
-def _multiplier_blocks(column, p):
-    """Bloch blocks of the periodic convolution with the given first column.
-
-    With c = column reshaped to (cells, p) and c_hat its FFT over the cell
-    axis, the block entry (r, r') reads c_hat[t, r - r'] on and below the
-    diagonal, and the neighbouring cell's c_hat[t, p + r - r'] twisted by
-    exp(-2 pi i t / cells) above it.
-    """
-    cells = column.size // p
-    c_hat = np.fft.rfft(column.reshape(cells, p), axis=0)
-    twist = np.exp(-2j * np.pi * np.arange(c_hat.shape[0]) / cells)
-    lags = np.concatenate([twist[:, None] * c_hat[:, 1:], c_hat], axis=1)
-    r = np.arange(p)
-    return lags[:, r[:, None] - r[None, :] + p - 1]
-
-
-def _field_blocks(grid, p, terms):
-    """Bloch blocks, p points per cell, of sum_i diag(field_i) M_i.
-
-    ``terms`` are (field, first column of M_i) pairs; a field is sampled on
-    the grid and is constant over cell translations, so only its first
-    cell enters.
-    """
-    blocks = 0.0
-    for field, column in terms:
-        field = np.broadcast_to(np.asarray(field, dtype=float), (grid.n,))
-        blocks = blocks + field[:p, None] * _multiplier_blocks(column, p)
-    return blocks
-
-
-def _annihilate_constants(blocks, zero_order=0.0):
-    """Fold the row sums into the diagonal so the operator kills constants,
-    then add the zero-order field (one cell of samples, or a scalar) there.
-
-    Every generator part assembled here kills constants analytically; the
-    row sums, read off the t = 0 block, are floating-point noise, and a
-    cell-periodic diagonal enters every Bloch block identically.  Row sums
-    beyond noise level signal an assembly bug and raise.
-    """
-    rows = (blocks[0] @ np.ones(blocks.shape[1])).real
-    scale = np.max(np.abs(blocks[0]))
-    if np.max(np.abs(rows)) > 1e-6 * max(1.0, scale):
-        raise RuntimeError(
-            "generator row sums %.3g exceed float noise at block scale %.3g"
-            % (np.max(np.abs(rows)), scale))
-    diag = np.arange(blocks.shape[1])
-    blocks[:, diag, diag] += zero_order - rows
-    return blocks
-
-
-def _symbol_column(symbol):
-    return np.fft.ifft(symbol).real
-
-
 # ---------------------------------------------------------------------------
 # assembly: integrable-jump family
 # ---------------------------------------------------------------------------
 
 
 def _line_jump_column(kernel, grid, eps):
-    """First column of the jump part K * u - a1_d u: the periodized scaled
-    kernel (1/eps) c(w/eps) times dx, less its discrete mass a1_d."""
+    """:func:`jump_column` of the window; the scaled kernel support must fit
+    the half window, so the wrapped kernel does not overlap itself."""
     if eps * kernel.truncation_radius > grid.half_width + 1e-12:
         raise ResolutionError(
             "scaled jump support %.3g exceeds the half window %.3g"
             % (eps * kernel.truncation_radius, grid.half_width))
-    w = grid.dx * np.arange(grid.n)
-    column = wrapped_kernel_samples(kernel, w, period=2.0 * grid.half_width,
-                                    eps=eps) * grid.dx
-    column[0] -= np.sum(column)
-    return column
+    return jump_column(kernel, grid.n, 2.0 * grid.half_width, eps)
 
 
-def assemble_T_eps(cset, eps, grid, min_points_per_cell=16):
+def assemble_T_eps(cset, eps, grid):
     """Two-scale generator a(x/e) u'' + (1/e) b(x/e) u' + jump part.
 
     The jump part is realized as (1/e^2) lambda(x/e) [K * u - a1_d u] with
@@ -301,8 +257,8 @@ def assemble_T_eps(cset, eps, grid, min_points_per_cell=16):
     mass, so constants are annihilated exactly.
     """
     eps = _eps_value(eps)
-    p = grid.points_per_cell(eps, minimum=min_points_per_cell)
-    blocks = _field_blocks(grid, p, [
+    p = grid.points_per_cell(eps)
+    blocks = _field_blocks(p, [
         (_cell_trace(cset.a, grid, eps),
          _symbol_column(derivative_symbol(grid.freqs, 2))),
         (_cell_trace(cset.b, grid, eps) / eps,
@@ -322,7 +278,7 @@ def assemble_T0(Q, sigma_bar, grid):
     """
     if Q <= 0:
         raise ValueError("Q must be positive, got %r" % (Q,))
-    blocks = _annihilate_constants(_field_blocks(grid, 1, [
+    blocks = _annihilate_constants(_field_blocks(1, [
         (Q, _symbol_column(derivative_symbol(grid.freqs, 2)))]))
     return LineOperator(grid, "T0", blocks, part="I"), float(sigma_bar)
 
@@ -332,15 +288,7 @@ def assemble_T0(Q, sigma_bar, grid):
 # ---------------------------------------------------------------------------
 
 
-def _stable_blocks(grid, p, alpha, frac_field, drift_field):
-    """Bloch blocks of -frac_field (-Dx)^(alpha/2) + drift_field Dx."""
-    return _field_blocks(grid, p, [
-        (-frac_field, _symbol_column(fractional_symbol(grid.freqs, alpha))),
-        (drift_field, _symbol_column(derivative_symbol(grid.freqs, 1))),
-    ])
-
-
-def assemble_V_eps(cset, eps, grid, min_points_per_cell=16):
+def assemble_V_eps(cset, eps, grid):
     """Stable-family two-scale generator plus first/zero-order terms:
 
         -delta^alpha(x/e) (-Dx)^(a/2) u + [e^(1-a) d(x/e) + g(x/e)] u'
@@ -350,14 +298,15 @@ def assemble_V_eps(cset, eps, grid, min_points_per_cell=16):
     after that correction.
     """
     eps = _eps_value(eps)
-    p = grid.points_per_cell(eps, minimum=min_points_per_cell)
+    p = grid.points_per_cell(eps)
     alpha = cset.alpha
     drift_e = eps ** (1.0 - alpha) * _cell_trace(cset.d, grid, eps) \
         + _cell_trace(cset.g, grid, eps)
     zero_e = -_cell_trace(cset.e, grid, eps) / eps**alpha \
         + _cell_trace(cset.f, grid, eps)
     blocks = _annihilate_constants(_stable_blocks(
-        grid, p, alpha, _cell_trace(cset.delta_alpha, grid, eps), drift_e),
+        grid.freqs, p, alpha, _cell_trace(cset.delta_alpha, grid, eps),
+        drift_e),
         zero_e[:p])
     return LineOperator(grid, "V_eps[%s]" % cset.name, blocks, eps=eps,
                         part="II")
@@ -366,7 +315,7 @@ def assemble_V_eps(cset, eps, grid, min_points_per_cell=16):
 def assemble_V0(cell, grid):
     """Homogenized stable generator: -dba (-Dx)^(a/2) + g_bar d/dx + f_bar."""
     blocks = _annihilate_constants(_stable_blocks(
-        grid, 1, cell.cset.alpha, cell.delta_bar_alpha, cell.g_bar),
+        grid.freqs, 1, cell.cset.alpha, cell.delta_bar_alpha, cell.g_bar),
         cell.f_bar)
     return LineOperator(grid, "V0", blocks, part="II")
 
@@ -480,7 +429,7 @@ def _worst_form(form, grid, fields, trials, seed, max_mode):
 
 
 def dissipativity_check_I(cset, m, eps, grid, trials=100, seed=11,
-                          max_mode=None, min_points_per_cell=16, fields=None):
+                          max_mode=None, fields=None):
     """Max over random fields of the m-weighted drift-plus-jump form.
 
     The form dx * u . (B_m u + (1/e) beta_m(x/e) u') with beta_m = b m -
@@ -489,11 +438,11 @@ def dissipativity_check_I(cset, m, eps, grid, trials=100, seed=11,
     normalized band-limited fields certifies the sign numerically.
     """
     eps = _eps_value(eps)
-    p = grid.points_per_cell(eps, minimum=min_points_per_cell)
+    p = grid.points_per_cell(eps)
     lamm = cset.lam.with_values(cset.lam.values * m.values)
     am = cset.a.with_values(cset.a.values * m.values)
     beta_m = cset.b.with_values(cset.b.values * m.values - am.derivative(1).values)
-    form = LineOperator(grid, "form_I", _field_blocks(grid, p, [
+    form = LineOperator(grid, "form_I", _field_blocks(p, [
         (_cell_trace(lamm, grid, eps) / eps**2,
          _line_jump_column(cset.kernel, grid, eps)),
         (_cell_trace(beta_m, grid, eps) / eps,
@@ -503,7 +452,7 @@ def dissipativity_check_I(cset, m, eps, grid, trials=100, seed=11,
 
 
 def dissipativity_check_II(cset, m1, eps, grid, trials=100, seed=12,
-                           max_mode=None, min_points_per_cell=16, fields=None):
+                           max_mode=None, fields=None):
     """Max over random fields of the m1-weighted stable form.
 
     dx * v . (m1 L v) with L the jump-plus-drift part; nonpositivity is the
@@ -511,12 +460,12 @@ def dissipativity_check_II(cset, m1, eps, grid, trials=100, seed=12,
     grid.
     """
     eps = _eps_value(eps)
-    p = grid.points_per_cell(eps, minimum=min_points_per_cell)
+    p = grid.points_per_cell(eps)
     alpha = cset.alpha
     w = cset.delta_alpha.with_values(cset.delta_alpha.values * m1.values)
     dm1 = cset.d.with_values(cset.d.values * m1.values)
     form = LineOperator(grid, "form_II", _stable_blocks(
-        grid, p, alpha, _cell_trace(w, grid, eps),
+        grid.freqs, p, alpha, _cell_trace(w, grid, eps),
         eps ** (1.0 - alpha) * _cell_trace(dm1, grid, eps)),
         eps=eps, part="II")
     return _worst_form(form, grid, fields, trials, seed, max_mode)

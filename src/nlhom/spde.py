@@ -126,6 +126,9 @@ def heterogeneous_dt_limit(cset, eps, grid):
 
 
 def _check_dt(dt, limit, label):
+    """Reject a dt that is not finite and positive or above the limit."""
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError("dt must be finite and positive, got dt = %r" % (dt,))
     if dt > limit * (1.0 + 1e-9):
         raise ValueError("dt = %g exceeds the %s stability limit %g"
                          % (dt, label, limit))
@@ -240,6 +243,7 @@ def prepare_heterogeneous_I(cset, eps, grid, dt):
 def prepare_homogenized_I(Q, sigma_bar, grid, dt):
     """Exact heat-semigroup stepper for the homogenized integrable limit:
     exp(dt T0) on T0's one-point Bloch blocks, its symbol -Q omega^2."""
+    _check_dt(dt, np.inf, "spectral")
     T0, _ = assemble_T0(Q, sigma_bar, grid)
     factor = np.exp(dt * T0.blocks[:, 0, 0])
     return SpectralStepper(grid, factor, sigma_bar, dt, part="I")
@@ -263,12 +267,14 @@ def prepare_homogenized_II(cell, grid, dt):
     The derivative symbol drops the Nyquist phase, which keeps the inverse
     real transform consistent.
     """
+    _check_dt(dt, np.inf, "spectral")
     factor = np.exp(dt * assemble_V0(cell, grid).blocks[:, 0, 0])
     return SpectralStepper(grid, factor, cell.sigma_bar, dt, part="II")
 
 
 def prepare_explicit(cset, eps, grid, dt, part):
     """Explicit-Euler reference stepper (refined-scheme oracle)."""
+    _check_dt(dt, np.inf, "explicit")
     eps = _eps_value(eps)
     if part == "I":
         op = assemble_T_eps(cset, eps, grid)

@@ -6,6 +6,10 @@ fractional Laplacian are all realized as Fourier multipliers.  All torus
 integrals are h-weighted sums on the grid, which is spectrally accurate for
 smooth periodic integrands and consistent with the FFT representation.
 
+Fields times multipliers are realized once, as Bloch blocks
+(:func:`_field_blocks`): the cell generators of ``cell`` are the one-cell
+case, the line operators of ``lineops`` the case of p points per eps-cell.
+
 Conventions
 -----------
 * A field f on ``TorusGrid(n)`` is represented by its values at x_j = j/n.
@@ -20,7 +24,7 @@ Conventions
 """
 
 import numpy as np
-from scipy.linalg import circulant
+from numpy.lib.stride_tricks import sliding_window_view
 
 TWO_PI = 2.0 * np.pi
 
@@ -33,9 +37,6 @@ __all__ = [
     "circular_convolution",
     "derivative_symbol",
     "fractional_symbol",
-    "derivative_matrix",
-    "fractional_laplacian_matrix",
-    "convolution_matrix",
 ]
 
 
@@ -63,9 +64,6 @@ class TorusGrid:
     def wavenumbers(self):
         """Integer wavenumbers in FFT order (0, 1, ..., -1)."""
         return np.fft.fftfreq(self.n, d=self.h).astype(np.int64)
-
-    def refine(self, factor=2):
-        return TorusGrid(self.n * factor)
 
     def __eq__(self, other):
         return isinstance(other, TorusGrid) and other.n == self.n
@@ -252,30 +250,76 @@ def circular_convolution(f, kernel_samples):
 
 
 # ---------------------------------------------------------------------------
-# dense matrix realizations (used by the cell solver's singular systems)
+# Bloch blocks of field-times-multiplier operators
 # ---------------------------------------------------------------------------
 
 
-def _multiplier_matrix(grid, sym):
-    """Dense real matrix of a Fourier multiplier operator: a circulant, since
-    the operator commutes with grid shifts, built from its first column."""
-    return circulant(np.fft.ifft(sym).real)
+def _symbol_column(symbol):
+    """First column of the multiplier with the given symbol (FFT order)."""
+    return np.fft.ifft(symbol).real
 
 
-def derivative_matrix(grid, order=1):
-    k = grid.wavenumbers().astype(float)
-    return _multiplier_matrix(grid, derivative_symbol(k, order))
+def _multiplier_matrix(column, p):
+    """Bloch blocks, p points per cell, of the periodic convolution with the
+    given first column: shape (cells//2 + 1, p, p), cells = column.size / p.
+
+    With c = column reshaped to (cells, p) and c_hat its FFT over the cell
+    axis, the block entry (r, r') reads c_hat[t, r - r'] on and below the
+    diagonal, and the neighbouring cell's c_hat[t, p + r - r'] twisted by
+    exp(-2 pi i t / cells) above it.  One cell has the single block t = 0,
+    the real circulant of the column, so its lag table stays real.
+    """
+    cells = column.size // p
+    if cells == 1:
+        lags = np.concatenate([column[1:], column])[None, :]
+    else:
+        c_hat = np.fft.rfft(column.reshape(cells, p), axis=0)
+        twist = np.exp(-2j * np.pi * np.arange(c_hat.shape[0]) / cells)
+        lags = np.concatenate([twist[:, None] * c_hat[:, 1:], c_hat], axis=1)
+    # entry (r, r') is lags[:, r - r' + p - 1]: windows of the reversed row
+    return sliding_window_view(lags[:, ::-1], p, axis=1)[:, ::-1, :].copy()
 
 
-def fractional_laplacian_matrix(grid, alpha):
-    k = grid.wavenumbers().astype(float)
-    return _multiplier_matrix(grid, fractional_symbol(k, alpha))
+def _field_blocks(p, terms):
+    """Bloch blocks, p points per cell, of sum_i diag(field_i) M_i.
+
+    The operator commutes with translation by one cell, so an FFT over the
+    cells splits it into p x p blocks, one per cell wavenumber t; one cell
+    (p = n) is the torus matrix itself.  ``terms`` are (field, first column
+    of M_i) pairs; a field is a scalar or its grid samples, periodic over the
+    cell, so only its first cell enters.
+    """
+    blocks = None
+    for field, column in terms:
+        block = _multiplier_matrix(column, p)
+        block *= np.broadcast_to(field, column.shape)[:p, None]
+        blocks = block if blocks is None else np.add(blocks, block, out=blocks)
+    return blocks
 
 
-def convolution_matrix(grid, kernel_samples):
-    """Matrix of the h-scaled circular convolution (a symmetric circulant
-    whenever the kernel samples are even under index negation)."""
-    kernel_samples = np.asarray(kernel_samples, dtype=float)
-    if kernel_samples.shape != (grid.n,):
-        raise ValueError("kernel sample count must equal the grid size")
-    return circulant(kernel_samples) * grid.h
+def _annihilate_constants(blocks, zero_order=0.0):
+    """Fold the row sums into the diagonal so the operator kills constants,
+    then add the zero-order field (one cell of samples, or a scalar) there.
+
+    Every generator part assembled here kills constants analytically; the
+    row sums, read off the t = 0 block, are floating-point noise, and a
+    cell-periodic diagonal enters every Bloch block identically.  Row sums
+    beyond noise level signal an assembly bug and raise.
+    """
+    rows = (blocks[0] @ np.ones(blocks.shape[1])).real
+    scale = np.max(np.abs(blocks[0]))
+    if np.max(np.abs(rows)) > 1e-6 * max(1.0, scale):
+        raise RuntimeError(
+            "generator row sums %.3g exceed float noise at block scale %.3g"
+            % (np.max(np.abs(rows)), scale))
+    diag = np.arange(blocks.shape[1])
+    blocks[:, diag, diag] += zero_order - rows
+    return blocks
+
+
+def _stable_blocks(freqs, p, alpha, frac_field, drift_field):
+    """Bloch blocks of -frac_field (-Dx)^(alpha/2) + drift_field Dx."""
+    return _field_blocks(p, [
+        (-frac_field, _symbol_column(fractional_symbol(freqs, alpha))),
+        (drift_field, _symbol_column(derivative_symbol(freqs, 1))),
+    ])

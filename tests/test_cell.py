@@ -544,9 +544,6 @@ def test_h3_trivial_and_fixture():
     m1, _ = solve_invariant_density_II(cset)
     h3, _ = solve_h3(cset, m1)
     assert np.max(np.abs(h3.values)) < 1e-10
-    # the unit-mean variant shifts by exactly the constant 1 here
-    h3u, _ = solve_h3(cset, m1, normalization="unit-mean")
-    assert np.max(np.abs(h3u.values - 1.0)) < 1e-10
     cset = stable_1()
     m1, _ = solve_invariant_density_II(cset)
     h3, rel = solve_h3(cset, m1)

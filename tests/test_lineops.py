@@ -7,10 +7,15 @@ from scipy.integrate import quad
 
 from nlhom import lineops as lo
 from nlhom import spde
-from nlhom.cell import solve_cell_I, solve_cell_II
+from nlhom.cell import (
+    assemble_torus_generator_I,
+    assemble_torus_generator_II,
+    solve_cell_I,
+    solve_cell_II,
+)
 from nlhom.coefficients import CoefficientSetI, CoefficientSetII
 from nlhom.fixtures import coefficient_set_by_name, random_set_I, random_set_II
-from nlhom.torus import TorusGrid, field_from_function
+from nlhom.torus import PeriodicField, TorusGrid, field_from_function
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +323,54 @@ def test_bloch_blocks_match_dense_reference(seed, K):
         want = np.linalg.solve(np.eye(grid.n) - stepper.dt * ref, rhs)
         got = stepper.step(U, dw)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# torus cells and line operators: one Bloch-block structure
+# ---------------------------------------------------------------------------
+
+
+def _rel_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=10, deadline=None)
+def test_line_block_zero_is_the_torus_generator(seed):
+    # 16 cells of p = 64 points: block t = 0 of eps^2 T_eps (eps^alpha V_eps
+    # without g, e, f) is the cell generator at n = 64; measured gaps 5e-16
+    # to 2.2e-15
+    eps = 1.0 / 8
+    grid = lo.LineGrid(1.0, 16 * 64)
+    cset = random_set_I(seed, 64)
+    T, _ = assemble_torus_generator_I(cset)
+    blocks = lo.assemble_T_eps(cset, eps, grid).blocks
+    assert _rel_gap(eps**2 * blocks[0], T) <= 1e-13
+    cset = random_set_II(seed, 64)
+    zero = PeriodicField(cset.grid, np.zeros(64))
+    cset = cset.with_fields(g=zero, e=zero, f=zero)
+    L, _ = assemble_torus_generator_II(cset)
+    blocks = lo.assemble_V_eps(cset, eps, grid).blocks
+    assert _rel_gap(eps**cset.alpha * blocks[0], L) <= 1e-13
+
+
+def test_bloch_eigenvalue_reproduces_Q(varcoef):
+    # block t = 1 of eps^2 T_eps over 1/eps cells is the cell generator
+    # twisted by theta = 2 pi eps; its principal eigenvalue is
+    # -Q theta^2 + O(theta^4), so Q_B = -Re(lambda) / theta^2 has an
+    # O(theta^2) error that one Richardson step removes.  Measured: Q_B =
+    # 0.9039000811 and 0.9039043876, extrapolated 0.9039058230 against
+    # Q = 0.9039058145 (9.5e-9 relative); |Im lambda| 2.0e-8 and 2.5e-9.
+    cset, sol = varcoef
+    q_b = []
+    for eps in (1.0 / 128, 1.0 / 256):
+        grid = lo.LineGrid(0.5, int(64 / eps))
+        block = eps**2 * lo.assemble_T_eps(cset, eps, grid).blocks[1]
+        lam = max(np.linalg.eigvals(block), key=lambda z: z.real)
+        assert abs(lam.imag) <= 1e-7
+        q_b.append(-lam.real / (2.0 * np.pi * eps) ** 2)
+    extrapolated = (4.0 * q_b[1] - q_b[0]) / 3.0
+    assert abs(extrapolated - sol.Q) <= 1e-7 * sol.Q
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,29 @@ def test_het_II_stability_guard(stable2):
         spde.prepare_heterogeneous_II(cset, 1.0 / 8.0, grid, 1.5 * lim)
 
 
+_PREPARES = {
+    "heterogeneous_I": lambda vc, st, grid, dt: spde.prepare_heterogeneous_I(
+        vc[0], 1.0 / 8.0, grid, dt),
+    "homogenized_I": lambda vc, st, grid, dt: spde.prepare_homogenized_I(
+        vc[1].Q, vc[1].sigma_bar, grid, dt),
+    "heterogeneous_II": lambda vc, st, grid, dt:
+        spde.prepare_heterogeneous_II(st[0], 1.0 / 8.0, grid, dt),
+    "homogenized_II": lambda vc, st, grid, dt: spde.prepare_homogenized_II(
+        st[1], grid, dt),
+    "explicit": lambda vc, st, grid, dt: spde.prepare_explicit(
+        vc[0], 1.0 / 8.0, grid, dt, part="I"),
+}
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+@pytest.mark.parametrize("prepare", sorted(_PREPARES))
+def test_prepare_rejects_nonpositive_or_nonfinite_dt(prepare, dt, varcoef,
+                                                     stable2):
+    # a negative dt ran a backward step, nan and inf gave all-NaN fields
+    with pytest.raises(ValueError, match="dt"):
+        _PREPARES[prepare](varcoef, stable2, LineGrid(2.0, 512), dt)
+
+
 def test_step_wrappers_check_kind(varcoef):
     cset, sol = varcoef
     grid = LineGrid(2.0, 512)
