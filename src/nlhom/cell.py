@@ -318,7 +318,7 @@ def solve_corrector_chi(cset, m, T=None, lu=None):
     return PeriodicField(cset.grid, chi), rel
 
 
-def compute_Q(cset, m, chi):
+def compute_Q(cset, m, chi, S=None):
     """Effective diffusivity from the symmetric two-term functional:
 
         Q = int a m (chi' + 1)^2 dy
@@ -327,13 +327,14 @@ def compute_Q(cset, m, chi):
     The z-integral runs over the kernel's truncated support with chi and m
     extended periodically, on symmetric Gauss panels.  Expanding the square
     turns the node sum into six convolutions with the multipliers of
-    :func:`_z_symbols`.
+    :func:`_z_symbols`; pass them as ``S`` to skip rebuilding them.
     """
     grid = cset.grid
     dchi = chi.derivative(1).values
     term1 = float(np.sum(cset.a.values * m.values * (dchi + 1.0) ** 2) * grid.h)
 
-    S = _z_symbols(cset.kernel, grid.n)
+    if S is None:
+        S = _z_symbols(cset.kernel, grid.n)
     c = chi.values
     lamm = cset.lam.values * m.values
     lamm_c = lamm * c
@@ -348,17 +349,18 @@ def compute_Q(cset, m, chi):
     return term1 + term2
 
 
-def _corrector_rhs_l(cset, m):
+def _corrector_rhs_l(cset, m, S=None):
     """l(y) = int z c(z) (lambda m)(y - z) dz + b m - 2 (a m)'."""
     grid = cset.grid
-    S = _z_symbols(cset.kernel, grid.n)
+    if S is None:
+        S = _z_symbols(cset.kernel, grid.n)
     J = _z_convolution(S[:, 1], cset.lam.values * m.values)
     am_prime = PeriodicField(grid, cset.a.values * m.values).derivative(1).values
     l = J + cset.b.values * m.values - 2.0 * am_prime
     return l, J
 
 
-def solve_h1(cset, m, T_adj=None, lu=None):
+def solve_h1(cset, m, T_adj=None, lu=None, S=None):
     """First auxiliary corrector: (T_m)* h1 = l, mean-zero h1.
 
     (T_m)* acts as h -> T*(m h); its solvability integral int l dy vanishes
@@ -368,7 +370,7 @@ def solve_h1(cset, m, T_adj=None, lu=None):
     grid = cset.grid
     if T_adj is None:
         _, T_adj = assemble_torus_generator_I(cset)
-    l, _ = _corrector_rhs_l(cset, m)
+    l, _ = _corrector_rhs_l(cset, m, S)
     solvability = float(np.sum(l) * grid.h)
     if abs(solvability) > _SOLVABILITY_TOL:
         raise SolvabilityError(
@@ -385,7 +387,7 @@ def solve_h1(cset, m, T_adj=None, lu=None):
     return PeriodicField(grid, h1), solvability, rel
 
 
-def solve_h2(cset, m, h1, T_adj=None, lu=None):
+def solve_h2(cset, m, h1, T_adj=None, lu=None, S=None):
     """Second auxiliary corrector and the solvability route to Q:
 
         (T_m)* h2 = Q_alt - G(y),
@@ -405,7 +407,8 @@ def solve_h2(cset, m, h1, T_adj=None, lu=None):
     if T_adj is None:
         _, T_adj = assemble_torus_generator_I(cset)
     lamm = cset.lam.values * m.values
-    S = _z_symbols(cset.kernel, grid.n)
+    if S is None:
+        S = _z_symbols(cset.kernel, grid.n)
     conv_half_z2 = 0.5 * _z_convolution(S[:, 2], lamm)
     conv_z_h1 = _z_convolution(S[:, 1], lamm * h1.values)
     amh1_prime = PeriodicField(
@@ -429,7 +432,7 @@ def solve_h2(cset, m, h1, T_adj=None, lu=None):
     return PeriodicField(grid, h2), Q_alt, rel
 
 
-def zakai_cell_I(cset, m, T_adj=None, lu=None):
+def zakai_cell_I(cset, m, T_adj=None, lu=None, S=None):
     """Corrector and effective diffusivity for the measure-reweighted
     (unnormalized-filter) generator.
 
@@ -456,7 +459,7 @@ def zakai_cell_I(cset, m, T_adj=None, lu=None):
     if lu is None:
         lu = _BorderedLU(T_adj.T)
     minv = 1.0 / m.values
-    l, J = _corrector_rhs_l(cset, m)
+    l, J = _corrector_rhs_l(cset, m, S)
     rhs = l * minv  # (J + b m - 2 (a m)') / m  =  b_hat + J/m
     chi1 = lu.solve(l, adjoint=True) * minv  # T_hat chi1 = rhs
     chi1 = chi1 - np.sum(chi1 * m.values) * grid.h
@@ -465,7 +468,7 @@ def zakai_cell_I(cset, m, T_adj=None, lu=None):
     if rel > _SOLVE_TOL:
         raise RuntimeError("chi1 residual %.3g above tolerance" % rel)
     fld = PeriodicField(grid, chi1)
-    Q1 = compute_Q(cset, m, fld)
+    Q1 = compute_Q(cset, m, fld, S)
     return fld, Q1, rel
 
 
@@ -545,16 +548,18 @@ class CellSolutionI:
 
 def solve_cell_I(cset) -> CellSolutionI:
     """Run the full Part I chain with all cross-checks; one bordered LU of
-    T serves every singular solve."""
+    T serves every singular solve and one set of z-symbols every kernel
+    quadrature."""
     T, T_adj = assemble_torus_generator_I(cset)
     lu = _BorderedLU(T)
+    S = _z_symbols(cset.kernel, cset.grid.n)
     m, res_m = solve_invariant_density_I(cset, T_adj, lu=lu)
     centering = check_centering_I(cset, m)
     chi, res_chi = solve_corrector_chi(cset, m, T, lu=lu)
-    Q = compute_Q(cset, m, chi)
-    h1, solv_l, res_h1 = solve_h1(cset, m, T_adj, lu=lu)
-    h2, Q_alt, res_h2 = solve_h2(cset, m, h1, T_adj, lu=lu)
-    chi1, Q1, res_chi1 = zakai_cell_I(cset, m, T_adj, lu=lu)
+    Q = compute_Q(cset, m, chi, S)
+    h1, solv_l, res_h1 = solve_h1(cset, m, T_adj, lu=lu, S=S)
+    h2, Q_alt, res_h2 = solve_h2(cset, m, h1, T_adj, lu=lu, S=S)
+    chi1, Q1, res_chi1 = zakai_cell_I(cset, m, T_adj, lu=lu, S=S)
     sigma_bar = float(np.sum(cset.sigma.values * m.values) * cset.grid.h)
     alpha_c, mu, margin = coercivity_witness_I(cset, m, T)
     if margin < -1e-9:

@@ -98,12 +98,22 @@ class _TableLookup:
     the first for the idx == _TABLE_RESOLUTION round-up.  ``transform``
     post-processes the sampled values once (e.g. sqrt(2 a) or a
     premultiplied drift scale).
+
+    The values are the field's trigonometric interpolant at y = j /
+    _TABLE_RESOLUTION, sampled by one zero-padded inverse real FFT on N
+    points, N a multiple of _TABLE_RESOLUTION and at least 2n so that the
+    field's Nyquist cosine is always a paired mode there: its bin is halved
+    between the two half bins it becomes.
     """
 
     def __init__(self, field, transform=None):
-        ys = np.linspace(0.0, 1.0, _TABLE_RESOLUTION + 1)
-        vals = np.asarray(field.evaluate(ys), dtype=float)
-        vals[-1] = vals[0]
+        n = field.grid.n
+        N = max(2 * n, _TABLE_RESOLUTION)
+        spec = np.zeros(N // 2 + 1, dtype=complex)
+        spec[:n // 2 + 1] = np.fft.rfft(field.values) * (N / n)
+        spec[n // 2] *= 0.5
+        vals = np.fft.irfft(spec, N)[::N // _TABLE_RESOLUTION]
+        vals = np.append(vals, vals[0])
         if transform is not None:
             vals = transform(vals)
         self.value = vals

@@ -11,15 +11,19 @@ Homogenized equations use the exact constant-coefficient semigroup on the
 grid's Fourier modes composed with the same explicit noise factor, so their
 only time-discretization error is in the noise product.
 
-Ensembles march all paths of a chunk in lockstep as the columns of a single
-state matrix: every path still sees a strictly serial step sequence, but each
-resolvent application becomes one batched product with the Bloch blocks of
-(I - dt T)^-1, which is what makes the weak-convergence studies affordable at
-the dt demanded by the stability rule
+Ensembles march the heterogeneous paths of a chunk in lockstep as the
+columns of a single state matrix: every path still sees a strictly serial
+step sequence, but each resolvent application becomes one batched product
+with the Bloch blocks of (I - dt T)^-1, which is what makes the
+weak-convergence studies affordable at the dt demanded by the stability rule
 (dt <= min(0.1 eps^2, 0.25 dx^2 / max a) for the integrable family,
-dt <= 0.1 eps^alpha for the stable family).  Heterogeneous and homogenized
-solvers consume identical Brownian increments when the coupling is shared,
-which slashes the variance of paired law comparisons.
+dt <= 0.1 eps^alpha for the stable family).  The homogenized noise sigma_bar
+u dW does not vary in x, so every homogenized path is the one deterministic
+flow S_t u0 times its own scalar growth prod_k (1 + sigma_bar dW_k): a chunk
+marches that one flow and an (m,) growth vector instead of m columns.
+Heterogeneous and homogenized solvers consume identical Brownian increments
+when the coupling is shared, which slashes the variance of paired law
+comparisons.
 """
 
 from dataclasses import dataclass
@@ -398,9 +402,16 @@ class SpdeConfig:
     def __post_init__(self):
         if self.part not in ("I", "II"):
             raise ValueError("part must be 'I' or 'II', got %r" % (self.part,))
-        for label, val in (("dt", self.dt), ("T_end", self.T_end)):
-            if not val > 0:
-                raise ValueError("%s must be positive, got %r" % (label, val))
+        for label, val in (("dt", self.dt), ("T_end", self.T_end),
+                           ("energy_cap_C", self.energy_cap_C)):
+            if not (np.isfinite(val) and val > 0):
+                raise ValueError("%s must be finite and positive, got %r"
+                                 % (label, val))
+        for label in ("n_paths", "n_save", "n_snapshot_paths", "chunk_size"):
+            val = getattr(self, label)
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+                raise ValueError("%s must be an integer, got %r"
+                                 % (label, val))
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if self.n_save < 2:
@@ -512,6 +523,15 @@ def run_ensemble(config, cell, cset, battery=None):
         Heterogeneous and homogenized path records, index-aligned, with
         shared Brownian increments when the coupling is shared.
 
+    Notes
+    -----
+    Each chunk marches its heterogeneous paths as one (n, m) state block.
+    The homogenized side is one (n,) flow S_t u0, stepped by the same
+    spectral stepper with no noise, and an (m,) growth vector multiplied by
+    (1 + sigma_bar dW_k) at every step.  Every homogenized record (pairings,
+    squared norms for the energy monitor, boundary fractions, snapshots) is
+    the flow's value scaled by the path's growth.
+
     Raises
     ------
     RuntimeError
@@ -560,28 +580,18 @@ def run_ensemble(config, cell, cset, battery=None):
         if not shared:
             inc_hom *= sqrt_dt
 
-        states = {"het": np.tile(u0[:, None], (1, m)),
-                  "hom": np.tile(u0[:, None], (1, m))}
+        # heterogeneous paths march as the columns of one state block; the
+        # homogenized ones are the one flow S_t u0 times a growth per path
+        U = np.tile(u0[:, None], (1, m))
+        flow = u0.copy()
+        growth = np.ones(m)
         pair = {s: np.empty((n_rec, n_xi, m)) for s in ("het", "hom")}
         pair2 = {s: np.empty((n_rec, n_xi, m)) for s in ("het", "hom")}
         snaps = {s: np.empty((n_snap, n_rec, grid.n)) for s in ("het", "hom")}
         max4 = {"het": np.zeros(m), "hom": np.zeros(m)}
         bfrac = {"het": np.zeros(m), "hom": np.zeros(m)}
 
-        def record(side, slot):
-            U = states[side]
-            pair[side][slot] = (xi @ U) * grid.dx
-            pair2[side][slot] = (xi_d2 @ U) * grid.dx
-            absU = np.abs(U)
-            total = absU.sum(axis=0)
-            frac = absU[band].sum(axis=0) / np.where(total > 0, total, 1.0)
-            np.maximum(bfrac[side], frac, out=bfrac[side])
-            if n_snap:
-                snaps[side][:, slot, :] = U[:, :n_snap].T
-
-        def monitor(side, k):
-            U = states[side]
-            nsq = np.einsum("ij,ij->j", U, U) * grid.dx
+        def monitor(side, k, nsq):
             if not np.all(np.isfinite(nsq)):
                 bad = lo + int(np.argmax(~np.isfinite(nsq)))
                 raise RuntimeError(
@@ -596,18 +606,37 @@ def run_ensemble(config, cell, cset, battery=None):
                     "||u||^4 = %.6g > %.6g" % (side, lo + worst,
                                                k * dt_eff, n4[worst], cap))
 
-        for side in ("het", "hom"):
-            monitor(side, 0)
-            record(side, 0)
+        def record(side, slot, p, p2, band_mass, total, snap):
+            pair[side][slot] = p
+            pair2[side][slot] = p2
+            frac = band_mass / np.where(total > 0, total, 1.0)
+            np.maximum(bfrac[side], frac, out=bfrac[side])
+            if n_snap:
+                snaps[side][:, slot, :] = snap
+
+        def observe(k, slot):
+            monitor("het", k, np.einsum("ij,ij->j", U, U) * grid.dx)
+            monitor("hom", k, growth ** 2 * (flow @ flow) * grid.dx)
+            if slot is None:
+                return
+            absU = np.abs(U)
+            record("het", slot, (xi @ U) * grid.dx, (xi_d2 @ U) * grid.dx,
+                   absU[band].sum(axis=0), absU.sum(axis=0),
+                   U[:, :n_snap].T)
+            abs_flow = np.abs(flow)
+            abs_growth = np.abs(growth)
+            record("hom", slot, ((xi @ flow) * grid.dx)[:, None] * growth,
+                   ((xi_d2 @ flow) * grid.dx)[:, None] * growth,
+                   abs_growth * abs_flow[band].sum(),
+                   abs_growth * abs_flow.sum(),
+                   growth[:n_snap, None] * flow)
+
+        observe(0, 0)
         for k in range(n_steps):
-            states["het"] = het.step(states["het"], inc_het[k])
-            states["hom"] = hom.step(states["hom"], inc_hom[k])
-            for side in ("het", "hom"):
-                monitor(side, k + 1)
-            slot = save_set.get(k + 1)
-            if slot is not None:
-                for side in ("het", "hom"):
-                    record(side, slot)
+            U = het.step(U, inc_het[k])
+            flow = hom.step(flow, 0.0)
+            growth *= 1.0 + hom.sigma_bar * inc_hom[k]
+            observe(k + 1, save_set.get(k + 1))
 
         pool_ss += float(np.sum(inc_het ** 2))
         pool_n += inc_het.size

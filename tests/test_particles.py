@@ -261,6 +261,27 @@ def test_jump_diffusion_reproducible():
     assert not np.array_equal(a.positions, c.positions)
 
 
+def test_table_samples_the_interpolant():
+    # the padded-FFT table equals PeriodicField.evaluate at y = j / R
+    v = coefficient_set_by_name("varcoef-1")
+    s2 = coefficient_set_by_name("stable-2")
+    fields = [v.a, v.a.derivative(1), v.b, v.lam, v.sigma, s2.delta, s2.d,
+              coefficient_set_by_name("const-1").a]
+    # a Nyquist cosine below, at and above the table resolution
+    for n in (8, pm._TABLE_RESOLUTION, 2 * pm._TABLE_RESOLUTION):
+        fields.append(field_from_function(
+            TorusGrid(n), lambda x, n=n: np.cos(np.pi * n * x)
+            + np.sin(6.0 * np.pi * x)))
+    ys = np.linspace(0.0, 1.0, pm._TABLE_RESOLUTION + 1)
+    for field in fields:
+        table = pm._TableLookup(field)
+        ref = field.evaluate(ys)
+        assert table.value[-1] == table.value[0]
+        assert np.max(np.abs(table.value - ref)) \
+            <= 1e-13 * np.max(np.abs(ref)), field.grid.n
+        assert np.array_equal(table.slope[:-1], np.diff(table.value))
+
+
 def test_start_a_hair_left_of_a_cell_boundary():
     # x0 / eps = -1.6e-19 folds to y = 1.0 exactly, the table's end point
     cset = coefficient_set_by_name("varcoef-1")

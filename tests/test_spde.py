@@ -9,6 +9,7 @@ import pytest
 from nlhom import cell, fixtures, spde
 from nlhom.coefficients import PeriodicField
 from nlhom.lineops import LineGrid, ResolutionError
+from nlhom.particles import _step_grid
 
 
 def _const_sigma_zero(cset):
@@ -357,6 +358,18 @@ def test_config_validation():
     assert cfg.initial_state().shape == (512,)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dt", np.nan), ("T_end", np.inf), ("T_end", np.nan),
+    ("energy_cap_C", np.nan), ("energy_cap_C", np.inf),
+    ("energy_cap_C", -1.0), ("energy_cap_C", 0.0),
+    ("n_paths", 2.5), ("n_paths", 6.0), ("n_save", 4.0),
+    ("n_snapshot_paths", 1.5), ("chunk_size", 2.0), ("chunk_size", True),
+])
+def test_config_rejects_bad_numbers(field, value):
+    with pytest.raises(ValueError, match=field):
+        _small_config(**{field: value})
+
+
 def test_run_ensemble_shared_noise_bit_identical(varcoef):
     cset, sol = varcoef
     cfg = _small_config()
@@ -386,6 +399,80 @@ def test_run_ensemble_independent_noise_differs(varcoef):
     het, hom = spde.run_ensemble(cfg, sol, cset)
     for ph, pm in zip(het, hom):
         assert not np.array_equal(ph.increments, pm.increments)
+
+
+def _column_march(cfg, sol, cset, het_paths, hom_paths):
+    """Records of both sides marched as (n, m) column blocks, one column per
+    path, with the increments the paths consumed: the homogenized side steps
+    every column through ``SpectralStepper.step`` with its own noise."""
+    grid = cfg.grid
+    n_steps, dt_eff, save_idx = _step_grid(cfg.T_end, cfg.dt, cfg.n_save)
+    het, hom = spde._prepare_pair(cfg, sol, cset, dt_eff)
+    _, xi, xi_d2 = spde.default_test_battery(grid)
+    band = np.abs(grid.x) >= 0.95 * grid.half_width
+    u0 = cfg.initial_state()
+    out = {}
+    for side, stepper, paths in (("het", het, het_paths),
+                                 ("hom", hom, hom_paths)):
+        recs = []
+        for lo in range(0, cfg.n_paths, cfg.chunk_size):
+            chunk = paths[lo:lo + cfg.chunk_size]
+            inc = np.stack([p.increments for p in chunk], axis=1)
+            U = np.tile(u0[:, None], (1, len(chunk)))
+            pair, pair2, snaps = [], [], []
+            max4 = np.zeros(len(chunk))
+            bfrac = np.zeros(len(chunk))
+            for k in range(n_steps + 1):
+                if k:
+                    U = stepper.step(U, inc[k - 1])
+                nsq = np.einsum("ij,ij->j", U, U) * grid.dx
+                max4 = np.maximum(max4, nsq ** 2)
+                if k in save_idx:
+                    pair.append((xi @ U) * grid.dx)
+                    pair2.append((xi_d2 @ U) * grid.dx)
+                    snaps.append(U.T.copy())
+                    absU = np.abs(U)
+                    total = absU.sum(axis=0)
+                    bfrac = np.maximum(bfrac, absU[band].sum(axis=0)
+                                       / np.where(total > 0, total, 1.0))
+            for j in range(len(chunk)):
+                recs.append(dict(
+                    pairings=np.stack(pair)[:, :, j],
+                    pairings_d2=np.stack(pair2)[:, :, j],
+                    snapshots=np.stack(snaps)[:, j, :],
+                    max_norm4=max4[j], boundary_frac=bfrac[j]))
+        out[side] = recs
+    return out["het"], out["hom"]
+
+
+def _rel_gap(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+@pytest.mark.parametrize("every_step", [False, True])
+@pytest.mark.parametrize("coupling", ["shared", "independent"])
+@pytest.mark.parametrize("part", ["I", "II"])
+def test_one_flow_march_equals_column_march(part, coupling, every_step,
+                                            varcoef, stable2):
+    cset, sol = varcoef if part == "I" else stable2
+    cfg = _small_config(part=part, noise_coupling=coupling, chunk_size=4,
+                        n_snapshot_paths=6)
+    if every_step:
+        n_steps = _step_grid(cfg.T_end, cfg.dt, 2)[0]
+        cfg = dataclasses.replace(cfg, n_save=n_steps + 1)
+    het, hom = spde.run_ensemble(cfg, sol, cset)
+    ref_het, ref_hom = _column_march(cfg, sol, cset, het, hom)
+    for p, ref in zip(het, ref_het):
+        assert np.array_equal(p.pairings, ref["pairings"])
+        assert np.array_equal(p.pairings_d2, ref["pairings_d2"])
+        assert np.array_equal(p.snapshots, ref["snapshots"])
+        assert p.max_norm4 == ref["max_norm4"]
+        assert p.boundary_frac == ref["boundary_frac"]
+    for p, ref in zip(hom, ref_hom):
+        for name in ("pairings", "pairings_d2", "snapshots"):
+            assert _rel_gap(getattr(p, name), ref[name]) <= 1e-12, name
+        assert p.max_norm4 == pytest.approx(ref["max_norm4"], rel=1e-12)
+        assert abs(p.boundary_frac - ref["boundary_frac"]) <= 1e-12
 
 
 def test_run_ensemble_records_and_increment_variance(varcoef):
