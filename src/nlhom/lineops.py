@@ -14,7 +14,11 @@ generator of ``cell`` at n = p.
 The window must tile the fast period exactly: 2L is an integer, eps is the
 reciprocal of an integer, and the number of grid points per eps-cell is an
 integer, so oscillating coefficients sample without phase drift and shifting
-a profile by a multiple of eps is an exact lattice rotation.
+a profile by a multiple of eps is an exact lattice rotation.  A cell field
+enters on the line as one cell of p uniform samples
+(:meth:`nlhom.torus.PeriodicField.uniform_samples`) tiled over the cells,
+and the random test fields of the dissipativity checks are built by one
+batched inverse FFT.
 
 Contents:
 
@@ -229,9 +233,20 @@ class LineOperator:
 
 
 def _cell_trace(field, grid, eps):
-    """Evaluate a unit-torus field at y = x/eps mod 1 on the line grid."""
-    y = np.mod(grid.x / eps, 1.0)
-    return field.evaluate(y)
+    """A unit-torus field at y = x/eps mod 1 on the line grid.
+
+    The grid starts on a cell edge (x_0 / eps = -L K is an integer, since
+    N_c = 2 L K and K are powers of two), so the trace is one cell of p
+    uniform samples, ``field.uniform_samples(p)``, tiled over the N_c
+    cells: a stride of the values when p divides the field's n, one padded
+    FFT otherwise.
+    """
+    p = grid.points_per_cell(eps)
+    start = grid.x[0] / eps
+    if abs(start - round(start)) > 1e-9:
+        raise ResolutionError(
+            "line grid starts at x/eps = %.17g, off a cell edge" % start)
+    return np.tile(field.uniform_samples(p), grid.n // p)
 
 
 # ---------------------------------------------------------------------------
@@ -406,25 +421,41 @@ def write_residual_csv(rows, path):
 
 
 def _band_limited_fields(grid, trials, seed, max_mode):
-    max_mode = grid.n // 8 if max_mode is None else max_mode
+    """(n, trials) normalized fields s + sum_k c_k cos(2 pi k (x + L) / 2L
+    + phi_k), k = 1 .. max_mode (default n/8), with c_k ~ N(0, 1/k),
+    phi_k uniform and s ~ N(0, 0.09), drawn in that order for each trial.
+
+    One batched inverse real FFT builds them: X_0 = n s and X_k =
+    (n/2) c_k e^{i phi_k} (-1)^k, the sign from x_0 = -L.
+    """
+    n = grid.n
+    max_mode = n // 8 if max_mode is None else max_mode
+    for label, val, stop in (("trials", trials, np.inf),
+                             ("max_mode", max_mode, n // 2)):
+        if isinstance(val, bool) or not isinstance(val, (int, np.integer)) \
+                or not 1 <= val < stop:
+            raise ValueError("%s must be an integer in [1, %s), got %r"
+                             % (label, stop, val))
     rng = np.random.default_rng(seed)
     ks = np.arange(1, max_mode + 1)
-    for _ in range(trials):
+    sign = 0.5 * n * (-1.0) ** ks
+    spec = np.zeros((n // 2 + 1, trials), dtype=complex)
+    for i in range(trials):
         coeff = rng.standard_normal(max_mode) / np.sqrt(ks)
         phase = rng.uniform(0.0, 2.0 * np.pi, size=max_mode)
-        u = rng.standard_normal() * 0.3 + np.zeros(grid.n)
-        for k, c, p in zip(ks, coeff, phase):
-            u = u + c * np.cos(2.0 * np.pi * k * grid.x
-                               / (2.0 * grid.half_width) + p)
-        yield u / grid.l2_norm(u)
+        spec[0, i] = n * 0.3 * rng.standard_normal()
+        spec[1:max_mode + 1, i] = sign * coeff * np.exp(1j * phase)
+    U = np.fft.irfft(spec, n, axis=0)
+    return U / np.sqrt(np.sum(U**2, axis=0) * grid.dx)
 
 
 def _worst_form(form, grid, fields, trials, seed, max_mode):
     """max over fields u of dx * u . (form u), one batched application; the
     fields default to normalized band-limited draws."""
     if fields is None:
-        fields = _band_limited_fields(grid, trials, seed, max_mode)
-    U = np.stack(list(fields), axis=1)
+        U = _band_limited_fields(grid, trials, seed, max_mode)
+    else:
+        U = np.stack(list(fields), axis=1)
     return float(np.max(np.sum(U * form.apply(U), axis=0)) * grid.dx)
 
 

@@ -13,8 +13,10 @@ Paths are grouped into fixed-size chunks; chunk ``c`` of a run draws every
 random number from the dedicated stream ``(seed, c)``, so ensembles are
 bit-identical for identical configurations regardless of how chunks are
 scheduled, and workers splitting the chunk range never share a stream.
-Coefficient fields are evaluated through dense periodic lookup tables
-(linear interpolation, resolution 8192) whose error is far below Monte
+Coefficient fields are evaluated through periodic lookup tables: linear
+interpolation between 8192 uniform samples of the field's trigonometric
+interpolant, taken by ``PeriodicField.uniform_samples`` (the sampler that
+also gives the line traces of ``lineops``), with an error far below Monte
 Carlo resolution.  Each table stores one (value, slope) pair per table
 cell, premultiplied by its step factor (dt, sqrt(dt), the drift or jump
 scale); each Euler step locates its paths on the unit cell once
@@ -100,19 +102,11 @@ class _TableLookup:
     premultiplied drift scale).
 
     The values are the field's trigonometric interpolant at y = j /
-    _TABLE_RESOLUTION, sampled by one zero-padded inverse real FFT on N
-    points, N a multiple of _TABLE_RESOLUTION and at least 2n so that the
-    field's Nyquist cosine is always a paired mode there: its bin is halved
-    between the two half bins it becomes.
+    _TABLE_RESOLUTION, from :meth:`PeriodicField.uniform_samples`.
     """
 
     def __init__(self, field, transform=None):
-        n = field.grid.n
-        N = max(2 * n, _TABLE_RESOLUTION)
-        spec = np.zeros(N // 2 + 1, dtype=complex)
-        spec[:n // 2 + 1] = np.fft.rfft(field.values) * (N / n)
-        spec[n // 2] *= 0.5
-        vals = np.fft.irfft(spec, N)[::N // _TABLE_RESOLUTION]
+        vals = field.uniform_samples(_TABLE_RESOLUTION)
         vals = np.append(vals, vals[0])
         if transform is not None:
             vals = transform(vals)

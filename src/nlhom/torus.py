@@ -9,6 +9,11 @@ smooth periodic integrands and consistent with the FFT representation.
 Fields times multipliers are realized once, as Bloch blocks
 (:func:`_field_blocks`): the cell generators of ``cell`` are the one-cell
 case, the line operators of ``lineops`` the case of p points per eps-cell.
+A field is sampled on a uniform grid of p points by one method too,
+:meth:`PeriodicField.uniform_samples` (a stride of the values, or one
+padded inverse FFT): the line traces of ``lineops`` and the lookup tables
+of ``particles`` both take their samples there.
+:meth:`PeriodicField.evaluate` stays the evaluator at arbitrary points.
 
 Conventions
 -----------
@@ -166,6 +171,29 @@ class PeriodicField:
                 ph = TWO_PI * ki * x
                 out += ci.real * np.cos(ph) - ci.imag * np.sin(ph)
         return out
+
+    def uniform_samples(self, p):
+        """The trigonometric interpolant at y_j = j/p, j < p.
+
+        When p divides n these are grid values, the exact stride
+        ``values[::n // p]``.  Otherwise one zero-padded inverse real FFT
+        on N points, N the smallest multiple of p that is at least 2n
+        (max(2n, p) for powers of two), strided to p points: at N >= 2n
+        the field's Nyquist cosine is a paired mode, and its bin is halved
+        between the two half bins it becomes.  Same values as
+        :meth:`evaluate` on that grid, without its loop over modes.
+        """
+        p = int(p)
+        if p < 1:
+            raise ValueError("sample count p must be >= 1, got %r" % (p,))
+        n = self.grid.n
+        if n % p == 0:
+            return self.values[::n // p]
+        N = p * -(-2 * n // p)
+        spec = np.zeros(N // 2 + 1, dtype=complex)
+        spec[:n // 2 + 1] = np.fft.rfft(self.values) * (N / n)
+        spec[n // 2] *= 0.5
+        return np.fft.irfft(spec, N)[::N // p]
 
     def shifted(self, z):
         """Field y -> f(y - z), computed by exact spectral phase shift."""

@@ -545,6 +545,185 @@ def test_dissipativity_constant_field_is_zero(varcoef, stable, grid):
     assert abs(formed2) < 1e-9
 
 
+@pytest.mark.parametrize("trials", [0, -3, 2.5, True, None])
+def test_dissipativity_rejects_bad_trials(varcoef, stable, trials):
+    grid = lo.LineGrid(2.0, 512)
+    (cset, cell), (cset2, cell2) = varcoef, stable
+    with pytest.raises(ValueError, match="trials"):
+        lo.dissipativity_check_I(cset, cell.m, 1.0 / 8, grid, trials=trials)
+    with pytest.raises(ValueError, match="trials"):
+        lo.dissipativity_check_II(cset2, cell2.m1, 1.0 / 8, grid,
+                                  trials=trials)
+
+
+@pytest.mark.parametrize("max_mode", [0, -1, 256, 300, 2000, 64.0])
+def test_dissipativity_rejects_bad_max_mode(varcoef, stable, max_mode):
+    # max_mode=0 would certify constant fields, and modes at or above n/2
+    # alias onto lower modes of the 512-point grid
+    grid = lo.LineGrid(2.0, 512)
+    (cset, cell), (cset2, cell2) = varcoef, stable
+    with pytest.raises(ValueError, match="max_mode"):
+        lo.dissipativity_check_I(cset, cell.m, 1.0 / 8, grid, trials=2,
+                                 max_mode=max_mode)
+    with pytest.raises(ValueError, match="max_mode"):
+        lo.dissipativity_check_II(cset2, cell2.m1, 1.0 / 8, grid, trials=2,
+                                  max_mode=max_mode)
+
+
+def _cosine_fields(grid, trials, seed, max_mode):
+    """The band-limited fields as a sum of cosines, one mode at a time."""
+    max_mode = grid.n // 8 if max_mode is None else max_mode
+    rng = np.random.default_rng(seed)
+    ks = np.arange(1, max_mode + 1)
+    for _ in range(trials):
+        coeff = rng.standard_normal(max_mode) / np.sqrt(ks)
+        phase = rng.uniform(0.0, 2.0 * np.pi, size=max_mode)
+        u = rng.standard_normal() * 0.3 + np.zeros(grid.n)
+        for k, c, p in zip(ks, coeff, phase):
+            u = u + c * np.cos(2.0 * np.pi * k * grid.x
+                               / (2.0 * grid.half_width) + p)
+        yield u / grid.l2_norm(u)
+
+
+def _reduced_cosine_fields(grid, trials, seed, max_mode):
+    """The same sum with the phase 2 pi k j / n reduced mod 2 pi exactly."""
+    rng = np.random.default_rng(seed)
+    ks = np.arange(1, max_mode + 1)
+    j = np.arange(grid.n)
+    for _ in range(trials):
+        coeff = rng.standard_normal(max_mode) / np.sqrt(ks)
+        phase = rng.uniform(0.0, 2.0 * np.pi, size=max_mode)
+        u = rng.standard_normal() * 0.3 + np.zeros(grid.n)
+        for k, c, p in zip(ks, coeff, phase):
+            u = u + c * (-1.0) ** k * np.cos(
+                2.0 * np.pi * ((k * j) % grid.n) / grid.n + p)
+        yield u / grid.l2_norm(u)
+
+
+@pytest.mark.parametrize("n, trials, seed, max_mode", [
+    (512, 5, 11, None), (512, 3, 4, 1), (512, 3, 4, 255), (4096, 8, 3, 64),
+])
+def test_band_limited_fields_match_cosine_sum(n, trials, seed, max_mode):
+    grid = lo.LineGrid(2.0, n)
+    U = lo._band_limited_fields(grid, trials, seed, max_mode)
+    ref = np.stack(list(_cosine_fields(grid, trials, seed, max_mode)), axis=1)
+    assert U.shape == (n, trials)
+    assert np.max(np.abs(U - ref)) <= 1e-13
+
+
+def test_band_limited_fields_top_mode_on_the_large_grid():
+    # at n = 4096 the cosine sum's arguments reach 2 pi 2047 * 1 + phase,
+    # about 1.3e4 rad with an ulp of 1.8e-12, and its rounding sums to
+    # 2.9e-13; with the phase reduced exactly the sum agrees to 7e-15
+    grid = lo.LineGrid(2.0, 4096)
+    U = lo._band_limited_fields(grid, 3, 7, 2047)
+    ref = np.stack(list(_reduced_cosine_fields(grid, 3, 7, 2047)), axis=1)
+    assert np.max(np.abs(U - ref)) <= 1e-13
+
+
+def _evaluated_trace(field, grid, eps):
+    """The cell trace by off-grid evaluation at y = x/eps mod 1."""
+    return field.evaluate(np.mod(grid.x / eps, 1.0))
+
+
+def test_sampled_traces_match_evaluated_traces(varcoef, stable, monkeypatch):
+    # the line-diag benchmark's operators, forms and residuals with the
+    # traces sampled by stride against the same with off-grid evaluation
+    # and the fields summed as cosines
+    grid = lo.LineGrid(2.0, 4096)
+    (v, sol_v), (s1, sol_s) = varcoef, stable
+    s2 = coefficient_set_by_name("stable-2", n=256)
+    xi = lo.gaussian_bump(grid, 0.0, 0.35)
+    psi = lo.gaussian_bump(grid, 0.2, 0.4)
+
+    def run():
+        out = []
+        for K in (8, 16, 32, 64):
+            eps = 1.0 / K
+            T = lo.assemble_T_eps(v, eps, grid)
+            out.append((
+                T.blocks,
+                lo.assemble_V_eps(s1, eps, grid).blocks,
+                lo.assemble_V_eps(s2, eps, grid).blocks,
+                lo.residual_lemma_2_10(xi, sol_v, v, eps, grid, operator=T),
+                lo.residual_part_II(xi, psi, sol_s, s1, eps, grid),
+                lo.dissipativity_check_I(v, sol_v.m, eps, grid, 8, K, 64),
+                lo.dissipativity_check_II(s1, sol_s.m1, eps, grid, 8, K, 64),
+            ))
+        return out
+
+    sampled = run()
+    monkeypatch.setattr(lo, "_cell_trace", _evaluated_trace)
+    monkeypatch.setattr(lo, "_band_limited_fields", lambda *args: np.stack(
+        list(_cosine_fields(*args)), axis=1))
+    evaluated = run()
+    for got, want in zip(sampled, evaluated):
+        for blocks, ref in zip(got[:3], want[:3]):
+            assert np.max(np.abs(blocks - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # each residual is an O(1e-3) remainder of terms of size about
+        # eps^-2 times O(1) fields, so trace roundoff of 1e-15 can show up
+        # amplified by about 1e6
+        for r, r_ref in zip(got[3:5], want[3:5]):
+            assert abs(r - r_ref) <= 1e-8 * abs(r_ref)
+        for w, w_ref in zip(got[5:], want[5:]):
+            assert abs(w - w_ref) <= 1e-12 * abs(w_ref)
+
+
+_TRACE_FIELDS = ["a", "b", "lam", "sigma"]
+
+
+@pytest.mark.parametrize("n, line_n, half_width, K", [
+    (256, 4096, 2.0, 16),  # p = 64 < n: a stride of the values
+    (128, 2048, 1.0, 8),  # p = n
+    (64, 8192, 2.0, 8),  # p = 256 > n: one padded FFT
+])
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_cell_trace_samples_the_interpolant(n, line_n, half_width, K, data):
+    grid = lo.LineGrid(half_width, line_n)
+    eps = 1.0 / K
+    p = grid.points_per_cell(eps)
+    source = data.draw(st.sampled_from(["varcoef-1", "random-I", "random-II"]))
+    seed = data.draw(st.integers(0, 10_000))
+    if source == "varcoef-1":
+        cset = coefficient_set_by_name("varcoef-1", n=n)
+        fields = [getattr(cset, name) for name in _TRACE_FIELDS]
+    elif source == "random-I":
+        cset = random_set_I(seed, n)
+        fields = [getattr(cset, name) for name in _TRACE_FIELDS]
+    else:
+        cset = random_set_II(seed, n)
+        fields = [cset.delta, cset.d, cset.e, cset.f, cset.g, cset.sigma]
+    # and a field with every mode up to the Nyquist cosine
+    rng = np.random.default_rng(seed)
+    fields.append(PeriodicField(TorusGrid(n), rng.standard_normal(n)))
+    y = np.mod(grid.x / eps, 1.0)
+    for field in fields:
+        cell = field.uniform_samples(p)
+        trace = lo._cell_trace(field, grid, eps)
+        scale = np.max(np.abs(field.values))
+        assert cell.shape == (p,) and trace.shape == (grid.n,)
+        assert np.max(np.abs(cell - field.evaluate(np.arange(p) / p))) \
+            <= 1e-13 * scale
+        assert np.max(np.abs(trace - field.evaluate(y))) <= 1e-13 * scale
+        assert np.array_equal(trace[p:], trace[:-p])
+        if n % p == 0:
+            assert np.array_equal(trace[:p], field.values[::n // p])
+
+
+def test_cell_trace_needs_a_grid_on_cell_edges(varcoef):
+    cset, _ = varcoef
+    grid = lo.LineGrid(2.0, 1024)
+    trace = lo._cell_trace(cset.a, grid, 1.0 / 8)
+    assert np.array_equal(trace[:32], cset.a.values[::8])
+    # every LineGrid starts at -L, on a cell edge; a window shifted by a
+    # third of a cell does not
+    shifted = lo.LineGrid(2.0, 1024)
+    shifted._x = shifted.x + 1.0 / 24
+    with pytest.raises(lo.ResolutionError, match="cell edge"):
+        lo._cell_trace(cset.a, shifted, 1.0 / 8)
+
+
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------

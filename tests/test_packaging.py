@@ -1,11 +1,12 @@
 """Packaging metadata and the benchmark's trace hooks point at code that
-exists."""
+exists, and the benchmark's reference traces are the package's."""
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,13 +38,18 @@ def _package_bindings():
     return out
 
 
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_" + name, ROOT / "perfbench" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_trace_hooks_install_and_restore():
     # `perfbench/run.py --trace 1` wraps package functions by name, so a
     # rename in the package must fail here rather than in a traced run
-    spec = importlib.util.spec_from_file_location(
-        "_perfbench_tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_perfbench("tracing")
     from nlhom import cell, fixtures, kernels, lineops, particles, spde, torus  # noqa: F401
 
     before = _package_bindings()
@@ -59,3 +65,23 @@ def test_benchmark_trace_hooks_install_and_restore():
     assert after.keys() == before.keys()
     moved = [key for key, value in before.items() if after[key] is not value]
     assert not moved, "trace hooks left wrappers behind: %r" % moved
+
+
+def test_benchmark_cell_trace_is_the_package_trace():
+    # the benchmark checks line operators against its own subsampled
+    # traces; on the ensemble and line-diag grids they are the package's
+    checks = _load_perfbench("checks")
+    from nlhom import fixtures, lineops
+
+    sets = [fixtures.varcoef_1(256), fixtures.stable_1(256),
+            fixtures.stable_2(256)]
+    fields = [getattr(cset, name) for cset in sets
+              for name in ("a", "b", "lam", "sigma", "delta", "d", "e", "f",
+                           "g") if hasattr(cset, name)]
+    cases = [(lineops.LineGrid(2.0, 2048), 8)]
+    cases += [(lineops.LineGrid(2.0, 4096), K) for K in (8, 16, 32, 64)]
+    for grid, K in cases:
+        p = grid.points_per_cell(1.0 / K)
+        for field in fields:
+            assert np.array_equal(checks.cell_trace(field, grid.n, p),
+                                  lineops._cell_trace(field, grid, 1.0 / K))

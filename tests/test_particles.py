@@ -12,7 +12,7 @@ from nlhom.cell import solve_cell_I, solve_cell_II
 from nlhom.coefficients import CoefficientSetI
 from nlhom.fixtures import coefficient_set_by_name
 from nlhom.kernels import IntegrableKernel, box_kernel
-from nlhom.torus import TorusGrid, field_from_function
+from nlhom.torus import PeriodicField, TorusGrid, field_from_function
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +280,42 @@ def test_table_samples_the_interpolant():
         assert np.max(np.abs(table.value - ref)) \
             <= 1e-13 * np.max(np.abs(ref)), field.grid.n
         assert np.array_equal(table.slope[:-1], np.diff(table.value))
+
+
+def _padded_fft_table(field):
+    """The table values as one zero-padded inverse real FFT on
+    N = max(2n, R) points, the field's Nyquist bin halved, strided to R."""
+    n, R = field.grid.n, pm._TABLE_RESOLUTION
+    N = max(2 * n, R)
+    spec = np.zeros(N // 2 + 1, dtype=complex)
+    spec[:n // 2 + 1] = np.fft.rfft(field.values) * (N / n)
+    spec[n // 2] *= 0.5
+    vals = np.fft.irfft(spec, N)[::N // R]
+    return np.append(vals, vals[0])
+
+
+def test_table_is_the_padded_fft_table():
+    # up to n = 4096 the shared sampler pads to the table's own 8192
+    # points, so the tables (and every particle draw and position) are
+    # bit-identical to the padded-FFT construction
+    fields = []
+    for n in (64, 256, 512):
+        v = coefficient_set_by_name("varcoef-1", n=n)
+        fields += [v.a, v.a.derivative(1), v.b, v.lam, v.sigma]
+    for n in (256, 512):
+        s2 = coefficient_set_by_name("stable-2", n=n)
+        fields += [s2.delta, s2.d]
+    fields.append(coefficient_set_by_name("const-1").a)
+    rng = np.random.default_rng(5)
+    for n in (8, 1024, 2048, 4096):
+        fields.append(PeriodicField(TorusGrid(n), rng.standard_normal(n)))
+    for field in fields:
+        assert np.array_equal(pm._TableLookup(field).value,
+                              _padded_fft_table(field)), field.grid.n
+    v = coefficient_set_by_name("varcoef-1", n=512)
+    table = pm._TableLookup(v.a, transform=lambda x: np.sqrt(2.0 * x) * 0.1)
+    assert np.array_equal(table.value,
+                          np.sqrt(2.0 * _padded_fft_table(v.a)) * 0.1)
 
 
 def test_start_a_hair_left_of_a_cell_boundary():

@@ -94,6 +94,25 @@ def test_evaluate_matches_grid_samples():
     assert_allclose(h.evaluate(pts), np.cos(TWO_PI * 3 * pts) + 0.5, atol=1e-12)
 
 
+@pytest.mark.parametrize("p", [1, 3, 16, 24, 64, 100, 128, 1000])
+def test_uniform_samples_are_the_interpolant(p):
+    # every mode up to the Nyquist cosine, on a stride (p | n), on a padded
+    # grid of 2n points (p = 128) and on padded grids that are not powers
+    # of two
+    g = TorusGrid(64)
+    f = PeriodicField(g, _rng(4).normal(size=g.n))
+    samples = f.uniform_samples(p)
+    assert samples.shape == (p,)
+    assert_allclose(samples, f.evaluate(np.arange(p) / p), atol=1e-13)
+    if g.n % p == 0:
+        assert np.array_equal(samples, f.values[::g.n // p])
+
+
+def test_uniform_samples_reject_empty_grid():
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        PeriodicField(TorusGrid(8), np.ones(8)).uniform_samples(0)
+
+
 def test_shift_is_exact_translation():
     g = TorusGrid(64)
     f = field_from_function(g, lambda x: np.sin(TWO_PI * x) + 0.3 * np.cos(TWO_PI * 4 * x))
