@@ -1,5 +1,7 @@
 """Particle simulation: stable sampler, thinned jump-diffusion, Q oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,14 @@ def stable_cdf_oracle(alpha, x_eval, window=50.0, t_max=60.0):
     window the two-term tail series 1 - F(x) = (1/pi) sum_k (-1)^(k-1)
     Gamma(alpha k)/k! sin(k pi alpha/2) x^(-alpha k) takes over.
 
+    The grid's x are uniform with step h, so each block of B = 128 nodes
+    takes its sines by angle addition from the block's anchor x_b:
+    sin((x_b + j h) t) = sin(x_b t) cos(j h t) + cos(x_b t) sin(j h t).
+    The cos(j h t) and sin(j h t) tables serve every block, so the libm
+    sines and cosines run over (B + number of blocks) rows of quadrature
+    nodes instead of one row per x, and the quadrature becomes two matrix
+    products.
+
     Entirely independent of the Chambers-Mallows-Stuck sampler under test.
     """
 
@@ -47,19 +57,22 @@ def stable_cdf_oracle(alpha, x_eval, window=50.0, t_max=60.0):
     # t in [1, t_max]
     t_hi = np.linspace(1.0, t_max, 30001)
 
-    F = np.empty_like(xs)
+    # integral(x) = sum_k c_k sin(x t_k) over both node sets; the s = 0
+    # node contributes 0 (sin(x s^q)/s ~ x s^(q-1) -> 0 since q >= 2)
     w_lo = simpson_weights(s.size, s[1] - s[0])
     w_hi = simpson_weights(t_hi.size, t_hi[1] - t_hi[0])
-    env_lo = q * np.exp(-(s ** (q * alpha)))  # times sin(x s^q)/s
-    env_hi = np.exp(-(t_hi**alpha)) / t_hi
-    for block in range(0, xs.size, 512):
-        xb = xs[block:block + 512, None]
-        with np.errstate(invalid="ignore"):
-            f_lo = np.sin(xb * t_lo[None, :]) / s[None, :]
-        f_lo[:, 0] = 0.0  # sin(x s^q)/s ~ x s^(q-1) -> 0 since q >= 2
-        integral = (f_lo * env_lo[None, :]) @ w_lo
-        integral += np.sin(xb * t_hi[None, :]) @ (env_hi * w_hi)
-        F[block:block + 512] = 0.5 + integral / np.pi
+    c_lo = np.zeros_like(s)
+    c_lo[1:] = q * np.exp(-(s[1:] ** (q * alpha))) * w_lo[1:] / s[1:]
+    c_hi = np.exp(-(t_hi**alpha)) / t_hi * w_hi
+    t = np.concatenate([t_lo, t_hi])
+    c = np.concatenate([c_lo, c_hi])
+
+    block = 128
+    offsets = np.outer(np.arange(block) * (xs[1] - xs[0]), t)
+    anchors = np.outer(xs[::block], t)
+    integral = (np.cos(offsets) @ (np.sin(anchors) * c).T
+                + np.sin(offsets) @ (np.cos(anchors) * c).T)
+    F = 0.5 + integral.T.ravel()[:xs.size] / np.pi
 
     def tail(y):
         # upper-tail probability, two-term Bergstroem series
@@ -273,13 +286,15 @@ def test_table_samples_the_interpolant():
             TorusGrid(n), lambda x, n=n: np.cos(np.pi * n * x)
             + np.sin(6.0 * np.pi * x)))
     ys = np.linspace(0.0, 1.0, pm._TABLE_RESOLUTION + 1)
-    for field in fields:
-        table = pm._TableLookup(field)
+    table = pm._Tables(*[pm._cell_samples(field) for field in fields])
+    assert table.value.shape == table.slope.shape == (len(fields), ys.size)
+    for field, value, slope in zip(fields, table.value, table.slope):
         ref = field.evaluate(ys)
-        assert table.value[-1] == table.value[0]
-        assert np.max(np.abs(table.value - ref)) \
+        assert value[-1] == value[0]
+        assert np.max(np.abs(value - ref)) \
             <= 1e-13 * np.max(np.abs(ref)), field.grid.n
-        assert np.array_equal(table.slope[:-1], np.diff(table.value))
+        assert np.array_equal(slope[:-1], np.diff(value))
+        assert slope[-1] == slope[0]
 
 
 def _padded_fft_table(field):
@@ -310,12 +325,14 @@ def test_table_is_the_padded_fft_table():
     for n in (8, 1024, 2048, 4096):
         fields.append(PeriodicField(TorusGrid(n), rng.standard_normal(n)))
     for field in fields:
-        assert np.array_equal(pm._TableLookup(field).value,
+        assert np.array_equal(pm._cell_samples(field),
                               _padded_fft_table(field)), field.grid.n
     v = coefficient_set_by_name("varcoef-1", n=512)
-    table = pm._TableLookup(v.a, transform=lambda x: np.sqrt(2.0 * x) * 0.1)
-    assert np.array_equal(table.value,
+    table = pm._Tables(np.sqrt(2.0 * pm._cell_samples(v.a)) * 0.1,
+                       pm._cell_samples(v.b))
+    assert np.array_equal(table.value[0],
                           np.sqrt(2.0 * _padded_fft_table(v.a)) * 0.1)
+    assert np.array_equal(table.value[1], _padded_fft_table(v.b))
 
 
 def test_start_a_hair_left_of_a_cell_boundary():
@@ -326,9 +343,33 @@ def test_start_a_hair_left_of_a_cell_boundary():
     assert np.isfinite(ens.positions).all()
     assert np.mod(-1e-20 * 16.0, 1.0) == 1.0
     idx, frac = pm._locate(np.array([-1e-20, 0.0]), 16.0)
-    table = pm._TableLookup(cset.a)
-    at = table.at(idx, frac)
-    assert at[0] == at[1] == table.value[0]
+    table = pm._Tables(pm._cell_samples(cset.a))
+    at = table.at(idx, frac)[0]
+    assert at[0] == at[1] == table.value[0, 0]
+
+
+@given(seed=st.integers(0, 10_000), m=st.integers(0, 300),
+       k=st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_stacked_lookup_is_the_one_row_lookup(seed, m, k):
+    # each row of a stacked lookup equals the one-field lookup it replaced
+    # (two flat gathers, slope * frac + value) bit for bit
+    rng = np.random.default_rng(seed)
+    v = coefficient_set_by_name("varcoef-1")
+    rows = [pm._cell_samples(f) * rng.uniform(0.1, 10.0)
+            for f in (v.a, v.b, v.a.derivative(1))[:k]]
+    table = pm._Tables(*rows)
+    x = rng.uniform(-3.0, 3.0, m)
+    x[:m // 4] = -1e-20  # the y == 1.0 round-up reads the wrapped entry
+    idx, frac = pm._locate(x, 8.0)
+    got = table.at(idx, frac)
+    assert got.shape == (k, m) and got.flags.c_contiguous
+    for row, out in zip(rows, got):
+        slope = np.append(np.diff(row), row[1] - row[0])
+        one = np.take(slope, idx)
+        one *= frac
+        one += np.take(row, idx)
+        assert np.array_equal(out, one)
 
 
 @given(s=st.floats(allow_nan=False, allow_infinity=False))
@@ -623,6 +664,66 @@ def test_signal_truncation_must_be_positive(truncation):
         _simulate("signal", truncation=truncation)
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("n_paths", 0, "n_paths must be at least 1"),
+    ("n_paths", -3, "n_paths must be at least 1"),
+    ("n_paths", 2.5, "n_paths must be an integer"),
+    ("n_paths", True, "n_paths must be an integer"),
+    ("n_save", 0, "n_save must be at least 2"),
+    ("n_save", 1, "n_save must be at least 2"),
+    ("n_save", -5, "n_save must be at least 2"),
+    ("n_save", 2.5, "n_save must be an integer"),
+    ("n_save", True, "n_save must be an integer"),
+    ("chunk_size", 2.5, "chunk_size must be an integer"),
+    ("chunk_size", True, "chunk_size must be an integer"),
+    ("chunk_size", None, "chunk_size must be an integer"),
+])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_counts_must_be_integers_in_range(family, name, value, message):
+    # n_paths = 0 used to return an empty ensemble, -3 raised numpy's
+    # "negative dimensions", 2.5 and True a TypeError; n_save of 0, -5 or
+    # 2.5 silently became 2
+    with pytest.raises(ValueError, match=message):
+        _simulate(family, **{name: value})
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_numpy_integer_counts_are_accepted(family):
+    ens = _simulate(family, n_paths=np.int64(8), n_save=np.int32(3),
+                    chunk_size=np.int64(4))
+    ref = _simulate(family, n_paths=8, n_save=3, chunk_size=4)
+    assert np.array_equal(ens.positions, ref.positions)
+    assert ens.n_times == 3
+
+
+@pytest.mark.parametrize("n_paths", [0, 1, 2])
+def test_q_oracle_needs_three_paths_before_simulating(n_paths, monkeypatch):
+    # used to simulate first, warn about the degenerate variance, then
+    # raise from the jackknife
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before checking n_paths")
+
+    monkeypatch.setattr(pm, "simulate_jump_diffusion_I", simulate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="n_paths must be at least"):
+            pm.estimate_Q_monte_carlo(coefficient_set_by_name("const-1"),
+                                      0.5, 0.1, n_paths, seed=1)
+
+
+def test_q_oracle_runs_on_three_paths():
+    q_hat, se = pm.estimate_Q_monte_carlo(
+        coefficient_set_by_name("const-1"), 0.5, 0.1, 3, seed=1)
+    assert np.isfinite(q_hat) and np.isfinite(se)
+
+
+@pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0, -1.0])
+def test_stable_increment_needs_a_finite_dt(dt):
+    # dt = inf used to return inf
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        pm.sample_stable_increment(1.5, dt, pm.RngStream(3).generator())
+
+
 # ---------------------------------------------------------------------------
 # step kernels against the step loops they replaced
 # ---------------------------------------------------------------------------
@@ -798,3 +899,98 @@ def test_signal_kernels_match_old_loop(seed, shape, alpha, x0, eps,
                                    truncation, chunk)
     assert ens.truncation_count == n_clipped
     assert _position_gap(ens.positions, paths) <= POSITION_RTOL
+
+
+# ---------------------------------------------------------------------------
+# trig-free CMS draws against the libm formula
+# ---------------------------------------------------------------------------
+#
+# ``_old_stable_draws`` above takes sin(alpha u), cos((1 - alpha) u) and
+# cos u from libm; ``_stable_draws`` takes them from half-angle tangents and
+# cos u as sin of the complement angle.  Both consume the same uniform and
+# exponential draws, so they must agree draw for draw up to rounding.
+
+CMS_RTOL = 5e-14
+
+
+def _relative_gap(new, old):
+    return float(np.max(np.abs(new - old)
+                        / np.maximum(np.abs(old), np.finfo(float).tiny)))
+
+
+class _FixedDraws:
+    """Generator stand-in that hands out given u and w."""
+
+    def __init__(self, u, w):
+        self.u, self.w = np.asarray(u, float), np.asarray(w, float)
+
+    def uniform(self, low, high, size):
+        assert (low, high, size) == (-0.5 * np.pi, 0.5 * np.pi, self.u.size)
+        return self.u.copy()
+
+    def standard_exponential(self, size):
+        assert size == self.w.size
+        return self.w.copy()
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.8, 1.2, 1.5, 1.95])
+def test_cms_draws_match_libm_formula(alpha):
+    new, _ = pm._stable_draws(alpha, 10**6, pm.RngStream(61).generator(),
+                              np.inf)
+    old, _ = _old_stable_draws(alpha, 10**6, pm.RngStream(61).generator(),
+                               np.inf)
+    assert _relative_gap(new, old) <= CMS_RTOL
+
+
+def test_cms_draws_near_the_pole_match_mpmath():
+    # u = +-(pi/2 - 10^-k): cos u is down to 1e-15, where the half-angle
+    # cosine (1 - tau^2) / (1 + tau^2) would lose up to 1e-10 relative
+    mp = pytest.importorskip("mpmath")
+    gaps = 10.0 ** -np.arange(1, 16)
+    u = np.concatenate([0.5 * np.pi - gaps, gaps - 0.5 * np.pi])
+    for alpha in (0.3, 0.8, 1.2, 1.5, 1.95):
+        for w_value in (0.05, 1.0, 4.0):
+            w = np.full(u.size, w_value)
+            got, _ = pm._stable_draws(alpha, u.size, _FixedDraws(u, w),
+                                      np.inf)
+            with mp.workdps(50):
+                a = mp.mpf(alpha)
+                ref = np.array([float(
+                    mp.sin(a * mp.mpf(ui)) / mp.cos(mp.mpf(ui)) ** (1 / a)
+                    * (mp.cos((1 - a) * mp.mpf(ui)) / mp.mpf(w_value))
+                    ** ((1 - a) / a)) for ui in u])
+            assert _relative_gap(got, ref) <= CMS_RTOL, (alpha, w_value)
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5])
+@pytest.mark.parametrize("size", [1, 4097])
+def test_cms_draws_leave_the_stream_where_the_libm_formula_does(alpha, size):
+    g = pm.RngStream(62).generator()
+    pm._stable_draws(alpha, size, g)
+    ref = pm.RngStream(62).generator()
+    ref.uniform(-0.5 * np.pi, 0.5 * np.pi, size)
+    if alpha != 1.0:
+        ref.exponential(1.0, size)
+    assert g.bit_generator.state == ref.bit_generator.state
+    # so the next draw of a run is the same number
+    assert g.standard_normal() == ref.standard_normal()
+
+
+def test_cms_alpha_one_is_the_tangent():
+    draws, _ = pm._stable_draws(1.0, 10**5, pm.RngStream(63).generator(),
+                                np.inf)
+    u = pm.RngStream(63).generator().uniform(-0.5 * np.pi, 0.5 * np.pi,
+                                             10**5)
+    assert np.array_equal(draws, np.tan(u))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.8, 1.0, 1.5, 1.95])
+@pytest.mark.parametrize("truncation", [3.0, 5.0, 1e6])
+def test_cms_clip_counts_match_libm_formula(alpha, truncation):
+    new, n_new = pm._stable_draws(alpha, 10**5, pm.RngStream(64).generator(),
+                                  truncation)
+    old, n_old = _old_stable_draws(alpha, 10**5,
+                                   pm.RngStream(64).generator(), truncation)
+    assert n_new == n_old
+    assert np.abs(new).max() <= truncation
+    assert _relative_gap(new, old) <= CMS_RTOL
