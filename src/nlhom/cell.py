@@ -64,7 +64,6 @@ __all__ = [
     "assemble_torus_generator_I",
     "assemble_torus_generator_II",
     "solve_invariant_density_I",
-    "invariant_density_power_iteration",
     "check_centering_I",
     "solve_corrector_chi",
     "compute_Q",
@@ -272,25 +271,6 @@ def solve_invariant_density_I(cset, T_adj=None, lu=None):
         raise RuntimeError("invariant density residual %.3g above tolerance" % rel)
     fld = PeriodicField(cset.grid, m)
     return fld, rel
-
-
-def invariant_density_power_iteration(cset, shift=1e-6, n_iter=60):
-    """Second route to m: inverse power iteration on (T* - shift I).
-
-    Independent of the bordered solve; used as a cross-check oracle.
-    """
-    _, T_adj = assemble_torus_generator_I(cset)
-    n = cset.grid.n
-    B = T_adj - shift * np.eye(n)
-    lu = lu_factor(B)
-    v = np.ones(n)
-    for _ in range(n_iter):
-        v = lu_solve(lu, v)
-        v /= np.linalg.norm(v)
-    if np.sum(v) < 0:
-        v = -v
-    v = v / (np.sum(v) / n)  # normalize the torus integral to one
-    return PeriodicField(cset.grid, v)
 
 
 def check_centering_I(cset, m):

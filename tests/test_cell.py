@@ -10,6 +10,8 @@ Oracles used here, written independently of the solver internals:
 * Fourier-mode evaluation of the generator against scalar quadrature of the
   kernel transform;
 * inverse-power iteration as a second route to the invariant density;
+* the fixed-point drift centering b <- b - int b m[b], against the Newton
+  centering of the fixtures;
 * augmented least squares (lstsq), against the bordered LU solves;
 * the field-by-field loop of the coercivity witness, against its batched form;
 * cross-resolution (n vs 2n) agreement for every solved field.
@@ -21,9 +23,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, quad_vec
-from scipy.linalg import LinAlgWarning
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, null_space
 
-from nlhom import cell
+from nlhom import cell, fixtures
 
 from nlhom.cell import (
     RankDeficiencyError,
@@ -40,7 +42,6 @@ from nlhom.cell import (
     coercivity_witness_I,
     compute_Q,
     effective_coefficients_II,
-    invariant_density_power_iteration,
     solve_cell_I,
     solve_cell_II,
     solve_corrector_chi,
@@ -55,6 +56,8 @@ from nlhom.cell import (
 )
 from nlhom.coefficients import CoefficientSetI, CoefficientSetII
 from nlhom.fixtures import (
+    center_drift_I,
+    center_drift_II,
     const_1,
     random_set_I,
     random_set_II,
@@ -164,6 +167,51 @@ def coercivity_margin_loop(cset, m, T, alpha_c, mu, n_fields=120, seed=7):
         h1n = l2 + float(np.sum(du**2) * h)
         margin = min(margin, form + mu * l2 - 0.5 * alpha_c * h1n)
     return margin
+
+
+def invariant_density_power_iteration(cset, shift=1e-6, n_iter=60):
+    """Second route to m: inverse power iteration on (T* - shift I).
+
+    Independent of the bordered solve; used as a cross-check oracle.
+    """
+    _, T_adj = assemble_torus_generator_I(cset)
+    n = cset.grid.n
+    B = T_adj - shift * np.eye(n)
+    lu = lu_factor(B)
+    v = np.ones(n)
+    for _ in range(n_iter):
+        v = lu_solve(lu, v)
+        v /= np.linalg.norm(v)
+    if np.sum(v) < 0:
+        v = -v
+    v = v / (np.sum(v) / n)  # normalize the torus integral to one
+    return PeriodicField(cset.grid, v)
+
+
+def center_drift_fixed_point(cset, name, tol=1e-13, max_iter=80):
+    """Drift centering by the fixed-point sweep b <- b - int b m[b], with m
+    from a fresh assembly and bordered solve per sweep.
+
+    Once the bias is below ``tol`` the sweep goes on while the bias still
+    halves, so the drift lands on the rounding floor of the bias rather
+    than anywhere below ``tol``.
+    """
+    if name == "b":
+        density = solve_invariant_density_I
+    else:
+        density = solve_invariant_density_II
+    current = cset
+    previous = np.inf
+    for _ in range(max_iter):
+        m, _ = density(current)
+        drift = getattr(current, name)
+        bias = float(np.sum(drift.values * m.values) * current.grid.h)
+        if abs(bias) <= tol and abs(bias) >= 0.5 * previous:
+            return current
+        previous = abs(bias)
+        current = current.with_fields(
+            **{name: PeriodicField(current.grid, drift.values - bias)})
+    raise RuntimeError("fixed-point centering did not converge")
 
 
 def kernel_fourier_coefficient(kernel, k):
@@ -714,3 +762,154 @@ def test_one_factorization_per_chain(monkeypatch):
     assert factorizations == [(65, 65)]
     solve_cell_II(csets[1])
     assert factorizations == [(65, 65)] * 2
+
+
+# ---------------------------------------------------------------------------
+# drift centering (both families)
+# ---------------------------------------------------------------------------
+
+
+def _shifted(cset, name, c):
+    """cset with the drift field ``name`` raised by the constant c."""
+    drift = getattr(cset, name)
+    return cset.with_fields(**{name: PeriodicField(cset.grid, drift.values + c)})
+
+
+def _centering_bias(cset, name):
+    if name == "b":
+        m, _ = solve_invariant_density_I(cset)
+    else:
+        m, _ = solve_invariant_density_II(cset)
+    return float(np.sum(getattr(cset, name).values * m.values) * cset.grid.h)
+
+
+_CELL_QUANTITIES = {
+    "b": (center_drift_I, solve_cell_I, ("Q", "Q_alt", "Q1")),
+    "d": (center_drift_II, solve_cell_II,
+          ("delta_bar_alpha", "g_bar", "f_bar", "sigma_bar")),
+}
+
+
+def _assert_centering_matches_fixed_point(fixture, name, drift_tol=1e-13):
+    """Newton and fixed-point centering from the fixture's drift raised by
+    0.05 land on the fixture's drift, with the same cell quantities.
+
+    The fixed-point oracle ends on the rounding floor of the bias; Newton
+    ends on its first sweep with |bias| <= 1e-13, which on the named
+    fixtures is the floor too.  On random sets that sweep can land
+    anywhere below 1e-13, so ``drift_tol=None`` takes the bound that the
+    stop itself gives: a drift off the root by a constant dc has the bias
+    dc dB/dc, so two drifts that pass the stop, with biases measured to the
+    1e-14 floor of n = 128, sit at most 2.2e-13 / |dB/dc| apart (|dB/dc|,
+    a finite difference here, falls to 0.87 on random sets).
+    """
+    center, solve, quantities = _CELL_QUANTITIES[name]
+    start = _shifted(fixture, name, 0.05)
+    got = center(start)
+    ref = center_drift_fixed_point(start, name)
+    drift = getattr(ref, name).values
+    bound = drift_tol
+    if bound is None:
+        bias_ref = _centering_bias(ref, name)
+        shifted = _centering_bias(_shifted(ref, name, -1e-6), name)
+        bound = 2.2e-13 / abs((shifted - bias_ref) / 1e-6)
+    for cset in (got, fixture):
+        assert abs(_centering_bias(cset, name)) <= 1e-13
+        assert np.max(np.abs(getattr(cset, name).values - drift)) <= bound
+    sol, sol_ref = solve(got), solve(ref)
+    for q in quantities:
+        value, reference = getattr(sol, q), getattr(sol_ref, q)
+        assert abs(value - reference) <= 1e-12 * abs(reference), q
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: varcoef_1(512), "b"),
+    (lambda: random_set_I(0), "b"),
+    (lambda: stable_1(512), "d"),
+    (lambda: random_set_II(0), "d"),
+], ids=["varcoef-1", "random-I", "stable-1", "random-II"])
+def test_centering_fixtures_match_fixed_point(build, name):
+    _assert_centering_matches_fixed_point(build(), name)
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=8, deadline=None)
+def test_centering_random_sets_match_fixed_point(seed):
+    _assert_centering_matches_fixed_point(random_set_I(seed, 128), "b", None)
+    _assert_centering_matches_fixed_point(random_set_II(seed, 128), "d", None)
+
+
+def test_centering_density_matches_independent_oracles():
+    cset, m, T_adj, _ = fixtures._center_drift(
+        _shifted(varcoef_1(256), "b", 0.05), "b",
+        cell.assemble_torus_generator_I, cell.solve_invariant_density_I)
+    ref = invariant_density_power_iteration(cset).values
+    assert np.max(np.abs(m.values - ref)) <= 1e-10 * np.max(ref)
+    assert np.array_equal(T_adj, assemble_torus_generator_I(cset)[1])
+
+    cset, m1, L_adj, _ = fixtures._center_drift(
+        _shifted(stable_1(128), "d", 0.05), "d",
+        cell.assemble_torus_generator_II, cell.solve_invariant_density_II)
+    ref = null_space(assemble_torus_generator_II(cset)[1])[:, 0]
+    ref = ref / (np.sum(ref) * cset.grid.h)
+    assert np.max(np.abs(m1.values - ref)) <= 1e-10 * np.max(ref)
+    assert np.array_equal(L_adj, assemble_torus_generator_II(cset)[1])
+
+
+def _count_sweeps(monkeypatch, build):
+    """Invariant-density solves while ``build`` runs: one per sweep."""
+    calls = []
+    with monkeypatch.context() as patch:
+        for name in ("solve_invariant_density_I", "solve_invariant_density_II"):
+            original = getattr(cell, name)
+
+            def counting(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            patch.setattr(cell, name, counting)
+        build()
+    return len(calls)
+
+
+@pytest.mark.parametrize("n", [64, 256, 512])
+def test_centering_takes_few_sweeps(monkeypatch, n):
+    # the fixed-point sweep took 7 (varcoef-1) and 10 (stable-1)
+    assert _count_sweeps(monkeypatch, lambda: varcoef_1.__wrapped__(n)) <= 4
+    assert _count_sweeps(
+        monkeypatch, lambda: fixtures._stable_1.__wrapped__(n, 1.5)) <= 4
+
+
+def test_centering_sweep_count_independent_of_resolution(monkeypatch):
+    counts = [_count_sweeps(monkeypatch, lambda: varcoef_1.__wrapped__(n))
+              for n in (64, 128, 256, 512, 1024)]
+    assert counts == [counts[0]] * 5
+
+
+@pytest.mark.parametrize("center, build", [
+    (center_drift_I, lambda: varcoef_1(64)),
+    (center_drift_II, lambda: stable_1(64)),
+], ids=["I", "II"])
+def test_centering_rejects_bad_arguments(monkeypatch, center, build):
+    cset = build()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("assembled before the arguments were checked")
+
+    for name in ("assemble_torus_generator_I", "assemble_torus_generator_II"):
+        monkeypatch.setattr(cell, name, forbidden)
+    for max_iter in (0, -1, 2.5, True, None, "3"):
+        with pytest.raises(ValueError, match="max_iter"):
+            center(cset, max_iter=max_iter)
+    for tol in (-1.0, 0.0, np.nan, np.inf, None, "1e-13"):
+        with pytest.raises(ValueError, match="tol"):
+            center(cset, tol=tol)
+
+
+@pytest.mark.parametrize("center, build, name", [
+    (center_drift_I, lambda: varcoef_1(64), "b"),
+    (center_drift_II, lambda: stable_1(64), "d"),
+], ids=["I", "II"])
+def test_centering_reports_last_bias(center, build, name):
+    with pytest.raises(RuntimeError, match="last bias"):
+        center(_shifted(build(), name, 0.05), max_iter=1)
