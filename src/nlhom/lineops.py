@@ -176,7 +176,8 @@ class LineOperator:
 
     ``blocks`` has shape ``(N_c//2 + 1, p, p)`` (complex); ``blocks[t]``
     acts on the Fourier mode t over the cell index of a state reshaped to
-    (N_c, p), so the operator maps u to irfft_t(blocks[t] @ rfft_t(u)).
+    (N_c, p), so the operator maps u to irfft_t(blocks[t] @ rfft_t(u)):
+    :meth:`to_bloch` and :meth:`from_bloch` are the two transforms.
     """
 
     def __init__(self, grid, label, blocks, eps=None, part=None):
@@ -191,12 +192,23 @@ class LineOperator:
         """Bytes held by the Bloch blocks."""
         return self.blocks.nbytes
 
+    def to_bloch(self, values):
+        """Bloch coefficients of (n,) states or (n, m) column blocks: the
+        rfft over the cell index of the state reshaped to (N_c, p, m), of
+        shape (N_c//2 + 1, p, m), m = 1 for a vector."""
+        p = self.blocks.shape[1]
+        values = np.asarray(values, dtype=float)
+        return np.fft.rfft(values.reshape(self.grid.n // p, p, -1), axis=0)
+
+    def from_bloch(self, u_hat):
+        """Inverse of :meth:`to_bloch`: the real (n, m) column block."""
+        cells = self.grid.n // self.blocks.shape[1]
+        return np.fft.irfft(u_hat, n=cells, axis=0).reshape(self.grid.n, -1)
+
     def _act(self, blocks, values):
         values = np.asarray(values, dtype=float)
-        cells = self.grid.n // blocks.shape[1]
-        u_hat = np.fft.rfft(values.reshape(cells, blocks.shape[1], -1), axis=0)
-        out = np.fft.irfft(blocks @ u_hat, n=cells, axis=0)
-        return out.reshape(values.shape)
+        return self.from_bloch(blocks @ self.to_bloch(values)) \
+            .reshape(values.shape)
 
     def apply(self, values):
         """Operator applied to (n,) states or (n, m) column blocks."""

@@ -12,9 +12,18 @@ grid's Fourier modes composed with the same explicit noise factor, so their
 only time-discretization error is in the noise product.
 
 Ensembles march the heterogeneous paths of a chunk in lockstep as the
-columns of a single state matrix: every path still sees a strictly serial
-step sequence, but each resolvent application becomes one batched product
-with the Bloch blocks of (I - dt T)^-1, which is what makes the
+columns of one state block, kept in Bloch space for the whole march.  The
+generator commutes with translation by one eps-cell, and so does the noise
+field sigma(x/eps): an FFT over the N_c cells splits both into the same
+N_c//2 + 1 Bloch blocks, where the resolvent is a p x p block R_t and the
+noise one diagonal shared by every block.  A step is then
+
+    u_hat_t <- R_t (u_hat_t * (1 + sigma_cell dW)),
+
+one batched block product over the whole path block and no transform; every
+path still sees a strictly serial step sequence.  The inverse transform runs
+only at recorded times, and the energy monitor reads the norms off the Bloch
+coefficients by Parseval in between.  That is what makes the
 weak-convergence studies affordable at the dt demanded by the stability rule
 (dt <= min(0.1 eps^2, 0.25 dx^2 / max a) for the integrable family,
 dt <= 0.1 eps^alpha for the stable family).  The homogenized noise sigma_bar
@@ -157,12 +166,21 @@ class _Stepper:
 class SemiImplicitStepper(_Stepper):
     """Preassembled resolvent step for a heterogeneous generator.
 
+    The resolvent (I - dt T)^-1 is held as its Bloch blocks R_t, and the
+    noise field is one eps-cell of p samples tiled over the N_c cells, so it
+    is the same diagonal sigma_cell in every Bloch block.  On the Bloch
+    coefficients of :meth:`LineOperator.to_bloch` a step is one batched
+    block product, u_hat_t <- R_t (u_hat_t * (1 + sigma_cell dW))
+    (:meth:`bloch_step`); :meth:`step` is that step between ``to_bloch``
+    and ``from_bloch``.
+
     Parameters
     ----------
     operator : LineOperator
         Two-scale generator (T^eps or V^eps).
-    sigma_trace : ndarray
-        sigma(x/eps) sampled on the line grid.
+    sigma_trace : ndarray, shape (n,)
+        sigma(x/eps) sampled on the line grid: one eps-cell of p samples
+        tiled over the N_c cells.
     dt : float
         Time step; must satisfy the family's stability rule.
     """
@@ -172,17 +190,31 @@ class SemiImplicitStepper(_Stepper):
     def __init__(self, operator, sigma_trace, dt, part):
         self.operator = operator
         self.grid = operator.grid
-        self.sigma_trace = np.asarray(sigma_trace, dtype=float)
+        self.sigma_trace = trace = np.asarray(sigma_trace, dtype=float)
+        p = operator.blocks.shape[1]
+        if trace.shape != (self.grid.n,) or not np.all(np.isfinite(trace)) \
+                or np.any(trace.reshape(-1, p) != trace[:p]):
+            raise ValueError("sigma_trace must be one eps-cell of %d finite "
+                             "samples tiled over the %d cells, got shape %r"
+                             % (p, self.grid.n // p, trace.shape))
+        self._sigma_cell = trace[:p]
         self.dt = float(dt)
         self.part = part
         # resolvent stored as explicit inverse blocks: each step is then one
         # batched block product over a whole path block
         self._resolvent = operator.resolvent(self.dt)
 
+    def bloch_step(self, u_hat, dw):
+        """One step on Bloch coefficients of shape (N_c//2 + 1, p, m); dw is
+        a scalar or an (m,) row."""
+        factor = 1.0 + self._sigma_cell[:, None] * np.reshape(dw, (1, -1))
+        return self._resolvent.blocks @ (u_hat * factor)
+
     def step(self, state, dw):
-        rhs = self._noise_factor(np.asarray(state, dtype=float), dw,
-                                 self.sigma_trace)
-        return self._resolvent.apply(rhs)
+        state = np.asarray(state, dtype=float)
+        op = self._resolvent
+        return op.from_bloch(self.bloch_step(op.to_bloch(state), dw)) \
+            .reshape(state.shape)
 
 
 class SpectralStepper(_Stepper):
@@ -503,6 +535,20 @@ def _prepare_pair(config, cell, cset, dt_eff):
     return het, hom
 
 
+def _battery_rows(battery, grid):
+    """The battery's xi and xi_d2 as finite (n_xi, n) arrays."""
+    _, xi, xi_d2 = battery
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    xi_d2 = np.atleast_2d(np.asarray(xi_d2, dtype=float))
+    if xi.ndim != 2 or len(xi) < 1 or xi.shape[1] != grid.n \
+            or xi_d2.shape != xi.shape \
+            or not (np.all(np.isfinite(xi)) and np.all(np.isfinite(xi_d2))):
+        raise ValueError("battery xi and xi_d2 must be finite (n_xi, %d) "
+                         "arrays, got shapes %r and %r"
+                         % (grid.n, xi.shape, xi_d2.shape))
+    return xi, xi_d2
+
+
 def run_ensemble(config, cell, cset, battery=None):
     """March paired heterogeneous/homogenized ensembles.
 
@@ -525,8 +571,16 @@ def run_ensemble(config, cell, cset, battery=None):
 
     Notes
     -----
-    Each chunk marches its heterogeneous paths as one (n, m) state block.
-    The homogenized side is one (n,) flow S_t u0, stepped by the same
+    Each chunk marches its heterogeneous paths as the Bloch coefficients
+    u_hat, shape (N_c//2 + 1, p, m), of one (n, m) state block: a step is
+    ``SemiImplicitStepper.bloch_step``, one batched block product with no
+    transform.  The energy monitor reads every step's squared norms off
+    u_hat by Parseval over the cell index, dx / N_c * sum_t w_t |u_hat_t|^2
+    with w = 1, 2, ..., 2, 1.  Only recorded steps take the inverse
+    transform, and read the pairings (one product with the stacked
+    [xi; xi_d2]), the band and total L1 mass (one product with the stacked
+    [band; 1]) and the snapshots from the physical field.  The homogenized
+    side is one (n,) flow S_t u0, stepped by the same
     spectral stepper with no noise, and an (m,) growth vector multiplied by
     (1 + sigma_bar dW_k) at every step.  Every homogenized record (pairings,
     squared norms for the energy monitor, boundary fractions, snapshots) is
@@ -534,24 +588,35 @@ def run_ensemble(config, cell, cset, battery=None):
 
     Raises
     ------
+    ValueError
+        On a battery whose xi and xi_d2 are not finite (n_xi, n) arrays.
     RuntimeError
         On non-finite states, energy-cap violation, or a pooled increment
         variance further than 6 standard errors from dt.
     """
     grid = config.grid
+    if battery is None:
+        battery = default_test_battery(grid)
+    xi, xi_d2 = _battery_rows(battery, grid)
+    xi_both = np.vstack([xi, xi_d2])
     n_steps, dt_eff, save_idx = _step_grid(config.T_end, config.dt,
                                            config.n_save)
     het, hom = _prepare_pair(config, cell, cset, dt_eff)
-    if battery is None:
-        battery = default_test_battery(grid)
-    _, xi, xi_d2 = battery
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    xi_d2 = np.atleast_2d(np.asarray(xi_d2, dtype=float))
+    het_op = het.operator
 
     u0 = config.initial_state()
+    u0_hat = het_op.to_bloch(u0)
     norm0_sq = grid.l2_norm(u0) ** 2
     cap = config.energy_cap_C * (1.0 + norm0_sq ** 2)
     band = np.abs(grid.x) >= 0.95 * grid.half_width
+    band_rows = np.vstack([band, np.ones(grid.n)])
+    # Parseval over the cell index: the rfft half spectrum holds each mode
+    # but t = 0 and the Nyquist mode once for itself and once for its
+    # conjugate (N_c is a power of two)
+    n_cells = grid.n // u0_hat.shape[1]
+    parseval = np.full(u0_hat.shape[0], 2.0)
+    parseval[[0, n_cells // 2]] = 1.0
+    parseval *= grid.dx / n_cells
     save_set = {int(k): i for i, k in enumerate(save_idx)}
     times = save_idx * dt_eff
     n_rec = len(save_idx)
@@ -580,9 +645,10 @@ def run_ensemble(config, cell, cset, battery=None):
         if not shared:
             inc_hom *= sqrt_dt
 
-        # heterogeneous paths march as the columns of one state block; the
-        # homogenized ones are the one flow S_t u0 times a growth per path
-        U = np.tile(u0[:, None], (1, m))
+        # heterogeneous paths march as the Bloch coefficients of one state
+        # block; the homogenized ones are the one flow S_t u0 times a growth
+        # per path
+        U_hat = np.repeat(u0_hat, m, axis=2)
         flow = u0.copy()
         growth = np.ones(m)
         pair = {s: np.empty((n_rec, n_xi, m)) for s in ("het", "hom")}
@@ -615,13 +681,17 @@ def run_ensemble(config, cell, cset, battery=None):
                 snaps[side][:, slot, :] = snap
 
         def observe(k, slot):
-            monitor("het", k, np.einsum("ij,ij->j", U, U) * grid.dx)
+            # (T, p, 2m) real view: per mode and column, re^2 + im^2
+            v = U_hat.view(float)
+            sq = parseval @ np.einsum("tjc,tjc->tc", v, v)
+            monitor("het", k, sq.reshape(m, 2).sum(axis=1))
             monitor("hom", k, growth ** 2 * (flow @ flow) * grid.dx)
             if slot is None:
                 return
-            absU = np.abs(U)
-            record("het", slot, (xi @ U) * grid.dx, (xi_d2 @ U) * grid.dx,
-                   absU[band].sum(axis=0), absU.sum(axis=0),
+            U = het_op.from_bloch(U_hat)
+            pairs = (xi_both @ U) * grid.dx
+            mass = band_rows @ np.abs(U)
+            record("het", slot, pairs[:n_xi], pairs[n_xi:], mass[0], mass[1],
                    U[:, :n_snap].T)
             abs_flow = np.abs(flow)
             abs_growth = np.abs(growth)
@@ -633,7 +703,7 @@ def run_ensemble(config, cell, cset, battery=None):
 
         observe(0, 0)
         for k in range(n_steps):
-            U = het.step(U, inc_het[k])
+            U_hat = het.bloch_step(U_hat, inc_het[k])
             flow = hom.step(flow, 0.0)
             growth *= 1.0 + hom.sigma_bar * inc_hom[k]
             observe(k + 1, save_set.get(k + 1))

@@ -13,7 +13,6 @@ A field is sampled on a uniform grid of p points by one method too,
 :meth:`PeriodicField.uniform_samples` (a stride of the values, or one
 padded inverse FFT): the line traces of ``lineops`` and the lookup tables
 of ``particles`` both take their samples there.
-:meth:`PeriodicField.evaluate` stays the evaluator at arbitrary points.
 
 Conventions
 -----------
@@ -140,38 +139,6 @@ class PeriodicField:
     def l2_norm(self):
         return float(np.sqrt(np.sum(self.values**2) * self.grid.h))
 
-    # -- evaluation off the grid ---------------------------------------------
-
-    def _pruned_modes(self, tol=1e-15):
-        c = self.coeffs
-        k = self.grid.wavenumbers()
-        scale = np.max(np.abs(c))
-        if scale == 0.0:
-            return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=complex)
-        keep = np.abs(c) > tol * scale
-        keep[0] = True
-        return k[keep], c[keep]
-
-    def evaluate(self, x):
-        """Trigonometric interpolation at arbitrary points (vectorized).
-
-        Exact for the band-limited interpolant through the samples; modes with
-        negligible coefficients are pruned so evaluation cost tracks the
-        field's effective bandwidth, not the grid size.
-        """
-        x = np.asarray(x, dtype=float)
-        k, c = self._pruned_modes()
-        nyq = self.grid.n // 2
-        out = np.zeros(x.shape, dtype=float)
-        for ki, ci in zip(k, c):
-            if ki == -nyq:
-                # unpaired Nyquist mode: real cosine convention
-                out += ci.real * np.cos(TWO_PI * nyq * x)
-            else:
-                ph = TWO_PI * ki * x
-                out += ci.real * np.cos(ph) - ci.imag * np.sin(ph)
-        return out
-
     def uniform_samples(self, p):
         """The trigonometric interpolant at y_j = j/p, j < p.
 
@@ -180,8 +147,7 @@ class PeriodicField:
         on N points, N the smallest multiple of p that is at least 2n
         (max(2n, p) for powers of two), strided to p points: at N >= 2n
         the field's Nyquist cosine is a paired mode, and its bin is halved
-        between the two half bins it becomes.  Same values as
-        :meth:`evaluate` on that grid, without its loop over modes.
+        between the two half bins it becomes.
         """
         p = int(p)
         if p < 1:

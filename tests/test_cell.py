@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, quad_vec
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, null_space
 
+from field_oracle import evaluate
 from nlhom import cell, fixtures
 
 from nlhom.cell import (
@@ -86,11 +87,11 @@ def q_double_quadrature(cset, m, chi, epsabs=1e-11):
     grid = cset.grid
     n_fine = 4 * grid.n
     y = np.arange(n_fine) / n_fine
-    a_y = cset.a.evaluate(y)
-    m_y = m.evaluate(y)
-    lam_m = lambda q: cset.lam.evaluate(q) * m.evaluate(q)
-    chi_y = chi.evaluate(y)
-    dchi_y = chi.derivative(1).evaluate(y)
+    a_y = evaluate(cset.a, y)
+    m_y = evaluate(m, y)
+    lam_m = lambda q: evaluate(cset.lam, q) * evaluate(m, q)
+    chi_y = evaluate(chi, y)
+    dchi_y = evaluate(chi.derivative(1), y)
     term1 = np.mean(a_y * m_y * (dchi_y + 1.0) ** 2)
 
     R = cset.kernel.truncation_radius
@@ -99,7 +100,7 @@ def q_double_quadrature(cset, m, chi, epsabs=1e-11):
         cz = cset.kernel.evaluate(np.array([z]))[0]
         if cz == 0.0:
             return np.zeros(1)
-        vals = cz * lam_m(y - z) * (z + chi_y - chi.evaluate(y - z)) ** 2
+        vals = cz * lam_m(y - z) * (z + chi_y - evaluate(chi, y - z)) ** 2
         return np.array([np.mean(vals)])
 
     val, _ = quad_vec(inner, -R, R, epsabs=epsabs, epsrel=1e-10)
@@ -285,7 +286,7 @@ def test_invariant_density_cross_resolution():
     m_c, _ = solve_invariant_density_I(varcoef_1())
     m_f, _ = solve_invariant_density_I(varcoef_1(512))
     fine = TorusGrid(512)
-    assert np.max(np.abs(m_c.evaluate(fine.x) - m_f.values)) < 1e-9
+    assert np.max(np.abs(evaluate(m_c, fine.x) - m_f.values)) < 1e-9
 
 
 def test_invariant_density_power_iteration_agrees():
@@ -365,7 +366,7 @@ def test_corrector_cross_resolution():
     cset_f = varcoef_1(512)
     chi_f, _ = solve_corrector_chi(cset_f, solve_invariant_density_I(cset_f)[0])
     fine = TorusGrid(512)
-    assert np.max(np.abs(chi_c.evaluate(fine.x) - chi_f.values)) < 1e-9
+    assert np.max(np.abs(evaluate(chi_c, fine.x) - chi_f.values)) < 1e-9
 
 
 def test_Q_constant_coefficients_closed_form():
@@ -534,7 +535,7 @@ def test_grid_refinement_stability():
     assert abs(sol_c.sigma_bar - sol_f.sigma_bar) < 1e-8
     fine = TorusGrid(512)
     for name in ("m", "chi", "h1", "h2"):
-        coarse = getattr(sol_c, name).evaluate(fine.x)
+        coarse = evaluate(getattr(sol_c, name), fine.x)
         assert np.max(np.abs(coarse - getattr(sol_f, name).values)) < 1e-8
 
 
@@ -584,7 +585,7 @@ def test_m1_stable_fixture():
     assert abs(check_centering_II(cset, m1)) < 1e-10
     m1f, _ = solve_invariant_density_II(stable_1(512))
     fine = TorusGrid(512)
-    assert np.max(np.abs(m1.evaluate(fine.x) - m1f.values)) < 1e-9
+    assert np.max(np.abs(evaluate(m1, fine.x) - m1f.values)) < 1e-9
 
 
 def test_h3_trivial_and_fixture():
@@ -599,7 +600,7 @@ def test_h3_trivial_and_fixture():
     assert abs(h3.integral()) < 1e-10
     h3f, _ = solve_h3(stable_1(512), solve_invariant_density_II(stable_1(512))[0])
     fine = TorusGrid(512)
-    assert np.max(np.abs(h3.evaluate(fine.x) - h3f.values)) < 1e-9
+    assert np.max(np.abs(evaluate(h3, fine.x) - h3f.values)) < 1e-9
 
 
 def test_e1_single_mode_closed_form():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from field_oracle import evaluate
 from nlhom import lineops as lo
 from nlhom import spde
 from nlhom.cell import (
@@ -123,7 +124,7 @@ def test_second_order_part_fourier_mode(grid):
 
 def direct_jump_quadrature(cset, eps, grid, u):
     """O(N^2) reference: explicit wrapped displacements, no circulant."""
-    lam_e = cset.lam.evaluate(np.mod(grid.x / eps, 1.0))
+    lam_e = evaluate(cset.lam, np.mod(grid.x / eps, 1.0))
     two_l = 2.0 * grid.half_width
     out = np.empty(grid.n)
     for i in range(grid.n):
@@ -267,9 +268,9 @@ def _dense_T_eps(cset, eps, grid):
                  cset.kernel.evaluate(lag / eps) / eps, 0.0)
     conv = _dense_multiplier(grid, np.fft.fft(K)) * grid.dx
     jump = conv - np.sum(K) * grid.dx * np.eye(grid.n)
-    return (cset.a.evaluate(y)[:, None] * _dense_multiplier(grid, -omega**2)
-            + (cset.b.evaluate(y) / eps)[:, None] * _dense_multiplier(grid, d1)
-            + (cset.lam.evaluate(y) / eps**2)[:, None] * jump)
+    return (evaluate(cset.a, y)[:, None] * _dense_multiplier(grid, -omega**2)
+            + (evaluate(cset.b, y) / eps)[:, None] * _dense_multiplier(grid, d1)
+            + (evaluate(cset.lam, y) / eps**2)[:, None] * jump)
 
 
 def _dense_V_eps(cset, eps, grid):
@@ -278,9 +279,9 @@ def _dense_V_eps(cset, eps, grid):
     d1[grid.n // 2] = 0.0
     y = np.mod(grid.x / eps, 1.0)
     alpha = cset.alpha
-    drift = eps ** (1.0 - alpha) * cset.d.evaluate(y) + cset.g.evaluate(y)
-    zero = cset.f.evaluate(y) - cset.e.evaluate(y) / eps**alpha
-    gen = (-cset.delta_alpha.evaluate(y)[:, None]
+    drift = eps ** (1.0 - alpha) * evaluate(cset.d, y) + evaluate(cset.g, y)
+    zero = evaluate(cset.f, y) - evaluate(cset.e, y) / eps**alpha
+    gen = (-evaluate(cset.delta_alpha, y)[:, None]
            * _dense_multiplier(grid, np.abs(omega) ** alpha)
            + drift[:, None] * _dense_multiplier(grid, d1))
     return gen, zero
@@ -323,6 +324,27 @@ def test_bloch_blocks_match_dense_reference(seed, K):
         want = np.linalg.solve(np.eye(grid.n) - stepper.dt * ref, rhs)
         got = stepper.step(U, dw)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@given(seed=st.integers(0, 10_000), m=st.sampled_from([None, 1, 5]))
+@settings(max_examples=10, deadline=None)
+def test_bloch_transforms_round_trip_and_define_apply(seed, m):
+    # apply is from_bloch(blocks @ to_bloch(u)), bit for bit the inline
+    # rfft / block product / irfft over the cell index
+    cset = random_set_I(seed, 64)
+    grid, eps = lo.LineGrid(1.0, 256), 1.0 / 4.0
+    op = lo.assemble_T_eps(cset, eps, grid)
+    p = op.blocks.shape[1]
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(grid.n if m is None else (grid.n, m))
+    u_hat = op.to_bloch(u)
+    assert u_hat.shape == (grid.n // p // 2 + 1, p, 1 if m is None else m)
+    assert np.max(np.abs(op.from_bloch(u_hat).reshape(u.shape) - u)) \
+        <= 1e-14 * np.max(np.abs(u))
+    cells = u.reshape(grid.n // p, p, -1)
+    inline = np.fft.irfft(op.blocks @ np.fft.rfft(cells, axis=0),
+                          n=grid.n // p, axis=0).reshape(u.shape)
+    assert np.array_equal(op.apply(u), inline)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +416,7 @@ def test_corrector_first_order_deviation(varcoef, big_grid):
     for K in (8, 16, 32):
         eps = 1.0 / K
         out = lo.corrector_test_function_I(xi, cell, eps, big_grid)
-        m_e = cell.m.evaluate(np.mod(big_grid.x / eps, 1.0))
+        m_e = evaluate(cell.m, np.mod(big_grid.x / eps, 1.0))
         dev = np.max(np.abs(out - m_e * xi))
         ratios.append(dev / eps)
     # deviation scales linearly in eps: the normalized ratios stay flat
@@ -623,7 +645,7 @@ def test_band_limited_fields_top_mode_on_the_large_grid():
 
 def _evaluated_trace(field, grid, eps):
     """The cell trace by off-grid evaluation at y = x/eps mod 1."""
-    return field.evaluate(np.mod(grid.x / eps, 1.0))
+    return evaluate(field, np.mod(grid.x / eps, 1.0))
 
 
 def test_sampled_traces_match_evaluated_traces(varcoef, stable, monkeypatch):
@@ -703,9 +725,9 @@ def test_cell_trace_samples_the_interpolant(n, line_n, half_width, K, data):
         trace = lo._cell_trace(field, grid, eps)
         scale = np.max(np.abs(field.values))
         assert cell.shape == (p,) and trace.shape == (grid.n,)
-        assert np.max(np.abs(cell - field.evaluate(np.arange(p) / p))) \
+        assert np.max(np.abs(cell - evaluate(field, np.arange(p) / p))) \
             <= 1e-13 * scale
-        assert np.max(np.abs(trace - field.evaluate(y))) <= 1e-13 * scale
+        assert np.max(np.abs(trace - evaluate(field, y))) <= 1e-13 * scale
         assert np.array_equal(trace[p:], trace[:-p])
         if n % p == 0:
             assert np.array_equal(trace[:p], field.values[::n // p])

@@ -2,13 +2,15 @@
 
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlhom import cell, fixtures, spde
 from nlhom.coefficients import PeriodicField
-from nlhom.lineops import LineGrid, ResolutionError
+from nlhom.lineops import LineGrid, ResolutionError, assemble_T_eps
 from nlhom.particles import _step_grid
 
 
@@ -301,6 +303,25 @@ def test_prepare_rejects_nonpositive_or_nonfinite_dt(prepare, dt, varcoef,
         _PREPARES[prepare](varcoef, stable2, LineGrid(2.0, 512), dt)
 
 
+def test_semi_implicit_stepper_needs_a_tiled_sigma_trace(varcoef):
+    # the Bloch step applies one eps-cell of the noise field to every block,
+    # so a trace that is not one cell tiled over the cells is refused
+    cset, _ = varcoef
+    grid, eps = LineGrid(2.0, 512), 1.0 / 8.0
+    op = assemble_T_eps(cset, eps, grid)
+    dt = spde.heterogeneous_dt_limit(cset, eps, grid)
+    p = grid.points_per_cell(eps)
+    cell_ramp = np.linspace(0.0, 1.0, p)
+    for bad in (np.linspace(0.0, 1.0, grid.n), np.tile(cell_ramp, 16),
+                np.full(grid.n, np.nan), np.zeros((grid.n, 1))):
+        with pytest.raises(ValueError, match="sigma_trace"):
+            spde.SemiImplicitStepper(op, bad, dt, "I")
+    stepper = spde.SemiImplicitStepper(op, np.tile(cell_ramp, grid.n // p),
+                                       dt, "I")
+    assert np.array_equal(stepper.sigma_trace,
+                          np.tile(cell_ramp, grid.n // p))
+
+
 def test_step_wrappers_check_kind(varcoef):
     cset, sol = varcoef
     grid = LineGrid(2.0, 512)
@@ -401,52 +422,84 @@ def test_run_ensemble_independent_noise_differs(varcoef):
         assert not np.array_equal(ph.increments, pm.increments)
 
 
-def _column_march(cfg, sol, cset, het_paths, hom_paths):
-    """Records of both sides marched as (n, m) column blocks, one column per
-    path, with the increments the paths consumed: the homogenized side steps
-    every column through ``SpectralStepper.step`` with its own noise."""
+def _draw_increments(cfg):
+    """(n_steps, n_paths) increments of each side, drawn from the streams
+    run_ensemble reads: path j from stream (seed, j), the homogenized side
+    of an independent coupling from that stream's child."""
+    n_steps, dt_eff, _ = _step_grid(cfg.T_end, cfg.dt, cfg.n_save)
+    inc = {"het": [], "hom": []}
+    for j in range(cfg.n_paths):
+        stream = spde.RngStream(cfg.seed, stream=j)
+        inc["het"].append(stream.generator().standard_normal(n_steps))
+        if cfg.noise_coupling == "independent":
+            inc["hom"].append(stream.child().generator()
+                              .standard_normal(n_steps))
+    inc["het"] = np.stack(inc["het"], axis=1) * np.sqrt(dt_eff)
+    inc["hom"] = inc["het"] if cfg.noise_coupling == "shared" \
+        else np.stack(inc["hom"], axis=1) * np.sqrt(dt_eff)
+    return inc
+
+
+def _column_march(cfg, sol, cset, inc):
+    """Records of both sides marched as (n, m) column blocks in physical
+    space, one column per path, with the increments ``inc`` of
+    :func:`_draw_increments`: the heterogeneous side calls
+    ``SemiImplicitStepper.step`` and the homogenized side
+    ``SpectralStepper.step`` with its own noise at every step.  Also
+    returns each side's (n_steps + 1, n_paths) squared norms."""
     grid = cfg.grid
     n_steps, dt_eff, save_idx = _step_grid(cfg.T_end, cfg.dt, cfg.n_save)
     het, hom = spde._prepare_pair(cfg, sol, cset, dt_eff)
     _, xi, xi_d2 = spde.default_test_battery(grid)
     band = np.abs(grid.x) >= 0.95 * grid.half_width
     u0 = cfg.initial_state()
-    out = {}
-    for side, stepper, paths in (("het", het, het_paths),
-                                 ("hom", hom, hom_paths)):
-        recs = []
-        for lo in range(0, cfg.n_paths, cfg.chunk_size):
-            chunk = paths[lo:lo + cfg.chunk_size]
-            inc = np.stack([p.increments for p in chunk], axis=1)
-            U = np.tile(u0[:, None], (1, len(chunk)))
-            pair, pair2, snaps = [], [], []
-            max4 = np.zeros(len(chunk))
-            bfrac = np.zeros(len(chunk))
-            for k in range(n_steps + 1):
-                if k:
-                    U = stepper.step(U, inc[k - 1])
-                nsq = np.einsum("ij,ij->j", U, U) * grid.dx
-                max4 = np.maximum(max4, nsq ** 2)
-                if k in save_idx:
-                    pair.append((xi @ U) * grid.dx)
-                    pair2.append((xi_d2 @ U) * grid.dx)
-                    snaps.append(U.T.copy())
-                    absU = np.abs(U)
-                    total = absU.sum(axis=0)
-                    bfrac = np.maximum(bfrac, absU[band].sum(axis=0)
-                                       / np.where(total > 0, total, 1.0))
-            for j in range(len(chunk)):
-                recs.append(dict(
-                    pairings=np.stack(pair)[:, :, j],
-                    pairings_d2=np.stack(pair2)[:, :, j],
-                    snapshots=np.stack(snaps)[:, j, :],
-                    max_norm4=max4[j], boundary_frac=bfrac[j]))
-        out[side] = recs
-    return out["het"], out["hom"]
+    out, norms = {}, {}
+    for side, stepper in (("het", het), ("hom", hom)):
+        U = np.tile(u0[:, None], (1, cfg.n_paths))
+        pair, pair2, snaps, nsq = [], [], [], []
+        bfrac = np.zeros(cfg.n_paths)
+        for k in range(n_steps + 1):
+            if k:
+                U = stepper.step(U, inc[side][k - 1])
+            nsq.append(np.einsum("ij,ij->j", U, U) * grid.dx)
+            if k in save_idx:
+                pair.append((xi @ U) * grid.dx)
+                pair2.append((xi_d2 @ U) * grid.dx)
+                snaps.append(U.T.copy())
+                absU = np.abs(U)
+                total = absU.sum(axis=0)
+                bfrac = np.maximum(bfrac, absU[band].sum(axis=0)
+                                   / np.where(total > 0, total, 1.0))
+        norms[side] = np.stack(nsq)
+        max4 = np.max(norms[side] ** 2, axis=0)
+        out[side] = [dict(pairings=np.stack(pair)[:, :, j],
+                          pairings_d2=np.stack(pair2)[:, :, j],
+                          snapshots=np.stack(snaps)[:, j, :],
+                          max_norm4=max4[j], boundary_frac=bfrac[j])
+                     for j in range(cfg.n_paths)]
+    return out["het"], out["hom"], norms
 
 
 def _rel_gap(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+def _assert_march_matches_column_march(cfg, sol, cset):
+    """The Bloch-space march agrees with the column march to rounding: the
+    pairings and snapshots to 1e-12 of their largest entry, max_norm4 to
+    1e-12 relative and the boundary fraction (near 1e-15) to 1e-12."""
+    het, hom = spde.run_ensemble(cfg, sol, cset)
+    ref_het, ref_hom, _ = _column_march(
+        cfg, sol, cset, {"het": np.stack([p.increments for p in het], 1),
+                         "hom": np.stack([p.increments for p in hom], 1)})
+    for paths, refs in ((het, ref_het), (hom, ref_hom)):
+        for p, ref in zip(paths, refs):
+            for name in ("pairings", "pairings_d2"):
+                assert _rel_gap(getattr(p, name), ref[name]) <= 1e-12, name
+            if p.snapshots is not None:
+                assert _rel_gap(p.snapshots, ref["snapshots"]) <= 1e-12
+            assert p.max_norm4 == pytest.approx(ref["max_norm4"], rel=1e-12)
+            assert abs(p.boundary_frac - ref["boundary_frac"]) <= 1e-12
 
 
 @pytest.mark.parametrize("every_step", [False, True])
@@ -460,19 +513,117 @@ def test_one_flow_march_equals_column_march(part, coupling, every_step,
     if every_step:
         n_steps = _step_grid(cfg.T_end, cfg.dt, 2)[0]
         cfg = dataclasses.replace(cfg, n_save=n_steps + 1)
-    het, hom = spde.run_ensemble(cfg, sol, cset)
-    ref_het, ref_hom = _column_march(cfg, sol, cset, het, hom)
-    for p, ref in zip(het, ref_het):
-        assert np.array_equal(p.pairings, ref["pairings"])
-        assert np.array_equal(p.pairings_d2, ref["pairings_d2"])
-        assert np.array_equal(p.snapshots, ref["snapshots"])
-        assert p.max_norm4 == ref["max_norm4"]
-        assert p.boundary_frac == ref["boundary_frac"]
-    for p, ref in zip(hom, ref_hom):
-        for name in ("pairings", "pairings_d2", "snapshots"):
-            assert _rel_gap(getattr(p, name), ref[name]) <= 1e-12, name
-        assert p.max_norm4 == pytest.approx(ref["max_norm4"], rel=1e-12)
-        assert abs(p.boundary_frac - ref["boundary_frac"]) <= 1e-12
+    _assert_march_matches_column_march(cfg, sol, cset)
+
+
+@given(part=st.sampled_from(["I", "II"]), n_paths=st.integers(1, 6),
+       chunk_size=st.integers(1, 6), n_save=st.integers(2, 61),
+       coupling=st.sampled_from(["shared", "independent"]))
+@settings(max_examples=12, deadline=None)
+def test_bloch_march_matches_column_march_property(part, n_paths,
+                                                   chunk_size, n_save,
+                                                   coupling, varcoef,
+                                                   stable2):
+    cset, sol = varcoef if part == "I" else stable2
+    cfg = _small_config(part=part, n_paths=n_paths, chunk_size=chunk_size,
+                        n_save=n_save, noise_coupling=coupling,
+                        n_snapshot_paths=3)
+    _assert_march_matches_column_march(cfg, sol, cset)
+
+
+@pytest.mark.parametrize("part", ["I", "II"])
+def test_bloch_march_matches_column_march_on_a_rough_state(part, varcoef,
+                                                           stable2):
+    # white-noise samples put energy in every Bloch mode, the Nyquist mode
+    # over the cells included, so every Parseval weight shows in max_norm4
+    cset, sol = varcoef if part == "I" else stable2
+    u0 = np.random.default_rng(5).standard_normal(512)
+    _assert_march_matches_column_march(
+        _small_config(part=part, u0=u0, n_save=5), sol, cset)
+
+
+def _poisoned_streams(path, step):
+    """RngStream whose draws on stream ``path`` are NaN at ``step``."""
+
+    class Poisoned(spde.RngStream):
+        def generator(self):
+            gen = super().generator()
+            if self.stream != path:
+                return gen
+
+            class Draws:
+                def standard_normal(self, size):
+                    out = gen.standard_normal(size)
+                    out[step] = np.nan
+                    return out
+
+            return Draws()
+
+    return Poisoned
+
+
+def _t_message(k, cfg):
+    dt_eff = _step_grid(cfg.T_end, cfg.dt, cfg.n_save)[1]
+    return re.escape("at t = %.6g" % (k * dt_eff))
+
+
+def test_energy_cap_aborts_between_recorded_steps(stable2):
+    # a zero-order growth field f + 100 on the heterogeneous side only:
+    # its norm grows by about 1.4 per step in ||u||^4, the homogenized one
+    # does not; the cap sits between two steps' maxima of the column march
+    cset, sol = stable2
+    grow = cset.with_fields(f=PeriodicField(cset.grid, cset.f.values + 100.0))
+    cfg = _small_config(part="II", n_save=2, n_paths=3)
+    n_steps = _step_grid(cfg.T_end, cfg.dt, cfg.n_save)[0]
+    _, _, norms = _column_march(cfg, sol, grow, _draw_increments(cfg))
+    n4 = {side: norms[side] ** 2 for side in norms}
+    k = n_steps // 2
+    before, at = n4["het"][:k].max(), n4["het"][k].max()
+    assert at > 1.2 * before
+    cap = np.sqrt(before * at)
+    assert n4["hom"][:k + 1].max() < cap
+    norm0_4 = cfg.grid.l2_norm(cfg.initial_state()) ** 4
+    capped = dataclasses.replace(cfg, energy_cap_C=cap / (1.0 + norm0_4))
+    with pytest.raises(RuntimeError, match="energy cap violated on het path "
+                       "%d %s:" % (int(np.argmax(n4["het"][k])),
+                                   _t_message(k, cfg))):
+        spde.run_ensemble(capped, sol, grow)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("part", ["I", "II"])
+def test_non_finite_state_aborts_between_recorded_steps(part, varcoef,
+                                                        stable2,
+                                                        monkeypatch):
+    cset, sol = varcoef if part == "I" else stable2
+    cfg = _small_config(part=part, n_save=2, n_paths=3)
+    n_steps = _step_grid(cfg.T_end, cfg.dt, cfg.n_save)[0]
+    monkeypatch.setattr(spde, "RngStream",
+                        _poisoned_streams(path=1, step=n_steps // 2))
+    _, _, norms = _column_march(cfg, sol, cset, _draw_increments(cfg))
+    bad = ~np.isfinite(norms["het"])
+    k = int(np.argmax(bad.any(axis=1)))
+    assert 0 < k < n_steps
+    with pytest.raises(RuntimeError, match="non-finite het state on path "
+                       "%d %s$" % (int(np.argmax(bad[k])),
+                                   _t_message(k, cfg))):
+        spde.run_ensemble(cfg, sol, cset)
+
+
+@pytest.mark.parametrize("xi, xi_d2", [
+    (np.zeros((3, 256)), np.zeros((3, 512))),
+    (np.zeros((3, 512)), np.zeros((2, 512))),
+    (np.zeros((3, 512)), np.zeros((3, 512, 1))),
+    (np.full((3, 512), np.nan), np.zeros((3, 512))),
+    (np.zeros((3, 512)), np.full((3, 512), np.inf)),
+    (np.zeros((0, 512)), np.zeros((0, 512))),
+], ids=["short-xi", "two-row-xi_d2", "3d-xi_d2", "nan-xi", "inf-xi_d2",
+        "empty"])
+def test_run_ensemble_rejects_malformed_battery(xi, xi_d2, varcoef):
+    cset, sol = varcoef
+    with pytest.raises(ValueError, match="battery"):
+        spde.run_ensemble(_small_config(), sol, cset,
+                          battery=(["a", "b", "c"], xi, xi_d2))
 
 
 def test_run_ensemble_records_and_increment_variance(varcoef):
