@@ -20,10 +20,10 @@ noise one diagonal shared by every block.  A step is then
 
     u_hat_t <- R_t (u_hat_t * (1 + sigma_cell dW)),
 
-one batched block product over the whole path block and no transform; every
-path still sees a strictly serial step sequence.  The inverse transform runs
-only at recorded times, and the energy monitor reads the norms off the Bloch
-coefficients by Parseval in between.  That is what makes the
+one batched block product over the whole path block and no forward
+transform; every path still sees a strictly serial step sequence.  One
+inverse transform per step gives the physical field that the energy monitor
+and, at recorded times, the observations read.  That is what makes the
 weak-convergence studies affordable at the dt demanded by the stability rule
 (dt <= min(0.1 eps^2, 0.25 dx^2 / max a) for the integrable family,
 dt <= 0.1 eps^alpha for the stable family).  The homogenized noise sigma_bar
@@ -574,12 +574,11 @@ def run_ensemble(config, cell, cset, battery=None):
     Each chunk marches its heterogeneous paths as the Bloch coefficients
     u_hat, shape (N_c//2 + 1, p, m), of one (n, m) state block: a step is
     ``SemiImplicitStepper.bloch_step``, one batched block product with no
-    transform.  The energy monitor reads every step's squared norms off
-    u_hat by Parseval over the cell index, dx / N_c * sum_t w_t |u_hat_t|^2
-    with w = 1, 2, ..., 2, 1.  Only recorded steps take the inverse
-    transform, and read the pairings (one product with the stacked
+    forward transform.  Every step takes the inverse transform once, and the
+    energy monitor reads the squared norms of the physical field.  Recorded
+    steps also read the pairings (one product with the stacked
     [xi; xi_d2]), the band and total L1 mass (one product with the stacked
-    [band; 1]) and the snapshots from the physical field.  The homogenized
+    [band; 1]) and the snapshots from that field.  The homogenized
     side is one (n,) flow S_t u0, stepped by the same
     spectral stepper with no noise, and an (m,) growth vector multiplied by
     (1 + sigma_bar dW_k) at every step.  Every homogenized record (pairings,
@@ -610,13 +609,6 @@ def run_ensemble(config, cell, cset, battery=None):
     cap = config.energy_cap_C * (1.0 + norm0_sq ** 2)
     band = np.abs(grid.x) >= 0.95 * grid.half_width
     band_rows = np.vstack([band, np.ones(grid.n)])
-    # Parseval over the cell index: the rfft half spectrum holds each mode
-    # but t = 0 and the Nyquist mode once for itself and once for its
-    # conjugate (N_c is a power of two)
-    n_cells = grid.n // u0_hat.shape[1]
-    parseval = np.full(u0_hat.shape[0], 2.0)
-    parseval[[0, n_cells // 2]] = 1.0
-    parseval *= grid.dx / n_cells
     save_set = {int(k): i for i, k in enumerate(save_idx)}
     times = save_idx * dt_eff
     n_rec = len(save_idx)
@@ -649,6 +641,7 @@ def run_ensemble(config, cell, cset, battery=None):
         # block; the homogenized ones are the one flow S_t u0 times a growth
         # per path
         U_hat = np.repeat(u0_hat, m, axis=2)
+        U = np.tile(u0[:, None], (1, m))
         flow = u0.copy()
         growth = np.ones(m)
         pair = {s: np.empty((n_rec, n_xi, m)) for s in ("het", "hom")}
@@ -681,14 +674,10 @@ def run_ensemble(config, cell, cset, battery=None):
                 snaps[side][:, slot, :] = snap
 
         def observe(k, slot):
-            # (T, p, 2m) real view: per mode and column, re^2 + im^2
-            v = U_hat.view(float)
-            sq = parseval @ np.einsum("tjc,tjc->tc", v, v)
-            monitor("het", k, sq.reshape(m, 2).sum(axis=1))
+            monitor("het", k, np.einsum("ij,ij->j", U, U) * grid.dx)
             monitor("hom", k, growth ** 2 * (flow @ flow) * grid.dx)
             if slot is None:
                 return
-            U = het_op.from_bloch(U_hat)
             pairs = (xi_both @ U) * grid.dx
             mass = band_rows @ np.abs(U)
             record("het", slot, pairs[:n_xi], pairs[n_xi:], mass[0], mass[1],
@@ -704,6 +693,7 @@ def run_ensemble(config, cell, cset, battery=None):
         observe(0, 0)
         for k in range(n_steps):
             U_hat = het.bloch_step(U_hat, inc_het[k])
+            U = het_op.from_bloch(U_hat)
             flow = hom.step(flow, 0.0)
             growth *= 1.0 + hom.sigma_bar * inc_hom[k]
             observe(k + 1, save_set.get(k + 1))
