@@ -5,9 +5,9 @@ invariant-density average vanishes (the admissibility condition for
 homogenization).  The invariant density depends on c, so the shift is the
 root of the scalar bias B(c) = int (b - c) m_c, found by Newton's method.
 The slope B'(c) needs the derivative of m_c, which is one more solve with
-the sweep's own factorization; three sweeps reach |B| <= 1e-13 on the named
-fixtures, where the fixed point c <- c + B contracted only by 0.01 to 0.05
-per sweep.
+the sweep's own factorization.  Three sweeps reach the stop (|B| <= 1e-13,
+or the bias's rounding floor where that is larger) on the named fixtures,
+where the fixed point c <- c + B contracted only by 0.01 to 0.05 per sweep.
 
 All named fixtures use smooth (band-limited or Gaussian-kernel) data so that
 the spectral machinery keeps cross-resolution agreement near machine
@@ -41,6 +41,28 @@ __all__ = [
 ]
 
 
+# The rounding floor of the bias int b m on n points grows faster than n:
+# shifting varcoef_1(n)'s centered drift by k x 2e-16, k = -50 ... 49, and
+# re-solving m gives a largest |bias| of 0.010, 0.0036 and 0.0036 times
+# n^2 u int |b m| at n = 256, 512 and 1024 (u = 2.2e-16, one BLAS thread),
+# and 0.0026 times it at n = 2048 (k = -12 ... 11).  0.005 n^2 u int |b m|
+# covers n >= 512 and stays below 1e-13 on every set of n <= 512 tried
+# (varcoef-1, stable-1, random-I at 256 for seeds 0-19, random-II at 512 for
+# seeds 0-99), so there the stop is ``tol`` itself; at n = 256 the floor,
+# at most 3.1e-14, is far below ``tol``.
+_FLOOR_FACTOR = 0.005
+
+
+def _centering_bias(b, m, h, tol):
+    """(int b m, stop) on n samples b and m: the bias and the stop
+    max(tol, _FLOOR_FACTOR n^2 u int |b m|)."""
+    bm = b * m
+    n = b.size
+    floor = _FLOOR_FACTOR * n * n * np.finfo(float).eps * h \
+        * float(np.sum(np.abs(bm)))
+    return float(np.sum(bm) * h), max(tol, floor)
+
+
 def _center_drift(cset, name, assemble, density, tol=1e-13, max_iter=40):
     """Shift the drift field ``name`` by a constant c until int (b0 - c) m = 0.
 
@@ -51,8 +73,10 @@ def _center_drift(cset, name, assemble, density, tol=1e-13, max_iter=40):
     slope B'(c) = int (b0 - c) dm - 1.  Each sweep assembles A_c, factors it
     once and takes m_c from ``density`` (which runs its positivity, residual
     and rank checks); the sweep's matrices are released before the next one
-    assembles.  Returns (centered set, its density, generator adjoint,
-    bordered LU) of the last sweep.
+    assembles.  The sweeps stop at |B| <= max(tol, floor), the floor being
+    the bias's rounding floor (see ``_centering_bias``), so rounding alone
+    never takes a further sweep.  Returns (centered set, its density,
+    generator adjoint, bordered LU) of the last sweep.
     """
     if (isinstance(max_iter, bool)
             or not isinstance(max_iter, (int, np.integer)) or max_iter < 1):
@@ -69,8 +93,8 @@ def _center_drift(cset, name, assemble, density, tol=1e-13, max_iter=40):
         lu = cell._BorderedLU(A)
         m, _ = density(current, A_adj, lu=lu)
         b = getattr(current, name).values
-        bias = float(np.sum(b * m.values) * h)
-        if abs(bias) <= tol:
+        bias, stop = _centering_bias(b, m.values, h, tol)
+        if abs(bias) <= stop:
             return current, m, A_adj, lu
         dm = lu.solve(-m.derivative(1).values, adjoint=True)
         del A, A_adj, lu
@@ -84,7 +108,8 @@ def center_drift_I(cset, tol=1e-13, max_iter=40):
     """Shift b by a constant so that the centering condition int b m = 0
     holds to ``tol``, m the invariant density of the shifted generator;
     returns the centered set.  Newton's method on the shift (see
-    :func:`_center_drift`) reaches 1e-13 in three sweeps on the fixtures.
+    :func:`_center_drift`) reaches ``tol``, or the bias's rounding floor
+    where that is larger, in three sweeps on the fixtures.
     """
     return _center_drift(cset, "b", cell.assemble_torus_generator_I,
                          cell.solve_invariant_density_I, tol, max_iter)[0]

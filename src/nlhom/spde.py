@@ -43,7 +43,7 @@ import numpy as np
 from .coefficients import CoefficientSetII, _eps_value
 from .lineops import (LineGrid, gaussian_bump, assemble_T0, assemble_T_eps,
                       assemble_V0, assemble_V_eps, _cell_trace)
-from .particles import RngStream, _step_grid
+from .particles import RngStream, _check_count, _step_grid
 
 __all__ = [
     "SpdeConfig", "FieldPath", "initial_profile", "default_test_battery",
@@ -395,7 +395,8 @@ class SpdeConfig:
     n_paths : int
         Ensemble size.
     seed : int
-        Root seed; path j draws from the dedicated stream (seed, j).
+        Root seed, a non-negative integer; path j draws from the dedicated
+        stream (seed, j).
     u0 : str or ndarray
         Named profile ("gauss", "double", "indicator") or explicit samples
         with finite, nonzero L2 norm.
@@ -439,17 +440,10 @@ class SpdeConfig:
             if not (np.isfinite(val) and val > 0):
                 raise ValueError("%s must be finite and positive, got %r"
                                  % (label, val))
-        for label in ("n_paths", "n_save", "n_snapshot_paths", "chunk_size"):
-            val = getattr(self, label)
-            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
-                raise ValueError("%s must be an integer, got %r"
-                                 % (label, val))
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
-        if self.n_save < 2:
-            raise ValueError("n_save must be >= 2")
-        if self.n_snapshot_paths < 0 or self.chunk_size < 1:
-            raise ValueError("n_snapshot_paths/chunk_size out of range")
+        for label, least in (("n_paths", 1), ("n_save", 2),
+                             ("n_snapshot_paths", 0), ("chunk_size", 1),
+                             ("seed", 0)):
+            _check_count(label, getattr(self, label), least)
         if self.noise_coupling not in ("shared", "independent"):
             raise ValueError("noise_coupling must be 'shared' or "
                              "'independent', got %r" % (self.noise_coupling,))

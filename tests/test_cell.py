@@ -887,6 +887,18 @@ def test_centering_sweep_count_independent_of_resolution(monkeypatch):
     assert counts == [counts[0]] * 5
 
 
+def test_centering_stop_clears_the_rounding_floor(monkeypatch):
+    # varcoef_1(1024)'s centered drift shifted by k x 2e-16 re-solves to
+    # |int b m| up to 1.4e-13, above the 1e-13 tolerance in 3 of 24 shifts,
+    # which then took a sweep on rounding alone; the stop sits above that
+    # rounding floor, so every shift stops on its first sweep
+    v = varcoef_1(1024)
+    for k in range(-12, 12):
+        start = _shifted(v, "b", k * 2e-16)
+        assert _count_sweeps(monkeypatch, lambda: center_drift_I(start)) \
+            == 1, k
+
+
 @pytest.mark.parametrize("center, build", [
     (center_drift_I, lambda: varcoef_1(64)),
     (center_drift_II, lambda: stable_1(64)),

@@ -1,10 +1,12 @@
 """Particle simulation: stable sampler, thinned jump-diffusion, Q oracle."""
 
+import dataclasses
+import threading
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 from scipy.special import gamma as gamma_fn
 
@@ -697,6 +699,114 @@ def test_numpy_integer_counts_are_accepted(family):
     assert ens.n_times == 3
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("seed, message", [
+    (2.5, "seed must be an integer"),
+    (True, "seed must be an integer"),
+    (None, "seed must be an integer"),
+    (-1, "seed must be at least 0"),
+    (np.int64(-2), "seed must be at least 0"),
+])
+def test_seed_must_be_a_non_negative_integer(family, seed, message):
+    # 2.5 used to run as seed 2, True as 1, and -1 raised numpy's
+    # "expected non-negative integer" without naming the seed
+    with pytest.raises(ValueError, match=message):
+        _simulate(family, seed=seed)
+
+
+@pytest.mark.parametrize("field", ["seed", "stream", "counter"])
+@pytest.mark.parametrize("value, message", [
+    (2.5, "must be an integer"), (False, "must be an integer"),
+    (-1, "must be at least 0"),
+])
+def test_rng_stream_fields_are_non_negative_integers(field, value, message):
+    kw = dict(seed=1, stream=0, counter=0)
+    kw[field] = value
+    with pytest.raises(ValueError, match="%s %s" % (field, message)):
+        pm.RngStream(**kw)
+
+
+def test_numpy_integer_seeds_are_accepted():
+    ref = pm.RngStream(5, 2, 1).generator().standard_normal(4)
+    got = pm.RngStream(np.int64(5), np.uint32(2), np.int8(1))
+    assert np.array_equal(got.generator().standard_normal(4), ref)
+    ens = _simulate("jump", seed=np.uint64(3))
+    assert np.array_equal(ens.positions, _simulate("jump", seed=3).positions)
+
+
+def test_ensemble_takes_path_streams_as_a_list():
+    # a list used to raise AttributeError: 'list' object has no attribute
+    # 'shape'
+    ens = pm.ParticleEnsemble(times=[0.0, 1.0],
+                              positions=[[0.0, 0.0], [1.0, 2.0]],
+                              path_streams=[0, 0], dt=1.0, T_end=1.0, seed=0)
+    assert isinstance(ens.path_streams, np.ndarray)
+    assert np.array_equal(ens.path_streams, [0, 0])
+    with pytest.raises(ValueError, match="path_streams"):
+        pm.ParticleEnsemble(times=[0.0, 1.0],
+                            positions=[[0.0, 0.0], [1.0, 2.0]],
+                            path_streams=[0], dt=1.0, T_end=1.0, seed=0)
+
+
+def _jump_set_with_sampler(sampler):
+    return _jump_only_set().with_fields(
+        kernel=dataclasses.replace(box_kernel(), sampler=sampler))
+
+
+def test_sampler_error_in_the_worker_reaches_the_caller():
+    # the block draws run on a worker thread; an exception there must
+    # surface at the call, and the worker must not outlive it
+    class SamplerError(Exception):
+        pass
+
+    threads = []
+
+    def sampler(rng, size):
+        threads.append(threading.current_thread())
+        if len(threads) == 3:
+            raise SamplerError("third block")
+        return rng.uniform(-1.0, 1.0, size)
+
+    before = threading.active_count()
+    with pytest.raises(SamplerError, match="third block"):
+        pm.simulate_jump_diffusion_I(
+            _jump_set_with_sampler(sampler), 0.5, 0.02 * 5 * pm._STEP_BLOCK,
+            0.02, 16, seed=1)
+    assert threading.active_count() == before
+    assert len(threads) >= 3
+    assert threading.main_thread() not in threads
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("saves", ["every step", "end only"])
+def test_non_finite_state_raises_at_the_save_step(saves):
+    # infinite jumps from the second block on.  Saving every step, the
+    # check meets them while the third block is being drawn; saving only
+    # the end, the paths stay non-finite until the last step (the table
+    # reads used to raise IndexError on them first)
+    calls = []
+
+    def sampler(rng, size):
+        calls.append(size)
+        out = rng.uniform(-1.0, 1.0, size)
+        if len(calls) >= 2:
+            out[:] = np.inf
+        return out
+
+    steps = 3 * pm._STEP_BLOCK
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="non-finite particle state at "
+                                           "step") as info:
+        pm.simulate_jump_diffusion_I(
+            _jump_set_with_sampler(sampler), 0.5, 0.02 * steps, 0.02, 16,
+            seed=1, n_save=steps + 1 if saves == "every step" else 2)
+    step = int(str(info.value).split()[-1])
+    assert step > pm._STEP_BLOCK
+    if saves == "end only":
+        assert step == steps
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("n_paths", [0, 1, 2])
 def test_q_oracle_needs_three_paths_before_simulating(n_paths, monkeypatch):
     # used to simulate first, warn about the degenerate variance, then
@@ -731,18 +841,22 @@ def test_stable_increment_needs_a_finite_dt(dt):
 #
 # The oracle below is the earlier formulation of both simulations: np.mod fold,
 # one (1 - frac, frac) interpolation per table, bincount jumps and the
-# two-power CMS draw.  It consumes the same random draws in the same order,
-# so jump counts, jump sizes and clip counts must be equal, and positions
-# may differ only by rounding.  Each interpolated coefficient differs by a
-# few ulps, and every step multiplies a position gap by the slope of the
-# Euler map, 1 + (field' x increment)/eps.  The horizons are therefore
-# short: 16 steps at dt = 0.1 eps**2 (jump-diffusion) and dt = 0.02 eps
-# (signal).  At dt = 0.1 eps a stable-1 path through steep d and delta
-# grows its gap up to 5x per step and 16 steps reach 4e-10; at 0.02 eps the
-# largest gap over 100 seeds of every (alpha, eps, x0) below was 1.5e-12,
-# and the jump-diffusion's 1.0e-12.  POSITION_RTOL sits 70x above both,
-# and still fails on a 1e-6 relative error in the table slopes or a 1e-7
-# relative error in the CMS log-cosine term.
+# two-power CMS draw.  It consumes the same random draws in the same order
+# (the jump-diffusion's in blocks of ``_STEP_BLOCK`` steps), so jump counts,
+# jump sizes and clip counts must be equal, and positions may differ only by
+# rounding.  Each interpolated coefficient differs by a few ulps, and every
+# step multiplies a position gap by the slope of the Euler map,
+# 1 + (field' x increment)/eps.  The horizons are therefore short: 16 steps
+# at dt = 0.1 eps**2 (jump-diffusion) and dt = 0.02 eps (signal).  At
+# dt = 0.1 eps a stable-1 path through steep d and delta grows its gap up to
+# 5x per step and 16 steps reach 4e-10; at 0.02 eps the largest gap over 100
+# seeds of every (alpha, eps, x0) below was 1.5e-12, and the
+# jump-diffusion's 1.0e-12.  The jump-diffusion runs that span two or three
+# blocks and end in a short one (129 and 261 steps) take dt = 0.01 eps**2:
+# at 0.1 eps**2 the gap reaches 5.9e-9 by step 261 and 6.9e-8 by step 383,
+# at 0.01 eps**2 it stayed below 1.2e-13 over 80 random cases up to 383.  POSITION_RTOL
+# sits 70x above all of these, and still fails on a 1e-6 relative error in
+# the table slopes or a 1e-7 relative error in the CMS log-cosine term.
 
 POSITION_RTOL = 1e-10
 
@@ -801,25 +915,31 @@ def _old_jump_diffusion(cset, eps, T_end, dt, n_paths, seed, x0, scheme,
         m = hi - lo
         x = np.full(m, float(x0))
         paths[0, lo:hi] = x
-        for step in range(1, n_steps + 1):
-            y = np.mod(x * inv_eps, 1.0)
-            dW = g.standard_normal(m)
-            total = int(g.poisson(m * proposal_rate * dt_eff))
-            jump_sum = 0.0
-            if total:
-                owners = g.integers(0, m, total)
-                accept = (g.uniform(0.0, 1.0, total) * lam_max
-                          < lam_tab(y[owners]))
-                z = sampler(g, total)
+        for first in range(1, n_steps + 1, pm._STEP_BLOCK):
+            # one block of draws: dW, Poisson totals, owners, thinning
+            # uniforms, jump sizes
+            n = min(pm._STEP_BLOCK, n_steps + 1 - first)
+            dW_block = g.standard_normal((n, m))
+            totals = g.poisson(m * proposal_rate * dt_eff, n)
+            owners_block = g.integers(0, m, totals.sum())
+            u_block = g.uniform(0.0, 1.0, totals.sum())
+            z_block = sampler(g, totals.sum())
+            offsets = np.concatenate([[0], np.cumsum(totals)])
+            for j in range(n):
+                y = np.mod(x * inv_eps, 1.0)
+                dW = dW_block[j]
+                sl = slice(offsets[j], offsets[j + 1])
+                owners, z = owners_block[sl], z_block[sl]
+                accept = u_block[sl] * lam_max < lam_tab(y[owners])
                 jump_sum = np.bincount(owners, weights=eps * z * accept,
                                        minlength=m)
                 counts[lo:hi] += np.bincount(owners[accept], minlength=m)
                 if accept.any():
                     sizes_out.append(eps * z[accept])
-            x = x + (bdt_tab(y) + sig_tab(y) * dW + jump_sum)
-            if scheme == "milstein":
-                x += mil_tab(y) * (dW * dW - 1.0)
-            paths[step, lo:hi] = x
+                x = x + (bdt_tab(y) + sig_tab(y) * dW + jump_sum)
+                if scheme == "milstein":
+                    x += mil_tab(y) * (dW * dW - 1.0)
+                paths[first + j, lo:hi] = x
     sizes = np.concatenate(sizes_out) if sizes_out else np.empty(0)
     return paths, counts, sizes
 
@@ -856,20 +976,32 @@ def _position_gap(new, old):
 RUN_SHAPES = st.tuples(st.sampled_from([32, 100]), st.integers(1, 250))
 
 
+# (steps, dt / eps**2): within one block, and across two or three blocks
+# ending in a short one
+HORIZONS = [(16, 0.1), (pm._STEP_BLOCK + 1, 0.01),
+            (2 * pm._STEP_BLOCK + 5, 0.01)]
+
+
 @given(seed=st.integers(0, 10_000), shape=RUN_SHAPES,
        set_name=st.sampled_from(["varcoef-1", "const-1"]),
        scheme=st.sampled_from(["milstein", "euler"]),
        keep=st.booleans(), x0=st.sampled_from([0.0, -1e-20, 0.37]),
-       eps=st.sampled_from([0.5, 0.125]))
+       eps=st.sampled_from([0.5, 0.125]),
+       horizon=st.sampled_from(HORIZONS))
+@example(seed=7, shape=(32, 70), set_name="varcoef-1", scheme="milstein",
+         keep=True, x0=0.37, eps=0.125, horizon=HORIZONS[2])
+@example(seed=8, shape=(100, 250), set_name="varcoef-1", scheme="euler",
+         keep=True, x0=-1e-20, eps=0.5, horizon=HORIZONS[1])
 @settings(max_examples=25, deadline=None)
 def test_jump_diffusion_kernels_match_old_loop(seed, shape, set_name, scheme,
-                                               keep, x0, eps):
+                                               keep, x0, eps, horizon):
     chunk, n_paths = shape
+    steps, ratio = horizon
     cset = coefficient_set_by_name(set_name)
-    dt = 0.1 * eps**2
-    T_end = 16 * dt
+    dt = ratio * eps**2
+    T_end = steps * dt
     ens = pm.simulate_jump_diffusion_I(
-        cset, eps, T_end, dt, n_paths, seed, x0=x0, n_save=17,
+        cset, eps, T_end, dt, n_paths, seed, x0=x0, n_save=steps + 1,
         keep_jump_sizes=keep, scheme=scheme, chunk_size=chunk)
     paths, counts, sizes = _old_jump_diffusion(
         cset, eps, T_end, dt, n_paths, seed, x0, scheme, chunk)

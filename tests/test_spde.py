@@ -391,6 +391,17 @@ def test_config_rejects_bad_numbers(field, value):
         _small_config(**{field: value})
 
 
+@pytest.mark.parametrize("seed, message", [
+    (2.5, "seed must be an integer"), (True, "seed must be an integer"),
+    (-1, "seed must be at least 0"),
+])
+def test_config_seed_must_be_a_non_negative_integer(seed, message):
+    # SpdeConfig(seed=2.5) used to be accepted
+    with pytest.raises(ValueError, match=message):
+        _small_config(seed=seed)
+    assert _small_config(seed=np.int64(3)).seed == 3
+
+
 def test_run_ensemble_shared_noise_bit_identical(varcoef):
     cset, sol = varcoef
     cfg = _small_config()
