@@ -28,16 +28,18 @@ normalization, then verify the defining-equation residual.  The solve is one
 LU factorization per generator of the bordered matrix [[A, s 1], [s 1^T, 0]]
 (Keller's bordering), which is nonsingular exactly when the null space of A
 is one-dimensional: every left null vector met here (constants, m, m1) pairs
-positively with the ones border.  Direct and transposed solves with that one
-LU serve the whole chain -- m and m1 as adjoint null vectors, chi and e1 as
-direct solves, and h1, h2, chi1, h3 through T*(m h) = rhs followed by a
-division by the density.  LAPACK's condition estimate of the LU is the rank
-guard.
+positively with the ones border.  A :class:`CellOperator` holds the
+generator of one coefficient set with that one LU, and every stage of the
+chain takes it: direct and transposed solves with the LU serve the whole
+chain -- m and m1 as adjoint null vectors, chi and e1 as direct solves, and
+h1, h2, chi1, h3 through T*(m h) = rhs followed by a division by the
+density.  LAPACK's condition estimate of the LU is the rank guard.
 """
 
 import io
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -61,6 +63,7 @@ __all__ = [
     "RankDeficiencyError",
     "CellSolutionI",
     "CellSolutionII",
+    "CellOperator",
     "assemble_torus_generator_I",
     "assemble_torus_generator_II",
     "solve_invariant_density_I",
@@ -169,23 +172,6 @@ class _BorderedLU:
         return x[: self._n]
 
 
-def _solve_singular(A, rhs, weight, target):
-    """Solve A x = rhs with the constraint <weight, x> h = target.
-
-    One-shot form of :class:`_BorderedLU`: factor, solve, then move along
-    the right null vector (itself one more solve with the same LU) until the
-    constraint holds.  Returns (x, rel_residual) with rel_residual from
-    :func:`_relative_residual`.
-    """
-    n = A.shape[0]
-    lu = _BorderedLU(A)
-    x = lu.solve(rhs)
-    null = lu.solve(np.zeros(n), total=1.0)
-    w = np.asarray(weight, dtype=float) / n
-    x = x + null * (target - w @ x) / (w @ null)
-    return x, _relative_residual(A, x, rhs)
-
-
 def _quadrature_nodes(kernel, max_len=0.5, n_nodes=48):
     """Gauss-Legendre nodes/weights on [-R, R], panels split at the kernel's
     breakpoints and mirrored so the layout is exactly symmetric (odd
@@ -228,14 +214,63 @@ def _z_convolution(symbol, values):
     return np.fft.irfft(np.fft.rfft(values) * symbol, len(values))
 
 
+class CellOperator:
+    """The unit-cell generator of one coefficient set, factored once.
+
+    ``matrix`` is T (Part I) or L (Part II), from the family's assembler;
+    its adjoint is ``matrix.T``.  ``lu`` is its one :class:`_BorderedLU`,
+    which serves every direct and adjoint solve of the chain, and
+    ``z_symbols`` the Part I kernel-quadrature multipliers of
+    :func:`_z_symbols`, built on first use.
+    """
+
+    def __init__(self, cset):
+        self.cset = cset
+        if isinstance(cset, CoefficientSetI):
+            self.matrix = assemble_torus_generator_I(cset)
+        else:
+            self.matrix = assemble_torus_generator_II(cset)
+        self.lu = _BorderedLU(self.matrix)
+
+    @cached_property
+    def z_symbols(self):
+        return _z_symbols(self.cset.kernel, self.cset.grid.n)
+
+
+def _invariant_density(op, label):
+    """The adjoint null vector m of op.matrix, positive, with int m = 1."""
+    n = op.cset.grid.n
+    m = op.lu.solve(np.zeros(n), total=n, adjoint=True)
+    rel = _relative_residual(op.matrix.T, m, np.zeros(n))
+    if np.min(m) <= 0.0:
+        raise SolvabilityError(
+            "%s is not positive (min %.3g): assumptions violated"
+            % (label, np.min(m))
+        )
+    if rel > _SOLVE_TOL:
+        raise RuntimeError("%s residual %.3g above tolerance" % (label, rel))
+    return PeriodicField(op.cset.grid, m), rel
+
+
+def _weighted_adjoint_solve(op, m, rhs, label):
+    """Mean-zero h with A*(m h) = rhs, A = op.matrix: the adjoint solve with
+    the bordered LU, then a division by the density m."""
+    h = op.lu.solve(rhs, adjoint=True) / m.values
+    h = h - np.mean(h)
+    rel = _relative_residual(op.matrix.T * m.values[None, :], h, rhs)
+    if rel > _SOLVE_TOL:
+        raise RuntimeError("%s residual %.3g above tolerance" % (label, rel))
+    return PeriodicField(op.cset.grid, h), rel
+
+
 # ---------------------------------------------------------------------------
 # Part I: generator, invariant density, correctors, Q
 # ---------------------------------------------------------------------------
 
 
 def assemble_torus_generator_I(cset: CoefficientSetI):
-    """Matrix of the unit-cell generator and its adjoint (transpose): the
-    one-cell Bloch block (p = n, block t = 0) of a D2 + b D1 + lambda J.
+    """Matrix of the unit-cell generator: the one-cell Bloch block (p = n,
+    block t = 0) of a D2 + b D1 + lambda J.
 
     The jump column J subtracts the discrete mass of the periodized kernel
     at lag 0, so the matrix annihilates constants exactly rather than to
@@ -243,34 +278,17 @@ def assemble_torus_generator_I(cset: CoefficientSetI):
     """
     n = cset.grid.n
     k = cset.grid.wavenumbers().astype(float)
-    T = _field_blocks(n, [
+    return _field_blocks(n, [
         (cset.a.values, _symbol_column(derivative_symbol(k, 2))),
         (cset.b.values, _symbol_column(derivative_symbol(k, 1))),
         (cset.lam.values, jump_column(cset.kernel, n, 1.0, 1.0)),
     ])[0]
-    return T, T.T
 
 
-def solve_invariant_density_I(cset, T_adj=None, lu=None):
+def solve_invariant_density_I(op):
     """Invariant density: T* m = 0, int m = 1, as the adjoint null vector of
-    the bordered generator.  ``lu`` is a :class:`_BorderedLU` of T to reuse;
-    one is factored when it is not given."""
-    if T_adj is None:
-        _, T_adj = assemble_torus_generator_I(cset)
-    if lu is None:
-        lu = _BorderedLU(T_adj.T)
-    n = cset.grid.n
-    m = lu.solve(np.zeros(n), total=n, adjoint=True)
-    rel = _relative_residual(T_adj, m, np.zeros(n))
-    if np.min(m) <= 0.0:
-        raise SolvabilityError(
-            "invariant density is not positive (min %.3g): assumptions violated"
-            % np.min(m)
-        )
-    if rel > _SOLVE_TOL:
-        raise RuntimeError("invariant density residual %.3g above tolerance" % rel)
-    fld = PeriodicField(cset.grid, m)
-    return fld, rel
+    the bordered generator of the :class:`CellOperator` ``op``."""
+    return _invariant_density(op, "invariant density")
 
 
 def check_centering_I(cset, m):
@@ -278,27 +296,24 @@ def check_centering_I(cset, m):
     return float(np.sum(cset.b.values * m.values) * cset.grid.h)
 
 
-def solve_corrector_chi(cset, m, T=None, lu=None):
+def solve_corrector_chi(op, m):
     """First corrector: T chi = -b on the torus, normalized by int chi m = 0."""
+    cset = op.cset
     centering = check_centering_I(cset, m)
     if abs(centering) > _SOLVABILITY_TOL:
         raise SolvabilityError(
             "centering integral %.3g violates solvability of the corrector"
             % centering
         )
-    if T is None:
-        T, _ = assemble_torus_generator_I(cset)
-    if lu is None:
-        lu = _BorderedLU(T)
-    chi = lu.solve(-cset.b.values)
+    chi = op.lu.solve(-cset.b.values)
     chi = chi - np.sum(chi * m.values) * cset.grid.h  # exact m-orthogonality
-    rel = _relative_residual(T, chi, -cset.b.values)
+    rel = _relative_residual(op.matrix, chi, -cset.b.values)
     if rel > _SOLVE_TOL:
         raise RuntimeError("corrector residual %.3g above tolerance" % rel)
     return PeriodicField(cset.grid, chi), rel
 
 
-def compute_Q(cset, m, chi, S=None):
+def compute_Q(op, m, chi):
     """Effective diffusivity from the symmetric two-term functional:
 
         Q = int a m (chi' + 1)^2 dy
@@ -306,15 +321,15 @@ def compute_Q(cset, m, chi, S=None):
 
     The z-integral runs over the kernel's truncated support with chi and m
     extended periodically, on symmetric Gauss panels.  Expanding the square
-    turns the node sum into six convolutions with the multipliers of
-    :func:`_z_symbols`; pass them as ``S`` to skip rebuilding them.
+    turns the node sum into six convolutions with the multipliers
+    ``op.z_symbols``.
     """
+    cset = op.cset
     grid = cset.grid
     dchi = chi.derivative(1).values
     term1 = float(np.sum(cset.a.values * m.values * (dchi + 1.0) ** 2) * grid.h)
 
-    if S is None:
-        S = _z_symbols(cset.kernel, grid.n)
+    S = op.z_symbols
     c = chi.values
     lamm = cset.lam.values * m.values
     lamm_c = lamm * c
@@ -329,45 +344,35 @@ def compute_Q(cset, m, chi, S=None):
     return term1 + term2
 
 
-def _corrector_rhs_l(cset, m, S=None):
+def _corrector_rhs_l(op, m):
     """l(y) = int z c(z) (lambda m)(y - z) dz + b m - 2 (a m)'."""
-    grid = cset.grid
-    if S is None:
-        S = _z_symbols(cset.kernel, grid.n)
-    J = _z_convolution(S[:, 1], cset.lam.values * m.values)
-    am_prime = PeriodicField(grid, cset.a.values * m.values).derivative(1).values
+    cset = op.cset
+    J = _z_convolution(op.z_symbols[:, 1], cset.lam.values * m.values)
+    am_prime = PeriodicField(cset.grid, cset.a.values * m.values) \
+        .derivative(1).values
     l = J + cset.b.values * m.values - 2.0 * am_prime
     return l, J
 
 
-def solve_h1(cset, m, T_adj=None, lu=None, S=None):
+def solve_h1(op, m):
     """First auxiliary corrector: (T_m)* h1 = l, mean-zero h1.
 
     (T_m)* acts as h -> T*(m h); its solvability integral int l dy vanishes
     identically in the continuum and must vanish to 1e-8 discretely.  The
     solve is the adjoint one with the bordered LU of T, then h1 = (m h1) / m.
     """
-    grid = cset.grid
-    if T_adj is None:
-        _, T_adj = assemble_torus_generator_I(cset)
-    l, _ = _corrector_rhs_l(cset, m, S)
-    solvability = float(np.sum(l) * grid.h)
+    l, _ = _corrector_rhs_l(op, m)
+    solvability = float(np.sum(l) * op.cset.grid.h)
     if abs(solvability) > _SOLVABILITY_TOL:
         raise SolvabilityError(
             "int l dy = %.3g: discretization inconsistency (should vanish)"
             % solvability
         )
-    if lu is None:
-        lu = _BorderedLU(T_adj.T)
-    h1 = lu.solve(l, adjoint=True) / m.values
-    h1 = h1 - np.mean(h1)
-    rel = _relative_residual(T_adj * m.values[None, :], h1, l)
-    if rel > _SOLVE_TOL:
-        raise RuntimeError("h1 residual %.3g above tolerance" % rel)
-    return PeriodicField(grid, h1), solvability, rel
+    h1, rel = _weighted_adjoint_solve(op, m, l, "h1")
+    return h1, solvability, rel
 
 
-def solve_h2(cset, m, h1, T_adj=None, lu=None, S=None):
+def solve_h2(op, m, h1):
     """Second auxiliary corrector and the solvability route to Q:
 
         (T_m)* h2 = Q_alt - G(y),
@@ -383,12 +388,10 @@ def solve_h2(cset, m, h1, T_adj=None, lu=None, S=None):
     constant Q_alt; the opposite one doubles the oscillation instead of
     cancelling it (measured: the two-scale residual then stalls at O(1)).
     """
+    cset = op.cset
     grid = cset.grid
-    if T_adj is None:
-        _, T_adj = assemble_torus_generator_I(cset)
     lamm = cset.lam.values * m.values
-    if S is None:
-        S = _z_symbols(cset.kernel, grid.n)
+    S = op.z_symbols
     conv_half_z2 = 0.5 * _z_convolution(S[:, 2], lamm)
     conv_z_h1 = _z_convolution(S[:, 1], lamm * h1.values)
     amh1_prime = PeriodicField(
@@ -402,17 +405,11 @@ def solve_h2(cset, m, h1, T_adj=None, lu=None, S=None):
         - cset.b.values * m.values * h1.values
     )
     Q_alt = float(np.sum(G) * grid.h)
-    if lu is None:
-        lu = _BorderedLU(T_adj.T)
-    h2 = lu.solve(Q_alt - G, adjoint=True) / m.values
-    h2 = h2 - np.mean(h2)
-    rel = _relative_residual(T_adj * m.values[None, :], h2, Q_alt - G)
-    if rel > _SOLVE_TOL:
-        raise RuntimeError("h2 residual %.3g above tolerance" % rel)
-    return PeriodicField(grid, h2), Q_alt, rel
+    h2, rel = _weighted_adjoint_solve(op, m, Q_alt - G, "h2")
+    return h2, Q_alt, rel
 
 
-def zakai_cell_I(cset, m, T_adj=None, lu=None, S=None):
+def zakai_cell_I(op, m):
     """Corrector and effective diffusivity for the measure-reweighted
     (unnormalized-filter) generator.
 
@@ -433,26 +430,28 @@ def zakai_cell_I(cset, m, T_adj=None, lu=None, S=None):
     T_hat is a diagonal similarity of T*, so the solve is the adjoint one
     with the bordered LU of T, as for h1.
     """
-    grid = cset.grid
-    if T_adj is None:
-        _, T_adj = assemble_torus_generator_I(cset)
-    if lu is None:
-        lu = _BorderedLU(T_adj.T)
+    grid = op.cset.grid
     minv = 1.0 / m.values
-    l, J = _corrector_rhs_l(cset, m, S)
+    l, J = _corrector_rhs_l(op, m)
     rhs = l * minv  # (J + b m - 2 (a m)') / m  =  b_hat + J/m
-    chi1 = lu.solve(l, adjoint=True) * minv  # T_hat chi1 = rhs
+    chi1 = op.lu.solve(l, adjoint=True) * minv  # T_hat chi1 = rhs
     chi1 = chi1 - np.sum(chi1 * m.values) * grid.h
-    T_hat = minv[:, None] * T_adj * m.values[None, :]
+    T_hat = minv[:, None] * op.matrix.T * m.values[None, :]
     rel = _relative_residual(T_hat, chi1, rhs)
     if rel > _SOLVE_TOL:
         raise RuntimeError("chi1 residual %.3g above tolerance" % rel)
     fld = PeriodicField(grid, chi1)
-    Q1 = compute_Q(cset, m, fld, S)
+    Q1 = compute_Q(op, m, fld)
     return fld, Q1, rel
 
 
-def coercivity_witness_I(cset, m, T=None, n_fields=120, seed=7, max_mode=None):
+# the coercivity witness's sample: _WITNESS_FIELDS random fields of the
+# modes below n/4, drawn from one stream of seed _WITNESS_SEED
+_WITNESS_FIELDS = 120
+_WITNESS_SEED = 7
+
+
+def coercivity_witness_I(op, m):
     """Garding-inequality witness for the weighted form a[u,u] = -<m T u, u>.
 
     Returns (alpha_c, mu, margin) where alpha_c = kappa * min(m) and mu is
@@ -463,9 +462,8 @@ def coercivity_witness_I(cset, m, T=None, n_fields=120, seed=7, max_mode=None):
     holds for band-limited fields; margin is the worst observed slack over
     the random sample (negative margin = violation).
     """
+    cset = op.cset
     grid = cset.grid
-    if T is None:
-        T, _ = assemble_torus_generator_I(cset)
     h = grid.h
     am = cset.a.values * m.values
     am_field = PeriodicField(grid, am)
@@ -480,20 +478,18 @@ def coercivity_witness_I(cset, m, T=None, n_fields=120, seed=7, max_mode=None):
     mu = C1**2 / (2.0 * A1) + C2 + 0.5 * A1 + 0.5 * alpha_c
 
     # each field draws Re/Im of modes 1 .. kmax-1 in turn, then the mean
-    rng = np.random.default_rng(seed)
-    kmax = grid.n // 4 if max_mode is None else max_mode
-    if not 1 <= kmax <= grid.n // 2:
-        raise ValueError("max_mode must lie in [1, n/2], got %r" % kmax)
-    draws = rng.normal(size=(n_fields, 2 * (kmax - 1) + 1))
+    rng = np.random.default_rng(_WITNESS_SEED)
+    kmax = grid.n // 4
+    draws = rng.normal(size=(_WITNESS_FIELDS, 2 * (kmax - 1) + 1))
     z = draws[:, 0:-1:2] + 1j * draws[:, 1:-1:2]
-    coeffs = np.zeros((n_fields, grid.n), dtype=complex)
+    coeffs = np.zeros((_WITNESS_FIELDS, grid.n), dtype=complex)
     coeffs[:, 0] = draws[:, -1]
     coeffs[:, 1:kmax] = z
     coeffs[:, grid.n - kmax + 1:] = np.conj(z[:, ::-1])
     U = np.fft.ifft(coeffs * grid.n, axis=1).real
     dU = np.fft.ifft(coeffs * (1j * TWO_PI * grid.wavenumbers()) * grid.n,
                      axis=1).real
-    form = -np.sum(m.values * (U @ T.T) * U, axis=1) * h
+    form = -np.sum(m.values * (U @ op.matrix.T) * U, axis=1) * h
     l2 = np.sum(U**2, axis=1) * h
     h1n = l2 + np.sum(dU**2, axis=1) * h
     margin = float(np.min(form + mu * l2 - 0.5 * alpha_c * h1n))
@@ -527,21 +523,19 @@ class CellSolutionI:
 
 
 def solve_cell_I(cset) -> CellSolutionI:
-    """Run the full Part I chain with all cross-checks; one bordered LU of
-    T serves every singular solve and one set of z-symbols every kernel
-    quadrature."""
-    T, T_adj = assemble_torus_generator_I(cset)
-    lu = _BorderedLU(T)
-    S = _z_symbols(cset.kernel, cset.grid.n)
-    m, res_m = solve_invariant_density_I(cset, T_adj, lu=lu)
+    """Run the full Part I chain with all cross-checks on one
+    :class:`CellOperator`: one bordered LU of T serves every singular solve
+    and one set of z-symbols every kernel quadrature."""
+    op = CellOperator(cset)
+    m, res_m = solve_invariant_density_I(op)
     centering = check_centering_I(cset, m)
-    chi, res_chi = solve_corrector_chi(cset, m, T, lu=lu)
-    Q = compute_Q(cset, m, chi, S)
-    h1, solv_l, res_h1 = solve_h1(cset, m, T_adj, lu=lu, S=S)
-    h2, Q_alt, res_h2 = solve_h2(cset, m, h1, T_adj, lu=lu, S=S)
-    chi1, Q1, res_chi1 = zakai_cell_I(cset, m, T_adj, lu=lu, S=S)
+    chi, res_chi = solve_corrector_chi(op, m)
+    Q = compute_Q(op, m, chi)
+    h1, solv_l, res_h1 = solve_h1(op, m)
+    h2, Q_alt, res_h2 = solve_h2(op, m, h1)
+    chi1, Q1, res_chi1 = zakai_cell_I(op, m)
     sigma_bar = float(np.sum(cset.sigma.values * m.values) * cset.grid.h)
-    alpha_c, mu, margin = coercivity_witness_I(cset, m, T)
+    alpha_c, mu, margin = coercivity_witness_I(op, m)
     if margin < -1e-9:
         raise RuntimeError("coercivity witness violated (margin %.3g)" % margin)
     return CellSolutionI(
@@ -574,36 +568,25 @@ def solve_cell_I(cset) -> CellSolutionI:
 
 
 def assemble_torus_generator_II(cset: CoefficientSetII):
-    """Matrix of L v = -delta^alpha (-Delta)^{alpha/2} v + d v' and its
-    transpose: the one-cell Bloch block (p = n, block t = 0)."""
+    """Matrix of L v = -delta^alpha (-Delta)^{alpha/2} v + d v': the
+    one-cell Bloch block (p = n, block t = 0)."""
     grid = cset.grid
-    L = _stable_blocks(grid.wavenumbers().astype(float), grid.n, cset.alpha,
-                       cset.delta_alpha.values, cset.d.values)[0]
-    return L, L.T
+    return _stable_blocks(grid.wavenumbers().astype(float), grid.n,
+                          cset.alpha, cset.delta_alpha.values,
+                          cset.d.values)[0]
 
 
-def solve_invariant_density_II(cset, L_adj=None, lu=None):
-    """Invariant density of the stable cell process: L* m1 = 0, int m1 = 1.
-    ``lu`` is a :class:`_BorderedLU` of L to reuse."""
-    if L_adj is None:
-        _, L_adj = assemble_torus_generator_II(cset)
-    if lu is None:
-        lu = _BorderedLU(L_adj.T)
-    n = cset.grid.n
-    m1 = lu.solve(np.zeros(n), total=n, adjoint=True)
-    rel = _relative_residual(L_adj, m1, np.zeros(n))
-    if np.min(m1) <= 0.0:
-        raise SolvabilityError("stable invariant density is not positive")
-    if rel > _SOLVE_TOL:
-        raise RuntimeError("m1 residual %.3g above tolerance" % rel)
-    return PeriodicField(cset.grid, m1), rel
+def solve_invariant_density_II(op):
+    """Invariant density of the stable cell process: L* m1 = 0, int m1 = 1,
+    from the :class:`CellOperator` ``op``."""
+    return _invariant_density(op, "stable invariant density")
 
 
 def check_centering_II(cset, m1):
     return float(np.sum(cset.d.values * m1.values) * cset.grid.h)
 
 
-def solve_h3(cset, m1, L_adj=None, lu=None):
+def solve_h3(op, m1):
     """Auxiliary corrector: (L_m)* h3 = d m1 with int h3 dy = 0.
 
     The mean-zero normalization matches the Part I corrector convention.
@@ -611,26 +594,16 @@ def solve_h3(cset, m1, L_adj=None, lu=None):
     to xi itself for constant coefficients, so the drift-free two-scale
     residual vanishes identically rather than stalling at O(e).
     """
-    grid = cset.grid
-    if L_adj is None:
-        _, L_adj = assemble_torus_generator_II(cset)
+    cset = op.cset
     solvability = check_centering_II(cset, m1)
     if abs(solvability) > _SOLVABILITY_TOL:
         raise SolvabilityError(
             "int d m1 = %.3g violates solvability of h3" % solvability
         )
-    if lu is None:
-        lu = _BorderedLU(L_adj.T)
-    rhs = cset.d.values * m1.values
-    h3 = lu.solve(rhs, adjoint=True) / m1.values
-    h3 = h3 - np.mean(h3)
-    rel = _relative_residual(L_adj * m1.values[None, :], h3, rhs)
-    if rel > _SOLVE_TOL:
-        raise RuntimeError("h3 residual %.3g above tolerance" % rel)
-    return PeriodicField(grid, h3), rel
+    return _weighted_adjoint_solve(op, m1, cset.d.values * m1.values, "h3")
 
 
-def solve_e1(cset, m1=None, L=None, lu=None):
+def solve_e1(op, m1):
     """Zero-order corrector: L e1 = -e with int e1 m1 = 0.
 
     Exact solvability needs int e m1 = 0; if violated the system is solved
@@ -638,12 +611,7 @@ def solve_e1(cset, m1=None, L=None, lu=None):
     least-squares answer is the exact solution for -e projected off m1 (the
     left null vector of L); the reported residual is against -e itself.
     """
-    if L is None:
-        L, _ = assemble_torus_generator_II(cset)
-    if lu is None:
-        lu = _BorderedLU(L)
-    if m1 is None:
-        m1, _ = solve_invariant_density_II(cset, L.T, lu=lu)
+    cset = op.cset
     grid = cset.grid
     solvability = float(np.sum(cset.e.values * m1.values) * grid.h)
     if abs(solvability) > _SOLVABILITY_TOL:
@@ -654,9 +622,9 @@ def solve_e1(cset, m1=None, L=None, lu=None):
         )
     rhs = -cset.e.values
     w = m1.values
-    e1 = lu.solve(rhs - w * (w @ rhs) / (w @ w))
+    e1 = op.lu.solve(rhs - w * (w @ rhs) / (w @ w))
     e1 = e1 - np.sum(e1 * w) * grid.h
-    rel = _relative_residual(L, e1, rhs)
+    rel = _relative_residual(op.matrix, e1, rhs)
     if rel > _SOLVE_TOL and abs(solvability) <= _SOLVABILITY_TOL:
         raise RuntimeError("e1 residual %.3g above tolerance" % rel)
     return PeriodicField(grid, e1), solvability, rel
@@ -694,13 +662,13 @@ class CellSolutionII:
 
 
 def solve_cell_II(cset) -> CellSolutionII:
-    """Run the full Part II chain on one bordered LU of L."""
-    L, L_adj = assemble_torus_generator_II(cset)
-    lu = _BorderedLU(L)
-    m1, res_m1 = solve_invariant_density_II(cset, L_adj, lu=lu)
+    """Run the full Part II chain on one :class:`CellOperator`, the one
+    bordered LU of L."""
+    op = CellOperator(cset)
+    m1, res_m1 = solve_invariant_density_II(op)
     centering = check_centering_II(cset, m1)
-    h3, res_h3 = solve_h3(cset, m1, L_adj, lu=lu)
-    e1, solv_e, res_e1 = solve_e1(cset, m1, L, lu=lu)
+    h3, res_h3 = solve_h3(op, m1)
+    e1, solv_e, res_e1 = solve_e1(op, m1)
     dba, g_bar, f_bar, sigma_bar = effective_coefficients_II(cset, m1)
     if dba <= 0:
         raise SolvabilityError("averaged stable coefficient must be positive")

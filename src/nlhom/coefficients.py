@@ -50,6 +50,9 @@ class Epsilon:
 
     @classmethod
     def from_value(cls, value):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError("eps must be finite and positive, got %r"
+                             % (value,))
         K = round(1.0 / value)
         if abs(K * value - 1.0) > 1e-12:
             raise ValueError("eps must be the reciprocal of an integer, got %r" % value)

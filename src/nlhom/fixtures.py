@@ -63,20 +63,21 @@ def _centering_bias(b, m, h, tol):
     return float(np.sum(bm) * h), max(tol, floor)
 
 
-def _center_drift(cset, name, assemble, density, tol=1e-13, max_iter=40):
+def _center_drift(cset, name, density, tol=1e-13, max_iter=40):
     """Shift the drift field ``name`` by a constant c until int (b0 - c) m = 0.
 
     Newton's method on the scalar c.  The generator of the shifted drift is
     A_c = A_0 - c D1, so the density derivative dm = dm_c/dc solves
     A_c^T dm = D1^T m_c = -m_c' with sum(dm) = 0: one more back-substitution
     with the sweep's bordered LU.  The bias B(c) = int (b0 - c) m_c has the
-    slope B'(c) = int (b0 - c) dm - 1.  Each sweep assembles A_c, factors it
-    once and takes m_c from ``density`` (which runs its positivity, residual
-    and rank checks); the sweep's matrices are released before the next one
+    slope B'(c) = int (b0 - c) dm - 1.  Each sweep builds one
+    :class:`cell.CellOperator` of the shifted set (A_c and its one LU) and
+    takes m_c from ``density`` (which runs its positivity, residual and
+    rank checks); the sweep's operator is released before the next one
     assembles.  The sweeps stop at |B| <= max(tol, floor), the floor being
     the bias's rounding floor (see ``_centering_bias``), so rounding alone
-    never takes a further sweep.  Returns (centered set, its density,
-    generator adjoint, bordered LU) of the last sweep.
+    never takes a further sweep.  Returns (centered set, its density, its
+    operator) of the last sweep.
     """
     if (isinstance(max_iter, bool)
             or not isinstance(max_iter, (int, np.integer)) or max_iter < 1):
@@ -89,15 +90,14 @@ def _center_drift(cset, name, assemble, density, tol=1e-13, max_iter=40):
     c = 0.0
     current = cset
     for _ in range(max_iter):
-        A, A_adj = assemble(current)
-        lu = cell._BorderedLU(A)
-        m, _ = density(current, A_adj, lu=lu)
+        op = cell.CellOperator(current)
+        m, _ = density(op)
         b = getattr(current, name).values
         bias, stop = _centering_bias(b, m.values, h, tol)
         if abs(bias) <= stop:
-            return current, m, A_adj, lu
-        dm = lu.solve(-m.derivative(1).values, adjoint=True)
-        del A, A_adj, lu
+            return current, m, op
+        dm = op.lu.solve(-m.derivative(1).values, adjoint=True)
+        del op
         c -= bias / (float(np.sum(b * dm) * h) - 1.0)
         current = current.with_fields(
             **{name: PeriodicField(cset.grid, b0 - c)})
@@ -111,14 +111,14 @@ def center_drift_I(cset, tol=1e-13, max_iter=40):
     :func:`_center_drift`) reaches ``tol``, or the bias's rounding floor
     where that is larger, in three sweeps on the fixtures.
     """
-    return _center_drift(cset, "b", cell.assemble_torus_generator_I,
-                         cell.solve_invariant_density_I, tol, max_iter)[0]
+    return _center_drift(cset, "b", cell.solve_invariant_density_I, tol,
+                         max_iter)[0]
 
 
 def center_drift_II(cset, tol=1e-13, max_iter=40):
     """Part II analog: shift d by a constant so that int d m1 = 0."""
-    return _center_drift(cset, "d", cell.assemble_torus_generator_II,
-                         cell.solve_invariant_density_II, tol, max_iter)[0]
+    return _center_drift(cset, "d", cell.solve_invariant_density_II, tol,
+                         max_iter)[0]
 
 
 @lru_cache(maxsize=None)
@@ -196,17 +196,15 @@ def _stable_1(n, alpha):
         delta=delta, d=d_raw, g=g, e=e_raw, f=f, sigma=sigma, alpha=alpha,
         name="stable-1",
     )
-    cset, m1, L_adj, lu = _center_drift(
-        cset, "d", cell.assemble_torus_generator_II,
-        cell.solve_invariant_density_II)
+    cset, m1, op = _center_drift(cset, "d", cell.solve_invariant_density_II)
     # recenter e against the solved m1 (solvability of the zero-order
     # corrector) and against m1 h3 (the residual scale e^(1-alpha) e-term of
     # the drift-corrected test function carries the weight e m1 h3, whose
     # mean would otherwise grow under halving for alpha > 1 -- uncancellable
     # because the fast adjoint range is orthogonal to constants).  m1 and h3
     # depend only on (delta, d, alpha), so one projection shot suffices, and
-    # both come from the last centering sweep's factorization of L.
-    h3, _ = cell.solve_h3(cset, m1, L_adj, lu=lu)
+    # both come from the last centering sweep's operator.
+    h3, _ = cell.solve_h3(op, m1)
     w = np.stack([m1.values, m1.values * h3.values])
     basis = np.stack([np.ones(grid.n), np.cos(TWO_PI * grid.x)])
     gram = (w @ basis.T) * grid.h
@@ -307,8 +305,7 @@ def random_set_II(seed, n=256):
         alpha=alpha,
         name="random-II-%d" % seed,
     )
-    cset, m1, _, _ = _center_drift(cset, "d", cell.assemble_torus_generator_II,
-                                   cell.solve_invariant_density_II)
+    cset, m1, _ = _center_drift(cset, "d", cell.solve_invariant_density_II)
     bias = float(np.sum(cset.e.values * m1.values) * grid.h)
     e = PeriodicField(grid, cset.e.values - bias)
     return cset.with_fields(e=e)

@@ -47,6 +47,7 @@ from .singular import (
 )
 from .torus import (
     _annihilate_constants,
+    _check_count,
     _field_blocks,
     _stable_blocks,
     _symbol_column,
@@ -103,8 +104,9 @@ class LineGrid:
         if two_l <= 0 or abs(two_l - round(two_l)) > 1e-12:
             raise ValueError("window width 2L must be a positive integer, got %r"
                              % (two_l,))
+        _check_count("n", n, 16)
         n = int(n)
-        if n < 16 or (n & (n - 1)) != 0:
+        if n & (n - 1) != 0:
             raise ValueError("n must be a power of two >= 16, got %d" % n)
         self._L = float(half_width)
         self._n = n
@@ -180,12 +182,10 @@ class LineOperator:
     :meth:`to_bloch` and :meth:`from_bloch` are the two transforms.
     """
 
-    def __init__(self, grid, label, blocks, eps=None, part=None):
+    def __init__(self, grid, label, blocks):
         self.grid = grid
         self.label = label
         self.blocks = blocks
-        self.eps = eps
-        self.part = part
 
     @property
     def nbytes(self):
@@ -222,8 +222,7 @@ class LineOperator:
         """(I - dt A)^-1 as a LineOperator: one p x p inverse per block."""
         eye = np.eye(self.blocks.shape[1])
         return LineOperator(self.grid, "(I - %g %s)^-1" % (dt, self.label),
-                            np.linalg.inv(eye - dt * self.blocks),
-                            eps=self.eps, part=self.part)
+                            np.linalg.inv(eye - dt * self.blocks))
 
     @property
     def matrix(self):
@@ -294,7 +293,7 @@ def assemble_T_eps(cset, eps, grid):
          _line_jump_column(cset.kernel, grid, eps)),
     ])
     return LineOperator(grid, "T_eps[%s]" % cset.name,
-                        _annihilate_constants(blocks), eps=eps, part="I")
+                        _annihilate_constants(blocks))
 
 
 def assemble_T0(Q, sigma_bar, grid):
@@ -307,7 +306,7 @@ def assemble_T0(Q, sigma_bar, grid):
         raise ValueError("Q must be positive, got %r" % (Q,))
     blocks = _annihilate_constants(_field_blocks(1, [
         (Q, _symbol_column(derivative_symbol(grid.freqs, 2)))]))
-    return LineOperator(grid, "T0", blocks, part="I"), float(sigma_bar)
+    return LineOperator(grid, "T0", blocks), float(sigma_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +334,7 @@ def assemble_V_eps(cset, eps, grid):
         grid.freqs, p, alpha, _cell_trace(cset.delta_alpha, grid, eps),
         drift_e),
         zero_e[:p])
-    return LineOperator(grid, "V_eps[%s]" % cset.name, blocks, eps=eps,
-                        part="II")
+    return LineOperator(grid, "V_eps[%s]" % cset.name, blocks)
 
 
 def assemble_V0(cell, grid):
@@ -344,7 +342,7 @@ def assemble_V0(cell, grid):
     blocks = _annihilate_constants(_stable_blocks(
         grid.freqs, 1, cell.cset.alpha, cell.delta_bar_alpha, cell.g_bar),
         cell.f_bar)
-    return LineOperator(grid, "V0", blocks, part="II")
+    return LineOperator(grid, "V0", blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +488,7 @@ def dissipativity_check_I(cset, m, eps, grid, trials=100, seed=11,
          _line_jump_column(cset.kernel, grid, eps)),
         (_cell_trace(beta_m, grid, eps) / eps,
          _symbol_column(derivative_symbol(grid.freqs, 1))),
-    ]), eps=eps, part="I")
+    ]))
     return _worst_form(form, grid, fields, trials, seed, max_mode)
 
 
@@ -509,8 +507,7 @@ def dissipativity_check_II(cset, m1, eps, grid, trials=100, seed=12,
     dm1 = cset.d.with_values(cset.d.values * m1.values)
     form = LineOperator(grid, "form_II", _stable_blocks(
         grid.freqs, p, alpha, _cell_trace(w, grid, eps),
-        eps ** (1.0 - alpha) * _cell_trace(dm1, grid, eps)),
-        eps=eps, part="II")
+        eps ** (1.0 - alpha) * _cell_trace(dm1, grid, eps)))
     return _worst_form(form, grid, fields, trials, seed, max_mode)
 
 

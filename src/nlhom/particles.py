@@ -45,6 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import _eps_value
+from .torus import _check_count
 
 __all__ = [
     "RngStream",
@@ -381,16 +382,6 @@ def read_paths_binary(path):
     if flat.size != n_times * n_paths:
         raise ValueError("truncated ensemble dump")
     return times, flat.reshape(int(n_times), int(n_paths))
-
-
-def _check_count(name, value, least):
-    """Refuse a count or seed that is not an integer >= least (numpy
-    integers accepted, bool refused) with a ValueError naming it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError("%s must be an integer, got %r" % (name, value))
-    if value < least:
-        raise ValueError("%s must be at least %d, got %r"
-                         % (name, least, value))
 
 
 def _check_run(T_end, dt, x0, n_paths, n_save, chunk_size, seed):

@@ -43,15 +43,15 @@ import numpy as np
 from .coefficients import CoefficientSetII, _eps_value
 from .lineops import (LineGrid, gaussian_bump, assemble_T0, assemble_T_eps,
                       assemble_V0, assemble_V_eps, _cell_trace)
-from .particles import RngStream, _check_count, _step_grid
+from .particles import RngStream, _step_grid
+from .torus import _check_count
 
 __all__ = [
     "SpdeConfig", "FieldPath", "initial_profile", "default_test_battery",
     "heterogeneous_dt_limit", "prepare_heterogeneous_I",
     "prepare_homogenized_I", "prepare_heterogeneous_II",
-    "prepare_homogenized_II", "prepare_explicit", "step_heterogeneous_I",
-    "step_homogenized_I", "step_heterogeneous_II", "step_homogenized_II",
-    "run_path", "run_ensemble", "write_snapshot_csv", "write_functional_csv",
+    "prepare_homogenized_II", "prepare_explicit", "run_path", "run_ensemble",
+    "write_snapshot_csv", "write_functional_csv",
 ]
 
 #: Energy-cap constant C in the monitor max_paths ||u_t||^4 <= C (1 + ||u_0||^4).
@@ -151,9 +151,6 @@ class _Stepper:
     """Common shape handling: states are (n,) vectors or (n, m) column
     blocks, noise increments scalars or (m,) rows."""
 
-    part = None
-    kind = None
-
     def _noise_factor(self, state, dw, trace):
         if state.ndim == 1:
             return state * (1.0 + trace * dw)
@@ -185,9 +182,7 @@ class SemiImplicitStepper(_Stepper):
         Time step; must satisfy the family's stability rule.
     """
 
-    kind = "semi-implicit"
-
-    def __init__(self, operator, sigma_trace, dt, part):
+    def __init__(self, operator, sigma_trace, dt):
         self.operator = operator
         self.grid = operator.grid
         self.sigma_trace = trace = np.asarray(sigma_trace, dtype=float)
@@ -199,7 +194,6 @@ class SemiImplicitStepper(_Stepper):
                              % (p, self.grid.n // p, trace.shape))
         self._sigma_cell = trace[:p]
         self.dt = float(dt)
-        self.part = part
         # resolvent stored as explicit inverse blocks: each step is then one
         # batched block product over a whole path block
         self._resolvent = operator.resolvent(self.dt)
@@ -224,14 +218,11 @@ class SpectralStepper(_Stepper):
     scalar multiplier (1 + sigma_bar dW) after the deterministic flow.
     """
 
-    kind = "spectral"
-
-    def __init__(self, grid, factor, sigma_bar, dt, part):
+    def __init__(self, grid, factor, sigma_bar, dt):
         self.grid = grid
         self._factor = factor
         self.sigma_bar = float(sigma_bar)
         self.dt = float(dt)
-        self.part = part
 
     def step(self, state, dw):
         state = np.asarray(state, dtype=float)
@@ -251,14 +242,11 @@ class ExplicitStepper(_Stepper):
     runs at a fraction of the semi-implicit dt.
     """
 
-    kind = "explicit"
-
-    def __init__(self, operator, sigma_trace, dt, part):
+    def __init__(self, operator, sigma_trace, dt):
         self.operator = operator
         self.grid = operator.grid
         self.sigma_trace = np.asarray(sigma_trace, dtype=float)
         self.dt = float(dt)
-        self.part = part
 
     def step(self, state, dw):
         state = np.asarray(state, dtype=float)
@@ -273,7 +261,7 @@ def prepare_heterogeneous_I(cset, eps, grid, dt):
     _check_dt(dt, heterogeneous_dt_limit(cset, eps, grid), "integrable-family")
     op = assemble_T_eps(cset, eps, grid)
     sigma_trace = _cell_trace(cset.sigma, grid, eps)
-    return SemiImplicitStepper(op, sigma_trace, dt, part="I")
+    return SemiImplicitStepper(op, sigma_trace, dt)
 
 
 def prepare_homogenized_I(Q, sigma_bar, grid, dt):
@@ -282,7 +270,7 @@ def prepare_homogenized_I(Q, sigma_bar, grid, dt):
     _check_dt(dt, np.inf, "spectral")
     T0, _ = assemble_T0(Q, sigma_bar, grid)
     factor = np.exp(dt * T0.blocks[:, 0, 0])
-    return SpectralStepper(grid, factor, sigma_bar, dt, part="I")
+    return SpectralStepper(grid, factor, sigma_bar, dt)
 
 
 def prepare_heterogeneous_II(cset, eps, grid, dt):
@@ -291,7 +279,7 @@ def prepare_heterogeneous_II(cset, eps, grid, dt):
     _check_dt(dt, heterogeneous_dt_limit(cset, eps, grid), "stable-family")
     op = assemble_V_eps(cset, eps, grid)
     sigma_trace = _cell_trace(cset.sigma, grid, eps)
-    return SemiImplicitStepper(op, sigma_trace, dt, part="II")
+    return SemiImplicitStepper(op, sigma_trace, dt)
 
 
 def prepare_homogenized_II(cell, grid, dt):
@@ -305,7 +293,7 @@ def prepare_homogenized_II(cell, grid, dt):
     """
     _check_dt(dt, np.inf, "spectral")
     factor = np.exp(dt * assemble_V0(cell, grid).blocks[:, 0, 0])
-    return SpectralStepper(grid, factor, cell.sigma_bar, dt, part="II")
+    return SpectralStepper(grid, factor, cell.sigma_bar, dt)
 
 
 def prepare_explicit(cset, eps, grid, dt, part):
@@ -319,34 +307,7 @@ def prepare_explicit(cset, eps, grid, dt, part):
     else:
         raise ValueError("part must be 'I' or 'II', got %r" % (part,))
     sigma_trace = _cell_trace(cset.sigma, grid, eps)
-    return ExplicitStepper(op, sigma_trace, dt, part=part)
-
-
-def _checked_step(state, dw, stepper, kind, part):
-    if stepper.kind != kind or stepper.part != part:
-        raise ValueError("stepper is %s/part %s; expected %s/part %s"
-                         % (stepper.kind, stepper.part, kind, part))
-    return stepper.step(state, dw)
-
-
-def step_heterogeneous_I(state, dw, stepper):
-    """One semi-implicit step of the integrable-family equation."""
-    return _checked_step(state, dw, stepper, "semi-implicit", "I")
-
-
-def step_homogenized_I(state, dw, stepper):
-    """One exact-semigroup step of the homogenized integrable limit."""
-    return _checked_step(state, dw, stepper, "spectral", "I")
-
-
-def step_heterogeneous_II(state, dw, stepper):
-    """One semi-implicit step of the stable-family equation."""
-    return _checked_step(state, dw, stepper, "semi-implicit", "II")
-
-
-def step_homogenized_II(state, dw, stepper):
-    """One exact-semigroup step of the homogenized stable limit."""
-    return _checked_step(state, dw, stepper, "spectral", "II")
+    return ExplicitStepper(op, sigma_trace, dt)
 
 
 def run_path(stepper, u0, increments):

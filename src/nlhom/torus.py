@@ -44,6 +44,17 @@ __all__ = [
 ]
 
 
+def _check_count(name, value, least):
+    """Refuse a count, size or seed that is not an integer >= least (numpy
+    integers accepted, bool, floats and strings refused) with a ValueError
+    naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if value < least:
+        raise ValueError("%s must be at least %d, got %r"
+                         % (name, least, value))
+
+
 class TorusGrid:
     """Equispaced half-open grid x_j = j h, h = 1/n, on the unit torus.
 
@@ -57,9 +68,10 @@ class TorusGrid:
     __slots__ = ("n", "h", "x")
 
     def __init__(self, n):
+        _check_count("n", n, 8)
         n = int(n)
-        if n < 8 or (n & (n - 1)) != 0:
-            raise ValueError("grid size must be a power of two >= 8, got %r" % n)
+        if n & (n - 1) != 0:
+            raise ValueError("n must be a power of two >= 8, got %r" % n)
         self.n = n
         self.h = 1.0 / n
         self.x = np.arange(n) * self.h

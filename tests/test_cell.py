@@ -29,10 +29,11 @@ from field_oracle import evaluate
 from nlhom import cell, fixtures
 
 from nlhom.cell import (
+    CellOperator,
     RankDeficiencyError,
     SolvabilityError,
+    _BorderedLU,
     _quadrature_nodes,
-    _solve_singular,
     _z_convolution,
     _z_symbols,
     assemble_torus_generator_I,
@@ -175,7 +176,7 @@ def invariant_density_power_iteration(cset, shift=1e-6, n_iter=60):
 
     Independent of the bordered solve; used as a cross-check oracle.
     """
-    _, T_adj = assemble_torus_generator_I(cset)
+    T_adj = assemble_torus_generator_I(cset).T
     n = cset.grid.n
     B = T_adj - shift * np.eye(n)
     lu = lu_factor(B)
@@ -204,7 +205,7 @@ def center_drift_fixed_point(cset, name, tol=1e-13, max_iter=80):
     current = cset
     previous = np.inf
     for _ in range(max_iter):
-        m, _ = density(current)
+        m, _ = density(CellOperator(current))
         drift = getattr(current, name)
         bias = float(np.sum(drift.values * m.values) * current.grid.h)
         if abs(bias) <= tol and abs(bias) >= 0.5 * previous:
@@ -233,19 +234,21 @@ def kernel_fourier_coefficient(kernel, k):
 
 def test_generator_annihilates_constants():
     for cset in (const_1(), varcoef_1()):
-        T, T_adj = assemble_torus_generator_I(cset)
+        op = CellOperator(cset)
+        T, T_adj = op.matrix, op.matrix.T
         ones = np.ones(cset.grid.n)
         # exact cancellation up to rounding at the scale of the matrix entries
         scale = np.max(np.abs(T)) * np.finfo(float).eps * cset.grid.n
         assert np.max(np.abs(T @ ones)) < max(scale, 1e-12)
         # adjoint annihilates the invariant density instead
-        m, _ = solve_invariant_density_I(cset, T_adj)
+        m, _ = solve_invariant_density_I(op)
         assert np.max(np.abs(T_adj @ m.values)) < 1e-8
 
 
 def test_generator_adjoint_pairing():
     cset = varcoef_1()
-    T, T_adj = assemble_torus_generator_I(cset)
+    T = assemble_torus_generator_I(cset)
+    T_adj = T.T
     rng = np.random.default_rng(3)
     g = cset.grid
     for _ in range(5):
@@ -265,7 +268,7 @@ def test_generator_fourier_mode_oracle():
             a=one, b=PeriodicField(grid, np.zeros(grid.n)), lam=one, sigma=one,
             kernel=kern, kappa=1.0, alpha1=1.0, alpha2=1.0, name="mode-test",
         )
-        T, _ = assemble_torus_generator_I(cset)
+        T = assemble_torus_generator_I(cset)
         u = np.cos(TWO_PI * grid.x)
         c_hat_1 = kernel_fourier_coefficient(kern, 1)
         expected = (-(TWO_PI**2) + (c_hat_1 - kern.a1)) * u
@@ -278,27 +281,27 @@ def test_generator_fourier_mode_oracle():
 
 
 def test_invariant_density_constant_coefficients():
-    m, _ = solve_invariant_density_I(const_1())
+    m, _ = solve_invariant_density_I(CellOperator(const_1()))
     assert np.max(np.abs(m.values - 1.0)) < 1e-12
 
 
 def test_invariant_density_cross_resolution():
-    m_c, _ = solve_invariant_density_I(varcoef_1())
-    m_f, _ = solve_invariant_density_I(varcoef_1(512))
+    m_c, _ = solve_invariant_density_I(CellOperator(varcoef_1()))
+    m_f, _ = solve_invariant_density_I(CellOperator(varcoef_1(512)))
     fine = TorusGrid(512)
     assert np.max(np.abs(evaluate(m_c, fine.x) - m_f.values)) < 1e-9
 
 
 def test_invariant_density_power_iteration_agrees():
     cset = varcoef_1()
-    m_ls, _ = solve_invariant_density_I(cset)
+    m_ls, _ = solve_invariant_density_I(CellOperator(cset))
     m_pi = invariant_density_power_iteration(cset)
     assert np.max(np.abs(m_ls.values - m_pi.values)) < 1e-9
 
 
 def test_invariant_density_properties():
     for cset in (varcoef_1(), random_set_I(0)):
-        m, _ = solve_invariant_density_I(cset)
+        m, _ = solve_invariant_density_I(CellOperator(cset))
         assert np.min(m.values) > 0
         assert abs(m.integral() - 1.0) < 1e-12
 
@@ -307,7 +310,7 @@ def test_rank_deficiency_detected():
     A = np.zeros((16, 16))
     A[: 14, : 14] = np.diag(np.arange(1.0, 15.0))
     with pytest.raises(RankDeficiencyError):
-        _solve_singular(A, np.zeros(16), np.ones(16), 1.0)
+        _BorderedLU(A)
 
 
 def test_near_rank_deficiency_detected():
@@ -321,22 +324,24 @@ def test_near_rank_deficiency_detected():
     with warnings.catch_warnings():
         warnings.simplefilter("error", LinAlgWarning)
         with pytest.raises(RankDeficiencyError):
-            _solve_singular(A, np.zeros(16), np.ones(16), 1.0)
+            _BorderedLU(A)
 
 
 def test_centering_values():
     cset = const_1()
-    m, _ = solve_invariant_density_I(cset)
+    m, _ = solve_invariant_density_I(CellOperator(cset))
     assert check_centering_I(cset, m) == 0.0
-    assert abs(check_centering_I(varcoef_1(), solve_invariant_density_I(varcoef_1())[0])) < 1e-10
+    m_v, _ = solve_invariant_density_I(CellOperator(varcoef_1()))
+    assert abs(check_centering_I(varcoef_1(), m_v)) < 1e-10
     # b = 1 with otherwise constant coefficients: centering returns 1,
     # and the corrector refuses to solve
     g = cset.grid
     bad = cset.with_fields(b=PeriodicField(g, np.ones(g.n)), name="uncentered")
-    m_bad, _ = solve_invariant_density_I(bad)
+    op_bad = CellOperator(bad)
+    m_bad, _ = solve_invariant_density_I(op_bad)
     assert abs(check_centering_I(bad, m_bad) - 1.0) < 1e-10
     with pytest.raises(SolvabilityError):
-        solve_corrector_chi(bad, m_bad)
+        solve_corrector_chi(op_bad, m_bad)
 
 
 # ---------------------------------------------------------------------------
@@ -345,26 +350,28 @@ def test_centering_values():
 
 
 def test_corrector_zero_drift():
-    cset = const_1()
-    m, _ = solve_invariant_density_I(cset)
-    chi, _ = solve_corrector_chi(cset, m)
+    op = CellOperator(const_1())
+    m, _ = solve_invariant_density_I(op)
+    chi, _ = solve_corrector_chi(op, m)
     assert np.max(np.abs(chi.values)) < 1e-12
 
 
 def test_corrector_residual_and_orthogonality():
     cset = varcoef_1()
-    T, T_adj = assemble_torus_generator_I(cset)
-    m, _ = solve_invariant_density_I(cset, T_adj)
-    chi, _ = solve_corrector_chi(cset, m, T)
+    op = CellOperator(cset)
+    T = op.matrix
+    m, _ = solve_invariant_density_I(op)
+    chi, _ = solve_corrector_chi(op, m)
     resid = T @ chi.values + cset.b.values
     assert np.linalg.norm(resid) / np.linalg.norm(T, 2) < 1e-9
     assert abs(np.sum(chi.values * m.values) * cset.grid.h) < 1e-10
 
 
 def test_corrector_cross_resolution():
-    chi_c, _ = solve_corrector_chi(varcoef_1(), solve_invariant_density_I(varcoef_1())[0])
-    cset_f = varcoef_1(512)
-    chi_f, _ = solve_corrector_chi(cset_f, solve_invariant_density_I(cset_f)[0])
+    op_c = CellOperator(varcoef_1())
+    chi_c, _ = solve_corrector_chi(op_c, solve_invariant_density_I(op_c)[0])
+    op_f = CellOperator(varcoef_1(512))
+    chi_f, _ = solve_corrector_chi(op_f, solve_invariant_density_I(op_f)[0])
     fine = TorusGrid(512)
     assert np.max(np.abs(evaluate(chi_c, fine.x) - chi_f.values)) < 1e-9
 
@@ -386,10 +393,11 @@ def test_Q_zero_drift_against_double_quadrature():
         sigma=PeriodicField(grid, np.ones(grid.n)), kernel=gaussian_kernel(),
         kappa=0.6, alpha1=0.7, alpha2=1.3, name="b0",
     )
-    m, _ = solve_invariant_density_I(cset)
-    chi, _ = solve_corrector_chi(cset, m)
+    op = CellOperator(cset)
+    m, _ = solve_invariant_density_I(op)
+    chi, _ = solve_corrector_chi(op, m)
     assert np.max(np.abs(chi.values)) < 1e-10
-    Q = compute_Q(cset, m, chi)
+    Q = compute_Q(op, m, chi)
     Q_oracle = q_double_quadrature(cset, m, chi)
     assert abs(Q - Q_oracle) < 1e-9
 
@@ -407,18 +415,17 @@ def test_Q_varcoef_against_double_quadrature():
 
 
 def test_h1_constant_coefficients():
-    cset = const_1()
-    m, _ = solve_invariant_density_I(cset)
-    h1, solv, _ = solve_h1(cset, m)
+    op = CellOperator(const_1())
+    m, _ = solve_invariant_density_I(op)
+    h1, solv, _ = solve_h1(op, m)
     assert abs(solv) < 1e-12
     assert np.max(np.abs(h1.values)) < 1e-10
 
 
 def test_h1_solvability_and_residual():
-    cset = varcoef_1()
-    T, T_adj = assemble_torus_generator_I(cset)
-    m, _ = solve_invariant_density_I(cset, T_adj)
-    h1, solv, rel = solve_h1(cset, m, T_adj)
+    op = CellOperator(varcoef_1())
+    m, _ = solve_invariant_density_I(op)
+    h1, solv, rel = solve_h1(op, m)
     assert abs(solv) < 1e-9
     assert abs(np.mean(h1.values)) < 1e-10
     assert rel < 1e-9
@@ -461,12 +468,12 @@ def test_filter_corrector_identities():
 
 def test_coercivity_witness():
     cset = varcoef_1()
-    m, _ = solve_invariant_density_I(cset)
-    alpha_c, mu, margin = coercivity_witness_I(cset, m, n_fields=120)
+    op = CellOperator(cset)
+    m, _ = solve_invariant_density_I(op)
+    alpha_c, mu, margin = coercivity_witness_I(op, m)
     assert alpha_c > 0 and mu > 0
     assert margin > -1e-9
-    T, _ = assemble_torus_generator_I(cset)
-    loop = coercivity_margin_loop(cset, m, T, alpha_c, mu)
+    loop = coercivity_margin_loop(cset, m, op.matrix, alpha_c, mu)
     assert abs(margin - loop) <= 1e-12 * abs(loop)
 
 
@@ -475,7 +482,7 @@ def test_scaling_covariance_sigma():
     sol = solve_cell_I(cset)
     s = 3.7
     scaled = cset.with_fields(sigma=PeriodicField(cset.grid, s * cset.sigma.values))
-    m, _ = solve_invariant_density_I(scaled)
+    m, _ = solve_invariant_density_I(CellOperator(scaled))
     sigma_bar_scaled = float(np.sum(scaled.sigma.values * m.values) * cset.grid.h)
     assert abs(sigma_bar_scaled - s * sol.sigma_bar) < 1e-12 * s
 
@@ -497,14 +504,15 @@ def test_scaling_covariance_Q_zero_drift():
         kernel=gaussian_kernel(), kappa=0.6 * s, alpha1=0.7 * s,
         alpha2=1.3 * s, name="b0-scaled",
     )
-    m1, _ = solve_invariant_density_I(cset)
-    m2, _ = solve_invariant_density_I(scaled)
+    op1, op2 = CellOperator(cset), CellOperator(scaled)
+    m1, _ = solve_invariant_density_I(op1)
+    m2, _ = solve_invariant_density_I(op2)
     assert np.max(np.abs(m1.values - m2.values)) < 1e-10
-    chi1, _ = solve_corrector_chi(cset, m1)
-    chi2, _ = solve_corrector_chi(scaled, m2)
+    chi1, _ = solve_corrector_chi(op1, m1)
+    chi2, _ = solve_corrector_chi(op2, m2)
     assert np.max(np.abs(chi1.values - chi2.values)) < 1e-10
-    Q1 = compute_Q(cset, m1, chi1)
-    Q2 = compute_Q(scaled, m2, chi2)
+    Q1 = compute_Q(op1, m1, chi1)
+    Q2 = compute_Q(op2, m2, chi2)
     assert abs(Q2 - s * Q1) < 1e-10 * s
 
 
@@ -553,7 +561,8 @@ def _const_set_II(n=64, alpha=1.2, delta=1.0, d=0.0, g=0.3, e=0.0, f=0.2, sigma=
 
 def test_generator_II_basics():
     cset = stable_1()
-    L, L_adj = assemble_torus_generator_II(cset)
+    L = assemble_torus_generator_II(cset)
+    L_adj = L.T
     n = cset.grid.n
     assert np.max(np.abs(L @ np.ones(n))) < 1e-10
     rng = np.random.default_rng(5)
@@ -565,40 +574,41 @@ def test_generator_II_basics():
 
 def test_generator_II_eigenfunction():
     cset = _const_set_II(alpha=1.5)
-    L, _ = assemble_torus_generator_II(cset)
+    L = assemble_torus_generator_II(cset)
     u = np.cos(TWO_PI * cset.grid.x)
     assert np.max(np.abs(L @ u + (TWO_PI**1.5) * u)) < 1e-10
 
 
 def test_m1_constant_drift_free():
     cset = _const_set_II(d=0.0, delta=1.3)
-    m1, _ = solve_invariant_density_II(cset)
+    m1, _ = solve_invariant_density_II(CellOperator(cset))
     assert np.max(np.abs(m1.values - 1.0)) < 1e-12
     assert abs(check_centering_II(cset, m1)) < 1e-14
 
 
 def test_m1_stable_fixture():
     cset = stable_1()
-    m1, _ = solve_invariant_density_II(cset)
+    m1, _ = solve_invariant_density_II(CellOperator(cset))
     assert np.min(m1.values) > 0
     assert abs(m1.integral() - 1.0) < 1e-12
     assert abs(check_centering_II(cset, m1)) < 1e-10
-    m1f, _ = solve_invariant_density_II(stable_1(512))
+    m1f, _ = solve_invariant_density_II(CellOperator(stable_1(512)))
     fine = TorusGrid(512)
     assert np.max(np.abs(evaluate(m1, fine.x) - m1f.values)) < 1e-9
 
 
 def test_h3_trivial_and_fixture():
-    cset = _const_set_II(d=0.0)
-    m1, _ = solve_invariant_density_II(cset)
-    h3, _ = solve_h3(cset, m1)
+    op = CellOperator(_const_set_II(d=0.0))
+    m1, _ = solve_invariant_density_II(op)
+    h3, _ = solve_h3(op, m1)
     assert np.max(np.abs(h3.values)) < 1e-10
-    cset = stable_1()
-    m1, _ = solve_invariant_density_II(cset)
-    h3, rel = solve_h3(cset, m1)
+    op = CellOperator(stable_1())
+    m1, _ = solve_invariant_density_II(op)
+    h3, rel = solve_h3(op, m1)
     assert rel < 1e-9
     assert abs(h3.integral()) < 1e-10
-    h3f, _ = solve_h3(stable_1(512), solve_invariant_density_II(stable_1(512))[0])
+    op_f = CellOperator(stable_1(512))
+    h3f, _ = solve_h3(op_f, solve_invariant_density_II(op_f)[0])
     fine = TorusGrid(512)
     assert np.max(np.abs(evaluate(h3, fine.x) - h3f.values)) < 1e-9
 
@@ -607,7 +617,8 @@ def test_e1_single_mode_closed_form():
     grid = TorusGrid(64)
     cset = _const_set_II(n=64, alpha=1.5).with_fields(
         e=field_from_function(grid, lambda y: np.sin(TWO_PI * y)))
-    e1, solv, rel = solve_e1(cset)
+    op = CellOperator(cset)
+    e1, solv, rel = solve_e1(op, solve_invariant_density_II(op)[0])
     assert abs(solv) < 1e-12
     expected = np.sin(TWO_PI * grid.x) / (TWO_PI**1.5)
     assert np.max(np.abs(e1.values - expected)) < 1e-10
@@ -616,26 +627,28 @@ def test_e1_single_mode_closed_form():
 
 def test_e1_zero_and_warning():
     cset = _const_set_II(e=0.0)
-    e1, _, _ = solve_e1(cset)
+    op = CellOperator(cset)
+    m1, _ = solve_invariant_density_II(op)
+    e1, _, _ = solve_e1(op, m1)
     assert np.max(np.abs(e1.values)) < 1e-12
     bad = cset.with_fields(e=PeriodicField(cset.grid, np.ones(cset.grid.n)))
     with pytest.warns(RuntimeWarning):
-        solve_e1(bad)
+        solve_e1(CellOperator(bad), m1)
     # off the solvable set e1 is still the least-squares solution
     s1 = stable_1(128)
     bad = s1.with_fields(e=PeriodicField(s1.grid, s1.e.values + 0.3))
-    m1, _ = solve_invariant_density_II(bad)
+    op = CellOperator(bad)
+    m1, _ = solve_invariant_density_II(op)
     with pytest.warns(RuntimeWarning):
-        e1, solv, rel = solve_e1(bad, m1)
-    L, _ = assemble_torus_generator_II(bad)
-    ref = lstsq_singular(L, -bad.e.values, m1.values, 0.0)
+        e1, solv, rel = solve_e1(op, m1)
+    ref = lstsq_singular(op.matrix, -bad.e.values, m1.values, 0.0)
     assert abs(solv) > 0.1
     assert np.max(np.abs(e1.values - ref)) < 1e-10
 
 
 def test_effective_coefficients_II():
     cset = _const_set_II(alpha=1.2, delta=1.3, g=0.3, f=0.2, sigma=1.5)
-    m1, _ = solve_invariant_density_II(cset)
+    m1, _ = solve_invariant_density_II(CellOperator(cset))
     dba, g_bar, f_bar, sigma_bar = effective_coefficients_II(cset, m1)
     assert abs(dba - 1.3**1.2) < 1e-12
     assert abs(g_bar - 0.3) < 1e-13
@@ -644,7 +657,7 @@ def test_effective_coefficients_II():
     # sigma = 1 averages to 1 against any density
     cset2 = stable_1().with_fields(sigma=PeriodicField(stable_1().grid,
                                                        np.ones(stable_1().grid.n)))
-    m1b, _ = solve_invariant_density_II(cset2)
+    m1b, _ = solve_invariant_density_II(CellOperator(cset2))
     assert abs(effective_coefficients_II(cset2, m1b)[3] - 1.0) < 1e-12
 
 
@@ -694,22 +707,22 @@ def test_bordered_solves_match_lstsq(seed):
     cset = random_set_I(seed, 64)
     n = cset.grid.n
     sol = solve_cell_I(cset)
-    T, T_adj = assemble_torus_generator_I(cset)
+    op = CellOperator(cset)
+    T, T_adj = op.matrix, op.matrix.T
     m = sol.m.values
     Tm = T_adj * m[None, :]
-    l = cell._corrector_rhs_l(cset, sol.m)[0]
+    l = cell._corrector_rhs_l(op, sol.m)[0]
     for x, ref in (
         (sol.m.values, lstsq_singular(T_adj, np.zeros(n), np.ones(n), 1.0)),
         (sol.chi.values, lstsq_singular(T, -cset.b.values, m, 0.0)),
         (sol.h1.values, lstsq_singular(Tm, l, np.ones(n), 0.0)),
-        (_solve_singular(T, -cset.b.values, m, 0.0)[0],
-         lstsq_singular(T, -cset.b.values, m, 0.0)),
     ):
         assert np.max(np.abs(x - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
     cset = random_set_II(seed, 64)
     sol = solve_cell_II(cset)
-    L, L_adj = assemble_torus_generator_II(cset)
+    L = assemble_torus_generator_II(cset)
+    L_adj = L.T
     m1 = sol.m1.values
     for x, ref in (
         (m1, lstsq_singular(L_adj, np.zeros(n), np.ones(n), 1.0)),
@@ -741,7 +754,8 @@ def test_multiplier_quadrature_matches_phase_shift_loop(seed):
             got = _z_convolution(S[:, power], f.values)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     ref = q_phase_shift_loop(cset, sol.m, sol.chi)
-    assert abs(compute_Q(cset, sol.m, sol.chi) - ref) <= 1e-12 * ref
+    assert abs(compute_Q(CellOperator(cset), sol.m, sol.chi) - ref) \
+        <= 1e-12 * ref
 
 
 def test_one_factorization_per_chain(monkeypatch):
@@ -778,9 +792,9 @@ def _shifted(cset, name, c):
 
 def _centering_bias(cset, name):
     if name == "b":
-        m, _ = solve_invariant_density_I(cset)
+        m, _ = solve_invariant_density_I(CellOperator(cset))
     else:
-        m, _ = solve_invariant_density_II(cset)
+        m, _ = solve_invariant_density_II(CellOperator(cset))
     return float(np.sum(getattr(cset, name).values * m.values) * cset.grid.h)
 
 
@@ -841,36 +855,77 @@ def test_centering_random_sets_match_fixed_point(seed):
 
 
 def test_centering_density_matches_independent_oracles():
-    cset, m, T_adj, _ = fixtures._center_drift(
+    cset, m, op = fixtures._center_drift(
         _shifted(varcoef_1(256), "b", 0.05), "b",
-        cell.assemble_torus_generator_I, cell.solve_invariant_density_I)
+        cell.solve_invariant_density_I)
     ref = invariant_density_power_iteration(cset).values
     assert np.max(np.abs(m.values - ref)) <= 1e-10 * np.max(ref)
-    assert np.array_equal(T_adj, assemble_torus_generator_I(cset)[1])
+    assert op.cset is cset
+    assert np.array_equal(op.matrix, assemble_torus_generator_I(cset))
 
-    cset, m1, L_adj, _ = fixtures._center_drift(
+    cset, m1, op = fixtures._center_drift(
         _shifted(stable_1(128), "d", 0.05), "d",
-        cell.assemble_torus_generator_II, cell.solve_invariant_density_II)
-    ref = null_space(assemble_torus_generator_II(cset)[1])[:, 0]
+        cell.solve_invariant_density_II)
+    ref = null_space(assemble_torus_generator_II(cset).T)[:, 0]
     ref = ref / (np.sum(ref) * cset.grid.h)
     assert np.max(np.abs(m1.values - ref)) <= 1e-10 * np.max(ref)
-    assert np.array_equal(L_adj, assemble_torus_generator_II(cset)[1])
+    assert op.cset is cset
+    assert np.array_equal(op.matrix, assemble_torus_generator_II(cset))
 
 
-def _count_sweeps(monkeypatch, build):
-    """Invariant-density solves while ``build`` runs: one per sweep."""
-    calls = []
+def _count_calls(monkeypatch, build, names):
+    """Calls of the ``cell`` functions ``names`` while ``build`` runs, per
+    name."""
+    calls = dict.fromkeys(names, 0)
     with monkeypatch.context() as patch:
-        for name in ("solve_invariant_density_I", "solve_invariant_density_II"):
+        for name in names:
             original = getattr(cell, name)
 
-            def counting(*args, _original=original, **kwargs):
-                calls.append(1)
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
                 return _original(*args, **kwargs)
 
             patch.setattr(cell, name, counting)
         build()
-    return len(calls)
+    return calls
+
+
+_DENSITIES = ("solve_invariant_density_I", "solve_invariant_density_II")
+
+
+def _count_sweeps(monkeypatch, build):
+    """Invariant-density solves while ``build`` runs: one per sweep."""
+    return sum(_count_calls(monkeypatch, build, _DENSITIES).values())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: varcoef_1.__wrapped__(64),
+    lambda: fixtures._stable_1.__wrapped__(64, 1.5),
+    lambda: random_set_II(3, 64),
+], ids=["varcoef-1", "stable-1", "random-II"])
+def test_centering_factors_once_per_sweep(monkeypatch, build):
+    # each sweep factors its own generator once; no kernel quadrature, so
+    # the sweeps build no z-symbols (stable-1's h3 reuses the last sweep's LU)
+    calls = _count_calls(monkeypatch, build,
+                         _DENSITIES + ("lu_factor", "_z_symbols"))
+    sweeps = calls["solve_invariant_density_I"] \
+        + calls["solve_invariant_density_II"]
+    assert sweeps >= 1
+    assert (calls["lu_factor"], calls["_z_symbols"]) == (sweeps, 0)
+
+
+@pytest.mark.parametrize("build, solve, z_builds", [
+    (const_1, solve_cell_I, 1),
+    (lambda: varcoef_1(64), solve_cell_I, 1),
+    (lambda: random_set_I(0, 64), solve_cell_I, 1),
+    (lambda: stable_1(64), solve_cell_II, 0),
+    (lambda: random_set_II(3, 64), solve_cell_II, 0),
+], ids=["const-1", "varcoef-1", "random-I", "stable-1", "random-II"])
+def test_cell_chain_factors_once(monkeypatch, build, solve, z_builds):
+    cset = build()
+    calls = _count_calls(monkeypatch, lambda: solve(cset),
+                         ("lu_factor", "_z_symbols"))
+    assert calls == {"lu_factor": 1, "_z_symbols": z_builds}
 
 
 @pytest.mark.parametrize("n", [64, 256, 512])

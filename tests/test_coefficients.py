@@ -6,6 +6,7 @@ import pytest
 from nlhom.coefficients import (
     CoefficientSetI,
     Epsilon,
+    _eps_value,
     validate_I,
     validate_II,
 )
@@ -31,6 +32,13 @@ def test_epsilon_reciprocal():
         Epsilon(1)
     with pytest.raises(ValueError):
         Epsilon.from_value(0.3)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.25, np.nan, np.inf, -np.inf])
+def test_eps_refuses_non_finite_or_non_positive(eps):
+    # 0 divided by zero and NaN failed converting 1/eps to an integer
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        _eps_value(eps)
 
 
 def test_validate_const_passes():

@@ -78,6 +78,13 @@ def test_grid_construction_guards():
         lo.LineGrid(4.0, 8)  # too small
 
 
+@pytest.mark.parametrize("n", [1024.9, 512.0, "512", None, True])
+def test_grid_refuses_non_integer_n(n):
+    # int(n) turned 1024.9 into a grid of 1024 points and "512" into 512
+    with pytest.raises(ValueError, match="n must be an integer"):
+        lo.LineGrid(2.0, n)
+
+
 def test_points_per_cell(grid):
     assert grid.points_per_cell(0.25) == 64
     assert grid.points_per_cell(1.0 / 16) == 16
@@ -365,13 +372,13 @@ def test_line_block_zero_is_the_torus_generator(seed):
     eps = 1.0 / 8
     grid = lo.LineGrid(1.0, 16 * 64)
     cset = random_set_I(seed, 64)
-    T, _ = assemble_torus_generator_I(cset)
+    T = assemble_torus_generator_I(cset)
     blocks = lo.assemble_T_eps(cset, eps, grid).blocks
     assert _rel_gap(eps**2 * blocks[0], T) <= 1e-13
     cset = random_set_II(seed, 64)
     zero = PeriodicField(cset.grid, np.zeros(64))
     cset = cset.with_fields(g=zero, e=zero, f=zero)
-    L, _ = assemble_torus_generator_II(cset)
+    L = assemble_torus_generator_II(cset)
     blocks = lo.assemble_V_eps(cset, eps, grid).blocks
     assert _rel_gap(eps**cset.alpha * blocks[0], L) <= 1e-13
 

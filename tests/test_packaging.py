@@ -1,8 +1,9 @@
-"""Packaging metadata and the benchmark's trace hooks point at code that
-exists, and the benchmark's reference traces are the package's."""
+"""Packaging metadata, module exports and the benchmark's trace hooks point
+at code that exists, and the benchmark's reference traces are the package's."""
 
 import importlib
 import importlib.util
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -22,6 +23,17 @@ def test_console_scripts_import():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), "console script %r -> %r" % (name, target)
+
+
+def test_module_exports_resolve():
+    # a deletion or rename must update the module's __all__ with it
+    import nlhom
+
+    for info in pkgutil.iter_modules(nlhom.__path__):
+        module = importlib.import_module("nlhom." + info.name)
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert not missing, "nlhom.%s.__all__ names %r" % (info.name, missing)
 
 
 def _package_bindings():

@@ -220,7 +220,7 @@ def test_hom_II_pure_fractional_mode_decay(stable2):
     k = 5
     omega = 2.0 * np.pi * k / (2.0 * grid.half_width)
     mode = np.cos(omega * grid.x)
-    u = spde.step_homogenized_II(mode, 0.0, st)
+    u = st.step(mode, 0.0)
     expected = np.exp(-abs(omega) ** sol.cset.alpha * dt)
     assert np.max(np.abs(u - expected * mode)) <= 1e-10
 
@@ -315,26 +315,11 @@ def test_semi_implicit_stepper_needs_a_tiled_sigma_trace(varcoef):
     for bad in (np.linspace(0.0, 1.0, grid.n), np.tile(cell_ramp, 16),
                 np.full(grid.n, np.nan), np.zeros((grid.n, 1))):
         with pytest.raises(ValueError, match="sigma_trace"):
-            spde.SemiImplicitStepper(op, bad, dt, "I")
+            spde.SemiImplicitStepper(op, bad, dt)
     stepper = spde.SemiImplicitStepper(op, np.tile(cell_ramp, grid.n // p),
-                                       dt, "I")
+                                       dt)
     assert np.array_equal(stepper.sigma_trace,
                           np.tile(cell_ramp, grid.n // p))
-
-
-def test_step_wrappers_check_kind(varcoef):
-    cset, sol = varcoef
-    grid = LineGrid(2.0, 512)
-    dt = spde.heterogeneous_dt_limit(cset, 1.0 / 8.0, grid)
-    het = spde.prepare_heterogeneous_I(cset, 1.0 / 8.0, grid, dt)
-    hom = spde.prepare_homogenized_I(sol.Q, sol.sigma_bar, grid, dt)
-    u = spde.initial_profile(grid, "gauss")
-    out = spde.step_heterogeneous_I(u, 0.0, het)
-    assert np.allclose(out, het.step(u, 0.0))
-    with pytest.raises(ValueError):
-        spde.step_heterogeneous_I(u, 0.0, hom)
-    with pytest.raises(ValueError):
-        spde.step_homogenized_II(u, 0.0, hom)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,14 @@ def test_grid_validation():
     g = TorusGrid(16)
     assert g.h == pytest.approx(1.0 / 16)
     assert g.x[0] == 0.0 and g.x[-1] == pytest.approx(1.0 - 1.0 / 16)
+    assert TorusGrid(np.int64(16)) == g
+
+
+@pytest.mark.parametrize("n", [64.7, 64.0, "64", None, True])
+def test_grid_refuses_non_integer_n(n):
+    # int(n) turned 64.7 and "64" into a grid of 64 points
+    with pytest.raises(ValueError, match="n must be an integer"):
+        TorusGrid(n)
 
 
 def test_field_values_immutable():
