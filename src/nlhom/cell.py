@@ -36,7 +36,6 @@ h1, h2, chi1, h3 through T*(m h) = rhs followed by a division by the
 density.  LAPACK's condition estimate of the LU is the rank guard.
 """
 
-import io
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -81,8 +80,6 @@ __all__ = [
     "coercivity_witness_I",
     "solve_cell_I",
     "solve_cell_II",
-    "cell_report",
-    "write_cell_csv",
 ]
 
 
@@ -172,17 +169,22 @@ class _BorderedLU:
         return x[: self._n]
 
 
-def _quadrature_nodes(kernel, max_len=0.5, n_nodes=48):
-    """Gauss-Legendre nodes/weights on [-R, R], panels split at the kernel's
-    breakpoints and mirrored so the layout is exactly symmetric (odd
-    integrands cancel to rounding, which is what makes the discrete
-    solvability integrals vanish the way the continuum ones do)."""
+# longest Gauss-Legendre panel of the kernel quadrature
+_PANEL_MAX_LEN = 0.5
+
+
+def _quadrature_nodes(kernel, n_nodes=48):
+    """Gauss-Legendre nodes/weights on [-R, R], panels (at most
+    _PANEL_MAX_LEN long) split at the kernel's breakpoints and mirrored so
+    the layout is exactly symmetric (odd integrands cancel to rounding,
+    which is what makes the discrete solvability integrals vanish the way
+    the continuum ones do)."""
     R = float(kernel.truncation_radius)
     edges = sorted({0.0, R} | {float(b) for b in kernel.breakpoints if 0.0 < b < R})
     xg, wg = leggauss(n_nodes)
     zs, ws = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        pieces = max(1, int(np.ceil((hi - lo) / max_len)))
+        pieces = max(1, int(np.ceil((hi - lo) / _PANEL_MAX_LEN)))
         sub = np.linspace(lo, hi, pieces + 1)
         for a, b in zip(sub[:-1], sub[1:]):
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -684,60 +686,3 @@ def solve_cell_II(cset) -> CellSolutionII:
         centering=centering,
         residuals={"m1": res_m1, "h3": res_h3, "e1": res_e1},
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def cell_report(sol):
-    """Structured-text report of a cell solution (both parts)."""
-    out = io.StringIO()
-    if isinstance(sol, CellSolutionI):
-        w = out.write
-        w("cell analysis (integrable-jump family)\n")
-        w("coefficient set: %s  (n = %d)\n" % (sol.cset.name, sol.cset.grid.n))
-        w("effective diffusivity Q        = %.17g\n" % sol.Q)
-        w("solvability-route Q_alt        = %.17g\n" % sol.Q_alt)
-        w("relative gap |Q - Q_alt|/Q     = %.3g\n" % (abs(sol.Q - sol.Q_alt) / sol.Q))
-        w("filter-form Q1                 = %.17g\n" % sol.Q1)
-        w("relative gap |Q1 - Q|/Q        = %.3g\n" % (abs(sol.Q1 - sol.Q) / sol.Q))
-        w("sigma_bar = int sigma m        = %.17g\n" % sol.sigma_bar)
-        w("c_bar     = int sigma^2 m      = %.17g\n" % sol.c_bar)
-        w("centering int b m              = %.3g\n" % sol.centering)
-        w("solvability int l dy           = %.3g\n" % sol.solvability_l)
-        w("coercivity constants (alpha,mu)= (%.6g, %.6g)\n" % sol.coercivity)
-        for k, v in sol.residuals.items():
-            w("residual[%s] = %.3g\n" % (k, v))
-        w("note: chi is m-orthogonal; h1, h2 are mean-zero.\n")
-    else:
-        w = out.write
-        w("cell analysis (alpha-stable family)\n")
-        w("coefficient set: %s  (n = %d, alpha = %.6g)\n"
-          % (sol.cset.name, sol.cset.grid.n, sol.cset.alpha))
-        w("delta_bar_alpha = %.17g\n" % sol.delta_bar_alpha)
-        w("g_bar           = %.17g\n" % sol.g_bar)
-        w("f_bar           = %.17g\n" % sol.f_bar)
-        w("sigma_bar       = %.17g\n" % sol.sigma_bar)
-        w("centering int d m1 = %.3g\n" % sol.centering)
-        for k, v in sol.residuals.items():
-            w("residual[%s] = %.3g\n" % (k, v))
-        w("note: h3 and e1 carry mean-zero normalizations (plain and"
-          " m1-weighted respectively).\n")
-    return out.getvalue()
-
-
-def write_cell_csv(sol, path):
-    """CSV field dump: y plus every solved torus field."""
-    if isinstance(sol, CellSolutionI):
-        header = "y,m,chi,h1,h2"
-        cols = [sol.m.grid.x, sol.m.values, sol.chi.values, sol.h1.values,
-                sol.h2.values]
-    else:
-        header = "y,m1,h3,e1"
-        e1 = sol.e1.values if sol.e1 is not None else np.zeros(sol.m1.grid.n)
-        cols = [sol.m1.grid.x, sol.m1.values, sol.h3.values, e1]
-    data = np.column_stack(cols)
-    np.savetxt(path, data, delimiter=",", header=header, comments="",
-               fmt="%.17g")

@@ -15,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from .kernels import IntegrableKernel
-from .torus import PeriodicField
+from .torus import PeriodicField, _check_positive
 
 __all__ = [
     "Epsilon",
@@ -50,9 +50,8 @@ class Epsilon:
 
     @classmethod
     def from_value(cls, value):
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError("eps must be finite and positive, got %r"
-                             % (value,))
+        _check_positive("eps", value)
+        value = float(value)
         K = round(1.0 / value)
         if abs(K * value - 1.0) > 1e-12:
             raise ValueError("eps must be the reciprocal of an integer, got %r" % value)
@@ -66,7 +65,7 @@ def _eps_value(eps):
     """The float value of an Epsilon, or of a float that must be one."""
     if isinstance(eps, Epsilon):
         return eps.value
-    return Epsilon.from_value(float(eps)).value
+    return Epsilon.from_value(eps).value
 
 
 @dataclass(frozen=True)

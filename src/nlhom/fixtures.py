@@ -15,7 +15,6 @@ precision; the box kernel appears only in the constant-coefficient set where
 everything is exact anyway.
 """
 
-import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +22,8 @@ import numpy as np
 from . import cell
 from .coefficients import CoefficientSetI, CoefficientSetII
 from .kernels import box_kernel, gaussian_kernel
-from .torus import PeriodicField, TorusGrid, field_from_function
+from .torus import (PeriodicField, TorusGrid, _check_count, _check_positive,
+                    field_from_function)
 
 TWO_PI = 2.0 * np.pi
 
@@ -79,12 +79,8 @@ def _center_drift(cset, name, density, tol=1e-13, max_iter=40):
     never takes a further sweep.  Returns (centered set, its density, its
     operator) of the last sweep.
     """
-    if (isinstance(max_iter, bool)
-            or not isinstance(max_iter, (int, np.integer)) or max_iter < 1):
-        raise ValueError("max_iter must be an integer >= 1, got %r"
-                         % (max_iter,))
-    if not (isinstance(tol, numbers.Real) and np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive, got %r" % (tol,))
+    _check_count("max_iter", max_iter, 1)
+    _check_positive("tol", tol)
     b0 = getattr(cset, name).values
     h = cset.grid.h
     c = 0.0
@@ -178,6 +174,7 @@ def stable_1(n=256, alpha=1.5):
     Positional, keyword and default spellings of the same (n, alpha) share
     one cache entry (``stable_1.cache_info()``).
     """
+    _check_count("n", n, 8)
     return _stable_1(int(n), float(alpha))
 
 
@@ -256,11 +253,15 @@ def stable_filter(n=256, alpha=1.5):
     return base.with_fields(g=zero, e=zero, f=f, name="stable-filter")
 
 
-def _low_mode_field(rng, grid, base, amp, modes=3):
-    """base + sum_k a_k cos(2 pi k y + phase_k), k = 1..modes, with
+# modes of the random fields of random_set_I/II
+_LOW_MODES = 3
+
+
+def _low_mode_field(rng, grid, base, amp):
+    """base + sum_k a_k cos(2 pi k y + phase_k), k = 1.._LOW_MODES, with
     a_k = amp U(0.1, 1) / k^2; draws (a_k, phase_k) in that order."""
     vals = np.full(grid.n, base)
-    for k in range(1, modes + 1):
+    for k in range(1, _LOW_MODES + 1):
         ak = amp * rng.uniform(0.1, 1.0) / k**2
         ph = rng.uniform(0, TWO_PI)
         vals = vals + ak * np.cos(TWO_PI * k * grid.x + ph)

@@ -5,9 +5,10 @@ integrable kernel c with finite second moment.  Kernels are truncated at a
 radius R chosen so the neglected tail mass is below a configured tolerance;
 moments are computed by adaptive quadrature and cached on the kernel object.
 
-Periodization: the scaled kernel (1/eps) c(z/eps) is wrapped onto the unit
-torus by summing translates.  This is what turns the full-line convolution of
-the multiscale operator into a circular convolution on periodic grids.
+Periodization: the scaled kernel (1/eps) c(z/eps) is wrapped onto a periodic
+domain by summing translates (:func:`wrapped_kernel_samples`).  This is what
+turns the full-line convolution of the multiscale operator into a circular
+convolution on periodic grids, whose first column is :func:`jump_column`.
 """
 
 from dataclasses import dataclass, field
@@ -16,12 +17,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .torus import TorusGrid
-
 __all__ = [
     "IntegrableKernel",
     "kernel_moments",
-    "periodize_kernel",
     "wrapped_kernel_samples",
     "jump_column",
     "box_kernel",
@@ -32,6 +30,8 @@ __all__ = [
 
 _SYMMETRY_TOL = 1e-12
 _TAIL_TOL = 1e-10
+# relative accuracy of the moment quadrature
+_MOMENT_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -98,11 +98,11 @@ class IntegrableKernel:
         )
 
 
-def kernel_moments(kernel, rel_tol=1e-10):
+def kernel_moments(kernel):
     """(a1, s1, s2) = integrals of c, |z| c, z^2 c by adaptive quadrature.
 
     Quadrature runs over [0, R] (the kernel is even) on panels split at the
-    declared breakpoints; relative accuracy rel_tol.
+    declared breakpoints; relative accuracy _MOMENT_REL_TOL.
     """
     R = float(kernel.truncation_radius)
     pts = sorted(p for p in kernel.breakpoints if 0.0 < p < R)
@@ -115,7 +115,7 @@ def kernel_moments(kernel, rel_tol=1e-10):
             points=pts or None,
             limit=400,
             epsabs=1e-14,
-            epsrel=rel_tol * 1e-2,
+            epsrel=_MOMENT_REL_TOL * 1e-2,
         )
         if not np.isfinite(val):
             raise RuntimeError("kernel moment quadrature failed to converge")
@@ -155,27 +155,6 @@ def jump_column(kernel, n, period, eps):
                                     eps=eps) * spacing
     column[0] -= np.sum(column)
     return column
-
-
-def periodize_kernel(kernel, grid, eps=None):
-    """Wrapped-sum periodization of (1/eps) c(z/eps) on the unit-torus grid.
-
-    Returns the sample vector used by circular convolution; the discrete mass
-    h * sum(samples) reproduces a1 (trapezoid-consistently, so within 1e-8
-    for the built-in kernels on admissible grids).
-
-    Raises if the scaled support exceeds half the unit period: the scaled
-    kernel must fit the torus without self-overlap.  Cell problems, which
-    wrap the unscaled kernel with arbitrary support, use
-    :func:`wrapped_kernel_samples` directly.
-    """
-    scale = 1.0 if eps is None else float(getattr(eps, "value", eps))
-    if scale * kernel.truncation_radius > 0.5 + 1e-12:
-        raise ValueError(
-            "scaled kernel support %.3g exceeds half the unit period"
-            % (scale * kernel.truncation_radius)
-        )
-    return wrapped_kernel_samples(kernel, grid.x, 1.0, eps=scale)
 
 
 # ---------------------------------------------------------------------------

@@ -26,25 +26,19 @@ Contents:
 * assembly of the two-scale generators (integrable-jump and stable
   families), their constant-coefficient limits, and the corrected test
   functions whose adjoint images converge to the limit action;
-* two-scale residual diagnostics and their CSV dump;
+* two-scale residual diagnostics;
 * the sign checks for the jump parts (weighted quadratic forms are
-  nonpositive) and the paired nonlocal-divergence identity
-  D D* = -(1/2) (-Delta)^(alpha/2).
+  nonpositive).
+
+The paired nonlocal-divergence identity D D* = -(1/2) (-Delta)^(alpha/2),
+which ties the stable form's sign to the nonlocal vector calculus, is a
+real-space test oracle (``tests/nonlocal_oracle.py``), not run by the lab.
 """
 
-import io
-
 import numpy as np
-from scipy.integrate import quad
 
-from .cell import CellSolutionI, CellSolutionII
 from .coefficients import _eps_value
 from .kernels import jump_column
-from .singular import (
-    _fd_derivative,
-    cosine_tail_integral,
-    fractional_laplacian_pointwise,
-)
 from .torus import (
     _annihilate_constants,
     _check_count,
@@ -52,7 +46,6 @@ from .torus import (
     _stable_blocks,
     _symbol_column,
     derivative_symbol,
-    fractional_symbol,
 )
 
 __all__ = [
@@ -70,12 +63,6 @@ __all__ = [
     "residual_part_II",
     "dissipativity_check_I",
     "dissipativity_check_II",
-    "pair_weight_scale",
-    "gamma_pair",
-    "nonlocal_gradient",
-    "nonlocal_divergence",
-    "nonlocal_divergence_identity_check",
-    "write_residual_csv",
 ]
 
 
@@ -154,10 +141,6 @@ class LineGrid:
 
     def apply_derivative(self, values, order=1):
         sym = derivative_symbol(self._freqs, order)
-        return np.fft.ifft(sym * np.fft.fft(values)).real
-
-    def apply_fractional(self, values, alpha):
-        sym = fractional_symbol(self._freqs, alpha)
         return np.fft.ifft(sym * np.fft.fft(values)).real
 
     def l2_norm(self, values):
@@ -414,17 +397,6 @@ def residual_part_II(xi, psi, cell, cset, eps, grid, operator=None,
     return abs(lhs - rhs)
 
 
-def write_residual_csv(rows, path):
-    """Residual sweep CSV: part, epsilon, residual, grid n, half width L."""
-    out = io.StringIO()
-    out.write("part,epsilon,residual,n,L\n")
-    for part, eps, residual, n, L in rows:
-        out.write("%s,%.17g,%.17g,%d,%.17g\n"
-                  % (part, _eps_value(eps), residual, n, L))
-    with open(path, "w") as fh:
-        fh.write(out.getvalue())
-
-
 # ---------------------------------------------------------------------------
 # dissipativity of the jump parts
 # ---------------------------------------------------------------------------
@@ -509,103 +481,3 @@ def dissipativity_check_II(cset, m1, eps, grid, trials=100, seed=12,
         grid.freqs, p, alpha, _cell_trace(w, grid, eps),
         eps ** (1.0 - alpha) * _cell_trace(dm1, grid, eps)))
     return _worst_form(form, grid, fields, trials, seed, max_mode)
-
-
-# ---------------------------------------------------------------------------
-# paired nonlocal divergence
-# ---------------------------------------------------------------------------
-
-
-def pair_weight_scale(alpha):
-    """Normalization s with gamma(x, y) = s (y-x) |y-x|^(-(3+alpha)/2).
-
-    Chosen so that the composed operator D D* equals -(1/2) times the
-    spectrally normalized fractional Laplacian (symbol |2 pi k|^alpha).
-    """
-    return 1.0 / np.sqrt(8.0 * cosine_tail_integral(alpha))
-
-
-def gamma_pair(x, y, alpha):
-    """Antisymmetric pair kernel gamma(x, y); scalar or array arguments."""
-    diff = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    return pair_weight_scale(alpha) * diff * np.abs(diff) ** (
-        -(3.0 + alpha) / 2.0)
-
-
-def nonlocal_gradient(f, alpha):
-    """Two-point field D* f with (D* f)(x, y) = (f(y) - f(x)) gamma(x, y).
-
-    The orientation is fixed so that composing with the divergence gives
-    -(1/2)(-Dx)^(alpha/2); the opposite sign makes the symmetrized pair sum
-    in the divergence vanish identically.
-    """
-
-    def beta(x, y):
-        return (f(y) - f(x)) * gamma_pair(x, y, alpha)
-
-    return beta
-
-
-def nonlocal_divergence(beta, x0, alpha, cutoff=40.0, tail=0.0,
-                        quad_tol=1e-9, z_min=1e-4, near=0.0):
-    """(D beta)(x0) = int (beta(x0, y) + beta(y, x0)) gamma(x0, y) dy.
-
-    The integral is taken as a symmetric principal value: contributions at
-    y = x0 +- z are summed before integrating over z > 0, which cancels the
-    odd leading singularity of gradient-type beta fields.  The quadrature
-    covers z in [z_min, cutoff]; ``near`` adds the caller's analytic value
-    for z < z_min (where finite differences of beta drown in roundoff) and
-    ``tail`` the analytic correction beyond ``cutoff``.
-    """
-
-    def symmetric_integrand(z):
-        yp = x0 + z
-        ym = x0 - z
-        up = (beta(x0, yp) + beta(yp, x0)) * gamma_pair(x0, yp, alpha)
-        um = (beta(x0, ym) + beta(ym, x0)) * gamma_pair(x0, ym, alpha)
-        return up + um
-
-    # z = t^q flattens the z^(1-alpha) behaviour of gradient-type beta to
-    # O(t), so the near panel is polynomially smooth for the quadrature
-    q = 2.0 / (2.0 - alpha)
-
-    def desingularized(t):
-        z = t**q
-        return symmetric_integrand(z) * q * t ** (q - 1.0)
-
-    lo_t, _ = quad(desingularized, z_min ** (1.0 / q), 1.0, epsabs=quad_tol,
-                   epsrel=quad_tol, limit=400)
-    hi_t, _ = quad(symmetric_integrand, 1.0, cutoff, epsabs=quad_tol,
-                   epsrel=quad_tol, limit=400)
-    val = lo_t + hi_t
-    if not np.isfinite(val):
-        raise RuntimeError("nonlocal divergence quadrature failed at %g" % x0)
-    return val + near + tail
-
-
-def nonlocal_divergence_identity_check(f, alpha, quad_tol=1e-9,
-                                       points=(-0.5, 0.0, 0.7), cutoff=40.0,
-                                       d2=None, d4=None):
-    """Max residual of D(D* f) + (1/2)(-Dx)^(alpha/2) f at interior points.
-
-    ``f`` must decay fast enough that it is negligible beyond ``cutoff``
-    (the analytic tail correction keeps only the -f(x0) part of the
-    difference).  The fractional Laplacian side is evaluated by the
-    independent principal-value route.
-    """
-    beta = nonlocal_gradient(f, alpha)
-    s2 = pair_weight_scale(alpha) ** 2
-    z_min = 1e-4
-    worst = 0.0
-    for x0 in points:
-        f2 = d2(x0) if d2 is not None else _fd_derivative(f, x0, 2)
-        f4 = d4(x0) if d4 is not None else _fd_derivative(f, x0, 4)
-        near = 2.0 * s2 * (f2 * z_min ** (2.0 - alpha) / (2.0 - alpha)
-                           + f4 * z_min ** (4.0 - alpha) / (12.0 * (4.0 - alpha)))
-        tail = -4.0 * s2 * f(x0) * cutoff ** (-alpha) / alpha
-        lhs = nonlocal_divergence(beta, x0, alpha, cutoff=cutoff, tail=tail,
-                                  quad_tol=quad_tol, z_min=z_min, near=near)
-        rhs = -0.5 * fractional_laplacian_pointwise(
-            f, x0, alpha, periodic=False, cutoff=cutoff, d2=d2, d4=d4)
-        worst = max(worst, abs(lhs - rhs))
-    return worst

@@ -6,10 +6,16 @@ Three ingredients live here:
   which takes its sines and cosines from half-angle tangents (three
   vectorised ``tan`` calls instead of three scalar-libm ``sin``/``cos``),
 * the jump-diffusion whose generator is the heterogeneous integrable-jump
-  operator (Euler drift/diffusion plus exactly thinned jumps), together with
-  the Monte-Carlo variance oracle for the effective diffusivity Q,
+  operator (Euler drift, Milstein diffusion, exactly thinned jumps),
+  together with the Monte-Carlo variance oracle for the effective
+  diffusivity Q,
 * the alpha-stable signal of the stable family (Euler drift plus exact
   stable increments).
+
+Each returns a :class:`ParticleEnsemble` of positions at the sample times,
+held in memory.  The step bounds are fixed: dt <= 0.1 eps**2 for the
+jump-diffusion, dt <= 0.1 eps for the signal, and the Q oracle's default
+step is 0.005 eps**2.
 
 Paths are grouped into fixed-size chunks; chunk ``c`` of a run draws every
 random number from the dedicated stream ``(seed, c)``, so ensembles are
@@ -45,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import _eps_value
-from .torus import _check_count
+from .torus import _check_count, _check_positive
 
 __all__ = [
     "RngStream",
@@ -54,13 +60,15 @@ __all__ = [
     "simulate_jump_diffusion_I",
     "estimate_Q_monte_carlo",
     "simulate_signal_II",
-    "read_paths_binary",
 ]
 
 _TABLE_RESOLUTION = 8192
 _CHUNK_SIZE = 4096
 _STEP_BLOCK = 128
-_BINARY_MAGIC = b"NLHOMPE1"
+# largest admissible dt per eps**2 (jump-diffusion) or per eps (signal)
+_DT_SAFETY = 0.1
+# default dt per eps**2 of the Q oracle (see estimate_Q_monte_carlo)
+_ORACLE_DT_SAFETY = 0.005
 
 
 @dataclass(frozen=True)
@@ -271,8 +279,7 @@ def sample_stable_increment(alpha, dt, rng):
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2), got %r" % (alpha,))
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ValueError("dt must be finite and positive, got %r" % (dt,))
+    _check_positive("dt", dt)
     if isinstance(rng, RngStream):
         rng = rng.generator()
     draw, _ = _stable_draws(alpha, 1, rng)
@@ -339,50 +346,6 @@ class ParticleEnsemble:
     def n_times(self):
         return self.positions.shape[0]
 
-    def summary_rows(self):
-        """(time, mean, var, se) per sample time; se is the SE of the mean."""
-        n = self.n_paths
-        mean = self.positions.mean(axis=1)
-        var = self.positions.var(axis=1, ddof=1)
-        se = np.sqrt(var / n)
-        return [(float(t), float(m), float(v), float(s))
-                for t, m, v, s in zip(self.times, mean, var, se)]
-
-    def write_summary_csv(self, path):
-        lines = ["time,mean,var,se"]
-        for row in self.summary_rows():
-            lines.append(",".join("%.17g" % v for v in row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    def write_paths_binary(self, path):
-        """Dump raw paths.
-
-        Layout: 8-byte magic ``NLHOMPE1``, then n_paths and n_times as
-        little-endian uint64, then the sample times as little-endian
-        float64, then positions row-major (time-major) little-endian
-        float64.
-        """
-        with open(path, "wb") as fh:
-            fh.write(_BINARY_MAGIC)
-            np.array([self.n_paths, self.n_times], dtype="<u8").tofile(fh)
-            self.times.astype("<f8").tofile(fh)
-            np.ascontiguousarray(self.positions, dtype="<f8").tofile(fh)
-
-
-def read_paths_binary(path):
-    """Read a ``write_paths_binary`` dump -> (times, positions)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _BINARY_MAGIC:
-            raise ValueError("not an ensemble dump (bad magic %r)" % (magic,))
-        n_paths, n_times = np.fromfile(fh, dtype="<u8", count=2)
-        times = np.fromfile(fh, dtype="<f8", count=int(n_times))
-        flat = np.fromfile(fh, dtype="<f8", count=int(n_times * n_paths))
-    if flat.size != n_times * n_paths:
-        raise ValueError("truncated ensemble dump")
-    return times, flat.reshape(int(n_times), int(n_paths))
-
 
 def _check_run(T_end, dt, x0, n_paths, n_save, chunk_size, seed):
     """Reject run inputs that would crash or silently mis-step a simulation.
@@ -390,11 +353,8 @@ def _check_run(T_end, dt, x0, n_paths, n_save, chunk_size, seed):
     Counts and the seed are integers (numpy integers too, bool refused),
     with n_paths >= 1, n_save >= 2, chunk_size >= 1 and seed >= 0.
     """
-    for name, value in (("T_end", T_end), ("dt", dt)):
-        if not (np.isfinite(value) and value > 0.0):
-            raise ValueError(
-                "%s must be finite and positive, got %r" % (name, value)
-            )
+    _check_positive("T_end", T_end)
+    _check_positive("dt", dt)
     if not np.isfinite(x0):
         raise ValueError("x0 must be finite, got %r" % (x0,))
     for name, value, least in (("n_paths", n_paths, 1), ("n_save", n_save, 2),
@@ -439,8 +399,8 @@ def _one_ahead(pool, fn, tasks):
 
 
 def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
-                              n_save=9, dt_safety=0.1, keep_jump_sizes=False,
-                              scheme="milstein", chunk_size=_CHUNK_SIZE):
+                              n_save=9, keep_jump_sizes=False,
+                              chunk_size=_CHUNK_SIZE):
     """Euler-type paths of the jump-diffusion dual to the heterogeneous
     operator.
 
@@ -467,13 +427,16 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
     bit-identical.  An exception on either thread reaches the caller, and
     the worker is joined before the call returns or raises.
 
-    The weak error is O(dt), but with a fast-oscillating diffusion
-    coefficient its constant scales like 1/eps**2 (the cell dynamics
-    relaxes on the eps**2 clock), and the dominant term comes from the
-    omitted Ito-Taylor correction (1/2) sigma sigma' ((dW)^2 - dt) =
-    (a'(x/eps)/(2 eps)) ((dW)^2 - dt).  ``scheme="milstein"`` (default)
-    includes that term; ``scheme="euler"`` drops it, for the plain scheme
-    and for step-bias studies.
+    The diffusion step is Milstein's.  The weak error is O(dt), but with a
+    fast-oscillating diffusion coefficient its constant scales like
+    1/eps**2 (the cell dynamics relaxes on the eps**2 clock), and the
+    dominant term of the plain Euler step is the Ito-Taylor correction it
+    omits, (1/2) sigma sigma' ((dW)^2 - dt) = (a'(x/eps)/(2 eps))
+    ((dW)^2 - dt).  Measured on the workhorse heterogeneous set at
+    eps = 1/8 with 3e4 paths, the Euler step drifts the variance estimate
+    of Q by +5.1%/+3.0%/+0.9% at dt/eps**2 = 0.02/0.005/0.00125, while the
+    Milstein step leaves no drift visible above the 0.8% noise floor
+    anywhere in that range; so the correction is always taken.
 
     Parameters
     ----------
@@ -481,8 +444,8 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
     eps : Epsilon or float
         Reciprocal-integer scale.
     T_end, dt : float
-        Horizon and requested step; requires dt <= dt_safety * eps**2.
-        The actual step is T_end/n_steps <= dt.
+        Horizon and requested step; requires dt <= _DT_SAFETY * eps**2
+        (0.1 eps**2).  The actual step is T_end/n_steps <= dt.
     n_paths, seed : int
         At least one path; the seed is a non-negative integer.
     x0 : float, optional
@@ -492,8 +455,6 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
         than n_steps + 1 saves every step.
     keep_jump_sizes : bool, optional
         Record the flat array of accepted jump sizes (diagnostics).
-    scheme : {"milstein", "euler"}, optional
-        Whether the diffusion part carries the Milstein correction.
     chunk_size : int, optional
         Paths per random stream; part of the sampling design, so changing
         it changes the (still reproducible) draws.
@@ -504,10 +465,10 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
     """
     eps_val = _eps_value(eps)
     _check_run(T_end, dt, x0, n_paths, n_save, chunk_size, seed)
-    if dt > dt_safety * eps_val**2 * (1.0 + 1e-12):
+    if dt > _DT_SAFETY * eps_val**2 * (1.0 + 1e-12):
         raise ValueError(
-            "dt=%g too large for eps=%g: need dt <= %g (= dt_safety*eps^2)"
-            % (dt, eps_val, dt_safety * eps_val**2)
+            "dt=%g too large for eps=%g: need dt <= %g (= %g eps^2)"
+            % (dt, eps_val, _DT_SAFETY * eps_val**2, _DT_SAFETY)
         )
     n_steps, dt_eff, save_idx = _step_grid(T_end, dt, n_save)
 
@@ -530,15 +491,10 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
 
     # premultiplied per-step rows: noise amplitude, drift displacement and
     # the Milstein coefficient
-    rows = [np.sqrt(2.0 * _cell_samples(cset.a)) * np.sqrt(dt_eff),
-            _cell_samples(cset.b) * (inv_eps * dt_eff)]
-    milstein = scheme == "milstein"
-    if milstein:
-        rows.append(_cell_samples(cset.a.derivative(1))
-                    * (0.5 * inv_eps * dt_eff))
-    elif scheme != "euler":
-        raise ValueError("scheme must be 'milstein' or 'euler'")
-    step_tab = _Tables(*rows)
+    step_tab = _Tables(np.sqrt(2.0 * _cell_samples(cset.a)) * np.sqrt(dt_eff),
+                       _cell_samples(cset.b) * (inv_eps * dt_eff),
+                       _cell_samples(cset.a.derivative(1))
+                       * (0.5 * inv_eps * dt_eff))
     chunks = _chunk_ranges(n_paths, chunk_size)
     blocks = [(first, min(first + _STEP_BLOCK, n_steps + 1))
               for first in range(1, n_steps + 1, _STEP_BLOCK)]
@@ -546,7 +502,7 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
     # two buffer sets, for the block being marched and the block being
     # drawn; allocated here so the worker's heap keeps no block arrays
     width = min(_STEP_BLOCK, n_steps) * min(chunk_size, n_paths)
-    buffers = [np.empty((1 + milstein, width)) for _ in range(2)]
+    buffers = [np.empty((2, width)) for _ in range(2)]
 
     def draw(g, m, n, buf):
         """Random inputs of n steps of m paths, in stream order: dW, the
@@ -554,10 +510,8 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
         leading 0), owners, thinning thresholds u * lam_max and jump sizes
         eps * Z.  dW and the Milstein factors dW**2 - 1 fill ``buf``."""
         dW = g.standard_normal(out=buf[0, :n * m].reshape(n, m))
-        factor = None
-        if milstein:
-            factor = np.multiply(dW, dW, out=buf[1, :n * m].reshape(n, m))
-            factor -= 1.0
+        factor = np.multiply(dW, dW, out=buf[1, :n * m].reshape(n, m))
+        factor -= 1.0
         ends = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(g.poisson(m * proposal_rate * dt_eff, n), out=ends[1:])
         total = int(ends[-1])
@@ -579,10 +533,8 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
         drawn = _one_ahead(pool, draw, tasks())
         for _, lo, hi in chunks:
             x = np.full(hi - lo, float(x0))
-            save_pos = 0
-            if save_idx[0] == 0:
-                positions[0, lo:hi] = x
-                save_pos = 1
+            positions[0, lo:hi] = x  # save_idx[0] is step 0
+            save_pos = 1
             counts_chunk = jump_counts[lo:hi]
             for first, _ in blocks:
                 dW, factor, ends, owners, thresholds, z = next(drawn)
@@ -604,10 +556,9 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
                         if keep_jump_sizes and sizes.size:
                             sizes_out.append(sizes)
                     x += step_x
-                    if milstein:
-                        mil = coef[2]
-                        mil *= factor[j]
-                        x += mil
+                    mil = coef[2]
+                    mil *= factor[j]
+                    x += mil
                     step = first + j
                     if save_pos < save_idx.size and step == save_idx[save_pos]:
                         if not np.isfinite(x).all():
@@ -652,8 +603,7 @@ def _jackknife_variance_se(x, scale):
 
 
 def estimate_Q_monte_carlo(cset, eps, T_end, n_paths, seed, dt=None,
-                           dt_safety=0.1, oracle_dt_safety=0.005,
-                           scheme="milstein", chunk_size=_CHUNK_SIZE):
+                           chunk_size=_CHUNK_SIZE):
     """Monte-Carlo oracle for the effective diffusivity Q.
 
     The homogenized generator is Q d^2/dx^2, so the particle variance grows
@@ -669,15 +619,12 @@ def estimate_Q_monte_carlo(cset, eps, T_end, n_paths, seed, dt=None,
         At least 3 paths, which the jackknife needs; the seed as in the
         jump-diffusion.
     dt : float, optional
-        Step; defaults to oracle_dt_safety * eps**2, tighter than the
-        pathwise default because the step bias of variance-type
+        Step; defaults to _ORACLE_DT_SAFETY * eps**2 (0.005 eps**2), tighter
+        than the pathwise bound because the step bias of variance-type
         functionals scales with dt/eps**2 (the cell dynamics lives on the
         eps**2 clock) and the oracle is consumed through 3-SE brackets at
-        the percent level.  Measured on the workhorse heterogeneous set at
-        eps = 1/8 with 3e4 paths: the plain Euler scheme drifts
-        +5.1%/+3.0%/+0.9% of Q at dt/eps**2 = 0.02/0.005/0.00125, while
-        the Milstein correction leaves no drift visible above the 0.8%
-        noise floor anywhere in that range.
+        the percent level (the jump-diffusion's docstring gives the
+        measured Euler drift that the Milstein step removes).
 
     Returns
     -------
@@ -686,15 +633,14 @@ def estimate_Q_monte_carlo(cset, eps, T_end, n_paths, seed, dt=None,
     """
     eps_val = _eps_value(eps)
     if dt is None:
-        dt = oracle_dt_safety * eps_val**2
+        dt = _ORACLE_DT_SAFETY * eps_val**2
     # the jackknife needs three paths: refuse fewer before simulating
     _check_run(T_end, dt, 0.0, n_paths, 2, chunk_size, seed)
     if n_paths < 3:
         raise ValueError("n_paths must be at least 3 for the jackknife, "
                          "got %r" % (n_paths,))
     ens = simulate_jump_diffusion_I(
-        cset, eps, T_end, dt, n_paths, seed, n_save=2,
-        dt_safety=dt_safety, scheme=scheme, chunk_size=chunk_size,
+        cset, eps, T_end, dt, n_paths, seed, n_save=2, chunk_size=chunk_size,
     )
     x = ens.positions[-1]
     scale = 1.0 / (2.0 * float(T_end))
@@ -707,8 +653,8 @@ def estimate_Q_monte_carlo(cset, eps, T_end, n_paths, seed, dt=None,
 
 
 def simulate_signal_II(cset, eps, T_end, dt, n_paths, seed, x0=0.0, n_save=9,
-                       dt_safety=0.1, drift_scaling="operator",
-                       truncation=1e6, chunk_size=_CHUNK_SIZE):
+                       drift_scaling="operator", truncation=1e6,
+                       chunk_size=_CHUNK_SIZE):
     """Euler paths of the alpha-stable signal with fast coefficients.
 
     Per step: x <- x + s(eps) d(x/eps) dt + delta(x/eps) dL, with dL an
@@ -733,7 +679,7 @@ def simulate_signal_II(cset, eps, T_end, dt, n_paths, seed, x0=0.0, n_save=9,
     cset : CoefficientSetII
     eps : Epsilon or float
     T_end, dt : float
-        Requires dt <= dt_safety * eps.
+        Requires dt <= _DT_SAFETY * eps (0.1 eps).
     n_paths, seed, x0, n_save, chunk_size : as in the jump-diffusion.
 
     Returns
@@ -745,10 +691,10 @@ def simulate_signal_II(cset, eps, T_end, dt, n_paths, seed, x0=0.0, n_save=9,
     if not truncation > 0.0:
         raise ValueError("truncation must be positive, got %r"
                          % (truncation,))
-    if dt > dt_safety * eps_val * (1.0 + 1e-12):
+    if dt > _DT_SAFETY * eps_val * (1.0 + 1e-12):
         raise ValueError(
-            "dt=%g too large for eps=%g: need dt <= %g (= dt_safety*eps)"
-            % (dt, eps_val, dt_safety * eps_val)
+            "dt=%g too large for eps=%g: need dt <= %g (= %g eps)"
+            % (dt, eps_val, _DT_SAFETY * eps_val, _DT_SAFETY)
         )
     alpha = float(cset.alpha)
     if drift_scaling == "operator":
@@ -767,15 +713,14 @@ def simulate_signal_II(cset, eps, T_end, dt, n_paths, seed, x0=0.0, n_save=9,
 
     positions = np.empty((save_idx.size, n_paths))
     n_clipped = 0
+    chunks = _chunk_ranges(n_paths, chunk_size)
 
-    for chunk, lo, hi in _chunk_ranges(n_paths, chunk_size):
+    for chunk, lo, hi in chunks:
         g = RngStream(seed, chunk).generator()
         m = hi - lo
         x = np.full(m, float(x0))
-        save_pos = 0
-        if save_idx[0] == 0:
-            positions[0, lo:hi] = x
-            save_pos = 1
+        positions[0, lo:hi] = x  # save_idx[0] is step 0
+        save_pos = 1
         for step in range(1, n_steps + 1):
             idx, frac = _locate(x, inv_eps)
             draws, clipped = _stable_draws(alpha, m, g, truncation)
@@ -792,10 +737,8 @@ def simulate_signal_II(cset, eps, T_end, dt, n_paths, seed, x0=0.0, n_save=9,
                 positions[save_pos, lo:hi] = x
                 save_pos += 1
 
-    path_streams = np.repeat(
-        np.arange(len(_chunk_ranges(n_paths, chunk_size))),
-        [hi - lo for _, lo, hi in _chunk_ranges(n_paths, chunk_size)],
-    )
+    path_streams = np.repeat(np.arange(len(chunks)),
+                             [hi - lo for _, lo, hi in chunks])
     return ParticleEnsemble(
         times=save_idx * dt_eff,
         positions=positions,

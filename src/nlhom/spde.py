@@ -33,6 +33,12 @@ marches that one flow and an (m,) growth vector instead of m columns.
 Heterogeneous and homogenized solvers consume identical Brownian increments
 when the coupling is shared, which slashes the variance of paired law
 comparisons.
+
+The two steppers, :class:`SemiImplicitStepper` and :class:`SpectralStepper`,
+are what :func:`run_ensemble` marches; the results are the in-memory
+:class:`FieldPath` records.  The refined explicit-Euler cross-check and the
+one-path loop of the stepper tests are test oracles
+(``tests/spde_oracle.py``), not run by the lab.
 """
 
 from dataclasses import dataclass
@@ -44,14 +50,13 @@ from .coefficients import CoefficientSetII, _eps_value
 from .lineops import (LineGrid, gaussian_bump, assemble_T0, assemble_T_eps,
                       assemble_V0, assemble_V_eps, _cell_trace)
 from .particles import RngStream, _step_grid
-from .torus import _check_count
+from .torus import _check_count, _check_positive
 
 __all__ = [
     "SpdeConfig", "FieldPath", "initial_profile", "default_test_battery",
     "heterogeneous_dt_limit", "prepare_heterogeneous_I",
     "prepare_homogenized_I", "prepare_heterogeneous_II",
-    "prepare_homogenized_II", "prepare_explicit", "run_path", "run_ensemble",
-    "write_snapshot_csv", "write_functional_csv",
+    "prepare_homogenized_II", "run_ensemble",
 ]
 
 #: Energy-cap constant C in the monitor max_paths ||u_t||^4 <= C (1 + ||u_0||^4).
@@ -140,27 +145,13 @@ def heterogeneous_dt_limit(cset, eps, grid):
 
 def _check_dt(dt, limit, label):
     """Reject a dt that is not finite and positive or above the limit."""
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ValueError("dt must be finite and positive, got dt = %r" % (dt,))
+    _check_positive("dt", dt)
     if dt > limit * (1.0 + 1e-9):
         raise ValueError("dt = %g exceeds the %s stability limit %g"
                          % (dt, label, limit))
 
 
-class _Stepper:
-    """Common shape handling: states are (n,) vectors or (n, m) column
-    blocks, noise increments scalars or (m,) rows."""
-
-    def _noise_factor(self, state, dw, trace):
-        if state.ndim == 1:
-            return state * (1.0 + trace * dw)
-        dw = np.asarray(dw)
-        if np.ndim(trace) == 0:
-            return state * (1.0 + trace * dw[None, :])
-        return state * (1.0 + trace[:, None] * dw[None, :])
-
-
-class SemiImplicitStepper(_Stepper):
+class SemiImplicitStepper:
     """Preassembled resolvent step for a heterogeneous generator.
 
     The resolvent (I - dt T)^-1 is held as its Bloch blocks R_t, and the
@@ -211,11 +202,13 @@ class SemiImplicitStepper(_Stepper):
             .reshape(state.shape)
 
 
-class SpectralStepper(_Stepper):
+class SpectralStepper:
     """Exact constant-coefficient semigroup step plus explicit noise.
 
     The semigroup factor acts on the real-FFT modes; the noise enters as the
     scalar multiplier (1 + sigma_bar dW) after the deterministic flow.
+    States are (n,) vectors or (n, m) column blocks, dW a scalar or an (m,)
+    row.
     """
 
     def __init__(self, grid, factor, sigma_bar, dt):
@@ -232,27 +225,7 @@ class SpectralStepper(_Stepper):
         else:
             u_hat *= self._factor[:, None]
         flowed = np.fft.irfft(u_hat, n=self.grid.n, axis=0)
-        return self._noise_factor(flowed, dw, self.sigma_bar)
-
-
-class ExplicitStepper(_Stepper):
-    """Plain explicit Euler reference: u + dt T u + sigma u dW.
-
-    Only used as a refined cross-check oracle; conditionally stable, so it
-    runs at a fraction of the semi-implicit dt.
-    """
-
-    def __init__(self, operator, sigma_trace, dt):
-        self.operator = operator
-        self.grid = operator.grid
-        self.sigma_trace = np.asarray(sigma_trace, dtype=float)
-        self.dt = float(dt)
-
-    def step(self, state, dw):
-        state = np.asarray(state, dtype=float)
-        drifted = state + self.dt * self.operator.apply(state)
-        noise = self._noise_factor(state, dw, self.sigma_trace) - state
-        return drifted + noise
+        return flowed * (1.0 + self.sigma_bar * dw)
 
 
 def prepare_heterogeneous_I(cset, eps, grid, dt):
@@ -294,40 +267,6 @@ def prepare_homogenized_II(cell, grid, dt):
     _check_dt(dt, np.inf, "spectral")
     factor = np.exp(dt * assemble_V0(cell, grid).blocks[:, 0, 0])
     return SpectralStepper(grid, factor, cell.sigma_bar, dt)
-
-
-def prepare_explicit(cset, eps, grid, dt, part):
-    """Explicit-Euler reference stepper (refined-scheme oracle)."""
-    _check_dt(dt, np.inf, "explicit")
-    eps = _eps_value(eps)
-    if part == "I":
-        op = assemble_T_eps(cset, eps, grid)
-    elif part == "II":
-        op = assemble_V_eps(cset, eps, grid)
-    else:
-        raise ValueError("part must be 'I' or 'II', got %r" % (part,))
-    sigma_trace = _cell_trace(cset.sigma, grid, eps)
-    return ExplicitStepper(op, sigma_trace, dt)
-
-
-def run_path(stepper, u0, increments):
-    """Drive one state through a sequence of Brownian increments.
-
-    Parameters
-    ----------
-    stepper : object with ``step(state, dw)``
-    u0 : ndarray, shape (n,) or (n, m)
-    increments : ndarray, shape (n_steps,) or (n_steps, m)
-
-    Returns
-    -------
-    ndarray
-        Terminal state.
-    """
-    state = np.array(u0, dtype=float)
-    for dw in increments:
-        state = stepper.step(state, dw)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +335,8 @@ class SpdeConfig:
     def __post_init__(self):
         if self.part not in ("I", "II"):
             raise ValueError("part must be 'I' or 'II', got %r" % (self.part,))
-        for label, val in (("dt", self.dt), ("T_end", self.T_end),
-                           ("energy_cap_C", self.energy_cap_C)):
-            if not (np.isfinite(val) and val > 0):
-                raise ValueError("%s must be finite and positive, got %r"
-                                 % (label, val))
+        for label in ("dt", "T_end", "energy_cap_C"):
+            _check_positive(label, getattr(self, label))
         for label, least in (("n_paths", 1), ("n_save", 2),
                              ("n_snapshot_paths", 0), ("chunk_size", 1),
                              ("seed", 0)):
@@ -684,27 +620,3 @@ def run_ensemble(config, cell, cset, battery=None):
             "increment variance %.6g deviates from dt = %.6g beyond 6 SE"
             % (mean_sq, dt_eff))
     return het_paths, hom_paths
-
-
-def write_snapshot_csv(path_record, out_path):
-    """Dump a path's field snapshots as CSV rows (time, x, u)."""
-    if path_record.snapshots is None:
-        raise ValueError("path %d carries no snapshots"
-                         % path_record.path_index)
-    grid = path_record.config.grid
-    with open(out_path, "w") as fh:
-        fh.write("time,x,u\n")
-        for t, row in zip(path_record.times, path_record.snapshots):
-            for xv, uv in zip(grid.x, row):
-                fh.write("%.17g,%.17g,%.17g\n" % (t, xv, uv))
-
-
-def write_functional_csv(paths, out_path):
-    """Dump pairing series as CSV rows (time, path, xi_index, value)."""
-    with open(out_path, "w") as fh:
-        fh.write("time,path,xi_index,value\n")
-        for rec in paths:
-            for i, t in enumerate(rec.times):
-                for j in range(rec.pairings.shape[1]):
-                    fh.write("%.17g,%d,%d,%.17g\n"
-                             % (t, rec.path_index, j, rec.pairings[i, j]))

@@ -27,6 +27,9 @@ Conventions
   explicitly where the symbol would be singular or ambiguous).
 """
 
+import math
+import numbers
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -37,8 +40,6 @@ __all__ = [
     "PeriodicField",
     "field_from_function",
     "spectral_derivative",
-    "fractional_laplacian_periodic",
-    "circular_convolution",
     "derivative_symbol",
     "fractional_symbol",
 ]
@@ -53,6 +54,15 @@ def _check_count(name, value, least):
     if value < least:
         raise ValueError("%s must be at least %d, got %r"
                          % (name, least, value))
+
+
+def _check_positive(name, value):
+    """Refuse a value that is not a finite positive real (numpy reals
+    accepted, bool, strings and None refused) with a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not (math.isfinite(value) and value > 0):
+        raise ValueError("%s must be finite and positive, got %r"
+                         % (name, value))
 
 
 class TorusGrid:
@@ -229,30 +239,6 @@ def spectral_derivative(f, order=1):
         raise ValueError("derivative order must be a positive integer")
     k = f.grid.wavenumbers().astype(float)
     return f.apply_multiplier(derivative_symbol(k, order))
-
-
-def fractional_laplacian_periodic(f, alpha):
-    """Periodic fractional Laplacian (-Delta)^{alpha/2}: symbol |2 pi k|^alpha.
-
-    The k = 0 mode maps to 0 (constants are annihilated).  This is the
-    normalized convention under which the operator is exactly the generator
-    (negated) of the standard symmetric alpha-stable process.
-    """
-    k = f.grid.wavenumbers().astype(float)
-    return f.apply_multiplier(fractional_symbol(k, alpha))
-
-
-def circular_convolution(f, kernel_samples):
-    """h-scaled circular convolution (c * f)(x_i) = h sum_j c(x_i - x_j) f(x_j).
-
-    The h factor makes the discrete convolution the trapezoid-consistent
-    quadrature of the periodic convolution integral.
-    """
-    kernel_samples = np.asarray(kernel_samples, dtype=float)
-    if kernel_samples.shape != (f.grid.n,):
-        raise ValueError("kernel sample count must equal the grid size")
-    out = np.fft.ifft(np.fft.fft(f.values) * np.fft.fft(kernel_samples)).real
-    return PeriodicField(f.grid, out * f.grid.h)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
-"""Off-grid evaluation of periodic fields, the oracle of the grid samplers.
+"""Field-level oracles of the torus layer.
 
 :func:`evaluate` sums the trigonometric interpolant of a
 :class:`nlhom.torus.PeriodicField` mode by mode at arbitrary points.  The
 package samples fields only on uniform grids
 (``PeriodicField.uniform_samples``); tests check those samples, and build
 their dense references, against this independent route.
+:func:`circular_convolution` is the h-scaled circular convolution, the
+quadrature the periodic jump operators reduce to.
 """
 
 import numpy as np
+
+from nlhom.torus import PeriodicField
 
 TWO_PI = 2.0 * np.pi
 
@@ -44,3 +48,16 @@ def evaluate(field, x):
             ph = TWO_PI * ki * x
             out += ci.real * np.cos(ph) - ci.imag * np.sin(ph)
     return out
+
+
+def circular_convolution(f, kernel_samples):
+    """h-scaled circular convolution (c * f)(x_i) = h sum_j c(x_i - x_j) f(x_j).
+
+    The h factor makes the discrete convolution the trapezoid-consistent
+    quadrature of the periodic convolution integral.
+    """
+    kernel_samples = np.asarray(kernel_samples, dtype=float)
+    if kernel_samples.shape != (f.grid.n,):
+        raise ValueError("kernel sample count must equal the grid size")
+    out = np.fft.ifft(np.fft.fft(f.values) * np.fft.fft(kernel_samples)).real
+    return PeriodicField(f.grid, out * f.grid.h)

@@ -38,7 +38,6 @@ from nlhom.cell import (
     _z_symbols,
     assemble_torus_generator_I,
     assemble_torus_generator_II,
-    cell_report,
     check_centering_I,
     check_centering_II,
     coercivity_witness_I,
@@ -53,7 +52,6 @@ from nlhom.cell import (
     solve_h3,
     solve_invariant_density_I,
     solve_invariant_density_II,
-    write_cell_csv,
     zakai_cell_I,
 )
 from nlhom.coefficients import CoefficientSetI, CoefficientSetII
@@ -668,32 +666,6 @@ def test_cell_II_grid_doubling():
     assert abs(s1.g_bar - s2.g_bar) < 1e-10
     assert abs(s1.f_bar - s2.f_bar) < 1e-10
     assert abs(s1.sigma_bar - s2.sigma_bar) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_report_and_csv(tmp_path):
-    sol = solve_cell_I(varcoef_1())
-    text = cell_report(sol)
-    for token in ("effective diffusivity Q", "Q_alt", "sigma_bar", "residual[",
-                  "coercivity"):
-        assert token in text
-    path = tmp_path / "fields.csv"
-    write_cell_csv(sol, path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (sol.cset.grid.n, 5)
-    assert np.allclose(data[:, 1], sol.m.values, atol=1e-15)
-
-    sol2 = solve_cell_II(stable_1())
-    text2 = cell_report(sol2)
-    assert "delta_bar_alpha" in text2 and "mean-zero" in text2
-    path2 = tmp_path / "fields2.csv"
-    write_cell_csv(sol2, path2)
-    data2 = np.loadtxt(path2, delimiter=",", skiprows=1)
-    assert data2.shape == (sol2.cset.grid.n, 4)
 
 
 # ---------------------------------------------------------------------------

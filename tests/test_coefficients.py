@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nlhom import particles, spde
 from nlhom.coefficients import (
     CoefficientSetI,
     Epsilon,
@@ -11,6 +12,7 @@ from nlhom.coefficients import (
     validate_II,
 )
 from nlhom.fixtures import (
+    center_drift_I,
     coefficient_set_by_name,
     const_1,
     random_set_I,
@@ -21,6 +23,7 @@ from nlhom.fixtures import (
     varcoef_1,
 )
 from nlhom.kernels import box_kernel
+from nlhom.lineops import LineGrid
 from nlhom.torus import PeriodicField, TorusGrid, field_from_function
 
 
@@ -39,6 +42,53 @@ def test_eps_refuses_non_finite_or_non_positive(eps):
     # 0 divided by zero and NaN failed converting 1/eps to an integer
     with pytest.raises(ValueError, match="eps must be finite and positive"):
         _eps_value(eps)
+
+
+def _spde_config(**bad):
+    kw = dict(part="I", eps=0.25, grid=LineGrid(2.0, 256), dt=1e-3,
+              T_end=0.01, n_paths=2, seed=0)
+    kw.update(bad)
+    return spde.SpdeConfig(**kw)
+
+
+def _jump_run(T_end=0.01, dt=1e-3):
+    return particles.simulate_jump_diffusion_I(const_1(), 0.25, T_end, dt,
+                                               n_paths=2, seed=0)
+
+
+def _signal_run(T_end=0.01, dt=1e-3):
+    return particles.simulate_signal_II(stable_2(64), 0.25, T_end, dt, 2, 0)
+
+
+# (name in the message, call taking the value)
+POSITIVE_SITES = {
+    "eps": ("eps", _eps_value),
+    "Epsilon.from_value": ("eps", Epsilon.from_value),
+    "prepare dt": ("dt", lambda v: spde.prepare_homogenized_I(
+        1.0, 0.0, LineGrid(2.0, 64), v)),
+    "SpdeConfig dt": ("dt", lambda v: _spde_config(dt=v)),
+    "SpdeConfig T_end": ("T_end", lambda v: _spde_config(T_end=v)),
+    "SpdeConfig energy_cap_C": ("energy_cap_C",
+                                lambda v: _spde_config(energy_cap_C=v)),
+    "jump-diffusion T_end": ("T_end", lambda v: _jump_run(T_end=v)),
+    "jump-diffusion dt": ("dt", lambda v: _jump_run(dt=v)),
+    "signal T_end": ("T_end", lambda v: _signal_run(T_end=v)),
+    "signal dt": ("dt", lambda v: _signal_run(dt=v)),
+    "stable increment dt": ("dt", lambda v: particles.sample_stable_increment(
+        1.5, v, np.random.default_rng(0))),
+    "centering tol": ("tol", lambda v: center_drift_I(const_1(), tol=v)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(POSITIVE_SITES))
+def test_finite_positive_sites_refuse_non_reals(site):
+    # a string eps was parsed by float(), strings and None crashed in
+    # numpy's isfinite, and True passed as 1
+    name, call = POSITIVE_SITES[site]
+    for value in ("0.5", True, None):
+        with pytest.raises(ValueError,
+                           match="%s must be finite and positive" % name):
+            call(value)
 
 
 def test_validate_const_passes():
@@ -115,6 +165,16 @@ def test_stable_1_spellings_share_one_build():
     stable_1(64, 1.5)
     stable_1(n=64, alpha=1.5)
     assert stable_1.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("build", [stable_1, stable_2, stable_filter])
+def test_stable_builders_refuse_fractional_n(build):
+    # int(n) used to build and cache a 64-point set for n = 64.9
+    before = stable_1.cache_info()
+    with pytest.raises(ValueError, match="n must be an integer"):
+        build(64.9)
+    after = stable_1.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
 
 def test_coefficient_set_shares_grid():

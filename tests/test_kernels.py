@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from nlhom.coefficients import Epsilon
 from nlhom.kernels import (
     IntegrableKernel,
     box_kernel,
     gaussian_kernel,
     kernel_moments,
     laplace_kernel,
-    periodize_kernel,
     triangle_kernel,
     wrapped_kernel_samples,
 )
@@ -86,14 +84,14 @@ def test_periodize_box_unit_scale_is_flat():
 
 def test_periodize_box_scaled_mass():
     g = TorusGrid(128)
-    v = periodize_kernel(box_kernel(), g, Epsilon(4))
+    v = wrapped_kernel_samples(box_kernel(), g.x, 1.0, eps=0.25)
     mass = float(np.sum(v) * g.h)
     assert abs(mass - 1.0) < 1e-8
 
 
 def test_periodize_delta_limit():
     g = TorusGrid(64)
-    v = periodize_kernel(triangle_kernel(g.h), g)
+    v = wrapped_kernel_samples(triangle_kernel(g.h), g.x, 1.0)
     expected = np.zeros(g.n)
     expected[0] = 1.0 / g.h
     assert np.max(np.abs(v - expected)) < 1e-12
@@ -103,16 +101,8 @@ def test_periodize_delta_limit():
 def test_periodize_symmetry():
     g = TorusGrid(64)
     for kern in (box_kernel(), gaussian_kernel()):
-        v = periodize_kernel(kern, g, Epsilon(4))
+        v = wrapped_kernel_samples(kern, g.x, 1.0, eps=0.25)
         assert np.max(np.abs(v[1:] - v[1:][::-1])) < 1e-12
-
-
-def test_periodize_support_error():
-    g = TorusGrid(64)
-    # box at eps = 1/2 sits exactly at the half-period boundary: allowed
-    periodize_kernel(box_kernel(), g, Epsilon(2))
-    with pytest.raises(ValueError):
-        periodize_kernel(laplace_kernel(), g, Epsilon(8))  # support 5 > 1/2
 
 
 def test_periodize_commutes_with_symmetrization():
@@ -129,7 +119,7 @@ def test_periodize_commutes_with_symmetrization():
 
     sym_kernel = IntegrableKernel(symmetrized, base.truncation_radius,
                                   name="symmetrized")
-    v_sym = periodize_kernel(sym_kernel, g, Epsilon(4))
+    v_sym = wrapped_kernel_samples(sym_kernel, g.x, 1.0, eps=0.25)
     # periodize the skewed kernel directly (raw wrapped sum, bypassing the
     # evenness validation) and symmetrize the sample vector by index negation
     raw = _raw_wrap(skewed, base.truncation_radius, g, 0.25)

@@ -17,6 +17,7 @@ from nlhom.cell import (
 from nlhom.coefficients import CoefficientSetI, CoefficientSetII
 from nlhom.fixtures import coefficient_set_by_name, random_set_I, random_set_II
 from nlhom.torus import PeriodicField, TorusGrid, field_from_function
+from nonlocal_oracle import gamma_pair, nonlocal_divergence_identity_check
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +524,8 @@ def test_nonlocal_divergence_trivial_fields():
     zero = lambda x: 0.0 * np.asarray(x)
     flat = lambda x: 0.7 + 0.0 * np.asarray(x)
     no_d = dict(d2=lambda x: 0.0, d4=lambda x: 0.0)
-    assert lo.nonlocal_divergence_identity_check(zero, 1.0, **no_d) < 1e-12
-    assert lo.nonlocal_divergence_identity_check(flat, 1.0, **no_d) < 1e-9
+    assert nonlocal_divergence_identity_check(zero, 1.0, **no_d) < 1e-12
+    assert nonlocal_divergence_identity_check(flat, 1.0, **no_d) < 1e-9
 
 
 def test_nonlocal_divergence_identity_gaussian():
@@ -532,17 +533,17 @@ def test_nonlocal_divergence_identity_gaussian():
     f = lambda x: np.exp(-np.asarray(x) ** 2)
     d2 = lambda x: (4.0 * x * x - 2.0) * np.exp(-x * x)
     d4 = lambda x: (16.0 * x**4 - 48.0 * x * x + 12.0) * np.exp(-x * x)
-    res = lo.nonlocal_divergence_identity_check(f, 1.0, quad_tol=1e-9,
-                                                d2=d2, d4=d4)
+    res = nonlocal_divergence_identity_check(f, 1.0, quad_tol=1e-9,
+                                             d2=d2, d4=d4)
     assert res < 1e-4
     # the identity is not special to alpha = 1
-    assert lo.nonlocal_divergence_identity_check(f, 1.5, d2=d2, d4=d4) < 1e-4
+    assert nonlocal_divergence_identity_check(f, 1.5, d2=d2, d4=d4) < 1e-4
 
 
 def test_gamma_pair_antisymmetric():
     y = np.array([0.3, 1.7, -2.2])
-    g1 = lo.gamma_pair(0.1, y, 1.2)
-    g2 = lo.gamma_pair(y, 0.1, 1.2)
+    g1 = gamma_pair(0.1, y, 1.2)
+    g2 = gamma_pair(y, 0.1, 1.2)
     assert np.max(np.abs(g1 + g2)) < 1e-14
 
 
@@ -751,24 +752,3 @@ def test_cell_trace_needs_a_grid_on_cell_edges(varcoef):
     shifted._x = shifted.x + 1.0 / 24
     with pytest.raises(lo.ResolutionError, match="cell edge"):
         lo._cell_trace(cset.a, shifted, 1.0 / 8)
-
-
-# ---------------------------------------------------------------------------
-# CSV
-# ---------------------------------------------------------------------------
-
-
-def test_residual_csv_roundtrip(tmp_path):
-    rows = [("I", 0.25, 0.0390428571, 2048, 4.0),
-            ("II", 1.0 / 16, 8.61794e-4, 4096, 4.0)]
-    path = tmp_path / "residuals.csv"
-    lo.write_residual_csv(rows, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "part,epsilon,residual,n,L"
-    for row, line in zip(rows, lines[1:]):
-        part, eps_s, res_s, n_s, L_s = line.split(",")
-        assert part == row[0]
-        assert float(eps_s) == row[1]
-        assert float(res_s) == row[2]
-        assert int(n_s) == row[3]
-        assert float(L_s) == row[4]

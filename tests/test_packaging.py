@@ -97,3 +97,18 @@ def test_benchmark_cell_trace_is_the_package_trace():
         for field in fields:
             assert np.array_equal(checks.cell_trace(field, grid.n, p),
                                   lineops._cell_trace(field, grid, 1.0 / K))
+
+
+@pytest.mark.parametrize("name", ["cell", "ensemble", "line-diag",
+                                  "particles"])
+def test_benchmark_workloads_run_small(name, monkeypatch):
+    # the benchmark calls the package by name and keyword, so a removed
+    # name or parameter must fail here rather than in a benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS[name](1, small=True)
+    inputs = workload.setup()
+    ops = workload.part_I(inputs).ops + workload.part_II(inputs).ops
+    failed = ["%s: %s" % (op.name, "; ".join(op.problems)) for op in ops
+              if op.problems and op.name not in workload.known_faults]
+    assert ops and not failed, failed

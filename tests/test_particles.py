@@ -17,7 +17,8 @@ from nlhom.cell import solve_cell_I, solve_cell_II
 from nlhom.coefficients import CoefficientSetI
 from nlhom.fixtures import coefficient_set_by_name
 from nlhom.kernels import IntegrableKernel, box_kernel
-from nlhom.torus import PeriodicField, TorusGrid, field_from_function
+from nlhom.torus import (PeriodicField, TorusGrid, field_from_function,
+                         fractional_symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -463,37 +464,8 @@ def test_inverse_cdf_fallback_sampler():
 
 
 # ---------------------------------------------------------------------------
-# ensemble containers and dumps
+# ensemble containers
 # ---------------------------------------------------------------------------
-
-
-def test_summary_and_binary_roundtrip(tmp_path):
-    cset = coefficient_set_by_name("const-1")
-    ens = pm.simulate_jump_diffusion_I(cset, 0.5, 1.0, 0.02, 200, seed=41,
-                                       n_save=5)
-    rows = ens.summary_rows()
-    assert len(rows) == ens.n_times
-    assert rows[0][0] == 0.0 and rows[-1][0] == pytest.approx(1.0)
-    var = ens.positions[-1].var(ddof=1)
-    assert rows[-1][2] == pytest.approx(var)
-    assert rows[-1][3] == pytest.approx(np.sqrt(var / ens.n_paths))
-
-    csv_path = tmp_path / "ens.csv"
-    ens.write_summary_csv(csv_path)
-    lines = csv_path.read_text().strip().split("\n")
-    assert lines[0] == "time,mean,var,se"
-    parsed = [tuple(float(v) for v in ln.split(",")) for ln in lines[1:]]
-    assert parsed == rows  # %.17g round-trips doubles exactly
-
-    bin_path = tmp_path / "ens.bin"
-    ens.write_paths_binary(bin_path)
-    times, positions = pm.read_paths_binary(bin_path)
-    assert np.array_equal(times, ens.times)
-    assert np.array_equal(positions, ens.positions)
-    with pytest.raises(ValueError, match="magic"):
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"NOTANENS" + b"\x00" * 16)
-        pm.read_paths_binary(bad)
 
 
 def test_ensemble_rejects_non_finite():
@@ -582,9 +554,9 @@ def test_signal_generator_matches_homogenized_action(stable):
 
     line = lo.LineGrid(16.0, 4096)
     phi_vals = np.exp(-0.5 * line.x**2)
-    psi_vals = -cell.delta_bar_alpha * line.apply_fractional(
-        phi_vals, cset.alpha
-    )
+    psi_vals = -cell.delta_bar_alpha * np.fft.ifft(
+        fractional_symbol(line.freqs, cset.alpha) * np.fft.fft(phi_vals)
+    ).real
 
     def phi(x):
         return np.exp(-0.5 * x**2)
@@ -894,8 +866,7 @@ def _old_stable_draws(alpha, size, rng, truncation):
     return x, clipped
 
 
-def _old_jump_diffusion(cset, eps, T_end, dt, n_paths, seed, x0, scheme,
-                        chunk_size):
+def _old_jump_diffusion(cset, eps, T_end, dt, n_paths, seed, x0, chunk_size):
     n_steps, dt_eff, _ = pm._step_grid(T_end, dt, 2)
     lam_tab = _old_table(cset.lam)
     lam_max = float(cset.alpha2)
@@ -937,8 +908,7 @@ def _old_jump_diffusion(cset, eps, T_end, dt, n_paths, seed, x0, scheme,
                 if accept.any():
                     sizes_out.append(eps * z[accept])
                 x = x + (bdt_tab(y) + sig_tab(y) * dW + jump_sum)
-                if scheme == "milstein":
-                    x += mil_tab(y) * (dW * dW - 1.0)
+                x += mil_tab(y) * (dW * dW - 1.0)
                 paths[first + j, lo:hi] = x
     sizes = np.concatenate(sizes_out) if sizes_out else np.empty(0)
     return paths, counts, sizes
@@ -984,17 +954,16 @@ HORIZONS = [(16, 0.1), (pm._STEP_BLOCK + 1, 0.01),
 
 @given(seed=st.integers(0, 10_000), shape=RUN_SHAPES,
        set_name=st.sampled_from(["varcoef-1", "const-1"]),
-       scheme=st.sampled_from(["milstein", "euler"]),
        keep=st.booleans(), x0=st.sampled_from([0.0, -1e-20, 0.37]),
        eps=st.sampled_from([0.5, 0.125]),
        horizon=st.sampled_from(HORIZONS))
-@example(seed=7, shape=(32, 70), set_name="varcoef-1", scheme="milstein",
-         keep=True, x0=0.37, eps=0.125, horizon=HORIZONS[2])
-@example(seed=8, shape=(100, 250), set_name="varcoef-1", scheme="euler",
-         keep=True, x0=-1e-20, eps=0.5, horizon=HORIZONS[1])
+@example(seed=7, shape=(32, 70), set_name="varcoef-1", keep=True, x0=0.37,
+         eps=0.125, horizon=HORIZONS[2])
+@example(seed=8, shape=(100, 250), set_name="varcoef-1", keep=True,
+         x0=-1e-20, eps=0.5, horizon=HORIZONS[1])
 @settings(max_examples=25, deadline=None)
-def test_jump_diffusion_kernels_match_old_loop(seed, shape, set_name, scheme,
-                                               keep, x0, eps, horizon):
+def test_jump_diffusion_kernels_match_old_loop(seed, shape, set_name, keep,
+                                               x0, eps, horizon):
     chunk, n_paths = shape
     steps, ratio = horizon
     cset = coefficient_set_by_name(set_name)
@@ -1002,9 +971,9 @@ def test_jump_diffusion_kernels_match_old_loop(seed, shape, set_name, scheme,
     T_end = steps * dt
     ens = pm.simulate_jump_diffusion_I(
         cset, eps, T_end, dt, n_paths, seed, x0=x0, n_save=steps + 1,
-        keep_jump_sizes=keep, scheme=scheme, chunk_size=chunk)
+        keep_jump_sizes=keep, chunk_size=chunk)
     paths, counts, sizes = _old_jump_diffusion(
-        cset, eps, T_end, dt, n_paths, seed, x0, scheme, chunk)
+        cset, eps, T_end, dt, n_paths, seed, x0, chunk)
     assert np.array_equal(ens.jump_counts, counts)
     if keep:
         assert np.array_equal(ens.jump_sizes, sizes)

@@ -1,7 +1,6 @@
 """Stepper exactness, scheme cross-checks, and ensemble-driver invariants."""
 
 import dataclasses
-import os
 import re
 
 import numpy as np
@@ -12,6 +11,7 @@ from nlhom import cell, fixtures, spde
 from nlhom.coefficients import PeriodicField
 from nlhom.lineops import LineGrid, ResolutionError, assemble_T_eps
 from nlhom.particles import _step_grid
+from spde_oracle import prepare_explicit, run_path
 
 
 def _const_sigma_zero(cset):
@@ -73,7 +73,7 @@ def test_het_I_const_mode_decays_at_symbol_rate():
     sym = grid.inner(stepper.operator.apply(mode), mode) / grid.inner(mode, mode)
     assert sym < 0.0
     n_steps = 200
-    u = spde.run_path(stepper, mode, np.zeros(n_steps))
+    u = run_path(stepper, mode, np.zeros(n_steps))
     rate = np.log(grid.inner(u, mode) / grid.inner(mode, mode)) / (n_steps * dt)
     # semi-implicit log-rate bias is sym^2 dt / 2 + O(dt^2)
     assert abs(rate - sym) <= 0.75 * sym**2 * dt
@@ -84,8 +84,8 @@ def test_het_I_zero_noise_preserves_positivity(varcoef):
     grid = LineGrid(2.0, 512)
     dt = spde.heterogeneous_dt_limit(cset, 1.0 / 8.0, grid)
     stepper = spde.prepare_heterogeneous_I(cset, 1.0 / 8.0, grid, dt)
-    u = spde.run_path(stepper, spde.initial_profile(grid, "gauss"),
-                      np.zeros(400))
+    u = run_path(stepper, spde.initial_profile(grid, "gauss"),
+                 np.zeros(400))
     assert u.min() >= -1e-9
 
 
@@ -95,19 +95,19 @@ def test_het_I_matches_tenfold_refined_explicit(varcoef):
     eps = 1.0 / 8.0
     dt = spde.heterogeneous_dt_limit(cset, eps, grid)
     semi = spde.prepare_heterogeneous_I(cset, eps, grid, dt)
-    expl = spde.prepare_explicit(cset, eps, grid, dt / 10.0, part="I")
+    expl = prepare_explicit(cset, eps, grid, dt / 10.0, part="I")
     rng = np.random.default_rng(5)
     n_steps = 120
     dws = rng.normal(0.0, np.sqrt(dt), n_steps)
     u0 = spde.initial_profile(grid, "gauss")
-    u_semi = spde.run_path(semi, u0, dws)
+    u_semi = run_path(semi, u0, dws)
     # refined explicit driven by the same Brownian path; each macro increment
     # rides on the first substep so both schemes see the same noise factor
     # (splitting dW across substeps would change the realized product of
     # (1 + sigma dW) terms at O(sigma^2 T), independent of dt)
     fine = np.zeros(10 * n_steps)
     fine[0::10] = dws
-    u_expl = spde.run_path(expl, u0, fine)
+    u_expl = run_path(expl, u0, fine)
     rel = grid.l2_norm(u_semi - u_expl) / grid.l2_norm(u_expl)
     assert rel <= 1e-3
 
@@ -122,7 +122,7 @@ def test_het_I_zero_noise_self_convergence_order_one(varcoef):
     levels = [200, 400, 800, 1600]
     for n_steps in levels:
         st = spde.prepare_heterogeneous_I(cset, eps, grid, T / n_steps)
-        terminal.append(spde.run_path(st, u0, np.zeros(n_steps)))
+        terminal.append(run_path(st, u0, np.zeros(n_steps)))
     errs = [grid.l2_norm(terminal[i] - terminal[i + 1]) for i in range(3)]
     slope = np.polyfit(np.log2([T / n for n in levels[:3]]), np.log2(errs), 1)[0]
     assert 0.85 <= slope <= 1.3
@@ -150,7 +150,7 @@ def test_hom_I_gaussian_variance_grows_linearly(varcoef):
     st = spde.prepare_homogenized_I(sol.Q, 0.0, grid, dt)
     v0 = 0.04
     u = np.exp(-grid.x**2 / (2.0 * v0))
-    u = spde.run_path(st, u, np.zeros(int(T / dt)))
+    u = run_path(st, u, np.zeros(int(T / dt)))
     var = grid.inner(grid.x**2, u) / grid.inner(np.ones(grid.n), u)
     assert abs(var - (v0 + 2.0 * sol.Q * T)) <= 1e-6
 
@@ -164,13 +164,13 @@ def test_hom_I_mass_multiplies_by_noise_factors(varcoef):
     dws = rng.normal(0.0, np.sqrt(dt), 300)
     u0 = spde.initial_profile(grid, "double")
     mass0 = grid.inner(np.ones(grid.n), u0)
-    u = spde.run_path(st, u0, dws)
+    u = run_path(st, u0, dws)
     mass = grid.inner(np.ones(grid.n), u)
     expected = mass0 * np.prod(1.0 + sol.sigma_bar * dws)
     assert abs(mass / expected - 1.0) <= 1e-12
     # sigma_bar = 0: conservation to 1e-10 over the whole run
     st0 = spde.prepare_homogenized_I(sol.Q, 0.0, grid, dt)
-    u = spde.run_path(st0, u0, dws)
+    u = run_path(st0, u0, dws)
     assert abs(grid.inner(np.ones(grid.n), u) - mass0) <= 1e-10
 
 
@@ -188,7 +188,7 @@ def test_hom_I_strong_self_convergence_order_half(varcoef):
         agg = dw_fine.reshape(n_steps, finest // n_steps, n_paths).sum(axis=1)
         st = spde.prepare_homogenized_I(sol.Q, sol.sigma_bar, grid,
                                         T / n_steps)
-        terminals[n_steps] = spde.run_path(st, U0, agg)
+        terminals[n_steps] = run_path(st, U0, agg)
     errs = [np.mean(np.sqrt(np.sum(
         (terminals[n] - terminals[2 * n])**2, axis=0) * grid.dx))
         for n in (32, 64, 128)]
@@ -196,12 +196,12 @@ def test_hom_I_strong_self_convergence_order_half(varcoef):
                        np.log2(errs), 1)[0]
     assert abs(slope - 0.5) <= 0.15
     # homogenized deterministic part is exact: zero-noise refinement is flat
-    z32 = spde.run_path(spde.prepare_homogenized_I(sol.Q, sol.sigma_bar,
-                                                   grid, T / 32),
-                        u0, np.zeros(32))
-    z256 = spde.run_path(spde.prepare_homogenized_I(sol.Q, sol.sigma_bar,
-                                                    grid, T / 256),
-                         u0, np.zeros(256))
+    z32 = run_path(spde.prepare_homogenized_I(sol.Q, sol.sigma_bar,
+                                              grid, T / 32),
+                   u0, np.zeros(32))
+    z256 = run_path(spde.prepare_homogenized_I(sol.Q, sol.sigma_bar,
+                                               grid, T / 256),
+                    u0, np.zeros(256))
     assert grid.l2_norm(z32 - z256) <= 1e-12
 
 
@@ -233,7 +233,7 @@ def test_hom_II_zero_order_growth_exact(stable2):
     dt, n_steps = 0.02, 50
     st = spde.prepare_homogenized_II(only_f, grid, dt)
     u0 = spde.initial_profile(grid, "gauss")
-    u = spde.run_path(st, u0, np.zeros(n_steps))
+    u = run_path(st, u0, np.zeros(n_steps))
     assert np.max(np.abs(u - u0 * np.exp(sol.f_bar * dt * n_steps))) <= 1e-12
 
 
@@ -245,7 +245,7 @@ def test_hom_II_advection_translates(stable2):
     dt, n_steps = 0.01, 40
     st = spde.prepare_homogenized_II(adv, grid, dt)
     u0 = spde.initial_profile(grid, "gauss")
-    u = spde.run_path(st, u0, np.zeros(n_steps))
+    u = run_path(st, u0, np.zeros(n_steps))
     # d_t v = g_bar v' translates the profile to the left by g_bar t
     shift = adv.g_bar * dt * n_steps
     target = np.exp(-((grid.x + shift) ** 2)
@@ -259,15 +259,15 @@ def test_het_II_matches_tenfold_refined_explicit():
     eps = 1.0 / 4.0
     dt = 2e-4
     semi = spde.prepare_heterogeneous_II(cset, eps, grid, dt)
-    expl = spde.prepare_explicit(cset, eps, grid, dt / 10.0, part="II")
+    expl = prepare_explicit(cset, eps, grid, dt / 10.0, part="II")
     rng = np.random.default_rng(23)
     n_steps = 250
     dws = rng.normal(0.0, np.sqrt(dt), n_steps)
     u0 = spde.initial_profile(grid, "gauss")
-    u_semi = spde.run_path(semi, u0, dws)
+    u_semi = run_path(semi, u0, dws)
     fine = np.zeros(10 * n_steps)
     fine[0::10] = dws
-    u_expl = spde.run_path(expl, u0, fine)
+    u_expl = run_path(expl, u0, fine)
     assert grid.l2_norm(u_semi - u_expl) / grid.l2_norm(u_expl) <= 1e-3
 
 
@@ -289,7 +289,7 @@ _PREPARES = {
         spde.prepare_heterogeneous_II(st[0], 1.0 / 8.0, grid, dt),
     "homogenized_II": lambda vc, st, grid, dt: spde.prepare_homogenized_II(
         st[1], grid, dt),
-    "explicit": lambda vc, st, grid, dt: spde.prepare_explicit(
+    "explicit": lambda vc, st, grid, dt: prepare_explicit(
         vc[0], 1.0 / 8.0, grid, dt, part="I"),
 }
 
@@ -720,35 +720,3 @@ def test_part_II_ensemble_gap_shrinks(stable2):
                        for ph, pm in zip(het, hom)])
         gaps.append(abs(dj[:, 0].mean()))
     assert gaps[1] < gaps[0]
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_csv_writers_roundtrip(tmp_path, varcoef):
-    cset, sol = varcoef
-    cfg = _small_config(T_end=2e-3, n_paths=2)
-    het, _ = spde.run_ensemble(cfg, sol, cset)
-    snap_file = os.path.join(tmp_path, "snap.csv")
-    spde.write_snapshot_csv(het[0], snap_file)
-    with open(snap_file) as fh:
-        header = fh.readline().strip()
-        first = fh.readline().strip().split(",")
-    assert header == "time,x,u"
-    assert float(first[0]) == het[0].times[0]
-    assert float(first[1]) == cfg.grid.x[0]
-    assert float(first[2]) == het[0].snapshots[0, 0]
-
-    fn_file = os.path.join(tmp_path, "fn.csv")
-    spde.write_functional_csv(het, fn_file)
-    rows = open(fn_file).read().strip().split("\n")
-    assert rows[0] == "time,path,xi_index,value"
-    assert len(rows) == 1 + 2 * len(het[0].times) * 3
-    t, pidx, j, val = rows[1].split(",")
-    assert float(val) == het[0].pairings[0, 0]
-
-    bare = dataclasses.replace(het[1], snapshots=None)
-    with pytest.raises(ValueError):
-        spde.write_snapshot_csv(bare, fn_file)
