@@ -517,12 +517,6 @@ class CellSolutionI:
     residuals: Dict[str, float] = field(default_factory=dict)
     coercivity: Tuple[float, float] = (0.0, 0.0)
 
-    @property
-    def c_bar(self):
-        """int m sigma^2 dy: the zero-order constant of the homogenized filter."""
-        g = self.cset.grid
-        return float(np.sum(self.m.values * self.cset.sigma.values**2) * g.h)
-
 
 def solve_cell_I(cset) -> CellSolutionI:
     """Run the full Part I chain with all cross-checks on one
@@ -656,11 +650,6 @@ class CellSolutionII:
     sigma_bar: float
     centering: float
     residuals: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def c_bar(self):
-        g = self.cset.grid
-        return float(np.sum(self.m1.values * self.cset.sigma.values**2) * g.h)
 
 
 def solve_cell_II(cset) -> CellSolutionII:

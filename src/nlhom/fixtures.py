@@ -22,8 +22,7 @@ import numpy as np
 from . import cell
 from .coefficients import CoefficientSetI, CoefficientSetII
 from .kernels import box_kernel, gaussian_kernel
-from .torus import (PeriodicField, TorusGrid, _check_count, _check_positive,
-                    field_from_function)
+from .torus import PeriodicField, TorusGrid, _check_count, field_from_function
 
 TWO_PI = 2.0 * np.pi
 
@@ -48,22 +47,25 @@ __all__ = [
 # and 0.0026 times it at n = 2048 (k = -12 ... 11).  0.005 n^2 u int |b m|
 # covers n >= 512 and stays below 1e-13 on every set of n <= 512 tried
 # (varcoef-1, stable-1, random-I at 256 for seeds 0-19, random-II at 512 for
-# seeds 0-99), so there the stop is ``tol`` itself; at n = 256 the floor,
-# at most 3.1e-14, is far below ``tol``.
+# seeds 0-99), so there the stop is _CENTER_TOL itself; at n = 256 the
+# floor, at most 3.1e-14, is far below it.
 _FLOOR_FACTOR = 0.005
+# the centering stop on |int b m| and the most Newton sweeps it may take
+_CENTER_TOL = 1e-13
+_CENTER_MAX_ITER = 40
 
 
-def _centering_bias(b, m, h, tol):
+def _centering_bias(b, m, h):
     """(int b m, stop) on n samples b and m: the bias and the stop
-    max(tol, _FLOOR_FACTOR n^2 u int |b m|)."""
+    max(_CENTER_TOL, _FLOOR_FACTOR n^2 u int |b m|)."""
     bm = b * m
     n = b.size
     floor = _FLOOR_FACTOR * n * n * np.finfo(float).eps * h \
         * float(np.sum(np.abs(bm)))
-    return float(np.sum(bm) * h), max(tol, floor)
+    return float(np.sum(bm) * h), max(_CENTER_TOL, floor)
 
 
-def _center_drift(cset, name, density, tol=1e-13, max_iter=40):
+def _center_drift(cset, name, density):
     """Shift the drift field ``name`` by a constant c until int (b0 - c) m = 0.
 
     Newton's method on the scalar c.  The generator of the shifted drift is
@@ -74,22 +76,21 @@ def _center_drift(cset, name, density, tol=1e-13, max_iter=40):
     :class:`cell.CellOperator` of the shifted set (A_c and its one LU) and
     takes m_c from ``density`` (which runs its positivity, residual and
     rank checks); the sweep's operator is released before the next one
-    assembles.  The sweeps stop at |B| <= max(tol, floor), the floor being
-    the bias's rounding floor (see ``_centering_bias``), so rounding alone
-    never takes a further sweep.  Returns (centered set, its density, its
-    operator) of the last sweep.
+    assembles.  The sweeps stop at |B| <= max(_CENTER_TOL, floor), the
+    floor being the bias's rounding floor (see ``_centering_bias``), so
+    rounding alone never takes a further sweep; after _CENTER_MAX_ITER
+    sweeps they give up.  Returns (centered set, its density, its operator)
+    of the last sweep.
     """
-    _check_count("max_iter", max_iter, 1)
-    _check_positive("tol", tol)
     b0 = getattr(cset, name).values
     h = cset.grid.h
     c = 0.0
     current = cset
-    for _ in range(max_iter):
+    for _ in range(_CENTER_MAX_ITER):
         op = cell.CellOperator(current)
         m, _ = density(op)
         b = getattr(current, name).values
-        bias, stop = _centering_bias(b, m.values, h, tol)
+        bias, stop = _centering_bias(b, m.values, h)
         if abs(bias) <= stop:
             return current, m, op
         dm = op.lu.solve(-m.derivative(1).values, adjoint=True)
@@ -100,21 +101,19 @@ def _center_drift(cset, name, density, tol=1e-13, max_iter=40):
     raise RuntimeError("drift centering did not converge (last bias %.3g)" % bias)
 
 
-def center_drift_I(cset, tol=1e-13, max_iter=40):
+def center_drift_I(cset):
     """Shift b by a constant so that the centering condition int b m = 0
-    holds to ``tol``, m the invariant density of the shifted generator;
-    returns the centered set.  Newton's method on the shift (see
-    :func:`_center_drift`) reaches ``tol``, or the bias's rounding floor
-    where that is larger, in three sweeps on the fixtures.
+    holds to _CENTER_TOL (1e-13), m the invariant density of the shifted
+    generator; returns the centered set.  Newton's method on the shift (see
+    :func:`_center_drift`) reaches it, or the bias's rounding floor where
+    that is larger, in three sweeps on the fixtures.
     """
-    return _center_drift(cset, "b", cell.solve_invariant_density_I, tol,
-                         max_iter)[0]
+    return _center_drift(cset, "b", cell.solve_invariant_density_I)[0]
 
 
-def center_drift_II(cset, tol=1e-13, max_iter=40):
+def center_drift_II(cset):
     """Part II analog: shift d by a constant so that int d m1 = 0."""
-    return _center_drift(cset, "d", cell.solve_invariant_density_II, tol,
-                         max_iter)[0]
+    return _center_drift(cset, "d", cell.solve_invariant_density_II)[0]
 
 
 @lru_cache(maxsize=None)

@@ -42,6 +42,7 @@ from .kernels import jump_column
 from .torus import (
     _annihilate_constants,
     _check_count,
+    _check_positive,
     _field_blocks,
     _stable_blocks,
     _symbol_column,
@@ -87,8 +88,9 @@ class LineGrid:
     """
 
     def __init__(self, half_width, n):
+        _check_positive("half_width", half_width)
         two_l = 2.0 * half_width
-        if two_l <= 0 or abs(two_l - round(two_l)) > 1e-12:
+        if abs(two_l - round(two_l)) > 1e-12:
             raise ValueError("window width 2L must be a positive integer, got %r"
                              % (two_l,))
         _check_count("n", n, 16)
@@ -370,15 +372,12 @@ def residual_lemma_2_10(xi, cell, cset, eps, grid, operator=None):
     return grid.l2_norm(operator.adjoint_apply(xi_eps) - target)
 
 
-def residual_part_II(xi, psi, cell, cset, eps, grid, operator=None,
-                     target="adjoint"):
+def residual_part_II(xi, psi, cell, cset, eps, grid, operator=None):
     """|((V_eps)* xi_eps, psi) - ((V0)* xi, psi)| on the line grid.
 
-    ``target`` selects the limit pairing: "adjoint" (default) compares
-    against the adjoint of the homogenized generator, which is the form the
-    martingale characterization consumes and the one observed to converge;
-    "forward" pairs against V0 xi as sometimes displayed, and differs from
-    the adjoint form by 2 g_bar (xi', psi) whenever g_bar != 0.
+    The limit pairing is the adjoint of the homogenized generator, the form
+    the martingale characterization consumes; the forward pairing
+    (V0 xi, psi) differs from it by 2 g_bar (xi', psi).
     """
     eps = _eps_value(eps)
     if operator is None:
@@ -387,13 +386,7 @@ def residual_part_II(xi, psi, cell, cset, eps, grid, operator=None,
     psi = np.asarray(psi, dtype=float)
     xi_eps = corrector_test_function_II(xi, cell, eps, grid)
     lhs = grid.inner(operator.adjoint_apply(xi_eps), psi)
-    V0 = assemble_V0(cell, grid)
-    if target == "adjoint":
-        rhs = grid.inner(V0.adjoint_apply(xi), psi)
-    elif target == "forward":
-        rhs = grid.inner(V0.apply(xi), psi)
-    else:
-        raise ValueError("unknown target %r" % (target,))
+    rhs = grid.inner(assemble_V0(cell, grid).adjoint_apply(xi), psi)
     return abs(lhs - rhs)
 
 

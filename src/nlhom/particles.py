@@ -51,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import _eps_value
-from .torus import _check_count, _check_positive
+from .torus import _check_count, _check_positive, _finite_real
 
 __all__ = [
     "RngStream",
@@ -63,6 +63,10 @@ __all__ = [
 ]
 
 _TABLE_RESOLUTION = 8192
+# points of the inverse-CDF table of a kernel without a built-in sampler
+_SAMPLER_RESOLUTION = 4096
+# stable increments beyond this magnitude are clipped for float safety
+_TRUNCATION = 1e6
 _CHUNK_SIZE = 4096
 _STEP_BLOCK = 128
 # largest admissible dt per eps**2 (jump-diffusion) or per eps (signal)
@@ -161,12 +165,12 @@ class _Tables:
         return out
 
 
-def _kernel_sampler(kernel, resolution=4096):
+def _kernel_sampler(kernel):
     """Sampler for Z ~ c/a1; exact built-in sampler or inverse-CDF table."""
     if kernel.sampler is not None:
         return kernel.sampler
     R = kernel.truncation_radius
-    z = np.linspace(-R, R, resolution + 1)
+    z = np.linspace(-R, R, _SAMPLER_RESOLUTION + 1)
     density = np.maximum(np.asarray(kernel.evaluate(z), dtype=float), 0.0)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]))])
     cdf *= (z[1] - z[0])
@@ -202,7 +206,7 @@ def _sin_double(v):
     return v
 
 
-def _stable_draws(alpha, size, rng, truncation=1e6):
+def _stable_draws(alpha, size, rng):
     """CMS draws of the standard symmetric alpha-stable law S(alpha).
 
     Characteristic function exp(-|theta|^alpha).  With u uniform on
@@ -224,7 +228,7 @@ def _stable_draws(alpha, size, rng, truncation=1e6):
     Draws u, then w: the generator ends in the same state as after
     ``uniform`` then ``exponential``.
 
-    Returns (draws, number of draws clipped at +-truncation).
+    Returns (draws, number of draws clipped at +-_TRUNCATION).
     """
     u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size)
     if alpha == 1.0:
@@ -249,9 +253,9 @@ def _stable_draws(alpha, size, rng, truncation=1e6):
         t /= alpha
         np.exp(t, out=t)
         x *= t
-    clipped = int(np.count_nonzero(np.abs(x) > truncation))
+    clipped = int(np.count_nonzero(np.abs(x) > _TRUNCATION))
     if clipped:
-        np.clip(x, -truncation, truncation, out=x)
+        np.clip(x, -_TRUNCATION, _TRUNCATION, out=x)
     return x, clipped
 
 
@@ -355,8 +359,8 @@ def _check_run(T_end, dt, x0, n_paths, n_save, chunk_size, seed):
     """
     _check_positive("T_end", T_end)
     _check_positive("dt", dt)
-    if not np.isfinite(x0):
-        raise ValueError("x0 must be finite, got %r" % (x0,))
+    if not _finite_real(x0):
+        raise ValueError("x0 must be finite and real, got %r" % (x0,))
     for name, value, least in (("n_paths", n_paths, 1), ("n_save", n_save, 2),
                                ("chunk_size", chunk_size, 1), ("seed", seed, 0)):
         _check_count(name, value, least)
@@ -653,26 +657,20 @@ def estimate_Q_monte_carlo(cset, eps, T_end, n_paths, seed, dt=None,
 
 
 def simulate_signal_II(cset, eps, T_end, dt, n_paths, seed, x0=0.0, n_save=9,
-                       drift_scaling="operator", truncation=1e6,
                        chunk_size=_CHUNK_SIZE):
     """Euler paths of the alpha-stable signal with fast coefficients.
 
-    Per step: x <- x + s(eps) d(x/eps) dt + delta(x/eps) dL, with dL an
-    exact symmetric alpha-stable increment over dt (clipped at
-    ``truncation`` for float safety; the clip count is reported on the
+    Per step: x <- x + eps**(1-alpha) d(x/eps) dt + delta(x/eps) dL, with
+    dL an exact symmetric alpha-stable increment over dt (clipped at
+    ``_TRUNCATION`` for float safety; the clip count is reported on the
     ensemble).
 
-    The drift scale s(eps) follows ``drift_scaling``:
-
-    * ``"operator"`` (default): s = eps**(1-alpha), the scale at which the
-      drift joins the fractional part in the fast generator — the fast
-      cell dynamics then match the invariant density m1 and the effective
-      fractional coefficient, which is what the generator-level
-      convergence statements use.
-    * ``"literal"``: s = 1/eps, the displayed SDE scaling.  For alpha < 2
-      this makes the fast drift dominate the fast jumps (order
-      eps**(alpha-2) in cell time), so no nontrivial homogenized limit is
-      reached; it is kept selectable for side-by-side comparison.
+    The drift scale eps**(1-alpha) is the one at which the drift joins the
+    fractional part in the fast generator, so the fast cell dynamics match
+    the invariant density m1 and the effective fractional coefficient that
+    the generator-level convergence statements use.  The displayed SDE's
+    literal 1/eps scale has no nontrivial limit for alpha < 2: the fast
+    drift would dominate the fast jumps by eps**(alpha-2) in cell time.
 
     Parameters
     ----------
@@ -688,21 +686,13 @@ def simulate_signal_II(cset, eps, T_end, dt, n_paths, seed, x0=0.0, n_save=9,
     """
     eps_val = _eps_value(eps)
     _check_run(T_end, dt, x0, n_paths, n_save, chunk_size, seed)
-    if not truncation > 0.0:
-        raise ValueError("truncation must be positive, got %r"
-                         % (truncation,))
     if dt > _DT_SAFETY * eps_val * (1.0 + 1e-12):
         raise ValueError(
             "dt=%g too large for eps=%g: need dt <= %g (= %g eps)"
             % (dt, eps_val, _DT_SAFETY * eps_val, _DT_SAFETY)
         )
     alpha = float(cset.alpha)
-    if drift_scaling == "operator":
-        drift_scale = eps_val ** (1.0 - alpha)
-    elif drift_scaling == "literal":
-        drift_scale = 1.0 / eps_val
-    else:
-        raise ValueError("drift_scaling must be 'operator' or 'literal'")
+    drift_scale = eps_val ** (1.0 - alpha)
     n_steps, dt_eff, save_idx = _step_grid(T_end, dt, n_save)
     jump_scale = dt_eff ** (1.0 / alpha)
 
@@ -723,7 +713,7 @@ def simulate_signal_II(cset, eps, T_end, dt, n_paths, seed, x0=0.0, n_save=9,
         save_pos = 1
         for step in range(1, n_steps + 1):
             idx, frac = _locate(x, inv_eps)
-            draws, clipped = _stable_draws(alpha, m, g, truncation)
+            draws, clipped = _stable_draws(alpha, m, g)
             n_clipped += clipped
             drift, jump = step_tab.at(idx, frac)
             draws *= jump

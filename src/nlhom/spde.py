@@ -30,9 +30,8 @@ dt <= 0.1 eps^alpha for the stable family).  The homogenized noise sigma_bar
 u dW does not vary in x, so every homogenized path is the one deterministic
 flow S_t u0 times its own scalar growth prod_k (1 + sigma_bar dW_k): a chunk
 marches that one flow and an (m,) growth vector instead of m columns.
-Heterogeneous and homogenized solvers consume identical Brownian increments
-when the coupling is shared, which slashes the variance of paired law
-comparisons.
+Heterogeneous and homogenized solvers always consume identical Brownian
+increments, which slashes the variance of paired law comparisons.
 
 The two steppers, :class:`SemiImplicitStepper` and :class:`SpectralStepper`,
 are what :func:`run_ensemble` marches; the results are the in-memory
@@ -64,10 +63,9 @@ __all__ = [
 #: an ensemble is heavy-tailed even though the mean obeys a moment bound:
 #: pilots measured max ratios ~0.2 (no noise), ~4.3 (64 paths, sigma_bar ~ 1,
 #: T = 0.25) and the 2000-path acceptance configs project to O(10^2-10^3).
-#: The default therefore sits at 1e4: far beyond any plausible noise
+#: The cap therefore sits at 1e4: far beyond any plausible noise
 #: excursion of the acceptance runs, yet many orders of magnitude before a
-#: genuine scheme blow-up, which is what the abort is for.  Tighten per run
-#: via SpdeConfig.energy_cap_C when the noise level is known.
+#: genuine scheme blow-up, which is what the abort is for.
 ENERGY_CAP_C = 1.0e4
 
 _PROFILE_NAMES = ("gauss", "double", "indicator")
@@ -278,6 +276,9 @@ def prepare_homogenized_II(cell, grid, dt):
 class SpdeConfig:
     """Run description for a paired heterogeneous/homogenized ensemble.
 
+    Both solvers of a path consume the same Brownian increments, and every
+    run aborts when max_t ||u_t||^4 > ENERGY_CAP_C (1 + ||u_0||^4).
+
     Parameters
     ----------
     part : str
@@ -300,9 +301,6 @@ class SpdeConfig:
     u0 : str or ndarray
         Named profile ("gauss", "double", "indicator") or explicit samples
         with finite, nonzero L2 norm.
-    noise_coupling : str
-        "shared" feeds both solvers identical increments; "independent"
-        gives the homogenized solver the child stream.
     n_save : int
         Number of recorded times (pairings and snapshots), endpoints
         included.
@@ -311,8 +309,6 @@ class SpdeConfig:
     store_increments : bool
         Keep per-path increment arrays on the records (disable for large
         step counts; the variance check runs either way).
-    energy_cap_C : float
-        Abort threshold C in max_t ||u_t||^4 <= C (1 + ||u_0||^4).
     chunk_size : int
         Paths marched per state-matrix block.
     """
@@ -325,25 +321,20 @@ class SpdeConfig:
     n_paths: int
     seed: int
     u0: Union[str, np.ndarray] = "gauss"
-    noise_coupling: str = "shared"
     n_save: int = 9
     n_snapshot_paths: int = 4
     store_increments: bool = True
-    energy_cap_C: float = ENERGY_CAP_C
     chunk_size: int = 512
 
     def __post_init__(self):
         if self.part not in ("I", "II"):
             raise ValueError("part must be 'I' or 'II', got %r" % (self.part,))
-        for label in ("dt", "T_end", "energy_cap_C"):
+        for label in ("dt", "T_end"):
             _check_positive(label, getattr(self, label))
         for label, least in (("n_paths", 1), ("n_save", 2),
                              ("n_snapshot_paths", 0), ("chunk_size", 1),
                              ("seed", 0)):
             _check_count(label, getattr(self, label), least)
-        if self.noise_coupling not in ("shared", "independent"):
-            raise ValueError("noise_coupling must be 'shared' or "
-                             "'independent', got %r" % (self.noise_coupling,))
         e = _eps_value(self.eps)
         self.grid.points_per_cell(e)
         if self.part == "I" and self.dt > 0.1 * e * e * (1.0 + 1e-9):
@@ -457,8 +448,8 @@ def run_ensemble(config, cell, cset, battery=None):
     Returns
     -------
     (list of FieldPath, list of FieldPath)
-        Heterogeneous and homogenized path records, index-aligned, with
-        shared Brownian increments when the coupling is shared.
+        Heterogeneous and homogenized path records, index-aligned; path j
+        of both consumed the same Brownian increments.
 
     Notes
     -----
@@ -497,13 +488,12 @@ def run_ensemble(config, cell, cset, battery=None):
     u0 = config.initial_state()
     u0_hat = het_op.to_bloch(u0)
     norm0_sq = grid.l2_norm(u0) ** 2
-    cap = config.energy_cap_C * (1.0 + norm0_sq ** 2)
+    cap = ENERGY_CAP_C * (1.0 + norm0_sq ** 2)
     band = np.abs(grid.x) >= 0.95 * grid.half_width
     band_rows = np.vstack([band, np.ones(grid.n)])
     save_set = {int(k): i for i, k in enumerate(save_idx)}
     times = save_idx * dt_eff
     n_rec = len(save_idx)
-    shared = config.noise_coupling == "shared"
     sqrt_dt = np.sqrt(dt_eff)
 
     # pooled second moment of all consumed increments, checked at the end
@@ -516,17 +506,11 @@ def run_ensemble(config, cell, cset, battery=None):
         hi = min(lo + config.chunk_size, config.n_paths)
         m = hi - lo
         n_snap = min(m, max(0, config.n_snapshot_paths - lo))
-        inc_het = np.empty((n_steps, m))
-        inc_hom = inc_het if shared else np.empty((n_steps, m))
+        inc = np.empty((n_steps, m))
         for j in range(m):
-            stream = RngStream(config.seed, stream=lo + j)
-            inc_het[:, j] = stream.generator().standard_normal(n_steps)
-            if not shared:
-                inc_hom[:, j] = stream.child().generator() \
-                    .standard_normal(n_steps)
-        inc_het *= sqrt_dt
-        if not shared:
-            inc_hom *= sqrt_dt
+            inc[:, j] = RngStream(config.seed, stream=lo + j).generator() \
+                .standard_normal(n_steps)
+        inc *= sqrt_dt
 
         # heterogeneous paths march as the Bloch coefficients of one state
         # block; the homogenized ones are the one flow S_t u0 times a growth
@@ -583,20 +567,16 @@ def run_ensemble(config, cell, cset, battery=None):
 
         observe(0, 0)
         for k in range(n_steps):
-            U_hat = het.bloch_step(U_hat, inc_het[k])
+            U_hat = het.bloch_step(U_hat, inc[k])
             U = het_op.from_bloch(U_hat)
             flow = hom.step(flow, 0.0)
-            growth *= 1.0 + hom.sigma_bar * inc_hom[k]
+            growth *= 1.0 + hom.sigma_bar * inc[k]
             observe(k + 1, save_set.get(k + 1))
 
-        pool_ss += float(np.sum(inc_het ** 2))
-        pool_n += inc_het.size
-        if not shared:
-            pool_ss += float(np.sum(inc_hom ** 2))
-            pool_n += inc_hom.size
+        pool_ss += float(np.sum(inc ** 2))
+        pool_n += inc.size
 
-        for side, out, inc in (("het", het_paths, inc_het),
-                               ("hom", hom_paths, inc_hom)):
+        for side, out in (("het", het_paths), ("hom", hom_paths)):
             for j in range(m):
                 out.append(FieldPath(
                     path_index=lo + j,

@@ -56,11 +56,17 @@ def _check_count(name, value, least):
                          % (name, least, value))
 
 
+def _finite_real(value):
+    """Whether value is a finite real (numpy reals accepted, bool, strings
+    and None refused)."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) \
+        and math.isfinite(value)
+
+
 def _check_positive(name, value):
-    """Refuse a value that is not a finite positive real (numpy reals
-    accepted, bool, strings and None refused) with a ValueError naming it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not (math.isfinite(value) and value > 0):
+    """Refuse a value that is not a finite positive real with a ValueError
+    naming it."""
+    if not (_finite_real(value) and value > 0):
         raise ValueError("%s must be finite and positive, got %r"
                          % (name, value))
 

@@ -926,30 +926,11 @@ def test_centering_stop_clears_the_rounding_floor(monkeypatch):
             == 1, k
 
 
-@pytest.mark.parametrize("center, build", [
-    (center_drift_I, lambda: varcoef_1(64)),
-    (center_drift_II, lambda: stable_1(64)),
-], ids=["I", "II"])
-def test_centering_rejects_bad_arguments(monkeypatch, center, build):
-    cset = build()
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("assembled before the arguments were checked")
-
-    for name in ("assemble_torus_generator_I", "assemble_torus_generator_II"):
-        monkeypatch.setattr(cell, name, forbidden)
-    for max_iter in (0, -1, 2.5, True, None, "3"):
-        with pytest.raises(ValueError, match="max_iter"):
-            center(cset, max_iter=max_iter)
-    for tol in (-1.0, 0.0, np.nan, np.inf, None, "1e-13"):
-        with pytest.raises(ValueError, match="tol"):
-            center(cset, tol=tol)
-
-
 @pytest.mark.parametrize("center, build, name", [
     (center_drift_I, lambda: varcoef_1(64), "b"),
     (center_drift_II, lambda: stable_1(64), "d"),
 ], ids=["I", "II"])
-def test_centering_reports_last_bias(center, build, name):
+def test_centering_reports_last_bias(monkeypatch, center, build, name):
+    monkeypatch.setattr(fixtures, "_CENTER_MAX_ITER", 1)
     with pytest.raises(RuntimeError, match="last bias"):
-        center(_shifted(build(), name, 0.05), max_iter=1)
+        center(_shifted(build(), name, 0.05))

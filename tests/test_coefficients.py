@@ -12,7 +12,6 @@ from nlhom.coefficients import (
     validate_II,
 )
 from nlhom.fixtures import (
-    center_drift_I,
     coefficient_set_by_name,
     const_1,
     random_set_I,
@@ -51,13 +50,14 @@ def _spde_config(**bad):
     return spde.SpdeConfig(**kw)
 
 
-def _jump_run(T_end=0.01, dt=1e-3):
+def _jump_run(T_end=0.01, dt=1e-3, x0=0.0):
     return particles.simulate_jump_diffusion_I(const_1(), 0.25, T_end, dt,
-                                               n_paths=2, seed=0)
+                                               n_paths=2, seed=0, x0=x0)
 
 
-def _signal_run(T_end=0.01, dt=1e-3):
-    return particles.simulate_signal_II(stable_2(64), 0.25, T_end, dt, 2, 0)
+def _signal_run(T_end=0.01, dt=1e-3, x0=0.0):
+    return particles.simulate_signal_II(stable_2(64), 0.25, T_end, dt, 2, 0,
+                                        x0=x0)
 
 
 # (name in the message, call taking the value)
@@ -68,15 +68,12 @@ POSITIVE_SITES = {
         1.0, 0.0, LineGrid(2.0, 64), v)),
     "SpdeConfig dt": ("dt", lambda v: _spde_config(dt=v)),
     "SpdeConfig T_end": ("T_end", lambda v: _spde_config(T_end=v)),
-    "SpdeConfig energy_cap_C": ("energy_cap_C",
-                                lambda v: _spde_config(energy_cap_C=v)),
     "jump-diffusion T_end": ("T_end", lambda v: _jump_run(T_end=v)),
     "jump-diffusion dt": ("dt", lambda v: _jump_run(dt=v)),
     "signal T_end": ("T_end", lambda v: _signal_run(T_end=v)),
     "signal dt": ("dt", lambda v: _signal_run(dt=v)),
     "stable increment dt": ("dt", lambda v: particles.sample_stable_increment(
         1.5, v, np.random.default_rng(0))),
-    "centering tol": ("tol", lambda v: center_drift_I(const_1(), tol=v)),
 }
 
 
@@ -89,6 +86,28 @@ def test_finite_positive_sites_refuse_non_reals(site):
         with pytest.raises(ValueError,
                            match="%s must be finite and positive" % name):
             call(value)
+
+
+# (start of the message, call taking the value)
+RAW_NUMBER_SITES = {
+    "Epsilon": ("K must be an integer", Epsilon),
+    "LineGrid": ("half_width must be finite and positive",
+                 lambda v: LineGrid(v, 64)),
+    "CoefficientSetII": ("alpha must lie in",
+                         lambda v: stable_2(64).with_fields(alpha=v)),
+    "jump-diffusion x0": ("x0 must be finite", lambda v: _jump_run(x0=v)),
+    "signal x0": ("x0 must be finite", lambda v: _signal_run(x0=v)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(RAW_NUMBER_SITES))
+@pytest.mark.parametrize("value", [None, "1", np.inf, np.nan, True])
+def test_raw_number_sites_refuse_non_numbers(site, value):
+    # None and strings raised TypeError or failed in numpy's isfinite,
+    # infinities raised OverflowError, and True passed as 1
+    message, call = RAW_NUMBER_SITES[site]
+    with pytest.raises(ValueError, match=message):
+        call(value)
 
 
 def test_validate_const_passes():

@@ -502,17 +502,18 @@ def test_residual_part_II_const_trivial(grid):
 
 
 def test_residual_part_II_forward_target_offset(grid):
-    # the forward pairing differs from the converging adjoint one by the
-    # 2 g_bar (xi', psi) drift-orientation term; with constants it is exact
+    # the forward pairing (V0 xi, psi) differs from the converging adjoint
+    # one by the 2 g_bar (xi', psi) drift-orientation term; with constants
+    # the adjoint residual vanishes and the offset is exact
     cset = _const_set_II(d=0.0, g=0.3)
     cell = solve_cell_II(cset)
     xi = lo.gaussian_bump(grid, width=0.5)
     psi = lo.gaussian_bump(grid, center=0.3, width=0.7)
-    fwd = lo.residual_part_II(xi, psi, cell, cset, 0.25, grid, target="forward")
-    offset = abs(2.0 * 0.3 * grid.inner(grid.apply_derivative(xi, 1), psi))
-    assert abs(fwd - offset) < 1e-10
-    with pytest.raises(ValueError):
-        lo.residual_part_II(xi, psi, cell, cset, 0.25, grid, target="weird")
+    V0 = lo.assemble_V0(cell, grid)
+    gap = grid.inner(V0.apply(xi) - V0.adjoint_apply(xi), psi)
+    offset = 2.0 * 0.3 * grid.inner(grid.apply_derivative(xi, 1), psi)
+    assert abs(gap - offset) < 1e-10
+    assert lo.residual_part_II(xi, psi, cell, cset, 0.25, grid) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Packaging metadata, module exports and the benchmark's trace hooks point
 at code that exists, and the benchmark's reference traces are the package's."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -34,6 +35,29 @@ def test_module_exports_resolve():
         missing = [name for name in getattr(module, "__all__", ())
                    if not hasattr(module, name)]
         assert not missing, "nlhom.%s.__all__ names %r" % (info.name, missing)
+
+
+def test_no_string_selected_modes():
+    # a mode picked by a string default ("literal", "forward", ...) is a
+    # second code path the lab does not run; the paper fixes one scaling
+    # and one pairing per result, so each such fork must argue its case
+    found = []
+    for path in sorted((ROOT / "src" / "nlhom").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional)
+                                        - len(args.defaults):],
+                             args.defaults))
+            pairs += list(zip(args.kwonlyargs, args.kw_defaults))
+            found += ["%s:%d %s(%s=%r)" % (path.name, node.lineno, node.name,
+                                           arg.arg, default.value)
+                      for arg, default in pairs
+                      if isinstance(default, ast.Constant)
+                      and isinstance(default.value, str)]
+    assert not found, found
 
 
 def _package_bindings():

@@ -200,9 +200,16 @@ def test_stable_increment_scalar_and_validation():
         pm.sample_stable_increment(1.5, 0.0, g)
 
 
+def _clipped_draws(alpha, size, rng, truncation):
+    """``pm._stable_draws`` with the clip magnitude set to ``truncation``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pm, "_TRUNCATION", truncation)
+        return pm._stable_draws(alpha, size, rng)
+
+
 def test_stable_truncation_counted():
     g = pm.RngStream(11).generator()
-    draws, clipped = pm._stable_draws(0.8, 10**4, g, truncation=3.0)
+    draws, clipped = _clipped_draws(0.8, 10**4, g, 3.0)
     assert clipped > 0
     assert np.abs(draws).max() <= 3.0
 
@@ -404,10 +411,13 @@ def test_chunked_paths_extend_deterministically(seed, chunk, extra):
     assert np.array_equal(small.positions, large.positions[:, :chunk])
     assert np.array_equal(small.jump_counts, large.jump_counts[:chunk])
     base = coefficient_set_by_name("stable-1")
-    small = pm.simulate_signal_II(base, 0.25, 1.0, 0.02, chunk, seed=seed,
-                                  chunk_size=chunk, truncation=5.0)
-    large = pm.simulate_signal_II(base, 0.25, 1.0, 0.02, (1 + extra) * chunk,
-                                  seed=seed, chunk_size=chunk, truncation=5.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pm, "_TRUNCATION", 5.0)
+        small = pm.simulate_signal_II(base, 0.25, 1.0, 0.02, chunk,
+                                      seed=seed, chunk_size=chunk)
+        large = pm.simulate_signal_II(base, 0.25, 1.0, 0.02,
+                                      (1 + extra) * chunk, seed=seed,
+                                      chunk_size=chunk)
     assert np.array_equal(small.positions, large.positions[:, :chunk])
     assert small.truncation_count <= large.truncation_count
 
@@ -521,9 +531,6 @@ def test_signal_guards():
     cset = coefficient_set_by_name("stable-1")
     with pytest.raises(ValueError, match="dt"):
         pm.simulate_signal_II(cset, 1.0 / 16.0, 1.0, 0.05, 16, seed=1)
-    with pytest.raises(ValueError, match="drift_scaling"):
-        pm.simulate_signal_II(cset, 1.0 / 16.0, 0.1, 0.005, 16, seed=1,
-                              drift_scaling="bogus")
 
 
 def test_signal_reproducible():
@@ -574,12 +581,15 @@ def test_signal_generator_matches_homogenized_action(stable):
     mean_op, se_op = paired_stat(ens)
     assert abs(mean_op) <= 3 * se_op
 
-    # the literal 1/eps drift scaling leaves the drift at a lower order
+    # the literal 1/eps drift scaling (d raised by eps**(alpha - 2) at the
+    # package's eps**(1 - alpha) scale) leaves the drift at a lower order
     # than the fractional part, so its fast dynamics equilibrates to a
     # different (drift-dominated) cell law: the same statistic moves
     # clearly off zero (measured +0.046 vs a 3-SE band of 0.016)
-    lit = pm.simulate_signal_II(cset, eps, 0.75, dt, 4 * 10**4, seed=55,
-                                n_save=4, drift_scaling="literal")
+    literal = cset.with_fields(d=PeriodicField(
+        cset.grid, cset.d.values * eps ** (cset.alpha - 2.0)))
+    lit = pm.simulate_signal_II(literal, eps, 0.75, dt, 4 * 10**4, seed=55,
+                                n_save=4)
     mean_lit, se_lit = paired_stat(lit)
     assert abs(mean_lit) > 3 * se_lit
     assert abs(mean_lit) > abs(mean_op)
@@ -630,13 +640,6 @@ def test_x0_must_be_finite(family, x0):
 def test_chunk_size_must_be_positive(family, chunk_size):
     with pytest.raises(ValueError, match="chunk_size must be at least 1"):
         _simulate(family, chunk_size=chunk_size)
-
-
-@pytest.mark.parametrize("truncation", [0.0, -1.0, np.nan])
-def test_signal_truncation_must_be_positive(truncation):
-    # truncation = 0 used to clip every stable increment to 0
-    with pytest.raises(ValueError, match="truncation must be positive"):
-        _simulate("signal", truncation=truncation)
 
 
 @pytest.mark.parametrize("name, value, message", [
@@ -994,9 +997,11 @@ def test_signal_kernels_match_old_loop(seed, shape, alpha, x0, eps,
     cset = coefficient_set_by_name("stable-1").with_fields(alpha=alpha)
     dt = 0.02 * eps
     T_end = 16 * dt
-    ens = pm.simulate_signal_II(
-        cset, eps, T_end, dt, n_paths, seed, x0=x0, n_save=17,
-        truncation=truncation, chunk_size=chunk)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pm, "_TRUNCATION", truncation)
+        ens = pm.simulate_signal_II(
+            cset, eps, T_end, dt, n_paths, seed, x0=x0, n_save=17,
+            chunk_size=chunk)
     paths, n_clipped = _old_signal(cset, eps, T_end, dt, n_paths, seed, x0,
                                    truncation, chunk)
     assert ens.truncation_count == n_clipped
@@ -1037,8 +1042,8 @@ class _FixedDraws:
 
 @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.2, 1.5, 1.95])
 def test_cms_draws_match_libm_formula(alpha):
-    new, _ = pm._stable_draws(alpha, 10**6, pm.RngStream(61).generator(),
-                              np.inf)
+    new, _ = _clipped_draws(alpha, 10**6, pm.RngStream(61).generator(),
+                            np.inf)
     old, _ = _old_stable_draws(alpha, 10**6, pm.RngStream(61).generator(),
                                np.inf)
     assert _relative_gap(new, old) <= CMS_RTOL
@@ -1053,8 +1058,8 @@ def test_cms_draws_near_the_pole_match_mpmath():
     for alpha in (0.3, 0.8, 1.2, 1.5, 1.95):
         for w_value in (0.05, 1.0, 4.0):
             w = np.full(u.size, w_value)
-            got, _ = pm._stable_draws(alpha, u.size, _FixedDraws(u, w),
-                                      np.inf)
+            got, _ = _clipped_draws(alpha, u.size, _FixedDraws(u, w),
+                                    np.inf)
             with mp.workdps(50):
                 a = mp.mpf(alpha)
                 ref = np.array([float(
@@ -1079,8 +1084,8 @@ def test_cms_draws_leave_the_stream_where_the_libm_formula_does(alpha, size):
 
 
 def test_cms_alpha_one_is_the_tangent():
-    draws, _ = pm._stable_draws(1.0, 10**5, pm.RngStream(63).generator(),
-                                np.inf)
+    draws, _ = _clipped_draws(1.0, 10**5, pm.RngStream(63).generator(),
+                              np.inf)
     u = pm.RngStream(63).generator().uniform(-0.5 * np.pi, 0.5 * np.pi,
                                              10**5)
     assert np.array_equal(draws, np.tan(u))
@@ -1089,8 +1094,8 @@ def test_cms_alpha_one_is_the_tangent():
 @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.0, 1.5, 1.95])
 @pytest.mark.parametrize("truncation", [3.0, 5.0, 1e6])
 def test_cms_clip_counts_match_libm_formula(alpha, truncation):
-    new, n_new = pm._stable_draws(alpha, 10**5, pm.RngStream(64).generator(),
-                                  truncation)
+    new, n_new = _clipped_draws(alpha, 10**5, pm.RngStream(64).generator(),
+                                truncation)
     old, n_old = _old_stable_draws(alpha, 10**5,
                                    pm.RngStream(64).generator(), truncation)
     assert n_new == n_old

@@ -349,9 +349,6 @@ def test_config_validation():
                         T_end=0.1, n_paths=1, seed=0)
     with pytest.raises(ValueError):
         spde.SpdeConfig(part="I", eps=0.125, grid=grid, dt=1e-5,
-                        T_end=0.1, n_paths=1, seed=0, noise_coupling="mixed")
-    with pytest.raises(ValueError):
-        spde.SpdeConfig(part="I", eps=0.125, grid=grid, dt=1e-5,
                         T_end=0.1, n_paths=1, seed=0, u0="sawtooth")
     with pytest.raises(ValueError):
         spde.SpdeConfig(part="I", eps=0.125, grid=grid, dt=1e-5,
@@ -366,8 +363,6 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("dt", np.nan), ("T_end", np.inf), ("T_end", np.nan),
-    ("energy_cap_C", np.nan), ("energy_cap_C", np.inf),
-    ("energy_cap_C", -1.0), ("energy_cap_C", 0.0),
     ("n_paths", 2.5), ("n_paths", 6.0), ("n_save", 4.0),
     ("n_snapshot_paths", 1.5), ("chunk_size", 2.0), ("chunk_size", True),
 ])
@@ -397,7 +392,7 @@ def test_run_ensemble_shared_noise_bit_identical(varcoef):
         assert np.array_equal(p1.increments, p2.increments)
         if p1.snapshots is not None:
             assert np.array_equal(p1.snapshots, p2.snapshots)
-    # shared coupling: het and hom consume identical increments
+    # het and hom consume identical increments
     for ph, pm in zip(a1, b1):
         assert np.array_equal(ph.increments, pm.increments)
         assert ph.path_index == pm.path_index
@@ -410,30 +405,14 @@ def test_run_ensemble_shared_noise_bit_identical(varcoef):
         assert np.allclose(p1.pairings, p3.pairings, rtol=1e-12, atol=1e-14)
 
 
-def test_run_ensemble_independent_noise_differs(varcoef):
-    cset, sol = varcoef
-    cfg = _small_config(noise_coupling="independent")
-    het, hom = spde.run_ensemble(cfg, sol, cset)
-    for ph, pm in zip(het, hom):
-        assert not np.array_equal(ph.increments, pm.increments)
-
-
 def _draw_increments(cfg):
     """(n_steps, n_paths) increments of each side, drawn from the streams
-    run_ensemble reads: path j from stream (seed, j), the homogenized side
-    of an independent coupling from that stream's child."""
+    run_ensemble reads: path j of both sides from stream (seed, j)."""
     n_steps, dt_eff, _ = _step_grid(cfg.T_end, cfg.dt, cfg.n_save)
-    inc = {"het": [], "hom": []}
-    for j in range(cfg.n_paths):
-        stream = spde.RngStream(cfg.seed, stream=j)
-        inc["het"].append(stream.generator().standard_normal(n_steps))
-        if cfg.noise_coupling == "independent":
-            inc["hom"].append(stream.child().generator()
-                              .standard_normal(n_steps))
-    inc["het"] = np.stack(inc["het"], axis=1) * np.sqrt(dt_eff)
-    inc["hom"] = inc["het"] if cfg.noise_coupling == "shared" \
-        else np.stack(inc["hom"], axis=1) * np.sqrt(dt_eff)
-    return inc
+    inc = np.stack([spde.RngStream(cfg.seed, stream=j).generator()
+                    .standard_normal(n_steps) for j in range(cfg.n_paths)],
+                   axis=1) * np.sqrt(dt_eff)
+    return {"het": inc, "hom": inc}
 
 
 def _column_march(cfg, sol, cset, inc):
@@ -505,14 +484,15 @@ def _assert_march_matches_column_march(cfg, sol, cset):
             assert abs(p.boundary_frac - ref["boundary_frac"]) <= 1e-12
 
 
-@pytest.mark.parametrize("every_step", [False, True])
-@pytest.mark.parametrize("coupling", ["shared", "independent"])
-@pytest.mark.parametrize("part", ["I", "II"])
-def test_one_flow_march_equals_column_march(part, coupling, every_step,
-                                            varcoef, stable2):
+# the ids keep naming the noise coupling, which is always shared
+@pytest.mark.parametrize("part, every_step", [
+    ("I", False), ("I", True), ("II", False), ("II", True),
+], ids=["I-shared-False", "I-shared-True", "II-shared-False",
+        "II-shared-True"])
+def test_one_flow_march_equals_column_march(part, every_step, varcoef,
+                                            stable2):
     cset, sol = varcoef if part == "I" else stable2
-    cfg = _small_config(part=part, noise_coupling=coupling, chunk_size=4,
-                        n_snapshot_paths=6)
+    cfg = _small_config(part=part, chunk_size=4, n_snapshot_paths=6)
     if every_step:
         n_steps = _step_grid(cfg.T_end, cfg.dt, 2)[0]
         cfg = dataclasses.replace(cfg, n_save=n_steps + 1)
@@ -520,17 +500,14 @@ def test_one_flow_march_equals_column_march(part, coupling, every_step,
 
 
 @given(part=st.sampled_from(["I", "II"]), n_paths=st.integers(1, 6),
-       chunk_size=st.integers(1, 6), n_save=st.integers(2, 61),
-       coupling=st.sampled_from(["shared", "independent"]))
+       chunk_size=st.integers(1, 6), n_save=st.integers(2, 61))
 @settings(max_examples=12, deadline=None)
 def test_bloch_march_matches_column_march_property(part, n_paths,
                                                    chunk_size, n_save,
-                                                   coupling, varcoef,
-                                                   stable2):
+                                                   varcoef, stable2):
     cset, sol = varcoef if part == "I" else stable2
     cfg = _small_config(part=part, n_paths=n_paths, chunk_size=chunk_size,
-                        n_save=n_save, noise_coupling=coupling,
-                        n_snapshot_paths=3)
+                        n_save=n_save, n_snapshot_paths=3)
     _assert_march_matches_column_march(cfg, sol, cset)
 
 
@@ -570,7 +547,7 @@ def _t_message(k, cfg):
     return re.escape("at t = %.6g" % (k * dt_eff))
 
 
-def test_energy_cap_aborts_between_recorded_steps(stable2):
+def test_energy_cap_aborts_between_recorded_steps(stable2, monkeypatch):
     # a zero-order growth field f + 100 on the heterogeneous side only:
     # its norm grows by about 1.4 per step in ||u||^4, the homogenized one
     # does not; the cap sits between two steps' maxima of the column march
@@ -586,11 +563,11 @@ def test_energy_cap_aborts_between_recorded_steps(stable2):
     cap = np.sqrt(before * at)
     assert n4["hom"][:k + 1].max() < cap
     norm0_4 = cfg.grid.l2_norm(cfg.initial_state()) ** 4
-    capped = dataclasses.replace(cfg, energy_cap_C=cap / (1.0 + norm0_4))
+    monkeypatch.setattr(spde, "ENERGY_CAP_C", cap / (1.0 + norm0_4))
     with pytest.raises(RuntimeError, match="energy cap violated on het path "
                        "%d %s:" % (int(np.argmax(n4["het"][k])),
                                    _t_message(k, cfg))):
-        spde.run_ensemble(capped, sol, grow)
+        spde.run_ensemble(cfg, sol, grow)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -676,17 +653,17 @@ def test_run_ensemble_single_deterministic_path(varcoef):
     assert np.array_equal(hom[0].pairings, hom2[0].pairings)
 
 
-def test_run_ensemble_energy_monitor_and_abort(varcoef):
+def test_run_ensemble_energy_monitor_and_abort(varcoef, monkeypatch):
     cset, sol = varcoef
     cfg = _small_config(T_end=2e-3)
     het, hom = spde.run_ensemble(cfg, sol, cset)
     u0 = cfg.initial_state()
-    cap = cfg.energy_cap_C * (1.0 + cfg.grid.l2_norm(u0) ** 4)
+    cap = spde.ENERGY_CAP_C * (1.0 + cfg.grid.l2_norm(u0) ** 4)
     assert all(p.max_norm4 <= cap for p in het + hom)
     assert all(p.max_norm4 > 0.0 for p in het + hom)
+    monkeypatch.setattr(spde, "ENERGY_CAP_C", 1e-6)
     with pytest.raises(RuntimeError, match="energy cap"):
-        spde.run_ensemble(_small_config(T_end=2e-3, energy_cap_C=1e-6),
-                          sol, cset)
+        spde.run_ensemble(cfg, sol, cset)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
