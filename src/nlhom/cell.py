@@ -13,7 +13,10 @@ mass one), drift centering check int b m = 0, first corrector chi
 the symmetric two-term functional, the auxiliary correctors h1/h2 whose
 solvability condition recovers Q by an independent route, and the
 filtering-form corrector chi1 for the measure-reweighted (time-reversed)
-generator, whose effective diffusivity Q1 must coincide with Q.
+generator, whose effective diffusivity Q1 must coincide with Q.  The
+z-integrals of Q and of the correctors' right-hand sides are sums over the
+kernel's one panel rule, ``kernels._quadrature_nodes`` (the rule of the
+kernel moments too), taken as Fourier multipliers by :func:`_z_symbols`.
 
 Part II (alpha-stable jumps).  The unit-cell generator is
 
@@ -42,12 +45,11 @@ from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
 
 from .coefficients import CoefficientSetI, CoefficientSetII
-from .kernels import jump_column
+from .kernels import _quadrature_nodes, jump_column
 from .torus import (
     TWO_PI,
     PeriodicField,
@@ -167,32 +169,6 @@ class _BorderedLU:
         b = np.append(np.asarray(rhs, dtype=float), self._s * total)
         x = lu_solve(self._lu, b, trans=1 if adjoint else 0, check_finite=False)
         return x[: self._n]
-
-
-# longest Gauss-Legendre panel of the kernel quadrature
-_PANEL_MAX_LEN = 0.5
-
-
-def _quadrature_nodes(kernel, n_nodes=48):
-    """Gauss-Legendre nodes/weights on [-R, R], panels (at most
-    _PANEL_MAX_LEN long) split at the kernel's breakpoints and mirrored so
-    the layout is exactly symmetric (odd integrands cancel to rounding,
-    which is what makes the discrete solvability integrals vanish the way
-    the continuum ones do)."""
-    R = float(kernel.truncation_radius)
-    edges = sorted({0.0, R} | {float(b) for b in kernel.breakpoints if 0.0 < b < R})
-    xg, wg = leggauss(n_nodes)
-    zs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        pieces = max(1, int(np.ceil((hi - lo) / _PANEL_MAX_LEN)))
-        sub = np.linspace(lo, hi, pieces + 1)
-        for a, b in zip(sub[:-1], sub[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            zq = mid + half * xg
-            wq = half * wg
-            zs.extend([zq, -zq])
-            ws.extend([wq, wq])
-    return np.concatenate(zs), np.concatenate(ws)
 
 
 def _z_symbols(kernel, n):

@@ -10,7 +10,7 @@ density and lives with the cell solver.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

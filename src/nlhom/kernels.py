@@ -2,8 +2,10 @@
 
 The nonlocal part of the Part I operators is built from an even, nonnegative,
 integrable kernel c with finite second moment.  Kernels are truncated at a
-radius R chosen so the neglected tail mass is below a configured tolerance;
-moments are computed by adaptive quadrature and cached on the kernel object.
+radius R chosen so the neglected tail mass is below a configured tolerance.
+The lab integrates a kernel against z on one rule, the symmetric
+Gauss-Legendre panels of :func:`_quadrature_nodes`: the moments cached on
+the kernel object here, and the z-integrals of the cell (``cell._z_symbols``).
 
 Periodization: the scaled kernel (1/eps) c(z/eps) is wrapped onto a periodic
 domain by summing translates (:func:`wrapped_kernel_samples`).  This is what
@@ -15,7 +17,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
+
+from .torus import _check_positive
 
 __all__ = [
     "IntegrableKernel",
@@ -30,8 +34,9 @@ __all__ = [
 
 _SYMMETRY_TOL = 1e-12
 _TAIL_TOL = 1e-10
-# relative accuracy of the moment quadrature
-_MOMENT_REL_TOL = 1e-10
+# Gauss-Legendre nodes per panel, and the longest panel, of the kernel rule
+_PANEL_NODES = 48
+_PANEL_MAX_LEN = 0.5
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,7 @@ class IntegrableKernel:
     evaluate : callable
         Vectorized z -> c(z) >= 0; must vanish for |z| > R up to tail_tol.
     truncation_radius : float
-        Support radius R > 0.
+        Support radius R, finite and positive.
     breakpoints : sequence of float
         Interior points of [0, R] where c is not smooth (quadrature panels
         split there; e.g. the edge of a box kernel).
@@ -51,11 +56,10 @@ class IntegrableKernel:
         Label used in reports and fixture lookups.
     sampler : callable, optional
         rng, size -> jump sizes distributed as c/a1.  Built-in kernels supply
-        exact samplers; generic kernels fall back to inverse-CDF tables in
-        the particle module.
+        exact samplers; the Part I particles refuse a kernel without one.
 
     Moments (mass a1, first absolute moment s1, second moment s2) are
-    computed by adaptive quadrature at construction.
+    computed at construction by :func:`kernel_moments`.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -68,9 +72,8 @@ class IntegrableKernel:
     s2: float = field(init=False, default=0.0)
 
     def __post_init__(self):
+        _check_positive("truncation_radius", self.truncation_radius)
         R = float(self.truncation_radius)
-        if not (R > 0):
-            raise ValueError("truncation radius must be positive")
         # symmetry and nonnegativity probes
         z = np.linspace(0.013, R * 0.999, 37)
         cp, cm = self.evaluate(z), self.evaluate(-z)
@@ -98,33 +101,35 @@ class IntegrableKernel:
         )
 
 
-def kernel_moments(kernel):
-    """(a1, s1, s2) = integrals of c, |z| c, z^2 c by adaptive quadrature.
-
-    Quadrature runs over [0, R] (the kernel is even) on panels split at the
-    declared breakpoints; relative accuracy _MOMENT_REL_TOL.
-    """
+def _quadrature_nodes(kernel):
+    """Gauss-Legendre nodes/weights on [-R, R]: _PANEL_NODES per panel,
+    panels (at most _PANEL_MAX_LEN long) split at the kernel's breakpoints
+    and mirrored so the layout is exactly symmetric (odd integrands cancel
+    to rounding, which is what makes the discrete solvability integrals
+    vanish the way the continuum ones do)."""
     R = float(kernel.truncation_radius)
-    pts = sorted(p for p in kernel.breakpoints if 0.0 < p < R)
+    edges = sorted({0.0, R} | {float(b) for b in kernel.breakpoints if 0.0 < b < R})
+    xg, wg = leggauss(_PANEL_NODES)
+    zs, ws = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        pieces = max(1, int(np.ceil((hi - lo) / _PANEL_MAX_LEN)))
+        sub = np.linspace(lo, hi, pieces + 1)
+        for a, b in zip(sub[:-1], sub[1:]):
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            zq = mid + half * xg
+            wq = half * wg
+            zs.extend([zq, -zq])
+            ws.extend([wq, wq])
+    return np.concatenate(zs), np.concatenate(ws)
 
-    def integrate(weight):
-        val, err = quad(
-            lambda z: weight(z) * kernel.evaluate(np.array([z]))[0],
-            0.0,
-            R,
-            points=pts or None,
-            limit=400,
-            epsabs=1e-14,
-            epsrel=_MOMENT_REL_TOL * 1e-2,
-        )
-        if not np.isfinite(val):
-            raise RuntimeError("kernel moment quadrature failed to converge")
-        return 2.0 * val  # even integrand over [-R, R]
 
-    a1 = integrate(lambda z: 1.0)
-    s1 = integrate(lambda z: abs(z))
-    s2 = integrate(lambda z: z * z)
-    return a1, s1, s2
+def kernel_moments(kernel):
+    """(a1, s1, s2) = integrals of c, |z| c, z^2 c, summed on the panel
+    rule of :func:`_quadrature_nodes`."""
+    z, w = _quadrature_nodes(kernel)
+    wc = w * kernel.evaluate(z)
+    az = np.abs(z)
+    return float(np.sum(wc)), float(np.sum(wc * az)), float(np.sum(wc * az * az))
 
 
 def wrapped_kernel_samples(kernel, z_points, period, eps=1.0):
@@ -170,6 +175,8 @@ def box_kernel(half_width=1.0, height=0.5):
     one on the torus, and discrete masses match a1 exactly on commensurate
     grids.
     """
+    _check_positive("half_width", half_width)
+    _check_positive("height", height)
     w, c0 = float(half_width), float(height)
 
     def evaluate(z):
@@ -187,7 +194,7 @@ def box_kernel(half_width=1.0, height=0.5):
 
 def laplace_kernel(rate=1.0, radius=40.0):
     """c(z) = (rate/2) e^{-rate |z|}, truncated where the tail is < 1e-10."""
-
+    _check_positive("rate", rate)
     r = float(rate)
 
     def evaluate(z):
@@ -210,8 +217,10 @@ def gaussian_kernel(width=0.22, radius=None, mass=1.0):
     sits ~8.5 sigma out so the truncation error (~1e-16 relative) is far
     below every tolerance in the package.
     """
+    _check_positive("width", width)
+    _check_positive("mass", mass)
     s = float(width)
-    R = 8.5 * s if radius is None else float(radius)
+    R = 8.5 * s if radius is None else radius
     amp = mass / (s * np.sqrt(2.0 * np.pi))
 
     def evaluate(z):
@@ -236,6 +245,7 @@ def triangle_kernel(half_width):
 
     With w equal to one grid step its periodization is the discrete delta.
     """
+    _check_positive("half_width", half_width)
     w = float(half_width)
 
     def evaluate(z):

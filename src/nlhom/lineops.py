@@ -146,10 +146,14 @@ class LineGrid:
         return np.fft.ifft(sym * np.fft.fft(values)).real
 
     def l2_norm(self, values):
-        return float(np.sqrt(np.sum(np.asarray(values) ** 2) * self._dx))
+        return float(np.sqrt(self.inner(values, values)))
 
     def inner(self, u, v):
-        return float(np.sum(np.asarray(u) * np.asarray(v)) * self._dx)
+        u, v = np.asarray(u), np.asarray(v)
+        if u.shape != (self._n,) or v.shape != (self._n,):
+            raise ValueError("grid values must have shape (%d,), got %r, %r"
+                             % (self._n, u.shape, v.shape))
+        return float(np.sum(u * v) * self._dx)
 
 
 def gaussian_bump(grid, center=0.0, width=0.35):

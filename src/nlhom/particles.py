@@ -6,8 +6,9 @@ Three ingredients live here:
   which takes its sines and cosines from half-angle tangents (three
   vectorised ``tan`` calls instead of three scalar-libm ``sin``/``cos``),
 * the jump-diffusion whose generator is the heterogeneous integrable-jump
-  operator (Euler drift, Milstein diffusion, exactly thinned jumps),
-  together with the Monte-Carlo variance oracle for the effective
+  operator (Euler drift, Milstein diffusion, exactly thinned jumps whose
+  sizes come from the kernel's own exact sampler; a kernel without one is
+  refused), together with the Monte-Carlo variance oracle for the effective
   diffusivity Q,
 * the alpha-stable signal of the stable family (Euler drift plus exact
   stable increments).
@@ -63,8 +64,6 @@ __all__ = [
 ]
 
 _TABLE_RESOLUTION = 8192
-# points of the inverse-CDF table of a kernel without a built-in sampler
-_SAMPLER_RESOLUTION = 4096
 # stable increments beyond this magnitude are clipped for float safety
 _TRUNCATION = 1e6
 _CHUNK_SIZE = 4096
@@ -80,31 +79,25 @@ class RngStream:
     """A named, reproducible random stream.
 
     Distinct ``(seed, stream)`` pairs yield statistically independent
-    generators (numpy ``SeedSequence`` spawn keys); the same pair always
-    reproduces bit-identical draws.  ``counter`` derives further
-    independent children from the same pair without touching the stream
-    index, which simulation drivers reserve for path chunks.  All three are
-    non-negative integers (numpy integers too, bool refused).
+    generators (numpy ``SeedSequence`` spawn key ``(stream, 0)``); the same
+    pair always reproduces bit-identical draws.  Simulation drivers reserve
+    the stream index for path chunks.  Both are non-negative integers (numpy
+    integers too, bool refused).
     """
 
     seed: int
     stream: int = 0
-    counter: int = 0
 
     def __post_init__(self):
-        for name in ("seed", "stream", "counter"):
+        for name in ("seed", "stream"):
             _check_count(name, getattr(self, name), 0)
 
     def generator(self):
-        """Fresh numpy Generator for this (seed, stream, counter) triple."""
+        """Fresh numpy Generator for this (seed, stream) pair."""
         seq = np.random.SeedSequence(
-            entropy=int(self.seed), spawn_key=(int(self.stream), int(self.counter))
+            entropy=int(self.seed), spawn_key=(int(self.stream), 0)
         )
         return np.random.default_rng(seq)
-
-    def child(self):
-        """Next counter value on the same (seed, stream) pair."""
-        return RngStream(self.seed, self.stream, self.counter + 1)
 
 
 def _locate(x, inv_eps):
@@ -163,26 +156,6 @@ class _Tables:
         out *= frac
         out += self.value.take(idx, axis=1, mode="clip")
         return out
-
-
-def _kernel_sampler(kernel):
-    """Sampler for Z ~ c/a1; exact built-in sampler or inverse-CDF table."""
-    if kernel.sampler is not None:
-        return kernel.sampler
-    R = kernel.truncation_radius
-    z = np.linspace(-R, R, _SAMPLER_RESOLUTION + 1)
-    density = np.maximum(np.asarray(kernel.evaluate(z), dtype=float), 0.0)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]))])
-    cdf *= (z[1] - z[0])
-    cdf /= cdf[-1]
-    # make the table strictly increasing so np.interp inverts it cleanly
-    keep = np.concatenate([[True], np.diff(cdf) > 0])
-    z_keep, cdf_keep = z[keep], cdf[keep]
-
-    def sampler(rng, size):
-        return np.interp(rng.uniform(0.0, 1.0, size), cdf_keep, z_keep)
-
-    return sampler
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +418,7 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
     Parameters
     ----------
     cset : CoefficientSetI
+        Its kernel must bring a ``sampler`` (every built-in kernel does).
     eps : Epsilon or float
         Reciprocal-integer scale.
     T_end, dt : float
@@ -474,6 +448,10 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
             "dt=%g too large for eps=%g: need dt <= %g (= %g eps^2)"
             % (dt, eps_val, _DT_SAFETY * eps_val**2, _DT_SAFETY)
         )
+    sampler = cset.kernel.sampler
+    if sampler is None:
+        raise ValueError("kernel %r has no sampler of Z ~ c/a1"
+                         % cset.kernel.name)
     n_steps, dt_eff, save_idx = _step_grid(T_end, dt, n_save)
 
     lam_tab = _Tables(_cell_samples(cset.lam))
@@ -484,9 +462,7 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
             "intensity bound alpha2=%g below max lambda=%g; thinning needs "
             "lambda <= alpha2" % (lam_max, lam_top)
         )
-    a1 = cset.kernel.a1
-    sampler = _kernel_sampler(cset.kernel)
-    proposal_rate = lam_max * a1 / eps_val**2
+    proposal_rate = lam_max * cset.kernel.a1 / eps_val**2
     inv_eps = 1.0 / eps_val
 
     positions = np.empty((save_idx.size, n_paths))

@@ -177,9 +177,7 @@ class PeriodicField:
         the field's Nyquist cosine is a paired mode, and its bin is halved
         between the two half bins it becomes.
         """
-        p = int(p)
-        if p < 1:
-            raise ValueError("sample count p must be >= 1, got %r" % (p,))
+        _check_count("p", p, 1)
         n = self.grid.n
         if n % p == 0:
             return self.values[::n // p]
@@ -222,8 +220,9 @@ def field_from_function(grid, fn):
 
 
 def derivative_symbol(freqs, order):
-    """(2 pi i f)^order at frequencies f in cycles per unit length (FFT
-    order).  For odd orders the unpaired Nyquist mode is zeroed."""
+    """(2 pi i f)^order, order a positive integer, at frequencies f in cycles
+    per unit length (FFT order).  Odd orders zero the unpaired Nyquist mode."""
+    _check_count("order", order, 1)
     sym = (1j * TWO_PI * freqs) ** order
     if order % 2 == 1:
         sym[len(freqs) // 2] = 0.0
@@ -240,9 +239,6 @@ def fractional_symbol(freqs, alpha):
 
 def spectral_derivative(f, order=1):
     """order-th derivative via the multiplier (2 pi i k)^order."""
-    order = int(order)
-    if order < 1:
-        raise ValueError("derivative order must be a positive integer")
     k = f.grid.wavenumbers().astype(float)
     return f.apply_multiplier(derivative_symbol(k, order))
 

@@ -33,7 +33,6 @@ from nlhom.cell import (
     RankDeficiencyError,
     SolvabilityError,
     _BorderedLU,
-    _quadrature_nodes,
     _z_convolution,
     _z_symbols,
     assemble_torus_generator_I,
@@ -48,11 +47,9 @@ from nlhom.cell import (
     solve_corrector_chi,
     solve_e1,
     solve_h1,
-    solve_h2,
     solve_h3,
     solve_invariant_density_I,
     solve_invariant_density_II,
-    zakai_cell_I,
 )
 from nlhom.coefficients import CoefficientSetI, CoefficientSetII
 from nlhom.fixtures import (
@@ -64,7 +61,7 @@ from nlhom.fixtures import (
     stable_1,
     varcoef_1,
 )
-from nlhom.kernels import box_kernel, gaussian_kernel
+from nlhom.kernels import _quadrature_nodes, box_kernel, gaussian_kernel
 from nlhom.torus import PeriodicField, TorusGrid, field_from_function
 
 TWO_PI = 2.0 * np.pi
@@ -117,9 +114,9 @@ def lstsq_singular(A, rhs, weight, target):
     return x
 
 
-def z_convolution_loop(kernel, power, f, n_nodes=48):
+def z_convolution_loop(kernel, power, f):
     """sum_q w_q c(z_q) z_q^power f(y - z_q), one phase shift per node."""
-    nodes, weights = _quadrature_nodes(kernel, n_nodes=n_nodes)
+    nodes, weights = _quadrature_nodes(kernel)
     acc = np.zeros(f.grid.n)
     for zq, wq in zip(nodes, weights * kernel.evaluate(nodes) * nodes**power):
         if wq != 0.0:
@@ -127,14 +124,14 @@ def z_convolution_loop(kernel, power, f, n_nodes=48):
     return acc
 
 
-def q_phase_shift_loop(cset, m, chi, n_nodes=48):
+def q_phase_shift_loop(cset, m, chi):
     """The two-term diffusivity functional with the jump term summed node by
     node on phase-shifted fields."""
     grid = cset.grid
     dchi = chi.derivative(1).values
     term1 = float(np.sum(cset.a.values * m.values * (dchi + 1.0) ** 2) * grid.h)
     lamm = PeriodicField(grid, cset.lam.values * m.values)
-    nodes, weights = _quadrature_nodes(cset.kernel, n_nodes=n_nodes)
+    nodes, weights = _quadrature_nodes(cset.kernel)
     acc = np.zeros(grid.n)
     for zq, wq, cq in zip(nodes, weights, cset.kernel.evaluate(nodes)):
         if cq == 0.0:

@@ -21,7 +21,8 @@ from nlhom.fixtures import (
     stable_filter,
     varcoef_1,
 )
-from nlhom.kernels import box_kernel
+from nlhom.kernels import (IntegrableKernel, box_kernel, gaussian_kernel,
+                           laplace_kernel, triangle_kernel)
 from nlhom.lineops import LineGrid
 from nlhom.torus import PeriodicField, TorusGrid, field_from_function
 
@@ -108,6 +109,61 @@ def test_raw_number_sites_refuse_non_numbers(site, value):
     message, call = RAW_NUMBER_SITES[site]
     with pytest.raises(ValueError, match=message):
         call(value)
+
+
+def _bump(z):
+    return np.maximum(0.0, 1.0 - np.asarray(z, dtype=float) ** 2)
+
+
+# (start of the message, call) of edge inputs that gave a silently wrong
+# result or a crash: a derivative order of 0, -1 or 1.5 returned u, NaN or
+# zeros on the line and order 1 on the torus; pairings of mismatched
+# lengths returned a number; p = 2.5 sampled 2 points; a kernel radius of
+# inf was integrated to infinity and True ran as 1; zero kernel parameters
+# divided by zero or failed on the kernel's mass
+EDGE_INPUT_SITES = {
+    "line derivative order 0": ("order must be at least 1", lambda: LineGrid(
+        2.0, 64).apply_derivative(np.ones(64), 0)),
+    "line derivative order -1": ("order must be at least 1", lambda: LineGrid(
+        2.0, 64).apply_derivative(np.ones(64), -1)),
+    "line derivative order 1.5": ("order must be an integer", lambda: LineGrid(
+        2.0, 64).apply_derivative(np.ones(64), 1.5)),
+    "torus derivative order 1.5": ("order must be an integer",
+                                   lambda: const_1().a.derivative(1.5)),
+    "line inner length": ("grid values must have shape", lambda: LineGrid(
+        2.0, 512).inner(np.ones(512), np.ones(1))),
+    "line l2_norm length": ("grid values must have shape", lambda: LineGrid(
+        2.0, 512).l2_norm(np.ones(256))),
+    "uniform_samples p 2.5": ("p must be an integer",
+                              lambda: const_1().a.uniform_samples(2.5)),
+    "kernel radius inf": ("truncation_radius must be finite and positive",
+                          lambda: IntegrableKernel(_bump, np.inf)),
+    "kernel radius True": ("truncation_radius must be finite and positive",
+                           lambda: IntegrableKernel(_bump, True)),
+    "laplace rate 0": ("rate must be finite and positive",
+                       lambda: laplace_kernel(rate=0)),
+    "laplace radius inf": ("radius must be finite and positive",
+                           lambda: laplace_kernel(radius=np.inf)),
+    "gaussian width 0": ("width must be finite and positive",
+                         lambda: gaussian_kernel(width=0.0)),
+    "gaussian mass 0": ("mass must be finite and positive",
+                        lambda: gaussian_kernel(mass=0.0)),
+    "gaussian radius -1": ("radius must be finite and positive",
+                           lambda: gaussian_kernel(radius=-1.0)),
+    "box half_width 0": ("half_width must be finite and positive",
+                         lambda: box_kernel(half_width=0.0)),
+    "box height 0": ("height must be finite and positive",
+                     lambda: box_kernel(height=0.0)),
+    "triangle half_width 0": ("half_width must be finite and positive",
+                              lambda: triangle_kernel(0.0)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(EDGE_INPUT_SITES))
+def test_edge_inputs_are_refused(site):
+    message, call = EDGE_INPUT_SITES[site]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_validate_const_passes():

@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from nlhom.kernels import (
     IntegrableKernel,
     box_kernel,
     gaussian_kernel,
-    kernel_moments,
     laplace_kernel,
     triangle_kernel,
     wrapped_kernel_samples,
@@ -20,7 +20,8 @@ from nlhom.torus import TorusGrid
 
 
 def reference_moments(kernel, n_panels=4000, n_nodes=12):
-    """Brute-force composite quadrature, independent of the adaptive route."""
+    """Brute-force composite quadrature on uniform panels, independent of
+    the breakpoint-split panel rule of kernels._quadrature_nodes."""
     R = kernel.truncation_radius
     edges = np.linspace(-R, R, n_panels + 1)
     xg, wg = leggauss(n_nodes)
@@ -70,6 +71,23 @@ def test_kernel_validation_errors():
                          * (np.abs(z) <= 1), 1.0)
     with pytest.raises(ValueError):  # fat tail beyond R
         IntegrableKernel(lambda z: np.exp(-np.abs(z)), 2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["gaussian", "laplace", "triangle", "box"]),
+       u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0))
+def test_panel_moments_match_reference(family, u, v):
+    # the one panel rule against the independent uniform-panel oracle
+    kernel = {
+        "gaussian": lambda: gaussian_kernel(width=0.05 + 0.35 * u),
+        "laplace": lambda: laplace_kernel(rate=0.5 + 3.5 * u),
+        "triangle": lambda: triangle_kernel(0.01 + 1.49 * u),
+        "box": lambda: box_kernel(half_width=0.1 + 1.9 * u,
+                                  height=0.1 + 1.9 * v),
+    }[family]()
+    ref = reference_moments(kernel)
+    assert np.allclose((kernel.a1, kernel.s1, kernel.s2), ref, rtol=1e-13,
+                       atol=0.0)
 
 
 # -- periodization -----------------------------------------------------------

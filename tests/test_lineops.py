@@ -14,7 +14,7 @@ from nlhom.cell import (
     solve_cell_I,
     solve_cell_II,
 )
-from nlhom.coefficients import CoefficientSetI, CoefficientSetII
+from nlhom.coefficients import CoefficientSetII
 from nlhom.fixtures import coefficient_set_by_name, random_set_I, random_set_II
 from nlhom.torus import PeriodicField, TorusGrid, field_from_function
 from nonlocal_oracle import gamma_pair, nonlocal_divergence_identity_check

@@ -60,6 +60,30 @@ def test_no_string_selected_modes():
     assert not found, found
 
 
+def test_no_unused_imports():
+    # an import nothing reads is a dependency the code no longer has; a
+    # name listed in __all__ counts as read, and "# noqa" keeps a line
+    found = []
+    for path in sorted((ROOT / "src" / "nlhom").glob("*.py")) \
+            + sorted((ROOT / "tests").glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        nodes = list(ast.walk(ast.parse(source)))
+        read = {node.id for node in nodes if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        read |= {item.value for node in nodes if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets]
+                 == ["__all__"] for item in node.value.elts}
+        found += ["%s:%d %s" % (path.name, node.lineno, name)
+                  for node in nodes
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and "# noqa" not in lines[node.lineno - 1]
+                  for name in (alias.asname or alias.name.split(".")[0]
+                               for alias in node.names)
+                  if name not in read]
+    assert not found, found
+
+
 def _package_bindings():
     """Every attribute of the package's modules and of their classes."""
     out = {}

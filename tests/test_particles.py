@@ -218,10 +218,8 @@ def test_rng_stream_reproducible_and_independent():
     a = pm.RngStream(42, 1).generator().normal(size=5)
     b = pm.RngStream(42, 1).generator().normal(size=5)
     c = pm.RngStream(42, 2).generator().normal(size=5)
-    d = pm.RngStream(42, 1).child().generator().normal(size=5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    assert not np.array_equal(a, d)
 
 
 # ---------------------------------------------------------------------------
@@ -454,23 +452,20 @@ def test_jump_sizes_follow_kernel_law():
     assert res.pvalue > 0.01
 
 
-def test_inverse_cdf_fallback_sampler():
-    # kernel without a built-in sampler: c(z) = (3/4)(1-z^2) on |z|<=1
+@pytest.mark.parametrize("run", [
+    lambda cset: pm.simulate_jump_diffusion_I(cset, 0.5, 0.1, 0.02, 16, 0),
+    lambda cset: pm.estimate_Q_monte_carlo(cset, 0.5, 0.1, 16, 0),
+], ids=["jump-diffusion", "Q-oracle"])
+def test_kernel_without_sampler_is_refused(run):
+    # jump sizes come from the kernel's exact sampler of c/a1 only
     kernel = IntegrableKernel(
         lambda z: np.where(np.abs(z) <= 1.0, 0.75 * (1.0 - z**2), 0.0),
         truncation_radius=1.0,
         name="parabolic",
     )
-    assert kernel.sampler is None
-    sampler = pm._kernel_sampler(kernel)
-    z = sampler(pm.RngStream(8).generator(), 2 * 10**5)
-
-    def cdf(t):
-        t = np.clip(t, -1.0, 1.0)
-        return 0.5 + 0.75 * (t - t**3 / 3.0)
-
-    res = stats.kstest(z, cdf)
-    assert res.pvalue > 0.01
+    cset = _jump_only_set().with_fields(kernel=kernel)
+    with pytest.raises(ValueError, match="kernel 'parabolic' has no sampler"):
+        run(cset)
 
 
 # ---------------------------------------------------------------------------
@@ -689,21 +684,21 @@ def test_seed_must_be_a_non_negative_integer(family, seed, message):
         _simulate(family, seed=seed)
 
 
-@pytest.mark.parametrize("field", ["seed", "stream", "counter"])
+@pytest.mark.parametrize("field", ["seed", "stream"])
 @pytest.mark.parametrize("value, message", [
     (2.5, "must be an integer"), (False, "must be an integer"),
     (-1, "must be at least 0"),
 ])
 def test_rng_stream_fields_are_non_negative_integers(field, value, message):
-    kw = dict(seed=1, stream=0, counter=0)
+    kw = dict(seed=1, stream=0)
     kw[field] = value
     with pytest.raises(ValueError, match="%s %s" % (field, message)):
         pm.RngStream(**kw)
 
 
 def test_numpy_integer_seeds_are_accepted():
-    ref = pm.RngStream(5, 2, 1).generator().standard_normal(4)
-    got = pm.RngStream(np.int64(5), np.uint32(2), np.int8(1))
+    ref = pm.RngStream(5, 2).generator().standard_normal(4)
+    got = pm.RngStream(np.int64(5), np.uint32(2))
     assert np.array_equal(got.generator().standard_normal(4), ref)
     ens = _simulate("jump", seed=np.uint64(3))
     assert np.array_equal(ens.positions, _simulate("jump", seed=3).positions)
@@ -873,7 +868,7 @@ def _old_jump_diffusion(cset, eps, T_end, dt, n_paths, seed, x0, chunk_size):
     n_steps, dt_eff, _ = pm._step_grid(T_end, dt, 2)
     lam_tab = _old_table(cset.lam)
     lam_max = float(cset.alpha2)
-    sampler = pm._kernel_sampler(cset.kernel)
+    sampler = cset.kernel.sampler
     proposal_rate = lam_max * cset.kernel.a1 / eps**2
     inv_eps = 1.0 / eps
     sqrt_dt = np.sqrt(dt_eff)

@@ -123,7 +123,7 @@ def test_uniform_samples_are_the_interpolant(p):
 
 
 def test_uniform_samples_reject_empty_grid():
-    with pytest.raises(ValueError, match="p must be >= 1"):
+    with pytest.raises(ValueError, match="p must be at least 1"):
         PeriodicField(TorusGrid(8), np.ones(8)).uniform_samples(0)
 
 
