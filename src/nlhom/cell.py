@@ -36,7 +36,10 @@ generator of one coefficient set with that one LU, and every stage of the
 chain takes it: direct and transposed solves with the LU serve the whole
 chain -- m and m1 as adjoint null vectors, chi and e1 as direct solves, and
 h1, h2, chi1, h3 through T*(m h) = rhs followed by a division by the
-density.  LAPACK's condition estimate of the LU is the rank guard.
+density.  LAPACK's condition estimate of the LU is the rank guard.  The
+drift centering of ``fixtures`` factors only its first sweep's generator:
+the later sweeps' operators differ from it by a multiple of the derivative
+and solve on its LU by defect correction (:func:`_drift_shifted`).
 """
 
 import warnings
@@ -45,8 +48,9 @@ from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg.lapack import dgecon
+from scipy.linalg.lapack import dgecon, dlange
 
 from .coefficients import CoefficientSetI, CoefficientSetII
 from .kernels import _quadrature_nodes, jump_column
@@ -121,9 +125,14 @@ def _relative_residual(A, x, rhs):
     meaningful when the exact solution is the zero field
     (constant-coefficient degenerate cases).
     """
-    res = np.linalg.norm(A @ x - rhs)
-    return res / (_norm_lower_bound(A) * max(np.linalg.norm(x), 1.0)
-                  + np.linalg.norm(rhs))
+    return _residual_ratio(A @ x, x, rhs, _norm_lower_bound(A))
+
+
+def _residual_ratio(Ax, x, rhs, norm):
+    """||Ax - rhs|| / (norm max(||x||, 1) + ||rhs||), Ax the product A x and
+    norm the bound on ||A||: :func:`_relative_residual` from its parts."""
+    return np.linalg.norm(Ax - rhs) / (norm * max(np.linalg.norm(x), 1.0)
+                                       + np.linalg.norm(rhs))
 
 
 class _BorderedLU:
@@ -146,7 +155,7 @@ class _BorderedLU:
         B[:n, n] = s
         B[n, :n] = s
         B[n, n] = 0.0
-        anorm = float(np.max(np.sum(np.abs(B), axis=0)))
+        anorm = dlange("1", B)
         with warnings.catch_warnings():
             # an exactly zero pivot shows up below as rcond = 0
             warnings.simplefilter("ignore", LinAlgWarning)
@@ -167,8 +176,12 @@ class _BorderedLU:
         inconsistent part along the ones vector.
         """
         b = np.append(np.asarray(rhs, dtype=float), self._s * total)
-        x = lu_solve(self._lu, b, trans=1 if adjoint else 0, check_finite=False)
-        return x[: self._n]
+        return self.solve_bordered(b, adjoint)[: self._n]
+
+    def solve_bordered(self, b, adjoint=False):
+        """The bordered system itself: (x, mu) for the n + 1 entries b."""
+        return lu_solve(self._lu, b, trans=1 if adjoint else 0,
+                        check_finite=False)
 
 
 def _z_symbols(kernel, n):
@@ -197,29 +210,186 @@ class CellOperator:
 
     ``matrix`` is T (Part I) or L (Part II), from the family's assembler;
     its adjoint is ``matrix.T``.  ``lu`` is its one :class:`_BorderedLU`,
-    which serves every direct and adjoint solve of the chain, and
-    ``z_symbols`` the Part I kernel-quadrature multipliers of
-    :func:`_z_symbols`, built on first use.
+    and :meth:`solve` serves every direct and adjoint solve of the chain
+    with it; ``z_symbols`` are the Part I kernel-quadrature multipliers of
+    :func:`_z_symbols`, built on first use.  The drift centering of
+    ``fixtures`` solves its later sweeps on a nearby operator's LU instead
+    (:func:`_drift_shifted`).
     """
+
+    # a first guess of the invariant density, for solves by refinement
+    _density_start = None
 
     def __init__(self, cset):
         self.cset = cset
-        if isinstance(cset, CoefficientSetI):
-            self.matrix = assemble_torus_generator_I(cset)
-        else:
-            self.matrix = assemble_torus_generator_II(cset)
+        self.matrix = _assemble(cset)
         self.lu = _BorderedLU(self.matrix)
 
     @cached_property
     def z_symbols(self):
         return _z_symbols(self.cset.kernel, self.cset.grid.n)
 
+    def solve(self, rhs, total=0.0, adjoint=False, start=None):
+        """x with A x = rhs (A^T x = rhs if adjoint) and sum(x) = total;
+        ``start``, a first guess, serves only solves by refinement."""
+        return self.lu.solve(rhs, total, adjoint)
+
+    def residual(self, x, rhs, adjoint=False):
+        """The relative residual of A x = rhs (A^T x = rhs if adjoint), as
+        :func:`_relative_residual` measures it."""
+        return _relative_residual(self.matrix.T if adjoint else self.matrix,
+                                  x, rhs)
+
+    @cached_property
+    def _drift_norms(self):
+        """(rows, row_cross, cols, col_cross, d2): the squared row and
+        column 2-norms of A, their inner products with those of the
+        derivative matrix D1, and the squared norm of a row of D1.  The
+        squared row norms of A - c D1 are rows - 2 c row_cross + c^2 d2,
+        and likewise its columns'."""
+        A = self.matrix
+        k = self.cset.grid.wavenumbers().astype(float)
+        column = _symbol_column(derivative_symbol(k, 1))
+        lags = np.concatenate([column[1:], column])
+        # D1[i, j] = column[(i - j) mod n], as a strided view of the lags
+        D1 = sliding_window_view(lags[::-1], column.size)[::-1]
+        return (np.einsum("ij,ij->i", A, A), np.einsum("ij,ij->i", A, D1),
+                np.einsum("ij,ij->j", A, A), np.einsum("ij,ij->j", A, D1),
+                float(column @ column))
+
+
+def _assemble(cset):
+    if isinstance(cset, CoefficientSetI):
+        return assemble_torus_generator_I(cset)
+    return assemble_torus_generator_II(cset)
+
+
+def _derivative(x):
+    """The spectral derivative of grid values x: D1 x by FFT."""
+    n = x.size
+    symbol = 1j * TWO_PI * np.arange(n // 2 + 1)
+    symbol[-1] = 0.0  # the unpaired Nyquist mode, as derivative_symbol
+    return np.fft.irfft(np.fft.rfft(x) * symbol, n)
+
+
+# a defect correction whose correction fails to halve has converged if its
+# relative residual is then at most this; the rounding floor, 1e-16 on the
+# fixtures and random sets at n = 64 ... 2048, is far below it
+_REFINE_TOL = 1e-15
+
+
+class _ShiftedOperator(CellOperator):
+    """The :class:`CellOperator` of ``cset``, whose drift is that of
+    ``near.cset`` lowered by the constant ``shift``: A = near.matrix -
+    shift D1.
+
+    It assembles and factors nothing up front.  It applies A as
+    near.matrix x - shift x' (A^T as near.matrix^T x + shift x', since
+    D1^T = -D1), solves by defect correction on near's bordered LU
+    (:meth:`_refine`), and measures residuals against the norm bound of A
+    taken from near's :attr:`CellOperator._drift_norms`.  A solve whose
+    defect correction fails to converge factors this operator's own
+    generator and goes on with that, as a plain :class:`CellOperator`.
+    ``matrix`` is assembled on first use.
+    """
+
+    def __init__(self, near, cset, shift, density_start):
+        self.cset = cset
+        self._density_start = density_start
+        self._near = near
+        self._shift = shift
+
+    @cached_property
+    def matrix(self):
+        return _assemble(self.cset)
+
+    def _apply(self, x, adjoint):
+        c = self._shift
+        if adjoint:
+            return self._near.matrix.T @ x + c * _derivative(x)
+        return self._near.matrix @ x - c * _derivative(x)
+
+    def solve(self, rhs, total=0.0, adjoint=False, start=None):
+        if self._near is not None:
+            x = self._refine(rhs, total, adjoint, start)
+            if x is not None:
+                return x
+            self._near = None  # released before the new generator exists
+            self.lu = _BorderedLU(self.matrix)
+        return super().solve(rhs, total, adjoint)
+
+    def _refine(self, rhs, total, adjoint, start):
+        """The solve by defect correction on near's bordered LU: y <- y +
+        LU^-1 (b - B y), B the bordered matrix of A with near's border.
+
+        Starts from ``start`` (or zero).  With rate the ratio of the last
+        two corrections, it returns once the error left, at most
+        rate / (1 - rate) times the last correction, is below n u ||x||.
+        It stops at the first correction that fails to halve: there the
+        corrections are rounding noise, or they do not contract, and the
+        residual tells which.  It returns None unless the relative
+        residual is then at most _REFINE_TOL.  The residual alone does not
+        serve as the stop: the border row's rounding noise can hide a
+        smooth residual that still moves int b m by 1e-13.
+        """
+        lu = self._near.lu
+        n, s = lu._n, lu._s
+        b = np.append(np.asarray(rhs, dtype=float), s * total)
+
+        def defect(y):
+            x = y[:n]
+            return b - np.append(self._apply(x, adjoint) + s * y[n],
+                                 s * np.sum(x))
+
+        y = np.zeros(n + 1)
+        if start is not None:
+            y[:n] = start
+        floor = n * np.finfo(float).eps
+        dy = lu.solve_bordered(defect(y), adjoint)
+        y += dy
+        last = np.linalg.norm(dy[:n])
+        while True:
+            dy = lu.solve_bordered(defect(y), adjoint)
+            y += dy
+            size = np.linalg.norm(dy[:n])
+            if not size < 0.5 * last:
+                break
+            rate = size / last
+            if rate / (1.0 - rate) * size <= floor * np.linalg.norm(y[:n]):
+                return y[:n]
+            last = size
+        scale = s * np.sqrt(n) * max(np.linalg.norm(y[:n]), 1.0) \
+            + np.linalg.norm(b)
+        converged = np.linalg.norm(defect(y)) <= _REFINE_TOL * scale
+        return y[:n] if converged else None
+
+    def residual(self, x, rhs, adjoint=False):
+        if self._near is None:
+            return super().residual(x, rhs, adjoint)
+        c = self._shift
+        rows, row_cross, cols, col_cross, d2 = self._near._drift_norms
+        norm = np.sqrt(max(np.max(rows - 2.0 * c * row_cross),
+                           np.max(cols - 2.0 * c * col_cross)) + c * c * d2)
+        return _residual_ratio(self._apply(x, adjoint), x, rhs, norm)
+
+
+def _drift_shifted(op, cset, shift, density_start):
+    """The :class:`CellOperator` of ``cset``, whose drift is that of
+    ``op.cset`` lowered by the constant ``shift``.  Its solves refine on
+    the most recent factorization behind ``op`` and its invariant density
+    starts from ``density_start``."""
+    if getattr(op, "_near", None) is not None:
+        return _ShiftedOperator(op._near, cset, op._shift + shift,
+                                density_start)
+    return _ShiftedOperator(op, cset, shift, density_start)
+
 
 def _invariant_density(op, label):
     """The adjoint null vector m of op.matrix, positive, with int m = 1."""
     n = op.cset.grid.n
-    m = op.lu.solve(np.zeros(n), total=n, adjoint=True)
-    rel = _relative_residual(op.matrix.T, m, np.zeros(n))
+    m = op.solve(np.zeros(n), total=n, adjoint=True,
+                 start=op._density_start)
+    rel = op.residual(m, np.zeros(n), adjoint=True)
     if np.min(m) <= 0.0:
         raise SolvabilityError(
             "%s is not positive (min %.3g): assumptions violated"
@@ -233,7 +403,7 @@ def _invariant_density(op, label):
 def _weighted_adjoint_solve(op, m, rhs, label):
     """Mean-zero h with A*(m h) = rhs, A = op.matrix: the adjoint solve with
     the bordered LU, then a division by the density m."""
-    h = op.lu.solve(rhs, adjoint=True) / m.values
+    h = op.solve(rhs, adjoint=True) / m.values
     h = h - np.mean(h)
     rel = _relative_residual(op.matrix.T * m.values[None, :], h, rhs)
     if rel > _SOLVE_TOL:
@@ -283,7 +453,7 @@ def solve_corrector_chi(op, m):
             "centering integral %.3g violates solvability of the corrector"
             % centering
         )
-    chi = op.lu.solve(-cset.b.values)
+    chi = op.solve(-cset.b.values)
     chi = chi - np.sum(chi * m.values) * cset.grid.h  # exact m-orthogonality
     rel = _relative_residual(op.matrix, chi, -cset.b.values)
     if rel > _SOLVE_TOL:
@@ -412,7 +582,7 @@ def zakai_cell_I(op, m):
     minv = 1.0 / m.values
     l, J = _corrector_rhs_l(op, m)
     rhs = l * minv  # (J + b m - 2 (a m)') / m  =  b_hat + J/m
-    chi1 = op.lu.solve(l, adjoint=True) * minv  # T_hat chi1 = rhs
+    chi1 = op.solve(l, adjoint=True) * minv  # T_hat chi1 = rhs
     chi1 = chi1 - np.sum(chi1 * m.values) * grid.h
     T_hat = minv[:, None] * op.matrix.T * m.values[None, :]
     rel = _relative_residual(T_hat, chi1, rhs)
@@ -594,7 +764,7 @@ def solve_e1(op, m1):
         )
     rhs = -cset.e.values
     w = m1.values
-    e1 = op.lu.solve(rhs - w * (w @ rhs) / (w @ w))
+    e1 = op.solve(rhs - w * (w @ rhs) / (w @ w))
     e1 = e1 - np.sum(e1 * w) * grid.h
     rel = _relative_residual(op.matrix, e1, rhs)
     if rel > _SOLVE_TOL and abs(solvability) <= _SOLVABILITY_TOL:

@@ -5,9 +5,11 @@ invariant-density average vanishes (the admissibility condition for
 homogenization).  The invariant density depends on c, so the shift is the
 root of the scalar bias B(c) = int (b - c) m_c, found by Newton's method.
 The slope B'(c) needs the derivative of m_c, which is one more solve with
-the sweep's own factorization.  Three sweeps reach the stop (|B| <= 1e-13,
-or the bias's rounding floor where that is larger) on the named fixtures,
-where the fixed point c <- c + B contracted only by 0.01 to 0.05 per sweep.
+the same generator.  Three sweeps reach the stop (|B| <= 1e-13, or the
+bias's rounding floor where that is larger) on the named fixtures, where
+the fixed point c <- c + B contracted only by 0.01 to 0.05 per sweep.  One
+centering factors one generator: the first sweep's, on whose LU the later
+sweeps solve by defect correction (see :func:`_center_drift`).
 
 All named fixtures use smooth (band-limited or Gaussian-kernel) data so that
 the spectral machinery keeps cross-resolution agreement near machine
@@ -70,34 +72,40 @@ def _center_drift(cset, name, density):
 
     Newton's method on the scalar c.  The generator of the shifted drift is
     A_c = A_0 - c D1, so the density derivative dm = dm_c/dc solves
-    A_c^T dm = D1^T m_c = -m_c' with sum(dm) = 0: one more back-substitution
-    with the sweep's bordered LU.  The bias B(c) = int (b0 - c) m_c has the
-    slope B'(c) = int (b0 - c) dm - 1.  Each sweep builds one
-    :class:`cell.CellOperator` of the shifted set (A_c and its one LU) and
-    takes m_c from ``density`` (which runs its positivity, residual and
-    rank checks); the sweep's operator is released before the next one
-    assembles.  The sweeps stop at |B| <= max(_CENTER_TOL, floor), the
-    floor being the bias's rounding floor (see ``_centering_bias``), so
-    rounding alone never takes a further sweep; after _CENTER_MAX_ITER
-    sweeps they give up.  Returns (centered set, its density, its operator)
-    of the last sweep.
+    A_c^T dm = D1^T m_c = -m_c' with sum(dm) = 0, and the bias B(c) =
+    int (b0 - c) m_c has the slope B'(c) = int (b0 - c) dm - 1.  Each sweep
+    takes m_c from ``density`` (which runs its positivity and residual
+    checks against that sweep's A_c).  The first sweep builds one
+    :class:`cell.CellOperator` (the assembly, its one bordered LU and the
+    rank check); every later sweep's operator solves on the most recent LU
+    by defect correction, applies A_c without assembly, and starts its
+    density from the first-order prediction m + dc dm and its dm from the
+    last one.  A sweep whose correction does not contract factors its own
+    generator, and later sweeps go on from that LU, so large shifts still
+    center.  The sweeps stop at |B| <= max(_CENTER_TOL, floor), the floor
+    being the bias's rounding floor (see ``_centering_bias``), so rounding
+    alone never takes a further sweep; after _CENTER_MAX_ITER sweeps they
+    give up.  Returns (centered set, its density, its operator) of the last
+    sweep.
     """
     b0 = getattr(cset, name).values
     h = cset.grid.h
     c = 0.0
     current = cset
+    op = cell.CellOperator(cset)
+    dm = None
     for _ in range(_CENTER_MAX_ITER):
-        op = cell.CellOperator(current)
         m, _ = density(op)
         b = getattr(current, name).values
         bias, stop = _centering_bias(b, m.values, h)
         if abs(bias) <= stop:
             return current, m, op
-        dm = op.lu.solve(-m.derivative(1).values, adjoint=True)
-        del op
-        c -= bias / (float(np.sum(b * dm) * h) - 1.0)
+        dm = op.solve(-m.derivative(1).values, adjoint=True, start=dm)
+        step = -bias / (float(np.sum(b * dm) * h) - 1.0)
+        c += step
         current = current.with_fields(
             **{name: PeriodicField(cset.grid, b0 - c)})
+        op = cell._drift_shifted(op, current, step, m.values + step * dm)
     raise RuntimeError("drift centering did not converge (last bias %.3g)" % bias)
 
 

@@ -192,10 +192,16 @@ def box_kernel(half_width=1.0, height=0.5):
     )
 
 
-def laplace_kernel(rate=1.0, radius=40.0):
-    """c(z) = (rate/2) e^{-rate |z|}, truncated where the tail is < 1e-10."""
+def laplace_kernel(rate=1.0, radius=None):
+    """c(z) = (rate/2) e^{-rate |z|}, truncated where the tail is < 1e-10.
+
+    The default radius 40 / rate keeps the dropped tail mass at e^{-40}
+    for every rate.
+    """
     _check_positive("rate", rate)
     r = float(rate)
+    if radius is None:
+        radius = 40.0 / r
 
     def evaluate(z):
         az = np.abs(np.asarray(z, dtype=float))

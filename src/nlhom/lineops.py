@@ -158,6 +158,7 @@ class LineGrid:
 
 def gaussian_bump(grid, center=0.0, width=0.35):
     """exp(-(x - center)^2 / (2 width^2)) sampled on the grid."""
+    _check_positive("width", width)
     return np.exp(-((grid.x - center) ** 2) / (2.0 * width**2))
 
 

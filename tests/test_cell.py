@@ -872,15 +872,81 @@ def _count_sweeps(monkeypatch, build):
     lambda: fixtures._stable_1.__wrapped__(64, 1.5),
     lambda: random_set_II(3, 64),
 ], ids=["varcoef-1", "stable-1", "random-II"])
-def test_centering_factors_once_per_sweep(monkeypatch, build):
-    # each sweep factors its own generator once; no kernel quadrature, so
-    # the sweeps build no z-symbols (stable-1's h3 reuses the last sweep's LU)
+def test_centering_factors_once_per_centering(monkeypatch, build):
+    # the first sweep factors its generator; the later two solve on that LU
+    # by defect correction, and stable-1's h3 uses the last sweep's operator
+    # without a new LU; no kernel quadrature, so no z-symbols
     calls = _count_calls(monkeypatch, build,
                          _DENSITIES + ("lu_factor", "_z_symbols"))
     sweeps = calls["solve_invariant_density_I"] \
         + calls["solve_invariant_density_II"]
-    assert sweeps >= 1
-    assert (calls["lu_factor"], calls["_z_symbols"]) == (sweeps, 0)
+    assert sweeps == 3
+    assert (calls["lu_factor"], calls["_z_symbols"]) == (1, 0)
+
+
+def _large_shift_set(d0, alpha):
+    """A stable set on TorusGrid(128) whose drift d = d0 + 0.3 sin 2 pi y
+    has a large mean, so its centering moves far from c = 0."""
+    grid = TorusGrid(128)
+    zero = PeriodicField(grid, np.zeros(grid.n))
+    return CoefficientSetII(
+        delta=field_from_function(grid, lambda y: 1.0 + 0.3 * np.cos(TWO_PI * y)),
+        d=field_from_function(grid, lambda y: d0 + 0.3 * np.sin(TWO_PI * y)),
+        g=zero, e=zero, f=zero, sigma=PeriodicField(grid, np.ones(grid.n)),
+        alpha=alpha, name="large-shift",
+    )
+
+
+def _center_drift_direct(cset, name, density):
+    """Newton centering with its own assembly and LU in every sweep: the
+    same iteration as ``fixtures._center_drift``, solved directly."""
+    b0 = getattr(cset, name).values
+    h = cset.grid.h
+    c = 0.0
+    current = cset
+    for _ in range(40):
+        op = CellOperator(current)
+        m, _ = density(op)
+        b = getattr(current, name).values
+        bias = float(np.sum(b * m.values) * h)
+        if abs(bias) <= 1e-13:
+            return current
+        dm = op.lu.solve(-m.derivative(1).values, adjoint=True)
+        c -= bias / (float(np.sum(b * dm) * h) - 1.0)
+        current = current.with_fields(
+            **{name: PeriodicField(cset.grid, b0 - c)})
+    raise RuntimeError("direct centering did not converge")
+
+
+@pytest.mark.parametrize("d0, alpha", [(2.0, 0.6), (5.0, 0.9), (20.0, 1.5)])
+def test_centering_large_shift_refactors(monkeypatch, d0, alpha):
+    # defect correction from c = 0 does not contract for drift means this
+    # large, so a sweep factors its own generator and the centering goes on
+    # from that LU
+    cset = _large_shift_set(d0, alpha)
+    got = []
+    calls = _count_calls(monkeypatch, lambda: got.append(center_drift_II(cset)),
+                         ("lu_factor",))
+    ref = _center_drift_direct(cset, "d", solve_invariant_density_II)
+    assert calls["lu_factor"] >= 2
+    assert np.max(np.abs(got[0].d.values - ref.d.values)) <= 1e-12
+    assert abs(_centering_bias(got[0], "d")) <= 1e-13
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=10, deadline=None)
+def test_centering_by_refinement_matches_fixed_point(seed):
+    # the fixed-point oracle starts from the centered drift raised by 0.05
+    for build, name, solve in ((random_set_I, "b", solve_cell_I),
+                               (random_set_II, "d", solve_cell_II)):
+        got = build(seed, 64)
+        ref = center_drift_fixed_point(_shifted(got, name, 0.05), name)
+        assert np.max(np.abs(getattr(got, name).values
+                             - getattr(ref, name).values)) <= 1e-12
+        sol = solve(got)
+        density = sol.m if name == "b" else sol.m1
+        bias = np.sum(getattr(got, name).values * density.values) * got.grid.h
+        assert abs(bias) <= 1e-12
 
 
 @pytest.mark.parametrize("build, solve, z_builds", [

@@ -23,7 +23,7 @@ from nlhom.fixtures import (
 )
 from nlhom.kernels import (IntegrableKernel, box_kernel, gaussian_kernel,
                            laplace_kernel, triangle_kernel)
-from nlhom.lineops import LineGrid
+from nlhom.lineops import LineGrid, gaussian_bump
 from nlhom.torus import PeriodicField, TorusGrid, field_from_function
 
 
@@ -156,6 +156,8 @@ EDGE_INPUT_SITES = {
                      lambda: box_kernel(height=0.0)),
     "triangle half_width 0": ("half_width must be finite and positive",
                               lambda: triangle_kernel(0.0)),
+    "bump width 0": ("width must be finite and positive",
+                     lambda: gaussian_bump(LineGrid(2.0, 64), 0.0, 0.0)),
 }
 
 

@@ -47,6 +47,15 @@ def test_laplace_moments():
     assert abs(k.s2 - 2.0) < 1e-10
 
 
+@pytest.mark.parametrize("rate", [0.3, 0.5])
+def test_laplace_default_radius_keeps_slow_rates_accurate(rate):
+    # a fixed radius of 40 dropped the tail mass e^{-40 rate}: at rate 0.3
+    # a1 read 1 - 6.1e-6 and s2 22.2106 instead of 22.2222
+    k = laplace_kernel(rate=rate)
+    assert abs(k.a1 - 1.0) <= 1e-10
+    assert abs(k.s2 - 2.0 / rate**2) <= 1e-9 * 2.0 / rate**2
+
+
 def test_gaussian_moments_vs_reference_quadrature():
     k = gaussian_kernel()
     ref = reference_moments(k)
