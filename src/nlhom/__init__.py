@@ -13,8 +13,10 @@ assembles the full-line multiscale operators, runs SPDE and particle
 ensembles, and checks the predicted convergence rates.  For the nonlinear
 filtering (Zakai equation) reading of the equations it provides the
 measure-reweighted cell problem of the jump family (``cell.zakai_cell_I``)
-and a filtering coefficient set of the stable family
-(``fixtures.stable_filter``).
+and a stable-family set with the filtering coefficient pattern f = sigma^2
+(``fixtures.stable_filter``); whether the lab's march on that set is a
+filtering density evolution is open, since the lab marches the generator
+and the Zakai equation its adjoint.
 """
 
 __version__ = "0.1.0"

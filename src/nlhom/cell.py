@@ -31,21 +31,24 @@ normalization, then verify the defining-equation residual.  The solve is one
 LU factorization per generator of the bordered matrix [[A, s 1], [s 1^T, 0]]
 (Keller's bordering), which is nonsingular exactly when the null space of A
 is one-dimensional: every left null vector met here (constants, m, m1) pairs
-positively with the ones border.  A :class:`CellOperator` holds the
-generator of one coefficient set with that one LU, and every stage of the
-chain takes it: direct and transposed solves with the LU serve the whole
-chain -- m and m1 as adjoint null vectors, chi and e1 as direct solves, and
-h1, h2, chi1, h3 through T*(m h) = rhs followed by a division by the
-density.  LAPACK's condition estimate of the LU is the rank guard.  The
-drift centering of ``fixtures`` factors only its first sweep's generator:
-the later sweeps' operators differ from it by a multiple of the derivative
-and solve on its LU by defect correction (:func:`_drift_shifted`).
+positively with the ones border.  LAPACK's condition estimate of the LU is
+the rank guard.  A :class:`CellOperator` is the one operator of the layer:
+the generator of one coefficient set with that one LU, and every stage of
+the chain takes it.  Direct and transposed solves with the LU serve the
+whole chain -- m and m1 as adjoint null vectors, chi and e1 as direct
+solves, and h1, h2, chi1, h3 through A*(m h) = rhs followed by a division by
+the density -- and every stage checks its residual through
+:meth:`CellOperator.residual`, matrix-free: h1, h2, chi1 and h3 on y = m h
+against A^T.  The drift centering of ``fixtures`` factors only its first
+sweep's generator B: a later sweep's operator is A = B - shift D1, which
+solves on B's LU by defect correction (:meth:`CellOperator.shifted`).
 """
 
+import copy
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -57,6 +60,7 @@ from .kernels import _quadrature_nodes, jump_column
 from .torus import (
     TWO_PI,
     PeriodicField,
+    TorusGrid,
     _field_blocks,
     _stable_blocks,
     _symbol_column,
@@ -109,47 +113,28 @@ _RCOND_MIN = 1e-10
 # ---------------------------------------------------------------------------
 
 
-def _norm_lower_bound(A):
-    """Largest row or column 2-norm of A: a lower bound on ||A||_2 within a
-    factor sqrt(n) of it, for O(n^2) work instead of an SVD."""
-    rows = np.einsum("ij,ij->i", A, A)
-    cols = np.einsum("ij,ij->j", A, A)
-    return float(np.sqrt(max(rows.max(), cols.max())))
-
-
-def _relative_residual(A, x, rhs):
-    """||A x - rhs|| / (||A|| max(||x||, 1) + ||rhs||).
-
-    ||A|| is the lower bound of :func:`_norm_lower_bound`, so the ratio is
-    never smaller than with the exact 2-norm.  The unit floor keeps it
-    meaningful when the exact solution is the zero field
-    (constant-coefficient degenerate cases).
-    """
-    return _residual_ratio(A @ x, x, rhs, _norm_lower_bound(A))
-
-
-def _residual_ratio(Ax, x, rhs, norm):
-    """||Ax - rhs|| / (norm max(||x||, 1) + ||rhs||), Ax the product A x and
-    norm the bound on ||A||: :func:`_relative_residual` from its parts."""
-    return np.linalg.norm(Ax - rhs) / (norm * max(np.linalg.norm(x), 1.0)
-                                       + np.linalg.norm(rhs))
-
-
 class _BorderedLU:
     """One LU factorization of the bordered matrix [[A, s 1], [s 1^T, 0]].
 
-    s = ||A|| / sqrt(n), with the lower bound of :func:`_norm_lower_bound`,
-    gives the border the operator's scale.  The bordered matrix is
-    nonsingular exactly when A has a one-dimensional null space whose right
-    and left null vectors both have a nonzero sum; a condition estimate
-    (LAPACK gecon) below _RCOND_MIN is reported as rank deficiency.
-    Because the border is symmetric, the transposed solve is the bordered
-    system of A^T, so one factorization serves both A and its adjoint.
+    It keeps the generator A (``generator``) and its squared row and column
+    2-norms (``rows``, ``cols``).  s = ``norm`` / sqrt(n), ``norm`` the
+    largest row or column 2-norm of A (a lower bound on ||A||_2 within a
+    factor sqrt(n) of it, for O(n^2) work instead of an SVD), gives the
+    border the operator's scale.  The bordered matrix is nonsingular
+    exactly when A has a one-dimensional null space whose right and left
+    null vectors both have a nonzero sum; a condition estimate (LAPACK
+    gecon) below _RCOND_MIN is reported as rank deficiency.  Because the
+    border is symmetric, the transposed solve is the bordered system of
+    A^T, so one factorization serves both A and its adjoint.
     """
 
     def __init__(self, A):
         n = A.shape[0]
-        s = _norm_lower_bound(A) / np.sqrt(n)
+        self.generator = A
+        self.rows = np.einsum("ij,ij->i", A, A)
+        self.cols = np.einsum("ij,ij->j", A, A)
+        self.norm = float(np.sqrt(max(self.rows.max(), self.cols.max())))
+        s = self.norm / np.sqrt(n)
         B = np.empty((n + 1, n + 1), order="F")  # LAPACK's layout: no copy
         B[:n, :n] = A
         B[:n, n] = s
@@ -168,6 +153,21 @@ class _BorderedLU:
             )
         self._n = n
         self._s = s
+
+    @cached_property
+    def derivative_cross(self):
+        """(row_cross, col_cross, d2): the inner products of the rows and
+        columns of A with those of the derivative matrix D1, and the
+        squared norm of a row of D1.  The squared row norms of A - c D1
+        are rows - 2 c row_cross + c^2 d2, and likewise its columns'."""
+        A = self.generator
+        k = TorusGrid(self._n).wavenumbers().astype(float)
+        column = _symbol_column(derivative_symbol(k, 1))
+        lags = np.concatenate([column[1:], column])
+        # D1[i, j] = column[(i - j) mod n], as a strided view of the lags
+        D1 = sliding_window_view(lags[::-1], column.size)[::-1]
+        return (np.einsum("ij,ij->i", A, D1), np.einsum("ij,ij->j", A, D1),
+                float(column @ column))
 
     def solve(self, rhs, total=0.0, adjoint=False):
         """x with A x = rhs (A^T x = rhs if adjoint) and sum(x) = total.
@@ -205,59 +205,6 @@ def _z_convolution(symbol, values):
     return np.fft.irfft(np.fft.rfft(values) * symbol, len(values))
 
 
-class CellOperator:
-    """The unit-cell generator of one coefficient set, factored once.
-
-    ``matrix`` is T (Part I) or L (Part II), from the family's assembler;
-    its adjoint is ``matrix.T``.  ``lu`` is its one :class:`_BorderedLU`,
-    and :meth:`solve` serves every direct and adjoint solve of the chain
-    with it; ``z_symbols`` are the Part I kernel-quadrature multipliers of
-    :func:`_z_symbols`, built on first use.  The drift centering of
-    ``fixtures`` solves its later sweeps on a nearby operator's LU instead
-    (:func:`_drift_shifted`).
-    """
-
-    # a first guess of the invariant density, for solves by refinement
-    _density_start = None
-
-    def __init__(self, cset):
-        self.cset = cset
-        self.matrix = _assemble(cset)
-        self.lu = _BorderedLU(self.matrix)
-
-    @cached_property
-    def z_symbols(self):
-        return _z_symbols(self.cset.kernel, self.cset.grid.n)
-
-    def solve(self, rhs, total=0.0, adjoint=False, start=None):
-        """x with A x = rhs (A^T x = rhs if adjoint) and sum(x) = total;
-        ``start``, a first guess, serves only solves by refinement."""
-        return self.lu.solve(rhs, total, adjoint)
-
-    def residual(self, x, rhs, adjoint=False):
-        """The relative residual of A x = rhs (A^T x = rhs if adjoint), as
-        :func:`_relative_residual` measures it."""
-        return _relative_residual(self.matrix.T if adjoint else self.matrix,
-                                  x, rhs)
-
-    @cached_property
-    def _drift_norms(self):
-        """(rows, row_cross, cols, col_cross, d2): the squared row and
-        column 2-norms of A, their inner products with those of the
-        derivative matrix D1, and the squared norm of a row of D1.  The
-        squared row norms of A - c D1 are rows - 2 c row_cross + c^2 d2,
-        and likewise its columns'."""
-        A = self.matrix
-        k = self.cset.grid.wavenumbers().astype(float)
-        column = _symbol_column(derivative_symbol(k, 1))
-        lags = np.concatenate([column[1:], column])
-        # D1[i, j] = column[(i - j) mod n], as a strided view of the lags
-        D1 = sliding_window_view(lags[::-1], column.size)[::-1]
-        return (np.einsum("ij,ij->i", A, A), np.einsum("ij,ij->i", A, D1),
-                np.einsum("ij,ij->j", A, A), np.einsum("ij,ij->j", A, D1),
-                float(column @ column))
-
-
 def _assemble(cset):
     if isinstance(cset, CoefficientSetI):
         return assemble_torus_generator_I(cset)
@@ -265,8 +212,9 @@ def _assemble(cset):
 
 
 def _derivative(x):
-    """The spectral derivative of grid values x: D1 x by FFT."""
-    n = x.size
+    """The spectral derivative by FFT, D1 x, of grid values x or of each
+    row of x."""
+    n = x.shape[-1]
     symbol = 1j * TWO_PI * np.arange(n // 2 + 1)
     symbol[-1] = 0.0  # the unpaired Nyquist mode, as derivative_symbol
     return np.fft.irfft(np.fft.rfft(x) * symbol, n)
@@ -278,49 +226,72 @@ def _derivative(x):
 _REFINE_TOL = 1e-15
 
 
-class _ShiftedOperator(CellOperator):
-    """The :class:`CellOperator` of ``cset``, whose drift is that of
-    ``near.cset`` lowered by the constant ``shift``: A = near.matrix -
-    shift D1.
+class CellOperator:
+    """The unit-cell generator A of one coefficient set, with one LU.
 
-    It assembles and factors nothing up front.  It applies A as
-    near.matrix x - shift x' (A^T as near.matrix^T x + shift x', since
-    D1^T = -D1), solves by defect correction on near's bordered LU
-    (:meth:`_refine`), and measures residuals against the norm bound of A
-    taken from near's :attr:`CellOperator._drift_norms`.  A solve whose
-    defect correction fails to converge factors this operator's own
-    generator and goes on with that, as a plain :class:`CellOperator`.
-    ``matrix`` is assembled on first use.
+    ``lu`` is a :class:`_BorderedLU` of the generator B it factored, and A
+    = B - ``shift`` D1, D1 the spectral derivative.  ``CellOperator(cset)``
+    assembles T (Part I) or L (Part II) of ``cset`` and factors it, so
+    shift = 0 and A = B; :meth:`shifted` gives the operator of a set whose
+    drift is this one's lowered by a constant, on the same LU.
+    :meth:`solve` serves every direct and adjoint solve of the chain, and
+    :meth:`apply` and :meth:`residual` act with A and A^T without forming
+    them; ``z_symbols`` are the Part I kernel-quadrature multipliers of
+    :func:`_z_symbols`, built on first use.
     """
 
-    def __init__(self, near, cset, shift, density_start):
+    # a first guess of the invariant density, for solves by refinement
+    _density_start = None
+    shift = 0.0
+
+    def __init__(self, cset):
         self.cset = cset
-        self._density_start = density_start
-        self._near = near
-        self._shift = shift
+        self.lu = _BorderedLU(_assemble(cset))
 
     @cached_property
-    def matrix(self):
-        return _assemble(self.cset)
+    def z_symbols(self):
+        return _z_symbols(self.cset.kernel, self.cset.grid.n)
 
-    def _apply(self, x, adjoint):
-        c = self._shift
-        if adjoint:
-            return self._near.matrix.T @ x + c * _derivative(x)
-        return self._near.matrix @ x - c * _derivative(x)
+    def shifted(self, cset, step, density_start):
+        """The operator of ``cset``, whose drift is that of ``self.cset``
+        lowered by the constant ``step``: A - step D1, on this operator's
+        LU.  Its invariant density starts from ``density_start``."""
+        op = copy.copy(self)
+        op.cset = cset
+        op.shift = self.shift + step
+        op._density_start = density_start
+        return op
+
+    def apply(self, x, adjoint=False):
+        """A x (A^T x if adjoint, with D1^T = -D1) for grid values x, or
+        for each row of x."""
+        B = self.lu.generator
+        Ax = x @ B if adjoint else x @ B.T
+        if self.shift:
+            c = self.shift if adjoint else -self.shift
+            Ax += c * _derivative(x)
+        return Ax
 
     def solve(self, rhs, total=0.0, adjoint=False, start=None):
-        if self._near is not None:
+        """x with A x = rhs (A^T x = rhs if adjoint) and sum(x) = total.
+
+        At shift 0 it is the LU solve.  Otherwise it solves by defect
+        correction on the LU (:meth:`_refine`) from ``start``, a first
+        guess; if that fails to converge, it factors A itself in place and
+        goes on at shift 0.
+        """
+        if self.shift:
             x = self._refine(rhs, total, adjoint, start)
             if x is not None:
                 return x
-            self._near = None  # released before the new generator exists
-            self.lu = _BorderedLU(self.matrix)
-        return super().solve(rhs, total, adjoint)
+            self.lu = None  # released before the new generator exists
+            self.lu = _BorderedLU(_assemble(self.cset))
+            self.shift = 0.0
+        return self.lu.solve(rhs, total, adjoint)
 
     def _refine(self, rhs, total, adjoint, start):
-        """The solve by defect correction on near's bordered LU: y <- y +
-        LU^-1 (b - B y), B the bordered matrix of A with near's border.
+        """The solve by defect correction on the bordered LU of B: y <- y +
+        LU^-1 (b - M y), M the bordered matrix of A with B's border.
 
         Starts from ``start`` (or zero).  With rate the ratio of the last
         two corrections, it returns once the error left, at most
@@ -332,13 +303,13 @@ class _ShiftedOperator(CellOperator):
         serve as the stop: the border row's rounding noise can hide a
         smooth residual that still moves int b m by 1e-13.
         """
-        lu = self._near.lu
+        lu = self.lu
         n, s = lu._n, lu._s
         b = np.append(np.asarray(rhs, dtype=float), s * total)
 
         def defect(y):
             x = y[:n]
-            return b - np.append(self._apply(x, adjoint) + s * y[n],
+            return b - np.append(self.apply(x, adjoint) + s * y[n],
                                  s * np.sum(x))
 
         y = np.zeros(n + 1)
@@ -364,28 +335,31 @@ class _ShiftedOperator(CellOperator):
         return y[:n] if converged else None
 
     def residual(self, x, rhs, adjoint=False):
-        if self._near is None:
-            return super().residual(x, rhs, adjoint)
-        c = self._shift
-        rows, row_cross, cols, col_cross, d2 = self._near._drift_norms
-        norm = np.sqrt(max(np.max(rows - 2.0 * c * row_cross),
-                           np.max(cols - 2.0 * c * col_cross)) + c * c * d2)
-        return _residual_ratio(self._apply(x, adjoint), x, rhs, norm)
+        """||A x - rhs|| / (||A|| max(||x||, 1) + ||rhs||), A^T for A if
+        adjoint.
 
-
-def _drift_shifted(op, cset, shift, density_start):
-    """The :class:`CellOperator` of ``cset``, whose drift is that of
-    ``op.cset`` lowered by the constant ``shift``.  Its solves refine on
-    the most recent factorization behind ``op`` and its invariant density
-    starts from ``density_start``."""
-    if getattr(op, "_near", None) is not None:
-        return _ShiftedOperator(op._near, cset, op._shift + shift,
-                                density_start)
-    return _ShiftedOperator(op, cset, shift, density_start)
+        ||A|| is the largest row or column 2-norm of A = B - shift D1,
+        exact from the LU's squared norms of B and, at a nonzero shift,
+        their cross terms with D1: a lower bound on the 2-norm, so the
+        ratio is never smaller than with the exact 2-norm.  The unit floor
+        keeps it meaningful when the exact solution is the zero field
+        (constant-coefficient degenerate cases).
+        """
+        lu = self.lu
+        norm = lu.norm
+        if self.shift:
+            c = self.shift
+            row_cross, col_cross, d2 = lu.derivative_cross
+            norm = np.sqrt(max(np.max(lu.rows - 2.0 * c * row_cross),
+                               np.max(lu.cols - 2.0 * c * col_cross))
+                           + c * c * d2)
+        return np.linalg.norm(self.apply(x, adjoint) - rhs) / (
+            norm * max(np.linalg.norm(x), 1.0) + np.linalg.norm(rhs))
 
 
 def _invariant_density(op, label):
-    """The adjoint null vector m of op.matrix, positive, with int m = 1."""
+    """The adjoint null vector m of the generator of op, positive, with
+    int m = 1."""
     n = op.cset.grid.n
     m = op.solve(np.zeros(n), total=n, adjoint=True,
                  start=op._density_start)
@@ -401,11 +375,12 @@ def _invariant_density(op, label):
 
 
 def _weighted_adjoint_solve(op, m, rhs, label):
-    """Mean-zero h with A*(m h) = rhs, A = op.matrix: the adjoint solve with
-    the bordered LU, then a division by the density m."""
+    """Mean-zero h with A*(m h) = rhs, A the generator of op: the adjoint
+    solve with the bordered LU, then a division by the density m.  The
+    residual is that of A* y = rhs at y = m h."""
     h = op.solve(rhs, adjoint=True) / m.values
     h = h - np.mean(h)
-    rel = _relative_residual(op.matrix.T * m.values[None, :], h, rhs)
+    rel = op.residual(m.values * h, rhs, adjoint=True)
     if rel > _SOLVE_TOL:
         raise RuntimeError("%s residual %.3g above tolerance" % (label, rel))
     return PeriodicField(op.cset.grid, h), rel
@@ -455,7 +430,7 @@ def solve_corrector_chi(op, m):
         )
     chi = op.solve(-cset.b.values)
     chi = chi - np.sum(chi * m.values) * cset.grid.h  # exact m-orthogonality
-    rel = _relative_residual(op.matrix, chi, -cset.b.values)
+    rel = op.residual(chi, -cset.b.values)
     if rel > _SOLVE_TOL:
         raise RuntimeError("corrector residual %.3g above tolerance" % rel)
     return PeriodicField(cset.grid, chi), rel
@@ -498,8 +473,7 @@ def _corrector_rhs_l(op, m):
     J = _z_convolution(op.z_symbols[:, 1], cset.lam.values * m.values)
     am_prime = PeriodicField(cset.grid, cset.a.values * m.values) \
         .derivative(1).values
-    l = J + cset.b.values * m.values - 2.0 * am_prime
-    return l, J
+    return J + cset.b.values * m.values - 2.0 * am_prime
 
 
 def solve_h1(op, m):
@@ -509,7 +483,7 @@ def solve_h1(op, m):
     identically in the continuum and must vanish to 1e-8 discretely.  The
     solve is the adjoint one with the bordered LU of T, then h1 = (m h1) / m.
     """
-    l, _ = _corrector_rhs_l(op, m)
+    l = _corrector_rhs_l(op, m)
     solvability = float(np.sum(l) * op.cset.grid.h)
     if abs(solvability) > _SOLVABILITY_TOL:
         raise SolvabilityError(
@@ -576,16 +550,14 @@ def zakai_cell_I(op, m):
     time does not change the stationary variance growth.
 
     T_hat is a diagonal similarity of T*, so the solve is the adjoint one
-    with the bordered LU of T, as for h1.
+    with the bordered LU of T, as for h1, and the residual is that of
+    T*(m chi1) = l.
     """
     grid = op.cset.grid
-    minv = 1.0 / m.values
-    l, J = _corrector_rhs_l(op, m)
-    rhs = l * minv  # (J + b m - 2 (a m)') / m  =  b_hat + J/m
-    chi1 = op.solve(l, adjoint=True) * minv  # T_hat chi1 = rhs
+    l = _corrector_rhs_l(op, m)
+    chi1 = op.solve(l, adjoint=True) * (1.0 / m.values)  # T_hat chi1 = l / m
     chi1 = chi1 - np.sum(chi1 * m.values) * grid.h
-    T_hat = minv[:, None] * op.matrix.T * m.values[None, :]
-    rel = _relative_residual(T_hat, chi1, rhs)
+    rel = op.residual(m.values * chi1, l, adjoint=True)
     if rel > _SOLVE_TOL:
         raise RuntimeError("chi1 residual %.3g above tolerance" % rel)
     fld = PeriodicField(grid, chi1)
@@ -637,7 +609,7 @@ def coercivity_witness_I(op, m):
     U = np.fft.ifft(coeffs * grid.n, axis=1).real
     dU = np.fft.ifft(coeffs * (1j * TWO_PI * grid.wavenumbers()) * grid.n,
                      axis=1).real
-    form = -np.sum(m.values * (U @ op.matrix.T) * U, axis=1) * h
+    form = -np.sum(m.values * op.apply(U) * U, axis=1) * h
     l2 = np.sum(U**2, axis=1) * h
     h1n = l2 + np.sum(dU**2, axis=1) * h
     margin = float(np.min(form + mu * l2 - 0.5 * alpha_c * h1n))
@@ -660,8 +632,8 @@ class CellSolutionI:
     sigma_bar: float
     solvability_l: float
     centering: float
-    residuals: Dict[str, float] = field(default_factory=dict)
-    coercivity: Tuple[float, float] = (0.0, 0.0)
+    residuals: Dict[str, float]
+    coercivity: Tuple[float, float]
 
 
 def solve_cell_I(cset) -> CellSolutionI:
@@ -766,7 +738,7 @@ def solve_e1(op, m1):
     w = m1.values
     e1 = op.solve(rhs - w * (w @ rhs) / (w @ w))
     e1 = e1 - np.sum(e1 * w) * grid.h
-    rel = _relative_residual(op.matrix, e1, rhs)
+    rel = op.residual(e1, rhs)
     if rel > _SOLVE_TOL and abs(solvability) <= _SOLVABILITY_TOL:
         raise RuntimeError("e1 residual %.3g above tolerance" % rel)
     return PeriodicField(grid, e1), solvability, rel
@@ -789,13 +761,13 @@ class CellSolutionII:
     cset: CoefficientSetII
     m1: PeriodicField
     h3: PeriodicField
-    e1: Optional[PeriodicField]
+    e1: PeriodicField
     delta_bar_alpha: float
     g_bar: float
     f_bar: float
     sigma_bar: float
     centering: float
-    residuals: Dict[str, float] = field(default_factory=dict)
+    residuals: Dict[str, float]
 
 
 def solve_cell_II(cset) -> CellSolutionII:

@@ -9,7 +9,8 @@ the same generator.  Three sweeps reach the stop (|B| <= 1e-13, or the
 bias's rounding floor where that is larger) on the named fixtures, where
 the fixed point c <- c + B contracted only by 0.01 to 0.05 per sweep.  One
 centering factors one generator: the first sweep's, on whose LU the later
-sweeps solve by defect correction (see :func:`_center_drift`).
+sweeps' operators, shifted by a multiple of the derivative, solve by defect
+correction (see :func:`_center_drift`).
 
 All named fixtures use smooth (band-limited or Gaussian-kernel) data so that
 the spectral machinery keeps cross-resolution agreement near machine
@@ -77,16 +78,17 @@ def _center_drift(cset, name, density):
     takes m_c from ``density`` (which runs its positivity and residual
     checks against that sweep's A_c).  The first sweep builds one
     :class:`cell.CellOperator` (the assembly, its one bordered LU and the
-    rank check); every later sweep's operator solves on the most recent LU
-    by defect correction, applies A_c without assembly, and starts its
-    density from the first-order prediction m + dc dm and its dm from the
-    last one.  A sweep whose correction does not contract factors its own
-    generator, and later sweeps go on from that LU, so large shifts still
-    center.  The sweeps stop at |B| <= max(_CENTER_TOL, floor), the floor
-    being the bias's rounding floor (see ``_centering_bias``), so rounding
-    alone never takes a further sweep; after _CENTER_MAX_ITER sweeps they
-    give up.  Returns (centered set, its density, its operator) of the last
-    sweep.
+    rank check).  Every later sweep's operator is the last one's
+    :meth:`cell.CellOperator.shifted` by the Newton step: the same LU with
+    a larger shift, applied without assembly, its density started from the
+    first-order prediction m + dc dm and its dm from the last one.  A sweep
+    whose defect correction does not converge factors its own generator in
+    place, at shift 0, and later sweeps go on from that LU, so large shifts
+    still center.  The sweeps stop at |B| <= max(_CENTER_TOL, floor), the
+    floor being the bias's rounding floor (see ``_centering_bias``), so
+    rounding alone never takes a further sweep; after _CENTER_MAX_ITER
+    sweeps they give up.  Returns (centered set, its density, its operator)
+    of the last sweep.
     """
     b0 = getattr(cset, name).values
     h = cset.grid.h
@@ -105,7 +107,7 @@ def _center_drift(cset, name, density):
         c += step
         current = current.with_fields(
             **{name: PeriodicField(cset.grid, b0 - c)})
-        op = cell._drift_shifted(op, current, step, m.values + step * dm)
+        op = op.shifted(current, step, m.values + step * dm)
     raise RuntimeError("drift centering did not converge (last bias %.3g)" % bias)
 
 
@@ -248,11 +250,12 @@ def stable_2(n=256, alpha=1.5):
 
 
 def stable_filter(n=256, alpha=1.5):
-    """Filtering variant of the stable family: g = e = 0 and f = sigma^2.
+    """Filtering variant of the stable family: g = e = 0 and f = sigma^2,
+    the zero-order coefficient equal to the squared noise coefficient.
 
-    This is the coefficient pattern under which the stable-family equation
-    doubles as an unnormalized filtering density evolution; the zero-order
-    coefficient must equal the squared observation coupling.
+    Whether the lab's equation on this set is an unnormalized filtering
+    density evolution is open: the lab marches the generator, while the
+    Zakai equation marches its adjoint, and no test compares the two.
     """
     base = stable_1(n=n, alpha=alpha)
     zero = PeriodicField(base.grid, np.zeros(n))
@@ -276,7 +279,9 @@ def _low_mode_field(rng, grid, base, amp):
 
 
 def random_set_I(seed, n=256):
-    """Randomized admissible Part I set (deterministic in the seed)."""
+    """Randomized admissible Part I set (deterministic in the seed, an
+    integer >= 0)."""
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     grid = TorusGrid(n)
     a = _low_mode_field(rng, grid, 1.0, 0.45)
@@ -299,7 +304,9 @@ def random_set_I(seed, n=256):
 
 
 def random_set_II(seed, n=256):
-    """Randomized admissible Part II set (deterministic in the seed)."""
+    """Randomized admissible Part II set (deterministic in the seed, an
+    integer >= 0)."""
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     grid = TorusGrid(n)
     alpha = float(rng.uniform(0.8, 1.8))
@@ -326,9 +333,13 @@ def coefficient_set_by_name(name, n=None):
                 "stable-filter": stable_filter}
     if name in builders:
         return builders[name]() if n is None else builders[name](n)
-    if name.startswith("random-I-"):
-        return random_set_I(int(name.rsplit("-", 1)[1]), n or 256)
-    if name.startswith("random-II-"):
-        return random_set_II(int(name.rsplit("-", 1)[1]), n or 256)
+    for prefix, build in (("random-I-", random_set_I),
+                          ("random-II-", random_set_II)):
+        if name.startswith(prefix):
+            seed = name[len(prefix):]
+            if not seed.isdecimal():
+                raise ValueError("coefficient set %r: the seed after %r must"
+                                 " be a decimal integer" % (name, prefix))
+            return build(int(seed)) if n is None else build(int(seed), n)
     raise KeyError("unknown coefficient set %r (built-ins: %s, random-I-<seed>,"
                    " random-II-<seed>)" % (name, ", ".join(builders)))

@@ -13,6 +13,8 @@ Oracles used here, written independently of the solver internals:
 * the fixed-point drift centering b <- b - int b m[b], against the Newton
   centering of the fixtures;
 * augmented least squares (lstsq), against the bordered LU solves;
+* the relative residual on an assembled dense matrix, against the
+  matrix-free residual of the cell operator;
 * the field-by-field loop of the coercivity witness, against its batched form;
 * cross-resolution (n vs 2n) agreement for every solved field.
 """
@@ -101,6 +103,16 @@ def q_double_quadrature(cset, m, chi, epsabs=1e-11):
 
     val, _ = quad_vec(inner, -R, R, epsabs=epsabs, epsrel=1e-10)
     return term1 + 0.5 * float(val[0])
+
+
+def relative_residual(A, x, rhs):
+    """||A x - rhs|| / (||A|| max(||x||, 1) + ||rhs||) on a dense matrix A,
+    ||A|| its largest row or column 2-norm."""
+    rows = np.einsum("ij,ij->i", A, A)
+    cols = np.einsum("ij,ij->j", A, A)
+    norm = float(np.sqrt(max(rows.max(), cols.max())))
+    return np.linalg.norm(A @ x - rhs) / (norm * max(np.linalg.norm(x), 1.0)
+                                          + np.linalg.norm(rhs))
 
 
 def lstsq_singular(A, rhs, weight, target):
@@ -230,7 +242,8 @@ def kernel_fourier_coefficient(kernel, k):
 def test_generator_annihilates_constants():
     for cset in (const_1(), varcoef_1()):
         op = CellOperator(cset)
-        T, T_adj = op.matrix, op.matrix.T
+        T = assemble_torus_generator_I(cset)
+        T_adj = T.T
         ones = np.ones(cset.grid.n)
         # exact cancellation up to rounding at the scale of the matrix entries
         scale = np.max(np.abs(T)) * np.finfo(float).eps * cset.grid.n
@@ -354,7 +367,7 @@ def test_corrector_zero_drift():
 def test_corrector_residual_and_orthogonality():
     cset = varcoef_1()
     op = CellOperator(cset)
-    T = op.matrix
+    T = assemble_torus_generator_I(cset)
     m, _ = solve_invariant_density_I(op)
     chi, _ = solve_corrector_chi(op, m)
     resid = T @ chi.values + cset.b.values
@@ -468,7 +481,8 @@ def test_coercivity_witness():
     alpha_c, mu, margin = coercivity_witness_I(op, m)
     assert alpha_c > 0 and mu > 0
     assert margin > -1e-9
-    loop = coercivity_margin_loop(cset, m, op.matrix, alpha_c, mu)
+    loop = coercivity_margin_loop(cset, m, assemble_torus_generator_I(cset),
+                                  alpha_c, mu)
     assert abs(margin - loop) <= 1e-12 * abs(loop)
 
 
@@ -636,7 +650,8 @@ def test_e1_zero_and_warning():
     m1, _ = solve_invariant_density_II(op)
     with pytest.warns(RuntimeWarning):
         e1, solv, rel = solve_e1(op, m1)
-    ref = lstsq_singular(op.matrix, -bad.e.values, m1.values, 0.0)
+    ref = lstsq_singular(assemble_torus_generator_II(bad), -bad.e.values,
+                         m1.values, 0.0)
     assert abs(solv) > 0.1
     assert np.max(np.abs(e1.values - ref)) < 1e-10
 
@@ -677,10 +692,11 @@ def test_bordered_solves_match_lstsq(seed):
     n = cset.grid.n
     sol = solve_cell_I(cset)
     op = CellOperator(cset)
-    T, T_adj = op.matrix, op.matrix.T
+    T = assemble_torus_generator_I(cset)
+    T_adj = T.T
     m = sol.m.values
     Tm = T_adj * m[None, :]
-    l = cell._corrector_rhs_l(op, sol.m)[0]
+    l = cell._corrector_rhs_l(op, sol.m)
     for x, ref in (
         (sol.m.values, lstsq_singular(T_adj, np.zeros(n), np.ones(n), 1.0)),
         (sol.chi.values, lstsq_singular(T, -cset.b.values, m, 0.0)),
@@ -700,6 +716,31 @@ def test_bordered_solves_match_lstsq(seed):
         (sol.e1.values, lstsq_singular(L, -cset.e.values, m1, 0.0)),
     ):
         assert np.max(np.abs(x - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+
+@given(seed=st.integers(0, 10_000), shift=st.floats(-50.0, 50.0))
+@settings(max_examples=10, deadline=None)
+def test_shifted_operator_matches_dense_generator(seed, shift):
+    # A = B - shift D1 on B's LU, against the assembled generator of the
+    # set whose drift is lowered by shift; at shift 0 the residual is the
+    # dense oracle's to the bit
+    rng = np.random.default_rng(seed)
+    for cset, name in ((random_set_I(seed, 64), "b"),
+                       (random_set_II(seed, 64), "d")):
+        op = CellOperator(cset)
+        x, rhs = rng.normal(size=(2, cset.grid.n))
+        for c in (0.0, 0.3, -5.0, 40.0, shift):
+            moved = _shifted(cset, name, -c)
+            A = cell._assemble(moved)
+            shifted = op.shifted(moved, c, None)
+            _assert_applies_generator(shifted, A)
+            for adjoint, dense in ((False, A), (True, A.T)):
+                got = shifted.residual(x, rhs, adjoint)
+                ref = relative_residual(dense, x, rhs)
+                if c == 0.0:
+                    assert got == ref
+                else:
+                    assert abs(got - ref) <= 1e-12 * ref
 
 
 @given(seed=st.integers(0, 10_000))
@@ -830,7 +871,7 @@ def test_centering_density_matches_independent_oracles():
     ref = invariant_density_power_iteration(cset).values
     assert np.max(np.abs(m.values - ref)) <= 1e-10 * np.max(ref)
     assert op.cset is cset
-    assert np.array_equal(op.matrix, assemble_torus_generator_I(cset))
+    _assert_applies_generator(op, assemble_torus_generator_I(cset))
 
     cset, m1, op = fixtures._center_drift(
         _shifted(stable_1(128), "d", 0.05), "d",
@@ -839,7 +880,17 @@ def test_centering_density_matches_independent_oracles():
     ref = ref / (np.sum(ref) * cset.grid.h)
     assert np.max(np.abs(m1.values - ref)) <= 1e-10 * np.max(ref)
     assert op.cset is cset
-    assert np.array_equal(op.matrix, assemble_torus_generator_II(cset))
+    _assert_applies_generator(op, assemble_torus_generator_II(cset))
+
+
+def _assert_applies_generator(op, A):
+    """op.apply acts as the dense generator A in both orientations, to
+    1e-13 of its largest entry, on the unit vectors (the rows of the
+    identity)."""
+    eye = np.eye(A.shape[0])
+    for adjoint, ref in ((False, A), (True, A.T)):
+        assert np.max(np.abs(op.apply(eye, adjoint).T - ref)) \
+            <= 1e-13 * np.max(np.abs(ref))
 
 
 def _count_calls(monkeypatch, build, names):
@@ -961,6 +1012,19 @@ def test_cell_chain_factors_once(monkeypatch, build, solve, z_builds):
     calls = _count_calls(monkeypatch, lambda: solve(cset),
                          ("lu_factor", "_z_symbols"))
     assert calls == {"lu_factor": 1, "_z_symbols": z_builds}
+
+
+def test_one_assembly_per_factorization(monkeypatch):
+    # every residual is matrix-free: stable-1's h3 on the last centering
+    # sweep's operator assembles nothing beyond the first sweep's generator
+    names = ("assemble_torus_generator_I", "assemble_torus_generator_II")
+    runs = [(lambda: fixtures._stable_1.__wrapped__(64, 1.5), (0, 1))]
+    for cset, solve, count in ((varcoef_1(64), solve_cell_I, (1, 0)),
+                               (random_set_II(3, 64), solve_cell_II, (0, 1))):
+        runs.append((lambda c=cset, s=solve: s(c), count))
+    for build, count in runs:
+        assert _count_calls(monkeypatch, build, names) \
+            == dict(zip(names, count))
 
 
 @pytest.mark.parametrize("n", [64, 256, 512])

@@ -234,6 +234,33 @@ def test_fixture_lookup_by_name():
         assert name in str(err.value)
 
 
+def test_fixture_lookup_refuses_a_bad_grid_size():
+    # n = 0 built a 256-point random set, while the named sets refused it
+    for name in ("varcoef-1", "random-I-3", "random-II-3"):
+        with pytest.raises(ValueError, match="n must be at least 8"):
+            coefficient_set_by_name(name, n=0)
+
+
+@pytest.mark.parametrize("build", [random_set_I, random_set_II])
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "seed must be an integer"),
+    ("3", "seed must be an integer"),
+    (-1, "seed must be at least 0"),
+])
+def test_random_sets_refuse_bad_seeds(build, seed, message):
+    # 1.5 raised numpy's TypeError
+    with pytest.raises(ValueError, match=message):
+        build(seed, 64)
+
+
+@pytest.mark.parametrize("name", ["random-I-x", "random-II-", "random-I--3",
+                                  "random-II-1.5"])
+def test_fixture_lookup_refuses_a_malformed_seed(name):
+    # "invalid literal for int()" named neither the set nor the seed
+    with pytest.raises(ValueError, match="coefficient set %r" % name):
+        coefficient_set_by_name(name)
+
+
 def test_stable_1_spellings_share_one_build():
     stable_1.cache_clear()
     stable_1(64)
