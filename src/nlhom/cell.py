@@ -17,6 +17,12 @@ generator, whose effective diffusivity Q1 must coincide with Q.  The
 z-integrals of Q and of the correctors' right-hand sides are sums over the
 kernel's one panel rule, ``kernels._quadrature_nodes`` (the rule of the
 kernel moments too), taken as Fourier multipliers by :func:`_z_symbols`.
+The rule is mirrored, so the multipliers are cosine and sine sums over its
+positive half, ``kernels._half_rule``: exactly real for the even powers of
+z, exactly imaginary for the odd one, with the phases of all n/2 + 1
+frequencies built by angle addition from two tables of about sqrt(n/2)
+phases per node.  The coercivity witness's random fields are real inverse
+FFTs of half spectra.
 
 Part II (alpha-stable jumps).  The unit-cell generator is
 
@@ -51,12 +57,11 @@ from functools import cached_property
 from typing import Dict, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, circulant, lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon, dlange
 
 from .coefficients import CoefficientSetI, CoefficientSetII
-from .kernels import _quadrature_nodes, jump_column
+from .kernels import _half_rule, jump_column
 from .torus import (
     TWO_PI,
     PeriodicField,
@@ -163,9 +168,7 @@ class _BorderedLU:
         A = self.generator
         k = TorusGrid(self._n).wavenumbers().astype(float)
         column = _symbol_column(derivative_symbol(k, 1))
-        lags = np.concatenate([column[1:], column])
-        # D1[i, j] = column[(i - j) mod n], as a strided view of the lags
-        D1 = sliding_window_view(lags[::-1], column.size)[::-1]
+        D1 = circulant(column)  # D1[i, j] = column[(i - j) mod n]
         return (np.einsum("ij,ij->i", A, D1), np.einsum("ij,ij->j", A, D1),
                 float(column @ column))
 
@@ -192,11 +195,41 @@ def _z_symbols(kernel, n):
     f(y - z_q), the quadrature of int z^j c(z) f(y - z) dz with f extended
     periodically.  irfft keeps the real part at Nyquist, the cosine
     convention of :meth:`PeriodicField.shifted`.
+
+    The panel rule is mirrored, each panel's nodes z_q followed by -z_q
+    with the same weights, so the sums run over its positive half,
+    ``kernels._half_rule``: S_0 and S_2 are sum 2 w c z^j cos(2 pi k z),
+    exactly real, and S_1 is -i sum 2 w c z sin(2 pi k z), exactly
+    imaginary.  The phases come by angle addition, e^{2 pi i (B a + b) z}
+    = e^{2 pi i B a z} e^{2 pi i b z} with B = ceil(sqrt(n/2 + 1)): two
+    tables of about sqrt(n/2) phases per node and one complex matrix
+    product of them, instead of a phase per frequency and node.
     """
-    nodes, weights = _quadrature_nodes(kernel)
-    wc = weights * kernel.evaluate(nodes)
-    phase = np.exp(-1j * TWO_PI * np.outer(np.arange(n // 2 + 1), nodes))
-    return phase @ (wc[:, None] * nodes[:, None] ** np.arange(3))
+    z, w = (x.ravel() for x in _half_rule(kernel))
+    moments = 2.0 * w * kernel.evaluate(z) * z ** np.arange(3)[:, None]
+    size = n // 2 + 1
+    B = int(np.ceil(np.sqrt(size)))
+    low = _phases(np.arange(B), z)
+    high = _phases(B * np.arange(-(-size // B)), z)
+    # sums[a, 3 b + j] = sum_q e^{2 pi i (B a + b) z_q} moments[j, q]
+    sums = high @ (low[:, None, :] * moments).reshape(3 * B, -1).T
+    sums = sums.reshape(-1, 3)[:size]
+    S = np.zeros((size, 3), dtype=complex)
+    S.real[:, ::2] = sums.real[:, ::2]
+    S.imag[:, 1] = -sums.imag[:, 1]
+    return S
+
+
+def _phases(k, z):
+    """e^{2 pi i k z} for the integers k (rows) and the nodes z (columns),
+    with k z reduced mod 1 exactly: z = zh + zl, zh on the grid 2^-30, so
+    every product k zh is exact while |k z| < 2^23, and only the small
+    k zl is rounded."""
+    zh = np.round(z * 2.0**30) / 2.0**30
+    turns = np.outer(k, zh)
+    turns -= np.rint(turns)
+    turns += np.outer(k, z - zh)
+    return np.exp(1j * TWO_PI * turns)
 
 
 def _z_convolution(symbol, values):
@@ -571,6 +604,22 @@ _WITNESS_FIELDS = 120
 _WITNESS_SEED = 7
 
 
+def _witness_fields(n):
+    """The witness's sample U on n grid points and its derivative dU, shape
+    (_WITNESS_FIELDS, n): each field draws Re/Im of modes 1 .. n/4 - 1 in
+    turn, then the mean, and is the irfft of that half spectrum."""
+    rng = np.random.default_rng(_WITNESS_SEED)
+    kmax = n // 4
+    draws = rng.normal(size=(_WITNESS_FIELDS, 2 * (kmax - 1) + 1))
+    coeffs = np.zeros((_WITNESS_FIELDS, n // 2 + 1), dtype=complex)
+    coeffs[:, 0] = draws[:, -1]
+    coeffs[:, 1:kmax] = draws[:, 0:-1:2] + 1j * draws[:, 1:-1:2]
+    U = np.fft.irfft(coeffs, n, norm="forward")
+    dU = np.fft.irfft(coeffs * (1j * TWO_PI * np.arange(n // 2 + 1)), n,
+                      norm="forward")
+    return U, dU
+
+
 def coercivity_witness_I(op, m):
     """Garding-inequality witness for the weighted form a[u,u] = -<m T u, u>.
 
@@ -580,7 +629,9 @@ def coercivity_witness_I(op, m):
         a[u,u] + mu ||u||^2 >= (alpha_c/2) (||u||^2 + ||u'||^2)
 
     holds for band-limited fields; margin is the worst observed slack over
-    the random sample (negative margin = violation).
+    the random sample (negative margin = violation).  The sample is
+    :func:`_witness_fields`: real fields built by irfft from half spectra,
+    so no complex full-spectrum array is formed.
     """
     cset = op.cset
     grid = cset.grid
@@ -597,18 +648,7 @@ def coercivity_witness_I(op, m):
     alpha_c = cset.kappa * float(np.min(m.values))
     mu = C1**2 / (2.0 * A1) + C2 + 0.5 * A1 + 0.5 * alpha_c
 
-    # each field draws Re/Im of modes 1 .. kmax-1 in turn, then the mean
-    rng = np.random.default_rng(_WITNESS_SEED)
-    kmax = grid.n // 4
-    draws = rng.normal(size=(_WITNESS_FIELDS, 2 * (kmax - 1) + 1))
-    z = draws[:, 0:-1:2] + 1j * draws[:, 1:-1:2]
-    coeffs = np.zeros((_WITNESS_FIELDS, grid.n), dtype=complex)
-    coeffs[:, 0] = draws[:, -1]
-    coeffs[:, 1:kmax] = z
-    coeffs[:, grid.n - kmax + 1:] = np.conj(z[:, ::-1])
-    U = np.fft.ifft(coeffs * grid.n, axis=1).real
-    dU = np.fft.ifft(coeffs * (1j * TWO_PI * grid.wavenumbers()) * grid.n,
-                     axis=1).real
+    U, dU = _witness_fields(grid.n)
     form = -np.sum(m.values * op.apply(U) * U, axis=1) * h
     l2 = np.sum(U**2, axis=1) * h
     h1n = l2 + np.sum(dU**2, axis=1) * h

@@ -6,6 +6,10 @@ radius R chosen so the neglected tail mass is below a configured tolerance.
 The lab integrates a kernel against z on one rule, the symmetric
 Gauss-Legendre panels of :func:`_quadrature_nodes`: the moments cached on
 the kernel object here, and the z-integrals of the cell (``cell._z_symbols``).
+Every panel maps the one _PANEL_NODES-point Gauss-Legendre rule, computed
+once at import.  The rule on [-R, R] is the half rule on [0, R]
+(:func:`_half_rule`) mirrored panel by panel; the cell sums over the half
+rule alone.
 
 Periodization: the scaled kernel (1/eps) c(z/eps) is wrapped onto a periodic
 domain by summing translates (:func:`wrapped_kernel_samples`).  This is what
@@ -37,6 +41,8 @@ _TAIL_TOL = 1e-10
 # Gauss-Legendre nodes per panel, and the longest panel, of the kernel rule
 _PANEL_NODES = 48
 _PANEL_MAX_LEN = 0.5
+# the _PANEL_NODES-point Gauss-Legendre rule on [-1, 1], computed once
+_GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(_PANEL_NODES)
 
 
 @dataclass(frozen=True)
@@ -101,26 +107,31 @@ class IntegrableKernel:
         )
 
 
-def _quadrature_nodes(kernel):
-    """Gauss-Legendre nodes/weights on [-R, R]: _PANEL_NODES per panel,
-    panels (at most _PANEL_MAX_LEN long) split at the kernel's breakpoints
-    and mirrored so the layout is exactly symmetric (odd integrands cancel
-    to rounding, which is what makes the discrete solvability integrals
-    vanish the way the continuum ones do)."""
+def _half_rule(kernel):
+    """Gauss-Legendre nodes and weights on [0, R], shape (panels,
+    _PANEL_NODES): panels at most _PANEL_MAX_LEN long, split at the
+    kernel's breakpoints, in increasing order."""
     R = float(kernel.truncation_radius)
     edges = sorted({0.0, R} | {float(b) for b in kernel.breakpoints if 0.0 < b < R})
-    xg, wg = leggauss(_PANEL_NODES)
     zs, ws = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         pieces = max(1, int(np.ceil((hi - lo) / _PANEL_MAX_LEN)))
         sub = np.linspace(lo, hi, pieces + 1)
         for a, b in zip(sub[:-1], sub[1:]):
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            zq = mid + half * xg
-            wq = half * wg
-            zs.extend([zq, -zq])
-            ws.extend([wq, wq])
-    return np.concatenate(zs), np.concatenate(ws)
+            zs.append(mid + half * _GAUSS_NODES)
+            ws.append(half * _GAUSS_WEIGHTS)
+    return np.array(zs), np.array(ws)
+
+
+def _quadrature_nodes(kernel):
+    """Gauss-Legendre nodes/weights on [-R, R]: each panel of
+    :func:`_half_rule`, nodes zq, followed by its mirror image -zq with the
+    same weights, so the layout is exactly symmetric (odd integrands cancel
+    to rounding, which is what makes the discrete solvability integrals
+    vanish the way the continuum ones do)."""
+    z, w = _half_rule(kernel)
+    return np.stack([z, -z], axis=1).ravel(), np.stack([w, w], axis=1).ravel()
 
 
 def kernel_moments(kernel):

@@ -7,6 +7,8 @@ Oracles used here, written independently of the solver internals:
   panel/multiplier route in compute_Q;
 * the per-node phase-shift loop over the same Gauss panels, against the
   multiplier form of the z-quadrature;
+* the phase matrix over the full mirrored rule, one exponential per
+  frequency and node, against the half-rule angle-addition z-symbols;
 * Fourier-mode evaluation of the generator against scalar quadrature of the
   kernel transform;
 * inverse-power iteration as a second route to the invariant density;
@@ -16,6 +18,8 @@ Oracles used here, written independently of the solver internals:
 * the relative residual on an assembled dense matrix, against the
   matrix-free residual of the cell operator;
 * the field-by-field loop of the coercivity witness, against its batched form;
+* the witness fields from full complex spectra, against the irfft of half
+  spectra;
 * cross-resolution (n vs 2n) agreement for every solved field.
 """
 
@@ -35,6 +39,7 @@ from nlhom.cell import (
     RankDeficiencyError,
     SolvabilityError,
     _BorderedLU,
+    _witness_fields,
     _z_convolution,
     _z_symbols,
     assemble_torus_generator_I,
@@ -63,7 +68,13 @@ from nlhom.fixtures import (
     stable_1,
     varcoef_1,
 )
-from nlhom.kernels import _quadrature_nodes, box_kernel, gaussian_kernel
+from nlhom.kernels import (
+    _quadrature_nodes,
+    box_kernel,
+    gaussian_kernel,
+    laplace_kernel,
+    triangle_kernel,
+)
 from nlhom.torus import PeriodicField, TorusGrid, field_from_function
 
 TWO_PI = 2.0 * np.pi
@@ -134,6 +145,42 @@ def z_convolution_loop(kernel, power, f):
         if wq != 0.0:
             acc += wq * f.shifted(zq).values
     return acc
+
+
+def z_symbols_phase_matrix(kernel, n):
+    """S_j(k) = sum_q w_q c(z_q) z_q^j e^{-2 pi i k z_q} over the full rule,
+    from the (n/2 + 1) x nodes matrix of phases.
+
+    k z is reduced mod 1 in numpy's longdouble before the exponential, which
+    is exact where that type has a 64-bit mantissa (x86): in double the
+    rounding of k z alone puts the phases off by up to 7e-14 of a column's
+    maximum for the random-set kernels at n = 2048, and by 3e-11 for the
+    Laplace kernel (R = 40).
+    """
+    nodes, weights = _quadrature_nodes(kernel)
+    wc = weights * kernel.evaluate(nodes)
+    turns = np.outer(np.arange(n // 2 + 1, dtype=np.longdouble),
+                     nodes.astype(np.longdouble))
+    turns = (turns - np.rint(turns)).astype(float)
+    phase = np.exp(-1j * TWO_PI * turns)
+    return phase @ (wc[:, None] * nodes[:, None] ** np.arange(3))
+
+
+def witness_fields_full_spectrum(n, n_fields=120, seed=7):
+    """The coercivity witness's fields and derivatives from full complex
+    spectra: the conjugate modes filled in, ifft, real part."""
+    rng = np.random.default_rng(seed)
+    kmax = n // 4
+    draws = rng.normal(size=(n_fields, 2 * (kmax - 1) + 1))
+    z = draws[:, 0:-1:2] + 1j * draws[:, 1:-1:2]
+    coeffs = np.zeros((n_fields, n), dtype=complex)
+    coeffs[:, 0] = draws[:, -1]
+    coeffs[:, 1:kmax] = z
+    coeffs[:, n - kmax + 1:] = np.conj(z[:, ::-1])
+    U = np.fft.ifft(coeffs * n, axis=1).real
+    dU = np.fft.ifft(coeffs * (1j * TWO_PI * TorusGrid(n).wavenumbers()) * n,
+                     axis=1).real
+    return U, dU
 
 
 def q_phase_shift_loop(cset, m, chi):
@@ -766,6 +813,53 @@ def test_multiplier_quadrature_matches_phase_shift_loop(seed):
     ref = q_phase_shift_loop(cset, sol.m, sol.chi)
     assert abs(compute_Q(CellOperator(cset), sol.m, sol.chi) - ref) \
         <= 1e-12 * ref
+
+
+def _assert_symbols_match_phase_matrix(kernel, n, bound=None):
+    """The z-symbols match the phase-matrix oracle within ``bound`` per
+    column (default: 1e-13 of each column's largest entry), and S_0 and S_2
+    are exactly real, S_1 exactly imaginary (the mirrored rule)."""
+    S = _z_symbols(kernel, n)
+    ref = z_symbols_phase_matrix(kernel, n)
+    assert S.shape == ref.shape == (n // 2 + 1, 3)
+    if bound is None:
+        bound = 1e-13 * np.max(np.abs(ref), axis=0)
+    assert np.all(np.max(np.abs(S - ref), axis=0) <= bound)
+    assert np.all(S[:, 0].imag == 0.0) and np.all(S[:, 2].imag == 0.0)
+    assert np.all(S[:, 1].real == 0.0)
+
+
+@given(seed=st.integers(0, 10_000), n=st.sampled_from([8, 64, 512, 2048]))
+@settings(max_examples=12, deadline=None)
+def test_z_symbols_match_full_rule_phase_matrix(seed, n):
+    # the kernel's width is drawn after the fields, so it does not depend on
+    # the grid the set is built on
+    _assert_symbols_match_phase_matrix(random_set_I(seed, 64).kernel, n)
+
+
+@pytest.mark.parametrize("kernel", [
+    box_kernel(), triangle_kernel(0.3), laplace_kernel(), laplace_kernel(0.3),
+], ids=["box", "triangle", "laplace", "laplace-slow"])
+@pytest.mark.parametrize("n", [7, 256])
+def test_z_symbols_of_builtin_kernels(kernel, n):
+    # the wide Laplace supports (R = 40 and 133) give phases k z of up to
+    # 17,000 turns.  The bound is on the sum of the terms' magnitudes,
+    # (a1, s1, s2): the odd column of a wide smooth kernel is small (its
+    # largest entry 7.7e-3 against s1 = 1 at rate 1).  The symbols meet it
+    # with 5x to spare; without the exact reduction of k z the Laplace
+    # kernels miss it at n = 256 (errors 2.3e-14 to 8.5e-14 of the moments).
+    moments = np.array([kernel.a1, kernel.s1, kernel.s2])
+    _assert_symbols_match_phase_matrix(kernel, n, 4e-15 * moments)
+
+
+@pytest.mark.parametrize("n", [8, 64, 512])
+def test_witness_fields_match_full_spectrum_construction(n):
+    U, dU = _witness_fields(n)
+    U_ref, dU_ref = witness_fields_full_spectrum(n)
+    assert U.shape == dU.shape == (120, n)
+    assert np.max(np.abs(U - U_ref)) <= 1e-13 * np.max(np.abs(U_ref))
+    assert np.max(np.abs(dU - dU_ref)) <= 1e-13 * max(np.max(np.abs(dU_ref)),
+                                                      1.0)
 
 
 def test_one_factorization_per_chain(monkeypatch):

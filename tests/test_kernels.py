@@ -6,9 +6,12 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from nlhom.kernels import (
+    _PANEL_NODES,
     IntegrableKernel,
+    _quadrature_nodes,
     box_kernel,
     gaussian_kernel,
+    kernel_moments,
     laplace_kernel,
     triangle_kernel,
     wrapped_kernel_samples,
@@ -97,6 +100,68 @@ def test_panel_moments_match_reference(family, u, v):
     ref = reference_moments(kernel)
     assert np.allclose((kernel.a1, kernel.s1, kernel.s2), ref, rtol=1e-13,
                        atol=0.0)
+
+
+# -- the panel rule ----------------------------------------------------------
+
+# every built-in family, each with breakpoints inside [0, R], from 2 panels
+# a side (box, triangle) to 267 (Laplace at rate 0.3)
+_BUILTIN_KERNELS = {
+    "box": lambda: box_kernel(),
+    "box-wide": lambda: box_kernel(2.5, 0.2),
+    "triangle": lambda: triangle_kernel(0.3),
+    "triangle-grid": lambda: triangle_kernel(1 / 64),
+    "laplace": lambda: laplace_kernel(),
+    "laplace-slow": lambda: laplace_kernel(0.3),
+    "gaussian": lambda: gaussian_kernel(),
+    "gaussian-wide": lambda: gaussian_kernel(0.6),
+}
+
+# (a1, s1, s2) of the kernels above as float.hex, recorded from the rule
+# that called leggauss on every call: the module-constant rule must
+# reproduce them bit for bit
+_RECORDED_MOMENTS = {
+    "box": ("0x1.0000000000000p+0", "0x1.0000000000000p-1",
+            "0x1.5555555555558p-2"),
+    "box-wide": ("0x1.0000000000000p+0", "0x1.4000000000000p+0",
+                 "0x1.0aaaaaaaaaaacp+1"),
+    "triangle": ("0x1.0000000000000p+0", "0x1.9999999999992p-4",
+                 "0x1.eb851eb851eafp-7"),
+    "triangle-grid": ("0x1.0000000000000p+0", "0x1.555555555554fp-8",
+                      "0x1.555555555554fp-15"),
+    "laplace": ("0x1.0000000000001p+0", "0x1.ffffffffffffdp-1",
+                "0x1.fffffffffffe0p+0"),
+    "laplace-slow": ("0x1.0000000000000p+0", "0x1.aaaaaaaaaaaa8p+1",
+                     "0x1.638e38e38e378p+4"),
+    "gaussian": ("0x1.0000000000003p+0", "0x1.677eafa68d3a1p-3",
+                 "0x1.8c7e28240b773p-5"),
+    "gaussian-wide": ("0x1.0000000000000p+0", "0x1.ea3863e31dac4p-2",
+                      "0x1.70a3d70a3d700p-2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTIN_KERNELS))
+def test_quadrature_rule_is_mirrored_panel_by_panel(name):
+    # cell._z_symbols sums over the positive half of the rule, so every
+    # panel must be followed by its exact mirror image with equal weights
+    kernel = _BUILTIN_KERNELS[name]()
+    nodes, weights = _quadrature_nodes(kernel)
+    z = nodes.reshape(-1, 2, _PANEL_NODES)
+    w = weights.reshape(-1, 2, _PANEL_NODES)
+    assert np.array_equal(z[:, 1], -z[:, 0])
+    assert np.array_equal(w[:, 1], w[:, 0])
+    assert np.all(z[:, 0] > 0.0) and np.all(z[:, 0] < kernel.truncation_radius)
+    again = _quadrature_nodes(kernel)
+    assert again[0].tobytes() == nodes.tobytes()
+    assert again[1].tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTIN_KERNELS))
+def test_kernel_moments_match_recorded_values(name):
+    kernel = _BUILTIN_KERNELS[name]()
+    moments = kernel_moments(kernel)
+    assert tuple(float(v).hex() for v in moments) == _RECORDED_MOMENTS[name]
+    assert moments == (kernel.a1, kernel.s1, kernel.s2)
 
 
 # -- periodization -----------------------------------------------------------
