@@ -1,16 +1,18 @@
-"""Coefficient bundles for the two operator families, with validation.
+"""Coefficient bundles for the two operator families, admissible when built.
 
 Part I bundles (a, b, lambda, sigma; jump kernel c) feed the second-order
 generator with scaled integrable jumps; Part II bundles (delta, d, g, e, f,
-sigma; stability index alpha) feed the alpha-stable family.  Validation
-mirrors the standing assumptions: ellipticity bounds, positive jump rates,
-and a spectral-decay proxy for classical smoothness.  The drift centering
+sigma; stability index alpha) feed the alpha-stable family.  A bundle
+refuses data that break the standing assumptions when it is built, with a
+ValueError naming the field and the bound: ellipticity and jump-intensity
+bounds (Part I), a positive multiplier delta (Part II), and resolved fields,
+a spectral-decay proxy for classical smoothness.  An uneven jump kernel is
+refused by :class:`kernels.IntegrableKernel`.  The drift centering
 condition is deliberately not checked here — it involves the invariant
 density and lives with the cell solver.
 """
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,11 +23,9 @@ __all__ = [
     "Epsilon",
     "CoefficientSetI",
     "CoefficientSetII",
-    "ValidationReport",
-    "validate_I",
-    "validate_II",
 ]
 
+_BOUND_SLACK = 1e-14
 _DECAY_TOL = 1e-8
 
 
@@ -67,12 +67,37 @@ def _eps_value(eps):
     return Epsilon.from_value(eps).value
 
 
+def _check_range(name, fld, bound, lo, hi):
+    """Refuse a field leaving [lo, hi] (to _BOUND_SLACK); bound names it."""
+    vmin, vmax = float(fld.values.min()), float(fld.values.max())
+    if vmin < lo - _BOUND_SLACK or vmax > hi + _BOUND_SLACK:
+        raise ValueError("%s must lie in %s = [%.6g, %.6g], got [%.6g, %.6g]"
+                         % (name, bound, lo, hi, vmin, vmax))
+
+
+def _check_resolved(cset, names):
+    """Refuse the first named field with a Fourier mode at or above n/4 over
+    _DECAY_TOL max(1, its largest coefficient), naming that largest mode."""
+    n = cset.grid.n
+    c = np.abs(np.fft.rfft([getattr(cset, nm).values for nm in names])) / n
+    high = c[:, n // 4:]
+    over = high.max(axis=1) > _DECAY_TOL * np.maximum(1.0, c.max(axis=1))
+    if over.any():
+        i = int(np.argmax(over))
+        k = n // 4 + int(np.argmax(high[i]))
+        raise ValueError("%s is unresolved on %d points: mode %d has amplitude"
+                         " %.3g, above %g of its largest coefficient"
+                         % (names[i], n, k, c[i, k], _DECAY_TOL))
+
+
 @dataclass(frozen=True)
 class CoefficientSetI:
-    """Validated bundle for the integrable-jump family.
+    """Admissible bundle for the integrable-jump family.
 
-    kappa is the declared ellipticity constant (kappa <= a <= 1/kappa);
-    alpha1 <= lambda <= alpha2 bounds the jump intensity.
+    Refused unless kappa, alpha1 and alpha2 are finite and positive, kappa
+    <= a <= 1/kappa and alpha1 <= lambda <= alpha2 (to 1e-14), and all four
+    fields are resolved: no Fourier mode at or above n/4 exceeds 1e-8 of
+    max(1, the field's largest coefficient).
     """
 
     a: PeriodicField
@@ -86,24 +111,32 @@ class CoefficientSetI:
     name: str = "custom"
 
     def __post_init__(self):
-        grids = {f.grid.n for f in (self.a, self.b, self.lam, self.sigma)}
-        if len(grids) != 1:
+        if len({f.grid.n for f in (self.a, self.b, self.lam, self.sigma)}) != 1:
             raise ValueError("all coefficient fields must share one torus grid")
+        for nm in ("kappa", "alpha1", "alpha2"):
+            _check_positive(nm, getattr(self, nm))
+        _check_range("a", self.a, "[kappa, 1/kappa]", self.kappa,
+                     1.0 / self.kappa)
+        _check_range("lam", self.lam, "[alpha1, alpha2]", self.alpha1,
+                     self.alpha2)
+        _check_resolved(self, ("a", "b", "lam", "sigma"))
 
     @property
     def grid(self):
         return self.a.grid
 
     def with_fields(self, **kw):
-        data = {k: getattr(self, k) for k in
-                ("a", "b", "lam", "sigma", "kernel", "kappa", "alpha1", "alpha2", "name")}
-        data.update(kw)
-        return CoefficientSetI(**data)
+        """A copy with the named fields replaced, checked as a new set."""
+        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
 class CoefficientSetII:
-    """Validated bundle for the alpha-stable family (jump index alpha)."""
+    """Admissible bundle for the alpha-stable family (jump index alpha).
+
+    Refused unless alpha lies in (0, 2), delta > 0, and all six fields are
+    resolved (as in :class:`CoefficientSetI`).
+    """
 
     delta: PeriodicField
     d: PeriodicField
@@ -117,10 +150,13 @@ class CoefficientSetII:
     def __post_init__(self):
         if not (_finite_real(self.alpha) and 0.0 < self.alpha < 2.0):
             raise ValueError("alpha must lie in (0, 2), got %r" % self.alpha)
-        grids = {fld.grid.n for fld in
-                 (self.delta, self.d, self.g, self.e, self.f, self.sigma)}
-        if len(grids) != 1:
+        names = ("delta", "d", "g", "e", "f", "sigma")
+        if len({getattr(self, nm).grid.n for nm in names}) != 1:
             raise ValueError("all coefficient fields must share one torus grid")
+        dmin = float(self.delta.values.min())
+        if dmin <= 0.0:
+            raise ValueError("delta must be positive, min delta = %.6g" % dmin)
+        _check_resolved(self, names)
 
     @property
     def grid(self):
@@ -132,88 +168,5 @@ class CoefficientSetII:
         return PeriodicField(self.grid, self.delta.values**self.alpha)
 
     def with_fields(self, **kw):
-        data = {k: getattr(self, k) for k in
-                ("delta", "d", "g", "e", "f", "sigma", "alpha", "name")}
-        data.update(kw)
-        return CoefficientSetII(**data)
-
-
-# ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    measured: str
-
-    def __str__(self):
-        return "[%s] %-34s %s" % ("PASS" if self.passed else "FAIL", self.name, self.measured)
-
-
-@dataclass
-class ValidationReport:
-    set_name: str
-    checks: List[CheckResult] = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
-    def add(self, name, passed, measured):
-        self.checks.append(CheckResult(name, bool(passed), measured))
-
-    def __str__(self):
-        head = "validation of coefficient set '%s': %s" % (
-            self.set_name, "PASS" if self.passed else "FAIL")
-        return "\n".join([head] + ["  " + str(c) for c in self.checks])
-
-
-def _spectral_decay_ok(fld, tol=_DECAY_TOL):
-    """Smoothness proxy: coefficients beyond index n/4 negligible."""
-    n = fld.grid.n
-    k = np.abs(fld.grid.wavenumbers())
-    c = np.abs(fld.coeffs)
-    high = c[k >= n // 4]
-    scale = max(1.0, float(np.max(c)))
-    worst = float(np.max(high)) if high.size else 0.0
-    return worst <= tol * scale, worst
-
-
-def validate_I(cset):
-    """Check the Part I standing assumptions; failures become report rows."""
-    rep = ValidationReport(cset.name)
-    a, lam = cset.a.values, cset.lam.values
-    amin, amax = float(a.min()), float(a.max())
-    rep.add("ellipticity kappa <= a <= 1/kappa",
-            cset.kappa > 0 and amin >= cset.kappa - 1e-14 and amax <= 1.0 / cset.kappa + 1e-14,
-            "min a = %.6g, max a = %.6g, kappa = %.6g" % (amin, amax, cset.kappa))
-    lmin, lmax = float(lam.min()), float(lam.max())
-    rep.add("jump intensity alpha1 <= lambda <= alpha2",
-            cset.alpha1 > 0 and lmin >= cset.alpha1 - 1e-14 and lmax <= cset.alpha2 + 1e-14,
-            "min lambda = %.6g, max lambda = %.6g" % (lmin, lmax))
-    for nm in ("a", "b"):
-        ok, worst = _spectral_decay_ok(getattr(cset, nm))
-        rep.add("smoothness proxy for %s (decay by n/4)" % nm, ok,
-                "max high-mode coeff = %.3g" % worst)
-    k = cset.kernel
-    z = np.linspace(0.01, k.truncation_radius, 23)
-    sym = float(np.max(np.abs(k.evaluate(z) - k.evaluate(-z))))
-    rep.add("kernel symmetry c(z) = c(-z)", sym <= 1e-12, "max asymmetry = %.3g" % sym)
-    return rep
-
-
-def validate_II(cset):
-    """Part II analog: positive delta and smoothness proxies (the alpha
-    range is refused when the set is built)."""
-    rep = ValidationReport(cset.name)
-    dmin = float(cset.delta.values.min())
-    rep.add("delta > 0 (positive stable multiplier)", dmin > 0.0,
-            "min delta = %.6g" % dmin)
-    for nm in ("delta", "d", "g", "e", "f", "sigma"):
-        ok, worst = _spectral_decay_ok(getattr(cset, nm))
-        rep.add("smoothness proxy for %s (decay by n/4)" % nm, ok,
-                "max high-mode coeff = %.3g" % worst)
-    return rep
+        """A copy with the named fields replaced, checked as a new set."""
+        return replace(self, **kw)

@@ -1,11 +1,11 @@
-"""Built-in coefficient sets used across tests, the CLI, and experiments.
+"""Built-in coefficient sets used across tests, benchmarks and experiments.
 
 The drift fields are centered: b is shifted by a constant c until its
 invariant-density average vanishes (the admissibility condition for
 homogenization).  The invariant density depends on c, so the shift is the
 root of the scalar bias B(c) = int (b - c) m_c, found by Newton's method.
 The slope B'(c) needs the derivative of m_c, which is one more solve with
-the same generator.  Three sweeps reach the stop (|B| <= 1e-13, or the
+the same generator.  Three sweeps reach the stop (|B| <= 0.5e-13, or the
 bias's rounding floor where that is larger) on the named fixtures, where
 the fixed point c <- c + B contracted only by 0.01 to 0.05 per sweep.  One
 centering factors one generator: the first sweep's, on whose LU the later
@@ -50,11 +50,12 @@ __all__ = [
 # and 0.0026 times it at n = 2048 (k = -12 ... 11).  0.005 n^2 u int |b m|
 # covers n >= 512 and stays below 1e-13 on every set of n <= 512 tried
 # (varcoef-1, stable-1, random-I at 256 for seeds 0-19, random-II at 512 for
-# seeds 0-99), so there the stop is _CENTER_TOL itself; at n = 256 the
-# floor, at most 3.1e-14, is far below it.
+# seeds 0-99, where it reaches 7.3e-14); at n <= 256 the floor, at most
+# 3.1e-14, is below _CENTER_TOL, so there the stop is _CENTER_TOL itself.
 _FLOOR_FACTOR = 0.005
-# the centering stop on |int b m| and the most Newton sweeps it may take
-_CENTER_TOL = 1e-13
+# the centering stop on |int b m|, half the 1e-13 a directly solved density
+# must meet (the stop reads a refined one), and the most Newton sweeps
+_CENTER_TOL = 0.5e-13
 _CENTER_MAX_ITER = 40
 
 
@@ -113,7 +114,7 @@ def _center_drift(cset, name, density):
 
 def center_drift_I(cset):
     """Shift b by a constant so that the centering condition int b m = 0
-    holds to _CENTER_TOL (1e-13), m the invariant density of the shifted
+    holds to _CENTER_TOL (0.5e-13), m the invariant density of the shifted
     generator; returns the centered set.  Newton's method on the shift (see
     :func:`_center_drift`) reaches it, or the bias's rounding floor where
     that is larger, in three sweeps on the fixtures.
@@ -327,7 +328,7 @@ def random_set_II(seed, n=256):
 
 
 def coefficient_set_by_name(name, n=None):
-    """CLI entry point: resolve a named built-in (optionally at a given n)."""
+    """Resolve a named built-in (optionally at a given n)."""
     builders = {"const-1": const_1, "varcoef-1": varcoef_1,
                 "stable-1": stable_1, "stable-2": stable_2,
                 "stable-filter": stable_filter}

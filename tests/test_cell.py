@@ -27,7 +27,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad, quad_vec
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, null_space
 
@@ -543,6 +543,11 @@ def test_scaling_covariance_sigma():
     assert abs(sigma_bar_scaled - s * sol.sigma_bar) < 1e-12 * s
 
 
+def _ellipticity(a):
+    """The largest kappa with kappa <= a <= 1/kappa."""
+    return min(float(a.values.min()), 1.0 / float(a.values.max()))
+
+
 def test_scaling_covariance_Q_zero_drift():
     # with b = 0 the literal (a, lambda) joint scaling leaves m, chi fixed
     grid = TorusGrid(128)
@@ -554,10 +559,10 @@ def test_scaling_covariance_Q_zero_drift():
                            kernel=gaussian_kernel(), kappa=0.6, alpha1=0.7,
                            alpha2=1.3, name="b0")
     s = 2.3
+    a_s = PeriodicField(grid, s * a.values)
     scaled = CoefficientSetI(
-        a=PeriodicField(grid, s * a.values), b=zero,
-        lam=PeriodicField(grid, s * lam.values), sigma=one,
-        kernel=gaussian_kernel(), kappa=0.6 * s, alpha1=0.7 * s,
+        a=a_s, b=zero, lam=PeriodicField(grid, s * lam.values), sigma=one,
+        kernel=gaussian_kernel(), kappa=_ellipticity(a_s), alpha1=0.7 * s,
         alpha2=1.3 * s, name="b0-scaled",
     )
     op1, op2 = CellOperator(cset), CellOperator(scaled)
@@ -577,12 +582,13 @@ def test_scaling_covariance_Q_joint_drift():
     # scaling (a time change of the cell process)
     cset = varcoef_1()
     s = 1.9
+    a_s = PeriodicField(cset.grid, s * cset.a.values)
     scaled = cset.with_fields(
-        a=PeriodicField(cset.grid, s * cset.a.values),
+        a=a_s,
         b=PeriodicField(cset.grid, s * cset.b.values),
         lam=PeriodicField(cset.grid, s * cset.lam.values),
-        kappa=cset.kappa * s, alpha1=cset.alpha1 * s, alpha2=cset.alpha2 * s,
-        name="varcoef-scaled",
+        kappa=_ellipticity(a_s), alpha1=cset.alpha1 * s,
+        alpha2=cset.alpha2 * s, name="varcoef-scaled",
     )
     sol = solve_cell_I(cset)
     sol_s = solve_cell_I(scaled)
@@ -914,9 +920,9 @@ def _assert_centering_matches_fixed_point(fixture, name, drift_tol=1e-13):
     0.05 land on the fixture's drift, with the same cell quantities.
 
     The fixed-point oracle ends on the rounding floor of the bias; Newton
-    ends on its first sweep with |bias| <= 1e-13, which on the named
+    ends on its first sweep with |bias| <= 0.5e-13, which on the named
     fixtures is the floor too.  On random sets that sweep can land
-    anywhere below 1e-13, so ``drift_tol=None`` takes the bound that the
+    anywhere below 0.5e-13, so ``drift_tol=None`` takes the bound that the
     stop itself gives: a drift off the root by a constant dc has the bias
     dc dB/dc, so two drifts that pass the stop, with biases measured to the
     1e-14 floor of n = 128, sit at most 2.2e-13 / |dB/dc| apart (|dB/dc|,
@@ -953,6 +959,14 @@ def test_centering_fixtures_match_fixed_point(build, name):
 
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=8, deadline=None)
+# a stop at the contract's 1e-13 read up to 1.024e-13 on a direct solve
+# for these seeds' fixtures (and for 5742's re-centering)
+@example(seed=860)
+@example(seed=1604)
+@example(seed=1789)
+@example(seed=1817)
+@example(seed=1865)
+@example(seed=5742)
 def test_centering_random_sets_match_fixed_point(seed):
     _assert_centering_matches_fixed_point(random_set_I(seed, 128), "b", None)
     _assert_centering_matches_fixed_point(random_set_II(seed, 128), "d", None)

@@ -1,16 +1,10 @@
-"""Coefficient-set containers, scale separation, validation reports."""
+"""Coefficient-set containers, scale separation, construction refusals."""
 
 import numpy as np
 import pytest
 
 from nlhom import particles, spde
-from nlhom.coefficients import (
-    CoefficientSetI,
-    Epsilon,
-    _eps_value,
-    validate_I,
-    validate_II,
-)
+from nlhom.coefficients import CoefficientSetI, Epsilon, _eps_value
 from nlhom.fixtures import (
     coefficient_set_by_name,
     const_1,
@@ -115,12 +109,35 @@ def _bump(z):
     return np.maximum(0.0, 1.0 - np.asarray(z, dtype=float) ** 2)
 
 
+def _set_I(**bad):
+    """A new Part I set from varcoef-1's data on 64 points, some replaced."""
+    return CoefficientSetI(**{**vars(varcoef_1(64)), **bad})
+
+
+def _const64(value):
+    return PeriodicField(TorusGrid(64), np.full(64, value))
+
+
+def _cos64(mean, amp):
+    return field_from_function(TorusGrid(64),
+                               lambda y: mean + amp * np.cos(2 * np.pi * y))
+
+
+def _rough64():
+    return PeriodicField(TorusGrid(64), 1.0 + 0.2 * np.random.default_rng(
+        0).standard_normal(64))
+
+
 # (start of the message, call) of edge inputs that gave a silently wrong
 # result or a crash: a derivative order of 0, -1 or 1.5 returned u, NaN or
 # zeros on the line and order 1 on the torus; pairings of mismatched
 # lengths returned a number; p = 2.5 sampled 2 points; a kernel radius of
 # inf was integrated to infinity and True ran as 1; zero kernel parameters
-# divided by zero or failed on the kernel's mass
+# divided by zero or failed on the kernel's mass; inadmissible coefficient
+# sets built and failed later under another name (a = -0.5 as a violated
+# solvability, a = 1e-9 as a negative density, a negative delta as
+# non-finite field values); random_set_I built on 8 points, where its
+# fields are unresolved
 EDGE_INPUT_SITES = {
     "line derivative order 0": ("order must be at least 1", lambda: LineGrid(
         2.0, 64).apply_derivative(np.ones(64), 0)),
@@ -158,6 +175,23 @@ EDGE_INPUT_SITES = {
                               lambda: triangle_kernel(0.0)),
     "bump width 0": ("width must be finite and positive",
                      lambda: gaussian_bump(LineGrid(2.0, 64), 0.0, 0.0)),
+    "a = -0.5": (r"a must lie in \[kappa, 1/kappa\] = \[0.5, 2\], got "
+                 r"\[-0.5, -0.5\]", lambda: _set_I(a=_const64(-0.5))),
+    "a = 1e-9": (r"a must lie in \[kappa, 1/kappa\]",
+                 lambda: _set_I(a=_const64(1e-9))),
+    "delta negative": ("delta must be positive, min delta = -0.2", lambda:
+                       stable_1(64).with_fields(delta=_cos64(0.3, 0.5))),
+    "lam above alpha2": (r"lam must lie in \[alpha1, alpha2\] = \[0.7, 1.3\]",
+                         lambda: _set_I(lam=_const64(1.5))),
+    "alpha1 above alpha2": (r"lam must lie in \[alpha1, alpha2\] = "
+                            r"\[1.3, 0.7\]",
+                            lambda: _set_I(alpha1=1.3, alpha2=0.7)),
+    "kappa nan": ("kappa must be finite and positive",
+                  lambda: _set_I(kappa=np.nan)),
+    "rough a": ("a is unresolved on 64 points: mode 25 has amplitude",
+                lambda: _set_I(a=_rough64())),
+    "random-I on 8 points": ("a is unresolved on 8 points: mode 3 ",
+                             lambda: random_set_I(0, 8)),
 }
 
 
@@ -169,53 +203,71 @@ def test_edge_inputs_are_refused(site):
 
 
 def test_validate_const_passes():
-    report = validate_I(const_1())
-    assert report.passed
-    assert "PASS" in str(report)
+    # const-1 sits on its bounds: a = kappa = 1/kappa and lam = alpha1 =
+    # alpha2; a bound missed by more than the 1e-14 slack is refused
+    cset = const_1()
+    assert cset.a.values.min() == cset.kappa == 1.0 / cset.kappa
+    assert cset.lam.values.min() == cset.alpha1 == cset.alpha2
+    with pytest.raises(ValueError, match="a must lie in"):
+        cset.with_fields(kappa=1.0 + 1e-13)
+    with pytest.raises(ValueError, match="lam must lie in"):
+        cset.with_fields(alpha2=2.0 - 1e-13)
 
 
 def test_validate_flags_lost_ellipticity():
+    # with_fields builds a new set, so it re-runs the refusals
     cset = const_1()
-    g = cset.grid
-    bad_a = field_from_function(g, lambda y: 0.5 + 0.5 * np.cos(2 * np.pi * y))
-    bad = cset.with_fields(a=bad_a, name="degenerate")
-    report = validate_I(bad)
-    assert not report.passed
-    assert any("ellipticity" in c.name and not c.passed for c in report.checks)
+    bad_a = _cos64(0.5, 0.5)
+    with pytest.raises(ValueError, match=r"a must lie in \[kappa, 1/kappa\]"):
+        cset.with_fields(a=bad_a, name="degenerate")
 
 
 def test_validate_varcoef_bounds():
     cset = varcoef_1()
-    report = validate_I(cset)
-    assert report.passed
-    # kappa = 0.5 really is a lower bound for this a
+    # kappa = 0.5 really is a lower bound for this a, and alpha1, alpha2
+    # bound lambda
     assert np.min(cset.a.values) >= cset.kappa
+    assert cset.alpha1 <= np.min(cset.lam.values)
+    assert np.max(cset.lam.values) <= cset.alpha2
+    with pytest.raises(ValueError, match="a must lie in"):
+        cset.with_fields(kappa=np.min(cset.a.values) + 1e-9)
 
 
 def test_validate_flags_rough_field():
-    cset = const_1()
-    g = cset.grid
-    rng = np.random.default_rng(0)
-    rough = PeriodicField(g, 1.0 + 0.2 * rng.standard_normal(g.n))
-    report = validate_I(cset.with_fields(a=rough, name="rough"))
-    assert not report.passed
-    assert any("smoothness" in c.name and not c.passed for c in report.checks)
+    # the rough field's values, in [0.53, 1.39], keep within its bounds
+    cset = varcoef_1(64).with_fields(alpha1=0.5, alpha2=1.5)
+    for name in ("a", "b", "lam", "sigma"):
+        with pytest.raises(ValueError, match="%s is unresolved on 64 points:"
+                                             " mode " % name):
+            cset.with_fields(**{name: _rough64(), "name": "rough"})
 
 
 def test_validate_II_passes_and_fails():
-    assert validate_II(stable_1()).passed
     cset = stable_1()
-    g = cset.grid
-    bad_delta = field_from_function(g, lambda y: 0.1 + 0.2 * np.cos(2 * np.pi * y))
-    report = validate_II(cset.with_fields(delta=bad_delta, name="bad-delta"))
-    assert not report.passed
+    assert np.min(cset.delta.values) > 0
+    bad_delta = field_from_function(
+        cset.grid, lambda y: 0.1 + 0.2 * np.cos(2 * np.pi * y))
+    with pytest.raises(ValueError, match="delta must be positive"):
+        cset.with_fields(delta=bad_delta, name="bad-delta")
+    rough = PeriodicField(cset.grid, np.random.default_rng(0).standard_normal(
+        cset.grid.n))
+    for name in ("d", "g", "e", "f", "sigma"):
+        with pytest.raises(ValueError, match="%s is unresolved" % name):
+            cset.with_fields(**{name: rough})
 
 
-def test_all_builtin_fixtures_valid():
-    for cset in (const_1(), varcoef_1(), random_set_I(0), random_set_I(7)):
-        assert validate_I(cset).passed, cset.name
-    for cset in (stable_1(), random_set_II(0), random_set_II(7)):
-        assert validate_II(cset).passed, cset.name
+_NAMED_SETS = ["const-1", "varcoef-1", "stable-1", "stable-2", "stable-filter"]
+
+
+@pytest.mark.parametrize("name", _NAMED_SETS
+                         + ["random-I-%d" % s for s in range(100)]
+                         + ["random-II-%d" % s for s in range(100)])
+def test_all_builtin_fixtures_valid(name):
+    # every built-in is admissible: named sets at their default grid, the
+    # random sets on 64 points
+    n = None if name in _NAMED_SETS else 64
+    cset = coefficient_set_by_name(name, n)
+    assert cset.name == name
 
 
 def test_fixture_lookup_by_name():

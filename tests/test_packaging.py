@@ -4,7 +4,10 @@ at code that exists, and the benchmark's reference traces are the package's."""
 import ast
 import importlib
 import importlib.util
+import inspect
+import json
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,6 +38,27 @@ def test_module_exports_resolve():
         missing = [name for name in getattr(module, "__all__", ())
                    if not hasattr(module, name)]
         assert not missing, "nlhom.%s.__all__ names %r" % (info.name, missing)
+
+
+def test_src_size_counts_the_package():
+    # the size counts tracked beside the benchmarks, recounted from the
+    # imported modules
+    import nlhom
+
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "src_size.py")],
+                         capture_output=True, text=True, check=True)
+    counts = json.loads(out.stdout)
+    paths = sorted((ROOT / "src" / "nlhom").glob("*.py"))
+    modules = [importlib.import_module("nlhom." + info.name)
+               for info in pkgutil.iter_modules(nlhom.__path__)]
+    assert counts["lines"] == sum(len(p.read_text().splitlines())
+                                  for p in paths)
+    assert counts["all_names"] == sum(len(getattr(m, "__all__", ()))
+                                      for m in modules)
+    assert counts["classes"] == sum(
+        inspect.isclass(v) and v.__module__ == m.__name__
+        for m in modules for v in vars(m).values())
+    assert counts["defaulted_params"] > 0
 
 
 def test_no_string_selected_modes():

@@ -266,9 +266,16 @@ def test_dt_guard_and_intensity_bound():
     cset = _jump_only_set()
     with pytest.raises(ValueError, match="dt"):
         pm.simulate_jump_diffusion_I(cset, 0.5, 1.0, 0.1, 16, seed=1)
-    bad = _jump_only_set(lam_value=2.0, lam_bound=1.0)
-    with pytest.raises(ValueError, match="alpha2"):
-        pm.simulate_jump_diffusion_I(bad, 0.5, 1.0, 0.02, 16, seed=1)
+    # alpha2 at lambda's grid maximum admits the set, but lambda's
+    # interpolant peaks between grid points, above alpha2
+    grid = cset.grid
+    lam = field_from_function(
+        grid, lambda y: 1.0 + 0.3 * np.cos(2.0 * np.pi * (y - grid.h / 2)))
+    over = cset.with_fields(lam=lam, alpha1=float(lam.values.min()),
+                            alpha2=float(lam.values.max()))
+    with pytest.raises(ValueError, match="intensity bound alpha2=1.29964 "
+                                         "below max lambda=1.3;"):
+        pm.simulate_jump_diffusion_I(over, 0.5, 1.0, 0.02, 16, seed=1)
 
 
 def test_jump_diffusion_reproducible():
