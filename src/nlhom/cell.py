@@ -53,7 +53,7 @@ solves on B's LU by defect correction (:meth:`CellOperator.shifted`).
 import copy
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, Tuple
 
 import numpy as np
@@ -604,10 +604,12 @@ _WITNESS_FIELDS = 120
 _WITNESS_SEED = 7
 
 
+@lru_cache(maxsize=None)
 def _witness_fields(n):
     """The witness's sample U on n grid points and its derivative dU, shape
     (_WITNESS_FIELDS, n): each field draws Re/Im of modes 1 .. n/4 - 1 in
-    turn, then the mean, and is the irfft of that half spectrum."""
+    turn, then the mean, and is the irfft of that half spectrum.  They
+    depend only on n, so they are drawn once per n and read-only."""
     rng = np.random.default_rng(_WITNESS_SEED)
     kmax = n // 4
     draws = rng.normal(size=(_WITNESS_FIELDS, 2 * (kmax - 1) + 1))
@@ -617,6 +619,8 @@ def _witness_fields(n):
     U = np.fft.irfft(coeffs, n, norm="forward")
     dU = np.fft.irfft(coeffs * (1j * TWO_PI * np.arange(n // 2 + 1)), n,
                       norm="forward")
+    U.flags.writeable = False
+    dU.flags.writeable = False
     return U, dU
 
 

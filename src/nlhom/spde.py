@@ -33,6 +33,11 @@ marches that one flow and an (m,) growth vector instead of m columns.
 Heterogeneous and homogenized solvers always consume identical Brownian
 increments, which slashes the variance of paired law comparisons.
 
+Each path's column evolves on its own, so a chunk's heterogeneous columns
+march as two fixed halves at once, on the calling thread and on one worker:
+the block products and inverse transforms that dominate a step release the
+GIL.  The split depends only on the chunk's size, never on thread timing.
+
 The two steppers, :class:`SemiImplicitStepper` and :class:`SpectralStepper`,
 are what :func:`run_ensemble` marches; the results are the in-memory
 :class:`FieldPath` records.  The refined explicit-Euler cross-check and the
@@ -40,6 +45,7 @@ one-path loop of the stepper tests are test oracles
 (``tests/spde_oracle.py``), not run by the lab.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -310,7 +316,9 @@ class SpdeConfig:
         Keep per-path increment arrays on the records (disable for large
         step counts; the variance check runs either way).
     chunk_size : int
-        Paths marched per state-matrix block.
+        Paths marched per state-matrix block.  The heterogeneous columns of
+        a block march as two halves on two threads; the pairings and masses
+        depend on the half width at rounding level.
     """
 
     part: str
@@ -467,6 +475,20 @@ def run_ensemble(config, cell, cset, battery=None):
     squared norms for the energy monitor, boundary fractions, snapshots) is
     the flow's value scaled by the path's growth.
 
+    The heterogeneous columns of a chunk march as two fixed halves, each
+    with its own Bloch state: the first ceil(m/2) on the calling thread, the
+    rest on a one-thread pool scoped to the call (no task when m = 1).  Each
+    half writes only its own columns of the chunk's records.  Each path's
+    state is bit-identical to a one-block march, but the pairings and
+    masses are products over a half-width block: they differ at rounding
+    level, a few 1e-15 of the largest pairing.  Set-up, the increment
+    draws, the homogenized side and the path records stay on the calling
+    thread.  Each half and the homogenized side stop at their own first
+    violation of the energy monitor, and the run raises the one a serial
+    march meets first: the earliest step, het before hom at that step, then
+    the lowest non-finite path or else the worst path above the cap.  The
+    worker is joined before the call returns or raises.
+
     Raises
     ------
     ValueError
@@ -502,95 +524,140 @@ def run_ensemble(config, cell, cset, battery=None):
 
     n_xi = xi.shape[0]
     het_paths, hom_paths = [], []
-    for lo in range(0, config.n_paths, config.chunk_size):
-        hi = min(lo + config.chunk_size, config.n_paths)
-        m = hi - lo
-        n_snap = min(m, max(0, config.n_snapshot_paths - lo))
-        inc = np.empty((n_steps, m))
-        for j in range(m):
-            inc[:, j] = RngStream(config.seed, stream=lo + j).generator() \
-                .standard_normal(n_steps)
-        inc *= sqrt_dt
-
-        # heterogeneous paths march as the Bloch coefficients of one state
-        # block; the homogenized ones are the one flow S_t u0 times a growth
-        # per path
-        U_hat = np.repeat(u0_hat, m, axis=2)
-        U = np.tile(u0[:, None], (1, m))
-        flow = u0.copy()
-        growth = np.ones(m)
-        pair = {s: np.empty((n_rec, n_xi, m)) for s in ("het", "hom")}
-        pair2 = {s: np.empty((n_rec, n_xi, m)) for s in ("het", "hom")}
-        snaps = {s: np.empty((n_snap, n_rec, grid.n)) for s in ("het", "hom")}
-        max4 = {"het": np.zeros(m), "hom": np.zeros(m)}
-        bfrac = {"het": np.zeros(m), "hom": np.zeros(m)}
-
-        def monitor(side, k, nsq):
-            if not np.all(np.isfinite(nsq)):
-                bad = lo + int(np.argmax(~np.isfinite(nsq)))
-                raise RuntimeError(
-                    "non-finite %s state on path %d at t = %.6g"
-                    % (side, bad, k * dt_eff))
-            n4 = nsq ** 2
-            np.maximum(max4[side], n4, out=max4[side])
-            worst = int(np.argmax(n4))
-            if n4[worst] > cap:
-                raise RuntimeError(
-                    "energy cap violated on %s path %d at t = %.6g: "
-                    "||u||^4 = %.6g > %.6g" % (side, lo + worst,
-                                               k * dt_eff, n4[worst], cap))
-
-        def record(side, slot, p, p2, band_mass, total, snap):
-            pair[side][slot] = p
-            pair2[side][slot] = p2
-            frac = band_mass / np.where(total > 0, total, 1.0)
-            np.maximum(bfrac[side], frac, out=bfrac[side])
-            if n_snap:
-                snaps[side][:, slot, :] = snap
-
-        def observe(k, slot):
-            monitor("het", k, np.einsum("ij,ij->j", U, U) * grid.dx)
-            monitor("hom", k, growth ** 2 * (flow @ flow) * grid.dx)
-            if slot is None:
-                return
-            pairs = (xi_both @ U) * grid.dx
-            mass = band_rows @ np.abs(U)
-            record("het", slot, pairs[:n_xi], pairs[n_xi:], mass[0], mass[1],
-                   U[:, :n_snap].T)
-            abs_flow = np.abs(flow)
-            abs_growth = np.abs(growth)
-            record("hom", slot, ((xi @ flow) * grid.dx)[:, None] * growth,
-                   ((xi_d2 @ flow) * grid.dx)[:, None] * growth,
-                   abs_growth * abs_flow[band].sum(),
-                   abs_growth * abs_flow.sum(),
-                   growth[:n_snap, None] * flow)
-
-        observe(0, 0)
-        for k in range(n_steps):
-            U_hat = het.bloch_step(U_hat, inc[k])
-            U = het_op.from_bloch(U_hat)
-            flow = hom.step(flow, 0.0)
-            growth *= 1.0 + hom.sigma_bar * inc[k]
-            observe(k + 1, save_set.get(k + 1))
-
-        pool_ss += float(np.sum(inc ** 2))
-        pool_n += inc.size
-
-        for side, out in (("het", het_paths), ("hom", hom_paths)):
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for lo in range(0, config.n_paths, config.chunk_size):
+            hi = min(lo + config.chunk_size, config.n_paths)
+            m = hi - lo
+            n_snap = min(m, max(0, config.n_snapshot_paths - lo))
+            inc = np.empty((n_steps, m))
             for j in range(m):
-                out.append(FieldPath(
-                    path_index=lo + j,
-                    times=times.copy(),
-                    pairings=pair[side][:, :, j].copy(),
-                    pairings_d2=pair2[side][:, :, j].copy(),
-                    snapshots=snaps[side][j].copy() if j < n_snap else None,
-                    increments=inc[:, j].copy()
-                    if config.store_increments else None,
-                    increment_var=float(np.var(inc[:, j], ddof=1))
-                    if n_steps > 1 else 0.0,
-                    max_norm4=float(max4[side][j]),
-                    boundary_frac=float(bfrac[side][j]),
-                    config=config))
+                inc[:, j] = RngStream(config.seed, stream=lo + j) \
+                    .generator().standard_normal(n_steps)
+            inc *= sqrt_dt
+
+            pair = {s: np.empty((n_rec, n_xi, m)) for s in ("het", "hom")}
+            pair2 = {s: np.empty((n_rec, n_xi, m)) for s in ("het", "hom")}
+            snaps = {s: np.empty((n_snap, n_rec, grid.n))
+                     for s in ("het", "hom")}
+            max4 = {"het": np.zeros(m), "hom": np.zeros(m)}
+            bfrac = {"het": np.zeros(m), "hom": np.zeros(m)}
+
+            def monitor(side, k, cols, nsq):
+                """Energy monitor of the columns ``cols`` at step k: None
+                once their max_norm4 is updated, or the report (order,
+                message) of the lowest non-finite path or else the worst
+                path above the cap; the least order is the violation a
+                serial march meets first."""
+                finite = np.isfinite(nsq)
+                if not finite.all():
+                    path = lo + cols.start + int(np.argmax(~finite))
+                    return ((k, side == "hom", 0, 0.0, path),
+                            "non-finite %s state on path %d at t = %.6g"
+                            % (side, path, k * dt_eff))
+                n4 = nsq ** 2
+                worst = int(np.argmax(n4))
+                if n4[worst] > cap:
+                    path = lo + cols.start + worst
+                    return ((k, side == "hom", 1, -n4[worst], path),
+                            "energy cap violated on %s path %d at t = %.6g: "
+                            "||u||^4 = %.6g > %.6g"
+                            % (side, path, k * dt_eff, n4[worst], cap))
+                seen = max4[side][cols]
+                np.maximum(seen, n4, out=seen)
+                return None
+
+            def record(side, slot, cols, p, p2, band_mass, total, snap):
+                """Write the columns ``cols`` at one recorded time; snap
+                holds their leading snapshot rows."""
+                pair[side][slot][:, cols] = p
+                pair2[side][slot][:, cols] = p2
+                frac = band_mass / np.where(total > 0, total, 1.0)
+                seen = bfrac[side][cols]
+                np.maximum(seen, frac, out=seen)
+                snaps[side][cols.start:cols.start + len(snap), slot] = snap
+
+            def march_het(cols):
+                """March and record the heterogeneous paths of the columns
+                ``cols`` as the Bloch coefficients of one state block;
+                returns the report of their first violation, or None."""
+                width = cols.stop - cols.start
+                U_hat = np.repeat(u0_hat, width, axis=2)
+                U = np.tile(u0[:, None], (1, width))
+                for k in range(n_steps + 1):
+                    if k:
+                        U_hat = het.bloch_step(U_hat, inc[k - 1, cols])
+                        U = het_op.from_bloch(U_hat)
+                    report = monitor("het", k, cols,
+                                     np.einsum("ij,ij->j", U, U) * grid.dx)
+                    if report is not None:
+                        return report
+                    slot = save_set.get(k)
+                    if slot is not None:
+                        pairs = (xi_both @ U) * grid.dx
+                        mass = band_rows @ np.abs(U)
+                        record("het", slot, cols, pairs[:n_xi],
+                               pairs[n_xi:], mass[0], mass[1],
+                               U[:, :max(0, n_snap - cols.start)].T)
+                return None
+
+            def march_hom():
+                """March and record the homogenized paths as the one flow
+                S_t u0 times a growth per path; returns the report of their
+                first violation, or None."""
+                cols = slice(0, m)
+                flow = u0.copy()
+                growth = np.ones(m)
+                for k in range(n_steps + 1):
+                    if k:
+                        flow = hom.step(flow, 0.0)
+                        growth *= 1.0 + hom.sigma_bar * inc[k - 1]
+                    report = monitor("hom", k, cols,
+                                     growth ** 2 * (flow @ flow) * grid.dx)
+                    if report is not None:
+                        return report
+                    slot = save_set.get(k)
+                    if slot is not None:
+                        abs_flow = np.abs(flow)
+                        abs_growth = np.abs(growth)
+                        record("hom", slot, cols,
+                               ((xi @ flow) * grid.dx)[:, None] * growth,
+                               ((xi_d2 @ flow) * grid.dx)[:, None] * growth,
+                               abs_growth * abs_flow[band].sum(),
+                               abs_growth * abs_flow.sum(),
+                               growth[:n_snap, None] * flow)
+                return None
+
+            # the worker marches the second half of the heterogeneous
+            # columns while this thread marches the first and the
+            # homogenized side; the earliest report is the serial march's
+            half = (m + 1) // 2
+            second = pool.submit(march_het, slice(half, m)) if m > 1 else None
+            reports = [march_het(slice(0, half)), march_hom()]
+            if second is not None:
+                reports.append(second.result())
+            reports = [r for r in reports if r is not None]
+            if reports:
+                raise RuntimeError(min(reports)[1])
+
+            pool_ss += float(np.sum(inc ** 2))
+            pool_n += inc.size
+
+            for side, out in (("het", het_paths), ("hom", hom_paths)):
+                for j in range(m):
+                    out.append(FieldPath(
+                        path_index=lo + j,
+                        times=times.copy(),
+                        pairings=pair[side][:, :, j].copy(),
+                        pairings_d2=pair2[side][:, :, j].copy(),
+                        snapshots=snaps[side][j].copy()
+                        if j < n_snap else None,
+                        increments=inc[:, j].copy()
+                        if config.store_increments else None,
+                        increment_var=float(np.var(inc[:, j], ddof=1))
+                        if n_steps > 1 else 0.0,
+                        max_norm4=float(max4[side][j]),
+                        boundary_frac=float(bfrac[side][j]),
+                        config=config))
 
     # per-run statistical verification of the consumed noise
     mean_sq = pool_ss / pool_n

@@ -868,6 +868,12 @@ def test_witness_fields_match_full_spectrum_construction(n):
                                                       1.0)
 
 
+def test_witness_fields_are_drawn_once_per_n_and_read_only():
+    U, dU = _witness_fields(64)
+    assert _witness_fields(64)[0] is U and _witness_fields(64)[1] is dU
+    assert not (U.flags.writeable or dU.flags.writeable)
+
+
 def test_one_factorization_per_chain(monkeypatch):
     csets = (varcoef_1(64), random_set_II(3, 64))
     factorizations = []

@@ -2,6 +2,8 @@
 
 import dataclasses
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -522,10 +524,10 @@ def test_bloch_march_matches_column_march_on_a_rough_state(part, varcoef,
         _small_config(part=part, u0=u0, n_save=5), sol, cset)
 
 
-def _poisoned_streams(path, step):
-    """RngStream whose draws on stream ``path`` are NaN at ``step``."""
+def _pinned_streams(path, step, value):
+    """RngStream whose draw on stream ``path`` is ``value`` at ``step``."""
 
-    class Poisoned(spde.RngStream):
+    class Pinned(spde.RngStream):
         def generator(self):
             gen = super().generator()
             if self.stream != path:
@@ -534,12 +536,12 @@ def _poisoned_streams(path, step):
             class Draws:
                 def standard_normal(self, size):
                     out = gen.standard_normal(size)
-                    out[step] = np.nan
+                    out[step] = value
                     return out
 
             return Draws()
 
-    return Poisoned
+    return Pinned
 
 
 def _t_message(k, cfg):
@@ -570,16 +572,64 @@ def test_energy_cap_aborts_between_recorded_steps(stable2, monkeypatch):
         spde.run_ensemble(cfg, sol, grow)
 
 
+# run_ensemble marches the first ceil(m/2) heterogeneous columns of a chunk
+# on the calling thread and the rest on a worker
+
+
+@pytest.mark.parametrize("n_paths, pins", [
+    (3, {2: 1e3}), (4, {3: 1e3}),
+    (4, {0: 1e3, 3: 2e3}), (4, {0: 2e3, 3: 1e3}),
+], ids=["worker-half-3", "worker-half-4", "worker-worse", "caller-worse"])
+def test_energy_cap_aborts_across_the_halves(n_paths, pins, stable2,
+                                             monkeypatch):
+    # the pinned paths draw a huge increment at the same step, so they (and
+    # the homogenized side) cross the cap at once; the cap sits between that
+    # step's least pinned ||u||^4 and every earlier one of the column march,
+    # and the run must name the het path of largest ||u||^4
+    cset, sol = stable2
+    cfg = _small_config(part="II", n_save=2, n_paths=n_paths)
+    k = _step_grid(cfg.T_end, cfg.dt, cfg.n_save)[0] // 2
+    for path, value in pins.items():
+        monkeypatch.setattr(spde, "RngStream",
+                            _pinned_streams(path, k - 1, value))
+    _, _, norms = _column_march(cfg, sol, cset, _draw_increments(cfg))
+    n4 = {side: norms[side] ** 2 for side in norms}
+    before = max(n4["het"][:k].max(), n4["hom"][:k].max())
+    crossing = min(n4["het"][k, j] for j in pins)
+    assert crossing > 1.2 * before
+    worst = int(np.argmax(n4["het"][k]))
+    assert worst == max(pins, key=pins.get)
+    cap = np.sqrt(before * crossing)
+    norm0_4 = cfg.grid.l2_norm(cfg.initial_state()) ** 4
+    monkeypatch.setattr(spde, "ENERGY_CAP_C", cap / (1.0 + norm0_4))
+    with pytest.raises(RuntimeError, match="energy cap violated on het path "
+                       "%d %s:" % (worst, _t_message(k, cfg))):
+        spde.run_ensemble(cfg, sol, cset)
+
+
+# the first two cases poison path 1, on the calling thread; the others put
+# the violation in the worker's half, or in both halves, where the last case
+# meets a cap violation and a non-finite state at the same step
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("part", ["I", "II"])
-def test_non_finite_state_aborts_between_recorded_steps(part, varcoef,
-                                                        stable2,
+@pytest.mark.parametrize("part, n_paths, pins", [
+    ("I", 3, [(1, 2, np.nan)]), ("II", 3, [(1, 2, np.nan)]),
+    ("I", 3, [(2, 2, np.nan)]), ("II", 4, [(3, 2, np.nan)]),
+    ("I", 4, [(0, 3, np.nan), (3, 2, np.nan)]),
+    ("II", 4, [(3, 3, np.nan), (0, 2, np.nan)]),
+    ("I", 4, [(3, 2, np.nan), (1, 2, np.nan)]),
+    ("II", 4, [(0, 2, 1e5), (3, 2, np.nan)]),
+], ids=["I", "II", "I-worker-half", "II-worker-half", "I-caller-earlier",
+        "II-worker-earlier", "I-same-step", "II-cap-and-non-finite"])
+def test_non_finite_state_aborts_between_recorded_steps(part, n_paths, pins,
+                                                        varcoef, stable2,
                                                         monkeypatch):
+    # each pin (path, d, value) sets that path's draw at step n_steps // d
     cset, sol = varcoef if part == "I" else stable2
-    cfg = _small_config(part=part, n_save=2, n_paths=3)
+    cfg = _small_config(part=part, n_save=2, n_paths=n_paths)
     n_steps = _step_grid(cfg.T_end, cfg.dt, cfg.n_save)[0]
-    monkeypatch.setattr(spde, "RngStream",
-                        _poisoned_streams(path=1, step=n_steps // 2))
+    for path, d, value in pins:
+        monkeypatch.setattr(spde, "RngStream",
+                            _pinned_streams(path, n_steps // d, value))
     _, _, norms = _column_march(cfg, sol, cset, _draw_increments(cfg))
     bad = ~np.isfinite(norms["het"])
     k = int(np.argmax(bad.any(axis=1)))
@@ -588,6 +638,68 @@ def test_non_finite_state_aborts_between_recorded_steps(part, varcoef,
                        "%d %s$" % (int(np.argmax(bad[k])),
                                    _t_message(k, cfg))):
         spde.run_ensemble(cfg, sol, cset)
+
+
+def _records(paths):
+    return [(p.pairings, p.pairings_d2, p.snapshots, p.max_norm4,
+             p.boundary_frac) for p in paths]
+
+
+def test_run_ensemble_records_do_not_depend_on_thread_timing(varcoef,
+                                                             monkeypatch):
+    # the worker's half is delayed at every step; chunks of 4 and 1 paths,
+    # the second without a worker task
+    cset, sol = varcoef
+    cfg = _small_config(n_paths=5, chunk_size=4, n_snapshot_paths=5)
+    ref = spde.run_ensemble(cfg, sol, cset)
+    step = spde.SemiImplicitStepper.bloch_step
+    threads = set()
+
+    def slow_off_main(self, u_hat, dw):
+        threads.add(threading.current_thread())
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.002)
+        return step(self, u_hat, dw)
+
+    monkeypatch.setattr(spde.SemiImplicitStepper, "bloch_step",
+                        slow_off_main)
+    got = spde.run_ensemble(cfg, sol, cset)
+    assert len(threads) == 2 and threading.main_thread() in threads
+    for side_ref, side_got in zip(ref, got):
+        for r, g in zip(_records(side_ref), _records(side_got)):
+            for a, b in zip(r, g):
+                assert np.array_equal(a, b)
+
+
+def test_run_ensemble_joins_its_worker(varcoef, monkeypatch):
+    # after a return, an abort, or an exception raised on the worker
+    # thread, no thread outlives the call
+    cset, sol = varcoef
+    cfg = _small_config(n_paths=4)
+    before = threading.active_count()
+    spde.run_ensemble(cfg, sol, cset)
+    assert threading.active_count() == before
+    with monkeypatch.context() as patch:
+        patch.setattr(spde, "ENERGY_CAP_C", 1e-6)
+        with pytest.raises(RuntimeError, match="energy cap"):
+            spde.run_ensemble(cfg, sol, cset)
+    assert threading.active_count() == before
+
+    class StepError(Exception):
+        pass
+
+    step = spde.SemiImplicitStepper.bloch_step
+
+    def failing_off_main(self, u_hat, dw):
+        if threading.current_thread() is not threading.main_thread():
+            raise StepError("worker step")
+        return step(self, u_hat, dw)
+
+    monkeypatch.setattr(spde.SemiImplicitStepper, "bloch_step",
+                        failing_off_main)
+    with pytest.raises(StepError, match="worker step"):
+        spde.run_ensemble(cfg, sol, cset)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("xi, xi_d2", [
