@@ -11,12 +11,12 @@ The solver chain is: invariant density m (adjoint null vector, normalized
 mass one), drift centering check int b m = 0, first corrector chi
 (T chi = -b with int chi m = 0), the effective diffusivity Q evaluated from
 the symmetric two-term functional, the auxiliary correctors h1/h2 whose
-solvability condition recovers Q by an independent route, and the
-filtering-form corrector chi1 for the measure-reweighted (time-reversed)
-generator, whose effective diffusivity Q1 must coincide with Q.  The
-z-integrals of Q and of the correctors' right-hand sides are sums over the
-kernel's one panel rule, ``kernels._quadrature_nodes`` (the rule of the
-kernel moments too), taken as Fourier multipliers by :func:`_z_symbols`.
+solvability condition recovers Q by an independent route, and Q1, the
+functional on h1, which is the measure-reweighted (time-reversed)
+generator's corrector up to a constant.  The z-integrals of Q and of the
+correctors' right-hand sides are sums over the kernel's one panel rule,
+``kernels._quadrature_nodes`` (the rule of the kernel moments too), taken
+as half-spectrum multipliers by :func:`_z_symbols`.
 The rule is mirrored, so the multipliers are cosine and sine sums over its
 positive half, ``kernels._half_rule``: exactly real for the even powers of
 z, exactly imaginary for the odd one, with the phases of all n/2 + 1
@@ -42,9 +42,9 @@ the rank guard.  A :class:`CellOperator` is the one operator of the layer:
 the generator of one coefficient set with that one LU, and every stage of
 the chain takes it.  Direct and transposed solves with the LU serve the
 whole chain -- m and m1 as adjoint null vectors, chi and e1 as direct
-solves, and h1, h2, chi1, h3 through A*(m h) = rhs followed by a division by
+solves, and h1, h2, h3 through A*(m h) = rhs followed by a division by
 the density -- and every stage checks its residual through
-:meth:`CellOperator.residual`, matrix-free: h1, h2, chi1 and h3 on y = m h
+:meth:`CellOperator.residual`, matrix-free: h1, h2 and h3 on y = m h
 against A^T.  The drift centering of ``fixtures`` factors only its first
 sweep's generator B: a later sweep's operator is A = B - shift D1, which
 solves on B's LU by defect correction (:meth:`CellOperator.shifted`).
@@ -65,7 +65,7 @@ from .kernels import _half_rule, jump_column
 from .torus import (
     TWO_PI,
     PeriodicField,
-    TorusGrid,
+    _apply_symbol,
     _field_blocks,
     _stable_blocks,
     _symbol_column,
@@ -166,7 +166,7 @@ class _BorderedLU:
         squared norm of a row of D1.  The squared row norms of A - c D1
         are rows - 2 c row_cross + c^2 d2, and likewise its columns'."""
         A = self.generator
-        k = TorusGrid(self._n).wavenumbers().astype(float)
+        k = np.arange(self._n // 2 + 1.0)
         column = _symbol_column(derivative_symbol(k, 1))
         D1 = circulant(column)  # D1[i, j] = column[(i - j) mod n]
         return (np.einsum("ij,ij->i", A, D1), np.einsum("ij,ij->j", A, D1),
@@ -232,25 +232,10 @@ def _phases(k, z):
     return np.exp(1j * TWO_PI * turns)
 
 
-def _z_convolution(symbol, values):
-    """Apply an rfft-ordered multiplier (such as one column of
-    :func:`_z_symbols`) to a grid field's values."""
-    return np.fft.irfft(np.fft.rfft(values) * symbol, len(values))
-
-
 def _assemble(cset):
     if isinstance(cset, CoefficientSetI):
         return assemble_torus_generator_I(cset)
     return assemble_torus_generator_II(cset)
-
-
-def _derivative(x):
-    """The spectral derivative by FFT, D1 x, of grid values x or of each
-    row of x."""
-    n = x.shape[-1]
-    symbol = 1j * TWO_PI * np.arange(n // 2 + 1)
-    symbol[-1] = 0.0  # the unpaired Nyquist mode, as derivative_symbol
-    return np.fft.irfft(np.fft.rfft(x) * symbol, n)
 
 
 # a defect correction whose correction fails to halve has converged if its
@@ -302,7 +287,8 @@ class CellOperator:
         Ax = x @ B if adjoint else x @ B.T
         if self.shift:
             c = self.shift if adjoint else -self.shift
-            Ax += c * _derivative(x)
+            k = np.arange(x.shape[-1] // 2 + 1.0)
+            Ax += c * _apply_symbol(x, derivative_symbol(k, 1))
         return Ax
 
     def solve(self, rhs, total=0.0, adjoint=False, start=None):
@@ -433,7 +419,7 @@ def assemble_torus_generator_I(cset: CoefficientSetI):
     quadrature accuracy.
     """
     n = cset.grid.n
-    k = cset.grid.wavenumbers().astype(float)
+    k = np.arange(n // 2 + 1.0)
     return _field_blocks(n, [
         (cset.a.values, _symbol_column(derivative_symbol(k, 2))),
         (cset.b.values, _symbol_column(derivative_symbol(k, 1))),
@@ -491,7 +477,7 @@ def compute_Q(op, m, chi):
     lamm_c = lamm * c
 
     def conv(f, j):
-        return _z_convolution(S[:, j], f)
+        return _apply_symbol(f, S[:, j])
 
     acc = (conv(lamm, 2) + c * c * conv(lamm, 0) + conv(lamm_c * c, 0)
            + 2.0 * c * conv(lamm, 1) - 2.0 * conv(lamm_c, 1)
@@ -503,7 +489,7 @@ def compute_Q(op, m, chi):
 def _corrector_rhs_l(op, m):
     """l(y) = int z c(z) (lambda m)(y - z) dz + b m - 2 (a m)'."""
     cset = op.cset
-    J = _z_convolution(op.z_symbols[:, 1], cset.lam.values * m.values)
+    J = _apply_symbol(cset.lam.values * m.values, op.z_symbols[:, 1])
     am_prime = PeriodicField(cset.grid, cset.a.values * m.values) \
         .derivative(1).values
     return J + cset.b.values * m.values - 2.0 * am_prime
@@ -547,8 +533,8 @@ def solve_h2(op, m, h1):
     grid = cset.grid
     lamm = cset.lam.values * m.values
     S = op.z_symbols
-    conv_half_z2 = 0.5 * _z_convolution(S[:, 2], lamm)
-    conv_z_h1 = _z_convolution(S[:, 1], lamm * h1.values)
+    conv_half_z2 = 0.5 * _apply_symbol(lamm, S[:, 2])
+    conv_z_h1 = _apply_symbol(lamm * h1.values, S[:, 1])
     amh1_prime = PeriodicField(
         grid, cset.a.values * m.values * h1.values
     ).derivative(1).values
@@ -564,38 +550,18 @@ def solve_h2(op, m, h1):
     return h2, Q_alt, rel
 
 
-def zakai_cell_I(op, m):
-    """Corrector and effective diffusivity for the measure-reweighted
-    (unnormalized-filter) generator.
+def zakai_cell_I(op, m, h1):
+    """Effective diffusivity Q1 of the measure-reweighted
+    (unnormalized-filter) generator, the exact m-reversal T_hat v = (1/m)
+    T*(m v): drift 2(am)'/m - b, jump kernel c(y-x) lambda(x) m(x) / m(y).
 
-    The reweighted generator is the exact m-reversal T_hat v = (1/m) T*(m v):
-    drift 2(am)'/m - b, jump kernel c(y-x) lambda(x) m(x) / m(y).  Its
-    corrector solves
-
-        T_hat chi1 = b_hat + J/m,     int chi1 m dy = 0,
-
-    where b_hat = b - 2(am)'/m and J(y) = int z c(z) (lambda m)(y-z) dz is
-    the first moment the reversed jump kernel contributes to the effective
-    drift of the position (absent in the forward problem, where the kernel's
-    symmetry kills it).  Equivalently T*(m chi1) = l, so chi1 agrees with h1
-    up to the constant fixed by the different normalization.  Q1 evaluates
-    the same two-term functional on chi1 and must reproduce Q: reversing
-    time does not change the stationary variance growth.
-
-    T_hat is a diagonal similarity of T*, so the solve is the adjoint one
-    with the bordered LU of T, as for h1, and the residual is that of
-    T*(m chi1) = l.
+    Its corrector solves T_hat chi1 = b_hat + J/m, b_hat = b - 2(am)'/m and
+    J(y) = int z c(z) (lambda m)(y-z) dz, that is T*(m chi1) = l, the system
+    of h1: chi1 is h1 up to a constant, which the two-term functional
+    ignores.  So Q1 is that functional on h1, and it must reproduce Q, since
+    reversing time does not change the stationary variance growth.
     """
-    grid = op.cset.grid
-    l = _corrector_rhs_l(op, m)
-    chi1 = op.solve(l, adjoint=True) * (1.0 / m.values)  # T_hat chi1 = l / m
-    chi1 = chi1 - np.sum(chi1 * m.values) * grid.h
-    rel = op.residual(m.values * chi1, l, adjoint=True)
-    if rel > _SOLVE_TOL:
-        raise RuntimeError("chi1 residual %.3g above tolerance" % rel)
-    fld = PeriodicField(grid, chi1)
-    Q1 = compute_Q(op, m, fld)
-    return fld, Q1, rel
+    return compute_Q(op, m, h1)
 
 
 # the coercivity witness's sample: _WITNESS_FIELDS random fields of the
@@ -647,7 +613,7 @@ def coercivity_witness_I(op, m):
     C1 = float(np.max(np.abs(am_field.derivative(1).values
                              - cset.b.values * m.values)))
     jump = np.fft.rfft(jump_column(cset.kernel, grid.n, 1.0, 1.0))
-    jump_zero_order = _z_convolution(jump, cset.lam.values * m.values)
+    jump_zero_order = _apply_symbol(cset.lam.values * m.values, jump)
     C2 = 0.5 * float(np.max(np.abs(jump_zero_order)))
     alpha_c = cset.kappa * float(np.min(m.values))
     mu = C1**2 / (2.0 * A1) + C2 + 0.5 * A1 + 0.5 * alpha_c
@@ -669,7 +635,6 @@ class CellSolutionI:
     chi: PeriodicField
     h1: PeriodicField
     h2: PeriodicField
-    chi1: PeriodicField
     Q: float
     Q_alt: float
     Q1: float
@@ -691,7 +656,7 @@ def solve_cell_I(cset) -> CellSolutionI:
     Q = compute_Q(op, m, chi)
     h1, solv_l, res_h1 = solve_h1(op, m)
     h2, Q_alt, res_h2 = solve_h2(op, m, h1)
-    chi1, Q1, res_chi1 = zakai_cell_I(op, m)
+    Q1 = zakai_cell_I(op, m, h1)
     sigma_bar = float(np.sum(cset.sigma.values * m.values) * cset.grid.h)
     alpha_c, mu, margin = coercivity_witness_I(op, m)
     if margin < -1e-9:
@@ -702,7 +667,6 @@ def solve_cell_I(cset) -> CellSolutionI:
         chi=chi,
         h1=h1,
         h2=h2,
-        chi1=chi1,
         Q=Q,
         Q_alt=Q_alt,
         Q1=Q1,
@@ -714,7 +678,6 @@ def solve_cell_I(cset) -> CellSolutionI:
             "chi": res_chi,
             "h1": res_h1,
             "h2": res_h2,
-            "chi1": res_chi1,
         },
         coercivity=(alpha_c, mu),
     )
@@ -728,10 +691,9 @@ def solve_cell_I(cset) -> CellSolutionI:
 def assemble_torus_generator_II(cset: CoefficientSetII):
     """Matrix of L v = -delta^alpha (-Delta)^{alpha/2} v + d v': the
     one-cell Bloch block (p = n, block t = 0)."""
-    grid = cset.grid
-    return _stable_blocks(grid.wavenumbers().astype(float), grid.n,
-                          cset.alpha, cset.delta_alpha.values,
-                          cset.d.values)[0]
+    n = cset.grid.n
+    return _stable_blocks(np.arange(n // 2 + 1.0), n, cset.alpha,
+                          cset.delta_alpha.values, cset.d.values)[0]
 
 
 def solve_invariant_density_II(op):

@@ -41,6 +41,7 @@ from .coefficients import _eps_value
 from .kernels import jump_column
 from .torus import (
     _annihilate_constants,
+    _apply_symbol,
     _check_count,
     _check_positive,
     _field_blocks,
@@ -102,7 +103,7 @@ class LineGrid:
         self._dx = two_l / n
         self._x = -self._L + self._dx * np.arange(n)
         self._x.setflags(write=False)
-        self._freqs = np.fft.fftfreq(n, d=self._dx)
+        self._freqs = np.fft.rfftfreq(n, d=self._dx)
         self._freqs.setflags(write=False)
 
     @property
@@ -123,7 +124,8 @@ class LineGrid:
 
     @property
     def freqs(self):
-        """Fourier frequencies in cycles per unit length (fftfreq order)."""
+        """Half-spectrum frequencies k / 2L, k = 0 ... n/2 (rfftfreq
+        order), on which every line multiplier's symbol is built."""
         return self._freqs
 
     def points_per_cell(self, eps):
@@ -142,8 +144,7 @@ class LineGrid:
         return p
 
     def apply_derivative(self, values, order=1):
-        sym = derivative_symbol(self._freqs, order)
-        return np.fft.ifft(sym * np.fft.fft(values)).real
+        return _apply_symbol(values, derivative_symbol(self._freqs, order))
 
     def l2_norm(self, values):
         return float(np.sqrt(self.inner(values, values)))
@@ -286,8 +287,8 @@ def assemble_T_eps(cset, eps, grid):
                         _annihilate_constants(blocks))
 
 
-def assemble_T0(Q, sigma_bar, grid):
-    """Constant-coefficient limit: (Q d^2/dx^2, scalar noise multiplier).
+def assemble_T0(Q, grid):
+    """Constant-coefficient limit Q d^2/dx^2.
 
     One cell per grid point (p = 1): the blocks are the symbol, which acts
     exactly on every grid mode; self-adjoint.
@@ -296,7 +297,7 @@ def assemble_T0(Q, sigma_bar, grid):
         raise ValueError("Q must be positive, got %r" % (Q,))
     blocks = _annihilate_constants(_field_blocks(1, [
         (Q, _symbol_column(derivative_symbol(grid.freqs, 2)))]))
-    return LineOperator(grid, "T0", blocks), float(sigma_bar)
+    return LineOperator(grid, "T0", blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +363,28 @@ def corrector_test_function_II(xi, cell, eps, grid):
     return m1_e * (xi + eps * h3_e * xi1)
 
 
+def _check_operator(operator, grid, eps):
+    """Refuse an operator assembled on another grid or at another eps."""
+    got = (operator.grid.n, operator.grid.half_width, operator.blocks.shape[1])
+    want = (grid.n, grid.half_width, grid.points_per_cell(eps))
+    if got != want:
+        raise ValueError(
+            "operator %s has (n, L, p) = %r, but the grid and eps = %g need"
+            " %r" % (operator.label, got, eps, want))
+
+
 def residual_lemma_2_10(xi, cell, cset, eps, grid, operator=None):
     """L2 norm of (T_eps)* xi_eps - Q xi'' on the line grid.
 
     The corrected test function makes the adjoint image collapse onto
     Q xi'' as eps -> 0; the returned norm is the surviving remainder.
+    ``operator``, T_eps when given, must be assembled on ``grid`` at
+    ``eps``.
     """
     eps = _eps_value(eps)
     if operator is None:
         operator = assemble_T_eps(cset, eps, grid)
+    _check_operator(operator, grid, eps)
     xi = np.asarray(xi, dtype=float)
     xi_eps = corrector_test_function_I(xi, cell, eps, grid)
     target = cell.Q * grid.apply_derivative(xi, 2)
@@ -382,11 +396,13 @@ def residual_part_II(xi, psi, cell, cset, eps, grid, operator=None):
 
     The limit pairing is the adjoint of the homogenized generator, the form
     the martingale characterization consumes; the forward pairing
-    (V0 xi, psi) differs from it by 2 g_bar (xi', psi).
+    (V0 xi, psi) differs from it by 2 g_bar (xi', psi).  ``operator``,
+    V_eps when given, must be assembled on ``grid`` at ``eps``.
     """
     eps = _eps_value(eps)
     if operator is None:
         operator = assemble_V_eps(cset, eps, grid)
+    _check_operator(operator, grid, eps)
     xi = np.asarray(xi, dtype=float)
     psi = np.asarray(psi, dtype=float)
     xi_eps = corrector_test_function_II(xi, cell, eps, grid)

@@ -55,7 +55,7 @@ from .coefficients import CoefficientSetII, _eps_value
 from .lineops import (LineGrid, gaussian_bump, assemble_T0, assemble_T_eps,
                       assemble_V0, assemble_V_eps, _cell_trace)
 from .particles import RngStream, _step_grid
-from .torus import _check_count, _check_positive
+from .torus import _apply_symbol, _check_count, _check_positive
 
 __all__ = [
     "SpdeConfig", "FieldPath", "initial_profile", "default_test_battery",
@@ -209,7 +209,8 @@ class SemiImplicitStepper:
 class SpectralStepper:
     """Exact constant-coefficient semigroup step plus explicit noise.
 
-    The semigroup factor acts on the real-FFT modes; the noise enters as the
+    The semigroup factor is a half-spectrum multiplier, applied along the
+    grid axis by :func:`nlhom.torus._apply_symbol`; the noise enters as the
     scalar multiplier (1 + sigma_bar dW) after the deterministic flow.
     States are (n,) vectors or (n, m) column blocks, dW a scalar or an (m,)
     row.
@@ -222,13 +223,7 @@ class SpectralStepper:
         self.dt = float(dt)
 
     def step(self, state, dw):
-        state = np.asarray(state, dtype=float)
-        u_hat = np.fft.rfft(state, axis=0)
-        if state.ndim == 1:
-            u_hat *= self._factor
-        else:
-            u_hat *= self._factor[:, None]
-        flowed = np.fft.irfft(u_hat, n=self.grid.n, axis=0)
+        flowed = _apply_symbol(state, self._factor, axis=0)
         return flowed * (1.0 + self.sigma_bar * dw)
 
 
@@ -245,7 +240,7 @@ def prepare_homogenized_I(Q, sigma_bar, grid, dt):
     """Exact heat-semigroup stepper for the homogenized integrable limit:
     exp(dt T0) on T0's one-point Bloch blocks, its symbol -Q omega^2."""
     _check_dt(dt, np.inf, "spectral")
-    T0, _ = assemble_T0(Q, sigma_bar, grid)
+    T0 = assemble_T0(Q, grid)
     factor = np.exp(dt * T0.blocks[:, 0, 0])
     return SpectralStepper(grid, factor, sigma_bar, dt)
 

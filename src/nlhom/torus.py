@@ -17,12 +17,15 @@ of ``particles`` both take their samples there.
 Conventions
 -----------
 * A field f on ``TorusGrid(n)`` is represented by its values at x_j = j/n.
-* Spectral coefficients are Fourier-series coefficients: f(x) = sum_k c_k
-  e^{2 pi i k x} with c_k = FFT(values)[k] / n, k = -n/2+1, ..., n/2.
-* Multiplier operators act as c_k -> s(k) c_k.  For odd derivative orders the
-  (unpaired) Nyquist mode is zeroed, the standard choice that keeps real
-  fields real; all fields used here are effectively band-limited well below
-  Nyquist so this is exact in practice.
+* Every Fourier multiplier is a half spectrum: its symbol s(k) at the
+  wavenumbers k = 0, 1, ..., n/2 (rfft order, ``np.arange(n // 2 + 1.0)``
+  on the torus, ``LineGrid.freqs`` on the line).  :func:`_apply_symbol`,
+  irfft(rfft(values) * s), is the one code that applies a multiplier to
+  grid values; :func:`_symbol_column` gives the first column of its matrix.
+* irfft keeps the real part of the Nyquist bin, so a multiplier maps real
+  fields to real fields; odd derivative orders zero the Nyquist mode, the
+  standard choice, and all fields used here are effectively band-limited
+  well below Nyquist, so this is exact in practice.
 * Operators mapping constants to constants do so exactly (k = 0 handled
   explicitly where the symbol would be singular or ambiguous).
 """
@@ -39,7 +42,6 @@ __all__ = [
     "TorusGrid",
     "PeriodicField",
     "field_from_function",
-    "spectral_derivative",
     "derivative_symbol",
     "fractional_symbol",
 ]
@@ -93,10 +95,6 @@ class TorusGrid:
         self.x = np.arange(n) * self.h
         self.x.setflags(write=False)
 
-    def wavenumbers(self):
-        """Integer wavenumbers in FFT order (0, 1, ..., -1)."""
-        return np.fft.fftfreq(self.n, d=self.h).astype(np.int64)
-
     def __eq__(self, other):
         return isinstance(other, TorusGrid) and other.n == self.n
 
@@ -111,12 +109,10 @@ class PeriodicField:
     """A real 1-periodic function sampled on a :class:`TorusGrid`.
 
     Values are immutable after construction (the array is copied and marked
-    read-only); operations return new fields.  Spectral coefficients are
-    computed lazily and cached — immutability guarantees the cache can never
-    go stale.
+    read-only); operations return new fields.
     """
 
-    __slots__ = ("grid", "values", "_coeffs")
+    __slots__ = ("grid", "values")
 
     def __init__(self, grid, values):
         values = np.asarray(values, dtype=float)
@@ -130,32 +126,14 @@ class PeriodicField:
         v = values.copy()
         v.setflags(write=False)
         self.values = v
-        self._coeffs = None
-
-    # -- spectral representation ------------------------------------------
-
-    @property
-    def coeffs(self):
-        """Fourier-series coefficients c_k = FFT(values)/n, FFT ordering."""
-        if self._coeffs is None:
-            c = np.fft.fft(self.values) / self.grid.n
-            c.setflags(write=False)
-            self._coeffs = c
-        return self._coeffs
-
-    @classmethod
-    def from_coeffs(cls, grid, coeffs):
-        vals = np.fft.ifft(np.asarray(coeffs) * grid.n)
-        return cls(grid, vals.real)
-
-    def apply_multiplier(self, symbol_values):
-        """New field with coefficients s(k) c_k (s in FFT order)."""
-        return PeriodicField.from_coeffs(self.grid, self.coeffs * symbol_values)
 
     # -- calculus -----------------------------------------------------------
 
     def derivative(self, order=1):
-        return spectral_derivative(self, order)
+        """order-th derivative via the multiplier (2 pi i k)^order."""
+        k = np.arange(self.grid.n // 2 + 1.0)
+        return self.with_values(
+            _apply_symbol(self.values, derivative_symbol(k, order)))
 
     def mean(self):
         return float(np.mean(self.values))
@@ -188,12 +166,11 @@ class PeriodicField:
         return np.fft.irfft(spec, N)[::N // p]
 
     def shifted(self, z):
-        """Field y -> f(y - z), computed by exact spectral phase shift."""
-        k = self.grid.wavenumbers().astype(float)
-        phase = np.exp(-1j * TWO_PI * k * z)
-        nyq = self.grid.n // 2
-        phase[nyq] = np.cos(TWO_PI * nyq * z)  # keep the shift real-valued
-        return self.apply_multiplier(phase)
+        """Field y -> f(y - z), computed by exact spectral phase shift (the
+        Nyquist mode keeps its cosine part, as irfft takes the real part)."""
+        k = np.arange(self.grid.n // 2 + 1.0)
+        return self.with_values(
+            _apply_symbol(self.values, np.exp(-1j * TWO_PI * k * z)))
 
     # -- misc ---------------------------------------------------------------
 
@@ -219,28 +196,35 @@ def field_from_function(grid, fn):
 # ---------------------------------------------------------------------------
 
 
+def _apply_symbol(values, symbol, axis=-1):
+    """The multiplier with the half spectrum ``symbol`` (k = 0 ... n/2)
+    applied to real grid values along ``axis``: irfft(rfft(values) *
+    symbol), the symbol broadcast over the other axes."""
+    values = np.asarray(values, dtype=float)
+    shape = [1] * values.ndim
+    shape[axis] = -1
+    spec = np.fft.rfft(values, axis=axis)
+    spec *= np.reshape(symbol, shape)
+    return np.fft.irfft(spec, values.shape[axis], axis=axis)
+
+
 def derivative_symbol(freqs, order):
     """(2 pi i f)^order, order a positive integer, at frequencies f in cycles
-    per unit length (FFT order).  Odd orders zero the unpaired Nyquist mode."""
+    per unit length (rfft order).  Odd orders zero the entry of largest
+    |f|: the Nyquist mode, in rfft and in FFT order alike."""
     _check_count("order", order, 1)
     sym = (1j * TWO_PI * freqs) ** order
     if order % 2 == 1:
-        sym[len(freqs) // 2] = 0.0
+        sym[np.argmax(np.abs(freqs))] = 0.0
     return sym
 
 
 def fractional_symbol(freqs, alpha):
-    """|2 pi f|^alpha at frequencies f in cycles per unit length; the zero
-    frequency maps to 0, so constants are annihilated."""
+    """|2 pi f|^alpha at frequencies f in cycles per unit length (rfft
+    order); the zero frequency maps to 0, so constants are annihilated."""
     if not (0.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (0, 2), got %r" % alpha)
     return np.abs(TWO_PI * freqs) ** alpha
-
-
-def spectral_derivative(f, order=1):
-    """order-th derivative via the multiplier (2 pi i k)^order."""
-    k = f.grid.wavenumbers().astype(float)
-    return f.apply_multiplier(derivative_symbol(k, order))
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +233,8 @@ def spectral_derivative(f, order=1):
 
 
 def _symbol_column(symbol):
-    """First column of the multiplier with the given symbol (FFT order)."""
-    return np.fft.ifft(symbol).real
+    """First column of the multiplier with the given half spectrum."""
+    return np.fft.irfft(symbol)
 
 
 def _multiplier_matrix(column, p):

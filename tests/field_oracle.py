@@ -17,10 +17,12 @@ TWO_PI = 2.0 * np.pi
 
 
 def _pruned_modes(field, tol=1e-15):
-    """Wavenumbers and coefficients of the modes above tol of the largest
-    (the mean always kept)."""
-    c = field.coeffs
-    k = field.grid.wavenumbers()
+    """Wavenumbers and Fourier-series coefficients, from a full complex FFT
+    in FFT order (0, 1, ..., -1), of the modes above tol of the largest (the
+    mean always kept)."""
+    n = field.grid.n
+    c = np.fft.fft(field.values) / n
+    k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
     scale = np.max(np.abs(c))
     if scale == 0.0:
         return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=complex)

@@ -40,7 +40,6 @@ from nlhom.cell import (
     SolvabilityError,
     _BorderedLU,
     _witness_fields,
-    _z_convolution,
     _z_symbols,
     assemble_torus_generator_I,
     assemble_torus_generator_II,
@@ -75,7 +74,12 @@ from nlhom.kernels import (
     laplace_kernel,
     triangle_kernel,
 )
-from nlhom.torus import PeriodicField, TorusGrid, field_from_function
+from nlhom.torus import (
+    PeriodicField,
+    TorusGrid,
+    _apply_symbol,
+    field_from_function,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -177,9 +181,9 @@ def witness_fields_full_spectrum(n, n_fields=120, seed=7):
     coeffs[:, 0] = draws[:, -1]
     coeffs[:, 1:kmax] = z
     coeffs[:, n - kmax + 1:] = np.conj(z[:, ::-1])
+    k = np.fft.fftfreq(n, d=1.0 / n)
     U = np.fft.ifft(coeffs * n, axis=1).real
-    dU = np.fft.ifft(coeffs * (1j * TWO_PI * TorusGrid(n).wavenumbers()) * n,
-                     axis=1).real
+    dU = np.fft.ifft(coeffs * (1j * TWO_PI * k) * n, axis=1).real
     return U, dU
 
 
@@ -215,7 +219,7 @@ def coercivity_margin_loop(cset, m, T, alpha_c, mu, n_fields=120, seed=7):
             z = rng.normal() + 1j * rng.normal()
             coeffs[k], coeffs[-k] = z, np.conj(z)
         coeffs[0] = rng.normal()
-        u = PeriodicField.from_coeffs(grid, coeffs)
+        u = PeriodicField(grid, np.fft.ifft(coeffs * grid.n).real)
         uv = u.values
         du = u.derivative(1).values
         form = -float(np.sum(m.values * (T @ uv) * uv) * h)
@@ -286,31 +290,69 @@ def kernel_fourier_coefficient(kernel, k):
 # ---------------------------------------------------------------------------
 
 
-def test_generator_annihilates_constants():
-    for cset in (const_1(), varcoef_1()):
-        op = CellOperator(cset)
-        T = assemble_torus_generator_I(cset)
-        T_adj = T.T
-        ones = np.ones(cset.grid.n)
-        # exact cancellation up to rounding at the scale of the matrix entries
-        scale = np.max(np.abs(T)) * np.finfo(float).eps * cset.grid.n
-        assert np.max(np.abs(T @ ones)) < max(scale, 1e-12)
-        # adjoint annihilates the invariant density instead
-        m, _ = solve_invariant_density_I(op)
-        assert np.max(np.abs(T_adj @ m.values)) < 1e-8
+# the cell-layer contracts run over random admissible sets of both families
+# at n = 64, with the named fixtures as examples
+_CONTRACT_FIXTURES = {"const_1": const_1, "varcoef_1": varcoef_1}
+contract_sets = given(family=st.sampled_from(["I", "II"]),
+                      seed=st.integers(0, 10_000))
+UNIT_ROUNDOFF = np.finfo(float).eps
 
 
-def test_generator_adjoint_pairing():
-    cset = varcoef_1()
-    T = assemble_torus_generator_I(cset)
-    T_adj = T.T
+def contract_operator(family, seed):
+    """The cell operator of random_set_I/II(seed, 64) for family "I"/"II",
+    or of the named fixture (seed unused)."""
+    if family in _CONTRACT_FIXTURES:
+        return CellOperator(_CONTRACT_FIXTURES[family]())
+    build = random_set_I if family == "I" else random_set_II
+    return CellOperator(build(seed, 64))
+
+
+def contract_density(op):
+    """The invariant density of op's family: m (Part I) or m1 (Part II)."""
+    if isinstance(op.cset, CoefficientSetI):
+        return solve_invariant_density_I(op)[0]
+    return solve_invariant_density_II(op)[0]
+
+
+@contract_sets
+@settings(max_examples=10, deadline=None)
+@example(family="const_1", seed=0)
+@example(family="varcoef_1", seed=0)
+def test_generator_annihilates_constants(family, seed):
+    op = contract_operator(family, seed)
+    T = op.lu.generator
+    n = T.shape[0]
+    # T 1 = 0 up to the rounding of n-term row sums, n u max|T| (measured:
+    # at most 0.08 of it on seeds 0-39 of each family)
+    assert np.max(np.abs(T @ np.ones(n))) <= n * UNIT_ROUNDOFF \
+        * np.max(np.abs(T))
+    # the adjoint annihilates the invariant density instead, up to the
+    # rounding scale of the solve, n u ||T||_1 max m (measured: at most 0.02
+    # of it), and at most the 1e-8 this test held the fixtures to before
+    m = contract_density(op)
+    bound = n * UNIT_ROUNDOFF * np.max(np.sum(np.abs(T), axis=0)) \
+        * np.max(m.values)
+    assert np.max(np.abs(T.T @ m.values)) <= min(bound, 1e-8)
+
+
+@contract_sets
+@settings(max_examples=10, deadline=None)
+@example(family="varcoef_1", seed=0)
+def test_generator_adjoint_pairing(family, seed):
+    # <A u, v> = <u, A^T v> for the operator's direct and adjoint actions,
+    # up to the rounding of a matrix product and a dot product, 2 n u h
+    # |v|^T |A| |u| (measured: at most 0.004 of it)
+    op = contract_operator(family, seed)
+    n = op.cset.grid.n
+    h = op.cset.grid.h
+    absT = np.abs(op.lu.generator)
     rng = np.random.default_rng(3)
-    g = cset.grid
     for _ in range(5):
-        u, v = rng.normal(size=(2, g.n))
-        lhs = np.sum((T @ u) * v) * g.h
-        rhs = np.sum(u * (T_adj @ v)) * g.h
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+        u, v = rng.normal(size=(2, n))
+        lhs = np.sum(op.apply(u) * v) * h
+        rhs = np.sum(u * op.apply(v, adjoint=True)) * h
+        bound = 2.0 * n * UNIT_ROUNDOFF * h * (np.abs(v) @ absT @ np.abs(u))
+        assert abs(lhs - rhs) <= bound
 
 
 def test_generator_fourier_mode_oracle():
@@ -477,13 +519,32 @@ def test_h1_constant_coefficients():
     assert np.max(np.abs(h1.values)) < 1e-10
 
 
-def test_h1_solvability_and_residual():
-    op = CellOperator(varcoef_1())
-    m, _ = solve_invariant_density_I(op)
-    h1, solv, rel = solve_h1(op, m)
-    assert abs(solv) < 1e-9
-    assert abs(np.mean(h1.values)) < 1e-10
-    assert rel < 1e-9
+@contract_sets
+@settings(max_examples=10, deadline=None)
+@example(family="varcoef_1", seed=0)
+def test_h1_solvability_and_residual(family, seed):
+    # Fredholm solvability of the weighted adjoint corrector, h1 (Part I)
+    # or h3 (Part II)
+    op = contract_operator(family, seed)
+    m = contract_density(op)
+    if isinstance(op.cset, CoefficientSetI):
+        h, solv, rel = solve_h1(op, m)
+    else:
+        solv = check_centering_II(op.cset, m)
+        h, rel = solve_h3(op, m)
+    n = op.cset.grid.n
+    # the solvability integral is the centering integral (int b m, int d m1)
+    # plus rounding; the fixtures center it to 0.5e-13, and 1e-12 is the
+    # benchmark's centering bound (measured: at most 3.5e-14 on seeds 0-39
+    # of each family), against the 1e-9 this test held varcoef-1 to before
+    assert abs(solv) <= 1e-12
+    # h is made mean-zero by one subtraction: n u max|h| (measured: at most
+    # 1.7e-18 absolute)
+    assert abs(np.mean(h.values)) \
+        <= n * UNIT_ROUNDOFF * np.max(np.abs(h.values))
+    # a backward-stable solve has a normwise backward error of order n u
+    # (Higham, Accuracy and Stability, ch. 7; measured: at most 4.6e-16)
+    assert rel <= n * UNIT_ROUNDOFF
 
 
 def test_h2_route_agrees_with_Q():
@@ -504,16 +565,10 @@ def test_h2_residual_recheck():
 
 def test_filter_corrector_identities():
     sol = solve_cell_I(const_1())
-    assert np.max(np.abs(sol.chi1.values)) < 1e-10
     assert abs(sol.Q1 - 4.0 / 3.0) < 1e-10
     for cset in (varcoef_1(), random_set_I(1)):
         sol = solve_cell_I(cset)
         assert abs(sol.Q1 - sol.Q) / sol.Q <= 1e-8
-        assert sol.residuals["chi1"] < 1e-9
-        # chi1 and h1 solve the same reweighted system up to the constant
-        # fixed by their different normalizations
-        gap = sol.chi1.values - sol.h1.values
-        assert np.ptp(gap) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +869,7 @@ def test_multiplier_quadrature_matches_phase_shift_loop(seed):
     for f in (lamm, sol.chi, sol.h1):
         for power in (0, 1, 2):
             ref = z_convolution_loop(cset.kernel, power, f)
-            got = _z_convolution(S[:, power], f.values)
+            got = _apply_symbol(f.values, S[:, power])
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     ref = q_phase_shift_loop(cset, sol.m, sol.chi)
     assert abs(compute_Q(CellOperator(cset), sol.m, sol.chi) - ref) \

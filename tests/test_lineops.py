@@ -190,18 +190,17 @@ def test_resolution_guards(varcoef):
 
 
 def test_T0_eigenfunction_and_multiplier(grid):
-    op, mult = lo.assemble_T0(4.0 / 3.0, 2.5, grid)
+    op = lo.assemble_T0(4.0 / 3.0, grid)
     L = grid.half_width
     u = np.sin(2.0 * np.pi * grid.x / (2.0 * L))
     expected = -(4.0 / 3.0) * (np.pi / L) ** 2 * u
     assert np.max(np.abs(op.apply(u) - expected)) < 1e-9
-    assert mult == 2.5
     with pytest.raises(ValueError):
-        lo.assemble_T0(0.0, 1.0, grid)
+        lo.assemble_T0(0.0, grid)
 
 
 def test_T0_self_adjoint(grid):
-    op, _ = lo.assemble_T0(4.0 / 3.0, 1.0, grid)
+    op = lo.assemble_T0(4.0 / 3.0, grid)
     rng = np.random.default_rng(3)
     u = rng.standard_normal(grid.n)
     v = rng.standard_normal(grid.n)
@@ -504,6 +503,38 @@ def test_residual_part_II_const_trivial(grid):
     for K in (4, 8, 16):
         assert lo.residual_part_II(xi, psi, cell, cset, 1.0 / K, grid) < 1e-6
     assert lo.residual_part_II(xi, np.zeros(grid.n), cell, cset, 0.25, grid) == 0.0
+
+
+@pytest.mark.parametrize("family", ["I", "II"])
+def test_residual_refuses_operator_of_another_grid_or_eps(varcoef, stable,
+                                                         family):
+    # T_eps assembled at eps = 1/8 and passed at eps = 1/16 read 5106.1
+    # instead of 0.40 (Part II: 9.57 instead of 0.0014); one assembled on
+    # LineGrid(2, 2048) failed in a reshape
+    grid = lo.LineGrid(2.0, 1024)
+    xi = lo.gaussian_bump(grid, 0.0, 0.35)
+    if family == "I":
+        cset, cell = varcoef
+        assemble = lo.assemble_T_eps
+
+        def residual(eps, operator):
+            return lo.residual_lemma_2_10(xi, cell, cset, eps, grid,
+                                          operator=operator)
+    else:
+        cset, cell = stable
+        assemble = lo.assemble_V_eps
+        psi = lo.gaussian_bump(grid, 0.2, 0.4)
+
+        def residual(eps, operator):
+            return lo.residual_part_II(xi, psi, cell, cset, eps, grid,
+                                       operator=operator)
+    eps = 1.0 / 16.0
+    assert residual(eps, assemble(cset, eps, grid)) == residual(eps, None)
+    for operator in (assemble(cset, 1.0 / 8.0, grid),
+                     assemble(cset, eps, lo.LineGrid(2.0, 2048)),
+                     assemble(cset, eps, lo.LineGrid(4.0, 2048))):
+        with pytest.raises(ValueError, match=r"has \(n, L, p\)"):
+            residual(eps, operator)
 
 
 def test_residual_part_II_forward_target_offset(grid):

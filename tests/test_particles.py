@@ -563,8 +563,9 @@ def test_signal_generator_matches_homogenized_action(stable):
 
     line = lo.LineGrid(16.0, 4096)
     phi_vals = np.exp(-0.5 * line.x**2)
+    freqs = np.fft.fftfreq(line.n, d=line.dx)  # full FFT order
     psi_vals = -cell.delta_bar_alpha * np.fft.ifft(
-        fractional_symbol(line.freqs, cset.alpha) * np.fft.fft(phi_vals)
+        fractional_symbol(freqs, cset.alpha) * np.fft.fft(phi_vals)
     ).real
 
     def phi(x):

@@ -9,12 +9,12 @@ from field_oracle import circular_convolution, evaluate
 from nlhom.torus import (
     PeriodicField,
     TorusGrid,
+    _apply_symbol,
     _multiplier_matrix,
     _symbol_column,
     derivative_symbol,
     field_from_function,
     fractional_symbol,
-    spectral_derivative,
 )
 from nonlocal_oracle import fractional_laplacian_pointwise
 
@@ -34,19 +34,32 @@ def one_cell_matrix(column):
     return blocks[0]
 
 
+def full_wavenumbers(n):
+    """Integer wavenumbers in FFT order (0, 1, ..., n/2 - 1, -n/2, ..., -1)."""
+    return np.fft.fftfreq(n, d=1.0 / n)
+
+
+def half_wavenumbers(n):
+    """Wavenumbers of the half spectrum (0, 1, ..., n/2), rfft order."""
+    return np.arange(n // 2 + 1.0)
+
+
 def symbol_matrix(symbol):
-    return one_cell_matrix(_symbol_column(symbol))
+    """Torus matrix of the multiplier with a full-order symbol (FFT order),
+    its first column by a full complex inverse FFT."""
+    return one_cell_matrix(np.fft.ifft(symbol).real)
 
 
 def fractional_laplacian(f, alpha):
     """(-Delta)^(alpha/2) f as the operators apply it: the multiplier
     |2 pi k|^alpha."""
-    k = f.grid.wavenumbers().astype(float)
-    return f.apply_multiplier(fractional_symbol(k, alpha))
+    k = half_wavenumbers(f.grid.n)
+    return f.with_values(_apply_symbol(f.values, fractional_symbol(k, alpha)))
 
 
 def random_band_limited(grid, rng, max_mode=None, scale=1.0):
-    """Random real field with modes strictly below max_mode (default n/4)."""
+    """Random real field with modes strictly below max_mode (default n/4),
+    from its full complex spectrum."""
     if max_mode is None:
         max_mode = grid.n // 4
     c = np.zeros(grid.n, dtype=complex)
@@ -55,7 +68,8 @@ def random_band_limited(grid, rng, max_mode=None, scale=1.0):
         c[k] = z
         c[-k] = np.conj(z)
     c[0] = rng.normal()
-    return PeriodicField.from_coeffs(grid, scale * c / max(1, max_mode))
+    c *= scale * grid.n / max(1, max_mode)
+    return PeriodicField(grid, np.fft.ifft(c).real)
 
 
 # ---------------------------------------------------------------------------
@@ -85,17 +99,6 @@ def test_field_values_immutable():
     f = field_from_function(g, lambda x: np.sin(TWO_PI * x))
     with pytest.raises((ValueError, RuntimeError)):
         f.values[0] = 3.0
-    _ = f.coeffs
-    with pytest.raises((ValueError, RuntimeError)):
-        f.coeffs[0] = 1.0 + 0j
-
-
-def test_round_trip_identity():
-    g = TorusGrid(64)
-    rng = _rng(1)
-    f = PeriodicField(g, rng.normal(size=g.n))
-    back = PeriodicField.from_coeffs(g, f.coeffs)
-    assert np.max(np.abs(back.values - f.values)) < 1e-12
 
 
 def test_evaluate_matches_grid_samples():
@@ -143,9 +146,9 @@ def test_shift_is_exact_translation():
 def test_derivative_single_mode():
     g = TorusGrid(32)
     f = field_from_function(g, lambda x: np.sin(TWO_PI * x))
-    df = spectral_derivative(f, 1)
+    df = f.derivative(1)
     assert_allclose(df.values, TWO_PI * np.cos(TWO_PI * g.x), atol=1e-12)
-    d2f = spectral_derivative(f, 2)
+    d2f = f.derivative(2)
     assert_allclose(d2f.values, -(TWO_PI**2) * np.sin(TWO_PI * g.x), atol=1e-11)
 
 
@@ -153,17 +156,19 @@ def test_derivative_order_validation():
     g = TorusGrid(16)
     f = field_from_function(g, lambda x: np.cos(TWO_PI * x))
     with pytest.raises(ValueError):
-        spectral_derivative(f, 0)
+        f.derivative(0)
 
 
 def test_derivative_matrix_consistency():
     g = TorusGrid(32)
     rng = _rng(2)
     f = random_band_limited(g, rng)
-    k = g.wavenumbers().astype(float)
+    # full-order symbols: derivative_symbol zeroes the Nyquist entry, the
+    # one of largest |k|, in FFT order too
+    k = full_wavenumbers(g.n)
     for order in (1, 2):
         D = symbol_matrix(derivative_symbol(k, order))
-        assert_allclose(D @ f.values, spectral_derivative(f, order).values, atol=1e-10)
+        assert_allclose(D @ f.values, f.derivative(order).values, atol=1e-10)
     # first-derivative matrix is antisymmetric, second symmetric
     D1 = symbol_matrix(derivative_symbol(k, 1))
     D2 = symbol_matrix(derivative_symbol(k, 2))
@@ -238,7 +243,7 @@ def test_fractional_laplacian_pv_multimode():
 def test_fractional_laplacian_matrix_consistency():
     g = TorusGrid(32)
     f = random_band_limited(g, _rng(3))
-    F = symbol_matrix(fractional_symbol(g.wavenumbers().astype(float), 1.2))
+    F = symbol_matrix(fractional_symbol(full_wavenumbers(g.n), 1.2))
     assert_allclose(F @ f.values, fractional_laplacian(f, 1.2).values, atol=1e-10)
     assert np.max(np.abs(F - F.T)) < 1e-10
 
@@ -284,16 +289,6 @@ def test_convolution_matrix_consistency():
 # ---------------------------------------------------------------------------
 
 
-@given(seed=st.integers(0, 10_000))
-@settings(max_examples=30, deadline=None)
-def test_parseval(seed):
-    g = TorusGrid(64)
-    f = PeriodicField(g, np.random.default_rng(seed).normal(size=g.n))
-    grid_norm2 = np.sum(f.values**2) * g.h
-    coeff_norm2 = np.sum(np.abs(f.coeffs) ** 2)
-    assert abs(grid_norm2 - coeff_norm2) <= 1e-12 * max(1.0, grid_norm2)
-
-
 @given(seed=st.integers(0, 10_000), alpha=st.floats(0.2, 1.8))
 @settings(max_examples=25, deadline=None)
 def test_multiplier_linearity_and_real_output(seed, alpha):
@@ -304,7 +299,7 @@ def test_multiplier_linearity_and_real_output(seed, alpha):
     a, b = rng.normal(size=2)
     combo = PeriodicField(g, a * f.values + b * h.values)
     for op in (
-        lambda u: spectral_derivative(u, 1),
+        lambda u: u.derivative(1),
         lambda u: fractional_laplacian(u, alpha),
     ):
         lhs = op(combo).values
@@ -321,8 +316,48 @@ def test_derivative_kills_constants_and_commutes_with_shift(seed):
     rng = np.random.default_rng(seed)
     f = random_band_limited(g, rng)
     const = PeriodicField(g, np.full(g.n, float(rng.normal())))
-    assert np.max(np.abs(spectral_derivative(const, 1).values)) < 1e-12
+    assert np.max(np.abs(const.derivative(1).values)) < 1e-12
     z = float(rng.uniform(0, 1))
-    a = spectral_derivative(f.shifted(z), 1).values
-    b = spectral_derivative(f, 1).shifted(z).values
+    a = f.shifted(z).derivative(1).values
+    b = f.derivative(1).shifted(z).values
     assert np.max(np.abs(a - b)) < 1e-10
+
+
+@given(seed=st.integers(0, 10_000), n=st.sampled_from([8, 16, 32, 64, 128]),
+       alpha=st.floats(0.2, 1.8))
+@settings(max_examples=30, deadline=None)
+def test_half_spectrum_convention(seed, n, alpha):
+    # one convention: every symbol is a half spectrum k = 0 ... n/2, and
+    # _apply_symbol is the dense matrix built from it.  Rounding of the FFT
+    # against the dense product stays below n u max|s| max|v| (measured at
+    # most 5e-16 of max|s| max|v| for n = 8 ... 128); a shift by whole grid
+    # steps rounds its phases to at most 2e-14 of max|v|
+    g = TorusGrid(n)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=n)  # every mode, the Nyquist cosine included
+    k = half_wavenumbers(n)
+    bound = n * np.finfo(float).eps * np.max(np.abs(v))
+    for symbol in [derivative_symbol(k, order) for order in (1, 2, 3)] \
+            + [fractional_symbol(k, alpha)]:
+        dense = _multiplier_matrix(_symbol_column(symbol), n)[0]
+        assert np.max(np.abs(_apply_symbol(v, symbol) - dense @ v)) \
+            <= bound * np.max(np.abs(symbol))
+    # the derivative on every mode against a full complex FFT, whose real
+    # part drops the odd orders' imaginary Nyquist term
+    field = PeriodicField(g, v)
+    spectrum = np.fft.fft(v)
+    for order in (1, 2, 3):
+        ref = np.fft.ifft((2j * np.pi * full_wavenumbers(n)) ** order
+                          * spectrum).real
+        assert np.max(np.abs(field.derivative(order).values - ref)) \
+            <= bound * (np.pi * n) ** order
+    j = int(rng.integers(0, n))
+    assert_allclose(field.shifted(j / n).values, np.roll(v, j),
+                    rtol=0, atol=1e-12 * np.max(np.abs(v)))
+    # odd orders kill the Nyquist cosine, even orders keep it
+    nyquist = PeriodicField(g, np.cos(np.pi * np.arange(n)))
+    for order in (1, 3):
+        scale = (np.pi * n) ** order * n * np.finfo(float).eps
+        assert np.max(np.abs(nyquist.derivative(order).values)) <= scale
+    assert_allclose(nyquist.derivative(2).values,
+                    -(np.pi * n) ** 2 * nyquist.values, rtol=1e-13)
