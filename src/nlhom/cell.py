@@ -5,8 +5,8 @@ Part I (integrable jumps).  The unit-cell generator is
     T v = a v'' + b v' + lambda(y) * int c(x - y) (v(x) - v(y)) dx,
 
 realized as the one-cell case (p = n, block t = 0) of the Bloch-block
-builder :func:`nlhom.torus._field_blocks` that also assembles the line
-operators of ``lineops``.
+builder :func:`nlhom.torus._field_blocks` that also builds the Bloch
+blocks of the line operators of ``lineops`` for the SPDE resolvent.
 The solver chain is: invariant density m (adjoint null vector, normalized
 mass one), drift centering check int b m = 0, first corrector chi
 (T chi = -b with int chi m = 0), the effective diffusivity Q evaluated from
@@ -67,7 +67,7 @@ from .torus import (
     PeriodicField,
     _apply_symbol,
     _field_blocks,
-    _stable_blocks,
+    _stable_terms,
     _symbol_column,
     derivative_symbol,
 )
@@ -692,8 +692,10 @@ def assemble_torus_generator_II(cset: CoefficientSetII):
     """Matrix of L v = -delta^alpha (-Delta)^{alpha/2} v + d v': the
     one-cell Bloch block (p = n, block t = 0)."""
     n = cset.grid.n
-    return _stable_blocks(np.arange(n // 2 + 1.0), n, cset.alpha,
-                          cset.delta_alpha.values, cset.d.values)[0]
+    terms = _stable_terms(np.arange(n // 2 + 1.0), cset.alpha,
+                          cset.delta_alpha.values, cset.d.values)
+    return _field_blocks(n, [(field, _symbol_column(symbol))
+                             for field, symbol in terms])[0]
 
 
 def solve_invariant_density_II(op):

@@ -2,14 +2,17 @@
 
 The real line is replaced by a periodic window [-L, L) with all test data
 supported away from the wrap.  Every operator here is a sum of eps-periodic
-fields times Fourier multipliers, so it commutes with translation by one
-eps-cell of p points.  An FFT over the N_c cells splits it into N_c//2 + 1
-independent p x p Bloch blocks, the one stored form of a LineOperator.  The
-adjoint for dx * sum(u v) (the exact transpose) uses the conjugate-transposed
-blocks, a resolvent is a batched p x p inverse, and constant-coefficient
-operators are the case p = 1, whose blocks are the symbol.  The builder is
-:func:`nlhom.torus._field_blocks`; block t = 0 of eps^2 T_eps is the cell
-generator of ``cell`` at n = p.
+fields times Fourier multipliers, sum_k f_k(x) S_k + d(x), and a
+LineOperator stores exactly that: the (field trace, half-spectrum symbol)
+terms and one diagonal d.  It applies pseudo-spectrally, each field in
+space and each symbol in frequency, at O(K n log n) per vector; the adjoint
+for dx * sum(u v) (the exact transpose) conjugates the symbols and moves the
+fields inside.  The operator commutes with translation by one eps-cell of p
+points, so an FFT over the N_c cells also splits it into N_c//2 + 1
+independent p x p Bloch blocks (:func:`nlhom.torus._field_blocks`); they are
+built on demand, for the SPDE resolvent's batched p x p inverses and the
+materialized matrix, and block t = 0 of eps^2 T_eps is the cell generator
+of ``cell`` at n = p.  Constant-coefficient operators are the case p = 1.
 
 The window must tile the fast period exactly: 2L is an integer, eps is the
 reciprocal of an integer, and the number of grid points per eps-cell is an
@@ -35,17 +38,19 @@ which ties the stable form's sign to the nonlocal vector calculus, is a
 real-space test oracle (``tests/nonlocal_oracle.py``), not run by the lab.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .coefficients import _eps_value
 from .kernels import jump_column
 from .torus import (
-    _annihilate_constants,
     _apply_symbol,
     _check_count,
     _check_positive,
     _field_blocks,
-    _stable_blocks,
+    _finite_real,
+    _stable_terms,
     _symbol_column,
     derivative_symbol,
 )
@@ -159,68 +164,100 @@ class LineGrid:
 
 def gaussian_bump(grid, center=0.0, width=0.35):
     """exp(-(x - center)^2 / (2 width^2)) sampled on the grid."""
+    if not _finite_real(center):
+        raise ValueError("center must be a finite real, got %r" % (center,))
     _check_positive("width", width)
     return np.exp(-((grid.x - center) ** 2) / (2.0 * width**2))
 
 
 class LineOperator:
     """A linear operator on a LineGrid that commutes with eps-cell
-    translations, stored as its Bloch blocks.
+    translations: sum_k diag(f_k) S_k + diag(d), p points per cell.
 
-    ``blocks`` has shape ``(N_c//2 + 1, p, p)`` (complex); ``blocks[t]``
-    acts on the Fourier mode t over the cell index of a state reshaped to
-    (N_c, p), so the operator maps u to irfft_t(blocks[t] @ rfft_t(u)):
-    :meth:`to_bloch` and :meth:`from_bloch` are the two transforms.
+    ``terms`` are (f_k, s_k) pairs: f_k a scalar or a cell-periodic field
+    trace of shape (n,), s_k the half spectrum of the multiplier S_k.  The
+    constant-killing rule sets d = zero_order - sum_k f_k Re s_k[0]: each
+    term kills constants analytically, so f_k Re s_k[0] is rounding noise
+    (beyond noise it is an assembly bug and raises), and ``apply(ones)`` is
+    the zero-order field.  The Bloch blocks, shape ``(N_c//2 + 1, p, p)``,
+    are built from the same terms only for :attr:`matrix` and
+    :meth:`resolvent`; ``blocks[t]`` acts on the Fourier mode t over the
+    cell index of a state reshaped to (N_c, p) (:meth:`to_bloch`,
+    :meth:`from_bloch`).
     """
 
-    def __init__(self, grid, label, blocks):
+    def __init__(self, grid, label, p, terms, zero_order):
         self.grid = grid
         self.label = label
-        self.blocks = blocks
-
-    @property
-    def nbytes(self):
-        """Bytes held by the Bloch blocks."""
-        return self.blocks.nbytes
+        self.p = p
+        self.terms = tuple(terms)
+        rows = sum(field * symbol[0].real for field, symbol in self.terms)
+        scale = max(np.max(np.abs(field)) * np.max(np.abs(symbol))
+                    for field, symbol in self.terms)
+        if np.max(np.abs(rows)) > 1e-6 * max(1.0, scale):
+            raise RuntimeError(
+                "generator row sums %.3g exceed float noise at term scale %.3g"
+                % (np.max(np.abs(rows)), scale))
+        self.diagonal = zero_order - rows
 
     def to_bloch(self, values):
         """Bloch coefficients of (n,) states or (n, m) column blocks: the
         rfft over the cell index of the state reshaped to (N_c, p, m), of
         shape (N_c//2 + 1, p, m), m = 1 for a vector."""
-        p = self.blocks.shape[1]
         values = np.asarray(values, dtype=float)
-        return np.fft.rfft(values.reshape(self.grid.n // p, p, -1), axis=0)
+        return np.fft.rfft(values.reshape(self.grid.n // self.p, self.p, -1),
+                           axis=0)
 
     def from_bloch(self, u_hat):
         """Inverse of :meth:`to_bloch`: the real (n, m) column block."""
-        cells = self.grid.n // self.blocks.shape[1]
-        return np.fft.irfft(u_hat, n=cells, axis=0).reshape(self.grid.n, -1)
-
-    def _act(self, blocks, values):
-        values = np.asarray(values, dtype=float)
-        return self.from_bloch(blocks @ self.to_bloch(values)) \
-            .reshape(values.shape)
+        return np.fft.irfft(u_hat, n=self.grid.n // self.p, axis=0) \
+            .reshape(self.grid.n, -1)
 
     def apply(self, values):
-        """Operator applied to (n,) states or (n, m) column blocks."""
-        return self._act(self.blocks, values)
+        """Operator applied to (n,) states or (n, m) column blocks:
+        sum_k f_k irfft(s_k rfft u) + d u, one rfft and K irffts."""
+        values = np.asarray(values, dtype=float)
+        spec = np.fft.rfft(values, axis=0)
+        out = _down(self.diagonal, values) * values
+        for field, symbol in self.terms:
+            out += _down(field, values) * np.fft.irfft(
+                _down(symbol, values) * spec, self.grid.n, axis=0)
+        return out
 
     def adjoint_apply(self, values):
-        """Exact transpose: the conjugate-transposed blocks."""
-        return self._act(self.blocks.conj().swapaxes(1, 2), values)
+        """Exact transpose: irfft(sum_k conj(s_k) rfft(f_k u)) + d u, K
+        rffts and one irfft."""
+        values = np.asarray(values, dtype=float)
+        spec = 0.0
+        for field, symbol in self.terms:
+            spec = spec + _down(np.conj(symbol), values) * np.fft.rfft(
+                _down(field, values) * values, axis=0)
+        return np.fft.irfft(spec, self.grid.n, axis=0) \
+            + _down(self.diagonal, values) * values
+
+    @cached_property
+    def blocks(self):
+        """Bloch blocks of the terms (:func:`nlhom.torus._field_blocks` on
+        their columns), with d added to every block diagonal."""
+        blocks = _field_blocks(self.p, [(field, _symbol_column(symbol))
+                                        for field, symbol in self.terms])
+        diag = np.arange(self.p)
+        blocks[:, diag, diag] += np.broadcast_to(self.diagonal,
+                                                 (self.grid.n,))[:self.p]
+        return blocks
 
     def resolvent(self, dt):
-        """(I - dt A)^-1 as a LineOperator: one p x p inverse per block."""
-        eye = np.eye(self.blocks.shape[1])
-        return LineOperator(self.grid, "(I - %g %s)^-1" % (dt, self.label),
-                            np.linalg.inv(eye - dt * self.blocks))
+        """(I - dt A)^-1 as its Bloch blocks, shape (N_c//2 + 1, p, p): one
+        p x p inverse per block."""
+        _check_positive("dt", dt)
+        return np.linalg.inv(np.eye(self.p) - dt * self.blocks)
 
     @property
     def matrix(self):
         """The real n x n matrix, materialized from the blocks: the inverse
         FFT over t gives the cell-offset blocks C_d, and row cell a holds
         C_{a-b} in column cell b."""
-        p = self.blocks.shape[1]
+        p = self.p
         cells = self.grid.n // p
         offsets = np.fft.irfft(self.blocks, n=cells, axis=0)
         out = np.empty((cells, p, cells, p))
@@ -231,7 +268,13 @@ class LineOperator:
 
     def __repr__(self):
         return "LineOperator(%s, n=%d, p=%d)" % (self.label, self.grid.n,
-                                                 self.blocks.shape[1])
+                                                 self.p)
+
+
+def _down(a, values):
+    """A scalar or a 1-d array along axis 0, broadcast over the columns of
+    (n, m) values."""
+    return np.reshape(a, np.shape(a) + (1,) * (values.ndim - 1))
 
 
 def _cell_trace(field, grid, eps):
@@ -256,14 +299,15 @@ def _cell_trace(field, grid, eps):
 # ---------------------------------------------------------------------------
 
 
-def _line_jump_column(kernel, grid, eps):
-    """:func:`jump_column` of the window; the scaled kernel support must fit
-    the half window, so the wrapped kernel does not overlap itself."""
+def _line_jump_symbol(kernel, grid, eps):
+    """Half spectrum of :func:`jump_column` on the window; the scaled kernel
+    support must fit the half window, so the wrapped kernel does not overlap
+    itself."""
     if eps * kernel.truncation_radius > grid.half_width + 1e-12:
         raise ResolutionError(
             "scaled jump support %.3g exceeds the half window %.3g"
             % (eps * kernel.truncation_radius, grid.half_width))
-    return jump_column(kernel, grid.n, 2.0 * grid.half_width, eps)
+    return np.fft.rfft(jump_column(kernel, grid.n, 2.0 * grid.half_width, eps))
 
 
 def assemble_T_eps(cset, eps, grid):
@@ -274,30 +318,26 @@ def assemble_T_eps(cset, eps, grid):
     mass, so constants are annihilated exactly.
     """
     eps = _eps_value(eps)
-    p = grid.points_per_cell(eps)
-    blocks = _field_blocks(p, [
-        (_cell_trace(cset.a, grid, eps),
-         _symbol_column(derivative_symbol(grid.freqs, 2))),
+    terms = [
+        (_cell_trace(cset.a, grid, eps), derivative_symbol(grid.freqs, 2)),
         (_cell_trace(cset.b, grid, eps) / eps,
-         _symbol_column(derivative_symbol(grid.freqs, 1))),
+         derivative_symbol(grid.freqs, 1)),
         (_cell_trace(cset.lam, grid, eps) / eps**2,
-         _line_jump_column(cset.kernel, grid, eps)),
-    ])
+         _line_jump_symbol(cset.kernel, grid, eps)),
+    ]
     return LineOperator(grid, "T_eps[%s]" % cset.name,
-                        _annihilate_constants(blocks))
+                        grid.points_per_cell(eps), terms, 0.0)
 
 
 def assemble_T0(Q, grid):
     """Constant-coefficient limit Q d^2/dx^2.
 
-    One cell per grid point (p = 1): the blocks are the symbol, which acts
-    exactly on every grid mode; self-adjoint.
+    One cell per grid point (p = 1): the one term's symbol acts exactly on
+    every grid mode; self-adjoint.
     """
-    if Q <= 0:
-        raise ValueError("Q must be positive, got %r" % (Q,))
-    blocks = _annihilate_constants(_field_blocks(1, [
-        (Q, _symbol_column(derivative_symbol(grid.freqs, 2)))]))
-    return LineOperator(grid, "T0", blocks)
+    _check_positive("Q", Q)
+    return LineOperator(grid, "T0", 1,
+                        [(Q, derivative_symbol(grid.freqs, 2))], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,29 +351,26 @@ def assemble_V_eps(cset, eps, grid):
         -delta^alpha(x/e) (-Dx)^(a/2) u + [e^(1-a) d(x/e) + g(x/e)] u'
         + [-e^(-a) e(x/e) + f(x/e)] u.
 
-    The generator part annihilates constants; the zero-order field is added
-    after that correction.
+    The generator part annihilates constants; the zero-order field is the
+    operator's image of the constant one.
     """
     eps = _eps_value(eps)
-    p = grid.points_per_cell(eps)
     alpha = cset.alpha
     drift_e = eps ** (1.0 - alpha) * _cell_trace(cset.d, grid, eps) \
         + _cell_trace(cset.g, grid, eps)
     zero_e = -_cell_trace(cset.e, grid, eps) / eps**alpha \
         + _cell_trace(cset.f, grid, eps)
-    blocks = _annihilate_constants(_stable_blocks(
-        grid.freqs, p, alpha, _cell_trace(cset.delta_alpha, grid, eps),
-        drift_e),
-        zero_e[:p])
-    return LineOperator(grid, "V_eps[%s]" % cset.name, blocks)
+    terms = _stable_terms(grid.freqs, alpha,
+                          _cell_trace(cset.delta_alpha, grid, eps), drift_e)
+    return LineOperator(grid, "V_eps[%s]" % cset.name,
+                        grid.points_per_cell(eps), terms, zero_e)
 
 
 def assemble_V0(cell, grid):
     """Homogenized stable generator: -dba (-Dx)^(a/2) + g_bar d/dx + f_bar."""
-    blocks = _annihilate_constants(_stable_blocks(
-        grid.freqs, 1, cell.cset.alpha, cell.delta_bar_alpha, cell.g_bar),
+    return LineOperator(grid, "V0", 1, _stable_terms(
+        grid.freqs, cell.cset.alpha, cell.delta_bar_alpha, cell.g_bar),
         cell.f_bar)
-    return LineOperator(grid, "V0", blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +402,7 @@ def corrector_test_function_II(xi, cell, eps, grid):
 
 def _check_operator(operator, grid, eps):
     """Refuse an operator assembled on another grid or at another eps."""
-    got = (operator.grid.n, operator.grid.half_width, operator.blocks.shape[1])
+    got = (operator.grid.n, operator.grid.half_width, operator.p)
     want = (grid.n, grid.half_width, grid.points_per_cell(eps))
     if got != want:
         raise ValueError(
@@ -465,16 +502,16 @@ def dissipativity_check_I(cset, m, eps, grid, trials=100, seed=11,
     normalized band-limited fields certifies the sign numerically.
     """
     eps = _eps_value(eps)
-    p = grid.points_per_cell(eps)
     lamm = cset.lam.with_values(cset.lam.values * m.values)
     am = cset.a.with_values(cset.a.values * m.values)
     beta_m = cset.b.with_values(cset.b.values * m.values - am.derivative(1).values)
-    form = LineOperator(grid, "form_I", _field_blocks(p, [
+    terms = [
         (_cell_trace(lamm, grid, eps) / eps**2,
-         _line_jump_column(cset.kernel, grid, eps)),
+         _line_jump_symbol(cset.kernel, grid, eps)),
         (_cell_trace(beta_m, grid, eps) / eps,
-         _symbol_column(derivative_symbol(grid.freqs, 1))),
-    ]))
+         derivative_symbol(grid.freqs, 1)),
+    ]
+    form = LineOperator(grid, "form_I", grid.points_per_cell(eps), terms, 0.0)
     return _worst_form(form, grid, fields, trials, seed, max_mode)
 
 
@@ -487,11 +524,10 @@ def dissipativity_check_II(cset, m1, eps, grid, trials=100, seed=12,
     grid.
     """
     eps = _eps_value(eps)
-    p = grid.points_per_cell(eps)
     alpha = cset.alpha
     w = cset.delta_alpha.with_values(cset.delta_alpha.values * m1.values)
     dm1 = cset.d.with_values(cset.d.values * m1.values)
-    form = LineOperator(grid, "form_II", _stable_blocks(
-        grid.freqs, p, alpha, _cell_trace(w, grid, eps),
-        eps ** (1.0 - alpha) * _cell_trace(dm1, grid, eps)))
+    terms = _stable_terms(grid.freqs, alpha, _cell_trace(w, grid, eps),
+                          eps ** (1.0 - alpha) * _cell_trace(dm1, grid, eps))
+    form = LineOperator(grid, "form_II", grid.points_per_cell(eps), terms, 0.0)
     return _worst_form(form, grid, fields, trials, seed, max_mode)

@@ -158,7 +158,8 @@ def _check_dt(dt, limit, label):
 class SemiImplicitStepper:
     """Preassembled resolvent step for a heterogeneous generator.
 
-    The resolvent (I - dt T)^-1 is held as its Bloch blocks R_t, and the
+    The resolvent (I - dt T)^-1 is held as its Bloch blocks R_t, the
+    (N_c//2 + 1, p, p) array of :meth:`LineOperator.resolvent`, and the
     noise field is one eps-cell of p samples tiled over the N_c cells, so it
     is the same diagonal sigma_cell in every Bloch block.  On the Bloch
     coefficients of :meth:`LineOperator.to_bloch` a step is one batched
@@ -174,14 +175,15 @@ class SemiImplicitStepper:
         sigma(x/eps) sampled on the line grid: one eps-cell of p samples
         tiled over the N_c cells.
     dt : float
-        Time step; must satisfy the family's stability rule.
+        Time step; must satisfy the family's stability rule, and a dt that
+        is not finite and positive raises.
     """
 
     def __init__(self, operator, sigma_trace, dt):
         self.operator = operator
         self.grid = operator.grid
         self.sigma_trace = trace = np.asarray(sigma_trace, dtype=float)
-        p = operator.blocks.shape[1]
+        p = operator.p
         if trace.shape != (self.grid.n,) or not np.all(np.isfinite(trace)) \
                 or np.any(trace.reshape(-1, p) != trace[:p]):
             raise ValueError("sigma_trace must be one eps-cell of %d finite "
@@ -197,11 +199,11 @@ class SemiImplicitStepper:
         """One step on Bloch coefficients of shape (N_c//2 + 1, p, m); dw is
         a scalar or an (m,) row."""
         factor = 1.0 + self._sigma_cell[:, None] * np.reshape(dw, (1, -1))
-        return self._resolvent.blocks @ (u_hat * factor)
+        return self._resolvent @ (u_hat * factor)
 
     def step(self, state, dw):
         state = np.asarray(state, dtype=float)
-        op = self._resolvent
+        op = self.operator
         return op.from_bloch(self.bloch_step(op.to_bloch(state), dw)) \
             .reshape(state.shape)
 
@@ -238,10 +240,9 @@ def prepare_heterogeneous_I(cset, eps, grid, dt):
 
 def prepare_homogenized_I(Q, sigma_bar, grid, dt):
     """Exact heat-semigroup stepper for the homogenized integrable limit:
-    exp(dt T0) on T0's one-point Bloch blocks, its symbol -Q omega^2."""
+    exp(dt T0) on T0's symbol -Q omega^2."""
     _check_dt(dt, np.inf, "spectral")
-    T0 = assemble_T0(Q, grid)
-    factor = np.exp(dt * T0.blocks[:, 0, 0])
+    factor = _semigroup_factor(assemble_T0(Q, grid), dt)
     return SpectralStepper(grid, factor, sigma_bar, dt)
 
 
@@ -257,15 +258,20 @@ def prepare_heterogeneous_II(cset, eps, grid, dt):
 def prepare_homogenized_II(cell, grid, dt):
     """Exact stable-semigroup stepper for the homogenized stable limit.
 
-    exp(dt V0) on V0's one-point Bloch blocks, one complex multiplier per
-    mode: the fractional decay exp(-dba |omega|^alpha dt), the advection
+    exp(dt V0) on V0's symbol, one complex multiplier per mode: the fractional decay exp(-dba |omega|^alpha dt), the advection
     phase exp(i omega g_bar dt) and the zero-order growth exp(f_bar dt).
     The derivative symbol drops the Nyquist phase, which keeps the inverse
     real transform consistent.
     """
     _check_dt(dt, np.inf, "spectral")
-    factor = np.exp(dt * assemble_V0(cell, grid).blocks[:, 0, 0])
+    factor = _semigroup_factor(assemble_V0(cell, grid), dt)
     return SpectralStepper(grid, factor, cell.sigma_bar, dt)
+
+
+def _semigroup_factor(op, dt):
+    """exp(dt A) per half-spectrum mode of a constant-coefficient operator
+    A (p = 1, scalar fields), whose symbol is sum_k f_k s_k + d."""
+    return np.exp(dt * (sum(f * s for f, s in op.terms) + op.diagonal))
 
 
 # ---------------------------------------------------------------------------

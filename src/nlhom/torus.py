@@ -6,9 +6,12 @@ fractional Laplacian are all realized as Fourier multipliers.  All torus
 integrals are h-weighted sums on the grid, which is spectrally accurate for
 smooth periodic integrands and consistent with the FFT representation.
 
-Fields times multipliers are realized once, as Bloch blocks
-(:func:`_field_blocks`): the cell generators of ``cell`` are the one-cell
-case, the line operators of ``lineops`` the case of p points per eps-cell.
+A field times a multiplier is one (field, half-spectrum symbol) term
+(:func:`_stable_terms` builds the stable family's two).  The line operators
+of ``lineops`` hold their terms and apply them by FFT; when a dense or
+block form is needed, :func:`_field_blocks` builds the Bloch blocks: the
+cell generators of ``cell`` are the one-cell case, the SPDE resolvent's
+blocks the case of p points per eps-cell.
 A field is sampled on a uniform grid of p points by one method too,
 :meth:`PeriodicField.uniform_samples` (a stride of the values, or one
 padded inverse FFT): the line traces of ``lineops`` and the lookup tables
@@ -275,29 +278,8 @@ def _field_blocks(p, terms):
     return blocks
 
 
-def _annihilate_constants(blocks, zero_order=0.0):
-    """Fold the row sums into the diagonal so the operator kills constants,
-    then add the zero-order field (one cell of samples, or a scalar) there.
-
-    Every generator part assembled here kills constants analytically; the
-    row sums, read off the t = 0 block, are floating-point noise, and a
-    cell-periodic diagonal enters every Bloch block identically.  Row sums
-    beyond noise level signal an assembly bug and raise.
-    """
-    rows = (blocks[0] @ np.ones(blocks.shape[1])).real
-    scale = np.max(np.abs(blocks[0]))
-    if np.max(np.abs(rows)) > 1e-6 * max(1.0, scale):
-        raise RuntimeError(
-            "generator row sums %.3g exceed float noise at block scale %.3g"
-            % (np.max(np.abs(rows)), scale))
-    diag = np.arange(blocks.shape[1])
-    blocks[:, diag, diag] += zero_order - rows
-    return blocks
-
-
-def _stable_blocks(freqs, p, alpha, frac_field, drift_field):
-    """Bloch blocks of -frac_field (-Dx)^(alpha/2) + drift_field Dx."""
-    return _field_blocks(p, [
-        (-frac_field, _symbol_column(fractional_symbol(freqs, alpha))),
-        (drift_field, _symbol_column(derivative_symbol(freqs, 1))),
-    ])
+def _stable_terms(freqs, alpha, frac_field, drift_field):
+    """(field, half-spectrum symbol) terms of -frac_field (-Dx)^(alpha/2) +
+    drift_field Dx."""
+    return [(-frac_field, fractional_symbol(freqs, alpha)),
+            (drift_field, derivative_symbol(freqs, 1))]

@@ -1,5 +1,7 @@
 """Line-operator assembly, two-scale residuals, and sign checks."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from scipy.integrate import quad
 
 from field_oracle import evaluate
 from nlhom import lineops as lo
-from nlhom import spde
+from nlhom import spde, torus
 from nlhom.cell import (
     assemble_torus_generator_I,
     assemble_torus_generator_II,
@@ -199,6 +201,36 @@ def test_T0_eigenfunction_and_multiplier(grid):
         lo.assemble_T0(0.0, grid)
 
 
+@pytest.mark.parametrize("Q", [np.nan, np.inf, 0.0, -1.0])
+def test_T0_refuses_a_nonpositive_or_nonfinite_Q(grid, Q):
+    # a NaN or infinite Q used to pass the Q <= 0 guard and build a
+    # non-finite operator
+    with pytest.raises(ValueError, match="Q must be finite and positive, got "
+                       + re.escape(repr(Q))):
+        lo.assemble_T0(Q, grid)
+
+
+@pytest.mark.parametrize("center", [np.nan, np.inf, -np.inf])
+def test_gaussian_bump_refuses_a_nonfinite_center(grid, center):
+    with pytest.raises(ValueError, match="center must be a finite real, got "
+                       + re.escape(repr(center))):
+        lo.gaussian_bump(grid, center)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1.0])
+def test_resolvent_refuses_a_nonpositive_or_nonfinite_dt(varcoef, dt):
+    # resolvent(nan) used to return non-finite inverse blocks; a directly
+    # built stepper reaches the same check
+    cset, _ = varcoef
+    grid, eps = lo.LineGrid(2.0, 512), 1.0 / 8.0
+    op = lo.assemble_T_eps(cset, eps, grid)
+    message = "dt must be finite and positive, got " + re.escape(repr(dt))
+    with pytest.raises(ValueError, match=message):
+        op.resolvent(dt)
+    with pytest.raises(ValueError, match=message):
+        spde.SemiImplicitStepper(op, lo._cell_trace(cset.sigma, grid, eps), dt)
+
+
 def test_T0_self_adjoint(grid):
     op = lo.assemble_T0(4.0 / 3.0, grid)
     rng = np.random.default_rng(3)
@@ -338,25 +370,53 @@ def test_bloch_blocks_match_dense_reference(seed, K):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@given(seed=st.integers(0, 10_000), m=st.sampled_from([None, 1, 5]))
+def _term_scale(op):
+    """sum_k max|f_k| max|s_k| + max|d|: the size of one entry of the
+    operator's image of a unit vector, before cancellation."""
+    return sum(np.max(np.abs(f)) * np.max(np.abs(s)) for f, s in op.terms) \
+        + np.max(np.abs(op.diagonal))
+
+
+@given(seed=st.integers(0, 10_000), K=st.sampled_from([4, 8]),
+       m=st.sampled_from([None, 3]))
 @settings(max_examples=10, deadline=None)
-def test_bloch_transforms_round_trip_and_define_apply(seed, m):
-    # apply is from_bloch(blocks @ to_bloch(u)), bit for bit the inline
-    # rfft / block product / irfft over the cell index
-    cset = random_set_I(seed, 64)
-    grid, eps = lo.LineGrid(1.0, 256), 1.0 / 4.0
-    op = lo.assemble_T_eps(cset, eps, grid)
-    p = op.blocks.shape[1]
+def test_bloch_transforms_round_trip_and_define_apply(seed, K, m):
+    # apply works from the (field, symbol) terms and the blocks are built
+    # from the same terms, so the two paths differ only by rounding: within
+    # n u (sum_k max|f_k| max|s_k| + max|d|) max|u| (measured: at most 0.4%
+    # of it over 60 draws).  The terms also give the exact adjoint and map
+    # the constant one to the zero-order field exactly
+    grid, eps = lo.LineGrid(1.0, 512), 1.0 / K
+    u_mach = np.finfo(float).eps
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal(grid.n if m is None else (grid.n, m))
-    u_hat = op.to_bloch(u)
-    assert u_hat.shape == (grid.n // p // 2 + 1, p, 1 if m is None else m)
-    assert np.max(np.abs(op.from_bloch(u_hat).reshape(u.shape) - u)) \
-        <= 1e-14 * np.max(np.abs(u))
-    cells = u.reshape(grid.n // p, p, -1)
-    inline = np.fft.irfft(op.blocks @ np.fft.rfft(cells, axis=0),
-                          n=grid.n // p, axis=0).reshape(u.shape)
-    assert np.array_equal(op.apply(u), inline)
+    shape = grid.n if m is None else (grid.n, m)
+    u, v = rng.standard_normal(shape), rng.standard_normal(shape)
+    for part in ("I", "II"):
+        if part == "I":
+            cset = random_set_I(seed, 64)
+            op = lo.assemble_T_eps(cset, eps, grid)
+            zero = np.zeros(grid.n)
+        else:
+            cset = random_set_II(seed, 64)
+            op = lo.assemble_V_eps(cset, eps, grid)
+            zero = -lo._cell_trace(cset.e, grid, eps) / eps**cset.alpha \
+                + lo._cell_trace(cset.f, grid, eps)
+        p = op.p
+        u_hat = op.to_bloch(u)
+        assert u_hat.shape == (grid.n // p // 2 + 1, p, 1 if m is None else m)
+        assert np.max(np.abs(op.from_bloch(u_hat).reshape(u.shape) - u)) \
+            <= 1e-14 * np.max(np.abs(u))
+        bound = grid.n * u_mach * _term_scale(op)
+        blocks_h = op.blocks.conj().swapaxes(1, 2)
+        for got, blocks in ((op.apply(u), op.blocks),
+                            (op.adjoint_apply(u), blocks_h)):
+            want = op.from_bloch(blocks @ op.to_bloch(u)).reshape(u.shape)
+            assert got.shape == u.shape
+            assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(u))
+        pair = np.sum(v * op.apply(u)) - np.sum(op.adjoint_apply(v) * u)
+        assert abs(pair) * grid.dx <= bound * grid.dx * np.sqrt(
+            np.sum(u * u) * np.sum(v * v))
+        assert np.array_equal(op.apply(np.ones(grid.n)), zero)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +544,89 @@ def test_residual_translation_invariance(varcoef, grid):
             lo.gaussian_bump(grid, k * eps, 0.35), cell, cset, eps, grid,
             operator=op)
         assert abs(shifted - base) < 1e-8
+
+
+def _long_double_adjoint(op, values):
+    """op.adjoint_apply(values) with every sum and FFT in long double: the
+    same float64 terms and diagonal, promoted."""
+    u = np.asarray(values, np.longdouble)
+    spec = sum(np.asarray(np.conj(s), np.clongdouble)
+               * np.fft.rfft(np.asarray(f, np.longdouble) * u)
+               for f, s in op.terms)
+    return np.fft.irfft(spec, op.grid.n) + np.asarray(op.diagonal,
+                                                      np.longdouble) * u
+
+
+def test_residuals_match_a_long_double_oracle(varcoef, stable):
+    # each residual cancels terms of size eps^-2 down to O(eps); a path's
+    # rounding is bounded by one unit roundoff u of the largest term,
+    # u (sum_k max|f_k| max|s_k| + max|d|) times the norm it acts on.
+    # Measured on this grid: 1.1e-14 and 3.3e-17 absolute (6e-13 and
+    # 1.7e-14 relative), 4e-5 and 4e-6 of the bound
+    grid, eps = lo.LineGrid(2.0, 1024), 1.0 / 8
+    u_mach, dx = np.finfo(float).eps, np.longdouble(grid.dx)
+    xi = lo.gaussian_bump(grid, 0.0, 0.35)
+    psi = lo.gaussian_bump(grid, 0.2, 0.4)
+    d2 = np.asarray(torus.derivative_symbol(grid.freqs, 2), np.clongdouble)
+    cset, cell = varcoef
+    T = lo.assemble_T_eps(cset, eps, grid)
+    xi_eps = lo.corrector_test_function_I(xi, cell, eps, grid)
+    target = np.longdouble(cell.Q) * np.fft.irfft(
+        d2 * np.fft.rfft(np.asarray(xi, np.longdouble)), grid.n)
+    want = np.sqrt(np.sum((_long_double_adjoint(T, xi_eps) - target) ** 2)
+                   * dx)
+    got = lo.residual_lemma_2_10(xi, cell, cset, eps, grid, operator=T)
+    bound = u_mach * (_term_scale(T) * grid.l2_norm(xi_eps) + cell.Q
+                      * np.max(np.abs(d2)) * grid.l2_norm(xi))
+    assert abs(got - want) <= bound
+    cset, cell = stable
+    V, V0 = lo.assemble_V_eps(cset, eps, grid), lo.assemble_V0(cell, grid)
+    xi_eps = lo.corrector_test_function_II(xi, cell, eps, grid)
+    psi_ld = np.asarray(psi, np.longdouble)
+    want = abs(np.sum(_long_double_adjoint(V, xi_eps) * psi_ld) * dx
+               - np.sum(_long_double_adjoint(V0, xi) * psi_ld) * dx)
+    got = lo.residual_part_II(xi, psi, cell, cset, eps, grid, operator=V)
+    bound = u_mach * (_term_scale(V) * grid.l2_norm(xi_eps)
+                      + _term_scale(V0) * grid.l2_norm(xi)) \
+        * grid.l2_norm(psi)
+    assert abs(got - want) <= bound
+
+
+def test_sweeps_build_no_blocks_and_prepare_builds_them_once(
+        varcoef, stable, monkeypatch):
+    # the residuals and forms apply their terms by FFT; only a resolvent
+    # builds Bloch blocks, one _multiplier_matrix per term
+    grid, eps = lo.LineGrid(2.0, 512), 1.0 / 8
+    (v, sol_v), (s1, sol_s) = varcoef, stable
+    xi = lo.gaussian_bump(grid, 0.0, 0.35)
+    psi = lo.gaussian_bump(grid, 0.2, 0.4)
+    build = torus._multiplier_matrix
+    calls = []
+
+    def refuse(*args):
+        raise AssertionError("Bloch blocks built on a sweep")
+
+    monkeypatch.setattr(torus, "_multiplier_matrix", refuse)
+    lo.residual_lemma_2_10(xi, sol_v, v, eps, grid)
+    lo.residual_part_II(xi, psi, sol_s, s1, eps, grid)
+    lo.dissipativity_check_I(v, sol_v.m, eps, grid, 4, 1, 16)
+    lo.dissipativity_check_II(s1, sol_s.m1, eps, grid, 4, 2, 16)
+
+    def count(*args):
+        calls.append(args[1])
+        return build(*args)
+
+    monkeypatch.setattr(torus, "_multiplier_matrix", count)
+    p = grid.points_per_cell(eps)
+    for prepare, cset, terms in ((spde.prepare_heterogeneous_I, v, 3),
+                                 (spde.prepare_heterogeneous_II, s1, 2)):
+        calls.clear()
+        prepare(cset, eps, grid, spde.heterogeneous_dt_limit(cset, eps, grid))
+        assert calls == [p] * terms
+    calls.clear()
+    spde.prepare_homogenized_I(sol_v.Q, 1.0, grid, 1e-3)
+    spde.prepare_homogenized_II(sol_s, grid, 1e-3)
+    assert calls == []
 
 
 def test_residual_part_II_monotone(stable, big_grid):

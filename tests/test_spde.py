@@ -422,9 +422,10 @@ def _column_march(cfg, sol, cset, inc):
     space, one column per path, with the increments ``inc`` of
     :func:`_draw_increments`: the heterogeneous side multiplies by the noise
     factor of the full (n,) ``sigma_trace`` and applies the resolvent
-    operator, apart from ``bloch_step``, and the homogenized side calls
-    ``SpectralStepper.step`` with its own noise at every step.  Also
-    returns each side's (n_steps + 1, n_paths) squared norms."""
+    blocks by a Bloch round trip, apart from ``bloch_step``, and the
+    homogenized side calls ``SpectralStepper.step`` with its own noise at
+    every step.  Also returns each side's (n_steps + 1, n_paths) squared
+    norms."""
     grid = cfg.grid
     n_steps, dt_eff, save_idx = _step_grid(cfg.T_end, cfg.dt, cfg.n_save)
     het, hom = spde._prepare_pair(cfg, sol, cset, dt_eff)
@@ -438,8 +439,9 @@ def _column_march(cfg, sol, cset, inc):
         bfrac = np.zeros(cfg.n_paths)
         for k in range(n_steps + 1):
             if k and side == "het":
-                U = het._resolvent.apply(
-                    U * (1.0 + het.sigma_trace[:, None] * inc[side][k - 1]))
+                op = het.operator
+                U = op.from_bloch(het._resolvent @ op.to_bloch(
+                    U * (1.0 + het.sigma_trace[:, None] * inc[side][k - 1])))
             elif k:
                 U = stepper.step(U, inc[side][k - 1])
             nsq.append(np.einsum("ij,ij->j", U, U) * grid.dx)
