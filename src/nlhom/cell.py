@@ -4,9 +4,8 @@ Part I (integrable jumps).  The unit-cell generator is
 
     T v = a v'' + b v' + lambda(y) * int c(x - y) (v(x) - v(y)) dx,
 
-realized as the one-cell case (p = n, block t = 0) of the Bloch-block
-builder :func:`nlhom.torus._field_blocks` that also builds the Bloch
-blocks of the line operators of ``lineops`` for the SPDE resolvent.
+held as a one-cell :class:`nlhom.torus.LineOperator` (p = n), built from
+the Part I terms that ``lineops.assemble_T_eps`` uses too.
 The solver chain is: invariant density m (adjoint null vector, normalized
 mass one), drift centering check int b m = 0, first corrector chi
 (T chi = -b with int chi m = 0), the effective diffusivity Q evaluated from
@@ -39,15 +38,15 @@ LU factorization per generator of the bordered matrix [[A, s 1], [s 1^T, 0]]
 is one-dimensional: every left null vector met here (constants, m, m1) pairs
 positively with the ones border.  LAPACK's condition estimate of the LU is
 the rank guard.  A :class:`CellOperator` is the one operator of the layer:
-the generator of one coefficient set with that one LU, and every stage of
-the chain takes it.  Direct and transposed solves with the LU serve the
-whole chain -- m and m1 as adjoint null vectors, chi and e1 as direct
-solves, and h1, h2, h3 through A*(m h) = rhs followed by a division by
-the density -- and every stage checks its residual through
-:meth:`CellOperator.residual`, matrix-free: h1, h2 and h3 on y = m h
-against A^T.  The drift centering of ``fixtures`` factors only its first
-sweep's generator B: a later sweep's operator is A = B - shift D1, which
-solves on B's LU by defect correction (:meth:`CellOperator.shifted`).
+the generator of one coefficient set as its terms, with that one LU, whose
+input is the only dense cell matrix.  Direct and transposed solves with the
+LU serve the whole chain -- m and m1 as adjoint null vectors, chi and e1 as
+direct solves, and h1, h2, h3 through A*(m h) = rhs followed by a division
+by the density -- and every stage checks its residual through
+:meth:`CellOperator.residual`, from the terms by FFT: h1, h2 and h3 on
+y = m h against A^T.  The drift centering of ``fixtures`` factors only its
+first sweep's generator: a later sweep's operator solves on that LU by
+defect correction (:meth:`CellOperator.shifted`).
 """
 
 import copy
@@ -57,19 +56,19 @@ from functools import cached_property, lru_cache
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, circulant, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon, dlange
 
 from .coefficients import CoefficientSetI, CoefficientSetII
 from .kernels import _half_rule, jump_column
 from .torus import (
     TWO_PI,
+    LineOperator,
     PeriodicField,
     _apply_symbol,
-    _field_blocks,
+    _check_type,
+    _jump_terms,
     _stable_terms,
-    _symbol_column,
-    derivative_symbol,
 )
 
 __all__ = [
@@ -119,27 +118,22 @@ _RCOND_MIN = 1e-10
 
 
 class _BorderedLU:
-    """One LU factorization of the bordered matrix [[A, s 1], [s 1^T, 0]].
+    """One LU factorization of the bordered matrix [[A, s 1], [s 1^T, 0]]
+    of a dense n x n A, and nothing else: no copy of A.
 
-    It keeps the generator A (``generator``) and its squared row and column
-    2-norms (``rows``, ``cols``).  s = ``norm`` / sqrt(n), ``norm`` the
-    largest row or column 2-norm of A (a lower bound on ||A||_2 within a
-    factor sqrt(n) of it, for O(n^2) work instead of an SVD), gives the
-    border the operator's scale.  The bordered matrix is nonsingular
-    exactly when A has a one-dimensional null space whose right and left
-    null vectors both have a nonzero sum; a condition estimate (LAPACK
-    gecon) below _RCOND_MIN is reported as rank deficiency.  Because the
-    border is symmetric, the transposed solve is the bordered system of
-    A^T, so one factorization serves both A and its adjoint.
+    s = ``norm`` / sqrt(n), ``norm`` the largest row or column 2-norm of A
+    (:func:`_generator_norm`), gives the border the operator's scale.  The
+    bordered matrix is nonsingular exactly when A has a one-dimensional
+    null space whose right and left null vectors both have a nonzero sum; a
+    condition estimate (LAPACK gecon) below _RCOND_MIN is reported as rank
+    deficiency.  Because the border is symmetric, the transposed solve is
+    the bordered system of A^T, so one factorization serves both A and its
+    adjoint.
     """
 
-    def __init__(self, A):
+    def __init__(self, A, norm):
         n = A.shape[0]
-        self.generator = A
-        self.rows = np.einsum("ij,ij->i", A, A)
-        self.cols = np.einsum("ij,ij->j", A, A)
-        self.norm = float(np.sqrt(max(self.rows.max(), self.cols.max())))
-        s = self.norm / np.sqrt(n)
+        s = norm / np.sqrt(n)
         B = np.empty((n + 1, n + 1), order="F")  # LAPACK's layout: no copy
         B[:n, :n] = A
         B[:n, n] = s
@@ -159,19 +153,6 @@ class _BorderedLU:
         self._n = n
         self._s = s
 
-    @cached_property
-    def derivative_cross(self):
-        """(row_cross, col_cross, d2): the inner products of the rows and
-        columns of A with those of the derivative matrix D1, and the
-        squared norm of a row of D1.  The squared row norms of A - c D1
-        are rows - 2 c row_cross + c^2 d2, and likewise its columns'."""
-        A = self.generator
-        k = np.arange(self._n // 2 + 1.0)
-        column = _symbol_column(derivative_symbol(k, 1))
-        D1 = circulant(column)  # D1[i, j] = column[(i - j) mod n]
-        return (np.einsum("ij,ij->i", A, D1), np.einsum("ij,ij->j", A, D1),
-                float(column @ column))
-
     def solve(self, rhs, total=0.0, adjoint=False):
         """x with A x = rhs (A^T x = rhs if adjoint) and sum(x) = total.
 
@@ -185,6 +166,24 @@ class _BorderedLU:
         """The bordered system itself: (x, mu) for the n + 1 entries b."""
         return lu_solve(self._lu, b, trans=1 if adjoint else 0,
                         check_finite=False)
+
+
+def _generator_norm(generator):
+    """The largest row or column 2-norm of the matrix of a one-cell
+    LineOperator, from its terms.  With d as one more term, of symbol 1,
+    the matrix is sum_k diag(f_k) C_k, C_k the circulant of the column
+    c_k = irfft(s_k): row i has the squared norm sum_kl f_k[i] f_l[i]
+    <c_k, c_l>, and column j the circular correlation sum_kl sum_i
+    (f_k f_l)[i] (c_k c_l)[i - j], taken by FFT."""
+    n = generator.grid.n
+    terms = generator.terms + ((generator.diagonal, np.ones(n // 2 + 1)),)
+    F = np.array([np.broadcast_to(field, (n,)) for field, _ in terms])
+    C = np.fft.irfft(np.array([symbol for _, symbol in terms]), n)
+    rows = np.einsum("ki,kl,li->i", F, C @ C.T, F)
+    FF, CC = ((X[:, None] * X).reshape(-1, n) for X in (F, C))
+    cols = np.fft.irfft(np.sum(np.fft.rfft(FF) * np.conj(np.fft.rfft(CC)),
+                               axis=0), n)
+    return float(np.sqrt(max(rows.max(), cols.max())))
 
 
 def _z_symbols(kernel, n):
@@ -247,70 +246,65 @@ _REFINE_TOL = 1e-15
 class CellOperator:
     """The unit-cell generator A of one coefficient set, with one LU.
 
-    ``lu`` is a :class:`_BorderedLU` of the generator B it factored, and A
-    = B - ``shift`` D1, D1 the spectral derivative.  ``CellOperator(cset)``
-    assembles T (Part I) or L (Part II) of ``cset`` and factors it, so
-    shift = 0 and A = B; :meth:`shifted` gives the operator of a set whose
-    drift is this one's lowered by a constant, on the same LU.
-    :meth:`solve` serves every direct and adjoint solve of the chain, and
-    :meth:`apply` and :meth:`residual` act with A and A^T without forming
-    them; ``z_symbols`` are the Part I kernel-quadrature multipliers of
+    ``generator`` is T (Part I) or L (Part II) of ``cset``, a one-cell
+    :class:`nlhom.torus.LineOperator` whose terms give :meth:`apply`,
+    :meth:`residual` and ``norm`` (:func:`_generator_norm`).  ``lu`` is a
+    :class:`_BorderedLU` of ``generator.blocks[0]``, the only dense cell
+    matrix (the generator's cached blocks); :meth:`shifted` puts another
+    set's generator on it.  :meth:`solve` serves every solve of the chain;
+    ``z_symbols`` are the Part I quadrature multipliers of
     :func:`_z_symbols`, built on first use.
     """
 
     # a first guess of the invariant density, for solves by refinement
     _density_start = None
-    shift = 0.0
+    # whether ``lu`` factors this operator's own generator
+    _own_lu = True
 
     def __init__(self, cset):
         self.cset = cset
-        self.lu = _BorderedLU(_assemble(cset))
+        self.generator = _assemble(cset)
+        self.norm = _generator_norm(self.generator)
+        self.lu = _BorderedLU(self.generator.blocks[0], self.norm)
 
     @cached_property
     def z_symbols(self):
         return _z_symbols(self.cset.kernel, self.cset.grid.n)
 
-    def shifted(self, cset, step, density_start):
-        """The operator of ``cset``, whose drift is that of ``self.cset``
-        lowered by the constant ``step``: A - step D1, on this operator's
-        LU.  Its invariant density starts from ``density_start``."""
+    def shifted(self, cset, density_start):
+        """The operator of ``cset``, a set on this grid and kernel with a
+        nearby generator (the centering's next sweep), on this LU; its
+        invariant density starts from ``density_start``."""
         op = copy.copy(self)
         op.cset = cset
-        op.shift = self.shift + step
+        op.generator = _assemble(cset)
+        op.norm = _generator_norm(op.generator)
+        op._own_lu = False
         op._density_start = density_start
         return op
 
     def apply(self, x, adjoint=False):
-        """A x (A^T x if adjoint, with D1^T = -D1) for grid values x, or
-        for each row of x."""
-        B = self.lu.generator
-        Ax = x @ B if adjoint else x @ B.T
-        if self.shift:
-            c = self.shift if adjoint else -self.shift
-            k = np.arange(x.shape[-1] // 2 + 1.0)
-            Ax += c * _apply_symbol(x, derivative_symbol(k, 1))
-        return Ax
+        """A x (A^T x if adjoint) for grid values x or each row of x."""
+        act = self.generator.adjoint_apply if adjoint else self.generator.apply
+        return act(np.transpose(x)).T
 
     def solve(self, rhs, total=0.0, adjoint=False, start=None):
-        """x with A x = rhs (A^T x = rhs if adjoint) and sum(x) = total.
-
-        At shift 0 it is the LU solve.  Otherwise it solves by defect
-        correction on the LU (:meth:`_refine`) from ``start``, a first
-        guess; if that fails to converge, it factors A itself in place and
-        goes on at shift 0.
-        """
-        if self.shift:
+        """x with A x = rhs (A^T x = rhs if adjoint) and sum(x) = total:
+        the LU solve, or on another generator's LU (:meth:`shifted`) defect
+        correction (:meth:`_refine`) from ``start``, a first guess; if that
+        fails to converge, it factors its own generator in place."""
+        if not self._own_lu:
             x = self._refine(rhs, total, adjoint, start)
             if x is not None:
                 return x
-            self.lu = None  # released before the new generator exists
-            self.lu = _BorderedLU(_assemble(self.cset))
-            self.shift = 0.0
+            self.lu = None  # released before the new blocks exist
+            self.lu = _BorderedLU(self.generator.blocks[0], self.norm)
+            self._own_lu = True
         return self.lu.solve(rhs, total, adjoint)
 
     def _refine(self, rhs, total, adjoint, start):
-        """The solve by defect correction on the bordered LU of B: y <- y +
-        LU^-1 (b - M y), M the bordered matrix of A with B's border.
+        """The solve by defect correction on another generator's bordered
+        LU: y <- y + LU^-1 (b - M y), M the bordered matrix of A.
 
         Starts from ``start`` (or zero).  With rate the ratio of the last
         two corrections, it returns once the error left, at most
@@ -357,23 +351,11 @@ class CellOperator:
         """||A x - rhs|| / (||A|| max(||x||, 1) + ||rhs||), A^T for A if
         adjoint.
 
-        ||A|| is the largest row or column 2-norm of A = B - shift D1,
-        exact from the LU's squared norms of B and, at a nonzero shift,
-        their cross terms with D1: a lower bound on the 2-norm, so the
-        ratio is never smaller than with the exact 2-norm.  The unit floor
-        keeps it meaningful when the exact solution is the zero field
-        (constant-coefficient degenerate cases).
-        """
-        lu = self.lu
-        norm = lu.norm
-        if self.shift:
-            c = self.shift
-            row_cross, col_cross, d2 = lu.derivative_cross
-            norm = np.sqrt(max(np.max(lu.rows - 2.0 * c * row_cross),
-                               np.max(lu.cols - 2.0 * c * col_cross))
-                           + c * c * d2)
+        ||A|| is ``norm``: a lower bound on the 2-norm, so the ratio is never
+        smaller than with the exact 2-norm.  The unit floor keeps it
+        meaningful when the exact solution is the zero field."""
         return np.linalg.norm(self.apply(x, adjoint) - rhs) / (
-            norm * max(np.linalg.norm(x), 1.0) + np.linalg.norm(rhs))
+            self.norm * max(np.linalg.norm(x), 1.0) + np.linalg.norm(rhs))
 
 
 def _invariant_density(op, label):
@@ -411,20 +393,19 @@ def _weighted_adjoint_solve(op, m, rhs, label):
 
 
 def assemble_torus_generator_I(cset: CoefficientSetI):
-    """Matrix of the unit-cell generator: the one-cell Bloch block (p = n,
-    block t = 0) of a D2 + b D1 + lambda J.
+    """The unit-cell generator a D2 + b D1 + lambda J as a one-cell
+    :class:`nlhom.torus.LineOperator` (p = n) on the set's grid, from the
+    Part I term builder of ``lineops.assemble_T_eps``.
 
     The jump column J subtracts the discrete mass of the periodized kernel
-    at lag 0, so the matrix annihilates constants exactly rather than to
-    quadrature accuracy.
+    at lag 0, so J annihilates constants exactly rather than to quadrature
+    accuracy.
     """
     n = cset.grid.n
-    k = np.arange(n // 2 + 1.0)
-    return _field_blocks(n, [
-        (cset.a.values, _symbol_column(derivative_symbol(k, 2))),
-        (cset.b.values, _symbol_column(derivative_symbol(k, 1))),
-        (cset.lam.values, jump_column(cset.kernel, n, 1.0, 1.0)),
-    ])[0]
+    jump = np.fft.rfft(jump_column(cset.kernel, n, 1.0, 1.0))
+    terms = _jump_terms(np.arange(n // 2 + 1.0), cset.a.values,
+                        cset.b.values, cset.lam.values, jump)
+    return LineOperator(cset.grid, "T[%s]" % cset.name, n, terms, 0.0)
 
 
 def solve_invariant_density_I(op):
@@ -639,7 +620,6 @@ class CellSolutionI:
     Q_alt: float
     Q1: float
     sigma_bar: float
-    solvability_l: float
     centering: float
     residuals: Dict[str, float]
     coercivity: Tuple[float, float]
@@ -649,12 +629,13 @@ def solve_cell_I(cset) -> CellSolutionI:
     """Run the full Part I chain with all cross-checks on one
     :class:`CellOperator`: one bordered LU of T serves every singular solve
     and one set of z-symbols every kernel quadrature."""
+    _check_type("cset", cset, CoefficientSetI)
     op = CellOperator(cset)
     m, res_m = solve_invariant_density_I(op)
     centering = check_centering_I(cset, m)
     chi, res_chi = solve_corrector_chi(op, m)
     Q = compute_Q(op, m, chi)
-    h1, solv_l, res_h1 = solve_h1(op, m)
+    h1, _, res_h1 = solve_h1(op, m)
     h2, Q_alt, res_h2 = solve_h2(op, m, h1)
     Q1 = zakai_cell_I(op, m, h1)
     sigma_bar = float(np.sum(cset.sigma.values * m.values) * cset.grid.h)
@@ -671,7 +652,6 @@ def solve_cell_I(cset) -> CellSolutionI:
         Q_alt=Q_alt,
         Q1=Q1,
         sigma_bar=sigma_bar,
-        solvability_l=solv_l,
         centering=centering,
         residuals={
             "m": res_m,
@@ -689,13 +669,12 @@ def solve_cell_I(cset) -> CellSolutionI:
 
 
 def assemble_torus_generator_II(cset: CoefficientSetII):
-    """Matrix of L v = -delta^alpha (-Delta)^{alpha/2} v + d v': the
-    one-cell Bloch block (p = n, block t = 0)."""
+    """L v = -delta^alpha (-Delta)^{alpha/2} v + d v' as a one-cell
+    :class:`nlhom.torus.LineOperator` (p = n) on the set's grid."""
     n = cset.grid.n
     terms = _stable_terms(np.arange(n // 2 + 1.0), cset.alpha,
                           cset.delta_alpha.values, cset.d.values)
-    return _field_blocks(n, [(field, _symbol_column(symbol))
-                             for field, symbol in terms])[0]
+    return LineOperator(cset.grid, "L[%s]" % cset.name, n, terms, 0.0)
 
 
 def solve_invariant_density_II(op):
@@ -781,6 +760,7 @@ class CellSolutionII:
 def solve_cell_II(cset) -> CellSolutionII:
     """Run the full Part II chain on one :class:`CellOperator`, the one
     bordered LU of L."""
+    _check_type("cset", cset, CoefficientSetII)
     op = CellOperator(cset)
     m1, res_m1 = solve_invariant_density_II(op)
     centering = check_centering_II(cset, m1)

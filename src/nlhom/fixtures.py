@@ -9,8 +9,8 @@ the same generator.  Three sweeps reach the stop (|B| <= 0.5e-13, or the
 bias's rounding floor where that is larger) on the named fixtures, where
 the fixed point c <- c + B contracted only by 0.01 to 0.05 per sweep.  One
 centering factors one generator: the first sweep's, on whose LU the later
-sweeps' operators, shifted by a multiple of the derivative, solve by defect
-correction (see :func:`_center_drift`).
+sweeps' operators, each its own set's generator held as terms, solve by
+defect correction (see :func:`_center_drift`).
 
 All named fixtures use smooth (band-limited or Gaussian-kernel) data so that
 the spectral machinery keeps cross-resolution agreement near machine
@@ -80,16 +80,15 @@ def _center_drift(cset, name, density):
     checks against that sweep's A_c).  The first sweep builds one
     :class:`cell.CellOperator` (the assembly, its one bordered LU and the
     rank check).  Every later sweep's operator is the last one's
-    :meth:`cell.CellOperator.shifted` by the Newton step: the same LU with
-    a larger shift, applied without assembly, its density started from the
-    first-order prediction m + dc dm and its dm from the last one.  A sweep
-    whose defect correction does not converge factors its own generator in
-    place, at shift 0, and later sweeps go on from that LU, so large shifts
-    still center.  The sweeps stop at |B| <= max(_CENTER_TOL, floor), the
-    floor being the bias's rounding floor (see ``_centering_bias``), so
-    rounding alone never takes a further sweep; after _CENTER_MAX_ITER
-    sweeps they give up.  Returns (centered set, its density, its operator)
-    of the last sweep.
+    :meth:`cell.CellOperator.shifted` to the new set: its own generator's
+    terms on the same LU, its density started from the first-order
+    prediction m + dc dm and its dm from the last one.  A sweep whose defect
+    correction does not converge factors its own generator in place, and
+    later sweeps go on from that LU, so large shifts still center.  The
+    sweeps stop at |B| <= max(_CENTER_TOL, floor), the floor being the
+    bias's rounding floor (see ``_centering_bias``), so rounding alone never
+    takes a further sweep; after _CENTER_MAX_ITER sweeps they give up.
+    Returns (centered set, its density, its operator) of the last sweep.
     """
     b0 = getattr(cset, name).values
     h = cset.grid.h
@@ -108,7 +107,7 @@ def _center_drift(cset, name, density):
         c += step
         current = current.with_fields(
             **{name: PeriodicField(cset.grid, b0 - c)})
-        op = op.shifted(current, step, m.values + step * dm)
+        op = op.shifted(current, m.values + step * dm)
     raise RuntimeError("drift centering did not converge (last bias %.3g)" % bias)
 
 

@@ -2,17 +2,17 @@
 
 The real line is replaced by a periodic window [-L, L) with all test data
 supported away from the wrap.  Every operator here is a sum of eps-periodic
-fields times Fourier multipliers, sum_k f_k(x) S_k + d(x), and a
-LineOperator stores exactly that: the (field trace, half-spectrum symbol)
-terms and one diagonal d.  It applies pseudo-spectrally, each field in
-space and each symbol in frequency, at O(K n log n) per vector; the adjoint
-for dx * sum(u v) (the exact transpose) conjugates the symbols and moves the
+fields times Fourier multipliers, sum_k f_k(x) S_k + d(x), held as a
+:class:`nlhom.torus.LineOperator`, the type of the cell generators of
+``cell`` too: the (field trace, half-spectrum symbol) terms and one
+diagonal d.  It applies pseudo-spectrally, each field in space and each
+symbol in frequency, at O(K n log n) per vector; the adjoint for
+dx * sum(u v) (the exact transpose) conjugates the symbols and moves the
 fields inside.  The operator commutes with translation by one eps-cell of p
 points, so an FFT over the N_c cells also splits it into N_c//2 + 1
-independent p x p Bloch blocks (:func:`nlhom.torus._field_blocks`); they are
-built on demand, for the SPDE resolvent's batched p x p inverses and the
-materialized matrix, and block t = 0 of eps^2 T_eps is the cell generator
-of ``cell`` at n = p.  Constant-coefficient operators are the case p = 1.
+independent p x p Bloch blocks, built on demand for the SPDE resolvent and
+the materialized matrix; block t = 0 of eps^2 T_eps is the cell generator
+at n = p.  Constant-coefficient operators are the case p = 1.
 
 The window must tile the fast period exactly: 2L is an integer, eps is the
 reciprocal of an integer, and the number of grid points per eps-cell is an
@@ -25,7 +25,7 @@ batched inverse FFT.
 
 Contents:
 
-* :class:`LineGrid`, :class:`LineOperator`;
+* :class:`LineGrid` (``LineOperator`` is imported from ``torus``);
 * assembly of the two-scale generators (integrable-jump and stable
   families), their constant-coefficient limits, and the corrected test
   functions whose adjoint images converge to the limit action;
@@ -38,27 +38,26 @@ which ties the stable form's sign to the nonlocal vector calculus, is a
 real-space test oracle (``tests/nonlocal_oracle.py``), not run by the lab.
 """
 
-from functools import cached_property
-
 import numpy as np
 
-from .coefficients import _eps_value
+from .cell import CellSolutionI, CellSolutionII
+from .coefficients import CoefficientSetI, CoefficientSetII, _eps_value
 from .kernels import jump_column
 from .torus import (
+    LineOperator,
     _apply_symbol,
     _check_count,
     _check_positive,
-    _field_blocks,
+    _check_type,
     _finite_real,
+    _jump_terms,
     _stable_terms,
-    _symbol_column,
     derivative_symbol,
 )
 
 __all__ = [
     "ResolutionError",
     "LineGrid",
-    "LineOperator",
     "gaussian_bump",
     "assemble_T_eps",
     "assemble_T0",
@@ -170,113 +169,6 @@ def gaussian_bump(grid, center=0.0, width=0.35):
     return np.exp(-((grid.x - center) ** 2) / (2.0 * width**2))
 
 
-class LineOperator:
-    """A linear operator on a LineGrid that commutes with eps-cell
-    translations: sum_k diag(f_k) S_k + diag(d), p points per cell.
-
-    ``terms`` are (f_k, s_k) pairs: f_k a scalar or a cell-periodic field
-    trace of shape (n,), s_k the half spectrum of the multiplier S_k.  The
-    constant-killing rule sets d = zero_order - sum_k f_k Re s_k[0]: each
-    term kills constants analytically, so f_k Re s_k[0] is rounding noise
-    (beyond noise it is an assembly bug and raises), and ``apply(ones)`` is
-    the zero-order field.  The Bloch blocks, shape ``(N_c//2 + 1, p, p)``,
-    are built from the same terms only for :attr:`matrix` and
-    :meth:`resolvent`; ``blocks[t]`` acts on the Fourier mode t over the
-    cell index of a state reshaped to (N_c, p) (:meth:`to_bloch`,
-    :meth:`from_bloch`).
-    """
-
-    def __init__(self, grid, label, p, terms, zero_order):
-        self.grid = grid
-        self.label = label
-        self.p = p
-        self.terms = tuple(terms)
-        rows = sum(field * symbol[0].real for field, symbol in self.terms)
-        scale = max(np.max(np.abs(field)) * np.max(np.abs(symbol))
-                    for field, symbol in self.terms)
-        if np.max(np.abs(rows)) > 1e-6 * max(1.0, scale):
-            raise RuntimeError(
-                "generator row sums %.3g exceed float noise at term scale %.3g"
-                % (np.max(np.abs(rows)), scale))
-        self.diagonal = zero_order - rows
-
-    def to_bloch(self, values):
-        """Bloch coefficients of (n,) states or (n, m) column blocks: the
-        rfft over the cell index of the state reshaped to (N_c, p, m), of
-        shape (N_c//2 + 1, p, m), m = 1 for a vector."""
-        values = np.asarray(values, dtype=float)
-        return np.fft.rfft(values.reshape(self.grid.n // self.p, self.p, -1),
-                           axis=0)
-
-    def from_bloch(self, u_hat):
-        """Inverse of :meth:`to_bloch`: the real (n, m) column block."""
-        return np.fft.irfft(u_hat, n=self.grid.n // self.p, axis=0) \
-            .reshape(self.grid.n, -1)
-
-    def apply(self, values):
-        """Operator applied to (n,) states or (n, m) column blocks:
-        sum_k f_k irfft(s_k rfft u) + d u, one rfft and K irffts."""
-        values = np.asarray(values, dtype=float)
-        spec = np.fft.rfft(values, axis=0)
-        out = _down(self.diagonal, values) * values
-        for field, symbol in self.terms:
-            out += _down(field, values) * np.fft.irfft(
-                _down(symbol, values) * spec, self.grid.n, axis=0)
-        return out
-
-    def adjoint_apply(self, values):
-        """Exact transpose: irfft(sum_k conj(s_k) rfft(f_k u)) + d u, K
-        rffts and one irfft."""
-        values = np.asarray(values, dtype=float)
-        spec = 0.0
-        for field, symbol in self.terms:
-            spec = spec + _down(np.conj(symbol), values) * np.fft.rfft(
-                _down(field, values) * values, axis=0)
-        return np.fft.irfft(spec, self.grid.n, axis=0) \
-            + _down(self.diagonal, values) * values
-
-    @cached_property
-    def blocks(self):
-        """Bloch blocks of the terms (:func:`nlhom.torus._field_blocks` on
-        their columns), with d added to every block diagonal."""
-        blocks = _field_blocks(self.p, [(field, _symbol_column(symbol))
-                                        for field, symbol in self.terms])
-        diag = np.arange(self.p)
-        blocks[:, diag, diag] += np.broadcast_to(self.diagonal,
-                                                 (self.grid.n,))[:self.p]
-        return blocks
-
-    def resolvent(self, dt):
-        """(I - dt A)^-1 as its Bloch blocks, shape (N_c//2 + 1, p, p): one
-        p x p inverse per block."""
-        _check_positive("dt", dt)
-        return np.linalg.inv(np.eye(self.p) - dt * self.blocks)
-
-    @property
-    def matrix(self):
-        """The real n x n matrix, materialized from the blocks: the inverse
-        FFT over t gives the cell-offset blocks C_d, and row cell a holds
-        C_{a-b} in column cell b."""
-        p = self.p
-        cells = self.grid.n // p
-        offsets = np.fft.irfft(self.blocks, n=cells, axis=0)
-        out = np.empty((cells, p, cells, p))
-        lag = np.arange(cells)
-        for a in range(cells):
-            out[a] = offsets[(a - lag) % cells].swapaxes(0, 1)
-        return out.reshape(self.grid.n, self.grid.n)
-
-    def __repr__(self):
-        return "LineOperator(%s, n=%d, p=%d)" % (self.label, self.grid.n,
-                                                 self.p)
-
-
-def _down(a, values):
-    """A scalar or a 1-d array along axis 0, broadcast over the columns of
-    (n, m) values."""
-    return np.reshape(a, np.shape(a) + (1,) * (values.ndim - 1))
-
-
 def _cell_trace(field, grid, eps):
     """A unit-torus field at y = x/eps mod 1 on the line grid.
 
@@ -318,13 +210,10 @@ def assemble_T_eps(cset, eps, grid):
     mass, so constants are annihilated exactly.
     """
     eps = _eps_value(eps)
-    terms = [
-        (_cell_trace(cset.a, grid, eps), derivative_symbol(grid.freqs, 2)),
-        (_cell_trace(cset.b, grid, eps) / eps,
-         derivative_symbol(grid.freqs, 1)),
-        (_cell_trace(cset.lam, grid, eps) / eps**2,
-         _line_jump_symbol(cset.kernel, grid, eps)),
-    ]
+    terms = _jump_terms(grid.freqs, _cell_trace(cset.a, grid, eps),
+                        _cell_trace(cset.b, grid, eps) / eps,
+                        _cell_trace(cset.lam, grid, eps) / eps**2,
+                        _line_jump_symbol(cset.kernel, grid, eps))
     return LineOperator(grid, "T_eps[%s]" % cset.name,
                         grid.points_per_cell(eps), terms, 0.0)
 
@@ -418,6 +307,8 @@ def residual_lemma_2_10(xi, cell, cset, eps, grid, operator=None):
     ``operator``, T_eps when given, must be assembled on ``grid`` at
     ``eps``.
     """
+    _check_type("cell", cell, CellSolutionI)
+    _check_type("cset", cset, CoefficientSetI)
     eps = _eps_value(eps)
     if operator is None:
         operator = assemble_T_eps(cset, eps, grid)
@@ -436,6 +327,8 @@ def residual_part_II(xi, psi, cell, cset, eps, grid, operator=None):
     (V0 xi, psi) differs from it by 2 g_bar (xi', psi).  ``operator``,
     V_eps when given, must be assembled on ``grid`` at ``eps``.
     """
+    _check_type("cell", cell, CellSolutionII)
+    _check_type("cset", cset, CoefficientSetII)
     eps = _eps_value(eps)
     if operator is None:
         operator = assemble_V_eps(cset, eps, grid)

@@ -51,11 +51,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .coefficients import CoefficientSetII, _eps_value
+from .cell import CellSolutionI, CellSolutionII
+from .coefficients import CoefficientSetI, CoefficientSetII, _eps_value
 from .lineops import (LineGrid, gaussian_bump, assemble_T0, assemble_T_eps,
                       assemble_V0, assemble_V_eps, _cell_trace)
 from .particles import RngStream, _step_grid
-from .torus import _apply_symbol, _check_count, _check_positive
+from .torus import _apply_symbol, _check_count, _check_positive, _check_type
 
 __all__ = [
     "SpdeConfig", "FieldPath", "initial_profile", "default_test_battery",
@@ -493,11 +494,15 @@ def run_ensemble(config, cell, cset, battery=None):
     Raises
     ------
     ValueError
-        On a battery whose xi and xi_d2 are not finite (n_xi, n) arrays.
+        On a cell or set of the other family, or a battery whose xi and
+        xi_d2 are not finite (n_xi, n) arrays.
     RuntimeError
         On non-finite states, energy-cap violation, or a pooled increment
         variance further than 6 standard errors from dt.
     """
+    part_I = config.part == "I"
+    _check_type("cell", cell, CellSolutionI if part_I else CellSolutionII)
+    _check_type("cset", cset, CoefficientSetI if part_I else CoefficientSetII)
     grid = config.grid
     if battery is None:
         battery = default_test_battery(grid)

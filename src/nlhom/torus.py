@@ -7,11 +7,11 @@ integrals are h-weighted sums on the grid, which is spectrally accurate for
 smooth periodic integrands and consistent with the FFT representation.
 
 A field times a multiplier is one (field, half-spectrum symbol) term
-(:func:`_stable_terms` builds the stable family's two).  The line operators
-of ``lineops`` hold their terms and apply them by FFT; when a dense or
-block form is needed, :func:`_field_blocks` builds the Bloch blocks: the
-cell generators of ``cell`` are the one-cell case, the SPDE resolvent's
-blocks the case of p points per eps-cell.
+(:func:`_jump_terms` and :func:`_stable_terms` build each family's), and
+one type, :class:`LineOperator`, holds such terms and applies them by FFT:
+the line operators of ``lineops`` and the cell generators of ``cell`` (one
+cell, p = n).  Its dense Bloch blocks (:func:`_field_blocks`) are built
+only for the cell LU, the SPDE resolvent and the materialized ``matrix``.
 A field is sampled on a uniform grid of p points by one method too,
 :meth:`PeriodicField.uniform_samples` (a stride of the values, or one
 padded inverse FFT): the line traces of ``lineops`` and the lookup tables
@@ -35,6 +35,7 @@ Conventions
 
 import math
 import numbers
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -47,6 +48,7 @@ __all__ = [
     "field_from_function",
     "derivative_symbol",
     "fractional_symbol",
+    "LineOperator",
 ]
 
 
@@ -74,6 +76,13 @@ def _check_positive(name, value):
     if not (_finite_real(value) and value > 0):
         raise ValueError("%s must be finite and positive, got %r"
                          % (name, value))
+
+
+def _check_type(name, value, expected):
+    """Refuse a value of another type with a ValueError naming both."""
+    if not isinstance(value, expected):
+        raise ValueError("%s must be a %s, got a %s"
+                         % (name, expected.__name__, type(value).__name__))
 
 
 class TorusGrid:
@@ -231,7 +240,7 @@ def fractional_symbol(freqs, alpha):
 
 
 # ---------------------------------------------------------------------------
-# Bloch blocks of field-times-multiplier operators
+# field-times-multiplier operators and their Bloch blocks
 # ---------------------------------------------------------------------------
 
 
@@ -278,8 +287,119 @@ def _field_blocks(p, terms):
     return blocks
 
 
+def _jump_terms(freqs, diffusion, drift, rate, jump_symbol):
+    """(field, half-spectrum symbol) terms of diffusion Dx^2 + drift Dx +
+    rate J, J the jump multiplier with the half spectrum ``jump_symbol``."""
+    return [(diffusion, derivative_symbol(freqs, 2)),
+            (drift, derivative_symbol(freqs, 1)),
+            (rate, jump_symbol)]
+
+
 def _stable_terms(freqs, alpha, frac_field, drift_field):
     """(field, half-spectrum symbol) terms of -frac_field (-Dx)^(alpha/2) +
     drift_field Dx."""
     return [(-frac_field, fractional_symbol(freqs, alpha)),
             (drift_field, derivative_symbol(freqs, 1))]
+
+
+class LineOperator:
+    """A linear operator on a periodic grid that commutes with translations
+    by one cell of p points: sum_k diag(f_k) S_k + diag(d), on a line
+    window of eps-cells (``lineops``) or on the torus as one cell, p = n
+    (the cell generators of ``cell``).
+
+    ``terms`` are (f_k, s_k) pairs: f_k a scalar or a cell-periodic field
+    of shape (n,), s_k the half spectrum of the multiplier S_k.  The
+    constant-killing rule sets d = zero_order - sum_k f_k Re s_k[0]: each
+    term kills constants analytically, so f_k Re s_k[0] is rounding noise
+    (beyond noise it is an assembly bug and raises), and ``apply(ones)`` is
+    the zero-order field.  The Bloch blocks, shape ``(N_c//2 + 1, p, p)``,
+    are built from the same terms on first read of :attr:`blocks`;
+    ``blocks[t]`` acts on the Fourier mode t over the cell index of a state
+    reshaped to (N_c, p) (:meth:`to_bloch`, :meth:`from_bloch`).
+    """
+
+    def __init__(self, grid, label, p, terms, zero_order):
+        self.grid = grid
+        self.label = label
+        self.p = p
+        self.terms = tuple(terms)
+        if not self.terms:
+            raise ValueError("operator %s has no (field, symbol) terms" % label)
+        rows = sum(field * symbol[0].real for field, symbol in self.terms)
+        scale = max(np.max(np.abs(field)) * np.max(np.abs(symbol))
+                    for field, symbol in self.terms)
+        if np.max(np.abs(rows)) > 1e-6 * max(1.0, scale):
+            raise RuntimeError(
+                "generator row sums %.3g exceed float noise at term scale %.3g"
+                % (np.max(np.abs(rows)), scale))
+        self.diagonal = zero_order - rows
+
+    def to_bloch(self, values):
+        """Bloch coefficients of (n,) states or (n, m) column blocks: the
+        rfft over the cell index of the state reshaped to (N_c, p, m), of
+        shape (N_c//2 + 1, p, m), m = 1 for a vector."""
+        values = np.asarray(values, dtype=float)
+        return np.fft.rfft(values.reshape(self.grid.n // self.p, self.p, -1),
+                           axis=0)
+
+    def from_bloch(self, u_hat):
+        """Inverse of :meth:`to_bloch`: the real (n, m) column block."""
+        return np.fft.irfft(u_hat, n=self.grid.n // self.p, axis=0) \
+            .reshape(self.grid.n, -1)
+
+    def apply(self, values):
+        """Operator applied to (n,) states or (n, m) column blocks:
+        sum_k f_k irfft(s_k rfft u) + d u, one rfft and K irffts, taken
+        along the last axis of the transposed block."""
+        u = np.asarray(values, dtype=float).T
+        spec = np.fft.rfft(u)
+        out = self.diagonal * u
+        for field, symbol in self.terms:
+            out += field * np.fft.irfft(symbol * spec, self.grid.n)
+        return out.T
+
+    def adjoint_apply(self, values):
+        """Exact transpose: irfft(sum_k conj(s_k) rfft(f_k u)) + d u, K
+        rffts and one irfft."""
+        u = np.asarray(values, dtype=float).T
+        spec = 0.0
+        for field, symbol in self.terms:
+            spec = spec + np.conj(symbol) * np.fft.rfft(field * u)
+        return (np.fft.irfft(spec, self.grid.n) + self.diagonal * u).T
+
+    @cached_property
+    def blocks(self):
+        """Bloch blocks of the terms (:func:`_field_blocks` on their
+        columns), with d added to every block diagonal; one real block, the
+        n x n matrix, for one cell."""
+        blocks = _field_blocks(self.p, [(field, _symbol_column(symbol))
+                                        for field, symbol in self.terms])
+        diag = np.arange(self.p)
+        blocks[:, diag, diag] += np.broadcast_to(self.diagonal,
+                                                 (self.grid.n,))[:self.p]
+        return blocks
+
+    def resolvent(self, dt):
+        """(I - dt A)^-1 as its Bloch blocks, shape (N_c//2 + 1, p, p): one
+        p x p inverse per block."""
+        _check_positive("dt", dt)
+        return np.linalg.inv(np.eye(self.p) - dt * self.blocks)
+
+    @property
+    def matrix(self):
+        """The real n x n matrix, materialized from the blocks: the inverse
+        FFT over t gives the cell-offset blocks C_d, and row cell a holds
+        C_{a-b} in column cell b."""
+        p = self.p
+        cells = self.grid.n // p
+        offsets = np.fft.irfft(self.blocks, n=cells, axis=0)
+        out = np.empty((cells, p, cells, p))
+        lag = np.arange(cells)
+        for a in range(cells):
+            out[a] = offsets[(a - lag) % cells].swapaxes(0, 1)
+        return out.reshape(self.grid.n, self.grid.n)
+
+    def __repr__(self):
+        return "LineOperator(%s, n=%d, p=%d)" % (self.label, self.grid.n,
+                                                 self.p)

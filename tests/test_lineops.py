@@ -437,13 +437,13 @@ def test_line_block_zero_is_the_torus_generator(seed):
     eps = 1.0 / 8
     grid = lo.LineGrid(1.0, 16 * 64)
     cset = random_set_I(seed, 64)
-    T = assemble_torus_generator_I(cset)
+    T = assemble_torus_generator_I(cset).matrix
     blocks = lo.assemble_T_eps(cset, eps, grid).blocks
     assert _rel_gap(eps**2 * blocks[0], T) <= 1e-13
     cset = random_set_II(seed, 64)
     zero = PeriodicField(cset.grid, np.zeros(64))
     cset = cset.with_fields(g=zero, e=zero, f=zero)
-    L = assemble_torus_generator_II(cset)
+    L = assemble_torus_generator_II(cset).matrix
     blocks = lo.assemble_V_eps(cset, eps, grid).blocks
     assert _rel_gap(eps**cset.alpha * blocks[0], L) <= 1e-13
 

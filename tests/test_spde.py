@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlhom import cell, fixtures, spde
+from nlhom import lineops as lo
 from nlhom.coefficients import PeriodicField
 from nlhom.lineops import LineGrid, ResolutionError, assemble_T_eps
 from nlhom.particles import _step_grid
@@ -361,6 +362,58 @@ def test_config_validation():
                         dt=1e-6, T_end=0.1, n_paths=1, seed=0)
     cfg = _small_config(u0=np.ones(512))
     assert cfg.initial_state().shape == (512,)
+
+
+@pytest.fixture(scope="module")
+def both_families():
+    """A solved set of each family at n = 64: {"I": (cset, cell), "II": ...}."""
+    sets = {"I": fixtures.varcoef_1(64), "II": fixtures.stable_2(64)}
+    return {"I": (sets["I"], cell.solve_cell_I(sets["I"])),
+            "II": (sets["II"], cell.solve_cell_II(sets["II"]))}
+
+
+_GRID = LineGrid(2.0, 512)
+_XI = lo.gaussian_bump(_GRID)
+
+
+def _refusal(expected, given):
+    return "must be a %s, got a %s$" % (expected, given)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda f: cell.solve_cell_I(f["II"][0]),
+     _refusal("CoefficientSetI", "CoefficientSetII")),
+    (lambda f: cell.solve_cell_II(f["I"][0]),
+     _refusal("CoefficientSetII", "CoefficientSetI")),
+    (lambda f: spde.run_ensemble(_small_config("I"), f["I"][1], f["II"][0]),
+     _refusal("CoefficientSetI", "CoefficientSetII")),
+    (lambda f: spde.run_ensemble(_small_config("I"), f["II"][1], f["I"][0]),
+     _refusal("CellSolutionI", "CellSolutionII")),
+    (lambda f: spde.run_ensemble(_small_config("II"), f["I"][1], f["II"][0]),
+     _refusal("CellSolutionII", "CellSolutionI")),
+    (lambda f: lo.residual_lemma_2_10(_XI, f["II"][1], f["I"][0], 1.0 / 8,
+                                      _GRID),
+     _refusal("CellSolutionI", "CellSolutionII")),
+    (lambda f: lo.residual_lemma_2_10(_XI, f["I"][1], f["II"][0], 1.0 / 8,
+                                      _GRID),
+     _refusal("CoefficientSetI", "CoefficientSetII")),
+    (lambda f: lo.residual_part_II(_XI, _XI, f["I"][1], f["II"][0], 1.0 / 8,
+                                   _GRID),
+     _refusal("CellSolutionII", "CellSolutionI")),
+    (lambda f: lo.residual_part_II(_XI, _XI, f["II"][1], f["I"][0], 1.0 / 8,
+                                   _GRID),
+     _refusal("CoefficientSetII", "CoefficientSetI")),
+    (lambda f: lo.LineOperator(_GRID, "empty", 1, [], 0.0),
+     "has no .* terms$"),
+], ids=["solve_cell_I", "solve_cell_II", "ensemble-I-set", "ensemble-I-cell",
+        "ensemble-II-cell", "residual-I-cell", "residual-I-set",
+        "residual-II-cell", "residual-II-set", "empty-terms"])
+def test_wrong_family_inputs_are_refused(both_families, call, message):
+    # an input of the other family, or an operator without terms, is
+    # refused before any work with a ValueError; the family checks name the
+    # expected and the given type
+    with pytest.raises(ValueError, match=message):
+        call(both_families)
 
 
 @pytest.mark.parametrize("field, value", [
