@@ -36,17 +36,22 @@ normalization, then verify the defining-equation residual.  The solve is one
 LU factorization per generator of the bordered matrix [[A, s 1], [s 1^T, 0]]
 (Keller's bordering), which is nonsingular exactly when the null space of A
 is one-dimensional: every left null vector met here (constants, m, m1) pairs
-positively with the ones border.  LAPACK's condition estimate of the LU is
-the rank guard.  A :class:`CellOperator` is the one operator of the layer:
-the generator of one coefficient set as its terms, with that one LU, whose
-input is the only dense cell matrix.  Direct and transposed solves with the
-LU serve the whole chain -- m and m1 as adjoint null vectors, chi and e1 as
-direct solves, and h1, h2, h3 through A*(m h) = rhs followed by a division
-by the density -- and every stage checks its residual through
+positively with the ones border.  The factorization is banded, in real
+Fourier coordinates where a field of modes up to w couples each Fourier
+mode only to those within w of it or of its conjugate (:class:`_BorderedLU`,
+built from the generator's terms in O(n w)); its condition estimate is the
+rank guard.  A :class:`CellOperator` is the one operator of the layer: the
+generator of one coefficient set as its terms, with that one LU, and no
+dense cell matrix.  Direct and transposed solves with the LU serve the whole
+chain -- m and m1 as adjoint null vectors, chi and e1 as direct solves, and
+h1, h2, h3 through A*(m h) = rhs followed by a division by the density --
+each refined against the FFT apply, since the band drops the field modes
+below rounding.  Every stage checks its residual through
 :meth:`CellOperator.residual`, from the terms by FFT: h1, h2 and h3 on
 y = m h against A^T.  The drift centering of ``fixtures`` factors only its
-first sweep's generator: a later sweep's operator solves on that LU by
-defect correction (:meth:`CellOperator.shifted`).
+first sweep's generator: a later sweep's operator, the same terms with its
+drift field, solves on that LU by defect correction
+(:meth:`CellOperator.shifted`).
 """
 
 import copy
@@ -56,8 +61,7 @@ from functools import cached_property, lru_cache
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg.lapack import dgecon, dlange
+from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
 
 from .coefficients import CoefficientSetI, CoefficientSetII
 from .kernels import _half_rule, jump_column
@@ -118,54 +122,163 @@ _RCOND_MIN = 1e-10
 
 
 class _BorderedLU:
-    """One LU factorization of the bordered matrix [[A, s 1], [s 1^T, 0]]
-    of a dense n x n A, and nothing else: no copy of A.
+    """One banded LU factorization of the bordered generator [[A, s 1],
+    [s 1^T, 0]] of a one-cell :class:`nlhom.torus.LineOperator` A, in real
+    Fourier coordinates, and nothing else.
 
     s = ``norm`` / sqrt(n), ``norm`` the largest row or column 2-norm of A
-    (:func:`_generator_norm`), gives the border the operator's scale.  The
-    bordered matrix is nonsingular exactly when A has a one-dimensional
-    null space whose right and left null vectors both have a nonzero sum; a
-    condition estimate (LAPACK gecon) below _RCOND_MIN is reported as rank
-    deficiency.  Because the border is symmetric, the transposed solve is
-    the bordered system of A^T, so one factorization serves both A and its
-    adjoint.
+    (:func:`_generator_norm`), gives the border the operator's scale.  In
+    the coordinates y = Phi x (:func:`_to_real`) A is G = Phi A Phi^-1,
+    whose entries couple Fourier modes k and m only through the modes m - k
+    and m + k of the fields: with w the highest field mode above rounding,
+    G has the half-bandwidth 2w + 1 (:func:`_generator_band`), and the ones
+    border touches only y_0 = sum(x).  The system factored is
+
+        M = [[0, norm e_0^T], [norm e_0, G]]
+
+    in the unknowns (sqrt(n) mu, y), a band matrix of (n + 1) rows.  M is
+    nonsingular exactly when A has a one-dimensional null space whose right
+    and left null vectors both have a nonzero sum; a condition estimate
+    (LAPACK gbcon) below _RCOND_MIN is reported as rank deficiency.  Phi's
+    rows are orthogonal with the squared norms W = (n, n/2, ..., n/2, n),
+    so Phi^-T = W^-1 Phi and the transposed bordered system is M^T in the
+    unknowns (mu / sqrt(n), W^-1 Phi x): one factorization serves both A and
+    its adjoint.  The band drops field modes below rounding, so a solve is
+    exact only to that rounding; :meth:`CellOperator.solve` refines it
+    against the exact FFT apply.
     """
 
-    def __init__(self, A, norm):
-        n = A.shape[0]
-        s = norm / np.sqrt(n)
-        B = np.empty((n + 1, n + 1), order="F")  # LAPACK's layout: no copy
-        B[:n, :n] = A
-        B[:n, n] = s
-        B[n, :n] = s
-        B[n, n] = 0.0
-        anorm = dlange("1", B)
-        with warnings.catch_warnings():
-            # an exactly zero pivot shows up below as rcond = 0
-            warnings.simplefilter("ignore", LinAlgWarning)
-            self._lu = lu_factor(B, overwrite_a=True, check_finite=False)
-        rcond, _ = dgecon(self._lu[0], anorm, norm="1")
+    def __init__(self, generator, norm):
+        n = generator.grid.n
+        ab, bw = _generator_band(generator, norm)
+        anorm = float(np.max(np.sum(np.abs(ab), axis=0)))
+        self._lu, self._piv, info = dgbtrf(ab, bw, bw, overwrite_ab=True)
+        # an exactly zero pivot (info > 0) is rank deficiency outright
+        rcond = dgbcon(bw, bw, self._lu, self._piv, anorm)[0] if info == 0 \
+            else 0.0
         if not rcond >= _RCOND_MIN:
             raise RankDeficiencyError(
                 "bordered generator is numerically singular (rcond %.3g):"
                 " null space dimension > 1" % rcond
             )
         self._n = n
-        self._s = s
-
-    def solve(self, rhs, total=0.0, adjoint=False):
-        """x with A x = rhs (A^T x = rhs if adjoint) and sum(x) = total.
-
-        rhs must lie in the range; otherwise the border absorbs the
-        inconsistent part along the ones vector.
-        """
-        b = np.append(np.asarray(rhs, dtype=float), self._s * total)
-        return self.solve_bordered(b, adjoint)[: self._n]
+        self._s = norm / np.sqrt(n)
+        self._bw = bw
+        # W, the squared norms of Phi's rows
+        self._weights = np.full(n, 0.5 * n)
+        self._weights[[0, -1]] = n
 
     def solve_bordered(self, b, adjoint=False):
-        """The bordered system itself: (x, mu) for the n + 1 entries b."""
-        return lu_solve(self._lu, b, trans=1 if adjoint else 0,
-                        check_finite=False)
+        """(x, mu) with [[A, s 1], [s 1^T, 0]] (x, mu) = b, the n + 1
+        entries b, or with the transposed bordered matrix if adjoint."""
+        n = self._n
+        root = np.sqrt(n)
+        weights = self._weights
+        z = np.empty(n + 1)
+        z[1:] = _to_real(np.fft.rfft(b[:n]))
+        if adjoint:
+            z[0] = b[n] / root
+            z[1:] /= weights
+        else:
+            z[0] = b[n] * root
+        z, _ = dgbtrs(self._lu, self._bw, self._bw, z, self._piv,
+                      trans=int(adjoint))
+        if adjoint:
+            return np.append(np.fft.irfft(_from_real(weights * z[1:]), n),
+                             root * z[0])
+        return np.append(np.fft.irfft(_from_real(z[1:]), n), z[0] / root)
+
+
+def _to_real(spec):
+    """The real Fourier coordinates (Re X_0, Re X_1, Im X_1, ...,
+    Re X_{n/2}) of a half spectrum X: its real view without Im X_0 and
+    Im X_{n/2}, which vanish for a real field."""
+    v = spec.view(float)
+    return np.concatenate([v[:1], v[2:-1]])
+
+
+def _from_real(y):
+    """The half spectrum of the real Fourier coordinates y."""
+    v = np.zeros(y.size + 2)
+    v[0] = y[0]
+    v[2:-1] = y[1:]
+    return v.view(complex)
+
+
+@lru_cache(maxsize=32)
+def _band_maps(n, w):
+    """Where :func:`_generator_band` reads each band entry of G.
+
+    The column of the coordinate Re X_k (Im X_k) is the input X_k = phi,
+    phi = 1 (i), with its conjugate at -k, and A maps it to Out_m =
+    phi H1[m - k, k] + conj(phi) H2[m + k, k], with H1[j, k] = sum_t F_t[j]
+    S_t[k] and H2[j, k] = sum_t F_t[j] conj(S_t[k]) over the terms, halved
+    for k = 0 and n/2 (where the two inputs are one); field modes are taken
+    mod n into [-n/2, n/2).  The row reads Re or Im Out_m.  So each entry is
+    c1 R[i1] + c2 R[i2], R the real view of (H1, H2, 0), c1 and c2 in
+    {+-1/2, +-1}, and field modes beyond w point at the trailing zero.
+    Returns (i1, c1, i2, c2), each of the shape (2 bw + 1, n + 1) of the
+    band rows of M's LAPACK storage, bw = min(2w + 1, n); read-only.
+    """
+    half = n // 2 + 1
+    bw = min(2 * w + 1, n)
+    yj = np.arange(-1, n)
+    yi = yj + np.arange(-bw, bw + 1)[:, None]
+    inside = (yi >= 0) & (yi < n) & (yj >= 0)
+    yi = np.clip(yi, 0, n - 1)
+    yj = np.clip(yj, 0, n - 1)
+    m, k = (yi + 1) // 2, (yj + 1) // 2
+    row_im = (yi % 2 == 0) & (yi > 0)
+    col_im = (yj % 2 == 0) & (yj > 0)
+    c1 = np.where((yj == 0) | (yj == n - 1), 0.5, 1.0)
+    c1 = np.where(col_im & ~row_im, -c1, c1)
+    c2 = np.where(col_im, -c1, c1)
+    size = (2 * w + 1) * half
+
+    def index(j, which):
+        flat = 2 * (which * size + (j + w) * half + k) + (row_im ^ col_im)
+        return np.where(inside & (np.abs(j) <= w), flat, 4 * size)
+
+    maps = (index((m - k + n // 2) % n - n // 2, 0), c1,
+            index((m + k + n // 2) % n - n // 2, 1), c2)
+    for a in maps:
+        a.flags.writeable = False
+    return maps
+
+
+def _generator_band(generator, norm):
+    """LAPACK band storage of M = [[0, norm e_0^T], [norm e_0, G]] for the
+    one-cell generator A (:class:`_BorderedLU`), and its half-bandwidth bw.
+
+    With d as one more term, of symbol 1, A = sum_t diag(f_t) S_t; F_t =
+    rfft(f_t) / n are the fields' Fourier coefficients, and w is the highest
+    mode j at which some |F_t[j]| max|s_t| exceeds u ``norm``:
+    the modes above it perturb A by less than rounding.  G's entries come
+    from the (2w + 1) x (n/2 + 1) products H1, H2 of :func:`_band_maps`,
+    O(n w) of them, with no n x n array.
+    """
+    n = generator.grid.n
+    half = n // 2 + 1
+    terms = generator.terms + ((generator.diagonal, np.ones(half)),)
+    F = np.fft.rfft([np.broadcast_to(f, (n,)) for f, _ in terms]) / n
+    S = np.array([symbol for _, symbol in terms], dtype=complex)
+    # irfft keeps the real parts of the modes 0 and n/2
+    S[:, [0, -1]] = S[:, [0, -1]].real
+    above = np.abs(F) * np.max(np.abs(S), axis=1)[:, None] \
+        > np.finfo(float).eps * norm
+    w = int(np.max(np.nonzero(above.any(axis=0))[0], initial=0))
+    Fw = np.concatenate([np.conj(F[:, w:0:-1]), F[:, :w + 1]], axis=1)
+    size = (2 * w + 1) * half
+    H = np.zeros(2 * size + 1, dtype=complex)
+    H[:size] = (Fw.T @ S).ravel()
+    H[size:-1] = (Fw.T @ np.conj(S)).ravel()
+    i1, c1, i2, c2 = _band_maps(n, w)
+    R = H.view(float)
+    bw = min(2 * w + 1, n)
+    ab = np.zeros((3 * bw + 1, n + 1), order="F")
+    ab[bw:] = c1 * R[i1] + c2 * R[i2]
+    ab[2 * bw - 1, 1] = ab[2 * bw + 1, 0] = norm
+    return ab, bw
 
 
 def _generator_norm(generator):
@@ -249,10 +362,11 @@ class CellOperator:
     ``generator`` is T (Part I) or L (Part II) of ``cset``, a one-cell
     :class:`nlhom.torus.LineOperator` whose terms give :meth:`apply`,
     :meth:`residual` and ``norm`` (:func:`_generator_norm`).  ``lu`` is a
-    :class:`_BorderedLU` of ``generator.blocks[0]``, the only dense cell
-    matrix (the generator's cached blocks); :meth:`shifted` puts another
-    set's generator on it.  :meth:`solve` serves every solve of the chain;
-    ``z_symbols`` are the Part I quadrature multipliers of
+    :class:`_BorderedLU` of the generator, banded in real Fourier
+    coordinates and built from the same terms, so no dense cell matrix
+    exists; :meth:`shifted` puts another drift's generator on it.
+    :meth:`solve` serves every solve of the chain, refined against the FFT
+    apply; ``z_symbols`` are the Part I quadrature multipliers of
     :func:`_z_symbols`, built on first use.
     """
 
@@ -265,19 +379,28 @@ class CellOperator:
         self.cset = cset
         self.generator = _assemble(cset)
         self.norm = _generator_norm(self.generator)
-        self.lu = _BorderedLU(self.generator.blocks[0], self.norm)
+        self.lu = _BorderedLU(self.generator, self.norm)
 
     @cached_property
     def z_symbols(self):
         return _z_symbols(self.cset.kernel, self.cset.grid.n)
 
     def shifted(self, cset, density_start):
-        """The operator of ``cset``, a set on this grid and kernel with a
-        nearby generator (the centering's next sweep), on this LU; its
-        invariant density starts from ``density_start``."""
+        """The operator of ``cset``, this set with another drift field (the
+        centering's next sweep), on this LU; its invariant density starts
+        from ``density_start``.
+
+        Its generator is this one with the drift term's field replaced,
+        A_c = A_0 - c D1 for a drift lowered by c: the drift is the second
+        term of both families (``_jump_terms``, ``_stable_terms``), and the
+        other terms, the jump symbol among them, are reused."""
+        drift = cset.b if isinstance(cset, CoefficientSetI) else cset.d
+        terms = list(self.generator.terms)
+        terms[1] = (drift.values, terms[1][1])
         op = copy.copy(self)
         op.cset = cset
-        op.generator = _assemble(cset)
+        op.generator = LineOperator(cset.grid, self.generator.label,
+                                    cset.grid.n, terms, 0.0)
         op.norm = _generator_norm(op.generator)
         op._own_lu = False
         op._density_start = density_start
@@ -289,32 +412,33 @@ class CellOperator:
         return act(np.transpose(x)).T
 
     def solve(self, rhs, total=0.0, adjoint=False, start=None):
-        """x with A x = rhs (A^T x = rhs if adjoint) and sum(x) = total:
-        the LU solve, or on another generator's LU (:meth:`shifted`) defect
-        correction (:meth:`_refine`) from ``start``, a first guess; if that
-        fails to converge, it factors its own generator in place."""
-        if not self._own_lu:
-            x = self._refine(rhs, total, adjoint, start)
-            if x is not None:
-                return x
-            self.lu = None  # released before the new blocks exist
-            self.lu = _BorderedLU(self.generator.blocks[0], self.norm)
+        """x with A x = rhs (A^T x = rhs if adjoint) and sum(x) = total, by
+        defect correction on the LU (:meth:`_refine`) from ``start``, a
+        first guess.  On another generator's LU (:meth:`shifted`) a
+        correction that fails to converge factors its own generator in
+        place and refines again; on its own LU the last iterate is
+        returned, for the caller's residual check to judge."""
+        x, converged = self._refine(rhs, total, adjoint, start)
+        if not (converged or self._own_lu):
+            self.lu = _BorderedLU(self.generator, self.norm)
             self._own_lu = True
-        return self.lu.solve(rhs, total, adjoint)
+            x, _ = self._refine(rhs, total, adjoint, start)
+        return x
 
     def _refine(self, rhs, total, adjoint, start):
-        """The solve by defect correction on another generator's bordered
-        LU: y <- y + LU^-1 (b - M y), M the bordered matrix of A.
+        """The solve by defect correction on the bordered LU, the
+        operator's own or another generator's: y <- y + LU^-1 (b - M y), M
+        the bordered matrix of A applied by FFT.  Returns (x, converged).
 
         Starts from ``start`` (or zero).  With rate the ratio of the last
         two corrections, it returns once the error left, at most
         rate / (1 - rate) times the last correction, is below n u ||x||.
         It stops at the first correction that fails to halve: there the
         corrections are rounding noise, or they do not contract, and the
-        residual tells which.  It returns None unless the relative
-        residual is then at most _REFINE_TOL.  The residual alone does not
-        serve as the stop: the border row's rounding noise can hide a
-        smooth residual that still moves int b m by 1e-13.
+        residual tells which: converged means the relative residual is
+        then at most _REFINE_TOL.  The residual alone does not serve as
+        the stop: the border row's rounding noise can hide a smooth
+        residual that still moves int b m by 1e-13.
         """
         lu = self.lu
         n, s = lu._n, lu._s
@@ -340,12 +464,11 @@ class CellOperator:
                 break
             rate = size / last
             if rate / (1.0 - rate) * size <= floor * np.linalg.norm(y[:n]):
-                return y[:n]
+                return y[:n], True
             last = size
         scale = s * np.sqrt(n) * max(np.linalg.norm(y[:n]), 1.0) \
             + np.linalg.norm(b)
-        converged = np.linalg.norm(defect(y)) <= _REFINE_TOL * scale
-        return y[:n] if converged else None
+        return y[:n], np.linalg.norm(defect(y)) <= _REFINE_TOL * scale
 
     def residual(self, x, rhs, adjoint=False):
         """||A x - rhs|| / (||A|| max(||x||, 1) + ||rhs||), A^T for A if
@@ -593,7 +716,8 @@ def coercivity_witness_I(op, m):
     A1 = float(np.min(am))
     C1 = float(np.max(np.abs(am_field.derivative(1).values
                              - cset.b.values * m.values)))
-    jump = np.fft.rfft(jump_column(cset.kernel, grid.n, 1.0, 1.0))
+    # the jump symbol, the third term of the generator (``_jump_terms``)
+    jump = op.generator.terms[2][1]
     jump_zero_order = _apply_symbol(cset.lam.values * m.values, jump)
     C2 = 0.5 * float(np.max(np.abs(jump_zero_order)))
     alpha_c = cset.kappa * float(np.min(m.values))

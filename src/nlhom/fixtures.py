@@ -8,9 +8,9 @@ The slope B'(c) needs the derivative of m_c, which is one more solve with
 the same generator.  Three sweeps reach the stop (|B| <= 0.5e-13, or the
 bias's rounding floor where that is larger) on the named fixtures, where
 the fixed point c <- c + B contracted only by 0.01 to 0.05 per sweep.  One
-centering factors one generator: the first sweep's, on whose LU the later
-sweeps' operators, each its own set's generator held as terms, solve by
-defect correction (see :func:`_center_drift`).
+centering assembles and factors one generator: the first sweep's, on whose
+banded LU the later sweeps' operators, the same terms with their own drift
+field, solve by defect correction (see :func:`_center_drift`).
 
 All named fixtures use smooth (band-limited or Gaussian-kernel) data so that
 the spectral machinery keeps cross-resolution agreement near machine
@@ -78,13 +78,14 @@ def _center_drift(cset, name, density):
     int (b0 - c) m_c has the slope B'(c) = int (b0 - c) dm - 1.  Each sweep
     takes m_c from ``density`` (which runs its positivity and residual
     checks against that sweep's A_c).  The first sweep builds one
-    :class:`cell.CellOperator` (the assembly, its one bordered LU and the
-    rank check).  Every later sweep's operator is the last one's
-    :meth:`cell.CellOperator.shifted` to the new set: its own generator's
-    terms on the same LU, its density started from the first-order
-    prediction m + dc dm and its dm from the last one.  A sweep whose defect
-    correction does not converge factors its own generator in place, and
-    later sweeps go on from that LU, so large shifts still center.  The
+    :class:`cell.CellOperator` (the assembly, its one banded LU of the
+    bordered generator and the rank check).  Every later sweep's operator
+    is the last one's :meth:`cell.CellOperator.shifted` to the new set: the
+    same terms with the drift term's field replaced, A_c = A_0 - c D1, on
+    the same LU, its density started from the first-order prediction
+    m + dc dm and its dm from the last one.  A sweep whose defect correction
+    does not converge factors its own generator's band in place, and later
+    sweeps go on from that LU, so large shifts still center.  The
     sweeps stop at |B| <= max(_CENTER_TOL, floor), the floor being the
     bias's rounding floor (see ``_centering_bias``), so rounding alone never
     takes a further sweep; after _CENTER_MAX_ITER sweeps they give up.

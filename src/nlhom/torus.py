@@ -11,7 +11,8 @@ A field times a multiplier is one (field, half-spectrum symbol) term
 one type, :class:`LineOperator`, holds such terms and applies them by FFT:
 the line operators of ``lineops`` and the cell generators of ``cell`` (one
 cell, p = n).  Its dense Bloch blocks (:func:`_field_blocks`) are built
-only for the cell LU, the SPDE resolvent and the materialized ``matrix``.
+only for the SPDE resolvent and the materialized ``matrix``; the cell LU
+is banded, built from the terms.
 A field is sampled on a uniform grid of p points by one method too,
 :meth:`PeriodicField.uniform_samples` (a stride of the values, or one
 padded inverse FFT): the line traces of ``lineops`` and the lookup tables
@@ -147,15 +148,9 @@ class PeriodicField:
         return self.with_values(
             _apply_symbol(self.values, derivative_symbol(k, order)))
 
-    def mean(self):
-        return float(np.mean(self.values))
-
     def integral(self):
         """h-weighted sum, the torus integral (period = 1 so = mean)."""
         return float(np.sum(self.values) * self.grid.h)
-
-    def l2_norm(self):
-        return float(np.sqrt(np.sum(self.values**2) * self.grid.h))
 
     def uniform_samples(self, p):
         """The trigonometric interpolant at y_j = j/p, j < p.

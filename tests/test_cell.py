@@ -15,6 +15,8 @@ Oracles used here, written independently of the solver internals:
 * the fixed-point drift centering b <- b - int b m[b], against the Newton
   centering of the fixtures;
 * augmented least squares (lstsq), against the bordered LU solves;
+* the dense Phi A Phi^-1, Phi the real Fourier matrix of cosines and
+  sines, against the band the LU factors;
 * the relative residual on an assembled dense matrix, against the
   matrix-free residual of the cell operator;
 * the field-by-field loop of the coercivity witness, against its batched form;
@@ -23,13 +25,11 @@ Oracles used here, written independently of the solver internals:
 * cross-resolution (n vs 2n) agreement for every solved field.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad, quad_vec
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, null_space
+from scipy.linalg import lu_factor, lu_solve, null_space
 
 from field_oracle import evaluate
 from nlhom import cell, fixtures, torus
@@ -412,25 +412,34 @@ def test_invariant_density_properties():
         assert abs(m.integral() - 1.0) < 1e-12
 
 
+def _vanishing_multiplier_operator(second):
+    """A one-cell generator (1 + 0.5 cos 2 pi y) S on TorusGrid(16) whose
+    symbol -k^2 (k - 3)^2 / 9 - k^2 vanishes at the mode 0 and reads
+    ``second`` at the mode 3: its null space is the constants plus, for
+    second = 0, the two fields of mode 3."""
+    grid = TorusGrid(16)
+    k = np.arange(grid.n // 2 + 1.0)
+    symbol = -(k * (k - 3.0)) ** 2 / 9.0 - k**2
+    symbol[3] = second
+    field = 1.0 + 0.5 * np.cos(TWO_PI * grid.x)
+    return torus.LineOperator(grid, "vanishing", grid.n, [(field, symbol)],
+                              0.0)
+
+
 def test_rank_deficiency_detected():
-    A = np.zeros((16, 16))
-    A[: 14, : 14] = np.diag(np.arange(1.0, 15.0))
+    A = _vanishing_multiplier_operator(0.0)
     with pytest.raises(RankDeficiencyError):
-        _BorderedLU(A, dense_norm(A))
+        _BorderedLU(A, cell._generator_norm(A))
 
 
 def test_near_rank_deficiency_detected():
-    # one exact null vector plus a second singular value at 7e-14 of the
-    # largest: numerically a two-dimensional null space
-    rng = np.random.default_rng(11)
-    U, _ = np.linalg.qr(rng.normal(size=(16, 16)))
-    V, _ = np.linalg.qr(rng.normal(size=(16, 16)))
-    svals = np.concatenate([np.linspace(1.0, 0.1, 14), [7e-14, 0.0]])
-    A = (U * svals) @ V.T
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", LinAlgWarning)
-        with pytest.raises(RankDeficiencyError):
-            _BorderedLU(A, dense_norm(A))
+    # the multiplier at mode 3 is 7e-14 of its largest value: numerically
+    # a three-dimensional null space
+    k = np.arange(9.0)
+    largest = np.max((k * (k - 3.0)) ** 2 / 9.0 + k**2)
+    A = _vanishing_multiplier_operator(-7e-14 * largest)
+    with pytest.raises(RankDeficiencyError):
+        _BorderedLU(A, cell._generator_norm(A))
 
 
 def test_centering_values():
@@ -803,33 +812,122 @@ def test_cell_II_grid_doubling():
 # ---------------------------------------------------------------------------
 
 
-@given(seed=st.integers(0, 10_000))
-@settings(max_examples=10, deadline=None)
-def test_bordered_solves_match_lstsq(seed):
-    cset = random_set_I(seed, 64)
-    n = cset.grid.n
-    sol = solve_cell_I(cset)
+def real_fourier_matrix(n):
+    """Phi, grid values to their real Fourier coordinates (Re X_0, Re X_1,
+    Im X_1, ..., Re X_{n/2}), X the DFT: rows of cosines and sines."""
+    j = np.arange(n)
+    rows = [np.ones(n)]
+    for k in range(1, n // 2):
+        rows += [np.cos(TWO_PI * k * j / n), -np.sin(TWO_PI * k * j / n)]
+    rows.append(np.cos(np.pi * j))
+    return np.array(rows)
+
+
+def band_to_dense(ab, bw):
+    """The dense matrix of LAPACK band storage with kl = ku = bw."""
+    size = ab.shape[1]
+    out = np.zeros((size, size))
+    for offset in range(-bw, bw + 1):
+        j = np.arange(max(0, -offset), min(size, size - offset))
+        out[j + offset, j] = ab[2 * bw + offset, j]
+    return out
+
+
+def wide_band_set(family, n=64):
+    """A Part I or Part II set on TorusGrid(n) whose fields carry the mode
+    n/4 - 1, the highest a resolved set may: the widest band."""
+    grid = TorusGrid(n)
+    top = n // 4 - 1
+
+    def field(mean, amp, phase=0.0):
+        return field_from_function(
+            grid, lambda y: mean + amp * np.cos(TWO_PI * top * y + phase))
+
+    if family == "I":
+        return CoefficientSetI(
+            a=field(1.0, 0.3), b=field(0.0, 0.2, 1.0), lam=field(1.0, 0.2, 0.5),
+            sigma=field(1.0, 0.0), kernel=gaussian_kernel(), kappa=0.7,
+            alpha1=0.8, alpha2=1.2, name="wide-I")
+    zero = field(0.0, 0.0)
+    return CoefficientSetII(delta=field(1.0, 0.3), d=field(0.0, 0.2, 1.0),
+                            g=zero, e=zero, f=zero, sigma=field(1.0, 0.0),
+                            alpha=1.5, name="wide-II")
+
+
+def _assert_band_matches_dense_oracles(cset):
+    """The banded LU's input and its refined solves against dense oracles.
+
+    * Inside the band, the storage equals M = [[0, norm], [norm, G]], G =
+      Phi A Phi^-1 from ``.matrix``, to n u max|M| (measured: at most 0.50
+      of it on seeds 0-9 of each family and n, 0.32 on the wide sets).
+    * Outside the band, M has no entry above n u max|M| (measured: at most
+      0.25 of it).
+    * Direct and adjoint bordered solves of A x = A x0 (A^T x = A^T x0)
+      with sum(x) = sum(x0) match augmented least squares to 1e-10 (the
+      bound the chain's solves met; measured: at most 2.9e-13).
+    """
     op = CellOperator(cset)
+    n = cset.grid.n
+    A = op.generator.matrix
+    Phi = real_fourier_matrix(n)
+    M = np.zeros((n + 1, n + 1))
+    M[1:, 1:] = Phi @ A @ (Phi.T / np.sum(Phi**2, axis=1))
+    M[0, 1] = M[1, 0] = op.norm
+    ab, bw = cell._generator_band(op.generator, op.norm)
+    in_band = np.abs(np.subtract.outer(np.arange(n + 1),
+                                       np.arange(n + 1))) <= bw
+    bound = n * UNIT_ROUNDOFF * np.max(np.abs(M))
+    assert np.max(np.abs(band_to_dense(ab, bw) - M)[in_band]) <= bound
+    assert np.max(np.abs(M[~in_band]), initial=0.0) <= bound
+    rng = np.random.default_rng(n)
+    for adjoint, dense in ((False, A), (True, A.T)):
+        x0 = rng.normal(size=n)
+        rhs = dense @ x0
+        ref = lstsq_singular(dense, rhs, np.ones(n), np.sum(x0) / n)
+        x = op.solve(rhs, np.sum(x0), adjoint)
+        assert np.max(np.abs(x - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+
+band_sets = given(family=st.sampled_from(["I", "II"]),
+                  seed=st.integers(0, 10_000), n=st.sampled_from([16, 64, 128]))
+
+
+@band_sets
+@settings(max_examples=10, deadline=None)
+def test_banded_generator_matches_dense_oracles(family, seed, n):
+    build = random_set_I if family == "I" else random_set_II
+    _assert_band_matches_dense_oracles(build(seed, n))
+
+
+@pytest.mark.parametrize("family", ["I", "II"])
+def test_widest_band_matches_dense_oracles(family):
+    _assert_band_matches_dense_oracles(wide_band_set(family))
+
+
+@given(seed=st.integers(0, 10_000), n=st.sampled_from([16, 64, 128]))
+@settings(max_examples=10, deadline=None)
+def test_bordered_solves_match_lstsq(seed, n):
+    # the chains' refined solves against the least-squares oracle of
+    # _assert_band_matches_dense_oracles, on the sizes of its sets
+    cset = random_set_I(seed, n)
+    sol = solve_cell_I(cset)
     T = assemble_torus_generator_I(cset).matrix
-    T_adj = T.T
     m = sol.m.values
-    Tm = T_adj * m[None, :]
-    l = cell._corrector_rhs_l(op, sol.m)
+    l = cell._corrector_rhs_l(CellOperator(cset), sol.m)
     for x, ref in (
-        (sol.m.values, lstsq_singular(T_adj, np.zeros(n), np.ones(n), 1.0)),
+        (m, lstsq_singular(T.T, np.zeros(n), np.ones(n), 1.0)),
         (sol.chi.values, lstsq_singular(T, -cset.b.values, m, 0.0)),
-        (sol.h1.values, lstsq_singular(Tm, l, np.ones(n), 0.0)),
+        (sol.h1.values, lstsq_singular(T.T * m[None, :], l, np.ones(n), 0.0)),
     ):
         assert np.max(np.abs(x - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
-    cset = random_set_II(seed, 64)
+    cset = random_set_II(seed, n)
     sol = solve_cell_II(cset)
     L = assemble_torus_generator_II(cset).matrix
-    L_adj = L.T
     m1 = sol.m1.values
     for x, ref in (
-        (m1, lstsq_singular(L_adj, np.zeros(n), np.ones(n), 1.0)),
-        (sol.h3.values, lstsq_singular(L_adj * m1[None, :],
+        (m1, lstsq_singular(L.T, np.zeros(n), np.ones(n), 1.0)),
+        (sol.h3.values, lstsq_singular(L.T * m1[None, :],
                                        cset.d.values * m1, np.ones(n), 0.0)),
         (sol.e1.values, lstsq_singular(L, -cset.e.values, m1, 0.0)),
     ):
@@ -941,24 +1039,25 @@ def test_witness_fields_are_drawn_once_per_n_and_read_only():
 
 
 def test_one_factorization_per_chain(monkeypatch):
+    # one banded factorization of the bordered generator, n + 1 columns
     csets = (varcoef_1(64), random_set_II(3, 64))
     factorizations = []
-    lu_factor = cell.lu_factor
+    dgbtrf = cell.dgbtrf
 
-    def counting_lu_factor(*args, **kwargs):
-        factorizations.append(args[0].shape)
-        return lu_factor(*args, **kwargs)
+    def counting_dgbtrf(*args, **kwargs):
+        factorizations.append(args[0].shape[1])
+        return dgbtrf(*args, **kwargs)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("SVD-class decomposition in a cell solve")
 
-    monkeypatch.setattr(cell, "lu_factor", counting_lu_factor)
+    monkeypatch.setattr(cell, "dgbtrf", counting_dgbtrf)
     for name in ("svd", "lstsq", "pinv"):
         monkeypatch.setattr(np.linalg, name, forbidden)
     solve_cell_I(csets[0])
-    assert factorizations == [(65, 65)]
+    assert factorizations == [65]
     solve_cell_II(csets[1])
-    assert factorizations == [(65, 65)] * 2
+    assert factorizations == [65] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -1108,11 +1207,11 @@ def test_centering_factors_once_per_centering(monkeypatch, build):
     # by defect correction, and stable-1's h3 uses the last sweep's operator
     # without a new LU; no kernel quadrature, so no z-symbols
     calls = _count_calls(monkeypatch, build,
-                         _DENSITIES + ("lu_factor", "_z_symbols"))
+                         _DENSITIES + ("dgbtrf", "_z_symbols"))
     sweeps = calls["solve_invariant_density_I"] \
         + calls["solve_invariant_density_II"]
     assert sweeps == 3
-    assert (calls["lu_factor"], calls["_z_symbols"]) == (1, 0)
+    assert (calls["dgbtrf"], calls["_z_symbols"]) == (1, 0)
 
 
 def _large_shift_set(d0, alpha):
@@ -1142,7 +1241,7 @@ def _center_drift_direct(cset, name, density):
         bias = float(np.sum(b * m.values) * h)
         if abs(bias) <= 1e-13:
             return current
-        dm = op.lu.solve(-m.derivative(1).values, adjoint=True)
+        dm = op.solve(-m.derivative(1).values, adjoint=True)
         c -= bias / (float(np.sum(b * dm) * h) - 1.0)
         current = current.with_fields(
             **{name: PeriodicField(cset.grid, b0 - c)})
@@ -1157,9 +1256,9 @@ def test_centering_large_shift_refactors(monkeypatch, d0, alpha):
     cset = _large_shift_set(d0, alpha)
     got = []
     calls = _count_calls(monkeypatch, lambda: got.append(center_drift_II(cset)),
-                         ("lu_factor",))
+                         ("dgbtrf",))
     ref = _center_drift_direct(cset, "d", solve_invariant_density_II)
-    assert calls["lu_factor"] >= 2
+    assert calls["dgbtrf"] >= 2
     assert np.max(np.abs(got[0].d.values - ref.d.values)) <= 1e-12
     assert abs(_centering_bias(got[0], "d")) <= 1e-13
 
@@ -1190,25 +1289,29 @@ def test_centering_by_refinement_matches_fixed_point(seed):
 def test_cell_chain_factors_once(monkeypatch, build, solve, z_builds):
     cset = build()
     calls = _count_calls(monkeypatch, lambda: solve(cset),
-                         ("lu_factor", "_z_symbols"))
-    assert calls == {"lu_factor": 1, "_z_symbols": z_builds}
+                         ("dgbtrf", "_z_symbols"))
+    assert calls == {"dgbtrf": 1, "_z_symbols": z_builds}
 
 
 def test_one_assembly_per_factorization(monkeypatch):
-    # every apply and residual works from the generator's terms: a chain,
-    # and stable-1's centering with h3 on its last sweep's operator, build
-    # the dense Bloch block once, as the input of their one LU
+    # a chain, and stable-1's centering with h3 on its last sweep's
+    # operator, assemble their generator's terms once, as the input of their
+    # one banded LU: a later sweep replaces the drift term's field, and no
+    # dense Bloch block is built
     built = []
     field_blocks = torus._field_blocks
     monkeypatch.setattr(torus, "_field_blocks", lambda p, terms: (
         built.append(p), field_blocks(p, terms))[1])
     cset_I, cset_II = varcoef_1(64), random_set_II(3, 64)
+    names = ("dgbtrf", "assemble_torus_generator_I",
+             "assemble_torus_generator_II")
     for build in (lambda: fixtures._stable_1.__wrapped__(64, 1.5),
                   lambda: solve_cell_I(cset_I),
                   lambda: solve_cell_II(cset_II)):
-        built.clear()
-        calls = _count_calls(monkeypatch, build, ("lu_factor",))
-        assert calls["lu_factor"] == 1 and built == [64]
+        calls = _count_calls(monkeypatch, build, names)
+        assert calls["dgbtrf"] == 1 and built == []
+        assert calls["assemble_torus_generator_I"] \
+            + calls["assemble_torus_generator_II"] == 1
 
 
 @pytest.mark.parametrize("n", [64, 256, 512])
