@@ -130,7 +130,7 @@ class _BorderedLU:
     (:func:`_generator_norm`), gives the border the operator's scale.  In
     the coordinates y = Phi x (:func:`_to_real`) A is G = Phi A Phi^-1,
     whose entries couple Fourier modes k and m only through the modes m - k
-    and m + k of the fields: with w the highest field mode above rounding,
+    and m + k of the fields: with w the highest field mode the band keeps,
     G has the half-bandwidth 2w + 1 (:func:`_generator_band`), and the ones
     border touches only y_0 = sum(x).  The system factored is
 
@@ -246,27 +246,45 @@ def _band_maps(n, w):
     return maps
 
 
+def _term_arrays(generator):
+    """The fields, shape (k, n), and the half-spectrum symbols, shape
+    (k, n/2 + 1), of a one-cell generator's terms, with its diagonal d as
+    one more term of symbol 1: A = sum_k diag(f_k) S_k."""
+    n = generator.grid.n
+    terms = generator.terms + ((generator.diagonal, np.ones(n // 2 + 1)),)
+    fields = np.array([np.broadcast_to(field, (n,)) for field, _ in terms])
+    symbols = np.array([symbol for _, symbol in terms], dtype=complex)
+    return fields, symbols
+
+
 def _generator_band(generator, norm):
     """LAPACK band storage of M = [[0, norm e_0^T], [norm e_0, G]] for the
     one-cell generator A (:class:`_BorderedLU`), and its half-bandwidth bw.
 
-    With d as one more term, of symbol 1, A = sum_t diag(f_t) S_t; F_t =
-    rfft(f_t) / n are the fields' Fourier coefficients, and w is the highest
-    mode j at which some |F_t[j]| max|s_t| exceeds u ``norm``:
-    the modes above it perturb A by less than rounding.  G's entries come
+    With d as one more term, of symbol 1, A = sum_t diag(f_t) S_t
+    (:func:`_term_arrays`); F_t = rfft(f_t) / n are the fields' Fourier
+    coefficients, and w is the lowest mode such that the sum over all
+    modes |j| > w of sum_t |F_t[j]| max|s_t|, a bound on the 2-norm of
+    what the band drops, is at most n u ``norm``.  A field sampled to
+    rounding has noise of about u max|f_t| / sqrt(n) at every mode, which
+    sums to about sqrt(n) u max|f_t| max|s_t|, below that bound: w follows
+    the fields' content, not their rounding, and
+    :meth:`CellOperator.solve`'s refinement removes the dropped part.  G's entries come
     from the (2w + 1) x (n/2 + 1) products H1, H2 of :func:`_band_maps`,
     O(n w) of them, with no n x n array.
     """
     n = generator.grid.n
     half = n // 2 + 1
-    terms = generator.terms + ((generator.diagonal, np.ones(half)),)
-    F = np.fft.rfft([np.broadcast_to(f, (n,)) for f, _ in terms]) / n
-    S = np.array([symbol for _, symbol in terms], dtype=complex)
+    fields, S = _term_arrays(generator)
+    F = np.fft.rfft(fields) / n
     # irfft keeps the real parts of the modes 0 and n/2
     S[:, [0, -1]] = S[:, [0, -1]].real
-    above = np.abs(F) * np.max(np.abs(S), axis=1)[:, None] \
-        > np.finfo(float).eps * norm
-    w = int(np.max(np.nonzero(above.any(axis=0))[0], initial=0))
+    # bound of mode j's part of A, counting its conjugate -j: the sum of
+    # these bounds over the modes above w bounds what the band drops
+    mode = np.sum(np.abs(F) * np.max(np.abs(S), axis=1)[:, None], axis=0)
+    mode[1:-1] *= 2.0
+    dropped = np.append(np.cumsum(mode[::-1])[-2::-1], 0.0)
+    w = int(np.argmax(dropped <= n * np.finfo(float).eps * norm))
     Fw = np.concatenate([np.conj(F[:, w:0:-1]), F[:, :w + 1]], axis=1)
     size = (2 * w + 1) * half
     H = np.zeros(2 * size + 1, dtype=complex)
@@ -283,15 +301,14 @@ def _generator_band(generator, norm):
 
 def _generator_norm(generator):
     """The largest row or column 2-norm of the matrix of a one-cell
-    LineOperator, from its terms.  With d as one more term, of symbol 1,
-    the matrix is sum_k diag(f_k) C_k, C_k the circulant of the column
+    LineOperator, from its terms (:func:`_term_arrays`): the matrix is
+    sum_k diag(f_k) C_k, C_k the circulant of the column
     c_k = irfft(s_k): row i has the squared norm sum_kl f_k[i] f_l[i]
     <c_k, c_l>, and column j the circular correlation sum_kl sum_i
     (f_k f_l)[i] (c_k c_l)[i - j], taken by FFT."""
     n = generator.grid.n
-    terms = generator.terms + ((generator.diagonal, np.ones(n // 2 + 1)),)
-    F = np.array([np.broadcast_to(field, (n,)) for field, _ in terms])
-    C = np.fft.irfft(np.array([symbol for _, symbol in terms]), n)
+    F, S = _term_arrays(generator)
+    C = np.fft.irfft(S, n)
     rows = np.einsum("ki,kl,li->i", F, C @ C.T, F)
     FF, CC = ((X[:, None] * X).reshape(-1, n) for X in (F, C))
     cols = np.fft.irfft(np.sum(np.fft.rfft(FF) * np.conj(np.fft.rfft(CC)),
@@ -344,10 +361,38 @@ def _phases(k, z):
     return np.exp(1j * TWO_PI * turns)
 
 
-def _assemble(cset):
+def _assemble(cset, jump=None):
+    """The generator of ``cset`` by its family's assembly; ``jump`` as in
+    :func:`assemble_torus_generator_I`."""
     if isinstance(cset, CoefficientSetI):
-        return assemble_torus_generator_I(cset)
+        return assemble_torus_generator_I(cset, jump)
     return assemble_torus_generator_II(cset)
+
+
+def _generator(cset, jump):
+    """The one-cell generator of ``cset``'s family, with the half spectrum
+    ``jump`` of the Part I jump multiplier J (:func:`_jump_symbol`; None in
+    Part II): the one place that knows each family's terms, label and zero
+    order."""
+    n = cset.grid.n
+    freqs = np.arange(n // 2 + 1.0)
+    if isinstance(cset, CoefficientSetI):
+        terms = _jump_terms(freqs, cset.a.values, cset.b.values,
+                            cset.lam.values, jump)
+        label = "T[%s]"
+    else:
+        terms = _stable_terms(freqs, cset.alpha, cset.delta_alpha.values,
+                              cset.d.values)
+        label = "L[%s]"
+    return LineOperator(cset.grid, label % cset.name, n, terms, 0.0)
+
+
+def _jump_symbol(cset):
+    """The half spectrum of the Part I jump multiplier J of ``cset``.  Its
+    column subtracts the discrete mass of the periodized kernel at lag 0,
+    so J annihilates constants exactly rather than to quadrature
+    accuracy."""
+    return np.fft.rfft(jump_column(cset.kernel, cset.grid.n, 1.0, 1.0))
 
 
 # a defect correction whose correction fails to halve has converged if its
@@ -366,7 +411,9 @@ class CellOperator:
     coordinates and built from the same terms, so no dense cell matrix
     exists; :meth:`shifted` puts another drift's generator on it.
     :meth:`solve` serves every solve of the chain, refined against the FFT
-    apply; ``z_symbols`` are the Part I quadrature multipliers of
+    apply.  ``jump`` is the Part I jump symbol (:func:`_jump_symbol`, None
+    in Part II), computed once for the operator and every shift of it;
+    ``z_symbols`` are the Part I quadrature multipliers of
     :func:`_z_symbols`, built on first use.
     """
 
@@ -377,7 +424,9 @@ class CellOperator:
 
     def __init__(self, cset):
         self.cset = cset
-        self.generator = _assemble(cset)
+        self.jump = _jump_symbol(cset) if isinstance(cset, CoefficientSetI) \
+            else None
+        self.generator = _assemble(cset, self.jump)
         self.norm = _generator_norm(self.generator)
         self.lu = _BorderedLU(self.generator, self.norm)
 
@@ -390,17 +439,12 @@ class CellOperator:
         centering's next sweep), on this LU; its invariant density starts
         from ``density_start``.
 
-        Its generator is this one with the drift term's field replaced,
-        A_c = A_0 - c D1 for a drift lowered by c: the drift is the second
-        term of both families (``_jump_terms``, ``_stable_terms``), and the
-        other terms, the jump symbol among them, are reused."""
-        drift = cset.b if isinstance(cset, CoefficientSetI) else cset.d
-        terms = list(self.generator.terms)
-        terms[1] = (drift.values, terms[1][1])
+        Its generator, A_c = A_0 - c D1 for a drift lowered by c, is built
+        by :func:`_generator` from the new set's fields and this operator's
+        jump symbol, so the jump multiplier is not computed again."""
         op = copy.copy(self)
         op.cset = cset
-        op.generator = LineOperator(cset.grid, self.generator.label,
-                                    cset.grid.n, terms, 0.0)
+        op.generator = _generator(cset, self.jump)
         op.norm = _generator_norm(op.generator)
         op._own_lu = False
         op._density_start = density_start
@@ -515,20 +559,16 @@ def _weighted_adjoint_solve(op, m, rhs, label):
 # ---------------------------------------------------------------------------
 
 
-def assemble_torus_generator_I(cset: CoefficientSetI):
+def assemble_torus_generator_I(cset: CoefficientSetI, jump=None):
     """The unit-cell generator a D2 + b D1 + lambda J as a one-cell
     :class:`nlhom.torus.LineOperator` (p = n) on the set's grid, from the
     Part I term builder of ``lineops.assemble_T_eps``.
 
-    The jump column J subtracts the discrete mass of the periodized kernel
-    at lag 0, so J annihilates constants exactly rather than to quadrature
-    accuracy.
+    ``jump`` is the half spectrum of J when the caller already has it, or
+    None to compute it (:func:`_jump_symbol`); it does not change the
+    generator.
     """
-    n = cset.grid.n
-    jump = np.fft.rfft(jump_column(cset.kernel, n, 1.0, 1.0))
-    terms = _jump_terms(np.arange(n // 2 + 1.0), cset.a.values,
-                        cset.b.values, cset.lam.values, jump)
-    return LineOperator(cset.grid, "T[%s]" % cset.name, n, terms, 0.0)
+    return _generator(cset, _jump_symbol(cset) if jump is None else jump)
 
 
 def solve_invariant_density_I(op):
@@ -716,9 +756,7 @@ def coercivity_witness_I(op, m):
     A1 = float(np.min(am))
     C1 = float(np.max(np.abs(am_field.derivative(1).values
                              - cset.b.values * m.values)))
-    # the jump symbol, the third term of the generator (``_jump_terms``)
-    jump = op.generator.terms[2][1]
-    jump_zero_order = _apply_symbol(cset.lam.values * m.values, jump)
+    jump_zero_order = _apply_symbol(cset.lam.values * m.values, op.jump)
     C2 = 0.5 * float(np.max(np.abs(jump_zero_order)))
     alpha_c = cset.kappa * float(np.min(m.values))
     mu = C1**2 / (2.0 * A1) + C2 + 0.5 * A1 + 0.5 * alpha_c
@@ -795,10 +833,7 @@ def solve_cell_I(cset) -> CellSolutionI:
 def assemble_torus_generator_II(cset: CoefficientSetII):
     """L v = -delta^alpha (-Delta)^{alpha/2} v + d v' as a one-cell
     :class:`nlhom.torus.LineOperator` (p = n) on the set's grid."""
-    n = cset.grid.n
-    terms = _stable_terms(np.arange(n // 2 + 1.0), cset.alpha,
-                          cset.delta_alpha.values, cset.d.values)
-    return LineOperator(cset.grid, "L[%s]" % cset.name, n, terms, 0.0)
+    return _generator(cset, None)
 
 
 def solve_invariant_density_II(op):

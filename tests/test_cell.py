@@ -861,7 +861,7 @@ def _assert_band_matches_dense_oracles(cset):
       Phi A Phi^-1 from ``.matrix``, to n u max|M| (measured: at most 0.50
       of it on seeds 0-9 of each family and n, 0.32 on the wide sets).
     * Outside the band, M has no entry above n u max|M| (measured: at most
-      0.25 of it).
+      0.35 of it).
     * Direct and adjoint bordered solves of A x = A x0 (A^T x = A^T x0)
       with sum(x) = sum(x0) match augmented least squares to 1e-10 (the
       bound the chain's solves met; measured: at most 2.9e-13).
@@ -902,6 +902,16 @@ def test_banded_generator_matches_dense_oracles(family, seed, n):
 @pytest.mark.parametrize("family", ["I", "II"])
 def test_widest_band_matches_dense_oracles(family):
     _assert_band_matches_dense_oracles(wide_band_set(family))
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_band_follows_field_content_not_sampling_noise(n):
+    # wide-I's fields are cos(2 pi (n/4 - 1) y) sampled on the grid, with
+    # rounding noise at every mode: the band keeps their content, the mode
+    # n/4 - 1, and the noise does not widen it
+    op = CellOperator(wide_band_set("I", n))
+    _, bw = cell._generator_band(op.generator, op.norm)
+    assert bw == 2 * (n // 4 - 1) + 1
 
 
 @given(seed=st.integers(0, 10_000), n=st.sampled_from([16, 64, 128]))

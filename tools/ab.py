@@ -4,9 +4,11 @@
 
 For each seed it runs ``python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` once in each checkout, each in a fresh process
-started from that checkout's root.  The first seed runs the parent first,
-and every later seed swaps the order, so a slow spell of the machine falls
-on both sides.  The steal column of /proc/stat is read around every run.
+started from that checkout's root; T is ``run_seconds`` of the change's
+BENCHMARK.json, the run length the benchmark itself uses.  The first seed
+runs the parent first, and every later seed swaps the order, so a slow
+spell of the machine falls on both sides.  The steal column of /proc/stat
+is read around every run.
 
 Per end-to-end metric it prints each side's median and quartiles, the
 change of the medians, and the number of pairs in which the change read
@@ -71,8 +73,9 @@ def main():
     parser.add_argument("change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args()
+    with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
+        seconds = json.load(fh)["run_seconds"]
 
     sides = ("parent", "change")
     runs = {side: [] for side in sides}
@@ -80,7 +83,7 @@ def main():
         order = sides if i % 2 == 0 else sides[::-1]
         for side in order:
             record, steal = run_once(getattr(args, side), args.workload,
-                                     seed, args.seconds)
+                                     seed, seconds)
             runs[side].append((record, steal))
             values = " ".join("%s %.4g" % (k, v["value"])
                               for k, v in record["metrics"].items())
@@ -89,8 +92,8 @@ def main():
                   file=sys.stderr)
 
     pairs = len(args.seeds)
-    print("workload %s, %d pairs, seeds %s" % (args.workload, pairs,
-                                              ",".join(map(str, args.seeds))))
+    print("workload %s, %d pairs, seeds %s, %g s runs"
+          % (args.workload, pairs, ",".join(map(str, args.seeds)), seconds))
     print("%-12s %-30s %-30s %8s %s" % ("metric", "parent median [q1, q3]",
                                         "change median [q1, q3]", "medians",
                                         "change lower in"))
