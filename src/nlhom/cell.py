@@ -45,12 +45,14 @@ generator of one coefficient set as its terms, with that one LU, and no
 dense cell matrix.  Direct and transposed solves with the LU serve the whole
 chain -- m and m1 as adjoint null vectors, chi and e1 as direct solves, and
 h1, h2, h3 through A*(m h) = rhs followed by a division by the density --
-each refined against the FFT apply, since the band drops the field modes
-below rounding.  Every stage checks its residual through
-:meth:`CellOperator.residual`, from the terms by FFT: h1, h2 and h3 on
-y = m h against A^T.  The drift centering of ``fixtures`` factors only its
-first sweep's generator: a later sweep's operator, the same terms with its
-drift field, solves on that LU by defect correction
+each checked against the FFT apply, since the band drops the field modes
+below rounding: a solve on the operator's own LU stops at its first
+correction, one banded solve and one apply, when that defect is at the
+rounding floor, and refines on otherwise.  Every stage checks its residual
+through :meth:`CellOperator.residual`, from the terms by FFT: h1, h2 and
+h3 on y = m h against A^T.  The drift centering of ``fixtures`` factors
+only its first sweep's generator: a later sweep's operator, the same terms
+with its drift field, solves on that LU by defect correction
 (:meth:`CellOperator.shifted`).
 """
 
@@ -144,8 +146,8 @@ class _BorderedLU:
     so Phi^-T = W^-1 Phi and the transposed bordered system is M^T in the
     unknowns (mu / sqrt(n), W^-1 Phi x): one factorization serves both A and
     its adjoint.  The band drops field modes below rounding, so a solve is
-    exact only to that rounding; :meth:`CellOperator.solve` refines it
-    against the exact FFT apply.
+    exact only to that rounding; :meth:`CellOperator.solve` checks it
+    against the exact FFT apply and refines it where that leaves a defect.
     """
 
     def __init__(self, generator, norm):
@@ -395,8 +397,9 @@ def _jump_symbol(cset):
     return np.fft.rfft(jump_column(cset.kernel, cset.grid.n, 1.0, 1.0))
 
 
-# a defect correction whose correction fails to halve has converged if its
-# relative residual is then at most this; the rounding floor, 1e-16 on the
+# a solve on the operator's own LU returns at its first correction, and a
+# defect correction whose correction fails to halve has converged, if the
+# relative defect is then at most this; the rounding floor, 1e-16 on the
 # fixtures and random sets at n = 64 ... 2048, is far below it
 _REFINE_TOL = 1e-15
 
@@ -458,10 +461,12 @@ class CellOperator:
     def solve(self, rhs, total=0.0, adjoint=False, start=None):
         """x with A x = rhs (A^T x = rhs if adjoint) and sum(x) = total, by
         defect correction on the LU (:meth:`_refine`) from ``start``, a
-        first guess.  On another generator's LU (:meth:`shifted`) a
+        first guess.  On its own LU a solve whose first correction leaves a
+        defect at the rounding floor is one banded solve and one FFT apply;
+        otherwise the last iterate is returned, for the caller's residual
+        check to judge.  On another generator's LU (:meth:`shifted`) a
         correction that fails to converge factors its own generator in
-        place and refines again; on its own LU the last iterate is
-        returned, for the caller's residual check to judge."""
+        place and refines again."""
         x, converged = self._refine(rhs, total, adjoint, start)
         if not (converged or self._own_lu):
             self.lu = _BorderedLU(self.generator, self.norm)
@@ -474,15 +479,19 @@ class CellOperator:
         operator's own or another generator's: y <- y + LU^-1 (b - M y), M
         the bordered matrix of A applied by FFT.  Returns (x, converged).
 
-        Starts from ``start`` (or zero).  With rate the ratio of the last
-        two corrections, it returns once the error left, at most
+        Starts from ``start``, or from zero, where the first correction is
+        LU^-1 b.  Converged means the relative defect is at most
+        _REFINE_TOL.  On the operator's own LU, whose band drops only field
+        modes below rounding, it returns after the first correction if
+        that correction's defect already passes this test: one banded solve
+        and one FFT apply.  Otherwise, with rate the ratio of the last two
+        corrections, it returns once the error left, at most
         rate / (1 - rate) times the last correction, is below n u ||x||.
         It stops at the first correction that fails to halve: there the
         corrections are rounding noise, or they do not contract, and the
-        residual tells which: converged means the relative residual is
-        then at most _REFINE_TOL.  The residual alone does not serve as
-        the stop: the border row's rounding noise can hide a smooth
-        residual that still moves int b m by 1e-13.
+        defect tells which.  On another generator's LU the defect alone
+        does not serve as the stop: the border row's rounding noise can
+        hide a smooth residual that still moves int b m by 1e-13.
         """
         lu = self.lu
         n, s = lu._n, lu._s
@@ -493,15 +502,25 @@ class CellOperator:
             return b - np.append(self.apply(x, adjoint) + s * y[n],
                                  s * np.sum(x))
 
+        def small(y, r):
+            scale = s * np.sqrt(n) * max(np.linalg.norm(y[:n]), 1.0) \
+                + np.linalg.norm(b)
+            return np.linalg.norm(r) <= _REFINE_TOL * scale
+
         y = np.zeros(n + 1)
+        r = b
         if start is not None:
             y[:n] = start
-        floor = n * np.finfo(float).eps
-        dy = lu.solve_bordered(defect(y), adjoint)
+            r = defect(y)
+        dy = lu.solve_bordered(r, adjoint)
         y += dy
         last = np.linalg.norm(dy[:n])
+        r = defect(y)
+        if self._own_lu and small(y, r):
+            return y[:n], True
+        floor = n * np.finfo(float).eps
         while True:
-            dy = lu.solve_bordered(defect(y), adjoint)
+            dy = lu.solve_bordered(r, adjoint)
             y += dy
             size = np.linalg.norm(dy[:n])
             if not size < 0.5 * last:
@@ -510,9 +529,8 @@ class CellOperator:
             if rate / (1.0 - rate) * size <= floor * np.linalg.norm(y[:n]):
                 return y[:n], True
             last = size
-        scale = s * np.sqrt(n) * max(np.linalg.norm(y[:n]), 1.0) \
-            + np.linalg.norm(b)
-        return y[:n], np.linalg.norm(defect(y)) <= _REFINE_TOL * scale
+            r = defect(y)
+        return y[:n], small(y, defect(y))
 
     def residual(self, x, rhs, adjoint=False):
         """||A x - rhs|| / (||A|| max(||x||, 1) + ||rhs||), A^T for A if
@@ -608,25 +626,31 @@ def compute_Q(op, m, chi):
     The z-integral runs over the kernel's truncated support with chi and m
     extended periodically, on symmetric Gauss panels.  Expanding the square
     turns the node sum into six convolutions with the multipliers
-    ``op.z_symbols``.
+    ``op.z_symbols``, summed over y with the weights 1, chi and chi^2: the
+    first group is mode 0 of its spectrum, the others are Parseval sums
+    against the half spectra of chi and chi^2, so one rfft of five rows
+    serves and nothing is transformed back.
     """
     cset = op.cset
     grid = cset.grid
+    n = grid.n
     dchi = chi.derivative(1).values
     term1 = float(np.sum(cset.a.values * m.values * (dchi + 1.0) ** 2) * grid.h)
 
     S = op.z_symbols
     c = chi.values
     lamm = cset.lam.values * m.values
-    lamm_c = lamm * c
-
-    def conv(f, j):
-        return _apply_symbol(f, S[:, j])
-
-    acc = (conv(lamm, 2) + c * c * conv(lamm, 0) + conv(lamm_c * c, 0)
-           + 2.0 * c * conv(lamm, 1) - 2.0 * conv(lamm_c, 1)
-           - 2.0 * c * conv(lamm_c, 0))
-    term2 = 0.5 * float(np.sum(acc) * grid.h)
+    F_g, F_gc, F_gcc, C, CC = np.fft.rfft([lamm, lamm * c, lamm * c * c,
+                                           c, c * c])
+    # sum_y f(y) irfft(X)(y) = sum_k weight_k Re(conj(F_k) X_k) / n
+    weight = np.full(n // 2 + 1, 2.0 / n)
+    weight[[0, -1]] = 1.0 / n
+    plain = F_g[0] * S[0, 2] + F_gcc[0] * S[0, 0] - 2.0 * F_gc[0] * S[0, 1]
+    by_c = 2.0 * (F_g * S[:, 1] - F_gc * S[:, 0])
+    by_cc = F_g * S[:, 0]
+    acc = plain.real + np.sum(weight * (np.conj(C) * by_c
+                                        + np.conj(CC) * by_cc).real)
+    term2 = 0.5 * float(acc * grid.h)
     return term1 + term2
 
 
@@ -716,10 +740,12 @@ _WITNESS_SEED = 7
 
 @lru_cache(maxsize=None)
 def _witness_fields(n):
-    """The witness's sample U on n grid points and its derivative dU, shape
-    (_WITNESS_FIELDS, n): each field draws Re/Im of modes 1 .. n/4 - 1 in
-    turn, then the mean, and is the irfft of that half spectrum.  They
-    depend only on n, so they are drawn once per n and read-only."""
+    """The witness's sample on n grid points: the fields U, shape
+    (_WITNESS_FIELDS, n), their half spectra rfft(U), and per field the
+    squared L2 norm ||U||^2 and H1 norm ||U||^2 + ||U'||^2 (h-weighted grid
+    sums).  Each field draws Re/Im of modes 1 .. n/4 - 1 in turn, then the
+    mean, and is the irfft of that half spectrum.  They depend only on n,
+    so they are drawn once per n and read-only; U' is not kept."""
     rng = np.random.default_rng(_WITNESS_SEED)
     kmax = n // 4
     draws = rng.normal(size=(_WITNESS_FIELDS, 2 * (kmax - 1) + 1))
@@ -729,9 +755,11 @@ def _witness_fields(n):
     U = np.fft.irfft(coeffs, n, norm="forward")
     dU = np.fft.irfft(coeffs * (1j * TWO_PI * np.arange(n // 2 + 1)), n,
                       norm="forward")
-    U.flags.writeable = False
-    dU.flags.writeable = False
-    return U, dU
+    l2 = np.sum(U**2, axis=1) / n
+    sample = (U, coeffs * n, l2, l2 + np.sum(dU**2, axis=1) / n)
+    for a in sample:
+        a.flags.writeable = False
+    return sample
 
 
 def coercivity_witness_I(op, m):
@@ -745,7 +773,9 @@ def coercivity_witness_I(op, m):
     holds for band-limited fields; margin is the worst observed slack over
     the random sample (negative margin = violation).  The sample is
     :func:`_witness_fields`: real fields built by irfft from half spectra,
-    so no complex full-spectrum array is formed.
+    so no complex full-spectrum array is formed, and the generator acts on
+    them from those stored spectra, sum_t f_t irfft(s_t rfft U) + d U,
+    with no forward transform.
     """
     cset = op.cset
     grid = cset.grid
@@ -761,10 +791,18 @@ def coercivity_witness_I(op, m):
     alpha_c = cset.kappa * float(np.min(m.values))
     mu = C1**2 / (2.0 * A1) + C2 + 0.5 * A1 + 0.5 * alpha_c
 
-    U, dU = _witness_fields(grid.n)
-    form = -np.sum(m.values * op.apply(U) * U, axis=1) * h
-    l2 = np.sum(U**2, axis=1) * h
-    h1n = l2 + np.sum(dU**2, axis=1) * h
+    U, spec, l2, h1n = _witness_fields(grid.n)
+    generator = op.generator
+    AU = generator.diagonal * U
+    term = np.empty_like(U)
+    term_spec = np.empty_like(spec)
+    for field, symbol in generator.terms:
+        np.fft.irfft(np.multiply(spec, symbol, out=term_spec), grid.n,
+                     out=term)
+        term *= field
+        AU += term
+    AU *= U
+    form = -(AU @ m.values) * h
     margin = float(np.min(form + mu * l2 - 0.5 * alpha_c * h1n))
     return alpha_c, mu, margin
 

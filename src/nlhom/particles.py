@@ -411,9 +411,13 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
     omits, (1/2) sigma sigma' ((dW)^2 - dt) = (a'(x/eps)/(2 eps))
     ((dW)^2 - dt).  Measured on the workhorse heterogeneous set at
     eps = 1/8 with 3e4 paths, the Euler step drifts the variance estimate
-    of Q by +5.1%/+3.0%/+0.9% at dt/eps**2 = 0.02/0.005/0.00125, while the
-    Milstein step leaves no drift visible above the 0.8% noise floor
-    anywhere in that range; so the correction is always taken.
+    of Q by +5.1%/+3.0%/+0.9% at dt/eps**2 = 0.02/0.005/0.00125; so the
+    correction is always taken.  The Milstein step still drifts at the
+    larger steps: on varcoef-1(512), eps = 1/8, T_end = 0.5, with 2e5
+    paths at each of the seeds 101-103, the estimate averages 0.9011 at
+    dt/eps**2 = 0.005 and 0.8992 at 0.01 (each +-0.0016; 0.9038 +- 0.0029
+    at 0.00125, seed 101 alone), but 0.9121 at 0.02 and 0.9463 at 0.04,
+    drifts of +1.2% and +5.0% (+-0.3%) against 0.005.
 
     Parameters
     ----------

@@ -7,6 +7,8 @@ Oracles used here, written independently of the solver internals:
   panel/multiplier route in compute_Q;
 * the per-node phase-shift loop over the same Gauss panels, against the
   multiplier form of the z-quadrature;
+* the six z-convolutions inverted to the grid, against the mode-0 and
+  Parseval sums of compute_Q;
 * the phase matrix over the full mirrored rule, one exponential per
   frequency and node, against the half-rule angle-addition z-symbols;
 * Fourier-mode evaluation of the generator against scalar quadrature of the
@@ -15,6 +17,8 @@ Oracles used here, written independently of the solver internals:
 * the fixed-point drift centering b <- b - int b m[b], against the Newton
   centering of the fixtures;
 * augmented least squares (lstsq), against the bordered LU solves;
+* defect correction with at least two corrections, against the own-LU
+  solves that stop at the first correction's defect;
 * the dense Phi A Phi^-1, Phi the real Fourier matrix of cosines and
   sines, against the band the LU factors;
 * the relative residual on an assembled dense matrix, against the
@@ -56,6 +60,7 @@ from nlhom.cell import (
     solve_h3,
     solve_invariant_density_I,
     solve_invariant_density_II,
+    zakai_cell_I,
 )
 from nlhom.coefficients import CoefficientSetI, CoefficientSetII
 from nlhom.fixtures import (
@@ -145,6 +150,34 @@ def lstsq_singular(A, rhs, weight, target):
     return x
 
 
+def refine_two_corrections(op, rhs, total, adjoint):
+    """The solve on the operator's own LU by defect correction from zero
+    with at least two corrections: it stops at the first correction that
+    fails to halve, or once rate / (1 - rate) times the last correction,
+    rate the ratio of the last two, is below n u ||x||."""
+    lu = op.lu
+    n, s = lu._n, lu._s
+    b = np.append(rhs, s * total)
+
+    def defect(y):
+        return b - np.append(op.apply(y[:n], adjoint) + s * y[n],
+                             s * np.sum(y[:n]))
+
+    y = lu.solve_bordered(b, adjoint)
+    last = np.linalg.norm(y[:n])
+    while True:
+        dy = lu.solve_bordered(defect(y), adjoint)
+        y += dy
+        size = np.linalg.norm(dy[:n])
+        if not size < 0.5 * last:
+            return y[:n]
+        rate = size / last
+        if rate / (1.0 - rate) * size \
+                <= n * np.finfo(float).eps * np.linalg.norm(y[:n]):
+            return y[:n]
+        last = size
+
+
 def z_convolution_loop(kernel, power, f):
     """sum_q w_q c(z_q) z_q^power f(y - z_q), one phase shift per node."""
     nodes, weights = _quadrature_nodes(kernel)
@@ -206,6 +239,28 @@ def q_phase_shift_loop(cset, m, chi):
         lm_s = lamm.shifted(zq).values
         chi_s = chi.shifted(zq).values
         acc += wq * cq * lm_s * (zq + chi.values - chi_s) ** 2
+    return term1 + 0.5 * float(np.sum(acc) * grid.h)
+
+
+def q_six_convolutions(op, m, chi):
+    """The two-term diffusivity functional with the z-integral as six
+    convolutions with the z-symbols, each inverted to the grid and summed
+    against its weight 1, chi or chi^2."""
+    cset = op.cset
+    grid = cset.grid
+    dchi = chi.derivative(1).values
+    term1 = float(np.sum(cset.a.values * m.values * (dchi + 1.0) ** 2) * grid.h)
+    S = op.z_symbols
+    c = chi.values
+    lamm = cset.lam.values * m.values
+    lamm_c = lamm * c
+
+    def conv(f, j):
+        return _apply_symbol(f, S[:, j])
+
+    acc = (conv(lamm, 2) + c * c * conv(lamm, 0) + conv(lamm_c * c, 0)
+           + 2.0 * c * conv(lamm, 1) - 2.0 * conv(lamm_c, 1)
+           - 2.0 * c * conv(lamm_c, 0))
     return term1 + 0.5 * float(np.sum(acc) * grid.h)
 
 
@@ -978,6 +1033,21 @@ def test_Q_routes_agree_on_random_sets(seed):
     assert abs(sol.Q1 - sol.Q) <= 1e-8 * sol.Q
 
 
+@given(seed=st.integers(0, 10_000), n=st.sampled_from([16, 64, 256]))
+@settings(max_examples=12, deadline=None)
+def test_Q_parseval_sums_match_six_convolutions(seed, n):
+    # Q's z-integral by mode 0 and Parseval sums against the convolutions
+    # inverted to the grid, on chi (Q) and on h1 (Q1, the same functional)
+    cset = random_set_I(seed, n)
+    op = CellOperator(cset)
+    sol = solve_cell_I(cset)
+    for corrector, value in ((sol.chi, sol.Q), (sol.h1, sol.Q1)):
+        ref = q_six_convolutions(op, sol.m, corrector)
+        assert abs(compute_Q(op, sol.m, corrector) - ref) <= 1e-13 * ref
+        assert value == compute_Q(op, sol.m, corrector)
+    assert zakai_cell_I(op, sol.m, sol.h1) == sol.Q1
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=10, deadline=None)
 def test_multiplier_quadrature_matches_phase_shift_loop(seed):
@@ -1034,40 +1104,90 @@ def test_z_symbols_of_builtin_kernels(kernel, n):
 
 @pytest.mark.parametrize("n", [8, 64, 512])
 def test_witness_fields_match_full_spectrum_construction(n):
-    U, dU = _witness_fields(n)
+    # the derivative is not kept: it is rebuilt from the stored spectra
+    U, spec, l2, h1n = _witness_fields(n)
     U_ref, dU_ref = witness_fields_full_spectrum(n)
+    dU = np.fft.irfft(spec * (1j * TWO_PI * np.arange(n // 2 + 1)), n)
     assert U.shape == dU.shape == (120, n)
     assert np.max(np.abs(U - U_ref)) <= 1e-13 * np.max(np.abs(U_ref))
     assert np.max(np.abs(dU - dU_ref)) <= 1e-13 * max(np.max(np.abs(dU_ref)),
                                                       1.0)
+    l2_ref = np.sum(U_ref**2, axis=1) / n
+    h1_ref = l2_ref + np.sum(dU_ref**2, axis=1) / n
+    assert np.max(np.abs(l2 - l2_ref) / l2_ref) <= 1e-13
+    assert np.max(np.abs(h1n - h1_ref) / h1_ref) <= 1e-13
 
 
 def test_witness_fields_are_drawn_once_per_n_and_read_only():
-    U, dU = _witness_fields(64)
-    assert _witness_fields(64)[0] is U and _witness_fields(64)[1] is dU
-    assert not (U.flags.writeable or dU.flags.writeable)
+    # the fields, their half spectra and their norms: one read-only set of
+    # objects per n, the spectra those of the fields
+    for n in (8, 64, 512):
+        sample = _witness_fields(n)
+        assert len(sample) == 4
+        assert all(a is b for a, b in zip(_witness_fields(n), sample))
+        assert not any(a.flags.writeable for a in sample)
+        U, spec = sample[:2]
+        ref = np.fft.rfft(U)
+        assert spec.shape == ref.shape == (120, n // 2 + 1)
+        assert np.max(np.abs(spec - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_one_factorization_per_chain(monkeypatch):
-    # one banded factorization of the bordered generator, n + 1 columns
-    csets = (varcoef_1(64), random_set_II(3, 64))
+    # one banded factorization of the bordered generator, n + 1 columns,
+    # and on the fixtures one banded solve per singular solve of the chain
+    # (m, chi, h1, h2; m1, h3, e1): the first correction on the operator's
+    # own LU leaves a defect at the rounding floor
+    csets = (varcoef_1(64), random_set_II(3, 64), stable_1(64))
     factorizations = []
-    dgbtrf = cell.dgbtrf
+    solves = []
+    dgbtrf, dgbtrs = cell.dgbtrf, cell.dgbtrs
 
     def counting_dgbtrf(*args, **kwargs):
         factorizations.append(args[0].shape[1])
         return dgbtrf(*args, **kwargs)
 
+    def counting_dgbtrs(*args, **kwargs):
+        solves.append(args[0].shape[1])
+        return dgbtrs(*args, **kwargs)
+
     def forbidden(*args, **kwargs):
         raise AssertionError("SVD-class decomposition in a cell solve")
 
     monkeypatch.setattr(cell, "dgbtrf", counting_dgbtrf)
+    monkeypatch.setattr(cell, "dgbtrs", counting_dgbtrs)
     for name in ("svd", "lstsq", "pinv"):
         monkeypatch.setattr(np.linalg, name, forbidden)
     solve_cell_I(csets[0])
     assert factorizations == [65]
+    assert solves == [65] * 4
     solve_cell_II(csets[1])
     assert factorizations == [65] * 2
+    solves.clear()
+    solve_cell_II(csets[2])
+    assert factorizations == [65] * 3
+    assert solves == [65] * 3
+
+
+@given(family=st.sampled_from(["I", "II"]), seed=st.integers(0, 10_000),
+       n=st.sampled_from([16, 64, 256]))
+@settings(max_examples=12, deadline=None)
+def test_own_lu_solve_matches_two_correction_rule(family, seed, n):
+    # an own-LU solve that stops at its first correction's defect, or takes
+    # more where that defect misses the floor, lands where the rule of two
+    # or more corrections does: the density, and a direct and an adjoint
+    # solve of consistent right sides
+    cset = (random_set_I if family == "I" else random_set_II)(seed, n)
+    op = CellOperator(cset)
+    m = op.solve(np.zeros(n), n, adjoint=True)
+    x0 = np.random.default_rng(seed).normal(size=n)
+    cases = [(np.zeros(n), n, True, m)]
+    for adjoint in (False, True):
+        rhs = op.apply(x0, adjoint)
+        cases.append((rhs, np.sum(x0), adjoint,
+                      op.solve(rhs, np.sum(x0), adjoint)))
+    for rhs, total, adjoint, got in cases:
+        ref = refine_two_corrections(op, rhs, total, adjoint)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------

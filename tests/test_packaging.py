@@ -122,18 +122,44 @@ def _package_bindings():
     return out
 
 
-def _load_perfbench(name):
+def _load_script(directory, name):
     spec = importlib.util.spec_from_file_location(
-        "_perfbench_" + name, ROOT / "perfbench" / (name + ".py"))
+        "_%s_%s" % (directory, name), ROOT / directory / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_ab_verdict_reads_synthetic_runs():
+    # tools/ab.py's reading of paired runs: a gain needs 9 of 10 pairs won
+    # (ties count for neither) and a median gap beyond the parent's
+    # quartile distance; a spread parent leaves the metric unresolved
+    # unless the sides do not overlap
+    verdict = _load_script("tools", "ab").verdict
+    steady = 1.0 + 0.01 * np.sin(np.arange(10))
+    wide = np.array([0.6, 0.7, 1.0, 1.3, 1.4] * 2)
+    cases = [
+        (steady, 0.8 * steady, "gain"),
+        (steady, np.where(np.arange(10) == 0, steady, 0.8 * steady), "gain"),
+        (steady, np.where(np.arange(10) < 2, steady, 0.8 * steady), "same"),
+        (steady, np.where(np.arange(10) < 2, 1.1 * steady, 0.8 * steady),
+         "same"),
+        (steady, 0.995 * steady, "same"),
+        (steady, 1.3 * steady, "worse"),
+        (steady, 1.2 * steady, "same"),
+        (wide, wide[::-1], "unresolved"),
+        (wide, 1.5 * wide, "worse"),
+        (wide, np.full(10, 0.55), "same"),
+        (wide, np.full(10, 0.3), "gain"),
+    ]
+    for parent, change, expected in cases:
+        assert verdict(parent, change, 0.25) == expected, (change, expected)
+
+
 def test_benchmark_trace_hooks_install_and_restore():
     # `perfbench/run.py --trace 1` wraps package functions by name, so a
     # rename in the package must fail here rather than in a traced run
-    tracing = _load_perfbench("tracing")
+    tracing = _load_script("perfbench", "tracing")
     from nlhom import cell, fixtures, kernels, lineops, particles, spde, torus  # noqa: F401
 
     before = _package_bindings()
@@ -154,7 +180,7 @@ def test_benchmark_trace_hooks_install_and_restore():
 def test_benchmark_cell_trace_is_the_package_trace():
     # the benchmark checks line operators against its own subsampled
     # traces; on the ensemble and line-diag grids they are the package's
-    checks = _load_perfbench("checks")
+    checks = _load_script("perfbench", "checks")
     from nlhom import fixtures, lineops
 
     sets = [fixtures.varcoef_1(256), fixtures.stable_1(256),

@@ -11,10 +11,11 @@ spell of the machine falls on both sides.  The steal column of /proc/stat
 is read around every run.
 
 Per end-to-end metric it prints each side's median and quartiles, the
-change of the medians, and the number of pairs in which the change read
-lower; then each side's failed operations and steal ticks.  Progress goes
-to standard error, one line per run.  ``--seeds`` takes a range (1-10), a
-list (1,3,5) or one seed.
+change of the medians, the number of pairs in which the change read
+lower, and a verdict (:func:`verdict`) against the metric's ``bound`` in
+the change's BENCHMARK.json; then each side's failed operations and steal
+ticks.  Progress goes to standard error, one line per run.  ``--seeds``
+takes a range (1-10), a list (1,3,5) or one seed.
 """
 
 import argparse
@@ -67,6 +68,31 @@ def summary(values):
     return median, q1, q3
 
 
+def verdict(parent, change, bound):
+    """The reading of one lower-is-better metric from paired runs (entry i
+    of each side from seed i), ``bound`` the relative worsening allowed:
+
+    - "gain": the change reads lower in at least 9 of 10 pairs, ties
+      counting for neither, and the parent's median exceeds the change's
+      by more than the parent's quartile distance;
+    - "worse": the change's median exceeds the parent's by more than
+      ``bound`` of it;
+    - "unresolved": the parent's quartile distance is wider than ``bound``
+      of its median, unless every change run reads below every parent run;
+    - otherwise "same".
+    """
+    parent, change = np.asarray(parent), np.asarray(change)
+    median, q1, q3 = summary(parent)
+    gap = median - np.median(change)
+    if np.sum(change < parent) >= 0.9 * parent.size and gap > q3 - q1:
+        return "gain"
+    if -gap > bound * median:
+        return "worse"
+    if q3 - q1 > bound * median and not change.max() < parent.min():
+        return "unresolved"
+    return "same"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
@@ -75,7 +101,10 @@ def main():
     parser.add_argument("--seeds", required=True, type=parse_seeds)
     args = parser.parse_args()
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
-        seconds = json.load(fh)["run_seconds"]
+        benchmark = json.load(fh)
+    seconds = benchmark["run_seconds"]
+    # every end-to-end metric is lower-is-better
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
 
     sides = ("parent", "change")
     runs = {side: [] for side in sides}
@@ -94,20 +123,21 @@ def main():
     pairs = len(args.seeds)
     print("workload %s, %d pairs, seeds %s, %g s runs"
           % (args.workload, pairs, ",".join(map(str, args.seeds)), seconds))
-    print("%-12s %-30s %-30s %8s %s" % ("metric", "parent median [q1, q3]",
-                                        "change median [q1, q3]", "medians",
-                                        "change lower in"))
+    print("%-12s %-30s %-30s %8s %-16s %s" % (
+        "metric", "parent median [q1, q3]", "change median [q1, q3]",
+        "medians", "change lower in", "verdict"))
     for name in runs["parent"][0][0]["metrics"]:
         values = {side: np.array([r["metrics"][name]["value"]
                                   for r, _ in runs[side]]) for side in sides}
         stats = {side: summary(values[side]) for side in sides}
         lower = int(np.sum(values["change"] < values["parent"]))
-        print("%-12s %-30s %-30s %+7.1f%% %d of %d pairs" % (
+        print("%-12s %-30s %-30s %+7.1f%% %-16s %s" % (
             name,
             "%.4g [%.4g, %.4g]" % stats["parent"],
             "%.4g [%.4g, %.4g]" % stats["change"],
             100.0 * (stats["change"][0] / stats["parent"][0] - 1.0),
-            lower, pairs))
+            "%d of %d pairs" % (lower, pairs),
+            verdict(values["parent"], values["change"], bounds[name])))
     for side in sides:
         failed = [r["failed"] for r, _ in runs[side]]
         attempted = [r["attempted"] for r, _ in runs[side]]
