@@ -45,14 +45,12 @@ generator of one coefficient set as its terms, with that one LU, and no
 dense cell matrix.  Direct and transposed solves with the LU serve the whole
 chain -- m and m1 as adjoint null vectors, chi and e1 as direct solves, and
 h1, h2, h3 through A*(m h) = rhs followed by a division by the density --
-each checked against the FFT apply, since the band drops the field modes
-below rounding: a solve on the operator's own LU stops at its first
-correction, one banded solve and one apply, when that defect is at the
-rounding floor, and refines on otherwise.  Every stage checks its residual
-through :meth:`CellOperator.residual`, from the terms by FFT: h1, h2 and
-h3 on y = m h against A^T.  The drift centering of ``fixtures`` factors
-only its first sweep's generator: a later sweep's operator, the same terms
-with its drift field, solves on that LU by defect correction
+each refined against the FFT apply, since the band drops the field modes
+below rounding.  Every stage checks its residual through
+:meth:`CellOperator.residual`, from the terms by FFT: h1, h2 and h3 on
+y = m h against A^T.  The drift centering of ``fixtures`` factors only its
+first sweep's generator: a later sweep's operator, the same terms with its
+drift field, solves on that LU by defect correction
 (:meth:`CellOperator.shifted`).
 """
 
@@ -146,8 +144,8 @@ class _BorderedLU:
     so Phi^-T = W^-1 Phi and the transposed bordered system is M^T in the
     unknowns (mu / sqrt(n), W^-1 Phi x): one factorization serves both A and
     its adjoint.  The band drops field modes below rounding, so a solve is
-    exact only to that rounding; :meth:`CellOperator.solve` checks it
-    against the exact FFT apply and refines it where that leaves a defect.
+    exact only to that rounding; :meth:`CellOperator.solve` refines it
+    against the exact FFT apply.
     """
 
     def __init__(self, generator, norm):
@@ -397,9 +395,8 @@ def _jump_symbol(cset):
     return np.fft.rfft(jump_column(cset.kernel, cset.grid.n, 1.0, 1.0))
 
 
-# a solve on the operator's own LU returns at its first correction, and a
-# defect correction whose correction fails to halve has converged, if the
-# relative defect is then at most this; the rounding floor, 1e-16 on the
+# a defect correction whose correction fails to halve has converged if its
+# relative residual is then at most this; the rounding floor, 1e-16 on the
 # fixtures and random sets at n = 64 ... 2048, is far below it
 _REFINE_TOL = 1e-15
 
@@ -461,12 +458,10 @@ class CellOperator:
     def solve(self, rhs, total=0.0, adjoint=False, start=None):
         """x with A x = rhs (A^T x = rhs if adjoint) and sum(x) = total, by
         defect correction on the LU (:meth:`_refine`) from ``start``, a
-        first guess.  On its own LU a solve whose first correction leaves a
-        defect at the rounding floor is one banded solve and one FFT apply;
-        otherwise the last iterate is returned, for the caller's residual
-        check to judge.  On another generator's LU (:meth:`shifted`) a
+        first guess.  On another generator's LU (:meth:`shifted`) a
         correction that fails to converge factors its own generator in
-        place and refines again."""
+        place and refines again; on its own LU the last iterate is
+        returned, for the caller's residual check to judge."""
         x, converged = self._refine(rhs, total, adjoint, start)
         if not (converged or self._own_lu):
             self.lu = _BorderedLU(self.generator, self.norm)
@@ -479,19 +474,16 @@ class CellOperator:
         operator's own or another generator's: y <- y + LU^-1 (b - M y), M
         the bordered matrix of A applied by FFT.  Returns (x, converged).
 
-        Starts from ``start``, or from zero, where the first correction is
-        LU^-1 b.  Converged means the relative defect is at most
-        _REFINE_TOL.  On the operator's own LU, whose band drops only field
-        modes below rounding, it returns after the first correction if
-        that correction's defect already passes this test: one banded solve
-        and one FFT apply.  Otherwise, with rate the ratio of the last two
-        corrections, it returns once the error left, at most
+        Starts from ``start``, or from zero, whose defect is b itself, so
+        the first correction is LU^-1 b with no apply.  With rate the ratio
+        of the last two corrections, it returns once the error left, at most
         rate / (1 - rate) times the last correction, is below n u ||x||.
         It stops at the first correction that fails to halve: there the
         corrections are rounding noise, or they do not contract, and the
-        defect tells which.  On another generator's LU the defect alone
-        does not serve as the stop: the border row's rounding noise can
-        hide a smooth residual that still moves int b m by 1e-13.
+        residual tells which: converged means the relative residual is
+        then at most _REFINE_TOL.  The residual alone does not serve as
+        the stop: the border row's rounding noise can hide a smooth
+        residual that still moves int b m by 1e-13.
         """
         lu = self.lu
         n, s = lu._n, lu._s
@@ -502,25 +494,17 @@ class CellOperator:
             return b - np.append(self.apply(x, adjoint) + s * y[n],
                                  s * np.sum(x))
 
-        def small(y, r):
-            scale = s * np.sqrt(n) * max(np.linalg.norm(y[:n]), 1.0) \
-                + np.linalg.norm(b)
-            return np.linalg.norm(r) <= _REFINE_TOL * scale
-
         y = np.zeros(n + 1)
         r = b
         if start is not None:
             y[:n] = start
             r = defect(y)
+        floor = n * np.finfo(float).eps
         dy = lu.solve_bordered(r, adjoint)
         y += dy
         last = np.linalg.norm(dy[:n])
-        r = defect(y)
-        if self._own_lu and small(y, r):
-            return y[:n], True
-        floor = n * np.finfo(float).eps
         while True:
-            dy = lu.solve_bordered(r, adjoint)
+            dy = lu.solve_bordered(defect(y), adjoint)
             y += dy
             size = np.linalg.norm(dy[:n])
             if not size < 0.5 * last:
@@ -529,8 +513,9 @@ class CellOperator:
             if rate / (1.0 - rate) * size <= floor * np.linalg.norm(y[:n]):
                 return y[:n], True
             last = size
-            r = defect(y)
-        return y[:n], small(y, defect(y))
+        scale = s * np.sqrt(n) * max(np.linalg.norm(y[:n]), 1.0) \
+            + np.linalg.norm(b)
+        return y[:n], np.linalg.norm(defect(y)) <= _REFINE_TOL * scale
 
     def residual(self, x, rhs, adjoint=False):
         """||A x - rhs|| / (||A|| max(||x||, 1) + ||rhs||), A^T for A if
@@ -774,8 +759,8 @@ def coercivity_witness_I(op, m):
     the random sample (negative margin = violation).  The sample is
     :func:`_witness_fields`: real fields built by irfft from half spectra,
     so no complex full-spectrum array is formed, and the generator acts on
-    them from those stored spectra, sum_t f_t irfft(s_t rfft U) + d U,
-    with no forward transform.
+    them from those stored spectra (``LineOperator.apply_spectrum``), with
+    no forward transform.
     """
     cset = op.cset
     grid = cset.grid
@@ -792,15 +777,7 @@ def coercivity_witness_I(op, m):
     mu = C1**2 / (2.0 * A1) + C2 + 0.5 * A1 + 0.5 * alpha_c
 
     U, spec, l2, h1n = _witness_fields(grid.n)
-    generator = op.generator
-    AU = generator.diagonal * U
-    term = np.empty_like(U)
-    term_spec = np.empty_like(spec)
-    for field, symbol in generator.terms:
-        np.fft.irfft(np.multiply(spec, symbol, out=term_spec), grid.n,
-                     out=term)
-        term *= field
-        AU += term
+    AU = op.generator.apply_spectrum(spec, U)
     AU *= U
     form = -(AU @ m.values) * h
     margin = float(np.min(form + mu * l2 - 0.5 * alpha_c * h1n))

@@ -348,11 +348,17 @@ class LineOperator:
         sum_k f_k irfft(s_k rfft u) + d u, one rfft and K irffts, taken
         along the last axis of the transposed block."""
         u = np.asarray(values, dtype=float).T
-        spec = np.fft.rfft(u)
+        return self.apply_spectrum(np.fft.rfft(u), u).T
+
+    def apply_spectrum(self, spec, u):
+        """:meth:`apply` to the rows of u, given spec = rfft(u) along the
+        last axis: sum_k f_k irfft(s_k spec) + d u, K irffts."""
         out = self.diagonal * u
         for field, symbol in self.terms:
-            out += field * np.fft.irfft(symbol * spec, self.grid.n)
-        return out.T
+            term = np.fft.irfft(symbol * spec, self.grid.n)
+            term *= field
+            out += term
+        return out
 
     def adjoint_apply(self, values):
         """Exact transpose: irfft(sum_k conj(s_k) rfft(f_k u)) + d u, K

@@ -17,8 +17,8 @@ Oracles used here, written independently of the solver internals:
 * the fixed-point drift centering b <- b - int b m[b], against the Newton
   centering of the fixtures;
 * augmented least squares (lstsq), against the bordered LU solves;
-* defect correction with at least two corrections, against the own-LU
-  solves that stop at the first correction's defect;
+* defect correction with at least two corrections written out from its
+  first banded solve, against the own-LU solves from a zero start;
 * the dense Phi A Phi^-1, Phi the real Fourier matrix of cosines and
   sines, against the band the LU factors;
 * the relative residual on an assembled dense matrix, against the
@@ -1133,14 +1133,16 @@ def test_witness_fields_are_drawn_once_per_n_and_read_only():
 
 
 def test_one_factorization_per_chain(monkeypatch):
-    # one banded factorization of the bordered generator, n + 1 columns,
-    # and on the fixtures one banded solve per singular solve of the chain
-    # (m, chi, h1, h2; m1, h3, e1): the first correction on the operator's
-    # own LU leaves a defect at the rounding floor
+    # one banded factorization of the bordered generator, n + 1 columns; on
+    # the fixtures two banded solves per solve of the chain (m, chi, h1, h2;
+    # m1, h3, e1), the second one the rate rule's check, and no solve
+    # applies the generator to its zero start
     csets = (varcoef_1(64), random_set_II(3, 64), stable_1(64))
     factorizations = []
     solves = []
+    zero_applies = []
     dgbtrf, dgbtrs = cell.dgbtrf, cell.dgbtrs
+    apply = CellOperator.apply
 
     def counting_dgbtrf(*args, **kwargs):
         factorizations.append(args[0].shape[1])
@@ -1150,44 +1152,49 @@ def test_one_factorization_per_chain(monkeypatch):
         solves.append(args[0].shape[1])
         return dgbtrs(*args, **kwargs)
 
+    def recording_apply(self, x, adjoint=False):
+        zero_applies.append(not np.any(x))
+        return apply(self, x, adjoint)
+
     def forbidden(*args, **kwargs):
         raise AssertionError("SVD-class decomposition in a cell solve")
 
     monkeypatch.setattr(cell, "dgbtrf", counting_dgbtrf)
     monkeypatch.setattr(cell, "dgbtrs", counting_dgbtrs)
+    monkeypatch.setattr(CellOperator, "apply", recording_apply)
     for name in ("svd", "lstsq", "pinv"):
         monkeypatch.setattr(np.linalg, name, forbidden)
     solve_cell_I(csets[0])
     assert factorizations == [65]
-    assert solves == [65] * 4
+    assert solves == [65] * 8
     solve_cell_II(csets[1])
     assert factorizations == [65] * 2
     solves.clear()
     solve_cell_II(csets[2])
     assert factorizations == [65] * 3
-    assert solves == [65] * 3
+    assert solves == [65] * 6
+    assert zero_applies and not any(zero_applies)
 
 
 @given(family=st.sampled_from(["I", "II"]), seed=st.integers(0, 10_000),
-       n=st.sampled_from([16, 64, 256]))
+       n=st.sampled_from([16, 64, 256, 1024]))
+@example(family="I", seed=4, n=1024)
+@example(family="II", seed=4, n=1024)
 @settings(max_examples=12, deadline=None)
-def test_own_lu_solve_matches_two_correction_rule(family, seed, n):
-    # an own-LU solve that stops at its first correction's defect, or takes
-    # more where that defect misses the floor, lands where the rule of two
-    # or more corrections does: the density, and a direct and an adjoint
-    # solve of consistent right sides
+def test_own_lu_solve_is_the_two_correction_rule(family, seed, n):
+    # a solve from a zero start takes b as its first defect, with no apply,
+    # and changes no bit: the density, and a direct and an adjoint solve of
+    # consistent right sides, equal the rule written out from LU^-1 b
     cset = (random_set_I if family == "I" else random_set_II)(seed, n)
     op = CellOperator(cset)
-    m = op.solve(np.zeros(n), n, adjoint=True)
     x0 = np.random.default_rng(seed).normal(size=n)
-    cases = [(np.zeros(n), n, True, m)]
-    for adjoint in (False, True):
-        rhs = op.apply(x0, adjoint)
-        cases.append((rhs, np.sum(x0), adjoint,
-                      op.solve(rhs, np.sum(x0), adjoint)))
-    for rhs, total, adjoint, got in cases:
-        ref = refine_two_corrections(op, rhs, total, adjoint)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    x0 -= np.mean(x0)
+    cases = [(np.zeros(n), n, True)]
+    cases += [(op.apply(x0, adjoint), 0.0, adjoint)
+              for adjoint in (False, True)]
+    for rhs, total, adjoint in cases:
+        assert np.array_equal(op.solve(rhs, total, adjoint),
+                              refine_two_corrections(op, rhs, total, adjoint))
 
 
 # ---------------------------------------------------------------------------

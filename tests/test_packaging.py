@@ -134,7 +134,8 @@ def test_ab_verdict_reads_synthetic_runs():
     # tools/ab.py's reading of paired runs: a gain needs 9 of 10 pairs won
     # (ties count for neither) and a median gap beyond the parent's
     # quartile distance; a spread parent leaves the metric unresolved
-    # unless the sides do not overlap
+    # unless the sides do not overlap; a change that fails more operations
+    # than the parent reads no gain
     verdict = _load_script("tools", "ab").verdict
     steady = 1.0 + 0.01 * np.sin(np.arange(10))
     wide = np.array([0.6, 0.7, 1.0, 1.3, 1.4] * 2)
@@ -153,7 +154,10 @@ def test_ab_verdict_reads_synthetic_runs():
         (wide, np.full(10, 0.3), "gain"),
     ]
     for parent, change, expected in cases:
-        assert verdict(parent, change, 0.25) == expected, (change, expected)
+        assert verdict(parent, change, 0.25, (3, 3)) == expected, \
+            (change, expected)
+    assert verdict(steady, 0.8 * steady, 0.25, (0, 1)) == "same"
+    assert verdict(steady, 0.8 * steady, 0.25, (1, 0)) == "gain"
 
 
 def test_benchmark_trace_hooks_install_and_restore():

@@ -68,13 +68,16 @@ def summary(values):
     return median, q1, q3
 
 
-def verdict(parent, change, bound):
+def verdict(parent, change, bound, failed):
     """The reading of one lower-is-better metric from paired runs (entry i
-    of each side from seed i), ``bound`` the relative worsening allowed:
+    of each side from seed i), ``bound`` the relative worsening allowed and
+    ``failed`` the (parent, change) counts of failed operations over the
+    runs:
 
-    - "gain": the change reads lower in at least 9 of 10 pairs, ties
-      counting for neither, and the parent's median exceeds the change's
-      by more than the parent's quartile distance;
+    - "gain": the change fails no more operations than the parent, reads
+      lower in at least 9 of 10 pairs, ties counting for neither, and the
+      parent's median exceeds the change's by more than the parent's
+      quartile distance;
     - "worse": the change's median exceeds the parent's by more than
       ``bound`` of it;
     - "unresolved": the parent's quartile distance is wider than ``bound``
@@ -84,7 +87,8 @@ def verdict(parent, change, bound):
     parent, change = np.asarray(parent), np.asarray(change)
     median, q1, q3 = summary(parent)
     gap = median - np.median(change)
-    if np.sum(change < parent) >= 0.9 * parent.size and gap > q3 - q1:
+    if failed[1] <= failed[0] and np.sum(change < parent) >= 0.9 * parent.size \
+            and gap > q3 - q1:
         return "gain"
     if -gap > bound * median:
         return "worse"
@@ -126,6 +130,7 @@ def main():
     print("%-12s %-30s %-30s %8s %-16s %s" % (
         "metric", "parent median [q1, q3]", "change median [q1, q3]",
         "medians", "change lower in", "verdict"))
+    failures = [sum(r["failed"] for r, _ in runs[side]) for side in sides]
     for name in runs["parent"][0][0]["metrics"]:
         values = {side: np.array([r["metrics"][name]["value"]
                                   for r, _ in runs[side]]) for side in sides}
@@ -137,7 +142,8 @@ def main():
             "%.4g [%.4g, %.4g]" % stats["change"],
             100.0 * (stats["change"][0] / stats["parent"][0] - 1.0),
             "%d of %d pairs" % (lower, pairs),
-            verdict(values["parent"], values["change"], bounds[name])))
+            verdict(values["parent"], values["change"], bounds[name],
+                    failures)))
     for side in sides:
         failed = [r["failed"] for r, _ in runs[side]]
         attempted = [r["attempted"] for r, _ in runs[side]]
