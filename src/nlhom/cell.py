@@ -361,14 +361,6 @@ def _phases(k, z):
     return np.exp(1j * TWO_PI * turns)
 
 
-def _assemble(cset, jump=None):
-    """The generator of ``cset`` by its family's assembly; ``jump`` as in
-    :func:`assemble_torus_generator_I`."""
-    if isinstance(cset, CoefficientSetI):
-        return assemble_torus_generator_I(cset, jump)
-    return assemble_torus_generator_II(cset)
-
-
 def _generator(cset, jump):
     """The one-cell generator of ``cset``'s family, with the half spectrum
     ``jump`` of the Part I jump multiplier J (:func:`_jump_symbol`; None in
@@ -424,9 +416,11 @@ class CellOperator:
 
     def __init__(self, cset):
         self.cset = cset
-        self.jump = _jump_symbol(cset) if isinstance(cset, CoefficientSetI) \
-            else None
-        self.generator = _assemble(cset, self.jump)
+        if isinstance(cset, CoefficientSetI):
+            self.jump = _jump_symbol(cset)
+            self.generator = assemble_torus_generator_I(cset, self.jump)
+        else:
+            self.jump, self.generator = None, assemble_torus_generator_II(cset)
         self.norm = _generator_norm(self.generator)
         self.lu = _BorderedLU(self.generator, self.norm)
 

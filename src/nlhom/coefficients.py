@@ -17,10 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import IntegrableKernel
-from .torus import PeriodicField, _check_count, _check_positive, _finite_real
+from .torus import PeriodicField, _check_positive, _finite_real
 
 __all__ = [
-    "Epsilon",
     "CoefficientSetI",
     "CoefficientSetII",
 ]
@@ -29,42 +28,19 @@ _BOUND_SLACK = 1e-14
 _DECAY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class Epsilon:
-    """Scale parameter restricted to reciprocals of integers K >= 2.
+def _eps_value(eps):
+    """The scale eps as a float, refused unless it is 1/K for an integer
+    K >= 2 (to 1e-12).
 
     The restriction keeps y = x/eps exactly 1-periodic in x on commensurate
     line grids, so oscillating coefficients sample without phase drift.
     """
-
-    K: int
-
-    def __post_init__(self):
-        _check_count("K", self.K, 2)
-        object.__setattr__(self, "K", int(self.K))
-
-    @property
-    def value(self):
-        return 1.0 / self.K
-
-    @classmethod
-    def from_value(cls, value):
-        _check_positive("eps", value)
-        value = float(value)
-        K = round(1.0 / value)
-        if abs(K * value - 1.0) > 1e-12:
-            raise ValueError("eps must be the reciprocal of an integer, got %r" % value)
-        return cls(K)
-
-    def __repr__(self):
-        return "Epsilon(1/%d)" % self.K
-
-
-def _eps_value(eps):
-    """The float value of an Epsilon, or of a float that must be one."""
-    if isinstance(eps, Epsilon):
-        return eps.value
-    return Epsilon.from_value(eps).value
+    _check_positive("eps", eps)
+    eps = float(eps)
+    K = round(1.0 / eps)
+    if K < 2 or abs(K * eps - 1.0) > 1e-12:
+        raise ValueError("eps must be 1/K for an integer K >= 2, got %r" % eps)
+    return 1.0 / K
 
 
 def _check_range(name, fld, bound, lo, hi):

@@ -143,7 +143,7 @@ def kernel_moments(kernel):
     return float(np.sum(wc)), float(np.sum(wc * az)), float(np.sum(wc * az * az))
 
 
-def wrapped_kernel_samples(kernel, z_points, period, eps=1.0):
+def wrapped_kernel_samples(kernel, z_points, period, eps):
     """Samples of sum_k (1/eps) c((z + k*period)/eps) at the given points.
 
     The workhorse behind all discrete convolutions: wrapping the scaled
@@ -168,7 +168,7 @@ def jump_column(kernel, n, period, eps):
     discrete mass a1_d, subtracted at lag 0, makes the column sum to zero."""
     spacing = period / n
     column = wrapped_kernel_samples(kernel, spacing * np.arange(n), period,
-                                    eps=eps) * spacing
+                                    eps) * spacing
     column[0] -= np.sum(column)
     return column
 

@@ -57,7 +57,6 @@ from .torus import _check_count, _check_positive, _finite_real
 __all__ = [
     "RngStream",
     "ParticleEnsemble",
-    "sample_stable_increment",
     "simulate_jump_diffusion_I",
     "estimate_Q_monte_carlo",
     "simulate_signal_II",
@@ -232,37 +231,6 @@ def _stable_draws(alpha, size, rng):
     return x, clipped
 
 
-def sample_stable_increment(alpha, dt, rng):
-    """One increment of a standard symmetric alpha-stable process over dt.
-
-    Distributed as ``dt**(1/alpha) * S(alpha)`` where S(alpha) has
-    characteristic function exp(-|theta|^alpha), via the
-    Chambers--Mallows--Stuck construction (tangent branch at alpha = 1).
-
-    Parameters
-    ----------
-    alpha : float
-        Stability index in (0, 2).
-    dt : float
-        Time increment, finite and > 0.
-    rng : numpy.random.Generator or RngStream
-        Draw source.  Pass a Generator when sampling sequences; an
-        RngStream is converted once, so repeated calls with the same
-        stream repeat the same value.
-
-    Returns
-    -------
-    float
-    """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (0, 2), got %r" % (alpha,))
-    _check_positive("dt", dt)
-    if isinstance(rng, RngStream):
-        rng = rng.generator()
-    draw, _ = _stable_draws(alpha, 1, rng)
-    return float(dt ** (1.0 / alpha) * draw[0])
-
-
 # ---------------------------------------------------------------------------
 # ensembles
 
@@ -423,7 +391,7 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
     ----------
     cset : CoefficientSetI
         Its kernel must bring a ``sampler`` (every built-in kernel does).
-    eps : Epsilon or float
+    eps : float
         Reciprocal-integer scale.
     T_end, dt : float
         Horizon and requested step; requires dt <= _DT_SAFETY * eps**2
@@ -597,7 +565,7 @@ def estimate_Q_monte_carlo(cset, eps, T_end, n_paths, seed, dt=None,
     Parameters
     ----------
     cset : CoefficientSetI
-    eps : Epsilon or float
+    eps : float
     T_end : float
     n_paths, seed : int
         At least 3 paths, which the jackknife needs; the seed as in the
@@ -655,7 +623,7 @@ def simulate_signal_II(cset, eps, T_end, dt, n_paths, seed, x0=0.0, n_save=9,
     Parameters
     ----------
     cset : CoefficientSetII
-    eps : Epsilon or float
+    eps : float
     T_end, dt : float
         Requires dt <= _DT_SAFETY * eps (0.1 eps).
     n_paths, seed, x0, n_save, chunk_size : as in the jump-diffusion.

@@ -261,8 +261,8 @@ def prepare_homogenized_II(cell, grid, dt):
 
     exp(dt V0) on V0's symbol, one complex multiplier per mode: the fractional decay exp(-dba |omega|^alpha dt), the advection
     phase exp(i omega g_bar dt) and the zero-order growth exp(f_bar dt).
-    The derivative symbol drops the Nyquist phase, which keeps the inverse
-    real transform consistent.
+    The Nyquist mode takes no phase (:func:`_semigroup_factor`), which keeps
+    the inverse real transform consistent.
     """
     _check_dt(dt, np.inf, "spectral")
     factor = _semigroup_factor(assemble_V0(cell, grid), dt)
@@ -271,8 +271,11 @@ def prepare_homogenized_II(cell, grid, dt):
 
 def _semigroup_factor(op, dt):
     """exp(dt A) per half-spectrum mode of a constant-coefficient operator
-    A (p = 1, scalar fields), whose symbol is sum_k f_k s_k + d."""
-    return np.exp(dt * (sum(f * s for f, s in op.terms) + op.diagonal))
+    A (p = 1, scalar fields), whose symbol is sum_k f_k s_k + d, its Nyquist
+    entry taken real as irfft takes it, not turned into a phase."""
+    symbol = sum(f * s for f, s in op.terms) + op.diagonal
+    symbol[-1] = symbol[-1].real
+    return np.exp(dt * symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +294,7 @@ class SpdeConfig:
     ----------
     part : str
         "I" (integrable-jump family) or "II" (stable family).
-    eps : Epsilon or float
+    eps : float
         Scale separation; reciprocal of an integer.
     grid : LineGrid
         Periodic spatial grid; must tile eps with >= 16 points per cell.
@@ -324,7 +327,7 @@ class SpdeConfig:
     """
 
     part: str
-    eps: Union[object, float]
+    eps: float
     grid: LineGrid
     dt: float
     T_end: float

@@ -10,9 +10,9 @@ A field times a multiplier is one (field, half-spectrum symbol) term
 (:func:`_jump_terms` and :func:`_stable_terms` build each family's), and
 one type, :class:`LineOperator`, holds such terms and applies them by FFT:
 the line operators of ``lineops`` and the cell generators of ``cell`` (one
-cell, p = n).  Its dense Bloch blocks (:func:`_field_blocks`) are built
-only for the SPDE resolvent and the materialized ``matrix``; the cell LU
-is banded, built from the terms.
+cell, p = n).  Its dense Bloch blocks (:attr:`LineOperator.blocks`) are
+built only for the SPDE resolvent and the materialized ``matrix``; the cell
+LU is banded, built from the terms.
 A field is sampled on a uniform grid of p points by one method too,
 :meth:`PeriodicField.uniform_samples` (a stride of the values, or one
 padded inverse FFT): the line traces of ``lineops`` and the lookup tables
@@ -25,11 +25,12 @@ Conventions
   wavenumbers k = 0, 1, ..., n/2 (rfft order, ``np.arange(n // 2 + 1.0)``
   on the torus, ``LineGrid.freqs`` on the line).  :func:`_apply_symbol`,
   irfft(rfft(values) * s), is the one code that applies a multiplier to
-  grid values; :func:`_symbol_column` gives the first column of its matrix.
+  grid values, and irfft(s) is the first column of its matrix.
 * irfft keeps the real part of the Nyquist bin, so a multiplier maps real
-  fields to real fields; odd derivative orders zero the Nyquist mode, the
-  standard choice, and all fields used here are effectively band-limited
-  well below Nyquist, so this is exact in practice.
+  fields to real fields and an odd derivative order acts on the Nyquist
+  mode as zero, the standard choice (code reading a symbol other than
+  through irfft drops that entry's imaginary part itself); all fields used
+  here are effectively band-limited well below Nyquist, so this is exact.
 * Operators mapping constants to constants do so exactly (k = 0 handled
   explicitly where the symbol would be singular or ambiguous).
 """
@@ -148,10 +149,6 @@ class PeriodicField:
         return self.with_values(
             _apply_symbol(self.values, derivative_symbol(k, order)))
 
-    def integral(self):
-        """h-weighted sum, the torus integral (period = 1 so = mean)."""
-        return float(np.sum(self.values) * self.grid.h)
-
     def uniform_samples(self, p):
         """The trigonometric interpolant at y_j = j/p, j < p.
 
@@ -217,13 +214,10 @@ def _apply_symbol(values, symbol, axis=-1):
 
 def derivative_symbol(freqs, order):
     """(2 pi i f)^order, order a positive integer, at frequencies f in cycles
-    per unit length (rfft order).  Odd orders zero the entry of largest
-    |f|: the Nyquist mode, in rfft and in FFT order alike."""
+    per unit length (rfft order).  For odd orders the Nyquist entry is
+    imaginary, and irfft, which keeps its real part, applies it as zero."""
     _check_count("order", order, 1)
-    sym = (1j * TWO_PI * freqs) ** order
-    if order % 2 == 1:
-        sym[np.argmax(np.abs(freqs))] = 0.0
-    return sym
+    return (1j * TWO_PI * freqs) ** order
 
 
 def fractional_symbol(freqs, alpha):
@@ -237,11 +231,6 @@ def fractional_symbol(freqs, alpha):
 # ---------------------------------------------------------------------------
 # field-times-multiplier operators and their Bloch blocks
 # ---------------------------------------------------------------------------
-
-
-def _symbol_column(symbol):
-    """First column of the multiplier with the given half spectrum."""
-    return np.fft.irfft(symbol)
 
 
 def _multiplier_matrix(column, p):
@@ -263,23 +252,6 @@ def _multiplier_matrix(column, p):
         lags = np.concatenate([twist[:, None] * c_hat[:, 1:], c_hat], axis=1)
     # entry (r, r') is lags[:, r - r' + p - 1]: windows of the reversed row
     return sliding_window_view(lags[:, ::-1], p, axis=1)[:, ::-1, :].copy()
-
-
-def _field_blocks(p, terms):
-    """Bloch blocks, p points per cell, of sum_i diag(field_i) M_i.
-
-    The operator commutes with translation by one cell, so an FFT over the
-    cells splits it into p x p blocks, one per cell wavenumber t; one cell
-    (p = n) is the torus matrix itself.  ``terms`` are (field, first column
-    of M_i) pairs; a field is a scalar or its grid samples, periodic over the
-    cell, so only its first cell enters.
-    """
-    blocks = None
-    for field, column in terms:
-        block = _multiplier_matrix(column, p)
-        block *= np.broadcast_to(field, column.shape)[:p, None]
-        blocks = block if blocks is None else np.add(blocks, block, out=blocks)
-    return blocks
 
 
 def _jump_terms(freqs, diffusion, drift, rate, jump_symbol):
@@ -361,21 +333,32 @@ class LineOperator:
         return out
 
     def adjoint_apply(self, values):
-        """Exact transpose: irfft(sum_k conj(s_k) rfft(f_k u)) + d u, K
-        rffts and one irfft."""
+        """Exact transpose: irfft(sum_k conj(s_k) rfft(f_k u)) + d u, one
+        rfft of the K stacked products and one irfft."""
         u = np.asarray(values, dtype=float).T
+        products = np.fft.rfft([field * u for field, _ in self.terms])
         spec = 0.0
-        for field, symbol in self.terms:
-            spec = spec + np.conj(symbol) * np.fft.rfft(field * u)
+        for (_, symbol), product in zip(self.terms, products):
+            spec = spec + np.conj(symbol) * product
         return (np.fft.irfft(spec, self.grid.n) + self.diagonal * u).T
 
     @cached_property
     def blocks(self):
-        """Bloch blocks of the terms (:func:`_field_blocks` on their
-        columns), with d added to every block diagonal; one real block, the
-        n x n matrix, for one cell."""
-        blocks = _field_blocks(self.p, [(field, _symbol_column(symbol))
-                                        for field, symbol in self.terms])
+        """Bloch blocks, p points per cell, of sum_k diag(f_k) S_k + diag(d).
+
+        The operator commutes with translation by one cell, so an FFT over
+        the cells splits it into p x p blocks, one per cell wavenumber t;
+        one cell (p = n) has one real block, the n x n matrix.  A term's
+        blocks are :func:`_multiplier_matrix` of its column irfft(s_k), rows
+        scaled by f_k, whose first cell is all that enters.
+        """
+        blocks = None
+        for field, symbol in self.terms:
+            column = np.fft.irfft(symbol)
+            block = _multiplier_matrix(column, self.p)
+            block *= np.broadcast_to(field, column.shape)[:self.p, None]
+            blocks = block if blocks is None else np.add(blocks, block,
+                                                         out=blocks)
         diag = np.arange(self.p)
         blocks[:, diag, diag] += np.broadcast_to(self.diagonal,
                                                  (self.grid.n,))[:self.p]

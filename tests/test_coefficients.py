@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlhom import particles, spde
-from nlhom.coefficients import CoefficientSetI, Epsilon, _eps_value
+from nlhom.coefficients import CoefficientSetI, _eps_value
 from nlhom.fixtures import (
     coefficient_set_by_name,
     const_1,
@@ -22,13 +22,13 @@ from nlhom.torus import PeriodicField, TorusGrid, field_from_function
 
 
 def test_epsilon_reciprocal():
-    eps = Epsilon(8)
-    assert eps.value == 0.125
-    assert Epsilon.from_value(0.25).K == 4
-    with pytest.raises(ValueError):
-        Epsilon(1)
-    with pytest.raises(ValueError):
-        Epsilon.from_value(0.3)
+    # eps is 1/K for an integer K >= 2, returned as the float 1/K
+    assert _eps_value(0.125) == 0.125
+    assert _eps_value(np.float64(0.25)) == 0.25
+    assert type(_eps_value(np.float64(0.25))) is float
+    for bad in (1.0, 0.3, 3.0):
+        with pytest.raises(ValueError, match="eps must be 1/K"):
+            _eps_value(bad)
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.25, np.nan, np.inf, -np.inf])
@@ -58,7 +58,6 @@ def _signal_run(T_end=0.01, dt=1e-3, x0=0.0):
 # (name in the message, call taking the value)
 POSITIVE_SITES = {
     "eps": ("eps", _eps_value),
-    "Epsilon.from_value": ("eps", Epsilon.from_value),
     "prepare dt": ("dt", lambda v: spde.prepare_homogenized_I(
         1.0, 0.0, LineGrid(2.0, 64), v)),
     "SpdeConfig dt": ("dt", lambda v: _spde_config(dt=v)),
@@ -67,8 +66,6 @@ POSITIVE_SITES = {
     "jump-diffusion dt": ("dt", lambda v: _jump_run(dt=v)),
     "signal T_end": ("T_end", lambda v: _signal_run(T_end=v)),
     "signal dt": ("dt", lambda v: _signal_run(dt=v)),
-    "stable increment dt": ("dt", lambda v: particles.sample_stable_increment(
-        1.5, v, np.random.default_rng(0))),
 }
 
 
@@ -85,7 +82,6 @@ def test_finite_positive_sites_refuse_non_reals(site):
 
 # (start of the message, call taking the value)
 RAW_NUMBER_SITES = {
-    "Epsilon": ("K must be an integer", Epsilon),
     "LineGrid": ("half_width must be finite and positive",
                  lambda v: LineGrid(v, 64)),
     "CoefficientSetII": ("alpha must lie in",

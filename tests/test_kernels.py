@@ -169,7 +169,7 @@ def test_kernel_moments_match_recorded_values(name):
 
 def test_periodize_box_unit_scale_is_flat():
     g = TorusGrid(64)
-    v = wrapped_kernel_samples(box_kernel(), g.x, 1.0)
+    v = wrapped_kernel_samples(box_kernel(), g.x, 1.0, eps=1.0)
     # translates of the half-open box tile the torus exactly (midpoint edges)
     assert np.max(np.abs(v - 1.0)) < 1e-14
 
@@ -183,7 +183,7 @@ def test_periodize_box_scaled_mass():
 
 def test_periodize_delta_limit():
     g = TorusGrid(64)
-    v = wrapped_kernel_samples(triangle_kernel(g.h), g.x, 1.0)
+    v = wrapped_kernel_samples(triangle_kernel(g.h), g.x, 1.0, eps=1.0)
     expected = np.zeros(g.n)
     expected[0] = 1.0 / g.h
     assert np.max(np.abs(v - expected)) < 1e-12
@@ -232,7 +232,7 @@ def test_wrapped_samples_laplace_unit_scale():
     # unrestricted wrapping handles support far beyond the period
     g = TorusGrid(64)
     k = laplace_kernel()
-    v = wrapped_kernel_samples(k, g.x, 1.0)
+    v = wrapped_kernel_samples(k, g.x, 1.0, eps=1.0)
     # the kink at z = 0 makes the trapezoid mass accurate only to the
     # aliasing tail ~ 2/(2 pi n)^2, not machine precision
     assert abs(np.sum(v) * g.h - k.a1) < 2.0 / (2 * np.pi * g.n) ** 2 * 2

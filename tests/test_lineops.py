@@ -629,6 +629,28 @@ def test_sweeps_build_no_blocks_and_prepare_builds_them_once(
     assert calls == []
 
 
+@pytest.mark.parametrize("m", [None, 3])
+def test_adjoint_takes_one_rfft(monkeypatch, m):
+    # the adjoint transforms the K stacked products f_k u at once: one rfft
+    # for a 3-term operator, where one transform per term took 3, with the
+    # same bits as the per-term sum
+    grid = lo.LineGrid(2.0, 512)
+    op = lo.assemble_T_eps(random_set_I(0, 64), 1.0 / 8, grid)
+    u = np.random.default_rng(0).normal(
+        size=grid.n if m is None else (grid.n, m))
+    want = 0.0
+    for field, symbol in op.terms:
+        want = want + np.conj(symbol) * np.fft.rfft(field * u.T)
+    want = (np.fft.irfft(want, grid.n) + op.diagonal * u.T).T
+    rfft = np.fft.rfft
+    calls = []
+    monkeypatch.setattr(np.fft, "rfft", lambda *args, **kw: (
+        calls.append(1), rfft(*args, **kw))[1])
+    got = op.adjoint_apply(u)
+    assert len(op.terms) == 3 and len(calls) == 1
+    assert np.array_equal(got, want)
+
+
 def test_residual_part_II_monotone(stable, big_grid):
     cset, cell = stable
     xi = lo.gaussian_bump(big_grid, width=0.5)

@@ -108,6 +108,55 @@ def test_no_unused_imports():
     assert not found, found
 
 
+# test-input builders: tests build their kernels and coefficient sets by them
+TEST_INPUT_BUILDERS = {"laplace_kernel", "triangle_kernel",
+                       "coefficient_set_by_name"}
+
+
+def test_exports_have_callers():
+    # an __all__ name that no package code and no benchmark code reads is an
+    # entry point only its own tests call; names read as a variable or as an
+    # attribute count, the benchmark's own tests do not
+    paths = sorted((ROOT / "src" / "nlhom").glob("*.py"))
+    paths += [path for path in sorted((ROOT / "perfbench").glob("*.py"))
+              if not path.name.startswith("test_")]
+    read, exported = set(), []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Assign) and [
+                    getattr(t, "id", None) for t in node.targets] \
+                    == ["__all__"]:
+                exported += ["%s.%s" % (path.stem, item.value)
+                             for item in node.value.elts]
+    unread = [name for name in exported
+              if name.split(".")[1] not in read | TEST_INPUT_BUILDERS]
+    assert exported and not unread, unread
+
+
+def test_digest_runs_small():
+    # tools/digest.py hashes every output it lists; two runs of one
+    # checkout print the same lines
+    cmd = [sys.executable, str(ROOT / "tools" / "digest.py"), "--small"]
+    runs = [subprocess.run(cmd, capture_output=True, text=True, check=True)
+            .stdout for _ in range(2)]
+    lines = runs[0].splitlines()
+    assert runs[0] == runs[1]
+    for prefix in ("cell varcoef-1 n=64 m ", "cell stable-1 n=64 m1 ",
+                   "line residual-I eps=1/8 ", "line dissipativity-II",
+                   "ensemble-I het path 0 pairings ",
+                   "ensemble-II hom path 3 snapshots ",
+                   "particles Q-MC varcoef-1 ",
+                   "particles signal stable-2 positions "):
+        assert any(line.startswith(prefix) for line in lines), prefix
+    for line in lines:
+        digest, top = line.split()[-2:]
+        assert len(digest) == 64 and np.isfinite(float(top)), line
+
+
 def _package_bindings():
     """Every attribute of the package's modules and of their classes."""
     out = {}

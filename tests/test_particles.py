@@ -161,20 +161,19 @@ def test_stable_ecf_and_median():
 
 
 def test_stable_self_similarity():
-    # increments over dt = 2 match dt = 1 draws scaled by 2^(1/alpha)
+    # an increment over dt = 2, the sum of two independent unit draws,
+    # matches unit draws scaled by 2^(1/alpha)
     n = 10**5
     alpha = 1.3
-    g_two = pm.RngStream(7, 0).generator()
-    over_two = np.array(
-        [pm.sample_stable_increment(alpha, 2.0, g_two) for _ in range(200)]
-    )
+    pairs, _ = pm._stable_draws(alpha, 400, pm.RngStream(7, 0).generator())
+    over_two = pairs.reshape(200, 2).sum(axis=1)
     unit, _ = pm._stable_draws(alpha, n, pm.RngStream(7, 1).generator())
     scaled = 2.0 ** (1.0 / alpha) * unit
     res = stats.ks_2samp(over_two, scaled)
     assert res.pvalue > 0.01
-    # same comparison at full sample size through the vector path
-    bulk, _ = pm._stable_draws(alpha, n, pm.RngStream(7, 2).generator())
-    res2 = stats.ks_2samp(2.0 ** (1.0 / alpha) * bulk, scaled)
+    # same comparison at full sample size
+    bulk, _ = pm._stable_draws(alpha, 2 * n, pm.RngStream(7, 2).generator())
+    res2 = stats.ks_2samp(bulk.reshape(n, 2).sum(axis=1), scaled)
     assert res2.statistic < 1.63 * np.sqrt(2.0 / n)  # 1% two-sample critical
 
 
@@ -183,21 +182,6 @@ def test_stable_alpha_one_is_cauchy():
     draws, _ = pm._stable_draws(1.0, 10**5, g)
     ks = stats.kstest(draws, stats.cauchy.cdf)
     assert ks.pvalue > 0.01
-
-
-def test_stable_increment_scalar_and_validation():
-    val = pm.sample_stable_increment(1.5, 0.5, pm.RngStream(3))
-    assert isinstance(val, float)
-    # RngStream converts once, so the same stream repeats the same value
-    assert val == pm.sample_stable_increment(1.5, 0.5, pm.RngStream(3))
-    g = pm.RngStream(3).generator()
-    seq = [pm.sample_stable_increment(1.5, 0.5, g) for _ in range(3)]
-    assert len(set(seq)) == 3
-    for bad_alpha in (0.0, 2.0, -1.0):
-        with pytest.raises(ValueError):
-            pm.sample_stable_increment(bad_alpha, 1.0, g)
-    with pytest.raises(ValueError):
-        pm.sample_stable_increment(1.5, 0.0, g)
 
 
 def _clipped_draws(alpha, size, rng, truncation):
@@ -804,13 +788,6 @@ def test_q_oracle_runs_on_three_paths():
     q_hat, se = pm.estimate_Q_monte_carlo(
         coefficient_set_by_name("const-1"), 0.5, 0.1, 3, seed=1)
     assert np.isfinite(q_hat) and np.isfinite(se)
-
-
-@pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0, -1.0])
-def test_stable_increment_needs_a_finite_dt(dt):
-    # dt = inf used to return inf
-    with pytest.raises(ValueError, match="dt must be finite and positive"):
-        pm.sample_stable_increment(1.5, dt, pm.RngStream(3).generator())
 
 
 # ---------------------------------------------------------------------------
