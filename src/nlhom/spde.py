@@ -261,8 +261,8 @@ def prepare_homogenized_II(cell, grid, dt):
 
     exp(dt V0) on V0's symbol, one complex multiplier per mode: the fractional decay exp(-dba |omega|^alpha dt), the advection
     phase exp(i omega g_bar dt) and the zero-order growth exp(f_bar dt).
-    The Nyquist mode takes no phase (:func:`_semigroup_factor`), which keeps
-    the inverse real transform consistent.
+    The derivative symbol drops the Nyquist phase, which keeps the inverse
+    real transform consistent.
     """
     _check_dt(dt, np.inf, "spectral")
     factor = _semigroup_factor(assemble_V0(cell, grid), dt)
@@ -271,11 +271,8 @@ def prepare_homogenized_II(cell, grid, dt):
 
 def _semigroup_factor(op, dt):
     """exp(dt A) per half-spectrum mode of a constant-coefficient operator
-    A (p = 1, scalar fields), whose symbol is sum_k f_k s_k + d, its Nyquist
-    entry taken real as irfft takes it, not turned into a phase."""
-    symbol = sum(f * s for f, s in op.terms) + op.diagonal
-    symbol[-1] = symbol[-1].real
-    return np.exp(dt * symbol)
+    A (p = 1, scalar fields), whose symbol is sum_k f_k s_k + d."""
+    return np.exp(dt * (sum(f * s for f, s in op.terms) + op.diagonal))
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,9 @@ Conventions
   irfft(rfft(values) * s), is the one code that applies a multiplier to
   grid values, and irfft(s) is the first column of its matrix.
 * irfft keeps the real part of the Nyquist bin, so a multiplier maps real
-  fields to real fields and an odd derivative order acts on the Nyquist
-  mode as zero, the standard choice (code reading a symbol other than
-  through irfft drops that entry's imaginary part itself); all fields used
-  here are effectively band-limited well below Nyquist, so this is exact.
+  fields to real fields; odd derivative orders zero the Nyquist mode, the
+  standard choice, and all fields used here are effectively band-limited
+  well below Nyquist, so this is exact in practice.
 * Operators mapping constants to constants do so exactly (k = 0 handled
   explicitly where the symbol would be singular or ambiguous).
 """
@@ -214,10 +213,13 @@ def _apply_symbol(values, symbol, axis=-1):
 
 def derivative_symbol(freqs, order):
     """(2 pi i f)^order, order a positive integer, at frequencies f in cycles
-    per unit length (rfft order).  For odd orders the Nyquist entry is
-    imaginary, and irfft, which keeps its real part, applies it as zero."""
+    per unit length (rfft order).  Odd orders zero the entry of largest
+    |f|: the Nyquist mode, in rfft and in FFT order alike."""
     _check_count("order", order, 1)
-    return (1j * TWO_PI * freqs) ** order
+    sym = (1j * TWO_PI * freqs) ** order
+    if order % 2 == 1:
+        sym[np.argmax(np.abs(freqs))] = 0.0
+    return sym
 
 
 def fractional_symbol(freqs, alpha):

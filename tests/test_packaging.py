@@ -137,20 +137,23 @@ def test_exports_have_callers():
     assert exported and not unread, unread
 
 
-def test_digest_runs_small():
-    # tools/digest.py hashes every output it lists; two runs of one
-    # checkout print the same lines
-    cmd = [sys.executable, str(ROOT / "tools" / "digest.py"), "--small"]
+def test_digest_runs_the_workloads():
+    # tools/digest.py hashes what every benchmark operation returns, at full
+    # size; two runs of one checkout print the same lines
+    cmd = [sys.executable, str(ROOT / "tools" / "digest.py")]
     runs = [subprocess.run(cmd, capture_output=True, text=True, check=True)
             .stdout for _ in range(2)]
     lines = runs[0].splitlines()
     assert runs[0] == runs[1]
-    for prefix in ("cell varcoef-1 n=64 m ", "cell stable-1 n=64 m1 ",
-                   "line residual-I eps=1/8 ", "line dissipativity-II",
-                   "ensemble-I het path 0 pairings ",
-                   "ensemble-II hom path 3 snapshots ",
-                   "particles Q-MC varcoef-1 ",
-                   "particles signal stable-2 positions "):
+    for prefix in ("cell setup[0] sigma ",
+                   "cell part_I varcoef-1 n=512 m ",
+                   "cell part_II stable-1 n=512 m1 ",
+                   "line-diag part_I residual-I eps=1/64[1] ",
+                   "line-diag part_II dissipativity-II eps=1/8 ",
+                   "ensemble part_I ensemble-I[0] pairings ",
+                   "ensemble part_II ensemble-II[1] snapshots ",
+                   "particles part_I Q-MC varcoef-1[0] ",
+                   "particles part_II signal stable-2 #3 positions "):
         assert any(line.startswith(prefix) for line in lines), prefix
     for line in lines:
         digest, top = line.split()[-2:]

@@ -254,9 +254,9 @@ def test_hom_II_advection_translates(stable2):
     target = np.exp(-((grid.x + shift) ** 2)
                     / (2.0 * (grid.half_width / 10.0) ** 2))
     assert grid.l2_norm(u - target) <= 1e-6 * grid.l2_norm(target)
-    # the Nyquist cosine takes no advection phase: irfft applies the
-    # derivative's imaginary Nyquist entry as zero, and so does the
-    # semigroup factor (a phase exp(i g_bar omega_N dt) would scale it by
+    # the Nyquist cosine takes no advection phase: the derivative symbol
+    # zeroes the odd orders' Nyquist entry, so the semigroup factor keeps
+    # that mode real (a phase exp(i g_bar omega_N dt) would scale it by
     # cos(2.01) = -0.43 here)
     nyquist = np.cos(np.pi * np.arange(grid.n))
     assert np.max(np.abs(st.step(nyquist, 0.0) - nyquist)) <= 1e-12

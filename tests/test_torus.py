@@ -162,8 +162,8 @@ def test_derivative_matrix_consistency():
     g = TorusGrid(32)
     rng = _rng(2)
     f = random_band_limited(g, rng)
-    # full-order symbols: an odd order's Nyquist entry is imaginary, and the
-    # real part of the full inverse FFT drops it, as irfft does
+    # full-order symbols: derivative_symbol zeroes the Nyquist entry, the
+    # one of largest |k|, in FFT order too
     k = full_wavenumbers(g.n)
     for order in (1, 2):
         D = symbol_matrix(derivative_symbol(k, order))
@@ -339,10 +339,8 @@ def test_half_spectrum_convention(seed, n, alpha):
     for symbol in [derivative_symbol(k, order) for order in (1, 2, 3)] \
             + [fractional_symbol(k, alpha)]:
         dense = _multiplier_matrix(np.fft.irfft(symbol), n)[0]
-        # the symbol as irfft applies it: the real part of the Nyquist entry
-        applied = np.append(symbol[:-1], symbol[-1].real)
         assert np.max(np.abs(_apply_symbol(v, symbol) - dense @ v)) \
-            <= bound * np.max(np.abs(applied))
+            <= bound * np.max(np.abs(symbol))
     # the derivative on every mode against a full complex FFT, whose real
     # part drops the odd orders' imaginary Nyquist term
     field = PeriodicField(g, v)

@@ -1,25 +1,24 @@
-"""Print a digest of the numbers ``nlhom`` computes, to show that a change
-leaves them bit-identical.
+"""Print a digest of what the benchmark workloads compute, to show that a
+change leaves every output bit-identical.
 
-    python3 tools/digest.py [--src DIR] [--small]
+    python3 tools/digest.py [--src DIR]
+
+Every operation of the four ``perfbench`` workloads runs once, at seed 1
+and full size, on the workloads' own inputs: the ``cell`` sets' chains, the
+``line-diag`` residual and dissipativity sweeps, the paired ``ensemble``
+runs and the ``particles`` Q estimates and signal runs.  The operations come
+from the workload classes themselves (``workloads.Phase`` is replaced by a
+recorder that keeps what each returns, untimed and unchecked), so the digest
+follows the benchmark with no copy of its settings.
 
 One line per output: its name, the sha256 of its float64 bytes and its
-max|x|.  The outputs are:
-
-- the cell solutions of the ``cell`` benchmark workload's coefficient sets:
-  every field, scalar and residual of the solution and the set's own
-  (centered) fields;
-- the ``line-diag`` workload's residual and dissipativity sweeps over
-  eps = 1/8 ... 1/64 on LineGrid(2, 4096);
-- two 16-path paired ensembles (varcoef-1 and stable-2, eps = 1/8) on
-  LineGrid(2, 2048), every record of every path;
-- one Monte Carlo estimate of Q (varcoef-1) and one alpha-stable signal run
-  (stable-2).
+max|x|.  An output is a number, an array, a field's values or a record's
+numeric fields, named by its path in the returned value; the items of a list
+(the paths of an ensemble, the sets of a set-up) share one line per name.
 
 ``--src`` imports the package from DIR (default: the ``src`` of the
 checkout holding this tool), so two checkouts compare by ``diff`` of the
-output run once with each one's ``src``.  ``--small`` shrinks every grid,
-sweep and path count, for a smoke test.
+output run once with each one's ``src``.
 """
 
 import argparse
@@ -30,121 +29,76 @@ import sys
 
 import numpy as np
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                   "src")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SEED = 1
+
+
+def leaves(value, name):
+    """(name, number or array) of every number in ``value``, depth first."""
+    if hasattr(value, "values") and hasattr(value, "grid"):
+        yield name, value.values
+    elif dataclasses.is_dataclass(value):
+        for fld in dataclasses.fields(value):
+            yield from leaves(getattr(value, fld.name),
+                              "%s %s" % (name, fld.name))
+    elif isinstance(value, dict):
+        for key in sorted(value):
+            yield from leaves(value[key], "%s[%s]" % (name, key))
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from leaves(item, "%s[%d]" % (name, i))
+    elif isinstance(value, list):
+        for item in value:
+            yield from leaves(item, name)
+    elif isinstance(value, (int, float, np.number, np.ndarray)):
+        yield name, value
 
 
 def emit(name, value):
-    x = np.ascontiguousarray(value, dtype=np.float64)
-    top = float(np.max(np.abs(x))) if x.size else 0.0
-    print("%-44s %s %.17g" % (name, hashlib.sha256(x.tobytes()).hexdigest(),
-                              top))
+    digests = {}
+    for leaf, x in leaves(value, name):
+        sha, top = digests.setdefault(leaf, [hashlib.sha256(), 0.0])
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        sha.update(x.tobytes())
+        if x.size:
+            digests[leaf][1] = max(top, float(np.max(np.abs(x))))
+    for leaf, (sha, top) in digests.items():
+        print("%-60s %s %.17g" % (leaf, sha.hexdigest(), top))
 
 
-def emit_record(prefix, record):
-    """Every numeric field of a dataclass record: fields by their values,
-    dicts key by key; other members (sets, configs, None) are skipped."""
-    for fld in dataclasses.fields(record):
-        value = getattr(record, fld.name)
-        name = "%s %s" % (prefix, fld.name)
-        if hasattr(value, "values") and hasattr(value, "grid"):
-            emit(name, value.values)
-        elif isinstance(value, dict):
-            for key in sorted(value):
-                emit("%s[%s]" % (name, key), value[key])
-        elif isinstance(value, (int, float, tuple, np.ndarray)):
-            emit(name, value)
+class Recorder:
+    """Stands in for ``workloads.Phase``: runs each operation once and
+    prints the digest of what it returns."""
 
+    prefix = ""
 
-def cell_outputs(small):
-    from nlhom import cell, fixtures
+    def run(self, name, fn, inspect=None):
+        emit("%s %s" % (self.prefix, name), fn())
 
-    fine, coarse = (64, 32) if small else (512, 256)
-    sets_I = [fixtures.const_1(), fixtures.varcoef_1(fine),
-              fixtures.varcoef_1(coarse), fixtures.random_set_I(0, coarse),
-              fixtures.random_set_I(1, coarse)]
-    sets_II = [fixtures.stable_1(fine), fixtures.stable_2(fine),
-               fixtures.stable_filter(fine), fixtures.random_set_II(2, fine)]
-    for cset, solve in [(c, cell.solve_cell_I) for c in sets_I] \
-            + [(c, cell.solve_cell_II) for c in sets_II]:
-        label = "cell %s n=%d" % (cset.name, cset.grid.n)
-        emit_record(label + " set", cset)
-        emit_record(label, solve(cset))
+    def summary(self, name):
+        return None
 
-
-def line_outputs(small):
-    from nlhom import cell, fixtures, lineops
-
-    n_cell = 64 if small else 256
-    grid = lineops.LineGrid(2.0, 512 if small else 4096)
-    Ks = (8,) if small else (8, 16, 32, 64)
-    trials = 2 if small else 8
-    v, s1 = fixtures.varcoef_1(n_cell), fixtures.stable_1(n_cell)
-    sol_v, sol_s = cell.solve_cell_I(v), cell.solve_cell_II(s1)
-    xi = lineops.gaussian_bump(grid, 0.0, 0.35)
-    psi = lineops.gaussian_bump(grid, 0.2, 0.4)
-    for i, K in enumerate(Ks):
-        eps = 1.0 / K
-        emit("line residual-I eps=1/%d" % K,
-             lineops.residual_lemma_2_10(xi, sol_v, v, eps, grid))
-        emit("line dissipativity-I eps=1/%d" % K,
-             lineops.dissipativity_check_I(v, sol_v.m, eps, grid, trials,
-                                           1 + i, 64))
-        emit("line residual-II eps=1/%d" % K,
-             lineops.residual_part_II(xi, psi, sol_s, s1, eps, grid))
-        emit("line dissipativity-II eps=1/%d" % K,
-             lineops.dissipativity_check_II(s1, sol_s.m1, eps, grid, trials,
-                                            5 + i, 64))
-
-
-def ensemble_outputs(small):
-    from nlhom import cell, fixtures, lineops, spde
-
-    n_cell = 64 if small else 256
-    grid = lineops.LineGrid(2.0, 512 if small else 2048)
-    n_paths, n_steps = (4, 4) if small else (16, 40)
-    eps = 1.0 / 8.0
-    for part, cset, solve, seed in (
-            ("I", fixtures.varcoef_1(n_cell), cell.solve_cell_I, 11),
-            ("II", fixtures.stable_2(n_cell), cell.solve_cell_II, 12)):
-        dt = spde.heterogeneous_dt_limit(cset, eps, grid)
-        cfg = spde.SpdeConfig(part=part, eps=eps, grid=grid, dt=dt,
-                              T_end=n_steps * dt, n_paths=n_paths, seed=seed,
-                              n_save=n_steps + 1, n_snapshot_paths=4,
-                              chunk_size=n_paths)
-        het, hom = spde.run_ensemble(cfg, solve(cset), cset)
-        for side, paths in (("het", het), ("hom", hom)):
-            for path in paths:
-                emit_record("ensemble-%s %s path %d"
-                            % (part, side, path.path_index), path)
-
-
-def particle_outputs(small):
-    from nlhom import fixtures, particles
-
-    n_q, n_signal = (16, 64) if small else (256, 1024)
-    t_end = 0.02 if small else 0.1
-    q_hat, se = particles.estimate_Q_monte_carlo(
-        fixtures.varcoef_1(64 if small else 512), 1.0 / 8.0, t_end, n_q, 21)
-    emit("particles Q-MC varcoef-1", (q_hat, se))
-    eps = 1.0 / 16.0
-    ens = particles.simulate_signal_II(
-        fixtures.stable_2(64 if small else 256), eps, t_end, eps / 80.0,
-        n_signal, 22, n_save=2)
-    emit_record("particles signal stable-2", ens)
+    def add_problems(self, name, problems):
+        pass
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=SRC,
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory holding the nlhom package")
-    parser.add_argument("--small", action="store_true",
-                        help="small grids and path counts")
     args = parser.parse_args()
-    sys.path.insert(0, os.path.abspath(args.src))
-    for outputs in (cell_outputs, line_outputs, ensemble_outputs,
-                    particle_outputs):
-        outputs(args.small)
+    sys.path[:0] = [os.path.abspath(args.src),
+                    os.path.join(ROOT, "perfbench")]
+    import workloads
+
+    workloads.Phase = Recorder
+    for make in workloads.WORKLOADS.values():
+        workload = make(SEED)
+        inputs = workload.setup()
+        emit("%s setup" % workload.name, inputs)
+        for part in ("part_I", "part_II"):
+            Recorder.prefix = "%s %s" % (workload.name, part)
+            getattr(workload, part)(inputs)
 
 
 if __name__ == "__main__":
