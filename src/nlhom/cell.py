@@ -168,7 +168,7 @@ class _BorderedLU:
         self._weights = np.full(n, 0.5 * n)
         self._weights[[0, -1]] = n
 
-    def solve_bordered(self, b, adjoint=False):
+    def solve_bordered(self, b, adjoint):
         """(x, mu) with [[A, s 1], [s 1^T, 0]] (x, mu) = b, the n + 1
         entries b, or with the transposed bordered matrix if adjoint."""
         n = self._n
@@ -444,7 +444,7 @@ class CellOperator:
         op._density_start = density_start
         return op
 
-    def apply(self, x, adjoint=False):
+    def apply(self, x, adjoint):
         """A x (A^T x if adjoint) for grid values x or each row of x."""
         act = self.generator.adjoint_apply if adjoint else self.generator.apply
         return act(np.transpose(x)).T

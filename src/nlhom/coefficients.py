@@ -37,7 +37,7 @@ def _eps_value(eps):
     """
     _check_positive("eps", eps)
     eps = float(eps)
-    K = round(1.0 / eps)
+    K = round(1.0 / eps) if 1.0 / eps < np.inf else 0
     if K < 2 or abs(K * eps - 1.0) > 1e-12:
         raise ValueError("eps must be 1/K for an integer K >= 2, got %r" % eps)
     return 1.0 / K

@@ -177,19 +177,14 @@ def varcoef_1(n=256):
     return center_drift_I(cset)
 
 
-def stable_1(n=256, alpha=1.5):
-    """The workhorse alpha-stable set: delta = 1 + 0.4 cos(2 pi y), centered
-    drift d, and low-mode g, e, f, sigma.
-
-    Positional, keyword and default spellings of the same (n, alpha) share
-    one cache entry (``stable_1.cache_info()``).
-    """
-    _check_count("n", n, 8)
-    return _stable_1(int(n), float(alpha))
-
-
 @lru_cache(maxsize=None)
-def _stable_1(n, alpha):
+def stable_1(n=256):
+    """The workhorse alpha-stable set at alpha = 1.5: delta = 1 + 0.4
+    cos(2 pi y), centered drift d, and low-mode g, e, f, sigma.  Other
+    alphas come from ``random_set_II`` or ``with_fields(alpha=...)``.
+    The cache keys on the call's spelling; ``stable_2`` and
+    ``stable_filter`` call it positionally, as the benchmark workloads do.
+    """
     grid = TorusGrid(n)
     delta = field_from_function(grid, lambda y: 1.0 + 0.4 * np.cos(TWO_PI * y))
     d_raw = field_from_function(
@@ -200,7 +195,7 @@ def _stable_1(n, alpha):
     f = field_from_function(grid, lambda y: 0.1 + 0.2 * np.cos(2 * TWO_PI * y))
     sigma = field_from_function(grid, lambda y: 1.0 + 0.3 * np.sin(TWO_PI * y))
     cset = CoefficientSetII(
-        delta=delta, d=d_raw, g=g, e=e_raw, f=f, sigma=sigma, alpha=alpha,
+        delta=delta, d=d_raw, g=g, e=e_raw, f=f, sigma=sigma, alpha=1.5,
         name="stable-1",
     )
     cset, m1, op = _center_drift(cset, "d", cell.solve_invariant_density_II)
@@ -220,12 +215,8 @@ def _stable_1(n, alpha):
     return cset.with_fields(e=e)
 
 
-stable_1.cache_info = _stable_1.cache_info
-stable_1.cache_clear = _stable_1.cache_clear
-
-
-def stable_2(n=256, alpha=1.5):
-    """Law-level comparison variant of stable-1: d = e = 0.
+def stable_2(n=256):
+    """Law-level comparison variant of stable-1 (alpha = 1.5): d = e = 0.
 
     The fast drift and fast potential both break solution-level agreement
     with the plain m1-averaged limit operator, at any nonzero amplitude:
@@ -245,20 +236,21 @@ def stable_2(n=256, alpha=1.5):
     invariant density is m1 ~ delta^{-alpha}, so the averaged coefficients
     remain genuinely two-scale.
     """
-    base = stable_1(n=n, alpha=alpha)
+    base = stable_1(n)
     zero = PeriodicField(base.grid, np.zeros(n))
     return base.with_fields(d=zero, e=zero, name="stable-2")
 
 
-def stable_filter(n=256, alpha=1.5):
-    """Filtering variant of the stable family: g = e = 0 and f = sigma^2,
-    the zero-order coefficient equal to the squared noise coefficient.
+def stable_filter(n=256):
+    """Filtering variant of the stable family (alpha = 1.5): g = e = 0 and
+    f = sigma^2, the zero-order coefficient equal to the squared noise
+    coefficient.
 
     Whether the lab's equation on this set is an unnormalized filtering
     density evolution is open: the lab marches the generator, while the
     Zakai equation marches its adjoint, and no test compares the two.
     """
-    base = stable_1(n=n, alpha=alpha)
+    base = stable_1(n)
     zero = PeriodicField(base.grid, np.zeros(n))
     f = PeriodicField(base.grid, base.sigma.values ** 2)
     return base.with_fields(g=zero, e=zero, f=f, name="stable-filter")

@@ -147,7 +147,7 @@ class LineGrid:
                 % (p, _MIN_POINTS_PER_CELL))
         return p
 
-    def apply_derivative(self, values, order=1):
+    def apply_derivative(self, values, order):
         return _apply_symbol(values, derivative_symbol(self._freqs, order))
 
     def l2_norm(self, values):

@@ -18,10 +18,12 @@ held in memory.  The step bounds are fixed: dt <= 0.1 eps**2 for the
 jump-diffusion, dt <= 0.1 eps for the signal, and the Q oracle's default
 step is 0.005 eps**2.
 
-Paths are grouped into fixed-size chunks; chunk ``c`` of a run draws every
-random number from the dedicated stream ``(seed, c)``, so ensembles are
-bit-identical for identical configurations regardless of how chunks are
-scheduled, and workers splitting the chunk range never share a stream.
+Paths are grouped into chunks of ``_CHUNK_SIZE`` paths, read at each call;
+chunk ``c`` of a run draws every random number from the dedicated stream
+``(seed, c)`` (:func:`_rng`), so ensembles are bit-identical for identical
+configurations regardless of how chunks are scheduled, and workers
+splitting the chunk range never share a stream.  The chunk size is part of
+the sampling design: another gives other, still reproducible, draws.
 
 The jump-diffusion's random inputs do not depend on the state: thinning
 draws its proposals from a homogeneous Poisson process and only the
@@ -55,7 +57,6 @@ from .coefficients import _eps_value
 from .torus import _check_count, _check_positive, _finite_real
 
 __all__ = [
-    "RngStream",
     "ParticleEnsemble",
     "simulate_jump_diffusion_I",
     "estimate_Q_monte_carlo",
@@ -73,30 +74,12 @@ _DT_SAFETY = 0.1
 _ORACLE_DT_SAFETY = 0.005
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """A named, reproducible random stream.
-
-    Distinct ``(seed, stream)`` pairs yield statistically independent
-    generators (numpy ``SeedSequence`` spawn key ``(stream, 0)``); the same
-    pair always reproduces bit-identical draws.  Simulation drivers reserve
-    the stream index for path chunks.  Both are non-negative integers (numpy
-    integers too, bool refused).
-    """
-
-    seed: int
-    stream: int = 0
-
-    def __post_init__(self):
-        for name in ("seed", "stream"):
-            _check_count(name, getattr(self, name), 0)
-
-    def generator(self):
-        """Fresh numpy Generator for this (seed, stream) pair."""
-        seq = np.random.SeedSequence(
-            entropy=int(self.seed), spawn_key=(int(self.stream), 0)
-        )
-        return np.random.default_rng(seq)
+def _rng(seed, stream):
+    """Fresh numpy Generator of the stream (seed, stream): ``SeedSequence``
+    entropy ``seed``, spawn key ``(stream, 0)``.  Distinct pairs give
+    independent generators, the same pair bit-identical draws."""
+    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream), 0))
+    return np.random.default_rng(seq)
 
 
 def _locate(x, inv_eps):
@@ -253,8 +236,6 @@ class ParticleEnsemble:
     seed : int
     jump_counts : ndarray or None
         Accepted-jump count per path (jump-diffusion runs).
-    jump_sizes : ndarray or None
-        Flat array of accepted jump sizes when diagnostics were kept.
     truncation_count : int
         Stable increments clipped at the safety magnitude (signal runs).
     """
@@ -266,7 +247,6 @@ class ParticleEnsemble:
     T_end: float
     seed: int
     jump_counts: Optional[np.ndarray] = None
-    jump_sizes: Optional[np.ndarray] = None
     truncation_count: int = 0
 
     def __post_init__(self):
@@ -292,18 +272,18 @@ class ParticleEnsemble:
         return self.positions.shape[0]
 
 
-def _check_run(T_end, dt, x0, n_paths, n_save, chunk_size, seed):
+def _check_run(T_end, dt, x0, n_paths, n_save, seed):
     """Reject run inputs that would crash or silently mis-step a simulation.
 
     Counts and the seed are integers (numpy integers too, bool refused),
-    with n_paths >= 1, n_save >= 2, chunk_size >= 1 and seed >= 0.
+    with n_paths >= 1, n_save >= 2 and seed >= 0.
     """
     _check_positive("T_end", T_end)
     _check_positive("dt", dt)
     if not _finite_real(x0):
         raise ValueError("x0 must be finite and real, got %r" % (x0,))
     for name, value, least in (("n_paths", n_paths, 1), ("n_save", n_save, 2),
-                               ("chunk_size", chunk_size, 1), ("seed", seed, 0)):
+                               ("seed", seed, 0)):
         _check_count(name, value, least)
 
 
@@ -315,9 +295,9 @@ def _step_grid(T_end, dt, n_save):
     return n_steps, dt_eff, save_idx
 
 
-def _chunk_ranges(n_paths, chunk_size):
-    starts = list(range(0, n_paths, chunk_size))
-    return [(c, s, min(s + chunk_size, n_paths)) for c, s in enumerate(starts)]
+def _chunk_ranges(n_paths):
+    starts = list(range(0, n_paths, _CHUNK_SIZE))
+    return [(c, s, min(s + _CHUNK_SIZE, n_paths)) for c, s in enumerate(starts)]
 
 
 def _one_ahead(pool, fn, tasks):
@@ -344,8 +324,7 @@ def _one_ahead(pool, fn, tasks):
 
 
 def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
-                              n_save=9, keep_jump_sizes=False,
-                              chunk_size=_CHUNK_SIZE):
+                              n_save=9):
     """Euler-type paths of the jump-diffusion dual to the heterogeneous
     operator.
 
@@ -359,18 +338,19 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
     exactly by superposition.  Acceptance and coefficients use the
     start-of-step state.
 
-    Each chunk draws from its stream (seed, chunk) in blocks of
-    ``_STEP_BLOCK`` steps (the last block may be shorter), in this order per
-    block: the increments dW for every step and path, the Poisson proposal
-    count of every step, then for all the block's proposals their owners,
-    thinning uniforms and jump sizes.  A one-thread pool that lives only for
-    the call draws the next block (and computes the Milstein factors
-    dW**2 - 1) while the calling thread marches the current one; all
-    state-dependent work (location, table reads, acceptance, the jump and
-    Milstein updates, the save-step finite check) stays on the calling
-    thread.  The result depends only on the arguments: repeated calls are
-    bit-identical.  An exception on either thread reaches the caller, and
-    the worker is joined before the call returns or raises.
+    Each chunk of ``_CHUNK_SIZE`` paths draws from its stream (seed, chunk)
+    in blocks of ``_STEP_BLOCK`` steps (the last block may be shorter), in
+    this order per block: the increments dW for every step and path, the
+    Poisson proposal count of every step, then for all the block's
+    proposals their owners, thinning uniforms and jump sizes.  A one-thread
+    pool that lives only for the call draws the next block (and computes
+    the Milstein factors dW**2 - 1) while the calling thread marches the
+    current one; all state-dependent work (location, table reads,
+    acceptance, the jump and Milstein updates, the save-step finite check)
+    stays on the calling thread.  The result depends only on the arguments:
+    repeated calls are bit-identical.  An exception on either thread
+    reaches the caller, and the worker is joined before the call returns or
+    raises.
 
     The diffusion step is Milstein's.  The weak error is O(dt), but with a
     fast-oscillating diffusion coefficient its constant scales like
@@ -403,18 +383,13 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
     n_save : int, optional
         Number of sample times (including 0 and T_end), at least 2; more
         than n_steps + 1 saves every step.
-    keep_jump_sizes : bool, optional
-        Record the flat array of accepted jump sizes (diagnostics).
-    chunk_size : int, optional
-        Paths per random stream; part of the sampling design, so changing
-        it changes the (still reproducible) draws.
 
     Returns
     -------
     ParticleEnsemble
     """
     eps_val = _eps_value(eps)
-    _check_run(T_end, dt, x0, n_paths, n_save, chunk_size, seed)
+    _check_run(T_end, dt, x0, n_paths, n_save, seed)
     if dt > _DT_SAFETY * eps_val**2 * (1.0 + 1e-12):
         raise ValueError(
             "dt=%g too large for eps=%g: need dt <= %g (= %g eps^2)"
@@ -439,7 +414,6 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
 
     positions = np.empty((save_idx.size, n_paths))
     jump_counts = np.zeros(n_paths, dtype=np.int64)
-    sizes_out = [] if keep_jump_sizes else None
 
     # premultiplied per-step rows: noise amplitude, drift displacement and
     # the Milstein coefficient
@@ -447,13 +421,13 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
                        _cell_samples(cset.b) * (inv_eps * dt_eff),
                        _cell_samples(cset.a.derivative(1))
                        * (0.5 * inv_eps * dt_eff))
-    chunks = _chunk_ranges(n_paths, chunk_size)
+    chunks = _chunk_ranges(n_paths)
     blocks = [(first, min(first + _STEP_BLOCK, n_steps + 1))
               for first in range(1, n_steps + 1, _STEP_BLOCK)]
 
     # two buffer sets, for the block being marched and the block being
     # drawn; allocated here so the worker's heap keeps no block arrays
-    width = min(_STEP_BLOCK, n_steps) * min(chunk_size, n_paths)
+    width = min(_STEP_BLOCK, n_steps) * min(_CHUNK_SIZE, n_paths)
     buffers = [np.empty((2, width)) for _ in range(2)]
 
     def draw(g, m, n, buf):
@@ -476,7 +450,7 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
     def tasks():
         k = 0
         for chunk, lo, hi in chunks:
-            g = RngStream(seed, chunk).generator()
+            g = _rng(seed, chunk)
             for first, stop in blocks:
                 yield g, hi - lo, stop - first, buffers[k % 2]
                 k += 1
@@ -502,11 +476,8 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
                         accept = (thresholds[a:b]
                                   < lam_tab.at(idx[own], frac[own])[0])
                         jumpers = own[accept]
-                        sizes = z[a:b][accept]
-                        np.add.at(step_x, jumpers, sizes)
+                        np.add.at(step_x, jumpers, z[a:b][accept])
                         hits.append(jumpers)
-                        if keep_jump_sizes and sizes.size:
-                            sizes_out.append(sizes)
                     x += step_x
                     mil = coef[2]
                     mil *= factor[j]
@@ -524,10 +495,6 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
 
     path_streams = np.repeat(np.arange(len(chunks)),
                              [hi - lo for _, lo, hi in chunks])
-    jump_sizes = None
-    if keep_jump_sizes:
-        jump_sizes = (np.concatenate(sizes_out) if sizes_out
-                      else np.empty(0))
     return ParticleEnsemble(
         times=save_idx * dt_eff,
         positions=positions,
@@ -536,7 +503,6 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
         T_end=float(T_end),
         seed=int(seed),
         jump_counts=jump_counts,
-        jump_sizes=jump_sizes,
     )
 
 
@@ -554,8 +520,7 @@ def _jackknife_variance_se(x, scale):
     return float(np.sqrt((n - 1) / n * ((theta - theta.mean()) ** 2).sum()))
 
 
-def estimate_Q_monte_carlo(cset, eps, T_end, n_paths, seed, dt=None,
-                           chunk_size=_CHUNK_SIZE):
+def estimate_Q_monte_carlo(cset, eps, T_end, n_paths, seed, dt=None):
     """Monte-Carlo oracle for the effective diffusivity Q.
 
     The homogenized generator is Q d^2/dx^2, so the particle variance grows
@@ -568,8 +533,8 @@ def estimate_Q_monte_carlo(cset, eps, T_end, n_paths, seed, dt=None,
     eps : float
     T_end : float
     n_paths, seed : int
-        At least 3 paths, which the jackknife needs; the seed as in the
-        jump-diffusion.
+        At least 3 paths, which the jackknife needs; the seed, and the
+        chunks of ``_CHUNK_SIZE`` paths, as in the jump-diffusion.
     dt : float, optional
         Step; defaults to _ORACLE_DT_SAFETY * eps**2 (0.005 eps**2), tighter
         than the pathwise bound because the step bias of variance-type
@@ -587,13 +552,12 @@ def estimate_Q_monte_carlo(cset, eps, T_end, n_paths, seed, dt=None,
     if dt is None:
         dt = _ORACLE_DT_SAFETY * eps_val**2
     # the jackknife needs three paths: refuse fewer before simulating
-    _check_run(T_end, dt, 0.0, n_paths, 2, chunk_size, seed)
+    _check_run(T_end, dt, 0.0, n_paths, 2, seed)
     if n_paths < 3:
         raise ValueError("n_paths must be at least 3 for the jackknife, "
                          "got %r" % (n_paths,))
-    ens = simulate_jump_diffusion_I(
-        cset, eps, T_end, dt, n_paths, seed, n_save=2, chunk_size=chunk_size,
-    )
+    ens = simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed,
+                                    n_save=2)
     x = ens.positions[-1]
     scale = 1.0 / (2.0 * float(T_end))
     q_hat = float(np.var(x, ddof=1) * scale)
@@ -604,14 +568,14 @@ def estimate_Q_monte_carlo(cset, eps, T_end, n_paths, seed, dt=None,
 # Part II signal
 
 
-def simulate_signal_II(cset, eps, T_end, dt, n_paths, seed, x0=0.0, n_save=9,
-                       chunk_size=_CHUNK_SIZE):
+def simulate_signal_II(cset, eps, T_end, dt, n_paths, seed, x0=0.0, n_save=9):
     """Euler paths of the alpha-stable signal with fast coefficients.
 
     Per step: x <- x + eps**(1-alpha) d(x/eps) dt + delta(x/eps) dL, with
     dL an exact symmetric alpha-stable increment over dt (clipped at
     ``_TRUNCATION`` for float safety; the clip count is reported on the
-    ensemble).
+    ensemble).  Each chunk of ``_CHUNK_SIZE`` paths draws its increments,
+    step by step, from its stream (seed, chunk).
 
     The drift scale eps**(1-alpha) is the one at which the drift joins the
     fractional part in the fast generator, so the fast cell dynamics match
@@ -626,14 +590,14 @@ def simulate_signal_II(cset, eps, T_end, dt, n_paths, seed, x0=0.0, n_save=9,
     eps : float
     T_end, dt : float
         Requires dt <= _DT_SAFETY * eps (0.1 eps).
-    n_paths, seed, x0, n_save, chunk_size : as in the jump-diffusion.
+    n_paths, seed, x0, n_save : as in the jump-diffusion.
 
     Returns
     -------
     ParticleEnsemble
     """
     eps_val = _eps_value(eps)
-    _check_run(T_end, dt, x0, n_paths, n_save, chunk_size, seed)
+    _check_run(T_end, dt, x0, n_paths, n_save, seed)
     if dt > _DT_SAFETY * eps_val * (1.0 + 1e-12):
         raise ValueError(
             "dt=%g too large for eps=%g: need dt <= %g (= %g eps)"
@@ -651,10 +615,10 @@ def simulate_signal_II(cset, eps, T_end, dt, n_paths, seed, x0=0.0, n_save=9,
 
     positions = np.empty((save_idx.size, n_paths))
     n_clipped = 0
-    chunks = _chunk_ranges(n_paths, chunk_size)
+    chunks = _chunk_ranges(n_paths)
 
     for chunk, lo, hi in chunks:
-        g = RngStream(seed, chunk).generator()
+        g = _rng(seed, chunk)
         m = hi - lo
         x = np.full(m, float(x0))
         positions[0, lo:hi] = x  # save_idx[0] is step 0

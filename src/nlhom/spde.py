@@ -55,7 +55,7 @@ from .cell import CellSolutionI, CellSolutionII
 from .coefficients import CoefficientSetI, CoefficientSetII, _eps_value
 from .lineops import (LineGrid, gaussian_bump, assemble_T0, assemble_T_eps,
                       assemble_V0, assemble_V_eps, _cell_trace)
-from .particles import RngStream, _step_grid
+from .particles import _rng, _step_grid
 from .torus import _apply_symbol, _check_count, _check_positive, _check_type
 
 __all__ = [
@@ -537,8 +537,7 @@ def run_ensemble(config, cell, cset, battery=None):
             n_snap = min(m, max(0, config.n_snapshot_paths - lo))
             inc = np.empty((n_steps, m))
             for j in range(m):
-                inc[:, j] = RngStream(config.seed, stream=lo + j) \
-                    .generator().standard_normal(n_steps)
+                inc[:, j] = _rng(config.seed, lo + j).standard_normal(n_steps)
             inc *= sqrt_dt
 
             pair = {s: np.empty((n_rec, n_xi, m)) for s in ("het", "hom")}

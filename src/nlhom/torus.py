@@ -142,7 +142,7 @@ class PeriodicField:
 
     # -- calculus -----------------------------------------------------------
 
-    def derivative(self, order=1):
+    def derivative(self, order):
         """order-th derivative via the multiplier (2 pi i k)^order."""
         k = np.arange(self.grid.n // 2 + 1.0)
         return self.with_values(
@@ -376,14 +376,14 @@ class LineOperator:
     def matrix(self):
         """The real n x n matrix, materialized from the blocks: the inverse
         FFT over t gives the cell-offset blocks C_d, and row cell a holds
-        C_{a-b} in column cell b."""
-        p = self.p
-        cells = self.grid.n // p
+        C_{a-b} in column cell b, at position cells - 1 - b of window a of
+        [C_1 .. C_{cells-1}, C_0 .. C_{cells-1}]."""
+        cells = self.grid.n // self.p
         offsets = np.fft.irfft(self.blocks, n=cells, axis=0)
-        out = np.empty((cells, p, cells, p))
-        lag = np.arange(cells)
-        for a in range(cells):
-            out[a] = offsets[(a - lag) % cells].swapaxes(0, 1)
+        # rebound, so the C_d alone are freed before the output is allocated
+        offsets = np.concatenate([offsets[1:], offsets])
+        windows = sliding_window_view(offsets, cells, axis=0)
+        out = windows[..., ::-1].swapaxes(2, 3).copy()
         return out.reshape(self.grid.n, self.grid.n)
 
     def __repr__(self):

@@ -412,8 +412,8 @@ def test_generator_adjoint_pairing(family, seed):
     rng = np.random.default_rng(3)
     for _ in range(5):
         u, v = rng.normal(size=(2, n))
-        lhs = np.sum(op.apply(u) * v) * h
-        rhs = np.sum(u * op.apply(v, adjoint=True)) * h
+        lhs = np.sum(op.apply(u, False) * v) * h
+        rhs = np.sum(u * op.apply(v, True)) * h
         bound = n * UNIT_ROUNDOFF * scale * h * np.linalg.norm(u) \
             * np.linalg.norm(v)
         assert abs(lhs - rhs) <= bound
@@ -1337,7 +1337,7 @@ def _count_sweeps(monkeypatch, build):
 
 @pytest.mark.parametrize("build", [
     lambda: varcoef_1.__wrapped__(64),
-    lambda: fixtures._stable_1.__wrapped__(64, 1.5),
+    lambda: stable_1.__wrapped__(64),
     lambda: random_set_II(3, 64),
 ], ids=["varcoef-1", "stable-1", "random-II"])
 def test_centering_factors_once_per_centering(monkeypatch, build):
@@ -1443,7 +1443,7 @@ def test_one_assembly_per_factorization(monkeypatch):
     cset_I, cset_II = varcoef_1(64), random_set_II(3, 64)
     names = ("dgbtrf", "assemble_torus_generator_I",
              "assemble_torus_generator_II")
-    for build in (lambda: fixtures._stable_1.__wrapped__(64, 1.5),
+    for build in (lambda: stable_1.__wrapped__(64),
                   lambda: solve_cell_I(cset_I),
                   lambda: solve_cell_II(cset_II)):
         calls = _count_calls(monkeypatch, build, names)
@@ -1457,7 +1457,7 @@ def test_centering_takes_few_sweeps(monkeypatch, n):
     # the fixed-point sweep took 7 (varcoef-1) and 10 (stable-1)
     assert _count_sweeps(monkeypatch, lambda: varcoef_1.__wrapped__(n)) <= 4
     assert _count_sweeps(
-        monkeypatch, lambda: fixtures._stable_1.__wrapped__(n, 1.5)) <= 4
+        monkeypatch, lambda: stable_1.__wrapped__(n)) <= 4
 
 
 def test_centering_sweep_count_independent_of_resolution(monkeypatch):

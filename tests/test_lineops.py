@@ -419,6 +419,36 @@ def test_bloch_transforms_round_trip_and_define_apply(seed, K, m):
         assert np.array_equal(op.apply(np.ones(grid.n)), zero)
 
 
+def _matrix_by_cells(op):
+    """The dense matrix of ``op``, one row cell at a time: row cell a holds
+    the cell-offset block C_{a-b} in column cell b."""
+    p = op.p
+    cells = op.grid.n // p
+    offsets = np.fft.irfft(op.blocks, n=cells, axis=0)
+    out = np.empty((cells, p, cells, p))
+    lag = np.arange(cells)
+    for a in range(cells):
+        out[a] = offsets[(a - lag) % cells].swapaxes(0, 1)
+    return out.reshape(op.grid.n, op.grid.n)
+
+
+@pytest.mark.parametrize("p", [1, 16, 512])
+def test_matrix_matches_the_per_cell_loop(p):
+    # a circulant (p = 1), a multi-cell operator and one cell (p = n):
+    # the strided gather places every block where the per-cell loop does
+    grid = lo.LineGrid(1.0, 512)
+    rng = np.random.default_rng(p)
+    cell_field = lambda: np.tile(rng.uniform(0.5, 1.5, p), grid.n // p)
+    op = torus.LineOperator(
+        grid, "test", p,
+        [(cell_field(), torus.derivative_symbol(grid.freqs, 2)),
+         (cell_field(), torus.derivative_symbol(grid.freqs, 1))],
+        cell_field())
+    A = op.matrix
+    assert A.flags.c_contiguous and A.flags.writeable
+    assert np.array_equal(A, _matrix_by_cells(op))
+
+
 # ---------------------------------------------------------------------------
 # torus cells and line operators: one Bloch-block structure
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 at code that exists, and the benchmark's reference traces are the package's."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -59,6 +60,12 @@ def test_src_size_counts_the_package():
         inspect.isclass(v) and v.__module__ == m.__name__
         for m in modules for v in vars(m).values())
     assert counts["defaulted_params"] > 0
+    assert counts["defaulted_fields"] == sum(
+        f.init and (f.default is not dataclasses.MISSING
+                    or f.default_factory is not dataclasses.MISSING)
+        for m in modules for v in vars(m).values()
+        if inspect.isclass(v) and v.__module__ == m.__name__
+        and dataclasses.is_dataclass(v) for f in dataclasses.fields(v))
 
 
 def test_no_string_selected_modes():

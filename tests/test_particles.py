@@ -148,7 +148,7 @@ def stable():
 
 
 def test_stable_ecf_and_median():
-    g = pm.RngStream(101).generator()
+    g = pm._rng(101, 0)
     draws, _ = pm._stable_draws(1.5, 10**6, g)
     # characteristic function at theta = 1 is exp(-1)
     c = np.cos(draws)
@@ -165,20 +165,20 @@ def test_stable_self_similarity():
     # matches unit draws scaled by 2^(1/alpha)
     n = 10**5
     alpha = 1.3
-    pairs, _ = pm._stable_draws(alpha, 400, pm.RngStream(7, 0).generator())
+    pairs, _ = pm._stable_draws(alpha, 400, pm._rng(7, 0))
     over_two = pairs.reshape(200, 2).sum(axis=1)
-    unit, _ = pm._stable_draws(alpha, n, pm.RngStream(7, 1).generator())
+    unit, _ = pm._stable_draws(alpha, n, pm._rng(7, 1))
     scaled = 2.0 ** (1.0 / alpha) * unit
     res = stats.ks_2samp(over_two, scaled)
     assert res.pvalue > 0.01
     # same comparison at full sample size
-    bulk, _ = pm._stable_draws(alpha, 2 * n, pm.RngStream(7, 2).generator())
+    bulk, _ = pm._stable_draws(alpha, 2 * n, pm._rng(7, 2))
     res2 = stats.ks_2samp(bulk.reshape(n, 2).sum(axis=1), scaled)
     assert res2.statistic < 1.63 * np.sqrt(2.0 / n)  # 1% two-sample critical
 
 
 def test_stable_alpha_one_is_cauchy():
-    g = pm.RngStream(5).generator()
+    g = pm._rng(5, 0)
     draws, _ = pm._stable_draws(1.0, 10**5, g)
     ks = stats.kstest(draws, stats.cauchy.cdf)
     assert ks.pvalue > 0.01
@@ -192,16 +192,16 @@ def _clipped_draws(alpha, size, rng, truncation):
 
 
 def test_stable_truncation_counted():
-    g = pm.RngStream(11).generator()
+    g = pm._rng(11, 0)
     draws, clipped = _clipped_draws(0.8, 10**4, g, 3.0)
     assert clipped > 0
     assert np.abs(draws).max() <= 3.0
 
 
 def test_rng_stream_reproducible_and_independent():
-    a = pm.RngStream(42, 1).generator().normal(size=5)
-    b = pm.RngStream(42, 1).generator().normal(size=5)
-    c = pm.RngStream(42, 2).generator().normal(size=5)
+    a = pm._rng(42, 1).normal(size=5)
+    b = pm._rng(42, 1).normal(size=5)
+    c = pm._rng(42, 2).normal(size=5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -392,21 +392,20 @@ def test_locate_fold_is_np_mod(s):
 def test_chunked_paths_extend_deterministically(seed, chunk, extra):
     # growing the ensemble by whole chunks must not disturb earlier chunks
     cset = coefficient_set_by_name("const-1")
-    small = pm.simulate_jump_diffusion_I(cset, 0.5, 1.0, 0.02, chunk,
-                                         seed=seed, chunk_size=chunk)
-    large = pm.simulate_jump_diffusion_I(cset, 0.5, 1.0, 0.02,
-                                         (1 + extra) * chunk, seed=seed,
-                                         chunk_size=chunk)
-    assert np.array_equal(small.positions, large.positions[:, :chunk])
-    assert np.array_equal(small.jump_counts, large.jump_counts[:chunk])
     base = coefficient_set_by_name("stable-1")
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pm, "_CHUNK_SIZE", chunk)
+        small = pm.simulate_jump_diffusion_I(cset, 0.5, 1.0, 0.02, chunk,
+                                             seed=seed)
+        large = pm.simulate_jump_diffusion_I(cset, 0.5, 1.0, 0.02,
+                                             (1 + extra) * chunk, seed=seed)
+        assert np.array_equal(small.positions, large.positions[:, :chunk])
+        assert np.array_equal(small.jump_counts, large.jump_counts[:chunk])
         patch.setattr(pm, "_TRUNCATION", 5.0)
         small = pm.simulate_signal_II(base, 0.25, 1.0, 0.02, chunk,
-                                      seed=seed, chunk_size=chunk)
+                                      seed=seed)
         large = pm.simulate_signal_II(base, 0.25, 1.0, 0.02,
-                                      (1 + extra) * chunk, seed=seed,
-                                      chunk_size=chunk)
+                                      (1 + extra) * chunk, seed=seed)
     assert np.array_equal(small.positions, large.positions[:, :chunk])
     assert small.truncation_count <= large.truncation_count
 
@@ -432,12 +431,14 @@ def test_thinning_count_is_poisson():
 
 
 def test_jump_sizes_follow_kernel_law():
+    # jumps arrive at rate lam a1 / eps^2 = 8, so a path averages one jump
+    # by T = 1/8; a path that jumped once ends at x_T = eps Z (the set's
+    # diffusion moves it by about 1e-7)
     cset = _jump_only_set(lam_value=2.0)
-    ens = pm.simulate_jump_diffusion_I(
-        cset, 0.5, 0.5, 0.02, 10**4, seed=32, keep_jump_sizes=True
-    )
-    z = ens.jump_sizes / 0.5
-    assert z.size > 10**4
+    ens = pm.simulate_jump_diffusion_I(cset, 0.5, 0.125, 0.025, 3 * 10**4,
+                                       seed=32)
+    z = ens.positions[-1, ens.jump_counts == 1] / 0.5
+    assert z.size >= 10**4
     # box kernel: Z ~ Uniform(-1, 1)
     res = stats.kstest(z, stats.uniform(loc=-1.0, scale=2.0).cdf)
     assert res.pvalue > 0.01
@@ -622,13 +623,6 @@ def test_x0_must_be_finite(family, x0):
         _simulate(family, x0=x0)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("chunk_size", [0, -4])
-def test_chunk_size_must_be_positive(family, chunk_size):
-    with pytest.raises(ValueError, match="chunk_size must be at least 1"):
-        _simulate(family, chunk_size=chunk_size)
-
-
 @pytest.mark.parametrize("name, value, message", [
     ("n_paths", 0, "n_paths must be at least 1"),
     ("n_paths", -3, "n_paths must be at least 1"),
@@ -639,9 +633,6 @@ def test_chunk_size_must_be_positive(family, chunk_size):
     ("n_save", -5, "n_save must be at least 2"),
     ("n_save", 2.5, "n_save must be an integer"),
     ("n_save", True, "n_save must be an integer"),
-    ("chunk_size", 2.5, "chunk_size must be an integer"),
-    ("chunk_size", True, "chunk_size must be an integer"),
-    ("chunk_size", None, "chunk_size must be an integer"),
 ])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_counts_must_be_integers_in_range(family, name, value, message):
@@ -654,9 +645,10 @@ def test_counts_must_be_integers_in_range(family, name, value, message):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_numpy_integer_counts_are_accepted(family):
-    ens = _simulate(family, n_paths=np.int64(8), n_save=np.int32(3),
-                    chunk_size=np.int64(4))
-    ref = _simulate(family, n_paths=8, n_save=3, chunk_size=4)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pm, "_CHUNK_SIZE", 4)
+        ens = _simulate(family, n_paths=np.int64(8), n_save=np.int32(3))
+        ref = _simulate(family, n_paths=8, n_save=3)
     assert np.array_equal(ens.positions, ref.positions)
     assert ens.n_times == 3
 
@@ -676,22 +668,10 @@ def test_seed_must_be_a_non_negative_integer(family, seed, message):
         _simulate(family, seed=seed)
 
 
-@pytest.mark.parametrize("field", ["seed", "stream"])
-@pytest.mark.parametrize("value, message", [
-    (2.5, "must be an integer"), (False, "must be an integer"),
-    (-1, "must be at least 0"),
-])
-def test_rng_stream_fields_are_non_negative_integers(field, value, message):
-    kw = dict(seed=1, stream=0)
-    kw[field] = value
-    with pytest.raises(ValueError, match="%s %s" % (field, message)):
-        pm.RngStream(**kw)
-
-
 def test_numpy_integer_seeds_are_accepted():
-    ref = pm.RngStream(5, 2).generator().standard_normal(4)
-    got = pm.RngStream(np.int64(5), np.uint32(2))
-    assert np.array_equal(got.generator().standard_normal(4), ref)
+    ref = pm._rng(5, 2).standard_normal(4)
+    got = pm._rng(np.int64(5), np.uint32(2)).standard_normal(4)
+    assert np.array_equal(got, ref)
     ens = _simulate("jump", seed=np.uint64(3))
     assert np.array_equal(ens.positions, _simulate("jump", seed=3).positions)
 
@@ -849,6 +829,11 @@ def _old_stable_draws(alpha, size, rng, truncation):
     return x, clipped
 
 
+def _old_chunks(n_paths, chunk_size):
+    return [(c, lo, min(lo + chunk_size, n_paths))
+            for c, lo in enumerate(range(0, n_paths, chunk_size))]
+
+
 def _old_jump_diffusion(cset, eps, T_end, dt, n_paths, seed, x0, chunk_size):
     n_steps, dt_eff, _ = pm._step_grid(T_end, dt, 2)
     lam_tab = _old_table(cset.lam)
@@ -863,9 +848,8 @@ def _old_jump_diffusion(cset, eps, T_end, dt, n_paths, seed, x0, chunk_size):
                          lambda v: v * (0.5 * inv_eps * dt_eff))
     paths = np.empty((n_steps + 1, n_paths))
     counts = np.zeros(n_paths, dtype=np.int64)
-    sizes_out = []
-    for chunk, lo, hi in pm._chunk_ranges(n_paths, chunk_size):
-        g = pm.RngStream(seed, chunk).generator()
+    for chunk, lo, hi in _old_chunks(n_paths, chunk_size):
+        g = pm._rng(seed, chunk)
         m = hi - lo
         x = np.full(m, float(x0))
         paths[0, lo:hi] = x
@@ -888,13 +872,10 @@ def _old_jump_diffusion(cset, eps, T_end, dt, n_paths, seed, x0, chunk_size):
                 jump_sum = np.bincount(owners, weights=eps * z * accept,
                                        minlength=m)
                 counts[lo:hi] += np.bincount(owners[accept], minlength=m)
-                if accept.any():
-                    sizes_out.append(eps * z[accept])
                 x = x + (bdt_tab(y) + sig_tab(y) * dW + jump_sum)
                 x += mil_tab(y) * (dW * dW - 1.0)
                 paths[first + j, lo:hi] = x
-    sizes = np.concatenate(sizes_out) if sizes_out else np.empty(0)
-    return paths, counts, sizes
+    return paths, counts
 
 
 def _old_signal(cset, eps, T_end, dt, n_paths, seed, x0, truncation,
@@ -907,8 +888,8 @@ def _old_signal(cset, eps, T_end, dt, n_paths, seed, x0, truncation,
     d_tab, delta_tab = _old_table(cset.d), _old_table(cset.delta)
     paths = np.empty((n_steps + 1, n_paths))
     n_clipped = 0
-    for chunk, lo, hi in pm._chunk_ranges(n_paths, chunk_size):
-        g = pm.RngStream(seed, chunk).generator()
+    for chunk, lo, hi in _old_chunks(n_paths, chunk_size):
+        g = pm._rng(seed, chunk)
         m = hi - lo
         x = np.full(m, float(x0))
         paths[0, lo:hi] = x
@@ -937,31 +918,28 @@ HORIZONS = [(16, 0.1), (pm._STEP_BLOCK + 1, 0.01),
 
 @given(seed=st.integers(0, 10_000), shape=RUN_SHAPES,
        set_name=st.sampled_from(["varcoef-1", "const-1"]),
-       keep=st.booleans(), x0=st.sampled_from([0.0, -1e-20, 0.37]),
+       x0=st.sampled_from([0.0, -1e-20, 0.37]),
        eps=st.sampled_from([0.5, 0.125]),
        horizon=st.sampled_from(HORIZONS))
-@example(seed=7, shape=(32, 70), set_name="varcoef-1", keep=True, x0=0.37,
+@example(seed=7, shape=(32, 70), set_name="varcoef-1", x0=0.37,
          eps=0.125, horizon=HORIZONS[2])
-@example(seed=8, shape=(100, 250), set_name="varcoef-1", keep=True,
-         x0=-1e-20, eps=0.5, horizon=HORIZONS[1])
+@example(seed=8, shape=(100, 250), set_name="varcoef-1", x0=-1e-20,
+         eps=0.5, horizon=HORIZONS[1])
 @settings(max_examples=25, deadline=None)
-def test_jump_diffusion_kernels_match_old_loop(seed, shape, set_name, keep,
-                                               x0, eps, horizon):
+def test_jump_diffusion_kernels_match_old_loop(seed, shape, set_name, x0,
+                                               eps, horizon):
     chunk, n_paths = shape
     steps, ratio = horizon
     cset = coefficient_set_by_name(set_name)
     dt = ratio * eps**2
     T_end = steps * dt
-    ens = pm.simulate_jump_diffusion_I(
-        cset, eps, T_end, dt, n_paths, seed, x0=x0, n_save=steps + 1,
-        keep_jump_sizes=keep, chunk_size=chunk)
-    paths, counts, sizes = _old_jump_diffusion(
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pm, "_CHUNK_SIZE", chunk)
+        ens = pm.simulate_jump_diffusion_I(
+            cset, eps, T_end, dt, n_paths, seed, x0=x0, n_save=steps + 1)
+    paths, counts = _old_jump_diffusion(
         cset, eps, T_end, dt, n_paths, seed, x0, chunk)
     assert np.array_equal(ens.jump_counts, counts)
-    if keep:
-        assert np.array_equal(ens.jump_sizes, sizes)
-    else:
-        assert ens.jump_sizes is None
     assert _position_gap(ens.positions, paths) <= POSITION_RTOL
 
 
@@ -979,9 +957,9 @@ def test_signal_kernels_match_old_loop(seed, shape, alpha, x0, eps,
     T_end = 16 * dt
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pm, "_TRUNCATION", truncation)
+        patch.setattr(pm, "_CHUNK_SIZE", chunk)
         ens = pm.simulate_signal_II(
-            cset, eps, T_end, dt, n_paths, seed, x0=x0, n_save=17,
-            chunk_size=chunk)
+            cset, eps, T_end, dt, n_paths, seed, x0=x0, n_save=17)
     paths, n_clipped = _old_signal(cset, eps, T_end, dt, n_paths, seed, x0,
                                    truncation, chunk)
     assert ens.truncation_count == n_clipped
@@ -1022,9 +1000,9 @@ class _FixedDraws:
 
 @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.2, 1.5, 1.95])
 def test_cms_draws_match_libm_formula(alpha):
-    new, _ = _clipped_draws(alpha, 10**6, pm.RngStream(61).generator(),
+    new, _ = _clipped_draws(alpha, 10**6, pm._rng(61, 0),
                             np.inf)
-    old, _ = _old_stable_draws(alpha, 10**6, pm.RngStream(61).generator(),
+    old, _ = _old_stable_draws(alpha, 10**6, pm._rng(61, 0),
                                np.inf)
     assert _relative_gap(new, old) <= CMS_RTOL
 
@@ -1052,9 +1030,9 @@ def test_cms_draws_near_the_pole_match_mpmath():
 @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5])
 @pytest.mark.parametrize("size", [1, 4097])
 def test_cms_draws_leave_the_stream_where_the_libm_formula_does(alpha, size):
-    g = pm.RngStream(62).generator()
+    g = pm._rng(62, 0)
     pm._stable_draws(alpha, size, g)
-    ref = pm.RngStream(62).generator()
+    ref = pm._rng(62, 0)
     ref.uniform(-0.5 * np.pi, 0.5 * np.pi, size)
     if alpha != 1.0:
         ref.exponential(1.0, size)
@@ -1064,9 +1042,9 @@ def test_cms_draws_leave_the_stream_where_the_libm_formula_does(alpha, size):
 
 
 def test_cms_alpha_one_is_the_tangent():
-    draws, _ = _clipped_draws(1.0, 10**5, pm.RngStream(63).generator(),
+    draws, _ = _clipped_draws(1.0, 10**5, pm._rng(63, 0),
                               np.inf)
-    u = pm.RngStream(63).generator().uniform(-0.5 * np.pi, 0.5 * np.pi,
+    u = pm._rng(63, 0).uniform(-0.5 * np.pi, 0.5 * np.pi,
                                              10**5)
     assert np.array_equal(draws, np.tan(u))
 
@@ -1074,10 +1052,10 @@ def test_cms_alpha_one_is_the_tangent():
 @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.0, 1.5, 1.95])
 @pytest.mark.parametrize("truncation", [3.0, 5.0, 1e6])
 def test_cms_clip_counts_match_libm_formula(alpha, truncation):
-    new, n_new = _clipped_draws(alpha, 10**5, pm.RngStream(64).generator(),
+    new, n_new = _clipped_draws(alpha, 10**5, pm._rng(64, 0),
                                 truncation)
     old, n_old = _old_stable_draws(alpha, 10**5,
-                                   pm.RngStream(64).generator(), truncation)
+                                   pm._rng(64, 0), truncation)
     assert n_new == n_old
     assert np.abs(new).max() <= truncation
     assert _relative_gap(new, old) <= CMS_RTOL

@@ -470,9 +470,8 @@ def _draw_increments(cfg):
     """(n_steps, n_paths) increments of each side, drawn from the streams
     run_ensemble reads: path j of both sides from stream (seed, j)."""
     n_steps, dt_eff, _ = _step_grid(cfg.T_end, cfg.dt, cfg.n_save)
-    inc = np.stack([spde.RngStream(cfg.seed, stream=j).generator()
-                    .standard_normal(n_steps) for j in range(cfg.n_paths)],
-                   axis=1) * np.sqrt(dt_eff)
+    inc = np.stack([spde._rng(cfg.seed, j).standard_normal(n_steps)
+                    for j in range(cfg.n_paths)], axis=1) * np.sqrt(dt_eff)
     return {"het": inc, "hom": inc}
 
 
@@ -586,23 +585,24 @@ def test_bloch_march_matches_column_march_on_a_rough_state(part, varcoef,
 
 
 def _pinned_streams(path, step, value):
-    """RngStream whose draw on stream ``path`` is ``value`` at ``step``."""
+    """``spde._rng`` whose draw on stream ``path`` is ``value`` at ``step``;
+    the other streams come from the ``_rng`` in place, so pins compose."""
+    rng = spde._rng
 
-    class Pinned(spde.RngStream):
-        def generator(self):
-            gen = super().generator()
-            if self.stream != path:
-                return gen
+    def pinned(seed, stream):
+        gen = rng(seed, stream)
+        if stream != path:
+            return gen
 
-            class Draws:
-                def standard_normal(self, size):
-                    out = gen.standard_normal(size)
-                    out[step] = value
-                    return out
+        class Draws:
+            def standard_normal(self, size):
+                out = gen.standard_normal(size)
+                out[step] = value
+                return out
 
-            return Draws()
+        return Draws()
 
-    return Pinned
+    return pinned
 
 
 def _t_message(k, cfg):
@@ -651,7 +651,7 @@ def test_energy_cap_aborts_across_the_halves(n_paths, pins, stable2,
     cfg = _small_config(part="II", n_save=2, n_paths=n_paths)
     k = _step_grid(cfg.T_end, cfg.dt, cfg.n_save)[0] // 2
     for path, value in pins.items():
-        monkeypatch.setattr(spde, "RngStream",
+        monkeypatch.setattr(spde, "_rng",
                             _pinned_streams(path, k - 1, value))
     _, _, norms = _column_march(cfg, sol, cset, _draw_increments(cfg))
     n4 = {side: norms[side] ** 2 for side in norms}
@@ -689,7 +689,7 @@ def test_non_finite_state_aborts_between_recorded_steps(part, n_paths, pins,
     cfg = _small_config(part=part, n_save=2, n_paths=n_paths)
     n_steps = _step_grid(cfg.T_end, cfg.dt, cfg.n_save)[0]
     for path, d, value in pins:
-        monkeypatch.setattr(spde, "RngStream",
+        monkeypatch.setattr(spde, "_rng",
                             _pinned_streams(path, n_steps // d, value))
     _, _, norms = _column_march(cfg, sol, cset, _draw_increments(cfg))
     bad = ~np.isfinite(norms["het"])
