@@ -28,8 +28,10 @@ weak-convergence studies affordable at the dt demanded by the stability rule
 (dt <= min(0.1 eps^2, 0.25 dx^2 / max a) for the integrable family,
 dt <= 0.1 eps^alpha for the stable family).  The homogenized noise sigma_bar
 u dW does not vary in x, so every homogenized path is the one deterministic
-flow S_t u0 times its own scalar growth prod_k (1 + sigma_bar dW_k): a chunk
-marches that one flow and an (m,) growth vector instead of m columns.
+flow S_t u0 times its own scalar growth prod_k (1 + sigma_bar dW_k): a run
+marches that one flow once, and each chunk's homogenized records are the
+flow's stored values times its (n_steps + 1, m) growth array.  One energy
+monitor checks the squared norms of both sides.
 Heterogeneous and homogenized solvers always consume identical Brownian
 increments, which slashes the variance of paired law comparisons.
 
@@ -75,40 +77,11 @@ __all__ = [
 #: genuine scheme blow-up, which is what the abort is for.
 ENERGY_CAP_C = 1.0e4
 
-_PROFILE_NAMES = ("gauss", "double", "indicator")
 
-
-def initial_profile(grid, name):
-    """Named initial conditions, all supported well inside [-L/2, L/2].
-
-    Parameters
-    ----------
-    grid : LineGrid
-        Spatial grid; widths scale with its half-width L.
-    name : str
-        One of ``"gauss"`` (single bump of width L/10), ``"double"`` (two
-        bumps at +-L/6, width L/14), ``"indicator"`` (smoothed indicator of
-        [-L/4, L/4], transition width L/40).
-
-    Returns
-    -------
-    ndarray
-        Profile samples; boundary mass is below 1e-12 of the total for
-        every named profile.
-    """
-    L = grid.half_width
-    x = grid.x
-    if name == "gauss":
-        return gaussian_bump(grid, 0.0, L / 10.0)
-    if name == "double":
-        w = L / 14.0
-        return (gaussian_bump(grid, -L / 6.0, w)
-                + gaussian_bump(grid, L / 6.0, w))
-    if name == "indicator":
-        s = L / 40.0
-        return 0.5 * (np.tanh((x + L / 4.0) / s) - np.tanh((x - L / 4.0) / s))
-    raise ValueError("unknown profile %r; expected one of %r"
-                     % (name, _PROFILE_NAMES))
+def initial_profile(grid):
+    """The ``"gauss"`` initial condition: a bump of width L/10 at 0, for the
+    grid's half-width L, whose mass beyond L/2 is below 1e-12 of the total."""
+    return gaussian_bump(grid, 0.0, grid.half_width / 10.0)
 
 
 def default_test_battery(grid):
@@ -307,8 +280,8 @@ class SpdeConfig:
         Root seed, a non-negative integer; path j draws from the dedicated
         stream (seed, j).
     u0 : str or ndarray
-        Named profile ("gauss", "double", "indicator") or explicit samples
-        with finite, nonzero L2 norm.
+        ``"gauss"`` (:func:`initial_profile`) or explicit samples with
+        finite, nonzero L2 norm.
     n_save : int
         Number of recorded times (pairings and snapshots), endpoints
         included.
@@ -351,7 +324,7 @@ class SpdeConfig:
             raise ValueError("dt = %g violates dt <= 0.1 eps^2 = %g"
                              % (self.dt, 0.1 * e * e))
         if isinstance(self.u0, str):
-            if self.u0 not in _PROFILE_NAMES:
+            if self.u0 != "gauss":
                 raise ValueError("unknown profile %r" % (self.u0,))
         else:
             arr = np.asarray(self.u0, dtype=float)
@@ -364,7 +337,7 @@ class SpdeConfig:
     def initial_state(self):
         """Initial profile as a fresh array."""
         if isinstance(self.u0, str):
-            return initial_profile(self.grid, self.u0)
+            return initial_profile(self.grid)
         return np.array(self.u0, dtype=float)
 
 
@@ -385,8 +358,6 @@ class FieldPath:
         Full fields at the recorded times (leading paths only).
     increments : ndarray or None, shape (n_steps,)
         Brownian increments consumed by this path's solver.
-    increment_var : float
-        Sample variance of those increments (target: dt).
     max_norm4 : float
         max_t ||u_t||^4 observed along the path.
     boundary_frac : float
@@ -401,7 +372,6 @@ class FieldPath:
     pairings_d2: np.ndarray
     snapshots: Optional[np.ndarray]
     increments: Optional[np.ndarray]
-    increment_var: float
     max_norm4: float
     boundary_frac: float
     config: SpdeConfig
@@ -441,6 +411,31 @@ def _battery_rows(battery, grid):
     return xi, xi_d2
 
 
+def _violation(side, steps, nsq, first_path, cap, dt):
+    """Energy monitor of squared norms, one row per step of ``steps`` and
+    one column per path from ``first_path``: None, or the report (order,
+    message) of the earliest bad row's lowest non-finite path or else its
+    worst path above the cap; the least order is the serial march's."""
+    n4 = nsq ** 2
+    ok = np.all(n4 <= cap, axis=1)  # False on a non-finite norm too
+    if ok.all():
+        return None
+    row = int(np.argmin(ok))
+    k = steps[row]
+    finite = np.isfinite(nsq[row])
+    if not finite.all():
+        path = first_path + int(np.argmax(~finite))
+        return ((k, side == "hom", 0, 0.0, path),
+                "non-finite %s state on path %d at t = %.6g"
+                % (side, path, k * dt))
+    worst = int(np.argmax(n4[row]))
+    path = first_path + worst
+    return ((k, side == "hom", 1, -n4[row, worst], path),
+            "energy cap violated on %s path %d at t = %.6g: "
+            "||u||^4 = %.6g > %.6g"
+            % (side, path, k * dt, n4[row, worst], cap))
+
+
 def run_ensemble(config, cell, cset, battery=None):
     """March paired heterogeneous/homogenized ensembles.
 
@@ -470,12 +465,11 @@ def run_ensemble(config, cell, cset, battery=None):
     energy monitor reads the squared norms of the physical field.  Recorded
     steps also read the pairings (one product with the stacked
     [xi; xi_d2]), the band and total L1 mass (one product with the stacked
-    [band; 1]) and the snapshots from that field.  The homogenized
-    side is one (n,) flow S_t u0, stepped by the same
-    spectral stepper with no noise, and an (m,) growth vector multiplied by
-    (1 + sigma_bar dW_k) at every step.  Every homogenized record (pairings,
-    squared norms for the energy monitor, boundary fractions, snapshots) is
-    the flow's value scaled by the path's growth.
+    [band; 1]) and the snapshots from that field.  The homogenized side
+    is one (n,) flow S_t u0, marched once per call by the spectral stepper
+    with no noise, up to its first non-finite step, and a chunk's growth
+    array, the running products of (1 + sigma_bar dW_k): its squared norms,
+    pairings, masses and snapshots are the flow's times the growth.
 
     The heterogeneous columns of a chunk march as two fixed halves, each
     with its own Bloch state: the first ceil(m/2) on the calling thread, the
@@ -485,11 +479,12 @@ def run_ensemble(config, cell, cset, battery=None):
     masses are products over a half-width block: they differ at rounding
     level, a few 1e-15 of the largest pairing.  Set-up, the increment
     draws, the homogenized side and the path records stay on the calling
-    thread.  Each half and the homogenized side stop at their own first
-    violation of the energy monitor, and the run raises the one a serial
-    march meets first: the earliest step, het before hom at that step, then
-    the lowest non-finite path or else the worst path above the cap.  The
-    worker is joined before the call returns or raises.
+    thread.  The energy monitor :func:`_violation` reads each half at
+    every step, to its first violation, and a chunk's homogenized norms at
+    once.  The run raises the violation a serial march meets first: the
+    earliest step, het before hom at that step, then the lowest non-finite
+    path or else the worst path above the cap.  The worker is joined before
+    the call returns or raises.
 
     Raises
     ------
@@ -504,10 +499,12 @@ def run_ensemble(config, cell, cset, battery=None):
     _check_type("cell", cell, CellSolutionI if part_I else CellSolutionII)
     _check_type("cset", cset, CoefficientSetI if part_I else CoefficientSetII)
     grid = config.grid
+    dx = grid.dx
     if battery is None:
         battery = default_test_battery(grid)
     xi, xi_d2 = _battery_rows(battery, grid)
     xi_both = np.vstack([xi, xi_d2])
+    n_xi = xi.shape[0]
     n_steps, dt_eff, save_idx = _step_grid(config.T_end, config.dt,
                                            config.n_save)
     het, hom = _prepare_pair(config, cell, cset, dt_eff)
@@ -522,64 +519,48 @@ def run_ensemble(config, cell, cset, battery=None):
     save_set = {int(k): i for i, k in enumerate(save_idx)}
     times = save_idx * dt_eff
     n_rec = len(save_idx)
-    sqrt_dt = np.sqrt(dt_eff)
+
+    # the homogenized flow S_t u0, marched once; past its first non-finite
+    # step its squared norms stay NaN, so every chunk's monitor stops there
+    flow = u0
+    flow_sq = np.full(n_steps + 1, np.nan)
+    flow_pairs = np.empty((n_rec, 2 * n_xi))
+    flow_mass = np.empty((n_rec, 2))
+    flows = np.empty((n_rec, grid.n))
+    for k in range(n_steps + 1):
+        if k:
+            flow = hom.step(flow, 0.0)
+        flow_sq[k] = flow @ flow
+        if not np.isfinite(flow_sq[k]):
+            break
+        slot = save_set.get(k)
+        if slot is not None:
+            abs_flow = np.abs(flow)
+            flow_pairs[slot, :n_xi] = (xi @ flow) * dx
+            flow_pairs[slot, n_xi:] = (xi_d2 @ flow) * dx
+            flow_mass[slot] = abs_flow[band].sum(), abs_flow.sum()
+            flows[slot] = flow
 
     # pooled second moment of all consumed increments, checked at the end
     pool_ss = 0.0
     pool_n = 0
 
-    n_xi = xi.shape[0]
     het_paths, hom_paths = [], []
     with ThreadPoolExecutor(max_workers=1) as pool:
         for lo in range(0, config.n_paths, config.chunk_size):
-            hi = min(lo + config.chunk_size, config.n_paths)
-            m = hi - lo
+            m = min(config.chunk_size, config.n_paths - lo)
             n_snap = min(m, max(0, config.n_snapshot_paths - lo))
             inc = np.empty((n_steps, m))
             for j in range(m):
                 inc[:, j] = _rng(config.seed, lo + j).standard_normal(n_steps)
-            inc *= sqrt_dt
+            inc *= np.sqrt(dt_eff)
 
-            pair = {s: np.empty((n_rec, n_xi, m)) for s in ("het", "hom")}
-            pair2 = {s: np.empty((n_rec, n_xi, m)) for s in ("het", "hom")}
-            snaps = {s: np.empty((n_snap, n_rec, grid.n))
-                     for s in ("het", "hom")}
-            max4 = {"het": np.zeros(m), "hom": np.zeros(m)}
-            bfrac = {"het": np.zeros(m), "hom": np.zeros(m)}
-
-            def monitor(side, k, cols, nsq):
-                """Energy monitor of the columns ``cols`` at step k: None
-                once their max_norm4 is updated, or the report (order,
-                message) of the lowest non-finite path or else the worst
-                path above the cap; the least order is the violation a
-                serial march meets first."""
-                finite = np.isfinite(nsq)
-                if not finite.all():
-                    path = lo + cols.start + int(np.argmax(~finite))
-                    return ((k, side == "hom", 0, 0.0, path),
-                            "non-finite %s state on path %d at t = %.6g"
-                            % (side, path, k * dt_eff))
-                n4 = nsq ** 2
-                worst = int(np.argmax(n4))
-                if n4[worst] > cap:
-                    path = lo + cols.start + worst
-                    return ((k, side == "hom", 1, -n4[worst], path),
-                            "energy cap violated on %s path %d at t = %.6g: "
-                            "||u||^4 = %.6g > %.6g"
-                            % (side, path, k * dt_eff, n4[worst], cap))
-                seen = max4[side][cols]
-                np.maximum(seen, n4, out=seen)
-                return None
-
-            def record(side, slot, cols, p, p2, band_mass, total, snap):
-                """Write the columns ``cols`` at one recorded time; snap
-                holds their leading snapshot rows."""
-                pair[side][slot][:, cols] = p
-                pair2[side][slot][:, cols] = p2
-                frac = band_mass / np.where(total > 0, total, 1.0)
-                seen = bfrac[side][cols]
-                np.maximum(seen, frac, out=seen)
-                snaps[side][cols.start:cols.start + len(snap), slot] = snap
+            # the heterogeneous records: pairings [xi; xi_d2], masses
+            # [band; total] and snapshots per recorded time, max ||u||^4
+            pairs = np.empty((n_rec, 2 * n_xi, m))
+            mass = np.empty((n_rec, 2, m))
+            snaps = np.empty((n_snap, n_rec, grid.n))
+            max4 = np.zeros(m)
 
             def march_het(cols):
                 """March and record the heterogeneous paths of the columns
@@ -592,52 +573,31 @@ def run_ensemble(config, cell, cset, battery=None):
                     if k:
                         U_hat = het.bloch_step(U_hat, inc[k - 1, cols])
                         U = het_op.from_bloch(U_hat)
-                    report = monitor("het", k, cols,
-                                     np.einsum("ij,ij->j", U, U) * grid.dx)
+                    nsq = np.einsum("ij,ij->j", U, U) * dx
+                    report = _violation("het", [k], nsq[None],
+                                        lo + cols.start, cap, dt_eff)
                     if report is not None:
                         return report
+                    np.maximum(max4[cols], nsq ** 2, out=max4[cols])
                     slot = save_set.get(k)
                     if slot is not None:
-                        pairs = (xi_both @ U) * grid.dx
-                        mass = band_rows @ np.abs(U)
-                        record("het", slot, cols, pairs[:n_xi],
-                               pairs[n_xi:], mass[0], mass[1],
-                               U[:, :max(0, n_snap - cols.start)].T)
+                        pairs[slot][:, cols] = (xi_both @ U) * dx
+                        mass[slot][:, cols] = band_rows @ np.abs(U)
+                        snaps[cols.start:min(cols.stop, n_snap), slot] = \
+                            U[:, :max(0, n_snap - cols.start)].T
                 return None
 
-            def march_hom():
-                """March and record the homogenized paths as the one flow
-                S_t u0 times a growth per path; returns the report of their
-                first violation, or None."""
-                cols = slice(0, m)
-                flow = u0.copy()
-                growth = np.ones(m)
-                for k in range(n_steps + 1):
-                    if k:
-                        flow = hom.step(flow, 0.0)
-                        growth *= 1.0 + hom.sigma_bar * inc[k - 1]
-                    report = monitor("hom", k, cols,
-                                     growth ** 2 * (flow @ flow) * grid.dx)
-                    if report is not None:
-                        return report
-                    slot = save_set.get(k)
-                    if slot is not None:
-                        abs_flow = np.abs(flow)
-                        abs_growth = np.abs(growth)
-                        record("hom", slot, cols,
-                               ((xi @ flow) * grid.dx)[:, None] * growth,
-                               ((xi_d2 @ flow) * grid.dx)[:, None] * growth,
-                               abs_growth * abs_flow[band].sum(),
-                               abs_growth * abs_flow.sum(),
-                               growth[:n_snap, None] * flow)
-                return None
+            growth = np.cumprod(np.vstack([np.ones(m),
+                                           1.0 + hom.sigma_bar * inc]), axis=0)
+            hom_sq = growth ** 2 * flow_sq[:, None] * dx
 
             # the worker marches the second half of the heterogeneous
-            # columns while this thread marches the first and the
-            # homogenized side; the earliest report is the serial march's
+            # columns, this thread the first; the least report is raised
             half = (m + 1) // 2
             second = pool.submit(march_het, slice(half, m)) if m > 1 else None
-            reports = [march_het(slice(0, half)), march_hom()]
+            reports = [march_het(slice(0, half)),
+                       _violation("hom", range(n_steps + 1), hom_sq, lo, cap,
+                                  dt_eff)]
             if second is not None:
                 reports.append(second.result())
             reports = [r for r in reports if r is not None]
@@ -647,21 +607,27 @@ def run_ensemble(config, cell, cset, battery=None):
             pool_ss += float(np.sum(inc ** 2))
             pool_n += inc.size
 
-            for side, out in (("het", het_paths), ("hom", hom_paths)):
+            g = growth[save_idx]
+            hom_records = (flow_pairs[:, :, None] * g[:, None],
+                           np.abs(g)[:, None] * flow_mass[:, :, None],
+                           g[:, :n_snap].T[:, :, None] * flows,
+                           np.max(hom_sq ** 2, axis=0))
+            for (pr, ms, sn, m4), out in (
+                    ((pairs, mass, snaps, max4), het_paths),
+                    (hom_records, hom_paths)):
+                bfrac = np.max(ms[:, 0] / np.where(ms[:, 1] > 0, ms[:, 1],
+                                                   1.0), axis=0)
                 for j in range(m):
                     out.append(FieldPath(
                         path_index=lo + j,
                         times=times.copy(),
-                        pairings=pair[side][:, :, j].copy(),
-                        pairings_d2=pair2[side][:, :, j].copy(),
-                        snapshots=snaps[side][j].copy()
-                        if j < n_snap else None,
+                        pairings=pr[:, :n_xi, j].copy(),
+                        pairings_d2=pr[:, n_xi:, j].copy(),
+                        snapshots=sn[j].copy() if j < n_snap else None,
                         increments=inc[:, j].copy()
                         if config.store_increments else None,
-                        increment_var=float(np.var(inc[:, j], ddof=1))
-                        if n_steps > 1 else 0.0,
-                        max_norm4=float(max4[side][j]),
-                        boundary_frac=float(bfrac[side][j]),
+                        max_norm4=float(m4[j]),
+                        boundary_frac=float(bfrac[j]),
                         config=config))
 
     # per-run statistical verification of the consumed noise

@@ -376,14 +376,17 @@ class LineOperator:
     def matrix(self):
         """The real n x n matrix, materialized from the blocks: the inverse
         FFT over t gives the cell-offset blocks C_d, and row cell a holds
-        C_{a-b} in column cell b, at position cells - 1 - b of window a of
-        [C_1 .. C_{cells-1}, C_0 .. C_{cells-1}]."""
-        cells = self.grid.n // self.p
+        C_{a-b} in column cell b, so block row a is block row 0 turned right
+        by a cells: rows [k, 2k) copy rows [0, k) (cells is a power of 2)."""
+        cells, p = self.grid.n // self.p, self.p
         offsets = np.fft.irfft(self.blocks, n=cells, axis=0)
-        # rebound, so the C_d alone are freed before the output is allocated
-        offsets = np.concatenate([offsets[1:], offsets])
-        windows = sliding_window_view(offsets, cells, axis=0)
-        out = windows[..., ::-1].swapaxes(2, 3).copy()
+        out = np.empty((cells, p, cells, p))
+        out[0] = np.roll(offsets[::-1], 1, axis=0).swapaxes(0, 1)
+        k = 1
+        while k < cells:
+            out[k:2 * k, :, k:] = out[:k, :, :cells - k]
+            out[k:2 * k, :, :k] = out[:k, :, cells - k:]
+            k *= 2
         return out.reshape(self.grid.n, self.grid.n)
 
     def __repr__(self):

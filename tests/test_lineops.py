@@ -432,10 +432,10 @@ def _matrix_by_cells(op):
     return out.reshape(op.grid.n, op.grid.n)
 
 
-@pytest.mark.parametrize("p", [1, 16, 512])
+@pytest.mark.parametrize("p", [1, 16, 64, 512])
 def test_matrix_matches_the_per_cell_loop(p):
     # a circulant (p = 1), a multi-cell operator and one cell (p = n):
-    # the strided gather places every block where the per-cell loop does
+    # the block-row doubling places every block where the per-cell loop does
     grid = lo.LineGrid(1.0, 512)
     rng = np.random.default_rng(p)
     cell_field = lambda: np.tile(rng.uniform(0.5, 1.5, p), grid.n // p)

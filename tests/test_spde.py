@@ -42,12 +42,13 @@ def stable2():
 def test_initial_profiles_supported_inside_half_window():
     grid = LineGrid(2.0, 256)
     band = np.abs(grid.x) >= 0.75 * grid.half_width
-    for name in ("gauss", "double", "indicator"):
-        u = spde.initial_profile(grid, name)
-        assert np.all(np.isfinite(u)) and u.max() > 0.5
-        assert np.abs(u[band]).sum() <= 1e-12 * np.abs(u).sum()
-    with pytest.raises(ValueError):
-        spde.initial_profile(grid, "sawtooth")
+    u = spde.initial_profile(grid)
+    assert np.all(np.isfinite(u)) and u.max() > 0.5
+    assert np.abs(u[band]).sum() <= 1e-12 * np.abs(u).sum()
+    # "gauss" is the one named profile; other names are refused
+    for name in ("double", "indicator", "sawtooth"):
+        with pytest.raises(ValueError, match="unknown profile"):
+            _small_config(u0=name)
 
 
 def test_default_battery_shapes_and_d2():
@@ -87,8 +88,7 @@ def test_het_I_zero_noise_preserves_positivity(varcoef):
     grid = LineGrid(2.0, 512)
     dt = spde.heterogeneous_dt_limit(cset, 1.0 / 8.0, grid)
     stepper = spde.prepare_heterogeneous_I(cset, 1.0 / 8.0, grid, dt)
-    u = run_path(stepper, spde.initial_profile(grid, "gauss"),
-                 np.zeros(400))
+    u = run_path(stepper, spde.initial_profile(grid), np.zeros(400))
     assert u.min() >= -1e-9
 
 
@@ -102,7 +102,7 @@ def test_het_I_matches_tenfold_refined_explicit(varcoef):
     rng = np.random.default_rng(5)
     n_steps = 120
     dws = rng.normal(0.0, np.sqrt(dt), n_steps)
-    u0 = spde.initial_profile(grid, "gauss")
+    u0 = spde.initial_profile(grid)
     u_semi = run_path(semi, u0, dws)
     # refined explicit driven by the same Brownian path; each macro increment
     # rides on the first substep so both schemes see the same noise factor
@@ -120,7 +120,7 @@ def test_het_I_zero_noise_self_convergence_order_one(varcoef):
     grid = LineGrid(1.0, 256)
     eps = 1.0 / 8.0
     T = 2.0e-3
-    u0 = spde.initial_profile(grid, "gauss")
+    u0 = spde.initial_profile(grid)
     terminal = []
     levels = [200, 400, 800, 1600]
     for n_steps in levels:
@@ -165,7 +165,9 @@ def test_hom_I_mass_multiplies_by_noise_factors(varcoef):
     st = spde.prepare_homogenized_I(sol.Q, sol.sigma_bar, grid, dt)
     rng = np.random.default_rng(11)
     dws = rng.normal(0.0, np.sqrt(dt), 300)
-    u0 = spde.initial_profile(grid, "double")
+    L = grid.half_width
+    u0 = (lo.gaussian_bump(grid, -L / 6.0, L / 14.0)
+          + lo.gaussian_bump(grid, L / 6.0, L / 14.0))
     mass0 = grid.inner(np.ones(grid.n), u0)
     u = run_path(st, u0, dws)
     mass = grid.inner(np.ones(grid.n), u)
@@ -184,7 +186,7 @@ def test_hom_I_strong_self_convergence_order_half(varcoef):
     finest = 256
     rng = np.random.default_rng(17)
     dw_fine = rng.normal(0.0, np.sqrt(T / finest), (finest, n_paths))
-    u0 = spde.initial_profile(grid, "gauss")
+    u0 = spde.initial_profile(grid)
     U0 = np.tile(u0[:, None], (1, n_paths))
     terminals = {}
     for n_steps in (32, 64, 128, 256):
@@ -235,7 +237,7 @@ def test_hom_II_zero_order_growth_exact(stable2):
                                  sigma_bar=0.0)
     dt, n_steps = 0.02, 50
     st = spde.prepare_homogenized_II(only_f, grid, dt)
-    u0 = spde.initial_profile(grid, "gauss")
+    u0 = spde.initial_profile(grid)
     u = run_path(st, u0, np.zeros(n_steps))
     assert np.max(np.abs(u - u0 * np.exp(sol.f_bar * dt * n_steps))) <= 1e-12
 
@@ -247,7 +249,7 @@ def test_hom_II_advection_translates(stable2):
                               sigma_bar=0.0, g_bar=0.5)
     dt, n_steps = 0.01, 40
     st = spde.prepare_homogenized_II(adv, grid, dt)
-    u0 = spde.initial_profile(grid, "gauss")
+    u0 = spde.initial_profile(grid)
     u = run_path(st, u0, np.zeros(n_steps))
     # d_t v = g_bar v' translates the profile to the left by g_bar t
     shift = adv.g_bar * dt * n_steps
@@ -272,7 +274,7 @@ def test_het_II_matches_tenfold_refined_explicit():
     rng = np.random.default_rng(23)
     n_steps = 250
     dws = rng.normal(0.0, np.sqrt(dt), n_steps)
-    u0 = spde.initial_profile(grid, "gauss")
+    u0 = spde.initial_profile(grid)
     u_semi = run_path(semi, u0, dws)
     fine = np.zeros(10 * n_steps)
     fine[0::10] = dws
@@ -791,11 +793,56 @@ def test_run_ensemble_records_and_increment_variance(varcoef):
     assert p.pairings.shape == (len(p.times), 3)
     assert p.snapshots.shape == (len(p.times), cfg.grid.n)
     assert het[3].snapshots is None  # beyond the snapshot quota
-    assert abs(p.increment_var / dt_eff - 1.0) <= 6.0 * np.sqrt(2.0 / n_steps)
-    # store_increments=False drops the arrays but keeps the variance check
-    het2, _ = spde.run_ensemble(
-        _small_config(T_end=2e-3, store_increments=False), sol, cset)
-    assert het2[0].increments is None and het2[0].increment_var > 0.0
+    var = np.var(p.increments, ddof=1)
+    assert abs(var / dt_eff - 1.0) <= 6.0 * np.sqrt(2.0 / n_steps)
+
+
+@pytest.mark.parametrize("store_increments", [True, False])
+def test_pooled_increment_variance_check(store_increments, varcoef,
+                                         monkeypatch):
+    # normals scaled by 1.5 give a pooled variance of about 2.25 dt, far
+    # beyond 6 SE at 360 draws; the check runs whether or not the records
+    # keep their increments
+    cset, sol = varcoef
+    cfg = _small_config(store_increments=store_increments)
+    het, _ = spde.run_ensemble(cfg, sol, cset)
+    assert (het[0].increments is None) is not store_increments
+    rng = spde._rng
+
+    class Wide:
+        def __init__(self, seed, stream):
+            self.gen = rng(seed, stream)
+
+        def standard_normal(self, size):
+            return 1.5 * self.gen.standard_normal(size)
+
+    monkeypatch.setattr(spde, "_rng", Wide)
+    with pytest.raises(RuntimeError, match="increment variance .* deviates"):
+        spde.run_ensemble(cfg, sol, cset)
+
+
+def test_one_homogenized_flow_per_run(varcoef, monkeypatch):
+    # three chunks march the homogenized flow once, and their records equal
+    # those of one chunk bitwise
+    cset, sol = varcoef
+    cfg = _small_config(n_paths=5, chunk_size=2, n_snapshot_paths=5)
+    n_steps = _step_grid(cfg.T_end, cfg.dt, cfg.n_save)[0]
+    step = spde.SpectralStepper.step
+    calls = []
+
+    def counted(self, state, dw):
+        calls.append(dw)
+        return step(self, state, dw)
+
+    monkeypatch.setattr(spde.SpectralStepper, "step", counted)
+    _, hom = spde.run_ensemble(cfg, sol, cset)
+    assert len(calls) == n_steps
+    _, ref = spde.run_ensemble(dataclasses.replace(cfg, chunk_size=5), sol,
+                               cset)
+    for p, r in zip(hom, ref):
+        for name in ("pairings", "pairings_d2", "snapshots"):
+            assert np.array_equal(getattr(p, name), getattr(r, name))
+        assert p.max_norm4 == r.max_norm4
 
 
 def test_run_ensemble_degenerate_const_coefficients_agree():
