@@ -14,9 +14,11 @@ Three ingredients live here:
   stable increments).
 
 Each returns a :class:`ParticleEnsemble` of positions at the sample times,
-held in memory.  The step bounds are fixed: dt <= 0.1 eps**2 for the
-jump-diffusion, dt <= 0.1 eps for the signal, and the Q oracle's default
-step is 0.005 eps**2.
+held in memory.  Both simulations check their inputs in :func:`_check_run`,
+with the fixed step bounds dt <= 0.1 eps**2 (jump-diffusion) and
+dt <= 0.1 eps (signal), and march in :func:`_march`, which runs each chunk
+through the simulation's step generator and checks and stores the positions
+at the save steps.  The Q oracle's default step is 0.005 eps**2.
 
 Paths are grouped into chunks of ``_CHUNK_SIZE`` paths, read at each call;
 chunk ``c`` of a run draws every random number from the dedicated stream
@@ -222,18 +224,20 @@ def _stable_draws(alpha, size, rng):
 class ParticleEnsemble:
     """Positions of an independent-path ensemble at sample times.
 
+    Path j belongs to chunk c = j // ``_CHUNK_SIZE`` of its run and draws
+    every random number from that chunk's stream (seed, c).  Only the two
+    simulations build an ensemble, and their march has checked every saved
+    position finite.
+
     Attributes
     ----------
     times : ndarray, shape (n_times,)
         Sample times, a subset of the step grid including 0 and T_end.
     positions : ndarray, shape (n_times, n_paths)
         Path positions at the sample times.
-    path_streams : ndarray, shape (n_paths,)
-        Stream index (chunk) whose generator produced each path.
     dt : float
         Actual step used (T_end / n_steps, never above the requested dt).
     T_end : float
-    seed : int
     jump_counts : ndarray or None
         Accepted-jump count per path (jump-diffusion runs).
     truncation_count : int
@@ -242,42 +246,26 @@ class ParticleEnsemble:
 
     times: np.ndarray
     positions: np.ndarray
-    path_streams: np.ndarray
     dt: float
     T_end: float
-    seed: int
     jump_counts: Optional[np.ndarray] = None
     truncation_count: int = 0
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        positions = np.asarray(self.positions, dtype=float)
-        path_streams = np.asarray(self.path_streams)
-        if positions.ndim != 2 or positions.shape[0] != times.size:
-            raise ValueError("positions must be (n_times, n_paths)")
-        if path_streams.shape != (positions.shape[1],):
-            raise ValueError("path_streams must have one entry per path")
-        if not np.isfinite(positions).all():
-            raise RuntimeError("ensemble contains non-finite positions")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "path_streams", path_streams)
 
     @property
     def n_paths(self):
         return self.positions.shape[1]
 
-    @property
-    def n_times(self):
-        return self.positions.shape[0]
 
-
-def _check_run(T_end, dt, x0, n_paths, n_save, seed):
-    """Reject run inputs that would crash or silently mis-step a simulation.
+def _check_run(eps, T_end, dt, x0, n_paths, n_save, seed, power):
+    """Reject run inputs that would crash or silently mis-step a simulation,
+    and lay out the step grid: (eps, n_steps, dt_eff, save_idx).
 
     Counts and the seed are integers (numpy integers too, bool refused),
-    with n_paths >= 1, n_save >= 2 and seed >= 0.
+    with n_paths >= 1, n_save >= 2 and seed >= 0; the requested dt is at
+    most _DT_SAFETY * eps**power (power 2 for the jump-diffusion, 1 for the
+    signal).
     """
+    eps = _eps_value(eps)
     _check_positive("T_end", T_end)
     _check_positive("dt", dt)
     if not _finite_real(x0):
@@ -285,6 +273,11 @@ def _check_run(T_end, dt, x0, n_paths, n_save, seed):
     for name, value, least in (("n_paths", n_paths, 1), ("n_save", n_save, 2),
                                ("seed", seed, 0)):
         _check_count(name, value, least)
+    if dt > _DT_SAFETY * eps**power * (1.0 + 1e-12):
+        raise ValueError("dt=%g too large for eps=%g: need dt <= %g (= %g %s)"
+                         % (dt, eps, _DT_SAFETY * eps**power, _DT_SAFETY,
+                            "eps^2" if power == 2 else "eps"))
+    return (eps,) + _step_grid(T_end, dt, n_save)
 
 
 def _step_grid(T_end, dt, n_save):
@@ -319,6 +312,29 @@ def _one_ahead(pool, fn, tasks):
         yield pending.result()
 
 
+def _march(x0, n_paths, save_idx, steps):
+    """Positions at the save steps, shape (save_idx.size, n_paths), of a
+    run marched chunk by chunk.
+
+    Each chunk's positions x start at x0, and the simulation's generator
+    ``steps(chunk, lo, hi, x)`` advances them in place, yielding each
+    step's number; at a save step they are checked finite and stored.
+    """
+    positions = np.empty((save_idx.size, n_paths))
+    for chunk, lo, hi in _chunk_ranges(n_paths):
+        x = np.full(hi - lo, float(x0))
+        positions[0, lo:hi] = x  # save_idx[0] is step 0
+        save_pos = 1
+        for step in steps(chunk, lo, hi, x):
+            if save_pos < save_idx.size and step == save_idx[save_pos]:
+                if not np.isfinite(x).all():
+                    raise RuntimeError(
+                        "non-finite particle state at step %d" % step)
+                positions[save_pos, lo:hi] = x
+                save_pos += 1
+    return positions
+
+
 # ---------------------------------------------------------------------------
 # Part I jump-diffusion
 
@@ -344,10 +360,11 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
     Poisson proposal count of every step, then for all the block's
     proposals their owners, thinning uniforms and jump sizes.  A one-thread
     pool that lives only for the call draws the next block (and computes
-    the Milstein factors dW**2 - 1) while the calling thread marches the
-    current one; all state-dependent work (location, table reads,
-    acceptance, the jump and Milstein updates, the save-step finite check)
-    stays on the calling thread.  The result depends only on the arguments:
+    the Milstein factors dW**2 - 1), across the chunk boundaries, while the
+    calling thread marches the current one in the shared :func:`_march`;
+    all state-dependent work (location, table reads, acceptance, the jump
+    and Milstein updates, the save-step finite check) stays on the calling
+    thread.  The result depends only on the arguments:
     repeated calls are bit-identical.  An exception on either thread
     reaches the caller, and the worker is joined before the call returns or
     raises.
@@ -388,18 +405,12 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
     -------
     ParticleEnsemble
     """
-    eps_val = _eps_value(eps)
-    _check_run(T_end, dt, x0, n_paths, n_save, seed)
-    if dt > _DT_SAFETY * eps_val**2 * (1.0 + 1e-12):
-        raise ValueError(
-            "dt=%g too large for eps=%g: need dt <= %g (= %g eps^2)"
-            % (dt, eps_val, _DT_SAFETY * eps_val**2, _DT_SAFETY)
-        )
+    eps_val, n_steps, dt_eff, save_idx = _check_run(
+        eps, T_end, dt, x0, n_paths, n_save, seed, 2)
     sampler = cset.kernel.sampler
     if sampler is None:
         raise ValueError("kernel %r has no sampler of Z ~ c/a1"
                          % cset.kernel.name)
-    n_steps, dt_eff, save_idx = _step_grid(T_end, dt, n_save)
 
     lam_tab = _Tables(_cell_samples(cset.lam))
     lam_max = float(cset.alpha2)
@@ -412,7 +423,6 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
     proposal_rate = lam_max * cset.kernel.a1 / eps_val**2
     inv_eps = 1.0 / eps_val
 
-    positions = np.empty((save_idx.size, n_paths))
     jump_counts = np.zeros(n_paths, dtype=np.int64)
 
     # premultiplied per-step rows: noise amplitude, drift displacement and
@@ -421,7 +431,6 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
                        _cell_samples(cset.b) * (inv_eps * dt_eff),
                        _cell_samples(cset.a.derivative(1))
                        * (0.5 * inv_eps * dt_eff))
-    chunks = _chunk_ranges(n_paths)
     blocks = [(first, min(first + _STEP_BLOCK, n_steps + 1))
               for first in range(1, n_steps + 1, _STEP_BLOCK)]
 
@@ -449,69 +458,49 @@ def simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed, x0=0.0,
 
     def tasks():
         k = 0
-        for chunk, lo, hi in chunks:
+        for chunk, lo, hi in _chunk_ranges(n_paths):
             g = _rng(seed, chunk)
             for first, stop in blocks:
                 yield g, hi - lo, stop - first, buffers[k % 2]
                 k += 1
 
+    def steps(chunk, lo, hi, x):
+        # the chunk's blocks, in turn, from the one stream of drawn blocks
+        for first, _ in blocks:
+            dW, factor, ends, owners, thresholds, z = next(drawn)
+            hits = []
+            for j, (a, b) in enumerate(zip(ends, ends[1:])):
+                idx, frac = _locate(x, inv_eps)
+                coef = step_tab.at(idx, frac)
+                step_x = coef[0]
+                step_x *= dW[j]
+                step_x += coef[1]
+                if b > a:
+                    own = owners[a:b]
+                    accept = (thresholds[a:b]
+                              < lam_tab.at(idx[own], frac[own])[0])
+                    jumpers = own[accept]
+                    np.add.at(step_x, jumpers, z[a:b][accept])
+                    hits.append(jumpers)
+                x += step_x
+                mil = coef[2]
+                mil *= factor[j]
+                x += mil
+                yield first + j
+            if hits:
+                np.add.at(jump_counts[lo:hi], np.concatenate(hits), 1)
+
     with ThreadPoolExecutor(max_workers=1) as pool:
         drawn = _one_ahead(pool, draw, tasks())
-        for _, lo, hi in chunks:
-            x = np.full(hi - lo, float(x0))
-            positions[0, lo:hi] = x  # save_idx[0] is step 0
-            save_pos = 1
-            counts_chunk = jump_counts[lo:hi]
-            for first, _ in blocks:
-                dW, factor, ends, owners, thresholds, z = next(drawn)
-                hits = []
-                for j, (a, b) in enumerate(zip(ends, ends[1:])):
-                    idx, frac = _locate(x, inv_eps)
-                    coef = step_tab.at(idx, frac)
-                    step_x = coef[0]
-                    step_x *= dW[j]
-                    step_x += coef[1]
-                    if b > a:
-                        own = owners[a:b]
-                        accept = (thresholds[a:b]
-                                  < lam_tab.at(idx[own], frac[own])[0])
-                        jumpers = own[accept]
-                        np.add.at(step_x, jumpers, z[a:b][accept])
-                        hits.append(jumpers)
-                    x += step_x
-                    mil = coef[2]
-                    mil *= factor[j]
-                    x += mil
-                    step = first + j
-                    if save_pos < save_idx.size and step == save_idx[save_pos]:
-                        if not np.isfinite(x).all():
-                            raise RuntimeError(
-                                "non-finite particle state at step %d" % step
-                            )
-                        positions[save_pos, lo:hi] = x
-                        save_pos += 1
-                if hits:
-                    np.add.at(counts_chunk, np.concatenate(hits), 1)
-
-    path_streams = np.repeat(np.arange(len(chunks)),
-                             [hi - lo for _, lo, hi in chunks])
-    return ParticleEnsemble(
-        times=save_idx * dt_eff,
-        positions=positions,
-        path_streams=path_streams,
-        dt=dt_eff,
-        T_end=float(T_end),
-        seed=int(seed),
-        jump_counts=jump_counts,
-    )
+        positions = _march(x0, n_paths, save_idx, steps)
+    return ParticleEnsemble(times=save_idx * dt_eff, positions=positions,
+                            dt=dt_eff, T_end=float(T_end),
+                            jump_counts=jump_counts)
 
 
 def _jackknife_variance_se(x, scale):
     """Delete-one jackknife SE of scale * Var(x) (ddof=1), in O(n)."""
-    x = np.asarray(x, dtype=float)
     n = x.size
-    if n < 3:
-        raise ValueError("jackknife needs at least 3 paths")
     s1 = x.sum()
     s2 = (x * x).sum()
     mu_i = (s1 - x) / (n - 1)
@@ -548,14 +537,10 @@ def estimate_Q_monte_carlo(cset, eps, T_end, n_paths, seed, dt=None):
     (float, float)
         (Q_hat, jackknife standard error).
     """
-    eps_val = _eps_value(eps)
-    if dt is None:
-        dt = _ORACLE_DT_SAFETY * eps_val**2
     # the jackknife needs three paths: refuse fewer before simulating
-    _check_run(T_end, dt, 0.0, n_paths, 2, seed)
-    if n_paths < 3:
-        raise ValueError("n_paths must be at least 3 for the jackknife, "
-                         "got %r" % (n_paths,))
+    _check_count("n_paths", n_paths, 3)
+    if dt is None:
+        dt = _ORACLE_DT_SAFETY * _eps_value(eps)**2
     ens = simulate_jump_diffusion_I(cset, eps, T_end, dt, n_paths, seed,
                                     n_save=2)
     x = ens.positions[-1]
@@ -575,7 +560,8 @@ def simulate_signal_II(cset, eps, T_end, dt, n_paths, seed, x0=0.0, n_save=9):
     dL an exact symmetric alpha-stable increment over dt (clipped at
     ``_TRUNCATION`` for float safety; the clip count is reported on the
     ensemble).  Each chunk of ``_CHUNK_SIZE`` paths draws its increments,
-    step by step, from its stream (seed, chunk).
+    step by step, from its stream (seed, chunk), in the step generator
+    that the shared :func:`_march` runs.
 
     The drift scale eps**(1-alpha) is the one at which the drift joins the
     fractional part in the fast generator, so the fast cell dynamics match
@@ -596,57 +582,32 @@ def simulate_signal_II(cset, eps, T_end, dt, n_paths, seed, x0=0.0, n_save=9):
     -------
     ParticleEnsemble
     """
-    eps_val = _eps_value(eps)
-    _check_run(T_end, dt, x0, n_paths, n_save, seed)
-    if dt > _DT_SAFETY * eps_val * (1.0 + 1e-12):
-        raise ValueError(
-            "dt=%g too large for eps=%g: need dt <= %g (= %g eps)"
-            % (dt, eps_val, _DT_SAFETY * eps_val, _DT_SAFETY)
-        )
+    eps_val, n_steps, dt_eff, save_idx = _check_run(
+        eps, T_end, dt, x0, n_paths, n_save, seed, 1)
     alpha = float(cset.alpha)
     drift_scale = eps_val ** (1.0 - alpha)
-    n_steps, dt_eff, save_idx = _step_grid(T_end, dt, n_save)
     jump_scale = dt_eff ** (1.0 / alpha)
 
     # premultiplied per-step rows: drift displacement and jump amplitude
     step_tab = _Tables(_cell_samples(cset.d) * (drift_scale * dt_eff),
                        _cell_samples(cset.delta) * jump_scale)
     inv_eps = 1.0 / eps_val
-
-    positions = np.empty((save_idx.size, n_paths))
     n_clipped = 0
-    chunks = _chunk_ranges(n_paths)
 
-    for chunk, lo, hi in chunks:
+    def steps(chunk, lo, hi, x):
+        nonlocal n_clipped
         g = _rng(seed, chunk)
-        m = hi - lo
-        x = np.full(m, float(x0))
-        positions[0, lo:hi] = x  # save_idx[0] is step 0
-        save_pos = 1
         for step in range(1, n_steps + 1):
             idx, frac = _locate(x, inv_eps)
-            draws, clipped = _stable_draws(alpha, m, g)
+            draws, clipped = _stable_draws(alpha, hi - lo, g)
             n_clipped += clipped
             drift, jump = step_tab.at(idx, frac)
             draws *= jump
             x += drift
             x += draws
-            if save_pos < save_idx.size and step == save_idx[save_pos]:
-                if not np.isfinite(x).all():
-                    raise RuntimeError(
-                        "non-finite particle state at step %d" % step
-                    )
-                positions[save_pos, lo:hi] = x
-                save_pos += 1
+            yield step
 
-    path_streams = np.repeat(np.arange(len(chunks)),
-                             [hi - lo for _, lo, hi in chunks])
-    return ParticleEnsemble(
-        times=save_idx * dt_eff,
-        positions=positions,
-        path_streams=path_streams,
-        dt=dt_eff,
-        T_end=float(T_end),
-        seed=int(seed),
-        truncation_count=n_clipped,
-    )
+    positions = _march(x0, n_paths, save_idx, steps)
+    return ParticleEnsemble(times=save_idx * dt_eff, positions=positions,
+                            dt=dt_eff, T_end=float(T_end),
+                            truncation_count=n_clipped)

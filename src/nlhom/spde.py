@@ -269,9 +269,9 @@ class SpdeConfig:
     grid : LineGrid
         Periodic spatial grid; must tile eps with >= 16 points per cell.
     dt : float
-        Time step; must satisfy the family's stability rule (the
-        coefficient-dependent clause is enforced when operators are
-        prepared).
+        Requested time step; the step taken, T_end / ceil(T_end / dt),
+        must satisfy :func:`heterogeneous_dt_limit`, which
+        :func:`run_ensemble` checks before it marches.
     T_end : float
         Horizon; the effective step is T_end / ceil(T_end / dt).
     n_paths : int
@@ -318,11 +318,9 @@ class SpdeConfig:
                              ("n_snapshot_paths", 0), ("chunk_size", 1),
                              ("seed", 0)):
             _check_count(label, getattr(self, label), least)
-        e = _eps_value(self.eps)
-        self.grid.points_per_cell(e)
-        if self.part == "I" and self.dt > 0.1 * e * e * (1.0 + 1e-9):
-            raise ValueError("dt = %g violates dt <= 0.1 eps^2 = %g"
-                             % (self.dt, 0.1 * e * e))
+        _check_type("grid", self.grid, LineGrid)
+        _check_type("store_increments", self.store_increments, bool)
+        self.grid.points_per_cell(_eps_value(self.eps))
         if isinstance(self.u0, str):
             if self.u0 != "gauss":
                 raise ValueError("unknown profile %r" % (self.u0,))

@@ -108,12 +108,6 @@ class TorusGrid:
         self.x = np.arange(n) * self.h
         self.x.setflags(write=False)
 
-    def __eq__(self, other):
-        return isinstance(other, TorusGrid) and other.n == self.n
-
-    def __hash__(self):
-        return hash(("TorusGrid", self.n))
-
     def __repr__(self):
         return "TorusGrid(n=%d)" % self.n
 

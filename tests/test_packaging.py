@@ -120,28 +120,62 @@ TEST_INPUT_BUILDERS = {"laplace_kernel", "triangle_kernel",
                        "coefficient_set_by_name"}
 
 
+def _caller_sources():
+    """(path, syntax tree) of the package modules and the benchmark's
+    non-test scripts: the code whose reads give a name a caller."""
+    paths = sorted((ROOT / "src" / "nlhom").glob("*.py"))
+    paths += [path for path in sorted((ROOT / "perfbench").glob("*.py"))
+              if not path.name.startswith("test_")]
+    return [(path, ast.parse(path.read_text())) for path in paths]
+
+
+def _read_names(sources):
+    """The names that sources read, as a variable or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for _, tree in sources for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
 def test_exports_have_callers():
     # an __all__ name that no package code and no benchmark code reads is an
     # entry point only its own tests call; names read as a variable or as an
     # attribute count, the benchmark's own tests do not
-    paths = sorted((ROOT / "src" / "nlhom").glob("*.py"))
-    paths += [path for path in sorted((ROOT / "perfbench").glob("*.py"))
-              if not path.name.startswith("test_")]
-    read, exported = set(), []
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.Assign) and [
-                    getattr(t, "id", None) for t in node.targets] \
-                    == ["__all__"]:
-                exported += ["%s.%s" % (path.stem, item.value)
-                             for item in node.value.elts]
-    unread = [name for name in exported
-              if name.split(".")[1] not in read | TEST_INPUT_BUILDERS]
+    sources = _caller_sources()
+    exported = ["%s.%s" % (path.stem, item.value) for path, tree in sources
+                for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["__all__"] for item in node.value.elts]
+    read = _read_names(sources) | TEST_INPUT_BUILDERS
+    unread = [name for name in exported if name.split(".")[1] not in read]
     assert exported and not unread, unread
+
+
+def test_private_names_have_callers():
+    # the private twin of test_exports_have_callers: a module-level _name
+    # (function, class or constant) of the package that no package code and
+    # no benchmark code reads lives on only for its own tests; dunders such
+    # as __version__ are exempt
+    sources = _caller_sources()
+    defined = []
+    for path, tree in sources:
+        if path.parent.name != "nlhom":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [n.id for n in ast.walk(node)
+                         if isinstance(n, ast.Name)
+                         and isinstance(n.ctx, ast.Store)]
+            else:
+                continue
+            defined += ["%s.%s" % (path.stem, name) for name in names
+                        if name.startswith("_") and not (
+                            name.startswith("__") and name.endswith("__"))]
+    read = _read_names(sources)
+    unread = [name for name in defined if name.split(".")[1] not in read]
+    assert defined and not unread, unread
 
 
 def test_digest_runs_the_workloads():

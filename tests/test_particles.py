@@ -15,7 +15,7 @@ from nlhom import lineops as lo
 from nlhom import particles as pm
 from nlhom.cell import solve_cell_I, solve_cell_II
 from nlhom.coefficients import CoefficientSetI
-from nlhom.fixtures import coefficient_set_by_name
+from nlhom.fixtures import coefficient_set_by_name, stable_1
 from nlhom.kernels import IntegrableKernel, box_kernel
 from nlhom.torus import (PeriodicField, TorusGrid, field_from_function,
                          fractional_symbol)
@@ -461,21 +461,6 @@ def test_kernel_without_sampler_is_refused(run):
 
 
 # ---------------------------------------------------------------------------
-# ensemble containers
-# ---------------------------------------------------------------------------
-
-
-def test_ensemble_rejects_non_finite():
-    with pytest.raises(RuntimeError, match="non-finite"):
-        pm.ParticleEnsemble(
-            times=np.array([0.0, 1.0]),
-            positions=np.array([[0.0, 0.0], [np.nan, 1.0]]),
-            path_streams=np.zeros(2, dtype=int),
-            dt=0.1, T_end=1.0, seed=0,
-        )
-
-
-# ---------------------------------------------------------------------------
 # the alpha-stable signal
 # ---------------------------------------------------------------------------
 
@@ -650,7 +635,7 @@ def test_numpy_integer_counts_are_accepted(family):
         ens = _simulate(family, n_paths=np.int64(8), n_save=np.int32(3))
         ref = _simulate(family, n_paths=8, n_save=3)
     assert np.array_equal(ens.positions, ref.positions)
-    assert ens.n_times == 3
+    assert ens.positions.shape[0] == 3
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -674,20 +659,6 @@ def test_numpy_integer_seeds_are_accepted():
     assert np.array_equal(got, ref)
     ens = _simulate("jump", seed=np.uint64(3))
     assert np.array_equal(ens.positions, _simulate("jump", seed=3).positions)
-
-
-def test_ensemble_takes_path_streams_as_a_list():
-    # a list used to raise AttributeError: 'list' object has no attribute
-    # 'shape'
-    ens = pm.ParticleEnsemble(times=[0.0, 1.0],
-                              positions=[[0.0, 0.0], [1.0, 2.0]],
-                              path_streams=[0, 0], dt=1.0, T_end=1.0, seed=0)
-    assert isinstance(ens.path_streams, np.ndarray)
-    assert np.array_equal(ens.path_streams, [0, 0])
-    with pytest.raises(ValueError, match="path_streams"):
-        pm.ParticleEnsemble(times=[0.0, 1.0],
-                            positions=[[0.0, 0.0], [1.0, 2.0]],
-                            path_streams=[0], dt=1.0, T_end=1.0, seed=0)
 
 
 def _jump_set_with_sampler(sampler):
@@ -747,6 +718,27 @@ def test_non_finite_state_raises_at_the_save_step(saves):
     if saves == "end only":
         assert step == steps
     assert threading.active_count() == before
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_signal_non_finite_state_raises_at_the_save_step(monkeypatch):
+    # infinite increments from the fifth step on; saving at steps 0, 10,
+    # the shared march's finite check reports them at step 10
+    calls = []
+    draws = pm._stable_draws
+
+    def infinite_from_fifth(alpha, size, rng):
+        calls.append(size)
+        x, clipped = draws(alpha, size, rng)
+        if len(calls) >= 5:
+            x[:] = np.inf
+        return x, clipped
+
+    monkeypatch.setattr(pm, "_stable_draws", infinite_from_fifth)
+    with pytest.raises(RuntimeError,
+                       match="non-finite particle state at step 10$"):
+        pm.simulate_signal_II(stable_1(64), 0.25, 0.2, 0.02, 8, seed=1,
+                              n_save=2)
 
 
 @pytest.mark.parametrize("n_paths", [0, 1, 2])

@@ -14,6 +14,7 @@ from nlhom import lineops as lo
 from nlhom.coefficients import PeriodicField
 from nlhom.lineops import LineGrid, ResolutionError, assemble_T_eps
 from nlhom.particles import _step_grid
+from nlhom.torus import TorusGrid
 from spde_oracle import prepare_explicit, run_path
 
 
@@ -347,7 +348,7 @@ def _small_config(part="I", **kw):
     return spde.SpdeConfig(**defaults)
 
 
-def test_config_validation():
+def test_config_validation(varcoef):
     grid = LineGrid(2.0, 512)
     with pytest.raises(ValueError):
         spde.SpdeConfig(part="III", eps=0.125, grid=grid, dt=1e-5,
@@ -355,9 +356,21 @@ def test_config_validation():
     with pytest.raises(ValueError):
         spde.SpdeConfig(part="I", eps=0.125, grid=grid, dt=-1e-5,
                         T_end=0.1, n_paths=1, seed=0)
-    with pytest.raises(ValueError):  # violates dt <= 0.1 eps^2
-        spde.SpdeConfig(part="I", eps=0.125, grid=grid, dt=5e-3,
+    # violates dt <= 0.1 eps^2: the run refuses the step it would take
+    cfg = spde.SpdeConfig(part="I", eps=0.125, grid=grid, dt=5e-3,
+                          T_end=0.1, n_paths=1, seed=0)
+    with pytest.raises(ValueError, match="exceeds the integrable-family "
+                                         "stability limit"):
+        spde.run_ensemble(cfg, varcoef[1], varcoef[0])
+    # a torus grid used to raise AttributeError: no points_per_cell
+    with pytest.raises(ValueError, match="grid must be a LineGrid, got a "
+                                         "TorusGrid"):
+        spde.SpdeConfig(part="I", eps=0.125, grid=TorusGrid(64), dt=1e-5,
                         T_end=0.1, n_paths=1, seed=0)
+    # "no" used to be accepted as a truthy store_increments
+    with pytest.raises(ValueError, match="store_increments must be a bool"):
+        spde.SpdeConfig(part="I", eps=0.125, grid=grid, dt=1e-5,
+                        T_end=0.1, n_paths=1, seed=0, store_increments="no")
     with pytest.raises(ValueError):
         spde.SpdeConfig(part="I", eps=0.125, grid=grid, dt=1e-5,
                         T_end=0.1, n_paths=1, seed=0, u0="sawtooth")

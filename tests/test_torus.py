@@ -83,7 +83,7 @@ def test_grid_validation():
     g = TorusGrid(16)
     assert g.h == pytest.approx(1.0 / 16)
     assert g.x[0] == 0.0 and g.x[-1] == pytest.approx(1.0 - 1.0 / 16)
-    assert TorusGrid(np.int64(16)) == g
+    assert TorusGrid(np.int64(16)).n == g.n
 
 
 @pytest.mark.parametrize("n", [64.7, 64.0, "64", None, True])
